@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg import GF2, kernel_of_columns, rank_of_columns, solve_columns
+from .linalg import (GF2, Reducer, add_scaled, kernel_of_columns,
+                     rank_of_columns, solve_columns)
 
 INF = math.inf
 
@@ -138,12 +139,7 @@ class ChainMap:
         F = self.source.field
         out = {}
         for g, c in vec.items():
-            for h, v in self.comp.get(g, {}).items():
-                w = F.add(out.get(h, F.zero()), F.mul(c, v))
-                if w == F.zero():
-                    out.pop(h, None)
-                else:
-                    out[h] = w
+            add_scaled(out, self.comp.get(g, {}), c, F)
         return out
 
 
@@ -242,7 +238,6 @@ class FilteredComplex:
         (transposed-differential) matrix.
         """
         C = self.complex
-        F = C.field
         order = sorted(C.gens, key=lambda g: (self.action[g], C.deg[g],
                                               C._index[g]))
         pos = {g: i for i, g in enumerate(order)}
@@ -251,32 +246,15 @@ class FilteredComplex:
         for g, cb in C.d.items():
             for h, v in cb.items():
                 bdry[h][g] = v
-        low_owner = {}  # pivot position -> owning column gen
-        reduced = {}
+        red = Reducer(C.field)
         pairs = []
         essential = []
         for g in order:
-            col = {pos[h]: v for h, v in bdry[g].items()}
-            while col:
-                p = max(col)
-                if p not in low_owner:
-                    break
-                other = reduced[low_owner[p]]
-                c = F.mul(col[p], F.inv(other[p]))
-                for i, v in other.items():
-                    w = F.add(col.get(i, F.zero()), F.neg(F.mul(c, v)))
-                    if w == F.zero():
-                        col.pop(i, None)
-                    else:
-                        col[i] = w
-            if col:
-                p = max(col)
-                low_owner[p] = g
-                reduced[g] = col
-                birth_gen = order[p]
-                pairs.append((birth_gen, g))
-            else:
+            p = red.add({pos[h]: v for h, v in bdry[g].items()})
+            if p is None:
                 essential.append(g)
+            else:
+                pairs.append((order[p], g))
         bars = []
         killed = {b for (b, _) in pairs}
         for (b, dth) in pairs:
@@ -360,38 +338,14 @@ def cohomology_basis(C: ChainComplex, order_key=None):
                 for g in gens_k]
         kernel = kernel_of_columns(cols, F)
         # reduce kernel vectors modulo the coboundary image from degree k-1
-        pivots = {}
+        red = Reducer(F)
         for g in by_deg.get(k - 1, []):
-            col = {pos[h]: v for h, v in C.d.get(g, {}).items()}
-            while col:
-                p = max(col)
-                if p not in pivots:
-                    pivots[p] = col
-                    break
-                col = _col_eliminate(col, pivots[p], p, F)
+            red.add({pos[h]: v for h, v in C.d.get(g, {}).items()})
         for combo in kernel:
             vec = {pos[gens_k[j]]: v for j, v in combo.items()}
-            while vec:
-                p = max(vec)
-                if p not in pivots:
-                    pivots[p] = vec
-                    basis.append(
-                        (k, {order[i]: v for i, v in vec.items()}))
-                    break
-                vec = _col_eliminate(vec, pivots[p], p, F)
+            if red.add(vec) is not None:
+                basis.append((k, {order[i]: v for i, v in vec.items()}))
     return basis
-
-
-def _col_eliminate(col, piv, p, F):
-    c = F.mul(col[p], F.inv(piv[p]))
-    out = dict(col)
-    for i, v in piv.items():
-        w = F.add(out.get(i, F.zero()), F.neg(F.mul(c, v)))
-        if w == F.zero():
-            out.pop(i, None)
-        else:
-            out[i] = w
-    return out
 
 
 def class_coordinates(C: ChainComplex, basis_cocycles, z):
@@ -417,15 +371,9 @@ def class_coordinates(C: ChainComplex, basis_cocycles, z):
 
 
 def apply_d(C: ChainComplex, vec):
-    F = C.field
     out = {}
     for g, c in vec.items():
-        for h, v in C.d.get(g, {}).items():
-            w = F.add(out.get(h, F.zero()), F.mul(c, v))
-            if w == F.zero():
-                out.pop(h, None)
-            else:
-                out[h] = w
+        add_scaled(out, C.d.get(g, {}), c, C.field)
     return out
 
 

@@ -283,6 +283,12 @@ class SampledFunction:
         return float(self.values.min()), float(self.values.max())
 
 
+def _cells(mask):
+    """Indices of the true entries of mask in C order, as tuples of Python
+    ints (numpy scalars would leak into degrees and artifacts)."""
+    return [tuple(c) for c in np.argwhere(mask).tolist()]
+
+
 class CubicalSet:
     """Subset of the cells of a BoxGrid, closed under taking faces."""
 
@@ -295,7 +301,7 @@ class CubicalSet:
             self.assert_closed()
 
     def assert_closed(self):
-        for cell in zip(*np.nonzero(self.membership)):
+        for cell in _cells(self.membership):
             for f, _ in self.grid.faces(cell):
                 if not self.membership[f]:
                     raise AssertionError(f"not closed: {cell} has face {f} outside")
@@ -304,7 +310,7 @@ class CubicalSet:
         return bool(self.membership[tuple(cell)])
 
     def cells(self):
-        return list(zip(*np.nonzero(self.membership)))
+        return _cells(self.membership)
 
     def count(self):
         return int(self.membership.sum())
@@ -344,7 +350,7 @@ class BaseRegion:
             raise ValueError("region shape mismatch")
         # closure under faces of the base complex
         base_only = grid.base_only()
-        for cell in zip(*np.nonzero(self.membership)):
+        for cell in _cells(self.membership):
             for f, _ in base_only.faces(cell):
                 self.membership[f] = True
         self.membership.setflags(write=False)
@@ -381,7 +387,7 @@ class BaseRegion:
             self.membership.reshape(self.membership.shape + extra), shape)
 
     def base_cells(self):
-        return list(zip(*np.nonzero(self.membership)))
+        return _cells(self.membership)
 
     def count(self):
         return int(self.membership.sum())
@@ -399,7 +405,7 @@ def relative_cochain_complex(W: CubicalSet, A: CubicalSet,
     keep = W.membership & ~A.membership
     grid = W.grid
     gens, deg, d = [], {}, {}
-    for cell in zip(*np.nonzero(keep)):
+    for cell in _cells(keep):
         gens.append(cell)
         deg[cell] = grid.cell_dim(cell)
     genset = set(gens)

@@ -1,13 +1,12 @@
 """Exact linear algebra over F2 (default) and Q.
 
 Scalars are plain Python objects: ints 0/1 for F2, fractions.Fraction for Q.
-Matrices are kept sparse as {(row, col): scalar} with no stored zeros.
+Vectors and columns are kept sparse as {row: scalar} with no stored zeros.
 No floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -99,109 +98,73 @@ QQ = _QQ()
 FIELDS = {"f2": GF2, "q": QQ}
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Immutable sparse matrix over a field; entries omit zeros."""
+def add_scaled(vec, other, c, field):
+    """vec += c * other, in place on the sparse dict vec; zeros are dropped."""
+    zero = field.zero()
+    for i, v in other.items():
+        w = field.add(vec.get(i, zero), field.mul(c, v))
+        if w == zero:
+            vec.pop(i, None)
+        else:
+            vec[i] = w
 
-    rows: int
-    cols: int
-    entries: tuple  # tuple of ((i, j), scalar)
-    field: Field = GF2
 
-    @staticmethod
-    def from_dict(rows, cols, d, field=GF2):
-        ent = []
-        for (i, j), v in d.items():
-            v = field.coerce(v)
-            if v != field.zero():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ValueError(f"entry ({i},{j}) out of bounds {rows}x{cols}")
-                ent.append(((i, j), v))
-        ent.sort(key=lambda e: e[0])
-        return SparseMatrix(rows, cols, tuple(ent), field)
+class Reducer:
+    """Left-to-right pivot elimination, the one kernel behind every rank,
+    kernel, solve, barcode and cohomology basis of the package.
 
-    def to_dict(self):
-        return {ij: v for ij, v in self.entries}
+    The pivot of a nonzero column is its largest row.  ``pivots`` maps each
+    pivot row to ``(reduced column, combination or None)``; a combination
+    records the reduced column as a sum of input columns.
+    """
 
-    def columns(self):
-        """Columns as a list of dicts row -> scalar."""
-        cols = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries:
-            cols[j][i] = v
-        return cols
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}
 
-    def transpose(self):
-        return SparseMatrix.from_dict(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries}, self.field
-        )
+    def reduce(self, col, combo=None):
+        """Clear the pivot of col (in place) against stored columns while it
+        has one, repeating every step on combo.  Returns the pivot row left,
+        or None when col reaches zero."""
+        F, pivots = self.field, self.pivots
+        while col:
+            p = max(col)
+            if p not in pivots:
+                return p
+            pcol, pcombo = pivots[p]
+            c = F.neg(F.mul(col[p], F.inv(pcol[p])))
+            add_scaled(col, pcol, c, F)
+            if combo is not None:
+                add_scaled(combo, pcombo, c, F)
+        return None
 
-    def rank(self):
-        return rank_of_columns(self.columns(), self.field)
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        F = self.field
-        rows_of_other = {}
-        for (i, j), v in other.entries:
-            rows_of_other.setdefault(i, []).append((j, v))
-        out = {}
-        for (i, k), v in self.entries:
-            for j, w in rows_of_other.get(k, ()):
-                key = (i, j)
-                out[key] = F.add(out.get(key, F.zero()), F.mul(v, w))
-        return SparseMatrix.from_dict(self.rows, other.cols, out, F)
+    def add(self, col, combo=None):
+        """Reduce col and keep it if it is nonzero; returns its pivot row or
+        None."""
+        p = self.reduce(col, combo)
+        if p is not None:
+            self.pivots[p] = (col, combo)
+        return p
 
 
 def rank_of_columns(cols, field=GF2):
     """Rank of a list of sparse columns (dicts row -> scalar), destructive-free."""
-    pivots = {}  # pivot row -> reduced column (dict)
-    rank = 0
+    red = Reducer(field)
     for col in cols:
-        col = dict(col)
-        while col:
-            p = max(col)
-            if p not in pivots:
-                pivots[p] = col
-                rank += 1
-                break
-            col = _eliminate(col, pivots[p], p, field)
-    return rank
+        red.add(dict(col))
+    return len(red.pivots)
 
-
-def _eliminate(col, piv, p, field):
-    """Subtract the right multiple of piv from col to kill row p."""
-    c = field.mul(col[p], field.inv(piv[p]))
-    out = dict(col)
-    for i, v in piv.items():
-        w = field.add(out.get(i, field.zero()), field.neg(field.mul(c, v)))
-        if w == field.zero():
-            out.pop(i, None)
-        else:
-            out[i] = w
-    return out
 
 def kernel_of_columns(cols, field=GF2):
     """Basis of the kernel of the map sending e_j to cols[j].
 
     Returns a list of combination dicts {j: scalar}.
     """
-    pivots = {}
+    red = Reducer(field)
     kernel = []
-    for idx, col in enumerate(cols):
-        col = dict(col)
-        combo = {idx: field.one()}
-        while col:
-            p = max(col)
-            if p not in pivots:
-                pivots[p] = (col, combo)
-                combo = None
-                break
-            pc, pcombo = pivots[p]
-            c = field.mul(col[p], field.inv(pc[p]))
-            col = _eliminate(col, pc, p, field)
-            combo = _combo_sub(combo, pcombo, c, field)
-        if combo is not None:
+    for j, col in enumerate(cols):
+        combo = {j: field.one()}
+        if red.add(dict(col), combo) is None:
             kernel.append(combo)
     return kernel
 
@@ -211,56 +174,14 @@ def solve_columns(cols, target, field=GF2):
 
     Returns a list of coefficients (one per column) or None if inconsistent.
     """
-    # Forward elimination remembering combinations.
-    pivots = {}  # pivot row -> (column, combo)
-    combos = []
-    n = len(cols)
-    for idx, col in enumerate(cols):
-        col = dict(col)
-        combo = {idx: field.one()}
-        while col:
-            p = max(col)
-            if p not in pivots:
-                pivots[p] = (col, combo)
-                break
-            pc, pcombo = pivots[p]
-            c = field.mul(col[p], field.inv(pc[p]))
-            col = _eliminate(col, pc, p, field)
-            combo = _combo_sub(combo, pcombo, c, field)
-        combos.append(None)
-    t = dict(target)
-    tcombo = {}
-    while t:
-        p = max(t)
-        if p not in pivots:
-            return None
-        pc, pcombo = pivots[p]
-        c = field.mul(t[p], field.inv(pc[p]))
-        t = _eliminate(t, pc, p, field)
-        tcombo = _combo_add(tcombo, pcombo, c, field)
-    out = [field.zero()] * n
-    for j, v in tcombo.items():
-        out[j] = v
-    return out
-
-
-def _combo_sub(a, b, c, field):
-    out = dict(a)
-    for j, v in b.items():
-        w = field.add(out.get(j, field.zero()), field.neg(field.mul(c, v)))
-        if w == field.zero():
-            out.pop(j, None)
-        else:
-            out[j] = w
-    return out
-
-
-def _combo_add(a, b, c, field):
-    out = dict(a)
-    for j, v in b.items():
-        w = field.add(out.get(j, field.zero()), field.mul(c, v))
-        if w == field.zero():
-            out.pop(j, None)
-        else:
-            out[j] = w
+    red = Reducer(field)
+    for j, col in enumerate(cols):
+        red.add(dict(col), {j: field.one()})
+    # reduce leaves target + sum_j combo[j] * cols[j] == 0
+    combo = {}
+    if red.reduce(dict(target), combo) is not None:
+        return None
+    out = [field.zero()] * len(cols)
+    for j, v in combo.items():
+        out[j] = field.neg(v)
     return out

@@ -331,10 +331,6 @@ def verify_unit_composition(F: TameSheaf, lambdas, eps=None):
     return True
 
 
-def _floor_of(um: UnitMorphisms):
-    return (um.CA.taxis.breaks[0] + um.CB.taxis.breaks[0]) - 0.5
-
-
 # ---------------------------------------------------------------------------
 # cohomology classes and the cup product
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random as _random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,23 +66,6 @@ class FunPoset:
             frontier = [c for c in new if c not in out]
             out.extend(frontier)
         return out
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """A weakly increasing chain (v0 <= ... <= v_{k+1}); degree k."""
-
-    vertices: tuple
-
-    @property
-    def degree(self):
-        return len(self.vertices) - 2
-
-    def first(self):
-        return self.vertices[0]
-
-    def last(self):
-        return self.vertices[-1]
 
 
 class CoherentDiagram:

@@ -212,3 +212,14 @@ out = "convolve.csv"
     code, summary = run_scenario(str(path), out_dir=str(tmp_path / "out"))
     assert code == 0
     assert summary["tasks"][0]["ranks"] == {"0": 1, "1": 2, "2": 1}
+
+
+def test_reduction_ranks_are_plain_ints(tmp_path):
+    path = next(p for p in bundled_scenarios()
+                if os.path.basename(p) == "reduction.toml")
+    code, _ = run_scenario(path, out_dir=str(tmp_path))
+    assert code == 0
+    rows = dict(line.split(",", 1) for line in
+                (tmp_path / "reduce.csv").read_text().splitlines())
+    assert rows["restriction"] == "{0: 1}"
+    assert rows["restriction"] == rows["tubular-limit"]
