@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg import (GF2, Reducer, add_scaled, kernel_of_columns,
-                     rank_of_columns, solve_columns)
+from .linalg import GF2, Reducer, add_scaled, kernel_of_columns, solve_columns
 
 INF = math.inf
 
@@ -47,13 +46,12 @@ class ChainComplex:
         self.assert_d_squared_zero()
 
     def assert_d_squared_zero(self):
-        F = self.field
-        for g in self.d:
+        F, d = self.field, self.d
+        for g, cb in d.items():
             acc = {}
-            for h, v in self.d[g].items():
-                for k, w in self.d.get(h, {}).items():
-                    acc[k] = F.add(acc.get(k, F.zero()), F.mul(v, w))
-            if any(x != F.zero() for x in acc.values()):
+            for h, v in cb.items():
+                add_scaled(acc, d.get(h, {}), v, F)
+            if acc:
                 raise ValueError(f"d^2 != 0 at generator {g!r}")
 
     def dims_by_degree(self):
@@ -62,19 +60,31 @@ class ChainComplex:
             out[self.deg[g]] = out.get(self.deg[g], 0) + 1
         return out
 
-    def differential_rank(self, k):
-        """Rank of d restricted to degree k."""
-        cols = []
-        for g in self.gens:
-            if self.deg[g] == k and g in self.d:
-                cols.append({self._index[h]: v for h, v in self.d[g].items()})
-        return rank_of_columns(cols, self.field)
-
     def cohomology_ranks(self):
-        """Map degree -> rank of H^degree."""
+        """Map degree -> rank of H^degree.
+
+        The degrees are reduced upwards, one Reducer each, with clearing: a
+        generator of degree k+1 whose index is a pivot row of degree k is
+        skipped.  That is exact over any field.  A reduced column r = d(v)
+        with pivot row i has d(r) = 0, its entry at i is nonzero and every
+        other entry sits at a smaller index; so trading e_i for r is a
+        triangular change of basis of C^{k+1}, and d vanishes on r.
+        """
+        index, deg = self._index, self.deg
+        cols = {}
+        for g, cb in self.d.items():
+            cols.setdefault(deg[g], []).append((index[g], cb))
+        rk, cleared = {}, set()
+        for k in sorted(cols):
+            # after a gap in the degrees, cleared indexes no degree-k generator
+            red = Reducer(self.field)
+            for i, cb in cols[k]:
+                if i not in cleared:
+                    red.add({index[h]: v for h, v in cb.items()})
+            rk[k] = len(red.pivots)
+            cleared = set(red.pivots)
         dims = self.dims_by_degree()
         ranks = {}
-        rk = {k: self.differential_rank(k) for k in dims}
         for k, n in dims.items():
             r = n - rk.get(k, 0) - rk.get(k - 1, 0)
             if r:
@@ -119,20 +129,16 @@ class ChainMap:
     def verify(self):
         """Chain-map law d f = (-1)^shift f d."""
         F = self.source.field
-        sgn = F.neg(F.one()) if self.shift % 2 else F.one()
+        minus = F.one() if self.shift % 2 else F.neg(F.one())
         for g in self.source.gens:
-            lhs = {}
+            # acc = d f(g) - (-1)^shift f d(g)
+            acc = {}
             for h, v in self.comp.get(g, {}).items():
-                for k, w in self.target.d.get(h, {}).items():
-                    lhs[k] = F.add(lhs.get(k, F.zero()), F.mul(v, w))
-            rhs = {}
+                add_scaled(acc, self.target.d.get(h, {}), v, F)
             for h, v in self.source.d.get(g, {}).items():
-                for k, w in self.comp.get(h, {}).items():
-                    rhs[k] = F.add(rhs.get(k, F.zero()), F.mul(F.mul(sgn, v), w))
-            keys = set(lhs) | set(rhs)
-            for k in keys:
-                if F.add(lhs.get(k, F.zero()), F.neg(rhs.get(k, F.zero()))) != F.zero():
-                    raise AssertionError(f"not a chain map at {g!r}")
+                add_scaled(acc, self.comp.get(h, {}), F.mul(minus, v), F)
+            if acc:
+                raise AssertionError(f"not a chain map at {g!r}")
         return True
 
     def apply(self, vec):
@@ -172,11 +178,8 @@ def mapping_cone(phi: ChainMap) -> ChainComplex:
         for h, v in A.d.get(g, {}).items():
             cb[("a", h)] = F.neg(v)
         for h, v in phi.comp.get(g, {}).items():
-            w = F.add(cb.get(("b", h), F.zero()), v)
-            if w == F.zero():
-                cb.pop(("b", h), None)
-            else:
-                cb[("b", h)] = w
+            if v != F.zero():
+                cb[("b", h)] = v
         if cb:
             d[("a", g)] = cb
     for g in B.gens:

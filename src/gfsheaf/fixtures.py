@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .genfun import GenFun, QuadForm, graph_genfun
+from .genfun import GenFun, QuadForm
 from .grids import BoxGrid, SampledFunction, circle_grid, interval_grid
 
 

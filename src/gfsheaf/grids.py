@@ -438,7 +438,7 @@ def sublevel_filtration(f: SampledFunction, field=GF2) -> FilteredComplex:
                 cb[cf] = v
         if cb:
             d[cell] = cb
-    C = ChainComplex(gens, deg, d, field, check=False)
+    C = ChainComplex(gens, deg, d, field)
     return FilteredComplex(C, action, check=False)
 
 

@@ -99,7 +99,17 @@ FIELDS = {"f2": GF2, "q": QQ}
 
 
 def add_scaled(vec, other, c, field):
-    """vec += c * other, in place on the sparse dict vec; zeros are dropped."""
+    """vec += c * other, in place on the sparse dict vec; zeros are dropped.
+
+    Over F2 an odd c toggles the keys of other's odd entries and an even c
+    changes nothing: the generic rule read mod 2, without method calls.
+    """
+    if field is GF2:
+        if c & 1:
+            for i, v in other.items():
+                if v & 1 and vec.pop(i, None) is None:
+                    vec[i] = 1
+        return
     zero = field.zero()
     for i, v in other.items():
         w = field.add(vec.get(i, zero), field.mul(c, v))

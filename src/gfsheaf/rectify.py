@@ -19,7 +19,7 @@ import numpy as np
 from .complexes import (ChainComplex, ChainMap, FilteredComplex,
                         cohomology_basis, cohomology_ranks)
 from .grids import SampledFunction
-from .linalg import GF2, solve_columns
+from .linalg import GF2, add_scaled, solve_columns
 
 INF = math.inf
 
@@ -110,9 +110,7 @@ class CoherentDiagram:
         for g, c1 in m1.items():
             acc = {}
             for h, v in c1.items():
-                for k, w in m2.get(h, {}).items():
-                    acc[k] = F.add(acc.get(k, F.zero()), F.mul(v, w))
-            acc = {k: v for k, v in acc.items() if v != F.zero()}
+                add_scaled(acc, m2.get(h, {}), v, F)
             if acc:
                 out[g] = acc
         return out
@@ -122,13 +120,7 @@ class CoherentDiagram:
         out = {}
         for m in maps:
             for g, c in m.items():
-                for h, v in c.items():
-                    cur = out.setdefault(g, {})
-                    w = F.add(cur.get(h, F.zero()), v)
-                    if w == F.zero():
-                        cur.pop(h, None)
-                    else:
-                        cur[h] = w
+                add_scaled(out.setdefault(g, {}), c, F.one(), F)
         return {g: c for g, c in out.items() if c}
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ChainComplex, cohomology_ranks
+from .complexes import ChainComplex
 from .genfun import (GenFun, cerf_diagram, gf_cohomology,
                      strand_value_range, window_ceiling, window_floor)
 from .grids import BaseRegion, BoxGrid

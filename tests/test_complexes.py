@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from gfsheaf import complexes
 from gfsheaf.complexes import (Barcode, ChainComplex, ChainMap,
                                FilteredComplex, cohomology_ranks,
                                dual_complex, is_quasi_iso, identity_map,
                                mapping_cone, zero_map)
-from gfsheaf.linalg import GF2, QQ
+from gfsheaf.linalg import GF2, QQ, Reducer, add_scaled
+from test_linalg import dense_rank, random_entry, scalar
 
 INF = math.inf
 
@@ -44,6 +46,16 @@ def test_d_squared_guard():
     with pytest.raises(ValueError):
         ChainComplex(["a", "b", "c"], {"a": 0, "b": 1, "c": 2},
                      {"a": {"b": 1}, "b": {"c": 1}}, GF2)
+
+
+def test_d_squared_guard_reads_the_field():
+    # d^2 a = 2c: zero over F2, not over Q
+    gens = ["a", "b1", "b2", "c"]
+    deg = {"a": 0, "b1": 1, "b2": 1, "c": 2}
+    d = {"a": {"b1": 1, "b2": 1}, "b1": {"c": 1}, "b2": {"c": 1}}
+    with pytest.raises(ValueError):
+        ChainComplex(gens, deg, d, QQ)
+    assert ChainComplex(gens, deg, d, GF2).cohomology_ranks() == {}
 
 
 def test_window_full_and_empty():
@@ -221,6 +233,10 @@ def test_chain_map_verify():
     bad = ChainMap(C, C, {"x": {"x": 1}, "y": {}})
     with pytest.raises(AssertionError):
         bad.verify()
+    Q = ChainComplex(["x", "y"], {"x": 0, "y": 1}, {"x": {"y": 2}}, QQ)
+    assert ChainMap(Q, Q, {"x": {"x": 3}, "y": {"y": 3}}).verify()
+    with pytest.raises(AssertionError):
+        ChainMap(Q, Q, {"x": {"x": 3}, "y": {"y": 1}}).verify()
 
 
 def test_filtration_violation_rejected():
@@ -252,3 +268,113 @@ def test_window_consistency_over_rationals():
         bc = FC.barcode()
         for lam in sorted({FC.action[g] + 1e-9 for g in FC.complex.gens}):
             assert cohomology_ranks(FC.window(-INF, lam)) == bc.ranks_at(lam)
+
+
+def axpy(vec, i, x, field):
+    """vec[i] += x with the test's own arithmetic, dropping zeros."""
+    v = scalar(field, vec.get(i, 0) + x)
+    if v:
+        vec[i] = v
+    else:
+        vec.pop(i, None)
+
+
+def random_known_complex(rng, field):
+    """A direct sum of pairs x -> y and lone cocycles under a random
+    triangular change of basis, with the cohomology ranks it must have.
+
+    Degree 1 holds only targets of degree 0, so every degree-1 generator is
+    a pivot row of degree 0 (the whole degree is cleared); degree 2 holds
+    lone cocycles only (a gap in d); degree 3 is empty.
+    """
+    deg, d, known = {}, {}, {}
+
+    def gen(k):
+        g = f"g{len(deg)}"
+        deg[g] = k
+        return g
+
+    def pairs(k, n):
+        for _ in range(n):
+            d[gen(k)] = {gen(k + 1): random_entry(rng, field)}
+
+    def lone(k, n):
+        for _ in range(n):
+            gen(k)
+        if n:
+            known[k] = known.get(k, 0) + n
+
+    pairs(-1, rng.randint(0, 3))
+    lone(-1, rng.randint(0, 2))
+    pairs(0, rng.randint(1, 4))
+    lone(0, rng.randint(0, 2))
+    lone(2, rng.randint(1, 3))
+    pairs(4, rng.randint(1, 3))
+    lone(4, rng.randint(0, 2))
+    lone(5, rng.randint(0, 2))
+    gens = list(deg)
+    rng.shuffle(gens)
+    # d -> S d S^-1 for S = 1 + c E_ab, a before b in one degree
+    for _ in range(4 * len(gens)):
+        i, j = sorted(rng.sample(range(len(gens)), 2))
+        a, b = gens[i], gens[j]
+        if deg[a] != deg[b]:
+            continue
+        c = random_entry(rng, field)
+        for col in d.values():
+            if b in col:
+                axpy(col, a, c * col[b], field)
+        for h, v in list(d.get(a, {}).items()):
+            axpy(d.setdefault(b, {}), h, -c * v, field)
+    return ChainComplex(gens, deg, d, field), known
+
+
+def dense_cohomology_ranks(C):
+    by_deg = {}
+    for g in C.gens:
+        by_deg.setdefault(C.deg[g], []).append(g)
+    rk = {}
+    for k, gens_k in by_deg.items():
+        rows = {h: i for i, h in enumerate(by_deg.get(k + 1, []))}
+        cols = [{rows[h]: v for h, v in C.d.get(g, {}).items()}
+                for g in gens_k]
+        rk[k] = dense_rank(cols, len(rows), C.field)
+    ranks = {k: len(gens_k) - rk[k] - rk.get(k - 1, 0)
+             for k, gens_k in by_deg.items()}
+    return {k: r for k, r in ranks.items() if r}
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_cohomology_ranks_match_dense_with_clearing(field, monkeypatch):
+    reduced = []
+
+    class CountingReducer(Reducer):
+        def add(self, col, combo=None):
+            reduced.append(bool(col))
+            return super().add(col, combo)
+
+    monkeypatch.setattr(complexes, "Reducer", CountingReducer)
+    nonzero = 0
+    for seed in range(40):
+        C, known = random_known_complex(random.Random(seed), field)
+        assert C.cohomology_ranks() == dense_cohomology_ranks(C) == known
+        assert not any(C.deg[g] in (1, 2, 3) for g in C.d)
+        nonzero += len(C.d)
+    # clearing skipped nonzero columns, so it was exercised
+    assert len(reduced) < nonzero
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, 3])
+def test_add_scaled_over_f2_reads_entries_mod_2(c):
+    rng = random.Random(c)
+    for _ in range(50):
+        vec = {i: rng.choice([1, 3]) for i in range(12) if rng.random() < 0.4}
+        other = {i: rng.choice([1, 2, 3]) for i in range(12)
+                 if rng.random() < 0.4}
+        expect = {i: (vec.get(i, 0) + c * other.get(i, 0)) % 2
+                  for i in set(vec) | set(other)}
+        snapshot = dict(other)
+        add_scaled(vec, other, c, GF2)
+        assert other == snapshot
+        assert {i: v % 2 for i, v in vec.items()} == \
+            {i: v for i, v in expect.items() if v}

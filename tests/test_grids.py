@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from gfsheaf.complexes import cohomology_ranks, apply_d
+from gfsheaf.complexes import ChainComplex, cohomology_ranks, apply_d
 from gfsheaf.grids import (BaseRegion, BoxGrid, CubicalSet, SampledFunction,
                            circle_grid, critical_vertices, cup_product_cochain,
                            empty_set, full_set, interval_grid,
@@ -95,6 +95,22 @@ def test_sublevel_filtration_constant():
     f = SampledFunction(g, np.full(g.vertex_shape, 2.0))
     bc = sublevel_filtration(f).barcode()
     assert bc.bars == ((0, 2.0, INF), (1, 2.0, INF))
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_sublevel_filtration_checks_d_squared(field, monkeypatch):
+    checked = []
+    check = ChainComplex.assert_d_squared_zero
+
+    def counted(C):
+        checked.append(len(C.gens))
+        return check(C)
+
+    monkeypatch.setattr(ChainComplex, "assert_d_squared_zero", counted)
+    f = sf(BoxGrid((circle_grid(6), interval_grid(4, 0.0, 1.0))),
+           "cos(2*pi*x) + y")
+    FC = sublevel_filtration(f, field)
+    assert checked == [len(FC.complex.gens)]
 
 
 def test_sublevel_filtration_cosine_circle():
