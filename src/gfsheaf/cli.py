@@ -9,7 +9,7 @@ import argparse
 import os
 import sys
 
-from .scenarios import run_scenario
+from .scenarios import check_grid_scale, run_scenario
 
 BUNDLED_DIR = os.path.join(os.path.dirname(__file__), "data", "scenarios")
 
@@ -20,6 +20,14 @@ def bundled_scenarios():
     return sorted(os.path.join(BUNDLED_DIR, name)
                   for name in os.listdir(BUNDLED_DIR)
                   if name.endswith((".toml", ".json")))
+
+
+def _grid_scale(text):
+    """argparse type of --grid-scale: a finite positive number."""
+    try:
+        return check_grid_scale(float(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
 
 
 def main(argv=None):
@@ -35,7 +43,7 @@ def main(argv=None):
     for p in sub.choices.values():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--field", choices=("f2", "q"), default="f2")
-        p.add_argument("--grid-scale", type=float, default=1.0)
+        p.add_argument("--grid-scale", type=_grid_scale, default=1.0)
         p.add_argument("--out-dir", default=None)
         p.add_argument("--fail-fast", action="store_true")
     args = parser.parse_args(argv)

@@ -41,7 +41,7 @@ class ChainComplex:
             for h, v in cb.items():
                 if self.deg[h] != self.deg[g] + 1:
                     raise ValueError(f"differential not degree +1 at {g} -> {h}")
-                if v == F.zero():
+                if F.is_zero(v):
                     raise ValueError("stored zero in differential")
         self.assert_d_squared_zero()
 

@@ -18,7 +18,7 @@ from .complexes import (ChainComplex, ChainMap, FilteredComplex, apply_d,
                         cohomology_basis, cohomology_ranks)
 from .genfun import GenFun, gf_cohomology
 from .grids import (BaseRegion, BoxGrid, SampledFunction, critical_vertices,
-                    cup_product_cochain, sublevel_filtration)
+                    cubical_complex, cup_product_cochain, sublevel_filtration)
 from .linalg import GF2
 
 INF = math.inf
@@ -192,21 +192,7 @@ class SuperlevelHome:
         self.h = h
         self.lam = lam
         self.field = field
-        grid = h.grid
-        cm = h.cell_max()
-        gens = [c for c in grid.all_cells() if cm[c] >= lam]
-        genset = set(gens)
-        deg = {c: grid.cell_dim(c) for c in gens}
-        d = {}
-        for c in gens:
-            cb = {}
-            for cf, s in grid.cofaces(c):
-                v = field.coerce(s)
-                if cf in genset and v != field.zero():
-                    cb[cf] = v
-            if cb:
-                d[c] = cb
-        self.complex = ChainComplex(gens, deg, d, field, check=False)
+        self.complex = cubical_complex(h.grid, h.cell_max() >= lam, field)
 
     def ranks(self):
         return self.complex.cohomology_ranks()

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import cohomology_ranks
 from .grids import (BaseRegion, BoxGrid, SampledFunction, critical_vertices,
                     relative_cochain_complex, restrict_to_region,
                     sublevel_set)
@@ -368,7 +367,7 @@ def gf_cohomology(gf: GenFun, region: BaseRegion | None, a, b,
         assert_window_regular(gf, region, a, b)
     W = restrict_to_region(sublevel_set(gf.S, b), region)
     A = restrict_to_region(sublevel_set(gf.S, a), region)
-    ranks = cohomology_ranks(relative_cochain_complex(W, A, field))
+    ranks = relative_cochain_complex(W, A, field).cohomology_ranks()
     return {d - gf.i_q: r for d, r in ranks.items() if r}
 
 

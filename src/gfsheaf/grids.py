@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +99,19 @@ def interval_grid(n, lo, hi):
     return Grid1D("interval", n, (hi - lo) / n, lo)
 
 
+class CofaceTable(NamedTuple):
+    """Integer coboundary of a whole cell lattice, by flat cell id (C order).
+
+    Row x of cof lists the cofaces of cell x in the order BoxGrid.cofaces
+    yields them, two slots per axis (-1 marks a slot with no coface); sgn
+    holds their Koszul signs and dim the cell dimensions.
+    """
+
+    cof: np.ndarray   # (cells, 2 * axes) int32
+    sgn: np.ndarray   # (cells, 2 * axes) int8
+    dim: np.ndarray   # (cells,) int8
+
+
 @dataclass(frozen=True)
 class BoxGrid:
     """Product of base axes (N) and fiber axes (truncated R^k)."""
@@ -146,6 +161,41 @@ class BoxGrid:
             else:
                 sign_prefix = -sign_prefix
         return out
+
+    @cached_property
+    def coface_table(self):
+        """The CofaceTable of this grid, built one axis at a time from the
+        rules of Grid1D.vertex_cofaces and the sign_prefix walk of cofaces:
+        on an axis where a cell is a vertex 2k, slot 0 is the edge 2k+1
+        (sign -prefix) and slot 1 the edge 2k-1, wrapping on circles (sign
+        +prefix); prefix flips once per edge axis before it."""
+        shape = self.cell_shape
+        k = len(shape)
+        flat = np.arange(int(np.prod(shape)), dtype=np.int32).reshape(shape)
+        cof = np.full(shape + (2 * k,), -1, dtype=np.int32)
+        sgn = np.zeros(shape + (2 * k,), dtype=np.int8)
+        dim = np.zeros(shape, dtype=np.int8)
+        prefix = np.ones(shape, dtype=np.int8)
+        stride = flat.strides
+        for i, g in enumerate(self.axes):
+            step = stride[i] // flat.itemsize
+            c = np.arange(g.n_cells).reshape((-1,) + (1,) * (k - 1 - i))
+            odd, j = c & 1, c >> 1
+            vertex = odd == 0
+            if g.topology == "circle":
+                left, right = vertex, vertex
+                back = np.where(j == 0, 2 * g.n - 1, -1)
+            else:
+                left, right = vertex & (j < g.n), vertex & (j > 0)
+                back = -1
+            cof[..., 2 * i] = np.where(left, flat + step, -1)
+            cof[..., 2 * i + 1] = np.where(right, flat + back * step, -1)
+            sgn[..., 2 * i] = np.where(left, -prefix, 0)
+            sgn[..., 2 * i + 1] = np.where(right, prefix, 0)
+            dim += odd.astype(np.int8)
+            prefix = np.where(odd, -prefix, prefix)
+        return CofaceTable(cof.reshape(-1, 2 * k), sgn.reshape(-1, 2 * k),
+                           dim.ravel())
 
     def faces(self, cell):
         out = []
@@ -397,48 +447,90 @@ def restrict_to_region(W: CubicalSet, region: BaseRegion) -> CubicalSet:
     return CubicalSet(W.grid, W.membership & region.product_mask())
 
 
+def cubical_complex(grid: BoxGrid, keep, field=GF2) -> ChainComplex:
+    """Cellular cochain complex on the cells where keep (a boolean array over
+    grid.cell_shape) is true, read off grid.coface_table.
+
+    Every entry is checked over the integers before anything is coerced: it
+    raises the dimension by one, and for every kept pair (x, z) the signed
+    two-step paths x -> y -> z through kept y sum to 0.  The coefficient map
+    Z -> field is a ring homomorphism, so d^2 = 0 holds over the field too.
+    Generators come in C order; each coboundary dict lists its cofaces in
+    the order BoxGrid.cofaces yields them.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != grid.cell_shape:
+        raise ValueError("keep shape mismatch")
+    table = grid.coface_table
+    kept = np.append(keep.ravel(), False)   # slot -1 (no coface) reads False
+    ids = np.flatnonzero(kept).astype(np.int32)
+    cof = table.cof[ids]
+    on = kept[cof]
+    row, slot = np.nonzero(on)
+    tgt = cof[row, slot]
+    sgn = table.sgn[ids[row], slot]
+    counts = on.sum(axis=1).tolist()
+    del cof, on, slot
+    dims = table.dim[ids]
+    bad = np.flatnonzero(table.dim[tgt] != dims[row] + 1)
+    if bad.size:
+        x, y = ids[row[bad[0]]], tgt[bad[0]]
+        raise ValueError(f"differential not degree +1 at {_cell(grid, x)} -> "
+                         f"{_cell(grid, y)}")
+    _check_d_squared(grid, kept, ids, row, tgt, sgn)
+    pos = np.zeros(len(kept), dtype=np.int32)
+    pos[ids] = np.arange(len(ids), dtype=np.int32)
+    gens = _cells(keep)
+    targets = map(gens.__getitem__, pos[tgt].tolist())
+    value = {1: field.coerce(1), -1: field.coerce(-1)}
+    entries = zip(targets, map(value.__getitem__, sgn.tolist()))
+    del row, tgt, sgn, pos      # index arrays go before the dicts grow
+    d = {}
+    for g, n in zip(gens, counts):
+        if n:
+            d[g] = dict(itertools.islice(entries, n))
+    return ChainComplex(gens, dict(zip(gens, dims.tolist())), d, field,
+                        check=False)
+
+
+def _cell(grid, flat):
+    """Cell tuple of a flat id, as Python ints."""
+    return tuple(map(int, np.unravel_index(int(flat), grid.cell_shape)))
+
+
+def _check_d_squared(grid, kept, ids, row, tgt, sgn):
+    """Raise ValueError unless, for every kept pair (x, z), the signed
+    two-step paths x -> y -> z of the kept entries (generator row[e] ->
+    flat id tgt[e], sign sgn[e]) sum to 0.  The signs are +-1, so that holds
+    exactly when the sorted (x, z) keys of the positive paths equal those of
+    the negative ones."""
+    table = grid.coface_table
+    cof2 = table.cof[tgt]
+    first, slot = np.nonzero(kept[cof2])
+    key = row[first].astype(np.int64) * len(kept) + cof2[first, slot]
+    up = sgn[first] * table.sgn[tgt[first], slot] > 0
+    del cof2, slot
+    if np.array_equal(np.sort(key[up]), np.sort(key[~up])):
+        return
+    keys, group = np.unique(key, return_inverse=True)
+    sums = np.bincount(group, weights=np.where(up, 1, -1))
+    x = ids[keys[np.flatnonzero(sums)[0]] // len(kept)]
+    raise ValueError(f"d^2 != 0 at generator {_cell(grid, x)}")
+
+
 def relative_cochain_complex(W: CubicalSet, A: CubicalSet,
                              field=GF2) -> ChainComplex:
     """Cellular cochains of W vanishing on A; cohomology H^*(W, A)."""
     if not A.issubset(W):
         raise ValueError("A must be contained in W")
-    keep = W.membership & ~A.membership
-    grid = W.grid
-    gens, deg, d = [], {}, {}
-    for cell in _cells(keep):
-        gens.append(cell)
-        deg[cell] = grid.cell_dim(cell)
-    genset = set(gens)
-    for cell in gens:
-        cb = {}
-        for cf, s in grid.cofaces(cell):
-            if cf in genset:
-                cb[cf] = field.coerce(s)
-                if cb[cf] == field.zero():
-                    del cb[cf]
-        if cb:
-            d[cell] = cb
-    return ChainComplex(gens, deg, d, field, check=False)
+    return cubical_complex(W.grid, W.membership & ~A.membership, field)
 
 
 def sublevel_filtration(f: SampledFunction, field=GF2) -> FilteredComplex:
     """Filtered cochain complex of the whole grid; action = max vertex value."""
     grid = f.grid
-    cm = f.cell_max()
-    gens, deg, d, action = [], {}, {}, {}
-    for cell in grid.all_cells():
-        gens.append(cell)
-        deg[cell] = grid.cell_dim(cell)
-        action[cell] = float(cm[cell])
-    for cell in gens:
-        cb = {}
-        for cf, s in grid.cofaces(cell):
-            v = field.coerce(s)
-            if v != field.zero():
-                cb[cf] = v
-        if cb:
-            d[cell] = cb
-    C = ChainComplex(gens, deg, d, field)
+    C = cubical_complex(grid, np.ones(grid.cell_shape, dtype=bool), field)
+    action = dict(zip(C.gens, f.cell_max().ravel().tolist()))
     return FilteredComplex(C, action, check=False)
 
 

@@ -33,6 +33,9 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
+    def is_zero(self, a):
+        raise NotImplementedError
+
     def coerce(self, a):
         raise NotImplementedError
 
@@ -63,6 +66,9 @@ class _GF2(Field):
             raise ZeroDivisionError("inverse of 0 in F2")
         return 1
 
+    def is_zero(self, a):
+        return not a & 1
+
     def coerce(self, a):
         return int(a) & 1
 
@@ -87,6 +93,9 @@ class _QQ(Field):
 
     def inv(self, a):
         return 1 / Fraction(a)
+
+    def is_zero(self, a):
+        return a == 0
 
     def coerce(self, a):
         return Fraction(a)
@@ -157,11 +166,19 @@ class Reducer:
         return p
 
 
+def _copy(col, field):
+    """A copy of the sparse column col without the entries that are zero in
+    field: the kernel trusts every stored entry to be nonzero, and over F2 an
+    even entry is zero."""
+    is_zero = field.is_zero
+    return {i: v for i, v in col.items() if not is_zero(v)}
+
+
 def rank_of_columns(cols, field=GF2):
     """Rank of a list of sparse columns (dicts row -> scalar), destructive-free."""
     red = Reducer(field)
     for col in cols:
-        red.add(dict(col))
+        red.add(_copy(col, field))
     return len(red.pivots)
 
 
@@ -174,7 +191,7 @@ def kernel_of_columns(cols, field=GF2):
     kernel = []
     for j, col in enumerate(cols):
         combo = {j: field.one()}
-        if red.add(dict(col), combo) is None:
+        if red.add(_copy(col, field), combo) is None:
             kernel.append(combo)
     return kernel
 
@@ -186,10 +203,10 @@ def solve_columns(cols, target, field=GF2):
     """
     red = Reducer(field)
     for j, col in enumerate(cols):
-        red.add(dict(col), {j: field.one()})
+        red.add(_copy(col, field), {j: field.one()})
     # reduce leaves target + sum_j combo[j] * cols[j] == 0
     combo = {}
-    if red.reduce(dict(target), combo) is not None:
+    if red.reduce(_copy(target, field), combo) is not None:
         return None
     out = [field.zero()] * len(cols)
     for j, v in combo.items():

@@ -19,7 +19,7 @@ import numpy as np
 from .complexes import (ChainComplex, apply_d, class_coordinates,
                         cohomology_basis)
 from .genfun import GenFun, box_sum, graph_genfun, negate
-from .grids import BaseRegion, BoxGrid, SampledFunction
+from .grids import BaseRegion, BoxGrid, SampledFunction, cubical_complex
 from .linalg import GF2
 from .sheaves import (CellSheaf, TAxis, TameSheaf, corner_table,
                       product_section_complex, quantize, sections,
@@ -409,25 +409,11 @@ def decoupled_superlevel_complex(CA: CellSheaf, CB: CellSheaf, lam,
     cells whose corner sum reaches lam."""
     corner_a, _ = _corner_table(CA)
     corner_b, _ = _corner_table(CB)
-    base = CA.base
-    gens = []
-    for bc in base.base_cells():
-        ca, cb = corner_a[tuple(bc)], corner_b[tuple(bc)]
-        if ca is not None and cb is not None and ca + cb >= lam:
-            gens.append(tuple(bc))
-    genset = set(gens)
-    deg = {g: base.cell_dim(g) for g in gens}
-    d = {}
-    for g in gens:
-        cbnd = {}
-        for cf, s in base.cofaces(g):
-            if tuple(cf) in genset:
-                v = field.coerce(s)
-                if v != field.zero():
-                    cbnd[tuple(cf)] = v
-        if cbnd:
-            d[g] = cbnd
-    return ChainComplex(gens, deg, d, field, check=False)
+    keep = np.zeros(CA.base.cell_shape, dtype=bool)
+    for bc, ca in corner_a.items():
+        cb = corner_b[bc]
+        keep[bc] = ca is not None and cb is not None and ca + cb >= lam
+    return cubical_complex(CA.base, keep, field)
 
 
 def cup_product(alpha: CohomologyClass, beta: CohomologyClass,

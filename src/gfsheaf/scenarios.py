@@ -141,6 +141,16 @@ def load_scenario(path):
 # ---------------------------------------------------------------------------
 # input resolution
 
+def check_grid_scale(value):
+    """A grid scale as a float; anything but a finite positive number is an
+    input error."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ScenarioParseError(
+            f"grid_scale must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 class ScenarioContext:
     def __init__(self, spec, seed=None, field="f2", grid_scale=1.0):
         self.spec = spec
@@ -148,7 +158,7 @@ class ScenarioContext:
         self.name = meta.get("name", "scenario")
         self.seed = int(seed if seed is not None else meta.get("seed", 0))
         self.field = FIELDS[meta.get("field", field)]
-        self.grid_scale = float(meta.get("grid_scale", grid_scale))
+        self.grid_scale = check_grid_scale(meta.get("grid_scale", grid_scale))
         self.rng = random.Random(self.seed)
         self.functions = {}
         self.genfuns = {}

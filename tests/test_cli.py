@@ -223,3 +223,29 @@ def test_reduction_ranks_are_plain_ints(tmp_path):
                 (tmp_path / "reduce.csv").read_text().splitlines())
     assert rows["restriction"] == "{0: 1}"
     assert rows["restriction"] == rows["tubular-limit"]
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_bad_grid_scale_flag_exits_2(tmp_path, capsys, scale):
+    good = tmp_path / "ok.toml"
+    good.write_text('[scenario]\nname = "ok"\nseed = 1\n')
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(good), "--grid-scale", scale])
+    assert err.value.code == 2
+    assert "finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("nan.json", '{"scenario": {"name": "s", "grid_scale": NaN}}'),
+    ("inf.toml", '[scenario]\nname = "s"\ngrid_scale = inf\n'),
+    ("zero.toml", '[scenario]\nname = "s"\ngrid_scale = 0\n'),
+    ("minus.toml", '[scenario]\nname = "s"\ngrid_scale = -1\n'),
+])
+def test_bad_grid_scale_in_file_is_input_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, summary = run_scenario(str(path), out_dir=str(tmp_path / "out"))
+    assert code == 2
+    assert "grid_scale must be a finite positive number" in summary["error"]
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "[input error]" in capsys.readouterr().out

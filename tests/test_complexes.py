@@ -48,6 +48,14 @@ def test_d_squared_guard():
                      {"a": {"b": 1}, "b": {"c": 1}}, GF2)
 
 
+def test_stored_entry_that_is_zero_in_the_field_is_rejected():
+    with pytest.raises(ValueError, match="stored zero"):
+        ChainComplex(["a", "b"], {"a": 0, "b": 1}, {"a": {"b": 2}}, GF2)
+    # the same entry is a unit over Q
+    assert ChainComplex(["a", "b"], {"a": 0, "b": 1}, {"a": {"b": 2}},
+                        QQ).cohomology_ranks() == {}
+
+
 def test_d_squared_guard_reads_the_field():
     # d^2 a = 2c: zero over F2, not over Q
     gens = ["a", "b1", "b2", "c"]

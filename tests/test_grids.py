@@ -5,13 +5,19 @@ import random
 import numpy as np
 import pytest
 
-from gfsheaf.complexes import ChainComplex, cohomology_ranks, apply_d
+from gfsheaf import grids
+from gfsheaf.complexes import cohomology_ranks, apply_d
+from gfsheaf.fixtures import random_circle_morse
+from gfsheaf.floer import SuperlevelHome
+from gfsheaf.genfun import graph_genfun
 from gfsheaf.grids import (BaseRegion, BoxGrid, CubicalSet, SampledFunction,
                            circle_grid, critical_vertices, cup_product_cochain,
                            empty_set, full_set, interval_grid,
                            relative_cochain_complex, restrict_to_region,
                            sublevel_filtration, sublevel_set)
 from gfsheaf.linalg import GF2, QQ
+from gfsheaf.products import decoupled_superlevel_complex, dualize
+from gfsheaf.sheaves import _as_cellsheaf, corner_table, quantize, to_cellular
 
 INF = math.inf
 
@@ -99,14 +105,15 @@ def test_sublevel_filtration_constant():
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
 def test_sublevel_filtration_checks_d_squared(field, monkeypatch):
+    # the cubical builder's integer check, once, on the whole complex
     checked = []
-    check = ChainComplex.assert_d_squared_zero
+    check = grids._check_d_squared
 
-    def counted(C):
-        checked.append(len(C.gens))
-        return check(C)
+    def counted(grid, kept, ids, *rest):
+        checked.append(len(ids))
+        return check(grid, kept, ids, *rest)
 
-    monkeypatch.setattr(ChainComplex, "assert_d_squared_zero", counted)
+    monkeypatch.setattr(grids, "_check_d_squared", counted)
     f = sf(BoxGrid((circle_grid(6), interval_grid(4, 0.0, 1.0))),
            "cos(2*pi*x) + y")
     FC = sublevel_filtration(f, field)
@@ -198,3 +205,141 @@ def test_cup_product_torus_ring():
     assert len(prod21) == 1
     assert cup_product_cochain(g, th1, th1) == {}
     assert cup_product_cochain(g, th2, th2) == {}
+
+
+# ---------------------------------------------------------------------------
+# the cubical builder against the cell-by-cell assembly it replaced
+
+def random_grid(rng):
+    """1-2 base axes (circle or interval) and 0-2 fiber intervals."""
+    def axis(topology):
+        n = rng.randint(4, 6)
+        if topology == "circle":
+            return circle_grid(n)
+        return interval_grid(n, -1.0, 1.0)
+    base = tuple(axis(rng.choice(("circle", "interval")))
+                 for _ in range(rng.randint(1, 2)))
+    fiber = tuple(axis("interval") for _ in range(rng.randint(0, 2)))
+    return BoxGrid(base, fiber)
+
+
+def random_function(rng, grid):
+    vals = [rng.uniform(-1, 1) for _ in range(int(np.prod(grid.vertex_shape)))]
+    return SampledFunction(grid, np.reshape(vals, grid.vertex_shape))
+
+
+def reference_complex(grid, cells, field):
+    """Generators, degrees and coboundary dicts assembled cell by cell
+    through BoxGrid.cofaces, as the four builders did before the table."""
+    gens = [tuple(c) for c in cells]
+    genset = set(gens)
+    deg = {c: grid.cell_dim(c) for c in gens}
+    d = {}
+    for cell in gens:
+        cb = {}
+        for cf, s in grid.cofaces(cell):
+            if cf in genset:
+                cb[cf] = field.coerce(s)
+        if cb:
+            d[cell] = cb
+    return gens, deg, d
+
+
+def assert_same_complex(C, gens, deg, d, field):
+    assert list(C.gens) == gens
+    assert all(type(x) is int for g in C.gens for x in g)
+    assert C.deg == deg
+    assert all(type(k) is int for k in C.deg.values())
+    assert list(C.d) == list(d)
+    for g, cb in d.items():
+        assert list(C.d[g].items()) == list(cb.items())
+        assert all(type(v) is type(field.one()) for v in C.d[g].values())
+
+
+def test_coface_table_matches_cofaces():
+    rng = random.Random(11)
+    for _ in range(12):
+        grid = random_grid(rng)
+        table = grid.coface_table
+        assert table.cof.dtype == np.int32 and table.sgn.dtype == np.int8
+        for flat, cell in enumerate(grid.all_cells()):
+            row = [(tuple(int(v) for v in np.unravel_index(c, grid.cell_shape)),
+                    int(s))
+                   for c, s in zip(table.cof[flat], table.sgn[flat]) if c >= 0]
+            assert row == grid.cofaces(cell), cell
+            assert table.dim[flat] == grid.cell_dim(cell)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_relative_complex_matches_cell_by_cell(field):
+    rng = random.Random(12)
+    for _ in range(15):
+        grid = random_grid(rng)
+        f = random_function(rng, grid)
+        a, b = sorted((rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)))
+        W, A = sublevel_set(f, b), sublevel_set(f, a)
+        C = relative_cochain_complex(W, A, field)
+        keep = W.membership & ~A.membership
+        ref = reference_complex(grid, np.argwhere(keep).tolist(), field)
+        assert_same_complex(C, *ref, field)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_sublevel_filtration_matches_cell_by_cell(field):
+    rng = random.Random(13)
+    for _ in range(8):
+        grid = random_grid(rng)
+        f = random_function(rng, grid)
+        FC = sublevel_filtration(f, field)
+        gens = list(grid.all_cells())
+        assert_same_complex(FC.complex, *reference_complex(grid, gens, field),
+                            field)
+        cm = f.cell_max()
+        assert list(FC.action.items()) == [(c, float(cm[c])) for c in gens]
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_superlevel_home_matches_cell_by_cell(field):
+    rng = random.Random(14)
+    for _ in range(8):
+        grid = random_grid(rng)
+        f = random_function(rng, grid)
+        lam = rng.uniform(-1, 1)
+        cm = f.cell_max()
+        cells = [c for c in grid.all_cells() if cm[c] >= lam]
+        assert_same_complex(SuperlevelHome(f, lam, field).complex,
+                            *reference_complex(grid, cells, field), field)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_decoupled_superlevel_complex_matches_cell_by_cell(field):
+    rng = random.Random(15)
+    for _ in range(2):
+        F = to_cellular(quantize(graph_genfun(random_circle_morse(rng, n=8))),
+                        spot_checks=0)
+        CA, CB = _as_cellsheaf(dualize(F)), _as_cellsheaf(F)
+        corner_a, _ = corner_table(CA)
+        corner_b, _ = corner_table(CB)
+        sums = {bc: corner_a[bc] + corner_b[bc] for bc in corner_a
+                if corner_a[bc] is not None and corner_b[bc] is not None}
+        values = sorted(sums.values())
+        for lam in (values[0] - 1, values[len(values) // 2], values[-1] + 1):
+            cells = [bc for bc in CA.base.base_cells()
+                     if bc in sums and sums[bc] >= lam]
+            assert_same_complex(decoupled_superlevel_complex(CA, CB, lam, field),
+                                *reference_complex(CA.base, cells, field),
+                                field)
+
+
+def test_builder_rejects_a_flipped_sign(monkeypatch):
+    grid = BoxGrid((circle_grid(5),), (interval_grid(4, -1.0, 1.0),))
+    table = grid.coface_table
+    cell = (2, 4)                       # a vertex: cofaces on both axes
+    flat = int(np.ravel_multi_index(cell, grid.cell_shape))
+    sgn = table.sgn.copy()
+    sgn[flat, 0] = -sgn[flat, 0]
+    monkeypatch.setitem(grid.__dict__, "coface_table",
+                        table._replace(sgn=sgn))
+    with pytest.raises(ValueError, match=r"d\^2 != 0") as err:
+        relative_cochain_complex(full_set(grid), empty_set(grid))
+    assert str(err.value) == f"d^2 != 0 at generator {cell}"

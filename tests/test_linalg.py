@@ -1,6 +1,7 @@
 """The elimination kernel against a dense Gaussian elimination written here."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,33 @@ def test_edge_cases(field):
     [combo] = kernel_of_columns(dup, field)
     assert combine(dup, combo, field) == {}
     assert solve_columns(dup, {0: one, 2: one}, field) == [one, field.zero()]
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs past 5 s instead of letting it hang."""
+    def timeout(signum, frame):
+        raise TimeoutError("elimination did not terminate")
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_even_f2_entries_are_zero(alarm):
+    assert rank_of_columns([{0: 2}], GF2) == 0
+    assert rank_of_columns([{0: 1}, {0: 2}], GF2) == 1
+    assert kernel_of_columns([{0: 2}], GF2) == [{0: 1}]
+    assert solve_columns([{0: 1}, {0: 2}], {0: 3}, GF2) == [1, 0]
+    assert solve_columns([{0: 2}], {0: 1}, GF2) is None
+    assert solve_columns([{0: 1}], {0: 2, 1: 4}, GF2) == [0]
+
+
+def test_stored_zeros_over_q_are_dropped(alarm):
+    zero = Fraction(0)
+    assert rank_of_columns([{0: zero}, {0: Fraction(1), 1: zero}], QQ) == 1
+    assert kernel_of_columns([{0: zero}], QQ) == [{0: Fraction(1)}]
 
 
 def complexes_under_test(field):
