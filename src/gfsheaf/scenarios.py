@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import random
 
@@ -144,7 +145,7 @@ def load_scenario(path):
 def check_grid_scale(value):
     """A grid scale as a float; anything but a finite positive number is an
     input error."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value) or value <= 0):
         raise ScenarioParseError(
             f"grid_scale must be a finite positive number, got {value!r}")
