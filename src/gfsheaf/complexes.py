@@ -23,14 +23,16 @@ class ChainComplex:
 
     gens: ordered tuple of hashable generator ids.
     deg:  dict id -> integer degree.
-    d:    dict id -> {id: scalar}, raising degree by exactly 1.
+    d:    dict id -> {id: scalar}, raising degree by exactly 1.  The inner
+          dicts are taken over, not copied (empty ones are dropped): the
+          caller must not change them afterwards.
     """
 
     def __init__(self, gens, deg, d, field=GF2, check=True):
         self.gens = tuple(gens)
         self.deg = dict(deg)
         self.field = field
-        self.d = {g: dict(cb) for g, cb in d.items() if cb}
+        self.d = {g: cb for g, cb in d.items() if cb}
         self._index = {g: i for i, g in enumerate(self.gens)}
         if check:
             self._check()
@@ -378,7 +380,3 @@ def apply_d(C: ChainComplex, vec):
     for g, c in vec.items():
         add_scaled(out, C.d.get(g, {}), c, C.field)
     return out
-
-
-def is_cocycle(C: ChainComplex, vec):
-    return not apply_d(C, vec)

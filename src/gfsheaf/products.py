@@ -189,9 +189,6 @@ def pushforward_barcode(F: TameSheaf, thresholds=None):
 # ---------------------------------------------------------------------------
 # rank-one stalk calculus (corners), unit morphisms, cup product
 
-_corner_table = corner_table
-
-
 def _require_rank_one(cell: CellSheaf):
     for bc in cell.base.base_cells():
         st = cell.stalk(bc, cell.taxis.breaks[-1] + 0.5)
@@ -274,8 +271,8 @@ def unit_morphisms(F: TameSheaf) -> UnitMorphisms:
     CB = _cellify(F)
     _require_rank_one(CA)
     _require_rank_one(CB)
-    corner_a, _ = _corner_table(CA)
-    corner_b, _ = _corner_table(CB)
+    corner_a, _ = corner_table(CA)
+    corner_b, _ = corner_table(CB)
     W = tensor(TameSheaf("cell", cell=CA, label="dualF"),
                TameSheaf("cell", cell=CB, label="F"), strategy="cell")
     top = (len(CA.taxis.breaks) - 1, len(CB.taxis.breaks) - 1)
@@ -361,8 +358,8 @@ def floer_to_product_classes(CA: CellSheaf, CB: CellSheaf, lam,
     decoupled superlevel complex; each pushed class spreads over the
     vertex-pairs above the per-cell corners.
     """
-    corner_a, _ = _corner_table(CA)
-    corner_b, _ = _corner_table(CB)
+    corner_a, _ = corner_table(CA)
+    corner_b, _ = corner_table(CB)
     C = CohomologyClass.home_complex(CA, CB, lam)
     one = GF2.one()
     out = []
@@ -407,8 +404,8 @@ def decoupled_superlevel_complex(CA: CellSheaf, CB: CellSheaf, lam,
                                  field=GF2):
     """Base-level compression of the [lam, oo) product sections: cochains on
     cells whose corner sum reaches lam."""
-    corner_a, _ = _corner_table(CA)
-    corner_b, _ = _corner_table(CB)
+    corner_a, _ = corner_table(CA)
+    corner_b, _ = corner_table(CB)
     keep = np.zeros(CA.base.cell_shape, dtype=bool)
     for bc, ca in corner_a.items():
         cb = corner_b[bc]

@@ -88,12 +88,7 @@ def parse_toml_subset(text):
     root = {}
     current = root
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip() if not raw.strip().startswith(
-            "#") else ""
-        if '"' in raw:  # keep # inside strings
-            stripped = raw.strip()
-            if not stripped.startswith("#"):
-                line = stripped
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if line.startswith("[["):
@@ -128,6 +123,17 @@ def parse_toml_subset(text):
     return root
 
 
+def _strip_comment(raw):
+    """The line up to its first # outside double quotes."""
+    quoted = False
+    for i, ch in enumerate(raw):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return raw[:i]
+    return raw
+
+
 def load_scenario(path):
     with open(path) as fh:
         text = fh.read()
@@ -142,11 +148,15 @@ def load_scenario(path):
 # ---------------------------------------------------------------------------
 # input resolution
 
+def _is_finite_real(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def check_grid_scale(value):
     """A grid scale as a float; anything but a finite positive number is an
     input error."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value <= 0):
+    if not _is_finite_real(value) or value <= 0:
         raise ScenarioParseError(
             f"grid_scale must be a finite positive number, got {value!r}")
     return float(value)
@@ -173,7 +183,11 @@ class ScenarioContext:
             self.regions[name] = cfg  # resolved lazily against a grid
 
     def _n(self, cfg, key, default):
-        return max(4, int(round(cfg.get(key, default) * self.grid_scale)))
+        value = cfg.get(key, default)
+        if not _is_finite_real(value):
+            raise ScenarioParseError(
+                f"{key} must be a finite number, got {value!r}")
+        return max(4, int(round(value * self.grid_scale)))
 
     def _build_function(self, cfg):
         kind = cfg.get("grid", "circle")
@@ -667,7 +681,8 @@ def run_scenario(path, out_dir=None, seed=None, field="f2", grid_scale=1.0,
         spec = load_scenario(path)
         ctx = ScenarioContext(spec, seed=seed, field=field,
                               grid_scale=grid_scale)
-    except (ScenarioParseError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError) as e:
+        # ScenarioParseError and ExprError are ValueErrors too
         return 2, {"error": str(e), "scenario": str(path)}
     out_dir = out_dir or (ctx.name + "-out")
     os.makedirs(out_dir, exist_ok=True)

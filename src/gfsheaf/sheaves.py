@@ -181,71 +181,121 @@ class CellSheaf:
     def section_complex(self, region: BaseRegion | None, a, b,
                         taxis=None) -> ChainComplex:
         """Total complex over region x [a, b) with stalk coefficients."""
-        F = self.field
         taxis = taxis or self.taxis.with_breaks([a, b])
-        region_cells = (region.base_cells() if region is not None
-                        else list(self.base.base_cells()))
-        region_set = set(map(tuple, region_cells))
-        tcells = taxis.window_cells(a, b)
-        tset = set(tcells)
-        gens, deg, d = [], {}, {}
-        stalks = {}
-        for bc in region_cells:
-            bdim = self.base.cell_dim(bc)
-            for tc in tcells:
-                st = self.stalk(bc, taxis.rep(tc))
-                if not st.gens:
-                    continue
-                stalks[(bc, tc)] = st
-                tdim = taxis.dim(tc)
-                for lbl, k in st.gens:
-                    g = (bc, tc, lbl)
-                    gens.append(g)
-                    deg[g] = bdim + tdim + k
-        genset = set(gens)
-        for (bc, tc), st in stalks.items():
-            bdim = self.base.cell_dim(bc)
-            tdim = taxis.dim(tc)
-            dmap = st.d_map()
-            for lbl, k in st.gens:
-                g = (bc, tc, lbl)
-                cb = {}
-                # base direction
-                for cf, s in self.base.cofaces(bc):
-                    if tuple(cf) in region_set:
-                        t = (tuple(cf), tc, lbl)
-                        if t in genset:
-                            _acc(cb, t, F.coerce(s), F)
-                # t direction (Koszul sign over the base block)
-                sgn_t = -1 if bdim % 2 else 1
-                for tcf, s in taxis.cofaces(tc):
-                    if tcf in tset:
-                        t = (bc, tcf, lbl)
-                        if t in genset:
-                            _acc(cb, t, F.coerce(sgn_t * s), F)
-                # internal direction
-                sgn_i = -1 if (bdim + tdim) % 2 else 1
-                for lbl2, c in dmap.get(lbl, {}).items():
-                    t = (bc, tc, lbl2)
-                    if t in genset:
-                        _acc(cb, t, F.coerce(sgn_i * c), F)
-                if cb:
-                    d[g] = cb
-        C = ChainComplex(gens, deg, d, F, check=False)
-        C.assert_d_squared_zero()
-        return C
+        return _total_complex(self.base, region, [(self, taxis, _same_cell)],
+                              a, b, self.field)
 
     def sections(self, region, a, b):
         C = self.section_complex(region, a, b)
         return {k - self.shift: r for k, r in C.cohomology_ranks().items()}
 
 
-def _acc(cb, key, val, F):
-    w = F.add(cb.get(key, F.zero()), val)
-    if w == F.zero():
-        cb.pop(key, None)
-    else:
-        cb[key] = w
+def _same_cell(bc):
+    return bc
+
+
+def _total_complex(base: BoxGrid, region: BaseRegion | None, factors, a, b,
+                   field) -> ChainComplex:
+    """Total complex over region x [a, b) of the tensor product of stalks.
+
+    factors: (CellSheaf, TAxis, project) triples; project(bc) is the
+    factor's base cell under bc.  The window holds the tuples of t-cells
+    whose summed top value lies in [a, b).  A generator is
+    (bc, t_1..t_m, label_1..label_m).  Its coboundary is, in this order:
+    the base cofaces; the cofaces on t-axis i, signed by
+    (-1)^(dim bc + dims of t_1..t_{i-1}); the differential of stalk j,
+    signed by (-1)^(dim bc + all t dims + degrees of labels 1..j-1).  A term
+    counts when its target is a generator.  Each term changes a different
+    component, so no two meet: entries are stored, not summed.  Generization
+    maps match labels; d^2 = 0 certifies that they are chain maps.
+    """
+    F = field
+    m = len(factors)
+    unit = {1: F.coerce(1), -1: F.coerce(-1)}
+    axes = [ax for _, ax, _ in factors]
+    # window: (t-cells, their dims summed, t-axis terms by parity of dim bc)
+    windows = []
+    for ts in itertools.product(*(ax.cells() for ax in axes)):
+        if not a <= sum(ax.top_value(tc) for ax, tc in zip(axes, ts)) < b:
+            continue
+        tmoves, tdim = ([], []), 0
+        for i, (ax, tc) in enumerate(zip(axes, ts)):
+            for tcf, s in ax.cofaces(tc):
+                moved = ts[:i] + (tcf,) + ts[i + 1:]
+                tmoves[0].append((moved, unit[-s if tdim & 1 else s]))
+                tmoves[1].append((moved, unit[s if tdim & 1 else -s]))
+            tdim += ax.dim(tc)
+        windows.append((ts, tdim, tmoves))
+    cells = (region.base_cells() if region is not None
+             else list(base.base_cells()))
+    memos = [{} for _ in factors]   # per factor: (cell, t-cell) -> terms
+    gens, deg, blocks = [], {}, []
+    for bc in cells:
+        bdim = base.cell_dim(bc)
+        own = [project(bc) for _, _, project in factors]
+        group = []
+        for ts, tdim, tmoves in windows:
+            parts = []
+            for (cell, ax, _), memo, bci, tc in zip(factors, memos, own, ts):
+                hit = memo.get((bci, tc))
+                if hit is None:
+                    hit = memo[(bci, tc)] = _stalk_terms(
+                        cell.stalk(bci, ax.rep(tc)), F)
+                if not hit[0]:
+                    break
+                parts.append(hit)
+            else:
+                items = [((bc,) + ts, bdim + tdim)]
+                for st_gens, _, _ in parts:
+                    items = [(g + (lbl,), k + kl) for g, k in items
+                             for lbl, kl in st_gens]
+                group.append((ts, bdim + tdim, tmoves[bdim & 1], parts,
+                              len(items)))
+                gens.extend(g for g, _ in items)
+                deg.update(items)
+        if group:
+            blocks.append((bc, group))
+    d = {}
+    todo = iter(gens)
+    for bc, group in blocks:
+        bterms = [(cf, unit[s]) for cf, s in base.cofaces(bc)]
+        for ts, bt_dim, tmoves, parts, size in group:
+            # base and t-axis terms change the head (bc, t_1..t_m) only
+            moves = ([((cf,) + ts, v) for cf, v in bterms]
+                     + [((bc,) + moved, v) for moved, v in tmoves])
+            for g in itertools.islice(todo, size):
+                labels = g[1 + m:]
+                cb = {}
+                for hd, v in moves:
+                    h = hd + labels
+                    if h in deg:
+                        cb[h] = v
+                odd = bt_dim & 1
+                for j, (_, kl, dterms) in enumerate(parts, 1 + m):
+                    row = dterms.get(g[j])
+                    if row:
+                        pre, post = g[:j], g[j + 1:]
+                        for lbl2, vp, vn in row:
+                            h = pre + (lbl2,) + post
+                            if h in deg:
+                                cb[h] = vn if odd else vp
+                    odd ^= kl[g[j]] & 1
+                if cb:
+                    d[g] = cb
+    C = ChainComplex(gens, deg, d, F, check=False)
+    C.assert_d_squared_zero()
+    return C
+
+
+def _stalk_terms(st: Stalk, F):
+    """A stalk's generators, its degrees by label and its differential as
+    label -> [(label, c, -c)] in the field, without the zero entries."""
+    dterms = {}
+    for lbl, row in st.d_map().items():
+        dterms[lbl] = [(lbl2, F.coerce(c), F.coerce(-c))
+                       for lbl2, c in row.items()
+                       if not F.is_zero(F.coerce(c))]
+    return st.gens, st.degrees(), dterms
 
 
 # ---------------------------------------------------------------------------
@@ -620,90 +670,16 @@ def product_section_complex(CA: CellSheaf, CB: CellSheaf, diagonal,
     """Total complex over base x [sum of two t-axes in [a, b)) with tensor
     stalks; the sum-sublevel convention discretizes the pushforward along
     (t1, t2) -> t1 + t2 exactly."""
-    F = CA.field
-    ta = CA.taxis
-    tb = CB.taxis
     if diagonal:
         base = CA.base
-        region_cells = (region.base_cells() if region is not None
-                        else list(base.base_cells()))
-        pair_of = lambda bc: (bc, bc)
+        pa = pb = _same_cell
     else:
         base = BoxGrid(CA.base.base + CB.base.base, ())
-        region_cells = (region.base_cells() if region is not None
-                        else list(base.base_cells()))
         na = len(CA.base.base)
-        pair_of = lambda bc: (bc[:na], bc[na:])
-    region_set = set(map(tuple, region_cells))
-    # window cells on the (t1, t2) product: top vertex-sum in [a, b)
-    tps = []
-    for t1 in ta.cells():
-        for t2 in tb.cells():
-            top = ta.top_value(t1) + tb.top_value(t2)
-            if top >= a and not top >= b:
-                tps.append((t1, t2))
-    tpset = set(tps)
-    gens, deg, d = [], {}, {}
-    stalk_pairs = {}
-    for bc in region_cells:
-        bc = tuple(bc)
-        bca, bcb = pair_of(bc)
-        bdim = base.cell_dim(bc)
-        for (t1, t2) in tps:
-            sa = CA.stalk(bca, ta.rep(t1))
-            if not sa.gens:
-                continue
-            sb = CB.stalk(bcb, tb.rep(t2))
-            if not sb.gens:
-                continue
-            stalk_pairs[(bc, t1, t2)] = (sa, sb)
-            tdim = ta.dim(t1) + tb.dim(t2)
-            for la, ka in sa.gens:
-                for lb, kb in sb.gens:
-                    g = (bc, t1, t2, la, lb)
-                    gens.append(g)
-                    deg[g] = bdim + tdim + ka + kb
-    genset = set(gens)
-    for (bc, t1, t2), (sa, sb) in stalk_pairs.items():
-        bdim = base.cell_dim(bc)
-        d1 = ta.dim(t1)
-        d2 = tb.dim(t2)
-        da = sa.d_map()
-        db = sb.d_map()
-        for la, ka in sa.gens:
-            for lb, kb in sb.gens:
-                g = (bc, t1, t2, la, lb)
-                cb = {}
-                for cf, s in base.cofaces(bc):
-                    if tuple(cf) in region_set:
-                        t = (tuple(cf), t1, t2, la, lb)
-                        if t in genset:
-                            _acc(cb, t, F.coerce(s), F)
-                sgn = -1 if bdim % 2 else 1
-                for tcf, s in ta.cofaces(t1):
-                    t = (bc, tcf, t2, la, lb)
-                    if (tcf, t2) in tpset and t in genset:
-                        _acc(cb, t, F.coerce(sgn * s), F)
-                sgn2 = -1 if (bdim + d1) % 2 else 1
-                for tcf, s in tb.cofaces(t2):
-                    t = (bc, t1, tcf, la, lb)
-                    if (t1, tcf) in tpset and t in genset:
-                        _acc(cb, t, F.coerce(sgn2 * s), F)
-                sgn3 = -1 if (bdim + d1 + d2) % 2 else 1
-                for la2, c in da.get(la, {}).items():
-                    t = (bc, t1, t2, la2, lb)
-                    if t in genset:
-                        _acc(cb, t, F.coerce(sgn3 * c), F)
-                sgn4 = -1 if (bdim + d1 + d2 + ka) % 2 else 1
-                for lb2, c in db.get(lb, {}).items():
-                    t = (bc, t1, t2, la, lb2)
-                    if t in genset:
-                        _acc(cb, t, F.coerce(sgn4 * c), F)
-                if cb:
-                    d[g] = cb
-    C = ChainComplex(gens, deg, d, F, check=False)
-    C.assert_d_squared_zero()
-    return C
+        pa = lambda bc: bc[:na]
+        pb = lambda bc: bc[na:]
+    factors = [(CA, CA.taxis, pa), (CB, CB.taxis, pb)]
+    return _total_complex(base, region, factors, a, b, CA.field)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -33,6 +35,8 @@ values = [1, 2.5, -3]
 op = "sections"
 a = -inf
 b = 0.25
+name = "x"   # a trailing comment after a string
+label = "a # b"
 """
     spec = parse_toml_subset(text)
     assert spec["scenario"]["name"] == "demo"
@@ -42,6 +46,8 @@ b = 0.25
     assert len(spec["tasks"]) == 2
     assert spec["tasks"][0]["values"] == [1, 2.5, -3]
     assert spec["tasks"][1]["a"] == -INF
+    assert spec["tasks"][1]["name"] == "x"
+    assert spec["tasks"][1]["label"] == "a # b"
 
 
 def test_toml_parse_error_carries_line():
@@ -249,3 +255,26 @@ def test_bad_grid_scale_in_file_is_input_error(tmp_path, capsys, name, text):
     assert "grid_scale must be a finite positive number" in summary["error"]
     assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert "[input error]" in capsys.readouterr().out
+
+
+BAD_FUNCTIONS = {
+    "unbalanced": 'expr = "cos(2*pi*x"\nn = 12\n',
+    "short-values": "values = [1.0, 2.0, 3.0]\nn = 12\n",
+    "word-n": 'expr = "cos(2*pi*x)"\nn = "twelve"\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FUNCTIONS))
+def test_bad_function_input_exits_2_without_traceback(tmp_path, name):
+    path = tmp_path / f"{name}.toml"
+    path.write_text('[scenario]\nname = "s"\nseed = 1\n'
+                    "[inputs.functions.f]\n" + BAD_FUNCTIONS[name])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfsheaf", "run", str(path), "--out-dir",
+         str(tmp_path / "out")], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert proc.returncode == 2
+    assert "[input error]" in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr

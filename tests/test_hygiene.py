@@ -1,6 +1,8 @@
-"""Every module-level import of the package is used in its module."""
+"""Every module-level import of the package is used in its module, and
+every module-level private name is used somewhere in the package."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,62 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def private_definitions(tree):
+    """Module-level functions, classes and assigned names that start with
+    an underscore (dunders excluded), as name -> defining node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                out[name] = node
+    return out
+
+
+def referenced_names(tree, skip=None):
+    """Names read, imported or used as attributes in tree, outside skip."""
+    inside = set() if skip is None else {id(n) for n in ast.walk(skip)}
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+PACKAGE = sorted(SRC.glob("*.py"))
+
+
+@functools.lru_cache(maxsize=None)
+def package_trees():
+    return {p: ast.parse(p.read_text(), str(p)) for p in PACKAGE}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    trees = package_trees()
+    elsewhere = set()
+    for p, tree in trees.items():
+        if p != path:
+            elsewhere |= referenced_names(tree)
+    tree = trees[path]
+    dead = sorted(name for name, node in private_definitions(tree).items()
+                  if name not in elsewhere
+                  and name not in referenced_names(tree, skip=node))
+    assert dead == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,7 +8,8 @@ import pytest
 from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
                               pure_quad_genfun, random_circle_morse)
 from gfsheaf.genfun import graph_brane, graph_genfun, window_floor
-from gfsheaf.grids import BaseRegion, circle_grid, sublevel_filtration
+from gfsheaf.grids import (BaseRegion, BoxGrid, circle_grid,
+                           sublevel_filtration)
 from gfsheaf.sheaves import (ConeSet, TAxis, TameSheaf, behavior_at_infinity,
                              conify, conify_conormal, front_interior_table,
                              microstalk, quantize, sections,
@@ -250,3 +252,246 @@ def test_microstalk_locality_on_cropped_grid():
         a = microstalk(F, cell_full, t, eps=0.04)
         b = microstalk(Fc, cell_crop, t, eps=0.04)
         assert a == b, (t, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the tensor section-complex builder against a cell-by-cell reference
+
+def _ref_acc(cb, key, val, F):
+    w = F.add(cb.get(key, F.zero()), val)
+    if w == F.zero():
+        cb.pop(key, None)
+    else:
+        cb[key] = w
+
+
+def _reference_section_complex(cell, region, a, b, taxis=None):
+    """One t-axis and one stalk, assembled generator by generator."""
+    from gfsheaf.complexes import ChainComplex
+    F = cell.field
+    taxis = taxis or cell.taxis.with_breaks([a, b])
+    region_cells = (region.base_cells() if region is not None
+                    else list(cell.base.base_cells()))
+    region_set = set(map(tuple, region_cells))
+    tcells = taxis.window_cells(a, b)
+    tset = set(tcells)
+    gens, deg, d, stalks = [], {}, {}, {}
+    for bc in region_cells:
+        bdim = cell.base.cell_dim(bc)
+        for tc in tcells:
+            st = cell.stalk(bc, taxis.rep(tc))
+            if not st.gens:
+                continue
+            stalks[(bc, tc)] = st
+            for lbl, k in st.gens:
+                gens.append((bc, tc, lbl))
+                deg[(bc, tc, lbl)] = bdim + taxis.dim(tc) + k
+    genset = set(gens)
+    for (bc, tc), st in stalks.items():
+        bdim = cell.base.cell_dim(bc)
+        tdim = taxis.dim(tc)
+        dmap = st.d_map()
+        for lbl, k in st.gens:
+            cb = {}
+            for cf, s in cell.base.cofaces(bc):
+                t = (tuple(cf), tc, lbl)
+                if tuple(cf) in region_set and t in genset:
+                    _ref_acc(cb, t, F.coerce(s), F)
+            sgn_t = -1 if bdim % 2 else 1
+            for tcf, s in taxis.cofaces(tc):
+                t = (bc, tcf, lbl)
+                if tcf in tset and t in genset:
+                    _ref_acc(cb, t, F.coerce(sgn_t * s), F)
+            sgn_i = -1 if (bdim + tdim) % 2 else 1
+            for lbl2, c in dmap.get(lbl, {}).items():
+                t = (bc, tc, lbl2)
+                if t in genset:
+                    _ref_acc(cb, t, F.coerce(sgn_i * c), F)
+            if cb:
+                d[(bc, tc, lbl)] = cb
+    return ChainComplex(gens, deg, d, F, check=False)
+
+
+def _reference_product_section_complex(CA, CB, diagonal, region, a, b):
+    """Two t-axes and two stalks, assembled generator by generator."""
+    from gfsheaf.complexes import ChainComplex
+    from gfsheaf.grids import BoxGrid
+    F = CA.field
+    ta, tb = CA.taxis, CB.taxis
+    if diagonal:
+        base = CA.base
+        pair_of = lambda bc: (bc, bc)
+    else:
+        base = BoxGrid(CA.base.base + CB.base.base, ())
+        na = len(CA.base.base)
+        pair_of = lambda bc: (bc[:na], bc[na:])
+    region_cells = (region.base_cells() if region is not None
+                    else list(base.base_cells()))
+    region_set = set(map(tuple, region_cells))
+    tps = [(t1, t2) for t1 in ta.cells() for t2 in tb.cells()
+           if a <= ta.top_value(t1) + tb.top_value(t2) < b]
+    tpset = set(tps)
+    gens, deg, d, pairs = [], {}, {}, {}
+    for bc in region_cells:
+        bc = tuple(bc)
+        bca, bcb = pair_of(bc)
+        bdim = base.cell_dim(bc)
+        for (t1, t2) in tps:
+            sa = CA.stalk(bca, ta.rep(t1))
+            if not sa.gens:
+                continue
+            sb = CB.stalk(bcb, tb.rep(t2))
+            if not sb.gens:
+                continue
+            pairs[(bc, t1, t2)] = (sa, sb)
+            for la, ka in sa.gens:
+                for lb, kb in sb.gens:
+                    g = (bc, t1, t2, la, lb)
+                    gens.append(g)
+                    deg[g] = bdim + ta.dim(t1) + tb.dim(t2) + ka + kb
+    genset = set(gens)
+    for (bc, t1, t2), (sa, sb) in pairs.items():
+        bdim = base.cell_dim(bc)
+        d1, d2 = ta.dim(t1), tb.dim(t2)
+        da, db = sa.d_map(), sb.d_map()
+        for la, ka in sa.gens:
+            for lb, kb in sb.gens:
+                cb = {}
+                for cf, s in base.cofaces(bc):
+                    t = (tuple(cf), t1, t2, la, lb)
+                    if tuple(cf) in region_set and t in genset:
+                        _ref_acc(cb, t, F.coerce(s), F)
+                sgn = -1 if bdim % 2 else 1
+                for tcf, s in ta.cofaces(t1):
+                    t = (bc, tcf, t2, la, lb)
+                    if (tcf, t2) in tpset and t in genset:
+                        _ref_acc(cb, t, F.coerce(sgn * s), F)
+                sgn = -1 if (bdim + d1) % 2 else 1
+                for tcf, s in tb.cofaces(t2):
+                    t = (bc, t1, tcf, la, lb)
+                    if (t1, tcf) in tpset and t in genset:
+                        _ref_acc(cb, t, F.coerce(sgn * s), F)
+                sgn = -1 if (bdim + d1 + d2) % 2 else 1
+                for la2, c in da.get(la, {}).items():
+                    t = (bc, t1, t2, la2, lb)
+                    if t in genset:
+                        _ref_acc(cb, t, F.coerce(sgn * c), F)
+                sgn = -1 if (bdim + d1 + d2 + ka) % 2 else 1
+                for lb2, c in db.get(lb, {}).items():
+                    t = (bc, t1, t2, la, lb2)
+                    if t in genset:
+                        _ref_acc(cb, t, F.coerce(sgn * c), F)
+                if cb:
+                    d[(bc, t1, t2, la, lb)] = cb
+    return ChainComplex(gens, deg, d, F, check=False)
+
+
+def _assert_same_complex(got, want):
+    assert got.gens == want.gens
+    assert list(got.deg.items()) == list(want.deg.items())
+    assert got.field is want.field
+
+    def entries(C):
+        return [(g, [(h, v, type(v)) for h, v in cb.items()])
+                for g, cb in C.d.items()]
+
+    assert entries(got) == entries(want)
+
+
+def _random_box(rng, grid):
+    """A random box of base cells (wrapping on circle axes)."""
+    shape = grid.base_cell_shape
+    mask = np.zeros(shape, dtype=bool)
+    starts = [rng.randrange(s) for s in shape]
+    widths = [rng.randrange(1, s + 1) for s in shape]
+    for offs in itertools.product(*(range(w) for w in widths)):
+        idx = tuple((st + o) % s if ax.topology == "circle"
+                    else min(st + o, s - 1)
+                    for st, o, s, ax in zip(starts, offs, shape, grid.base))
+        mask[idx] = True
+    return BaseRegion(grid, mask)
+
+
+def _random_window(rng, lo, hi):
+    a = rng.uniform(lo, hi)
+    return a, rng.uniform(a + 1e-3, hi + 0.5)
+
+
+def _cell_sheaves(seed):
+    """Seeded cellular sheaves over F2 and Q: circle graphs, a small cusp,
+    unit sheaves with and without a region, a rank-one tensor."""
+    from gfsheaf.linalg import QQ
+    from gfsheaf.sheaves import CellSheaf, materialize_rank_one_tensor
+    rng = random.Random(seed)
+    f = random_circle_morse(rng, n=8)
+    g = random_circle_morse(rng, n=8)
+    Cf = to_cellular(quantize(graph_genfun(f)), spot_checks=0).cell
+    Cg = to_cellular(quantize(graph_genfun(g)), spot_checks=0).cell
+    cusp = to_cellular(quantize(cusp_genfun(n_base=6, n_fiber=12)),
+                       spot_checks=0).cell
+    cusp_q = CellSheaf(cusp.base, cusp.taxis, cusp._stalk_fn, field=QQ)
+    U = unit_sheaf(f.grid).cell
+    UR = unit_sheaf(f.grid, _random_box(rng, f.grid), t0=0.25).cell
+    T = materialize_rank_one_tensor(Cf, Cg)
+    return rng, {"graph_f": Cf, "graph_g": Cg, "cusp": cusp,
+                 "cusp_q": cusp_q, "unit": U, "unit_region": UR,
+                 "tensor": T}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_section_complex_matches_reference_assembly(seed):
+    rng, cells = _cell_sheaves(seed)
+    for name, cell in cells.items():
+        lo = cell.taxis.breaks[0] - 0.5
+        hi = cell.taxis.breaks[-1] + 0.5
+        for trial in range(5):
+            # trial 0: the whole band over the whole base, never empty
+            region = None if trial < 2 else _random_box(rng, cell.base)
+            a, b = (lo, hi) if trial == 0 else _random_window(rng, lo, hi)
+            taxis = None
+            if trial == 4:
+                taxis = cell.taxis.with_breaks(
+                    [a, b, rng.uniform(a, b), cell.taxis.breaks[0] - 1.0])
+            want = _reference_section_complex(cell, region, a, b, taxis)
+            got = cell.section_complex(region, a, b, taxis=taxis)
+            _assert_same_complex(got, want)
+            if trial == 0:
+                assert got.d, name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_product_section_complex_matches_reference_assembly(seed):
+    from gfsheaf.sheaves import product_section_complex
+    rng, cells = _cell_sheaves(seed)
+    pairs = [("graph_f", "graph_g", True), ("graph_f", "unit_region", True),
+             ("tensor", "graph_f", True), ("cusp_q", "cusp_q", True),
+             ("graph_f", "graph_g", False), ("unit", "cusp", False)]
+    for na, nb, diagonal in pairs:
+        CA, CB = cells[na], cells[nb]
+        base = CA.base if diagonal else BoxGrid(CA.base.base + CB.base.base,
+                                                ())
+        lo = CA.taxis.breaks[0] + CB.taxis.breaks[0] - 0.5
+        hi = CA.taxis.breaks[-1] + CB.taxis.breaks[-1] + 0.5
+        for trial in range(4):
+            region = None if trial < 2 else _random_box(rng, base)
+            a, b = (lo, hi) if trial == 0 else _random_window(rng, lo, hi)
+            want = _reference_product_section_complex(CA, CB, diagonal,
+                                                      region, a, b)
+            got = product_section_complex(CA, CB, diagonal, region, a, b)
+            _assert_same_complex(got, want)
+            if trial == 0:
+                assert got.d, (na, nb, diagonal)
+
+
+def test_section_complex_rejects_a_non_chain_generization():
+    # vertex stalks a -> b, edge stalks a, b with no differential: matching
+    # labels is then no chain map, and d^2 = 0 fails on the total complex
+    from gfsheaf.grids import BoxGrid
+    from gfsheaf.sheaves import CellSheaf, Stalk
+    gens = ((("a",), 0), (("b",), 1))
+    vertex = Stalk(gens, ((("a",), ("b",), 1),))
+    edge = Stalk(gens)
+    cell = CellSheaf(BoxGrid((circle_grid(4),)), TAxis((0.0,)),
+                     lambda bc, thr: edge if bc[0] & 1 else vertex)
+    with pytest.raises(ValueError, match=r"d\^2 != 0"):
+        cell.section_complex(None, -1.0, 1.0)
