@@ -240,35 +240,43 @@ class FilteredComplex:
         """Interval decomposition of the filtered cohomology.
 
         Computed by column reduction of the filtration-ordered boundary
-        (transposed-differential) matrix.
+        (transposed-differential) matrix, one degree at a time from the top
+        down with clearing (Chen-Kerber 2011): a generator of degree k that
+        is a pivot row of degree k+1 is the birth of a bar and is skipped.
+        Its column would reduce to zero (the argument of
+        ChainComplex.cohomology_ranks); every other column that reduces to
+        zero is an essential class.  A column only meets columns of its own
+        degree, so the passes per degree give the pairs of one left-to-right
+        pass; the transposed columns are built one degree at a time.
         """
-        C = self.complex
-        order = sorted(C.gens, key=lambda g: (self.action[g], C.deg[g],
+        C, action = self.complex, self.action
+        order = sorted(C.gens, key=lambda g: (action[g], C.deg[g],
                                               C._index[g]))
         pos = {g: i for i, g in enumerate(order)}
-        # boundary of g = transposed differential: faces of g.
-        bdry = {g: {} for g in order}
-        for g, cb in C.d.items():
-            for h, v in cb.items():
-                bdry[h][g] = v
-        red = Reducer(C.field)
-        pairs = []
-        essential = []
+        by_deg = {}
         for g in order:
-            p = red.add({pos[h]: v for h, v in bdry[g].items()})
-            if p is None:
-                essential.append(g)
-            else:
-                pairs.append((order[p], g))
-        bars = []
-        killed = {b for (b, _) in pairs}
-        for (b, dth) in pairs:
-            if self.action[b] < self.action[dth]:
-                bars.append((C.deg[b], self.action[b], self.action[dth]))
-        for g in essential:
-            if g not in killed:
-                bars.append((C.deg[g], self.action[g], INF))
-        return Barcode(sorted(bars))
+            by_deg.setdefault(C.deg[g], []).append(g)
+        bars, cleared = [], set()
+        for k in sorted(by_deg, reverse=True):
+            # boundary of h = transposed differential: the faces of h
+            bdry = {h: {} for h in by_deg[k]}
+            for g in by_deg.get(k - 1, ()):
+                i = pos[g]
+                for h, v in C.d.get(g, {}).items():
+                    bdry[h][i] = v
+            red = Reducer(C.field)
+            for h in by_deg[k]:
+                col = bdry.pop(h)
+                if pos[h] in cleared:
+                    continue
+                p = red.add(col)
+                if p is None:
+                    bars.append((k, action[h], INF))
+                elif action[order[p]] < action[h]:
+                    bars.append((k - 1, action[order[p]], action[h]))
+            # after a gap in the degrees, cleared indexes no degree-k-1 gen
+            cleared = set(red.pivots)
+        return Barcode(bars)
 
 
 @dataclass(frozen=True)

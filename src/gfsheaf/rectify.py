@@ -537,7 +537,9 @@ def _perturb_once(diagram: CoherentDiagram, seed, density):
             diagram.compose(T_ik, H_kj),
             diagram.compose(H_ik, T_kj),
             diagram.compose(H_ik,
-                            diagram.compose(diagram.V[k2].complex.d, H_kj)))
+                            diagram.compose(diagram.V[k2].complex.d, H_kj)),
+            diagram.compose(diagram.compose(H_ik, H_kj),
+                            diagram.V[j].complex.d))
         new_maps[(i, k2, j)] = X
     out = CoherentDiagram(poset, diagram.V, new_maps, F)
     # longer chains: solve the coherence identity in the filtered-map space

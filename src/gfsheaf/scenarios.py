@@ -28,7 +28,8 @@ from .rectify import (check_coherence, index_complex_homology,
                       perturb_coherent, rectify_at,
                       strict_synthetic_diagram)
 from .sheaves import (conify, front_interior_table, microstalk, quantize,
-                      sections, singular_support, to_cellular)
+                      section_barcode, sections, singular_support,
+                      to_cellular)
 from .complexes import is_quasi_iso
 
 INF = math.inf
@@ -54,17 +55,18 @@ def _parse_value(text, line):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        parts, depth, cur = [], 0, ""
+        parts, depth, quoted, cur = [], 0, False, ""
         for ch in inner:
-            if ch == "[":
-                depth += 1
-            if ch == "]":
-                depth -= 1
-            if ch == "," and depth == 0:
+            # a comma splits the array only outside brackets and quotes
+            if ch == '"':
+                quoted = not quoted
+            elif not quoted and ch in "[]":
+                depth += 1 if ch == "[" else -1
+            elif not quoted and ch == "," and depth == 0:
                 parts.append(cur)
                 cur = ""
-            else:
-                cur += ch
+                continue
+            cur += ch
         parts.append(cur)
         return [_parse_value(p, line) for p in parts]
     if text.startswith('"') and text.endswith('"'):
@@ -502,7 +504,8 @@ def _task_unit_laws(ctx, task, out_dir):
 
 
 def _task_oracle_compare(ctx, task, out_dir):
-    """Three-route rank comparison on a graph pair or a generating family."""
+    """Three-route rank comparison on a graph pair or a generating family;
+    the sheaf route reads every window off one section barcode."""
     mismatches = []
     if "pair" in task:
         fname, gname = task["pair"]
@@ -510,7 +513,7 @@ def _task_oracle_compare(ctx, task, out_dir):
         h = g - f
         bc = sublevel_filtration(h).barcode()
         gfn = graph_genfun(h)
-        F = to_cellular(quantize(gfn), spot_checks=0)
+        sheaf_bc = section_barcode(to_cellular(quantize(gfn), spot_checks=0))
         vals = bc.breakpoints()
         cuts = [vals[0] - 0.5] + [(x + y) / 2 for x, y in
                                   zip(vals, vals[1:])] + [vals[-1] + 0.5]
@@ -519,13 +522,13 @@ def _task_oracle_compare(ctx, task, out_dir):
                 a, b = cuts[i], cuts[j]
                 r1 = bc.window_ranks(a, b)
                 r2 = gf_cohomology(gfn, None, a, b, check_regular=False)
-                r3 = sections(F, None, a, b)
+                r3 = sheaf_bc.window_ranks(a, b)
                 if not (r1 == r2 == r3):
                     mismatches.append((a, b, str(r1), str(r2), str(r3)))
     else:
         gf = ctx.genfuns[task["genfun"]]
         bc = sublevel_filtration(gf.S).barcode()
-        F = to_cellular(quantize(gf), spot_checks=0)
+        sheaf_bc = section_barcode(to_cellular(quantize(gf), spot_checks=0))
         diagram = cerf_diagram(gf)
         vals = list(diagram.breakpoints)
         cuts = [vals[0] - 0.3] + [(x + y) / 2 for x, y in
@@ -537,7 +540,7 @@ def _task_oracle_compare(ctx, task, out_dir):
                   for d, r in bc.window_ranks(a, b).items()}
             r1 = {d: r for d, r in r1.items() if r}
             r2 = gf_cohomology(gf, None, a, b, check_regular=False)
-            r3 = sections(F, None, a, b)
+            r3 = sheaf_bc.window_ranks(a, b)
             if not (r1 == r2 == r3):
                 mismatches.append((a, b, str(r1), str(r2), str(r3)))
     rows = [("a", "b", "filtered", "pair", "sheaf")] + mismatches

@@ -12,18 +12,24 @@ A tame sheaf is carried in one of three presentations:
     pushforward evaluated through the discretized two-axis model.
 
 Sections are computed as cochain complexes over the cells of the queried
-region; d^2 = 0 is asserted on every assembled complex.
+region; d^2 = 0 is asserted on every assembled complex.  A cellular sheaf
+is constant on its own strata: its sections are taken on its own t-axis,
+and a t-cell of a refined axis takes the stalk of the own stratum that
+contains it.  The window [a, b) keeps the t-cells whose top value lies in
+[a, b), so every window is a subquotient of one complex filtered by that
+top value; section_barcode reduces it once and reads all windows off.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ChainComplex
+from .complexes import Barcode, ChainComplex, FilteredComplex
 from .genfun import (GenFun, cerf_diagram, gf_cohomology,
                      strand_value_range, window_ceiling, window_floor)
 from .grids import BaseRegion, BoxGrid
@@ -178,11 +184,21 @@ class CellSheaf:
             self._cache[key] = hit
         return hit
 
+    def stalk_over(self, base_cell, ax: TAxis, tc):
+        """The stalk over t-cell tc of the axis ax, a refinement of the own
+        axis: that of the own stratum containing the cell, sampled at the
+        stratum's representative, so the sheaf is constant on its strata
+        whatever axis the sections are taken on."""
+        own = self.taxis
+        i = bisect.bisect(own.breaks, ax.rep(tc))
+        return self.stalk(base_cell, own.rep(("e", i)))
+
     def section_complex(self, region: BaseRegion | None, a, b,
                         taxis=None) -> ChainComplex:
-        """Total complex over region x [a, b) with stalk coefficients."""
-        taxis = taxis or self.taxis.with_breaks([a, b])
-        return _total_complex(self.base, region, [(self, taxis, _same_cell)],
+        """Total complex over region x [a, b) with stalk coefficients, on
+        the own t-axis unless a refinement of it is given."""
+        return _total_complex(self.base, region,
+                              [(self, taxis or self.taxis, _same_cell)],
                               a, b, self.field)
 
     def sections(self, region, a, b):
@@ -206,14 +222,17 @@ def _total_complex(base: BoxGrid, region: BaseRegion | None, factors, a, b,
     (-1)^(dim bc + dims of t_1..t_{i-1}); the differential of stalk j,
     signed by (-1)^(dim bc + all t dims + degrees of labels 1..j-1).  A term
     counts when its target is a generator.  Each term changes a different
-    component, so no two meet: entries are stored, not summed.  Generization
-    maps match labels; d^2 = 0 certifies that they are chain maps.
+    component, so no two meet: entries are stored, not summed.  The stalk
+    over a t-cell is that of the factor's own stratum containing it
+    (CellSheaf.stalk_over).  Generization maps match labels; d^2 = 0
+    certifies that they are chain maps.
     """
     F = field
     m = len(factors)
     unit = {1: F.coerce(1), -1: F.coerce(-1)}
     axes = [ax for _, ax, _ in factors]
-    # window: (t-cells, their dims summed, t-axis terms by parity of dim bc)
+    # window: per t-cell of the first axis, the tuples that start with it,
+    # each as (t-cells, their dims summed, t-axis terms by parity of dim bc)
     windows = []
     for ts in itertools.product(*(ax.cells() for ax in axes)):
         if not a <= sum(ax.top_value(tc) for ax, tc in zip(axes, ts)) < b:
@@ -225,34 +244,45 @@ def _total_complex(base: BoxGrid, region: BaseRegion | None, factors, a, b,
                 tmoves[0].append((moved, unit[-s if tdim & 1 else s]))
                 tmoves[1].append((moved, unit[s if tdim & 1 else -s]))
             tdim += ax.dim(tc)
-        windows.append((ts, tdim, tmoves))
+        if not windows or windows[-1][0] != ts[0]:
+            windows.append((ts[0], []))
+        windows[-1][1].append((ts, tdim, tmoves))
     cells = (region.base_cells() if region is not None
              else list(base.base_cells()))
     memos = [{} for _ in factors]   # per factor: (cell, t-cell) -> terms
+
+    def fetch(i, bci, tc):
+        cell, ax, _ = factors[i]
+        hit = _stalk_terms(cell.stalk_over(bci, ax, tc), F)
+        memos[i][(bci, tc)] = hit
+        return hit
+
     gens, deg, blocks = [], {}, []
     for bc in cells:
         bdim = base.cell_dim(bc)
         own = [project(bc) for _, _, project in factors]
         group = []
-        for ts, tdim, tmoves in windows:
-            parts = []
-            for (cell, ax, _), memo, bci, tc in zip(factors, memos, own, ts):
-                hit = memo.get((bci, tc))
-                if hit is None:
-                    hit = memo[(bci, tc)] = _stalk_terms(
-                        cell.stalk(bci, ax.rep(tc)), F)
-                if not hit[0]:
-                    break
-                parts.append(hit)
-            else:
-                items = [((bc,) + ts, bdim + tdim)]
-                for st_gens, _, _ in parts:
-                    items = [(g + (lbl,), k + kl) for g, k in items
-                             for lbl, kl in st_gens]
-                group.append((ts, bdim + tdim, tmoves[bdim & 1], parts,
-                              len(items)))
-                gens.extend(g for g, _ in items)
-                deg.update(items)
+        for tc1, entries in windows:
+            first = memos[0].get((own[0], tc1)) or fetch(0, own[0], tc1)
+            if not first[0]:
+                continue    # an empty first stalk empties all its tuples
+            for ts, tdim, tmoves in entries:
+                parts = [first]
+                for i in range(1, m):
+                    hit = (memos[i].get((own[i], ts[i]))
+                           or fetch(i, own[i], ts[i]))
+                    if not hit[0]:
+                        break
+                    parts.append(hit)
+                else:
+                    items = [((bc,) + ts, bdim + tdim)]
+                    for st_gens, _, _ in parts:
+                        items = [(g + (lbl,), k + kl) for g, k in items
+                                 for lbl, kl in st_gens]
+                    group.append((ts, bdim + tdim, tmoves[bdim & 1], parts,
+                                  len(items)))
+                    gens.extend(g for g, _ in items)
+                    deg.update(items)
         if group:
             blocks.append((bc, group))
     d = {}
@@ -480,6 +510,24 @@ def sections(F: TameSheaf, region: BaseRegion | None, a, b, field=GF2,
     return _product_sections(F, region, a, b)
 
 
+def section_barcode(F: TameSheaf, region: BaseRegion | None = None) -> Barcode:
+    """Barcode of the sections of a cellular sheaf over region x R.
+
+    One section complex over every t-cell of the own axis with a finite top,
+    filtered by that top: the complex of a window [a, b) is its subquotient
+    on the generators with top in [a, b), so window_ranks(a, b) of the
+    barcode gives sections(F, region, a, b) for every window.  The
+    degrees carry the sheaf's shift.
+    """
+    if F.kind != "cell":
+        raise ValueError("section barcodes need a cellular presentation")
+    cell = F.cell
+    C = cell.section_complex(region, -INF, INF)
+    top = cell.taxis.top_value
+    bars = FilteredComplex(C, {g: top(g[1]) for g in C.gens}).barcode().bars
+    return Barcode([(k - cell.shift, b, x) for k, b, x in bars])
+
+
 def _normalize_cell_window(cell: CellSheaf, a, b):
     lo = cell.taxis.breaks[0] - 0.5
     hi = cell.taxis.breaks[-1] + 0.5
@@ -557,7 +605,7 @@ def unit_map_section_level(F: TameSheaf, region, a, b):
     genset = set(CF.gens)
     for g in CU.gens:
         (bc, tc, _lbl) = g
-        st = cell.stalk(bc, taxis.rep(tc))
+        st = cell.stalk_over(bc, taxis, tc)
         img = {}
         for lbl, k in st.gens:
             if k == 0 and (bc, tc, lbl) in genset:

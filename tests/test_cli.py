@@ -37,6 +37,7 @@ a = -inf
 b = 0.25
 name = "x"   # a trailing comment after a string
 label = "a # b"
+words = ["a,b", "c]", "[d"]
 """
     spec = parse_toml_subset(text)
     assert spec["scenario"]["name"] == "demo"
@@ -48,6 +49,7 @@ label = "a # b"
     assert spec["tasks"][1]["a"] == -INF
     assert spec["tasks"][1]["name"] == "x"
     assert spec["tasks"][1]["label"] == "a # b"
+    assert spec["tasks"][1]["words"] == ["a,b", "c]", "[d"]
 
 
 def test_toml_parse_error_carries_line():

@@ -181,6 +181,58 @@ def test_barcode_window_pair_consistency_random():
                 assert direct == bc.window_ranks(a, b), (a, b, bc.bars)
 
 
+def reference_barcode(FC):
+    """The barcode by one left-to-right reduction of every boundary column
+    in filtration order, without clearing."""
+    C = FC.complex
+    order = sorted(C.gens, key=lambda g: (FC.action[g], C.deg[g],
+                                          C._index[g]))
+    pos = {g: i for i, g in enumerate(order)}
+    bdry = {g: {} for g in order}
+    for g, cb in C.d.items():
+        for h, v in cb.items():
+            bdry[h][g] = v
+    red = Reducer(C.field)
+    pairs, essential = [], []
+    for g in order:
+        p = red.add({pos[h]: v for h, v in bdry[g].items()})
+        if p is None:
+            essential.append(g)
+        else:
+            pairs.append((order[p], g))
+    killed = {b for (b, _) in pairs}
+    bars = [(C.deg[b], FC.action[b], FC.action[dth]) for (b, dth) in pairs
+            if FC.action[b] < FC.action[dth]]
+    bars += [(C.deg[g], FC.action[g], INF) for g in essential
+             if g not in killed]
+    return Barcode(bars)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
+def test_barcode_with_clearing_matches_reference(field):
+    import numpy as np
+    from gfsheaf.fixtures import random_circle_morse
+    from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid,
+                               sublevel_filtration)
+    rng = random.Random(31337)
+    cases = []
+    for _ in range(30):
+        FC = random_filtered_complex(rng, field, max_gens=30)
+        cases.append(FC)
+        # flooring is monotone, so the tie-heavy copy is filtered too
+        cases.append(FilteredComplex(FC.complex, {
+            g: float(math.floor(v)) for g, v in FC.action.items()}))
+    torus = BoxGrid((circle_grid(5), circle_grid(4)))
+    for seed in range(4):
+        f = random_circle_morse(random.Random(seed), n=16)
+        cases.append(sublevel_filtration(f, field))
+        vals = np.array([rng.randrange(3) for _ in range(20)], dtype=float)
+        cases.append(sublevel_filtration(
+            SampledFunction(torus, vals.reshape(torus.vertex_shape)), field))
+    for FC in cases:
+        assert FC.barcode().bars == reference_barcode(FC).bars
+
+
 def test_mapping_cone_identity_acyclic():
     C = circle_complex()
     assert cohomology_ranks(mapping_cone(identity_map(C))) == {}

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -266,10 +267,13 @@ def _ref_acc(cb, key, val, F):
 
 
 def _reference_section_complex(cell, region, a, b, taxis=None):
-    """One t-axis and one stalk, assembled generator by generator."""
+    """One t-axis and one stalk, assembled generator by generator.  The
+    axis is the sheaf's own unless a refinement is given; a t-cell takes the
+    stalk of the own stratum that contains it."""
     from gfsheaf.complexes import ChainComplex
     F = cell.field
-    taxis = taxis or cell.taxis.with_breaks([a, b])
+    own = cell.taxis
+    taxis = taxis or own
     region_cells = (region.base_cells() if region is not None
                     else list(cell.base.base_cells()))
     region_set = set(map(tuple, region_cells))
@@ -279,7 +283,8 @@ def _reference_section_complex(cell, region, a, b, taxis=None):
     for bc in region_cells:
         bdim = cell.base.cell_dim(bc)
         for tc in tcells:
-            st = cell.stalk(bc, taxis.rep(tc))
+            stratum = ("e", bisect.bisect(own.breaks, taxis.rep(tc)))
+            st = cell.stalk(bc, own.rep(stratum))
             if not st.gens:
                 continue
             stalks[(bc, tc)] = st
@@ -495,3 +500,90 @@ def test_section_complex_rejects_a_non_chain_generization():
                      lambda bc, thr: edge if bc[0] & 1 else vertex)
     with pytest.raises(ValueError, match=r"d\^2 != 0"):
         cell.section_complex(None, -1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# stalks on the own strata, and windows read off one section barcode
+
+def test_refined_axis_keeps_the_section_ranks_of_the_own_axis():
+    # to_cellular stalks are sublevel complexes that change between the
+    # breakpoints; sampled on a refined axis they gave another sheaf, which
+    # put the degree-0 class of this cusp one window late
+    from gfsheaf.genfun import gf_cohomology
+    gf = cusp_genfun(n_base=20, n_fiber=64)
+    cell = to_cellular(quantize(gf), spot_checks=0).cell
+    rng = random.Random(6)
+    lo, hi = cell.taxis.breaks[0] - 0.3, cell.taxis.breaks[-1] + 0.3
+    windows = [(-0.0816, 0.0393), (0.0393, 0.1682)]
+    windows += [_random_window(rng, lo, hi) for _ in range(3)]
+    for a, b in windows:
+        own = cell.section_complex(None, a, b).cohomology_ranks()
+        extra = [a, b] + [rng.uniform(lo - 0.5, hi + 0.5) for _ in range(4)]
+        refined = cell.section_complex(None, a, b,
+                                       taxis=cell.taxis.with_breaks(extra))
+        assert refined.cohomology_ranks() == own, (a, b)
+    for a, b in windows[:2]:
+        assert cell.sections(None, a, b) == gf_cohomology(
+            gf, None, a, b, check_regular=False), (a, b)
+
+
+def _oracle_inputs(grid_scale):
+    """The cellular sheaves of the three-routes scenario with the windows
+    its oracle-compare tasks query."""
+    import os
+    from gfsheaf.cli import BUNDLED_DIR
+    from gfsheaf.genfun import cerf_diagram
+    from gfsheaf.scenarios import ScenarioContext, load_scenario
+    ctx = ScenarioContext(load_scenario(
+        os.path.join(BUNDLED_DIR, "three-routes.toml")),
+        grid_scale=grid_scale)
+    h = ctx.functions["g"] - ctx.functions["f"]
+    vals = sublevel_filtration(h).barcode().breakpoints()
+    cuts = ([vals[0] - 0.5] + [(x + y) / 2 for x, y in zip(vals, vals[1:])]
+            + [vals[-1] + 0.5])
+    pair = to_cellular(quantize(graph_genfun(h)), spot_checks=0)
+    yield pair, list(itertools.combinations(cuts, 2))
+    gf = ctx.genfuns["cusp"]
+    vals = list(cerf_diagram(gf).breakpoints)
+    cuts = ([vals[0] - 0.3] + [(x + y) / 2 for x, y in zip(vals, vals[1:])]
+            + [vals[-1] + 0.3])
+    cusp = to_cellular(quantize(gf), spot_checks=0)
+    yield cusp, list(zip(cuts, cuts[1:])) + [(cuts[0], cuts[-1])]
+
+
+@pytest.mark.parametrize("grid_scale", [1, 2])
+def test_section_barcode_reads_every_oracle_window(grid_scale):
+    from gfsheaf.sheaves import section_barcode
+    for F, windows in _oracle_inputs(grid_scale):
+        bc = section_barcode(F)
+        for a, b in windows:
+            assert bc.window_ranks(a, b) == sections(F, None, a, b), (a, b)
+
+
+def test_section_barcode_on_random_boxes_and_windows():
+    from gfsheaf.sheaves import section_barcode
+    rng = random.Random(66)
+    sheaves = [F for F, _ in _oracle_inputs(1)]
+    for trial in range(20):
+        F = sheaves[trial % 2]
+        breaks = F.cell.taxis.breaks
+        region = _random_box(rng, F.cell.base)
+        a, b = _random_window(rng, breaks[0] - 0.5, breaks[-1] + 0.5)
+        if trial < 6:
+            # infinite ends, snapped to the axis by sections()
+            a, b = [(-INF, b), (a, INF), (-INF, INF)][trial % 3]
+        got = section_barcode(F, region).window_ranks(a, b)
+        assert got == sections(F, region, a, b), (trial, a, b)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_section_complex_barcodes_match_the_reference_reduction(seed):
+    from gfsheaf.complexes import FilteredComplex
+    from test_complexes import reference_barcode
+    rng, cells = _cell_sheaves(seed)
+    for name, cell in cells.items():
+        region = None if seed == 1 else _random_box(rng, cell.base)
+        C = cell.section_complex(region, -INF, INF)
+        FC = FilteredComplex(C, {g: cell.taxis.top_value(g[1])
+                                 for g in C.gens})
+        assert FC.barcode().bars == reference_barcode(FC).bars, name
