@@ -361,11 +361,13 @@ def cohomology_basis(C: ChainComplex, order_key=None):
     return basis
 
 
-def class_coordinates(C: ChainComplex, basis_cocycles, z):
-    """Coordinates of the class [z] in the given cohomology basis.
+def class_coordinates(C: ChainComplex, basis_cocycles, zs):
+    """Coordinates of each class [z] of zs in the given cohomology basis.
 
     basis_cocycles: list of cocycle vectors (dict gen -> scalar) whose classes
-    are independent. Solves z = sum c_i b_i + d(w); returns the c_i or None.
+    are independent. Solves z = sum c_i b_i + d(w) for every z of zs against
+    one reduction of the basis and coboundary columns; returns one list of
+    the c_i (or None) per z.
     """
     F = C.field
     idx = C._index
@@ -377,10 +379,9 @@ def class_coordinates(C: ChainComplex, basis_cocycles, z):
         cb = C.d.get(g)
         if cb:
             cols.append({idx[h]: v for h, v in cb.items()})
-    sol = solve_columns(cols, {idx[g]: v for g, v in z.items()}, F)
-    if sol is None:
-        return None
-    return sol[:nb]
+    sols = solve_columns(cols, [{idx[g]: v for g, v in z.items()}
+                                for z in zs], F)
+    return [None if sol is None else sol[:nb] for sol in sols]
 
 
 def apply_d(C: ChainComplex, vec):

@@ -196,19 +196,25 @@ def kernel_of_columns(cols, field=GF2):
     return kernel
 
 
-def solve_columns(cols, target, field=GF2):
-    """Express target (dict row->scalar) as a combination of cols.
+def solve_columns(cols, targets, field=GF2):
+    """Express each target (dict row->scalar) as a combination of cols.
 
-    Returns a list of coefficients (one per column) or None if inconsistent.
+    The columns are reduced once and every target is solved against that one
+    reduction.  Returns one entry per target: a list of coefficients (one
+    per column), or None if that target is inconsistent.
     """
     red = Reducer(field)
     for j, col in enumerate(cols):
         red.add(_copy(col, field), {j: field.one()})
-    # reduce leaves target + sum_j combo[j] * cols[j] == 0
-    combo = {}
-    if red.reduce(_copy(target, field), combo) is not None:
-        return None
-    out = [field.zero()] * len(cols)
-    for j, v in combo.items():
-        out[j] = field.neg(v)
+    out = []
+    for target in targets:
+        # reduce leaves target + sum_j combo[j] * cols[j] == 0
+        combo = {}
+        if red.reduce(_copy(target, field), combo) is not None:
+            out.append(None)
+            continue
+        sol = [field.zero()] * len(cols)
+        for j, v in combo.items():
+            sol[j] = field.neg(v)
+        out.append(sol)
     return out

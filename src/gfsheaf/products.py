@@ -309,7 +309,7 @@ def verify_unit_composition(F: TameSheaf, lambdas, eps=None):
     basis = [vec for d, vec in cohomology_basis(UC) if d == 0]
     if len(basis) != 1:
         raise AssertionError("unit degree-0 sections not rank one")
-    coords = class_coordinates(UC, basis, img)
+    [coords] = class_coordinates(UC, basis, [img])
     if coords != [GF2.one()]:
         raise AssertionError("v o u is not the identity on degree-0 sections")
     for lam in lambdas:
@@ -331,36 +331,41 @@ def verify_unit_composition(F: TameSheaf, lambdas, eps=None):
 # ---------------------------------------------------------------------------
 # cohomology classes and the cup product
 
+class ProductHome:
+    """The home of the classes of (dual F_i) tensor F_j at threshold lam:
+    the product section complex of CA (x) CB on the diagonal over the window
+    [lam, ceiling), built (and its d^2 = 0 checked) once per (CA, CB, lam)
+    and shared by every class, cup product and class table landing there."""
+
+    def __init__(self, CA: CellSheaf, CB: CellSheaf, lam):
+        self.CA = CA
+        self.CB = CB
+        self.lam = lam
+        ceil = CA.taxis.breaks[-1] + CB.taxis.breaks[-1] + 1.0
+        self.complex = product_section_complex(CA, CB, True, None, lam, ceil)
+
+
 @dataclass
 class CohomologyClass:
     """A class in H^*(N x [lam, oo), W) for W = (dual F_i) tensor F_j in
-    product form with rank-one factors; the representative lives in the
-    product section complex over the stated window."""
+    product form with rank-one factors; the representative is a cocycle of
+    its home's product section complex."""
 
-    CA: CellSheaf
-    CB: CellSheaf
-    lam: float
+    home: ProductHome
     degree: int
-    rep: dict          # cocycle in the [lam, ceiling) product complex
-    complex: ChainComplex
-
-    @staticmethod
-    def home_complex(CA, CB, lam):
-        ceil = CA.taxis.breaks[-1] + CB.taxis.breaks[-1] + 1.0
-        return product_section_complex(CA, CB, True, None, lam, ceil)
+    rep: dict
 
 
-def floer_to_product_classes(CA: CellSheaf, CB: CellSheaf, lam,
-                             n_level_basis):
+def floer_to_product_classes(home: ProductHome, n_level_basis):
     """Push base-level canonical cocycles into the product model.
 
     n_level_basis: list of (degree, cochain on base cells) from the
     decoupled superlevel complex; each pushed class spreads over the
     vertex-pairs above the per-cell corners.
     """
+    CA, CB, lam, C = home.CA, home.CB, home.lam, home.complex
     corner_a, _ = corner_table(CA)
     corner_b, _ = corner_table(CB)
-    C = CohomologyClass.home_complex(CA, CB, lam)
     one = GF2.one()
     out = []
     genset = set(C.gens)
@@ -383,7 +388,7 @@ def floer_to_product_classes(CA: CellSheaf, CB: CellSheaf, lam,
         if apply_d(C, push):
             raise AssertionError("pushed class is not closed; thresholds "
                                  "sit too close to the value spectrum")
-        out.append(CohomologyClass(CA, CB, lam, deg, push, C))
+        out.append(CohomologyClass(home, deg, push))
     return out
 
 
@@ -414,21 +419,25 @@ def decoupled_superlevel_complex(CA: CellSheaf, CB: CellSheaf, lam,
 
 
 def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
-                check_closed=True) -> CohomologyClass:
+                home: ProductHome, check_closed=True) -> CohomologyClass:
     """The threshold-additive product: contract the middle factors at the
     fixed top corner, restrict to the diagonal by the front/back splitting,
-    and view the result above lam + mu."""
-    base = alpha.CA.base
-    if base != beta.CB.base or alpha.CB.base != beta.CA.base:
+    and view the result above lam + mu in home, which must be the home of
+    (alpha's CA, beta's CB, lam + mu)."""
+    ha, hb = alpha.home, beta.home
+    base = ha.CA.base
+    if base != hb.CB.base or ha.CB.base != hb.CA.base:
         raise ValueError("homes are not composable: base grids differ")
+    if home.CA is not ha.CA or home.CB is not hb.CB or \
+            home.lam != ha.lam + hb.lam:
+        raise ValueError("the output home is not the home of "
+                         "(alpha's CA, beta's CB, lam + mu)")
     if check_closed:
-        if apply_d(alpha.complex, alpha.rep) or apply_d(beta.complex,
-                                                        beta.rep):
+        if apply_d(ha.complex, alpha.rep) or apply_d(hb.complex, beta.rep):
             raise ValueError("representatives must be closed")
-    b_star = len(alpha.CB.taxis.breaks) - 1
-    c_star = len(beta.CA.taxis.breaks) - 1
-    lam_out = alpha.lam + beta.lam
-    C_out = CohomologyClass.home_complex(alpha.CA, beta.CB, lam_out)
+    b_star = len(ha.CB.taxis.breaks) - 1
+    c_star = len(hb.CA.taxis.breaks) - 1
+    C_out = home.complex
     genset = set(C_out.gens)
     # index alpha by (front cell, Ja) at Jb = top corner; beta likewise
     alpha_at = {}
@@ -477,21 +486,19 @@ def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
     if apply_d(C_out, out):
         raise AssertionError("cup product output is not closed; window "
                              "endpoints sit too close to the value spectrum")
-    return CohomologyClass(alpha.CA, beta.CB, lam_out,
-                           alpha.degree + beta.degree, out, C_out)
+    return CohomologyClass(home, alpha.degree + beta.degree, out)
 
 
-def class_table(classes, basis_classes):
-    """Coordinates of each class in the pushed canonical basis."""
+def class_table(home: ProductHome, classes, basis_classes):
+    """Coordinates of each class in the pushed canonical basis, all classes
+    of home, solved against one reduction of its complex."""
+    if any(c.home is not home for c in list(classes) + list(basis_classes)):
+        raise ValueError("class table mixes classes of different homes")
     if not classes:
         return []
-    C = classes[0].complex
-    basis = [b.rep for b in basis_classes]
-    out = []
-    for z in classes:
-        coords = class_coordinates(C, basis, z.rep)
-        if coords is None:
-            raise AssertionError("class does not lie in the pushed basis "
-                                 "span; presentation mismatch")
-        out.append(coords)
+    out = class_coordinates(home.complex, [b.rep for b in basis_classes],
+                            [z.rep for z in classes])
+    if None in out:
+        raise AssertionError("class does not lie in the pushed basis "
+                             "span; presentation mismatch")
     return out

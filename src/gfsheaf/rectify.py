@@ -594,7 +594,7 @@ def _solve_homotopy(diagram: CoherentDiagram, chain, residual):
     for g, c in residual.items():
         for h, v in c.items():
             target[row_index(g, h)] = v
-    sol = solve_columns(cols, target, F)
+    [sol] = solve_columns(cols, [target], F)
     if sol is None:
         return None
     X = {}
@@ -635,7 +635,7 @@ def _e2_direct(R: RectifiedComplex, F):
     for p, (C0, basis) in pages.items():
         # d1 out of p
         def d1_cols(p_from, basis_from, page_to):
-            cols = []
+            imgs = []
             for (q, vec) in basis_from:
                 img = {}
                 for gkey, v in vec.items():
@@ -643,18 +643,17 @@ def _e2_direct(R: RectifiedComplex, F):
                         if len(k2[0]) - 2 == p_from - 1:
                             img[k2] = F.add(img.get(k2, F.zero()),
                                             F.mul(v, w))
-                img = {k: v for k, v in img.items() if v != F.zero()}
-                if page_to is None:
-                    assert not img
-                    cols.append((q, {}))
-                else:
-                    C_low, basis_low = page_to
-                    coords = class_coordinates(
-                        C_low, [b for _, b in basis_low], img)
-                    assert coords is not None
-                    cols.append((q, {r: c for r, c in enumerate(coords)
-                                     if c != F.zero()}))
-            return cols
+                imgs.append({k: v for k, v in img.items() if v != F.zero()})
+            if page_to is None:
+                assert not any(imgs)
+                return [(q, {}) for (q, _vec) in basis_from]
+            C_low, basis_low = page_to
+            all_coords = class_coordinates(
+                C_low, [b for _, b in basis_low], imgs)
+            assert None not in all_coords
+            return [(q, {r: c for r, c in enumerate(coords)
+                         if c != F.zero()})
+                    for (q, _vec), coords in zip(basis_from, all_coords)]
         out_cols = d1_cols(p, basis, pages.get(p - 1))
         in_cols = []
         upper = pages.get(p + 1)

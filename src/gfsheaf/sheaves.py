@@ -742,23 +742,19 @@ class ConeSet:
     resolution: float = 0.0
 
     def hausdorff(self, other: "ConeSet", scales):
-        def dist(p, q):
-            return max(abs(a - b) / s for a, b, s in zip(p, q, scales))
-
-        def one_sided(ps, qs):
-            worst = 0.0
-            for p in ps:
-                best = min(dist(p, q) for q in qs)
-                worst = max(worst, best)
-            return worst
-
-        ps = [(x[0], t, p[0] if p else 0.0, tau) for (x, t, p, tau)
-              in self.points]
-        qs = [(x[0], t, p[0] if p else 0.0, tau) for (x, t, p, tau)
-              in other.points]
-        if not ps or not qs:
+        """Symmetric Hausdorff distance in the scaled max-norm
+        max_k |p_k - q_k| / scales[k] over the coordinates (x, t, p, tau);
+        inf when either set is empty.  The float operations are those of
+        the pairwise loop, so the distance is the loop's to the bit."""
+        ps, qs = self._coordinates(), other._coordinates()
+        if not len(ps) or not len(qs):
             return INF
-        return max(one_sided(ps, qs), one_sided(qs, ps))
+        return max(_one_sided(ps, qs, scales), _one_sided(qs, ps, scales))
+
+    def _coordinates(self):
+        return np.array([(x[0], t, p[0] if p else 0.0, tau)
+                         for (x, t, p, tau) in self.points],
+                        dtype=float).reshape(-1, 4)
 
     def to_csv_rows(self):
         rows = [("x", "t", "p", "tau")]
@@ -766,6 +762,25 @@ class ConeSet:
             rows.append((repr(x[0] if len(x) == 1 else x), repr(t),
                          repr(p[0] if len(p) == 1 else p), tau))
         return rows
+
+
+# point pairs compared per numpy block of ConeSet.hausdorff
+_HAUSDORFF_BLOCK = 1 << 16
+
+
+def _one_sided(ps, qs, scales):
+    """max over the rows p of ps of min over the rows q of qs of
+    max_k |p_k - q_k| / scales[k], a block of rows of ps at a time."""
+    rows = max(1, _HAUSDORFF_BLOCK // len(qs))
+    worst = 0.0
+    for lo in range(0, len(ps), rows):
+        block = ps[lo:lo + rows]
+        dist = None
+        for k, s in enumerate(scales):
+            dk = np.abs(block[:, k, None] - qs[None, :, k]) / s
+            dist = dk if dist is None else np.maximum(dist, dk, out=dist)
+        worst = max(worst, float(dist.min(axis=1).max()))
+    return worst
 
 
 def conify(brane) -> ConeSet:

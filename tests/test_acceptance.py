@@ -22,7 +22,7 @@ from gfsheaf.floer import (GraphBrane, SuperlevelHome, pant_product,
 from gfsheaf.genfun import (brane_of, cerf_diagram, gf_cohomology,
                             graph_brane, graph_genfun)
 from gfsheaf.grids import BaseRegion, sublevel_filtration
-from gfsheaf.products import (CohomologyClass, class_table, cup_product,
+from gfsheaf.products import (ProductHome, class_table, cup_product,
                               decoupled_superlevel_complex, dualize,
                               floer_to_product_classes, pushforward_barcode,
                               restricted_unit, rhom_tensor, tensor, unit,
@@ -416,27 +416,23 @@ def _cup_tables_for_triple(f, g, h, lam, mu):
         raise ValueError("empty bases; move the thresholds")
     pant = []
     for (d1, v1) in B1:
-        row = []
-        for (d2, v2) in B2:
-            z = pant_product(home1, v1, home2, v2, target)
-            row.append(class_coordinates(
-                target.complex, [v for _, v in B3], z))
-        pant.append(row)
+        pant.append(class_coordinates(
+            target.complex, [v for _, v in B3],
+            [pant_product(home1, v1, home2, v2, target) for (d2, v2) in B2]))
     # product route through the two-axis carriers
     CA1 = _as_cellsheaf(dualize(quantize(graph_genfun(f))))
     CB2 = _as_cellsheaf(quantize(graph_genfun(g)))
     CA2 = _as_cellsheaf(dualize(quantize(graph_genfun(g))))
     CB3 = _as_cellsheaf(quantize(graph_genfun(h)))
-    alpha = floer_to_product_classes(CA1, CB2, lam, B1)
-    beta = floer_to_product_classes(CA2, CB3, mu, B2)
-    pushed_B3 = floer_to_product_classes(CA1, CB3, lam + mu, B3)
+    out_home = ProductHome(CA1, CB3, lam + mu)
+    alpha = floer_to_product_classes(ProductHome(CA1, CB2, lam), B1)
+    beta = floer_to_product_classes(ProductHome(CA2, CB3, mu), B2)
+    pushed_B3 = floer_to_product_classes(out_home, B3)
     cup = []
     for a_cls in alpha:
-        row = []
-        for b_cls in beta:
-            z = cup_product(a_cls, b_cls)
-            row.append(class_table([z], pushed_B3)[0])
-        cup.append(row)
+        cup.append(class_table(
+            out_home, [cup_product(a_cls, b_cls, out_home) for b_cls in beta],
+            pushed_B3))
     return pant, cup, [d for d, _ in B1], [d for d, _ in B2], \
         [d for d, _ in B3]
 
@@ -470,16 +466,17 @@ def test_criterion_8_product_compatibility():
     lam0 = -0.51
     D = decoupled_superlevel_complex(CA, CB, lam0)
     basis = cohomology_basis(D)
-    cls = floer_to_product_classes(CA, CB, lam0, basis)
+    cls = floer_to_product_classes(ProductHome(CA, CB, lam0), basis)
     by_deg = {c.degree: c for c in cls}
     one, theta = by_deg[0], by_deg[1]
+    home2 = ProductHome(CA, CB, 2 * lam0)
     basis2 = floer_to_product_classes(
-        CA, CB, 2 * lam0,
+        home2,
         cohomology_basis(decoupled_superlevel_complex(CA, CB, 2 * lam0)))
     idx = {c.degree: i for i, c in enumerate(basis2)}
-    t11 = class_table([cup_product(one, one)], basis2)[0]
-    t1t = class_table([cup_product(one, theta)], basis2)[0]
-    ttt = cup_product(theta, theta)
+    t11, t1t = class_table(home2, [cup_product(one, one, home2),
+                                   cup_product(one, theta, home2)], basis2)
+    ttt = cup_product(theta, theta, home2)
     ring_ok = (t11[idx[0]] == 1 and t11[idx[1]] == 0 and
                t1t[idx[1]] == 1 and t1t[idx[0]] == 0 and ttt.rep == {})
     # unit acting on a nontrivial class table: the identity matrix
@@ -491,14 +488,17 @@ def test_criterion_8_product_compatibility():
     CA1 = _as_cellsheaf(dualize(quantize(graph_genfun(f))))
     CB2 = _as_cellsheaf(quantize(graph_genfun(g2)))
     CA2 = _as_cellsheaf(dualize(quantize(graph_genfun(g2))))
-    alpha = floer_to_product_classes(CA1, CB2, lam, B1)
+    alpha = floer_to_product_classes(ProductHome(CA1, CB2, lam), B1)
     ucls = floer_to_product_classes(
-        CA2, CB2, -0.53,
+        ProductHome(CA2, CB2, -0.53),
         [(0, unit_class(SuperlevelHome(g2 - g2, -0.53)))])[0]
-    pushed = floer_to_product_classes(CA1, CB2, lam - 0.53, B1)
+    out_home = ProductHome(CA1, CB2, lam - 0.53)
+    pushed = floer_to_product_classes(out_home, B1)
+    table = class_table(
+        out_home, [cup_product(a_cls, ucls, out_home) for a_cls in alpha],
+        pushed)
     unit_ok = True
-    for i, a_cls in enumerate(alpha):
-        coords = class_table([cup_product(a_cls, ucls)], pushed)[0]
+    for i, coords in enumerate(table):
         expect = [1 if j == i else 0 for j in range(len(pushed))]
         if coords != expect:
             unit_ok = False

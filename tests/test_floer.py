@@ -136,7 +136,7 @@ def test_harmonic_basis_matches_ranks():
             d for d, r in ranks.items() for _ in range(r))
         for d, vec in basis:
             assert not apply_d(home.complex, vec)
-            assert class_coordinates(home.complex, [vec], vec) == [1]
+            assert class_coordinates(home.complex, [vec], [vec]) == [[1]]
 
 
 def test_pant_product_unit_action():
@@ -154,11 +154,9 @@ def test_pant_product_unit_action():
         z = pant_product(home1, vec, home_u, u, target)
         # the product equals vec viewed in the target home
         basis_t = target.canonical_basis()
-        coords_z = class_coordinates(target.complex,
-                                     [b for _, b in basis_t], z)
-        coords_v = class_coordinates(target.complex,
-                                     [b for _, b in basis_t],
-                                     {c: x for c, x in vec.items()})
+        coords_z, coords_v = class_coordinates(
+            target.complex, [b for _, b in basis_t],
+            [z, {c: x for c, x in vec.items()}])
         assert coords_z == coords_v
 
 
@@ -175,10 +173,10 @@ def test_pant_product_circle_ring_structure():
     ztt = pant_product(home, theta, home, theta, target)
     bt = target.canonical_basis()
     vecs = [v for _, v in bt]
-    assert class_coordinates(target.complex, vecs, z11) == \
-        class_coordinates(target.complex, vecs, unit_class(target))
-    assert class_coordinates(target.complex, vecs, z1t) == \
-        class_coordinates(target.complex, vecs, theta)
+    c11, c1, c1t, ct = class_coordinates(
+        target.complex, vecs, [z11, unit_class(target), z1t, theta])
+    assert c11 == c1
+    assert c1t == ct
     assert ztt == {}
 
 
@@ -246,7 +244,7 @@ def test_continuation_as_cup_with_shifted_unit():
     for d, vec in basis:
         z = pant_product(home, vec, home_u, u, target)
         # continuation route: the same cocycle lives in the shifted home
-        direct = class_coordinates(target.complex, [v for _, v in basis_t],
-                                   {cell: x for cell, x in vec.items()})
-        cupped = class_coordinates(target.complex, [v for _, v in basis_t], z)
+        direct, cupped = class_coordinates(
+            target.complex, [v for _, v in basis_t],
+            [{cell: x for cell, x in vec.items()}, z])
         assert direct == cupped

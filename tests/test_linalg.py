@@ -108,7 +108,7 @@ def test_solve_reproduces_consistent_targets(field):
         x = {j: random_entry(rng, field) for j in range(len(cols))
              if rng.random() < 0.5}
         target = combine(cols, x, field)
-        sol = solve_columns(cols, target, field)
+        [sol] = solve_columns(cols, [target], field)
         assert sol is not None and len(sol) == len(cols)
         assert combine(cols, dict(enumerate(sol)), field) == target
 
@@ -119,12 +119,45 @@ def test_solve_rejects_inconsistent_targets(field):
         if f is not field:
             continue
         # a row that no column reaches
-        assert solve_columns(cols, {nrows: field.one()}, field) is None
+        assert solve_columns(cols, [{nrows: field.one()}], field) == [None]
         target = {i: random_entry(rng, field) for i in range(nrows)
                   if rng.random() < 0.5}
         consistent = (dense_rank(cols + [target], nrows, field)
                       == dense_rank(cols, nrows, field))
-        assert (solve_columns(cols, target, field) is not None) == consistent
+        [sol] = solve_columns(cols, [target], field)
+        assert (sol is not None) == consistent
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_batched_solve_equals_one_target_at_a_time(field):
+    for f, rng, nrows, cols in cases():
+        if f is not field:
+            continue
+        targets, consistent = [], []
+        for _ in range(rng.randint(1, 6)):
+            roll = rng.random()
+            if roll < 0.4:  # a combination of the columns
+                x = {j: random_entry(rng, field) for j in range(len(cols))
+                     if rng.random() < 0.5}
+                targets.append(combine(cols, x, field))
+            elif roll < 0.6:  # a row that no column reaches
+                targets.append({nrows: field.one()})
+            else:  # either
+                targets.append({i: random_entry(rng, field)
+                                for i in range(nrows) if rng.random() < 0.5})
+            consistent.append(dense_rank(cols + [targets[-1]], nrows + 1,
+                                         field)
+                              == dense_rank(cols, nrows + 1, field))
+        snapshot = [dict(t) for t in targets]
+        batched = solve_columns(cols, targets, field)
+        assert targets == snapshot  # targets are left alone
+        assert batched == [solve_columns(cols, [t], field)[0]
+                           for t in targets]
+        for sol, t, ok in zip(batched, targets, consistent):
+            assert (sol is not None) == ok
+            assert sol is None or combine(cols, dict(enumerate(sol)),
+                                          field) == t
+        assert solve_columns(cols, [], field) == []
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -132,16 +165,18 @@ def test_edge_cases(field):
     one = field.one()
     assert rank_of_columns([], field) == 0
     assert kernel_of_columns([], field) == []
-    assert solve_columns([], {}, field) == []
-    assert solve_columns([], {0: one}, field) is None
+    assert solve_columns([], [], field) == []
+    assert solve_columns([], [{}], field) == [[]]
+    assert solve_columns([], [{0: one}], field) == [None]
     assert rank_of_columns([{}, {}], field) == 0
     assert kernel_of_columns([{}, {}], field) == [{0: one}, {1: one}]
-    assert solve_columns([{}], {}, field) == [field.zero()]
+    assert solve_columns([{}], [{}], field) == [[field.zero()]]
     dup = [{0: one, 2: one}, {0: one, 2: one}]
     assert rank_of_columns(dup, field) == 1
     [combo] = kernel_of_columns(dup, field)
     assert combine(dup, combo, field) == {}
-    assert solve_columns(dup, {0: one, 2: one}, field) == [one, field.zero()]
+    assert solve_columns(dup, [{0: one, 2: one}, {1: one}], field) == \
+        [[one, field.zero()], None]
 
 
 @pytest.fixture
@@ -160,9 +195,9 @@ def test_even_f2_entries_are_zero(alarm):
     assert rank_of_columns([{0: 2}], GF2) == 0
     assert rank_of_columns([{0: 1}, {0: 2}], GF2) == 1
     assert kernel_of_columns([{0: 2}], GF2) == [{0: 1}]
-    assert solve_columns([{0: 1}, {0: 2}], {0: 3}, GF2) == [1, 0]
-    assert solve_columns([{0: 2}], {0: 1}, GF2) is None
-    assert solve_columns([{0: 1}], {0: 2, 1: 4}, GF2) == [0]
+    assert solve_columns([{0: 1}, {0: 2}], [{0: 3}], GF2) == [[1, 0]]
+    assert solve_columns([{0: 2}], [{0: 1}], GF2) == [None]
+    assert solve_columns([{0: 1}], [{0: 2, 1: 4}], GF2) == [[0]]
 
 
 def test_stored_zeros_over_q_are_dropped(alarm):
@@ -190,4 +225,4 @@ def test_cohomology_basis_gives_unit_coordinates(field):
             assert apply_d(C, vec) == {}
             unit = [field.one() if j == i else field.zero()
                     for j in range(len(vecs))]
-            assert class_coordinates(C, vecs, vec) == unit
+            assert class_coordinates(C, vecs, [vec]) == [unit]

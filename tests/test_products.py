@@ -10,7 +10,7 @@ from gfsheaf.floer import SuperlevelHome
 from gfsheaf.genfun import graph_genfun
 from gfsheaf.grids import BaseRegion, circle_grid, sublevel_filtration
 from gfsheaf.linalg import GF2
-from gfsheaf.products import (CohomologyClass, class_table, convolve,
+from gfsheaf.products import (ProductHome, class_table, convolve,
                               cup_product, decoupled_superlevel_complex,
                               dualize, external_box_sum,
                               floer_to_product_classes, pushforward_barcode,
@@ -268,16 +268,17 @@ def test_cup_product_unit_ring_on_circle():
     lam = -0.51
     D = decoupled_superlevel_complex(CA, CB, lam)
     basis = cohomology_basis(D)
-    cls = floer_to_product_classes(CA, CB, lam, basis)
+    cls = floer_to_product_classes(ProductHome(CA, CB, lam), basis)
     by_deg = {c.degree: c for c in cls}
     one, theta = by_deg[0], by_deg[1]
+    home2 = ProductHome(CA, CB, 2 * lam)
     basis2 = floer_to_product_classes(
-        CA, CB, 2 * lam,
+        home2,
         cohomology_basis(decoupled_superlevel_complex(CA, CB, 2 * lam)))
-    t11 = class_table([cup_product(one, one)], basis2)
-    t1t = class_table([cup_product(one, theta)], basis2)
-    tt1 = class_table([cup_product(theta, one)], basis2)
-    ttt = cup_product(theta, theta)
+    t11 = class_table(home2, [cup_product(one, one, home2)], basis2)
+    t1t = class_table(home2, [cup_product(one, theta, home2)], basis2)
+    tt1 = class_table(home2, [cup_product(theta, one, home2)], basis2)
+    ttt = cup_product(theta, theta, home2)
     by_deg2 = {c.degree: i for i, c in enumerate(basis2)}
     assert t11[0][by_deg2[0]] == 1 and t11[0][by_deg2[1]] == 0
     assert t1t[0][by_deg2[1]] == 1 and t1t[0][by_deg2[0]] == 0
@@ -331,19 +332,107 @@ def test_cup_associativity_on_unit_based_classes():
     CB = _as_cellsheaf(F0)
     lam = -0.51
 
-    def classes_at(lv):
-        return floer_to_product_classes(
-            CA, CB, lv,
-            cohomology_basis(decoupled_superlevel_complex(CA, CB, lv)))
+    # one home per threshold; lam + 2 lam is the sum cup_product checks
+    homes = {k: ProductHome(CA, CB, v)
+             for k, v in ((1, lam), (2, lam + lam), (3, lam + (lam + lam)))}
 
-    cls = {c.degree: c for c in classes_at(lam)}
+    def classes_at(k):
+        return floer_to_product_classes(
+            homes[k], cohomology_basis(
+                decoupled_superlevel_complex(CA, CB, homes[k].lam)))
+
+    def cup(a, b):
+        return cup_product(a, b, homes[2 if a.home is b.home else 3])
+
+    cls = {c.degree: c for c in classes_at(1)}
     one, theta = cls[0], cls[1]
-    basis3 = classes_at(3 * lam)
+    basis3 = classes_at(3)
     for trip in [(one, one, theta), (one, theta, one), (theta, one, one),
                  (one, one, one)]:
-        left = cup_product(cup_product(trip[0], trip[1]), trip[2])
-        right = cup_product(trip[0], cup_product(trip[1], trip[2]))
-        assert class_table([left], basis3) == class_table([right], basis3)
+        left = cup(cup(trip[0], trip[1]), trip[2])
+        right = cup(trip[0], cup(trip[1], trip[2]))
+        assert class_table(homes[3], [left], basis3) == \
+            class_table(homes[3], [right], basis3)
     # theta twice in any association is zero
-    assert cup_product(cup_product(theta, theta), one).rep == {}
-    assert cup_product(theta, cup_product(theta, one)).rep == {}
+    assert cup(cup(theta, theta), one).rep == {}
+    assert cup(theta, cup(theta, one)).rep == {}
+
+
+def test_cup_product_rejects_a_home_of_another_key():
+    zero = circle_function("0*x", n=12)
+
+    def carriers():
+        F = to_cellular(quantize(graph_genfun(zero)), spot_checks=0)
+        return _as_cellsheaf(dualize(F)), _as_cellsheaf(F)
+
+    CA, CB = carriers()
+    lam = -0.51
+    home = ProductHome(CA, CB, lam)
+    basis = cohomology_basis(decoupled_superlevel_complex(CA, CB, lam))
+    one = floer_to_product_classes(home, basis)[0]
+    out = ProductHome(CA, CB, lam + lam)
+    assert cup_product(one, one, out).home is out
+    CA2, CB2 = carriers()  # equal sheaves, other objects
+    for bad in (home, ProductHome(CA, CB, 2 * lam + 1e-9),
+                ProductHome(CA2, CB, lam + lam),
+                ProductHome(CA, CB2, lam + lam)):
+        with pytest.raises(ValueError):
+            cup_product(one, one, bad)
+    with pytest.raises(ValueError):
+        class_table(out, [one], floer_to_product_classes(out, []))
+
+
+def _run_cup_task(tmp_path, seed=29, triples=2):
+    """The products scenario's cup task; returns its result and the
+    (triple, entry) key of every row of its table."""
+    import re
+    import types
+    from gfsheaf.scenarios import _task_cup
+    result = _task_cup(types.SimpleNamespace(seed=seed),
+                       {"triples": triples, "n": 12}, str(tmp_path))
+    lines = (tmp_path / "cup_tables.csv").read_text().splitlines()[1:]
+    return result, [re.match(r"(\d+),(\(\d+,\d+\)),", line).groups()
+                    for line in lines]
+
+
+def test_cup_task_keeps_no_rows_of_a_failed_triple(tmp_path, monkeypatch):
+    import gfsheaf.products as products
+    cup, calls = products.cup_product, []
+
+    def fail_second_entry(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("injected failure in the first triple")
+        return cup(*args, **kwargs)
+
+    monkeypatch.setattr(products, "cup_product", fail_second_entry)
+    result, keys = _run_cup_task(tmp_path)
+    assert len(calls) > 2  # the failed triple was followed by others
+    assert len(keys) == len(set(keys)) == 8
+    assert {triple for triple, _ in keys} == {"0", "1"}
+    assert result == {"status": "pass", "triples": 2, "mismatches": 0}
+
+
+def test_cup_task_builds_each_home_once_and_reduces_each_table_once(
+        tmp_path, monkeypatch):
+    import gfsheaf.complexes as complexes
+    import gfsheaf.products as products
+    build, solve = products.product_section_complex, complexes.solve_columns
+    homes, tables = [], []
+
+    def counted_build(CA, CB, *args):
+        homes.append((CA, CB) + args)
+        return build(CA, CB, *args)
+
+    def counted_solve(cols, targets, field):
+        tables.append(len(targets))
+        return solve(cols, targets, field)
+
+    monkeypatch.setattr(products, "product_section_complex", counted_build)
+    monkeypatch.setattr(complexes, "solve_columns", counted_solve)
+    result, rows = _run_cup_task(tmp_path)
+    assert result["triples"] == 2
+    assert len(homes) == 3 * result["triples"]
+    assert len({(id(h[0]), id(h[1])) + h[2:] for h in homes}) == len(homes)
+    # one pant table and one cup table per triple, each solving every entry
+    assert tables == [len(rows) // result["triples"]] * 2 * result["triples"]

@@ -587,3 +587,97 @@ def test_section_complex_barcodes_match_the_reference_reduction(seed):
         FC = FilteredComplex(C, {g: cell.taxis.top_value(g[1])
                                  for g in C.gens})
         assert FC.barcode().bars == reference_barcode(FC).bars, name
+
+
+def reference_hausdorff(A, B, scales):
+    """The pairwise loop that ConeSet.hausdorff replaced, kept as the
+    reference: max-norm of |a - b| / s, min over the other set, max over
+    this set, both ways."""
+    def dist(p, q):
+        return max(abs(a - b) / s for a, b, s in zip(p, q, scales))
+
+    def one_sided(ps, qs):
+        worst = 0.0
+        for p in ps:
+            best = min(dist(p, q) for q in qs)
+            worst = max(worst, best)
+        return worst
+
+    ps = [(x[0], t, p[0] if p else 0.0, tau) for (x, t, p, tau) in A.points]
+    qs = [(x[0], t, p[0] if p else 0.0, tau) for (x, t, p, tau) in B.points]
+    if not ps or not qs:
+        return INF
+    return max(one_sided(ps, qs), one_sided(qs, ps))
+
+
+def _random_cone_set(rng, size):
+    """Points on a coarse lattice (many tied coordinates, sums like 0.1 + 0.2
+    that do not round evenly), some with an empty codirection."""
+    pts = []
+    for _ in range(size):
+        x = rng.randint(-4, 4) * 0.1 + rng.choice([0.0, 0.2])
+        t = rng.randint(-3, 3) * 0.3
+        p = () if rng.random() < 0.2 else (rng.randint(-2, 2) * 0.7,)
+        pts.append(((x,), t, p, rng.randint(0, 1)))
+    return ConeSet(tuple(pts))
+
+
+SCALES = (0.1, 0.3, 0.7, 1.0)
+
+
+def test_hausdorff_equals_the_pairwise_loop_on_tied_point_sets():
+    rng = random.Random(31)
+    for _ in range(40):
+        A = _random_cone_set(rng, rng.randint(1, 40))
+        B = _random_cone_set(rng, rng.randint(1, 40))
+        scales = rng.choice([SCALES, (0.03, 1.0, 0.1, 0.5)])
+        assert A.hausdorff(B, scales) == reference_hausdorff(A, B, scales)
+        assert type(A.hausdorff(B, scales)) is float
+
+
+def test_hausdorff_at_the_block_boundary(monkeypatch):
+    import gfsheaf.sheaves as sheaves
+    rng = random.Random(32)
+    # the real block: rows = block // 512 per numpy block of 512 columns
+    Q = _random_cone_set(rng, 512)
+    rows = sheaves._HAUSDORFF_BLOCK // 512
+    for size in (rows - 1, rows, rows + 1):
+        P = _random_cone_set(rng, size)
+        assert P.hausdorff(Q, SCALES) == reference_hausdorff(P, Q, SCALES)
+    # a small block: many boundaries, and sets larger than the block
+    monkeypatch.setattr(sheaves, "_HAUSDORFF_BLOCK", 24)
+    for m in (1, 5, 8, 24, 25, 30):
+        Q = _random_cone_set(rng, m)
+        rows = max(1, 24 // m)
+        for size in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+            if size:
+                P = _random_cone_set(rng, size)
+                assert P.hausdorff(Q, SCALES) == \
+                    reference_hausdorff(P, Q, SCALES)
+                assert Q.hausdorff(P, SCALES) == \
+                    reference_hausdorff(Q, P, SCALES)
+
+
+def test_hausdorff_with_an_empty_set_is_infinite():
+    A = _random_cone_set(random.Random(33), 5)
+    empty = ConeSet(())
+    assert A.hausdorff(empty, SCALES) == INF
+    assert empty.hausdorff(A, SCALES) == INF
+    assert empty.hausdorff(empty, SCALES) == INF
+
+
+@pytest.mark.parametrize("grid_scale", [1, 2])
+def test_hausdorff_on_the_cusp_scenario_sets(grid_scale):
+    import os
+    from gfsheaf.cli import BUNDLED_DIR
+    from gfsheaf.genfun import brane_of
+    from gfsheaf.scenarios import ScenarioContext, load_scenario
+    spec = load_scenario(os.path.join(BUNDLED_DIR, "cusp.toml"))
+    task = next(t for t in spec["tasks"] if t["op"] == "ss")
+    gf = ScenarioContext(spec, grid_scale=grid_scale).genfuns[task["genfun"]]
+    ss = singular_support(quantize(gf), p_samples=int(task["p_samples"]))
+    cone = conify(brane_of(gf))
+    g = gf.grid.base[0]
+    scales = (g.spacing, 2 * gf.tau_val() + 1e-6,
+              float(task.get("p_scale", 5.0)) * g.spacing, 1.0)
+    assert ss.hausdorff(cone, scales) == reference_hausdorff(ss, cone, scales)
