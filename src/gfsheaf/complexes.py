@@ -143,13 +143,6 @@ class ChainMap:
                 raise AssertionError(f"not a chain map at {g!r}")
         return True
 
-    def apply(self, vec):
-        F = self.source.field
-        out = {}
-        for g, c in vec.items():
-            add_scaled(out, self.comp.get(g, {}), c, F)
-        return out
-
 
 def identity_map(C: ChainComplex) -> ChainMap:
     one = C.field.one()

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (ChainComplex, ChainMap, FilteredComplex, apply_d,
-                        cohomology_basis, cohomology_ranks)
+from .complexes import (ChainMap, FilteredComplex, apply_d, cohomology_basis,
+                        cohomology_ranks)
 from .genfun import GenFun, gf_cohomology
 from .grids import (BaseRegion, BoxGrid, SampledFunction, critical_vertices,
                     cubical_complex, cup_product_cochain, sublevel_filtration)
@@ -200,15 +200,10 @@ class SuperlevelHome:
     def canonical_basis(self):
         """Deterministic cohomology basis: persistence-style representatives
         ordered by (action, dim, cell id)."""
-        return harmonic_basis(self.complex, order_key=self._order_key)
+        return cohomology_basis(self.complex, order_key=self._order_key)
 
     def _order_key(self, g):
         return (float(self.h.cell_max()[g]), self.complex.deg[g], g)
-
-
-def harmonic_basis(C: ChainComplex, order_key=None):
-    """Deterministic basis of cocycle representatives for H^*(C)."""
-    return cohomology_basis(C, order_key)
 
 
 def pant_product(home1: SuperlevelHome, rep1, home2: SuperlevelHome, rep2,

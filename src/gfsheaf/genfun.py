@@ -424,9 +424,6 @@ class Brane:
     points: tuple  # tuple of (x: tuple, p: tuple, f_L: float, m_L: int)
     source: str    # 'graph' | 'fibered'
 
-    def front_points(self):
-        return [(x, t) for (x, _p, t, _m) in self.points]
-
 
 def brane_of(gf: GenFun) -> Brane:
     """Brane presented by a generating function; grading m = fiber index - i_Q."""

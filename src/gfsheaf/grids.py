@@ -87,9 +87,6 @@ class Grid1D:
         a, b = self.edge_vertices(k)
         return ((2 * a, -1), (2 * b, +1))
 
-    def is_valid_cell(self, c):
-        return 0 <= c < self.n_cells
-
 
 def circle_grid(n, length=1.0):
     return Grid1D("circle", n, length / n, 0.0)
@@ -144,9 +141,6 @@ class BoxGrid:
 
     def cell_dim(self, cell):
         return sum(c & 1 for c in cell)
-
-    def cell_coords(self, cell):
-        return tuple(g.cell_coord(c) for g, c in zip(self.axes, cell))
 
     def cofaces(self, cell):
         """Codimension-1 cofaces with Koszul incidence signs."""
@@ -368,9 +362,6 @@ class CubicalSet:
     def issubset(self, other):
         return bool(np.all(~self.membership | other.membership))
 
-    def intersect(self, other):
-        return CubicalSet(self.grid, self.membership & other.membership)
-
     def union(self, other):
         return CubicalSet(self.grid, self.membership | other.membership)
 
@@ -425,9 +416,6 @@ class BaseRegion:
         """Closure of the complementary open set (N minus interior)."""
         inner = ~self.membership
         return BaseRegion(self.grid, inner)
-
-    def contains_base(self, base_cell):
-        return bool(self.membership[tuple(base_cell)])
 
     def product_mask(self):
         """Boolean over the full cell lattice: cells lying over the region."""

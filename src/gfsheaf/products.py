@@ -21,9 +21,9 @@ from .complexes import (ChainComplex, apply_d, class_coordinates,
 from .genfun import GenFun, box_sum, graph_genfun, negate
 from .grids import BaseRegion, BoxGrid, SampledFunction, cubical_complex
 from .linalg import GF2
-from .sheaves import (CellSheaf, TAxis, TameSheaf, corner_table,
-                      product_section_complex, quantize, sections,
-                      to_cellular, unit_sheaf)
+from .sheaves import (CellSheaf, TAxis, TameSheaf, _as_cellsheaf,
+                      corner_table, product_section_complex, quantize,
+                      section_barcode, sections, to_cellular, unit_sheaf)
 
 INF = math.inf
 
@@ -142,48 +142,16 @@ def rhom_tensor(F: TameSheaf, G: TameSheaf, strategy="auto") -> TameSheaf:
 # ---------------------------------------------------------------------------
 # pushforward to R (barcode over the t-axis)
 
-def pushforward_barcode(F: TameSheaf, thresholds=None):
-    """Bars of lambda -> H^*(N x (-oo, lambda), F) over a threshold ladder.
+def pushforward_barcode(F: TameSheaf):
+    """Bars (degree, birth, death) of lambda -> H^*(N x (-oo, lambda), F),
+    death possibly inf: the bars of F's section barcode over all of N.
 
-    Returns a list of (degree, birth, death) with death possibly inf,
-    assembled from section ranks between consecutive breakpoints.
+    The windows (-oo, lambda) are subquotients of one filtered section
+    complex, so its persistence pairs are the pushforward's bars
+    (Kashiwara-Schapira, arXiv:1705.00955); a birth and a death on one
+    breakpoint pair as the reduction pairs them.
     """
-    from .sheaves import _breaks_of
-    breaks = sorted(set(_breaks_of(F)))
-    if thresholds is None:
-        lo = breaks[0] - 1.0
-        hi = breaks[-1] + 1.0
-        thresholds = [lo]
-        for a, b in zip(breaks, breaks[1:]):
-            thresholds.append((a + b) / 2)
-        thresholds.append(hi)
-    tables = []
-    for lam in thresholds:
-        tables.append(sections(F, None, -INF, lam, check_regular=False))
-    bars = []
-    open_bars = {}  # degree -> list of birth values
-    for i, lam in enumerate(thresholds):
-        cur = tables[i]
-        prev = tables[i - 1] if i else {}
-        degs = set(cur) | set(prev)
-        for d in degs:
-            delta = cur.get(d, 0) - prev.get(d, 0)
-            if delta > 0:
-                birth = breaks[i - 1] if i else -INF
-                open_bars.setdefault(d, []).extend([birth] * delta)
-            elif delta < 0:
-                for _ in range(-delta):
-                    births = open_bars.get(d, [])
-                    if not births:
-                        raise AssertionError(
-                            "pushforward table is not an interval module; "
-                            "a rank dropped without a matching birth")
-                    birth = births.pop()  # youngest-first pairing
-                    bars.append((d, birth, breaks[i - 1]))
-    for d, births in open_bars.items():
-        for b in births:
-            bars.append((d, b, INF))
-    return sorted(bars)
+    return section_barcode(F).bars
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +164,6 @@ def _require_rank_one(cell: CellSheaf):
             raise ValueError(
                 "unit/cup morphisms are implemented for sheaves with rank-one "
                 "stalks (unit-type and graph quantizations)")
-
-
-def _cellify(F: TameSheaf) -> CellSheaf:
-    if F.kind == "cell":
-        return F.cell
-    if F.kind == "gf":
-        return to_cellular(F, spot_checks=0).cell
-    raise ValueError("need a GF or cellular presentation")
 
 
 @dataclass
@@ -267,8 +227,8 @@ def unit_morphisms(F: TameSheaf) -> UnitMorphisms:
     """u: unit -> (dual F) tensor F and v back, with v o u the identity on
     degree-0 sections over (-oo, lambda) for every lambda > 0 (verified by
     the caller or the test suite on a threshold ladder)."""
-    CA = _cellify(dualize(F))
-    CB = _cellify(F)
+    CA = _as_cellsheaf(dualize(F))
+    CB = _as_cellsheaf(F)
     _require_rank_one(CA)
     _require_rank_one(CB)
     corner_a, _ = corner_table(CA)

@@ -21,9 +21,8 @@ from .genfun import (GenFun, QuadForm, brane_of, cerf_diagram, gf_cohomology,
                      graph_genfun)
 from .grids import BaseRegion, BoxGrid, SampledFunction, circle_grid, \
     interval_grid, sublevel_filtration
-from .linalg import FIELDS
-from .products import (cup_product, dualize, pushforward_barcode,
-                       rhom_tensor, tensor, unit)
+from .linalg import FIELDS, GF2
+from .products import dualize, pushforward_barcode, rhom_tensor, tensor, unit
 from .rectify import (check_coherence, index_complex_homology,
                       perturb_coherent, rectify_at,
                       strict_synthetic_diagram)
@@ -281,17 +280,26 @@ def _out(task, out_dir, default):
     return os.path.join(out_dir, task.get("out", default))
 
 
+def _window_sections(task, out_dir, default, F, region=None, field=GF2,
+                     check_regular=False):
+    """A single-window op: the sections of F over region x [a, b) of the
+    task's window, written as one rank table."""
+    a, b = _window(task)
+    ranks = sections(F, region, a, b, field=field,
+                     check_regular=check_regular)
+    iox.write_csv(_out(task, out_dir, default),
+                  iox.ranks_to_rows([(f"[{a},{b})", ranks)]))
+    return {"status": "done", "ranks": {str(k): v for k, v in ranks.items()}}
+
+
 def _task_sections(ctx, task, out_dir):
     F = ctx.sheaf_for(task["sheaf"])
     region = None
     if "region" in task:
         region = ctx.region_on(task["region"], F.base_grid)
-    a, b = _window(task)
-    ranks = sections(F, region, a, b, field=ctx.field,
-                     check_regular=bool(task.get("check_regular", False)))
-    iox.write_csv(_out(task, out_dir, "sections.csv"),
-                  iox.ranks_to_rows([(f"[{a},{b})", ranks)]))
-    return {"status": "done", "ranks": {str(k): v for k, v in ranks.items()}}
+    return _window_sections(
+        task, out_dir, "sections.csv", F, region, field=ctx.field,
+        check_regular=bool(task.get("check_regular", False)))
 
 
 def _task_quantize(ctx, task, out_dir):
@@ -372,11 +380,7 @@ def _task_tensor(ctx, task, out_dir):
     A = ctx.sheaf_for(task["left"])
     B = ctx.sheaf_for(task["right"])
     T = tensor(A, B, strategy=task.get("strategy", "auto"))
-    a, b = _window(task)
-    ranks = sections(T, None, a, b, check_regular=False)
-    iox.write_csv(_out(task, out_dir, "tensor.csv"),
-                  iox.ranks_to_rows([(f"[{a},{b})", ranks)]))
-    return {"status": "done", "ranks": {str(k): v for k, v in ranks.items()}}
+    return _window_sections(task, out_dir, "tensor.csv", T)
 
 
 def _task_convolve(ctx, task, out_dir):
@@ -384,21 +388,13 @@ def _task_convolve(ctx, task, out_dir):
     A = ctx.sheaf_for(task["left"])
     B = ctx.sheaf_for(task["right"])
     C = convolve(A, B, strategy=task.get("strategy", "auto"))
-    a, b = _window(task)
-    ranks = sections(C, None, a, b, check_regular=False)
-    iox.write_csv(_out(task, out_dir, "convolve.csv"),
-                  iox.ranks_to_rows([(f"[{a},{b})", ranks)]))
-    return {"status": "done", "ranks": {str(k): v for k, v in ranks.items()}}
+    return _window_sections(task, out_dir, "convolve.csv", C)
 
 
 def _task_dual(ctx, task, out_dir):
     F = ctx.sheaf_for(task["sheaf"])
     D = dualize(F)
-    a, b = _window(task)
-    ranks = sections(D, None, a, b, check_regular=False)
-    iox.write_csv(_out(task, out_dir, "dual.csv"),
-                  iox.ranks_to_rows([(f"[{a},{b})", ranks)]))
-    return {"status": "done", "ranks": {str(k): v for k, v in ranks.items()}}
+    return _window_sections(task, out_dir, "dual.csv", D)
 
 
 def _task_rhom(ctx, task, out_dir):

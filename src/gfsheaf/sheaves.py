@@ -15,9 +15,13 @@ Sections are computed as cochain complexes over the cells of the queried
 region; d^2 = 0 is asserted on every assembled complex.  A cellular sheaf
 is constant on its own strata: its sections are taken on its own t-axis,
 and a t-cell of a refined axis takes the stalk of the own stratum that
-contains it.  The window [a, b) keeps the t-cells whose top value lies in
-[a, b), so every window is a subquotient of one complex filtered by that
-top value; section_barcode reduces it once and reads all windows off.
+contains it.  The window [a, b) keeps the t-cells whose top value (in the
+product carrier, the sum of the two tops) lies in [a, b), so every window
+is a subquotient of one complex filtered by that value.  section_barcode
+builds and reduces it once per (sheaf, region); sections() reads every
+cellular and product window off it, and its bars are the pushforward
+barcode.  GF windows stay on the pair route (gf_cohomology) and limit
+sheaves on their clamp schedules, so the routes stay independent.
 """
 
 from __future__ import annotations
@@ -201,10 +205,6 @@ class CellSheaf:
                               [(self, taxis or self.taxis, _same_cell)],
                               a, b, self.field)
 
-    def sections(self, region, a, b):
-        C = self.section_complex(region, a, b)
-        return {k - self.shift: r for k, r in C.cohomology_ranks().items()}
-
 
 def _same_cell(bc):
     return bc
@@ -343,6 +343,7 @@ class TameSheaf:
         self.diagonal = diagonal
         self.limit = None  # populated for kind == 'limit'
         self.label = label or kind
+        self._barcodes = {}  # region mask (None: all of N) -> section_barcode
 
     @property
     def base_grid(self) -> BoxGrid:
@@ -356,9 +357,6 @@ class TameSheaf:
         if self.diagonal:
             return F.base_grid
         return BoxGrid(F.base_grid.base + G.base_grid.base, ())
-
-    def full_region(self):
-        return BaseRegion(self.base_grid)
 
     def __repr__(self):
         return f"TameSheaf({self.label})"
@@ -475,7 +473,7 @@ def _spot_check_cellular(F_gf: TameSheaf, F_cell: TameSheaf, n, rng):
                 want = gf_cohomology(gf, _region_on(gf.grid, region), a, b)
             except ValueError:
                 continue
-            got = F_cell.cell.sections(region, a, b)
+            got = sections(F_cell, region, a, b)
             if got != want:
                 raise AssertionError(
                     f"cellular presentation disagrees with the GF route on "
@@ -502,36 +500,52 @@ def sections(F: TameSheaf, region: BaseRegion | None, a, b, field=GF2,
     if F.kind == "gf":
         reg = None if region is None else _region_on(F.gf.grid, region)
         return gf_cohomology(F.gf, reg, a, b, field, check_regular)
-    if F.kind == "cell":
-        a2, b2 = _normalize_cell_window(F.cell, a, b)
-        return F.cell.sections(region, a2, b2)
     if F.kind == "limit":
         return F.limit.sections(region, a, b)
-    return _product_sections(F, region, a, b)
+    return section_barcode(F, region).window_ranks(a, b)
 
 
 def section_barcode(F: TameSheaf, region: BaseRegion | None = None) -> Barcode:
-    """Barcode of the sections of a cellular sheaf over region x R.
+    """Barcode of the sections of F over region x R, built once per (sheaf,
+    region) and memoised on F.
 
-    One section complex over every t-cell of the own axis with a finite top,
-    filtered by that top: the complex of a window [a, b) is its subquotient
-    on the generators with top in [a, b), so window_ranks(a, b) of the
-    barcode gives sections(F, region, a, b) for every window.  The
-    degrees carry the sheaf's shift.
+    A cellular sheaf (a GF sheaf through its cellular presentation) gives
+    one section complex over every t-cell of its own axis with a finite
+    top, filtered by that top; a product gives the carrier's complex over
+    every pair of such t-cells, filtered by the sum of the two tops.  The
+    complex of a window [a, b) is the subquotient on the generators whose
+    value lies in [a, b), and an infinite end keeps every finite value, so
+    window_ranks(a, b) gives the sections over every window and the bars
+    are the pushforward barcode.  The degrees carry the sheaf's shift.
     """
-    if F.kind != "cell":
-        raise ValueError("section barcodes need a cellular presentation")
-    cell = F.cell
-    C = cell.section_complex(region, -INF, INF)
-    top = cell.taxis.top_value
-    bars = FilteredComplex(C, {g: top(g[1]) for g in C.gens}).barcode().bars
-    return Barcode([(k - cell.shift, b, x) for k, b, x in bars])
+    key = None if region is None else region.membership.tobytes()
+    hit = F._barcodes.get(key)
+    if hit is None:
+        hit = F._barcodes[key] = _section_barcode(F, region)
+    return hit
 
 
-def _normalize_cell_window(cell: CellSheaf, a, b):
-    lo = cell.taxis.breaks[0] - 0.5
-    hi = cell.taxis.breaks[-1] + 0.5
-    return (lo if a == -INF else a), (hi if b == INF else b)
+def _section_barcode(F: TameSheaf, region) -> Barcode:
+    if F.kind == "prod":
+        A, B = F.factors
+        cells = (_as_cellsheaf(A), _as_cellsheaf(B))
+        if F.diagonal and cells[0].base != cells[1].base:
+            raise ValueError("diagonal product requires a shared base grid")
+        C = product_section_complex(*cells, F.diagonal, region, -INF, INF)
+    else:
+        cells = (_as_cellsheaf(F),)
+        C = cells[0].section_complex(region, -INF, INF)
+    # the filtration value of each t-cell tuple, computed once and shared by
+    # its generators (a single axis keeps its top value as it is)
+    axes = [cell.taxis for cell in cells]
+    m = len(axes)
+    value = {}
+    for ts in itertools.product(*(ax.cells() for ax in axes)):
+        tops = [ax.top_value(tc) for ax, tc in zip(axes, ts)]
+        value[ts] = tops[0] if m == 1 else tops[0] + tops[1]
+    FC = FilteredComplex(C, {g: value[g[1:1 + m]] for g in C.gens})
+    shift = sum(cell.shift for cell in cells)
+    return Barcode([(k - shift, b, x) for k, b, x in FC.barcode().bars])
 
 
 def behavior_at_infinity(F: TameSheaf):
@@ -592,7 +606,7 @@ def unit_map_section_level(F: TameSheaf, region, a, b):
     defined for cellular presentations whose stalks have no floor cut.
     """
     from .complexes import ChainMap
-    cell = F.cell if F.kind == "cell" else to_cellular(F, spot_checks=0).cell
+    cell = _as_cellsheaf(F)
     grid = cell.base
     U = unit_sheaf(BoxGrid(grid.base, ()),
                    t0=cell.taxis.breaks[0] - 1.0)
@@ -627,31 +641,21 @@ def front_interior_table(F: TameSheaf, base_cell, t, band_top, eps=None):
 # ---------------------------------------------------------------------------
 # product presentation (convolution carrier)
 
-def _product_sections(F: TameSheaf, region, a, b):
-    A, B = F.factors
-    CA = _as_cellsheaf(A)
-    CB = _as_cellsheaf(B)
-    if F.diagonal and CA.base != CB.base:
-        raise ValueError("diagonal product requires a shared base grid")
-    shift = CA.shift + CB.shift
-    lo = _band_floor(F)
-    hi = sum(c.taxis.breaks[-1] for c in (CA, CB)) + 0.5
-    a2 = lo - 0.25 if a == -INF else a
-    b2 = hi if b == INF else b
-    C = product_section_complex(CA, CB, F.diagonal, region, a2, b2)
-    return {k - shift: r for k, r in C.cohomology_ranks().items()}
-
-
 def _as_cellsheaf(F: TameSheaf) -> CellSheaf:
+    """The cellular presentation of F: its own, that of a GF sheaf, or the
+    corner-sum presentation of a diagonal product of rank-one sheaves."""
     if F.kind == "cell":
         return F.cell
     if F.kind == "gf":
         return to_cellular(F, spot_checks=0).cell
+    if F.kind != "prod":
+        raise ValueError(f"a {F.kind} presentation ({F.label}) has no "
+                         f"cellular form")
+    if not F.diagonal:
+        raise ValueError("nested external products are not materialized; "
+                         "reduce the factors first")
     A, B = F.factors
-    if F.diagonal:
-        return materialize_rank_one_tensor(_as_cellsheaf(A), _as_cellsheaf(B))
-    raise ValueError("nested external products are not materialized; "
-                     "reduce the factors first")
+    return materialize_rank_one_tensor(_as_cellsheaf(A), _as_cellsheaf(B))
 
 
 def corner_table(cell: CellSheaf):

@@ -222,6 +222,49 @@ out = "convolve.csv"
     assert summary["tasks"][0]["ranks"] == {"0": 1, "1": 2, "2": 1}
 
 
+def test_tensor_task(tmp_path):
+    path = tmp_path / "t.toml"
+    path.write_text("""
+[scenario]
+name = "tensor"
+seed = 4
+
+[inputs.functions.f]
+expr = "0.4*cos(2*pi*x)"
+grid = "circle"
+n = 8
+
+[inputs.functions.g]
+expr = "0.3*sin(2*pi*x)"
+grid = "circle"
+n = 8
+
+[[tasks]]
+op = "tensor"
+left = "f"
+right = "g"
+a = -inf
+b = 0.2
+out = "tensor_gf.csv"
+
+[[tasks]]
+op = "tensor"
+left = "f"
+right = "g"
+strategy = "cell"
+a = -inf
+b = 0.2
+""")
+    out = tmp_path / "out"
+    code, summary = run_scenario(str(path), out_dir=str(out))
+    assert code == 0
+    # f + g = 0.5 cos(2 pi x - phi): an arc below 0.2
+    assert [t["ranks"] for t in summary["tasks"]] == [{"0": 1}, {"0": 1}]
+    want = "key,degree,rank\n[-inf,0.2),0,1\n"
+    assert (out / "tensor_gf.csv").read_text() == want
+    assert (out / "tensor.csv").read_text() == want
+
+
 def test_reduction_ranks_are_plain_ints(tmp_path):
     path = next(p for p in bundled_scenarios()
                 if os.path.basename(p) == "reduction.toml")

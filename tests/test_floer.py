@@ -10,7 +10,7 @@ from gfsheaf.fixtures import (circle_function, cusp_genfun, graph_pair,
 from gfsheaf.floer import (FloerDatum, GraphBrane, StabilizationError,
                            SuperlevelHome, clamp_schedule, continuation_map,
                            duality_bridge_ranks, floer_complex, floer_data,
-                           floer_ranks, harmonic_basis, pant_product,
+                           floer_ranks, pant_product,
                            restrict_classes, unit_class, conormal_limit_ranks,
                            zero_brane)
 from gfsheaf.genfun import GenFun, gf_cohomology, graph_genfun, ominus

@@ -12,9 +12,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gfsheaf"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(tree):
+def imported_names(nodes):
+    """Name -> line of the names bound by the import statements in nodes
+    (from __future__ imports excluded)."""
     imported = {}
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
@@ -22,7 +24,36 @@ def unused_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return imported
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def own_scope(fn):
+    """The nodes of a function's body outside its nested functions."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(tree):
+    """Module-level imports that nothing reads.  A read inside a function
+    that imports the same name itself (or inside a function nested in one)
+    reads the local import, so it does not count."""
+    imported = imported_names(tree.body)
+    used = set()
+    todo = [(tree, frozenset())]
+    while todo:
+        node, local = todo.pop()
+        if isinstance(node, FUNCTIONS):
+            local = local | set(imported_names(own_scope(node)))
+        elif isinstance(node, ast.Name) and node.id not in local:
+            used.add(node.id)
+        todo.extend((child, local) for child in ast.iter_child_nodes(node))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
 
@@ -34,6 +65,23 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_a_read_under_a_local_import_does_not_count():
+    tree = ast.parse(
+        "import os\n"
+        "from json import dumps, loads\n"
+        "def f():\n"
+        "    from json import dumps\n"
+        "    return dumps(os.sep)\n"
+        "def g():\n"
+        "    import json\n"
+        "    def h():\n"
+        "        from json import loads\n"
+        "        return loads\n"
+        "    return loads, h\n")
+    # f reads its own dumps; h's local loads does not shadow g's read
+    assert unused_imports(tree) == [(2, "dumps")]
 
 
 def private_definitions(tree):

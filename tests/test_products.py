@@ -8,7 +8,8 @@ from gfsheaf.complexes import apply_d, class_coordinates, cohomology_basis
 from gfsheaf.fixtures import circle_function, random_circle_morse
 from gfsheaf.floer import SuperlevelHome
 from gfsheaf.genfun import graph_genfun
-from gfsheaf.grids import BaseRegion, circle_grid, sublevel_filtration
+from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction,
+                           circle_grid, sublevel_filtration)
 from gfsheaf.linalg import GF2
 from gfsheaf.products import (ProductHome, class_table, convolve,
                               cup_product, decoupled_superlevel_complex,
@@ -199,6 +200,43 @@ def test_pushforward_barcode_cell_route():
     for (d, b, x) in bars:
         if x != INF:
             assert -spread <= b and x <= spread + 1e-9, (d, b, x)
+
+
+def test_pushforward_pairs_a_birth_and_a_death_on_one_breakpoint():
+    # at 0 the component born at -0.5 dies and another is born; pairing
+    # rank differences youngest-first merged the two into (0, -0.5, 1)
+    f = SampledFunction(BoxGrid((circle_grid(6),)), [-1, 0, -0.5, 1, 0, 2])
+    want = ((0, -1.0, INF), (0, -0.5, 0.0), (0, 0.0, 1.0), (1, 2.0, INF))
+    assert sublevel_filtration(f).barcode().bars == want
+    F = quantize(graph_genfun(f))
+    for G in (F, to_cellular(F, spot_checks=0), tensor(F, unit(f.grid))):
+        assert pushforward_barcode(G) == want, G
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pushforward_of_a_graph_is_its_sublevel_barcode(seed):
+    # tie-heavy values in {0, 1, 2} on circles and a small torus
+    rng = random.Random(seed)
+    shapes = [(rng.randrange(4, 13),) for _ in range(5)] + [(4, 5)]
+    for shape in shapes:
+        grid = BoxGrid(tuple(circle_grid(n) for n in shape))
+        vals = np.array([rng.choice([0.0, 1.0, 2.0])
+                         for _ in range(int(np.prod(grid.vertex_shape)))])
+        f = SampledFunction(grid, vals.reshape(grid.vertex_shape))
+        want = sublevel_filtration(f).barcode().bars
+        assert pushforward_barcode(quantize(graph_genfun(f))) == want, \
+            (shape, list(vals))
+
+
+def test_unit_morphisms_take_a_diagonal_product_through_its_corners():
+    rng = random.Random(47)
+    f = random_circle_morse(rng, n=12)
+    F = quantize(graph_genfun(f))
+    T = tensor(F, unit(f.grid))
+    assert T.kind == "prod"
+    um, ut = unit_morphisms(F), unit_morphisms(T)
+    assert (ut.corner_a, ut.corner_b) == (um.corner_a, um.corner_b)
+    assert verify_unit_composition(T, [ut.collar + 0.31])
 
 
 def test_unit_morphisms_composition():

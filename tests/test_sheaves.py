@@ -523,8 +523,19 @@ def test_refined_axis_keeps_the_section_ranks_of_the_own_axis():
                                        taxis=cell.taxis.with_breaks(extra))
         assert refined.cohomology_ranks() == own, (a, b)
     for a, b in windows[:2]:
-        assert cell.sections(None, a, b) == gf_cohomology(
+        assert per_window_ranks(cell, None, a, b) == gf_cohomology(
             gf, None, a, b, check_regular=False), (a, b)
+
+
+def per_window_ranks(cell, region, a, b):
+    """Section ranks of one window from its own section complex, shifted;
+    an infinite end is snapped half a unit past the extreme breakpoint,
+    which keeps the same t-cells."""
+    breaks = cell.taxis.breaks
+    a = breaks[0] - 0.5 if a == -INF else a
+    b = breaks[-1] + 0.5 if b == INF else b
+    ranks = cell.section_complex(region, a, b).cohomology_ranks()
+    return {k - cell.shift: r for k, r in ranks.items()}
 
 
 def _oracle_inputs(grid_scale):
@@ -557,7 +568,8 @@ def test_section_barcode_reads_every_oracle_window(grid_scale):
     for F, windows in _oracle_inputs(grid_scale):
         bc = section_barcode(F)
         for a, b in windows:
-            assert bc.window_ranks(a, b) == sections(F, None, a, b), (a, b)
+            want = per_window_ranks(F.cell, None, a, b)
+            assert bc.window_ranks(a, b) == want, (a, b)
 
 
 def test_section_barcode_on_random_boxes_and_windows():
@@ -570,10 +582,84 @@ def test_section_barcode_on_random_boxes_and_windows():
         region = _random_box(rng, F.cell.base)
         a, b = _random_window(rng, breaks[0] - 0.5, breaks[-1] + 0.5)
         if trial < 6:
-            # infinite ends, snapped to the axis by sections()
+            # infinite ends, snapped to the axis by per_window_ranks
             a, b = [(-INF, b), (a, INF), (-INF, INF)][trial % 3]
         got = section_barcode(F, region).window_ranks(a, b)
-        assert got == sections(F, region, a, b), (trial, a, b)
+        assert got == per_window_ranks(F.cell, region, a, b), (trial, a, b)
+
+
+def per_window_product_ranks(F, region, a, b):
+    """Section ranks of one window of a product from its own carrier
+    complex, shifted; an infinite end is snapped below the band floor or
+    above the top corner, which keeps the same t-cell pairs."""
+    from gfsheaf.sheaves import (_as_cellsheaf, _band_floor,
+                                 product_section_complex)
+    CA, CB = (_as_cellsheaf(G) for G in F.factors)
+    a = _band_floor(F) - 0.25 if a == -INF else a
+    b = CA.taxis.breaks[-1] + CB.taxis.breaks[-1] + 0.5 if b == INF else b
+    C = product_section_complex(CA, CB, F.diagonal, region, a, b)
+    shift = CA.shift + CB.shift
+    return {k - shift: r for k, r in C.cohomology_ranks().items()}
+
+
+def _products(seed):
+    """Seeded diagonal and external products of graph, cusp, unit and
+    cellular factors."""
+    from gfsheaf.products import convolve, tensor
+    rng = random.Random(seed)
+    f = random_circle_morse(rng, n=6)
+    g = random_circle_morse(rng, n=6)
+    Ff, Fg = quantize(graph_genfun(f)), quantize(graph_genfun(g))
+    cusp = quantize(cusp_genfun(n_base=4, n_fiber=12))
+    return rng, {
+        "graphs": tensor(Ff, Fg, strategy="cell"),
+        "graph_unit": tensor(Ff, unit_sheaf(f.grid)),
+        "cells": tensor(to_cellular(Fg, spot_checks=0),
+                        unit_sheaf(f.grid, _random_box(rng, f.grid), 0.25)),
+        "cusp_unit": tensor(cusp, unit_sheaf(cusp.base_grid, t0=-0.125)),
+        "external": convolve(Ff, Fg, strategy="cell"),
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_product_section_barcode_reads_every_window(seed):
+    from gfsheaf.sheaves import _breaks_of, section_barcode
+    rng, products = _products(seed)
+    for name, F in products.items():
+        assert F.kind == "prod", name
+        breaks = _breaks_of(F)
+        for trial in range(6):
+            region = None if trial == 0 else _random_box(rng, F.base_grid)
+            bc = section_barcode(F, region)
+            windows = [_random_window(rng, breaks[0] - 0.5, breaks[-1] + 0.5)
+                       for _ in range(3)]
+            a, b = windows[0]
+            windows += [(-INF, b), (a, INF), (-INF, INF)]
+            for a, b in windows:
+                want = per_window_product_ranks(F, region, a, b)
+                assert bc.window_ranks(a, b) == want, (name, trial, a, b)
+                assert sections(F, region, a, b) == want, (name, trial, a, b)
+
+
+def test_section_barcode_is_built_once_per_region():
+    from gfsheaf.sheaves import section_barcode
+    rng, products = _products(1)
+    F = products["graph_unit"]
+    region = _random_box(rng, F.base_grid)
+    again = BaseRegion(F.base_grid, region.membership.copy())
+    assert section_barcode(F, region) is section_barcode(F, again)
+    assert section_barcode(F) is section_barcode(F, None)
+    assert section_barcode(F) is not section_barcode(F, region)
+
+
+def test_a_limit_sheaf_has_no_cellular_form():
+    from gfsheaf.rectify import sheafify_limit
+    from gfsheaf.sheaves import _as_cellsheaf, section_barcode
+    L = sheafify_limit(random_circle_morse(random.Random(3), n=6))
+    with pytest.raises(ValueError, match="limit presentation"):
+        _as_cellsheaf(L)
+    with pytest.raises(ValueError, match="limit presentation"):
+        section_barcode(L)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
