@@ -10,6 +10,7 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,13 +27,18 @@ class ChainComplex:
     d:    dict id -> {id: scalar}, raising degree by exactly 1.  The inner
           dicts are taken over, not copied (empty ones are dropped): the
           caller must not change them afterwards.
+    matching: None, or a dict lower -> upper of generator pairs that the
+          builder knows to form an acyclic matching, listed in a gradient
+          order (FilteredComplex.barcode checks both); carried for the
+          barcode, not used by the complex.
     """
 
-    def __init__(self, gens, deg, d, field=GF2, check=True):
+    def __init__(self, gens, deg, d, field=GF2, check=True, matching=None):
         self.gens = tuple(gens)
         self.deg = dict(deg)
         self.field = field
         self.d = {g: cb for g, cb in d.items() if cb}
+        self.matching = matching
         self._index = {g: i for i, g in enumerate(self.gens)}
         if check:
             self._check()
@@ -229,7 +235,7 @@ class FilteredComplex:
         return FilteredComplex(sub, {g: self.action[g] for g in sub.gens},
                                check=False)
 
-    def barcode(self):
+    def barcode(self, matching=None):
         """Interval decomposition of the filtered cohomology.
 
         Computed by column reduction of the filtration-ordered boundary
@@ -241,10 +247,17 @@ class FilteredComplex:
         zero is an essential class.  A column only meets columns of its own
         degree, so the passes per degree give the pairs of one left-to-right
         pass; the transposed columns are built one degree at a time.
+
+        With a matching (a dict lower -> upper of generator pairs, see
+        _morse_complex) the same reduction runs on the Morse complex of the
+        critical generators, which has the same bars (Mischaikow-Nanda,
+        DCG 2013).
         """
         C, action = self.complex, self.action
-        order = sorted(C.gens, key=lambda g: (action[g], C.deg[g],
-                                              C._index[g]))
+        gens, d = ((C.gens, C.d) if matching is None
+                   else _morse_complex(C, action, matching))
+        order = sorted(gens, key=lambda g: (action[g], C.deg[g],
+                                            C._index[g]))
         pos = {g: i for i, g in enumerate(order)}
         by_deg = {}
         for g in order:
@@ -255,7 +268,7 @@ class FilteredComplex:
             bdry = {h: {} for h in by_deg[k]}
             for g in by_deg.get(k - 1, ()):
                 i = pos[g]
-                for h, v in C.d.get(g, {}).items():
+                for h, v in d.get(g, {}).items():
                     bdry[h][i] = v
             red = Reducer(C.field)
             for h in by_deg[k]:
@@ -270,6 +283,67 @@ class FilteredComplex:
             # after a gap in the degrees, cleared indexes no degree-k-1 gen
             cleared = set(red.pivots)
         return Barcode(bars)
+
+
+def _morse_complex(C: ChainComplex, action, matching):
+    """The critical generators of an acyclic matching and their Morse
+    coboundaries: (generators in C's order, dict generator -> coboundary).
+
+    matching maps a lower generator s to an upper one t, a coface of s of
+    equal action, and lists its pairs in a gradient order: d(s) reaches no
+    upper generator of an earlier pair.  Every pair is checked: d(s) has a
+    nonzero entry at t, the values are equal, no generator is in two pairs,
+    and the order holds, which no matching with a cycle can satisfy.  A
+    ValueError says which check failed.
+
+    Gaussian elimination of the pairs in that order, read on the critical
+    columns: a critical c whose coboundary holds a * t, t = matching[s],
+    trades it for -(a / d(s)[t]) * (d(s) - d(s)[t] * t), whose upper
+    entries belong to later pairs; lower entries are dropped.  One sweep
+    over the pairs carries every critical's pending multiple of each t.
+    """
+    F, d = C.field, C.d
+    # upper generator of pair j -> j, lower generator of pair j -> ~j
+    role = {t: j for j, t in enumerate(matching.values())}
+    role.update(zip(matching, itertools.count(-1, -1)))
+    if len(role) < 2 * len(matching):
+        raise ValueError("a generator is matched twice")
+    gens = [g for g in C.gens if g not in role]
+    morse = {g: {} for g in gens}
+    pending = [[] for _ in matching]    # pair j -> [(critical, a)]
+    for g in gens:
+        for h, v in d.get(g, {}).items():
+            j = role.get(h)
+            if j is None:
+                morse[g][h] = v
+            elif j >= 0:
+                pending[j].append((g, v))
+    for j, (s, t) in enumerate(matching.items()):
+        row = d.get(s, {})
+        u = row.get(t)
+        if u is None or F.is_zero(u):
+            raise ValueError(f"{t!r} is not a coface of {s!r}")
+        if action[s] != action[t]:
+            raise ValueError(f"matched pair {s!r} -> {t!r} has unequal "
+                             f"values {action[s]!r} and {action[t]!r}")
+        crit, ups = {}, []
+        for h, v in row.items():
+            j2 = role.get(h)
+            if j2 is None:
+                crit[h] = v
+            elif j2 > j:
+                ups.append((j2, v))
+            elif 0 <= j2 < j:
+                raise ValueError(
+                    f"matched pair {s!r} -> {t!r} reaches the upper "
+                    f"generator of an earlier pair: the matching has a "
+                    f"cycle or is not in gradient order")
+        for g, a in pending[j]:
+            c = F.neg(F.mul(a, F.inv(u)))
+            add_scaled(morse[g], crit, c, F)
+            for j2, v in ups:
+                pending[j2].append((g, F.mul(c, v)))
+    return gens, {g: cb for g, cb in morse.items() if cb}
 
 
 @dataclass(frozen=True)

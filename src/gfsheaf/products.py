@@ -127,6 +127,8 @@ def dualize(F: TameSheaf) -> TameSheaf:
             f = ind[1]
             return to_cellular(quantize(graph_genfun(-f)), spot_checks=0)
         raise ValueError(f"unknown indicator kind {kind!r}")
+    if F.kind != "prod":
+        raise ValueError(f"a {F.kind} presentation ({F.label}) has no dual")
     A, B = F.factors
     dA, dB = dualize(A), dualize(B)
     if F.diagonal:

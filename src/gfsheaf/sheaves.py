@@ -20,8 +20,12 @@ product carrier, the sum of the two tops) lies in [a, b), so every window
 is a subquotient of one complex filtered by that value.  section_barcode
 builds and reduces it once per (sheaf, region); sections() reads every
 cellular and product window off it, and its bars are the pushforward
-barcode.  GF windows stay on the pair route (gf_cohomology) and limit
-sheaves on their clamp schedules, so the routes stay independent.
+barcode.  The reduction runs on the Morse complex of the vertical matching,
+which pairs a generator over ('v', i) with the same labels over ('e', i):
+the assembly records the pairs, FilteredComplex.barcode checks them, and
+d^2 = 0 is still asserted on the whole complex.  GF windows stay on the
+pair route (gf_cohomology) and limit sheaves on their clamp schedules, so
+the routes stay independent.
 """
 
 from __future__ import annotations
@@ -226,6 +230,14 @@ def _total_complex(base: BoxGrid, region: BaseRegion | None, factors, a, b,
     over a t-cell is that of the factor's own stratum containing it
     (CellSheaf.stalk_over).  Generization maps match labels; d^2 = 0
     certifies that they are chain maps.
+
+    The complex carries its vertical matching: a generator whose first
+    t-cell is ('v', i) is paired with the generator that differs only by
+    ('e', i) in its place, when there is one.  The two share their summed
+    top value, the coface entry is +-1, and the only other upper generator
+    a lower one reaches is the one over ('e', i+1): the first-axis index
+    rises along every gradient path, so the matching is acyclic, and the
+    pairs are recorded in a gradient order (generator order).
     """
     F = field
     m = len(factors)
@@ -250,12 +262,16 @@ def _total_complex(base: BoxGrid, region: BaseRegion | None, factors, a, b,
     cells = (region.base_cells() if region is not None
              else list(base.base_cells()))
     memos = [{} for _ in factors]   # per factor: (cell, t-cell) -> terms
+    converted = {}  # id(stalk) -> (stalk, terms): ('v', i), ('e', i+1) share
 
     def fetch(i, bci, tc):
         cell, ax, _ = factors[i]
-        hit = _stalk_terms(cell.stalk_over(bci, ax, tc), F)
-        memos[i][(bci, tc)] = hit
-        return hit
+        st = cell.stalk_over(bci, ax, tc)
+        hit = converted.get(id(st))
+        if hit is None:
+            hit = converted[id(st)] = (st, _stalk_terms(st, F))
+        memos[i][(bci, tc)] = hit[1]
+        return hit[1]
 
     gens, deg, blocks = [], {}, []
     for bc in cells:
@@ -285,18 +301,29 @@ def _total_complex(base: BoxGrid, region: BaseRegion | None, factors, a, b,
                     deg.update(items)
         if group:
             blocks.append((bc, group))
-    d = {}
+    d, matching = {}, {}
     todo = iter(gens)
     for bc, group in blocks:
         bterms = [(cf, unit[s]) for cf, s in base.cofaces(bc)]
         for ts, bt_dim, tmoves, parts, size in group:
-            # base and t-axis terms change the head (bc, t_1..t_m) only
-            moves = ([((cf,) + ts, v) for cf, v in bterms]
-                     + [((bc,) + moved, v) for moved, v in tmoves])
+            # base and t-axis terms change the head (bc, t_1..t_m) only; on
+            # a first t-cell ('v', i) the first t-axis term is ('e', i)
+            bmoves = [((cf,) + ts, v) for cf, v in bterms]
+            tmoves = [((bc,) + moved, v) for moved, v in tmoves]
+            pmove = tmoves.pop(0) if ts[0][0] == "v" else None
             for g in itertools.islice(todo, size):
                 labels = g[1 + m:]
                 cb = {}
-                for hd, v in moves:
+                for hd, v in bmoves:
+                    h = hd + labels
+                    if h in deg:
+                        cb[h] = v
+                if pmove is not None:
+                    h = pmove[0] + labels
+                    if h in deg:
+                        cb[h] = pmove[1]
+                        matching[g] = h
+                for hd, v in tmoves:
                     h = hd + labels
                     if h in deg:
                         cb[h] = v
@@ -312,7 +339,7 @@ def _total_complex(base: BoxGrid, region: BaseRegion | None, factors, a, b,
                     odd ^= kl[g[j]] & 1
                 if cb:
                     d[g] = cb
-    C = ChainComplex(gens, deg, d, F, check=False)
+    C = ChainComplex(gens, deg, d, F, check=False, matching=matching)
     C.assert_d_squared_zero()
     return C
 
@@ -344,6 +371,7 @@ class TameSheaf:
         self.limit = None  # populated for kind == 'limit'
         self.label = label or kind
         self._barcodes = {}  # region mask (None: all of N) -> section_barcode
+        self._cellular = None  # the CellSheaf _as_cellsheaf built, once
 
     @property
     def base_grid(self) -> BoxGrid:
@@ -408,7 +436,10 @@ def to_cellular(F: TameSheaf, max_cells=250_000, spot_checks=20,
                          f"coarsen the grid")
     cm = gf.S.cell_max()
     fib = BoxGrid(gf.grid.fiber, ())
-    fib_cells = list(fib.all_cells()) if gf.k else [()]
+    if gf.k:
+        fib_cells = list(fib.all_cells())   # flat cell id order
+        table = fib.coface_table
+        fib_dims = table.dim.tolist()
 
     def stalk_fn(bc, thr):
         if gf.k == 0:
@@ -416,20 +447,18 @@ def to_cellular(F: TameSheaf, max_cells=250_000, spot_checks=20,
             if floor <= v < thr:
                 return Stalk((((), 0),), (), ((),))
             return ZERO_STALK
-        block = cm[tuple(bc)]
-        gens = []
-        included = set()
-        for fc in fib_cells:
-            v = float(block[fc])
-            if floor <= v < thr:
-                included.add(fc)
-                gens.append((fc, fib.cell_dim(fc)))
-        diff = []
-        for fc in included:
-            for cf, s in fib.cofaces(fc):
-                if cf in included:
-                    diff.append((fc, cf, s))
-        return Stalk(tuple(gens), tuple(diff), ())
+        # the fiber cells with floor <= value < thr, and the coface entries
+        # between them (slot -1 of the table reads the appended False)
+        block = cm[tuple(bc)].ravel()
+        kept = np.append((floor <= block) & (block < thr), False)
+        ids = np.flatnonzero(kept)
+        cof = table.cof[ids]
+        row, slot = np.nonzero(kept[cof])
+        gens = tuple((fib_cells[i], fib_dims[i]) for i in ids.tolist())
+        diff = tuple(zip(map(fib_cells.__getitem__, ids[row].tolist()),
+                         map(fib_cells.__getitem__, cof[row, slot].tolist()),
+                         table.sgn[ids[row], slot].tolist()))
+        return Stalk(gens, diff, ())
 
     ind = ("graph", gf.S) if gf.k == 0 else None
     cell = CellSheaf(base, TAxis(breaks), stalk_fn, shift=gf.i_q,
@@ -516,7 +545,9 @@ def section_barcode(F: TameSheaf, region: BaseRegion | None = None) -> Barcode:
     complex of a window [a, b) is the subquotient on the generators whose
     value lies in [a, b), and an infinite end keeps every finite value, so
     window_ranks(a, b) gives the sections over every window and the bars
-    are the pushforward barcode.  The degrees carry the sheaf's shift.
+    are the pushforward barcode.  The reduction runs on the Morse complex
+    of the complex's vertical matching.  The degrees carry the sheaf's
+    shift.
     """
     key = None if region is None else region.membership.tobytes()
     hit = F._barcodes.get(key)
@@ -545,7 +576,8 @@ def _section_barcode(F: TameSheaf, region) -> Barcode:
         value[ts] = tops[0] if m == 1 else tops[0] + tops[1]
     FC = FilteredComplex(C, {g: value[g[1:1 + m]] for g in C.gens})
     shift = sum(cell.shift for cell in cells)
-    return Barcode([(k - shift, b, x) for k, b, x in FC.barcode().bars])
+    return Barcode([(k - shift, b, x)
+                    for k, b, x in FC.barcode(C.matching).bars])
 
 
 def behavior_at_infinity(F: TameSheaf):
@@ -560,6 +592,9 @@ def _band_floor(F: TameSheaf):
         return strand_value_range(F.gf)[0] - 0.125 * (1 + F.gf.tau_val())
     if F.kind == "cell":
         return F.cell.taxis.breaks[0] - 0.25
+    if F.kind != "prod":
+        raise ValueError(f"a {F.kind} presentation ({F.label}) has no "
+                         f"support band")
     lo1 = _band_floor(F.factors[0])
     lo2 = _band_floor(F.factors[1])
     return lo1 + lo2
@@ -643,19 +678,26 @@ def front_interior_table(F: TameSheaf, base_cell, t, band_top, eps=None):
 
 def _as_cellsheaf(F: TameSheaf) -> CellSheaf:
     """The cellular presentation of F: its own, that of a GF sheaf, or the
-    corner-sum presentation of a diagonal product of rank-one sheaves."""
+    corner-sum presentation of a diagonal product of rank-one sheaves; one
+    built here is kept on F."""
     if F.kind == "cell":
         return F.cell
+    if F._cellular is not None:
+        return F._cellular
     if F.kind == "gf":
-        return to_cellular(F, spot_checks=0).cell
-    if F.kind != "prod":
+        cell = to_cellular(F, spot_checks=0).cell
+    elif F.kind != "prod":
         raise ValueError(f"a {F.kind} presentation ({F.label}) has no "
                          f"cellular form")
-    if not F.diagonal:
+    elif not F.diagonal:
         raise ValueError("nested external products are not materialized; "
                          "reduce the factors first")
-    A, B = F.factors
-    return materialize_rank_one_tensor(_as_cellsheaf(A), _as_cellsheaf(B))
+    else:
+        A, B = F.factors
+        cell = materialize_rank_one_tensor(_as_cellsheaf(A),
+                                           _as_cellsheaf(B))
+    F._cellular = cell
+    return cell
 
 
 def corner_table(cell: CellSheaf):

@@ -438,3 +438,108 @@ def test_add_scaled_over_f2_reads_entries_mod_2(c):
         assert other == snapshot
         assert {i: v % 2 for i, v in vec.items()} == \
             {i: v for i, v in expect.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# barcodes through an acyclic matching (Morse pre-reduction)
+
+def gradient_order(C, matching):
+    """The pairs of matching listed so that no lower generator's coboundary
+    reaches the upper generator of an earlier pair, or None on a cycle."""
+    upper = {t: s for s, t in matching.items()}
+    after = {s: [upper[h] for h in C.d.get(s, {}) if h in upper and h != t]
+             for s, t in matching.items()}
+    order, state = [], {}
+
+    def visit(s):
+        if state.get(s) == "done":
+            return True
+        if state.get(s) == "open":
+            return False
+        state[s] = "open"
+        if not all(visit(s2) for s2 in after[s]):
+            return False
+        state[s] = "done"
+        order.append(s)
+        return True
+
+    if not all(visit(s) for s in matching):
+        return None
+    return {s: matching[s] for s in reversed(order)}
+
+
+def random_acyclic_matching(rng, FC):
+    """Equal-value coface pairs drawn greedily in random order, each kept
+    when the matching stays acyclic; listed in a gradient order."""
+    C, action = FC.complex, FC.action
+    cand = [(s, t) for s, cb in C.d.items() for t in cb
+            if action[s] == action[t]]
+    rng.shuffle(cand)
+    matching, used = {}, set()
+    for s, t in cand:
+        if s in used or t in used:
+            continue
+        trial = gradient_order(C, {**matching, s: t})
+        if trial is not None:
+            matching = trial
+            used.update((s, t))
+    return matching
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
+def test_barcode_through_a_random_acyclic_matching(field):
+    import numpy as np
+    from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid,
+                               sublevel_filtration)
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(40):
+        FC = random_filtered_complex(rng, field, max_gens=30)
+        cases.append(FilteredComplex(FC.complex, {
+            g: float(math.floor(v)) for g, v in FC.action.items()}))
+    torus = BoxGrid((circle_grid(5), circle_grid(4)))
+    for _ in range(6):
+        vals = np.array([rng.randrange(3) for _ in range(20)], dtype=float)
+        cases.append(sublevel_filtration(
+            SampledFunction(torus, vals.reshape(torus.vertex_shape)), field))
+    matched = 0
+    for FC in cases:
+        matching = random_acyclic_matching(rng, FC)
+        matched += bool(matching)
+        assert FC.barcode(matching).bars == FC.barcode().bars, matching
+    assert matched > len(cases) // 2
+
+
+def _tied_square(field=GF2):
+    """a, b in degree 0 and x, y in degree 1 with d a = x + y = d b, all of
+    action 0; c of degree 1 at action 1 has no face."""
+    C = ChainComplex(["a", "b", "x", "y", "c"],
+                     {"a": 0, "b": 0, "x": 1, "y": 1, "c": 1},
+                     {"a": {"x": 1, "y": 1}, "b": {"x": 1, "y": 1}}, field)
+    return FilteredComplex(C, {"a": 0.0, "b": 0.0, "x": 0.0, "y": 0.0,
+                               "c": 1.0})
+
+
+def test_barcode_through_a_matching_of_the_tied_square():
+    FC = _tied_square()
+    assert FC.barcode({"a": "x"}).bars == FC.barcode().bars == (
+        (0, 0.0, INF), (1, 0.0, INF), (1, 1.0, INF))
+
+
+@pytest.mark.parametrize("matching, message", [
+    ({"a": "c"}, "not a coface"),
+    ({"a": "b"}, "not a coface"),
+    ({"a": "x", "b": "x"}, "matched twice"),
+    ({"a": "x", "x": "c"}, "matched twice"),
+    ({"a": "x", "b": "y"}, "cycle"),
+    ({"b": "y", "a": "x"}, "cycle"),
+])
+def test_a_matching_that_is_no_acyclic_matching_is_refused(matching, message):
+    with pytest.raises(ValueError, match=message):
+        _tied_square().barcode(matching)
+
+
+def test_a_matched_pair_of_unequal_values_is_refused():
+    FC = FilteredComplex(acyclic_pair(), {"x": 1.0, "y": 3.0})
+    with pytest.raises(ValueError, match="unequal values"):
+        FC.barcode({"x": "y"})

@@ -474,3 +474,13 @@ def test_cup_task_builds_each_home_once_and_reduces_each_table_once(
     assert len({(id(h[0]), id(h[1])) + h[2:] for h in homes}) == len(homes)
     # one pant table and one cup table per triple, each solving every entry
     assert tables == [len(rows) // result["triples"]] * 2 * result["triples"]
+
+
+def test_a_limit_sheaf_has_no_dual_and_no_support_band():
+    from gfsheaf.rectify import sheafify_limit
+    f = random_circle_morse(random.Random(3), n=6)
+    L = sheafify_limit(f)
+    with pytest.raises(ValueError, match="limit presentation"):
+        dualize(L)
+    with pytest.raises(ValueError, match="limit presentation"):
+        tensor(L, unit(f.grid))

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
                               pure_quad_genfun, random_circle_morse)
@@ -673,6 +675,189 @@ def test_section_complex_barcodes_match_the_reference_reduction(seed):
         FC = FilteredComplex(C, {g: cell.taxis.top_value(g[1])
                                  for g in C.gens})
         assert FC.barcode().bars == reference_barcode(FC).bars, name
+
+
+# ---------------------------------------------------------------------------
+# section barcodes through the vertical matching, and the cellular stalks
+
+def unreduced_section_barcode(F, region):
+    """section_barcode's complex, reduced without its matching."""
+    from gfsheaf.complexes import Barcode, FilteredComplex
+    from gfsheaf.sheaves import _as_cellsheaf, product_section_complex
+    if F.kind == "prod":
+        cells = [_as_cellsheaf(G) for G in F.factors]
+        C = product_section_complex(*cells, F.diagonal, region, -INF, INF)
+    else:
+        cells = [_as_cellsheaf(F)]
+        C = cells[0].section_complex(region, -INF, INF)
+    tops = [[cell.taxis.top_value(tc)
+             for cell, tc in zip(cells, g[1:1 + len(cells)])]
+            for g in C.gens]
+    FC = FilteredComplex(C, {g: t[0] if len(t) == 1 else t[0] + t[1]
+                             for g, t in zip(C.gens, tops)})
+    shift = sum(cell.shift for cell in cells)
+    return Barcode([(k - shift, b, x) for k, b, x in FC.barcode().bars])
+
+
+def _tie_heavy_graph(rng, grid):
+    from gfsheaf.grids import SampledFunction
+    vals = np.array([rng.randrange(3) for _ in range(
+        int(np.prod(grid.vertex_shape)))], dtype=float)
+    return SampledFunction(grid, vals.reshape(grid.vertex_shape))
+
+
+def _over_q(F):
+    """The same cellular (or product of cellular) sheaf with Q coefficients."""
+    from gfsheaf.linalg import QQ
+    from gfsheaf.sheaves import CellSheaf, _as_cellsheaf
+    if F.kind == "prod":
+        return TameSheaf("prod", factors=tuple(map(_over_q, F.factors)),
+                         diagonal=F.diagonal)
+    cell = _as_cellsheaf(F)
+    return TameSheaf("cell", cell=CellSheaf(
+        cell.base, cell.taxis, cell._stalk_fn, shift=cell.shift, field=QQ))
+
+
+def _sweep_sheaf(rng, kind):
+    """A seeded sheaf of the given kind: tie-heavy graphs on a circle or a
+    torus, a small cusp, duals, region units and their products."""
+    from gfsheaf.products import convolve, dualize, tensor
+    torus = BoxGrid((circle_grid(4), circle_grid(4)))
+    circle = BoxGrid((circle_grid(rng.randrange(4, 11)),))
+    graph = quantize(graph_genfun(_tie_heavy_graph(rng, circle)))
+    if kind == "circle":
+        return graph
+    if kind == "torus":
+        return quantize(graph_genfun(_tie_heavy_graph(rng, torus)))
+    if kind == "cusp":
+        return quantize(cusp_genfun(n_base=rng.randrange(4, 9), n_fiber=12))
+    if kind == "dual":
+        return dualize(to_cellular(graph, spot_checks=0))
+    unit = unit_sheaf(circle, _random_box(rng, circle), t0=rng.randrange(3))
+    if kind == "unit":
+        return unit
+    if kind == "dual-unit":
+        return dualize(unit)
+    other = quantize(graph_genfun(_tie_heavy_graph(rng, circle)))
+    if kind == "diagonal":
+        return tensor(graph, other, strategy="cell")
+    if kind == "graph-unit":
+        return tensor(graph, unit)
+    return convolve(graph, other, strategy="cell")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["circle", "torus", "cusp", "dual", "unit",
+                             "dual-unit", "diagonal", "graph-unit",
+                             "external"]),
+       over_q=st.booleans(), boxed=st.booleans())
+def test_section_barcode_equals_the_unreduced_barcode(seed, kind, over_q,
+                                                      boxed):
+    from gfsheaf.sheaves import section_barcode
+    rng = random.Random(seed)
+    F = _sweep_sheaf(rng, kind)
+    if over_q:
+        F = _over_q(F)
+    region = _random_box(rng, F.base_grid) if boxed else None
+    assert section_barcode(F, region) == unreduced_section_barcode(F, region)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_verify_all_section_barcodes_equal_the_unreduced_ones(
+        seed, tmp_path, monkeypatch):
+    # every barcode reduced through a matching in a verify-all pass is
+    # reduced again without it
+    from gfsheaf.cli import main
+    from gfsheaf.complexes import FilteredComplex
+    barcode = FilteredComplex.barcode
+    seen = []
+
+    def certified(self, matching=None):
+        got = barcode(self, matching)
+        if matching is not None:
+            assert got == barcode(self), seed
+            seen.append((len(self.complex.gens), len(matching)))
+        return got
+
+    monkeypatch.setattr(FilteredComplex, "barcode", certified)
+    assert main(["verify-all", "--grid-scale", "1", "--seed", str(seed),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert len(seen) >= 10
+    assert sum(n for _, n in seen) > sum(n for n, _ in seen) // 3
+
+
+def reference_stalk(gf, bc, thr):
+    """The fiber-cell loop that to_cellular's stalks replaced, kept as the
+    reference: the floored sublevel cells of the fiber over bc in cell
+    order, and their coface entries."""
+    from gfsheaf.sheaves import Stalk
+    floor = window_floor(gf)
+    block = gf.S.cell_max()[tuple(bc)]
+    fib = BoxGrid(gf.grid.fiber, ())
+    gens, included = [], set()
+    for fc in fib.all_cells():
+        if floor <= float(block[fc]) < thr:
+            included.add(fc)
+            gens.append((fc, fib.cell_dim(fc)))
+    diff = []
+    for fc in included:
+        for cf, s in fib.cofaces(fc):
+            if cf in included:
+                diff.append((fc, cf, s))
+    return Stalk(tuple(gens), tuple(diff), ())
+
+
+def _stalk_inputs():
+    import os
+    from gfsheaf.cli import BUNDLED_DIR
+    from gfsheaf.genfun import box_sum
+    from gfsheaf.scenarios import ScenarioContext, load_scenario
+    spec = load_scenario(os.path.join(BUNDLED_DIR, "three-routes.toml"))
+    for scale in (1, 2):
+        yield ScenarioContext(spec, grid_scale=scale).genfuns["cusp"]
+    small = cusp_genfun(n_base=4, n_fiber=12)
+    yield box_sum(small, small)     # a two-axis fiber
+
+
+def test_cellular_stalks_equal_the_fiber_loop():
+    count = 0
+    for gf in _stalk_inputs():
+        cell = to_cellular(quantize(gf), spot_checks=0).cell
+        ax = cell.taxis
+        for bc in cell.base.base_cells():
+            for i in range(ax.m + 1):
+                thr = ax.rep(("e", i))
+                got = cell.stalk(bc, thr)
+                want = reference_stalk(gf, bc, thr)
+                assert got.gens == want.gens, (bc, thr)
+                assert sorted(got.diff) == sorted(want.diff), (bc, thr)
+                assert all(type(x) is int for lbl, k in got.gens
+                           for x in lbl + (k,))
+                assert all(type(c) is int for _, _, c in got.diff)
+                count += 1
+    assert count > 1584
+
+
+def test_a_gf_sheaf_is_converted_to_cellular_form_once(tmp_path,
+                                                       monkeypatch):
+    import os
+    from gfsheaf import products, scenarios, sheaves
+    from gfsheaf.cli import BUNDLED_DIR
+    convert = sheaves.to_cellular
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return convert(*args, **kwargs)
+
+    for module in (sheaves, products, scenarios):
+        monkeypatch.setattr(module, "to_cellular", counted)
+    code, _ = scenarios.run_scenario(
+        os.path.join(BUNDLED_DIR, "unit-laws.toml"), out_dir=str(tmp_path),
+        seed=1)
+    assert code == 0
+    assert len(calls) == 2
 
 
 def reference_hausdorff(A, B, scales):
