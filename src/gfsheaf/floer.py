@@ -139,6 +139,24 @@ class StabilizationError(RuntimeError):
         self.last_tables = last_tables
 
 
+def stabilize(tables, ks):
+    """The first of the rank tables, one per rung of the clamp schedule ks,
+    that equals the table before it, with its certificate.
+
+    tables is read lazily, so no table after the stabilized one is
+    computed.  Raises StabilizationError with the last two tables when no
+    two consecutive tables agree."""
+    seen = []
+    for k, table in zip(ks, tables):
+        seen.append(table)
+        if len(seen) > 1 and table == seen[-2]:
+            cert = StabilizationCertificate(tuple(ks[: len(seen)]),
+                                            tuple(map(repr, seen)), k)
+            return table, cert
+    raise StabilizationError(
+        f"clamp schedule did not stabilize by k={ks[-1]}", tuple(seen[-2:]))
+
+
 def conormal_limit_ranks(region: BaseRegion, L, a, b, field=GF2,
                   ks=(4, 8, 16, 32, 64)):
     """Stabilized conormal-limit ranks along a clamp schedule.
@@ -147,38 +165,26 @@ def conormal_limit_ranks(region: BaseRegion, L, a, b, field=GF2,
     StabilizationError when the last two tables still differ.
     """
     if isinstance(L, GraphBrane):
-        lo, hi = (L.f).range()
-        span = max(1.0, hi - lo, abs(a) if a != -INF else 0.0,
-                   abs(b) if b != INF else 0.0)
-        clamps = clamp_schedule(region, span, ks)
-        tables = []
-        for fk in clamps:
+        f = L.f
+
+        def table(fk):
             h = L.f - fk  # action of (graph f_k, L) pairs: f_L - f_k
-            bc = sublevel_filtration(h, field).barcode()
-            tables.append(bc.window_ranks(a, b))
+            return sublevel_filtration(h, field).barcode().window_ranks(a, b)
     elif isinstance(L, GenFun):
-        lo, hi = L.S.range()
-        span = max(1.0, hi - lo, abs(a) if a != -INF else 0.0,
-                   abs(b) if b != INF else 0.0)
-        clamps = clamp_schedule(BaseRegion(L.base_grid, region.membership),
-                                span, ks)
-        tables = []
-        for fk in clamps:
+        f = L.S
+        region = BaseRegion(L.base_grid, region.membership)
+
+        def table(fk):
             shifted = GenFun(L.S - fk.lift_to(L.grid), L.Q, tau_q=INF,
                              check_collar=False)
-            tables.append(gf_cohomology(shifted, None, a, b, field,
-                                        check_regular=False))
+            return gf_cohomology(shifted, None, a, b, field,
+                                 check_regular=False)
     else:
         raise TypeError("L must be a GraphBrane or a GenFun")
-    for i in range(1, len(tables)):
-        if tables[i] == tables[i - 1]:
-            cert = StabilizationCertificate(tuple(ks[: i + 1]),
-                                            tuple(map(repr, tables[: i + 1])),
-                                            ks[i])
-            return tables[i], cert
-    raise StabilizationError(
-        f"clamp schedule did not stabilize by k={ks[-1]}",
-        tuple(tables[-2:]))
+    lo, hi = f.range()
+    span = max(1.0, hi - lo, abs(a) if a != -INF else 0.0,
+               abs(b) if b != INF else 0.0)
+    return stabilize(map(table, clamp_schedule(region, span, ks)), ks)
 
 
 # ---------------------------------------------------------------------------

@@ -260,14 +260,12 @@ def cell_extreme(values, grid: BoxGrid, op=np.maximum):
 class SampledFunction:
     """Real function sampled on the vertex lattice of a BoxGrid."""
 
-    def __init__(self, grid: BoxGrid, values, quad=None, tau_q=0.0):
+    def __init__(self, grid: BoxGrid, values):
         self.grid = grid
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != grid.vertex_shape:
             raise ValueError(
                 f"values shape {self.values.shape} != {grid.vertex_shape}")
-        self.quad = quad
-        self.tau_q = tau_q
         self._cell_max = None
         self._cell_min = None
 

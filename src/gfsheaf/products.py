@@ -105,7 +105,7 @@ def dualize(F: TameSheaf) -> TameSheaf:
         return quantize(negate(F.gf))
     if F.kind == "cell":
         cell = F.cell
-        ind = getattr(cell, "indicator", None)
+        ind = cell.indicator
         if ind is None:
             raise ValueError(
                 "cellular dualize is implemented for indicator presentations "

@@ -6,6 +6,11 @@ the face/composition identity (checked exactly).  The rectified complex is
 spanned by chain-tensor generators with the twisting differential D; its
 windowed cohomology recovers the windowed cohomology of any single V(f)
 through the inclusion x -> (f <= f) (x) x, which is a quasi-isomorphism.
+
+Rectification runs over F2 by construction: the coherence identity, D, the
+closed-form triple correction of perturb_coherent and _solve_homotopy add
+every term with sign +1, which is right only in characteristic 2.  A
+CoherentDiagram rejects complexes over any other field.
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ import random as _random
 
 import numpy as np
 
-from .complexes import (ChainComplex, ChainMap, FilteredComplex,
-                        cohomology_basis, cohomology_ranks)
-from .grids import SampledFunction
-from .linalg import GF2, add_scaled, solve_columns
+from .complexes import (ChainComplex, ChainMap, FilteredComplex, apply_d,
+                        class_coordinates, cohomology_basis)
+from .floer import GraphBrane, clamp_schedule, stabilize
+from .grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
+                    sublevel_filtration)
+from .linalg import GF2, add_scaled, rank_of_columns, solve_columns
 
 INF = math.inf
 
@@ -46,7 +53,7 @@ class FunPoset:
     def leq(self, i, j):
         return bool(self._leq[i, j])
 
-    def chains_from(self, i, max_extra=None):
+    def chains_from(self, i):
         """Strict chains (i < j1 < j2 < ...) in the poset order."""
         n = len(self.functions)
 
@@ -58,8 +65,6 @@ class FunPoset:
         while frontier:
             new = []
             for ch in frontier:
-                if max_extra is not None and len(ch) - 1 >= max_extra:
-                    continue
                 for j in range(n):
                     if strictly_less(ch[-1], j):
                         new.append(ch + (j,))
@@ -75,15 +80,16 @@ class CoherentDiagram:
     {gen -> {gen: coeff}} from V(last) to V(first), of degree 2 - length.
     Degenerate chunks are evaluated by convention: an (f <= f) pair acts as
     the differential, a triple (f <= f <= f) as the identity, and longer
-    constant chains as zero.
+    constant chains as zero.  Every complex is over F2.
     """
 
-    def __init__(self, poset: FunPoset, complexes, maps, field=GF2):
+    def __init__(self, poset: FunPoset, complexes, maps):
         self.poset = poset
         self.V = list(complexes)  # FilteredComplex per poset index
+        if any(V.field is not GF2 for V in self.V):
+            raise ValueError("rectification runs over F2 only")
         self.maps = {tuple(k): {g: dict(c) for g, c in m.items()}
                      for k, m in maps.items()}
-        self.field = field
 
     def chunk_map(self, chain):
         """The stored or conventional map of a chain (V(last) -> V(first)).
@@ -98,29 +104,26 @@ class CoherentDiagram:
             if len(chain) == 2:
                 return dict(self.V[chain[0]].complex.d)  # the differential
             if len(chain) == 3:
-                one = self.field.one()
-                return {g: {g: one} for g in self.V[chain[0]].complex.gens}
+                return {g: {g: 1} for g in self.V[chain[0]].complex.gens}
             return {}
         return self.maps.get(chain, {})
 
     def compose(self, m2, m1):
         """m2 after m1 (sparse map composition)."""
-        F = self.field
         out = {}
         for g, c1 in m1.items():
             acc = {}
             for h, v in c1.items():
-                add_scaled(acc, m2.get(h, {}), v, F)
+                add_scaled(acc, m2.get(h, {}), v, GF2)
             if acc:
                 out[g] = acc
         return out
 
     def add_maps(self, *maps):
-        F = self.field
         out = {}
         for m in maps:
             for g, c in m.items():
-                add_scaled(out.setdefault(g, {}), c, F.one(), F)
+                add_scaled(out.setdefault(g, {}), c, 1, GF2)
         return {g: c for g, c in out.items() if c}
 
 
@@ -128,13 +131,12 @@ def coherence_residual(diagram: CoherentDiagram, chain):
     """Residual of the face/composition identity at one stored chain.
 
     sum_j (prefix_j)_* o (suffix_j)_* over all cut points (with the two
-    degenerate end cuts acting by the differential) minus the inner-face sum.
-    Over F2 the signs are immaterial; the residual must vanish exactly.
+    degenerate end cuts acting by the differential) plus the inner-face sum,
+    every term with sign +1 (the F2 identity); it must vanish exactly.
     """
     chain = tuple(chain)
     L = len(chain)
     k = L - 2
-    F = diagram.field
     terms = []
     # j = 0: sigma_* o d  (suffix = degenerate pair at the last vertex)
     terms.append(diagram.compose(diagram.chunk_map(chain),
@@ -156,14 +158,12 @@ def coherence_residual(diagram: CoherentDiagram, chain):
     return diagram.add_maps(*terms)
 
 
-def check_coherence(diagram: CoherentDiagram, max_len=None):
+def check_coherence(diagram: CoherentDiagram):
     """Per-chain residual report; passes iff every residual vanishes and
     every stored map respects the action filtration."""
     report = {}
     ok = True
     for chain in sorted(diagram.maps):
-        if max_len is not None and len(chain) > max_len:
-            continue
         res = coherence_residual(diagram, chain)
         size = sum(len(c) for c in res.values())
         report[chain] = size
@@ -182,23 +182,18 @@ def check_coherence(diagram: CoherentDiagram, max_len=None):
 # ---------------------------------------------------------------------------
 # the rectified complex
 
-def rectified_basis(diagram: CoherentDiagram, i, max_extra=None, repeats=2):
+def rectified_basis(diagram: CoherentDiagram, i):
     """Chains starting at i with the closing degeneracies.
 
-    Basis chains are (i^a, strict tail) with 1 <= a <= repeats and total
-    length >= 2, including the constant pair (i, i).  The first-slot
-    degeneracies close the contraction that identifies every class with one
-    of the form (i <= i) (x) x; a repeat depth of two suffices exactly (the
-    telescope of deeper degeneracies cancels pairwise).
+    Basis chains are (i^a, strict tail) with a = 1 or 2 and total length
+    >= 2, including the constant pair (i, i).  The first-slot degeneracies
+    close the contraction that identifies every class with one of the form
+    (i <= i) (x) x; a repeat depth of two suffices exactly (the telescope of
+    deeper degeneracies cancels pairwise).
     """
-    tails = [c[1:] for c in diagram.poset.chains_from(i, max_extra)]
-    chains = set()
-    for tail in tails:
-        for a in range(1, repeats + 1):
-            ch = (i,) * a + tail
-            if len(ch) >= 2:
-                chains.add(ch)
-    chains.add((i, i))
+    chains = {(i,) * a + c[1:] for c in diagram.poset.chains_from(i)
+              for a in (1, 2)}
+    chains.discard((i,))
     return sorted(chains, key=lambda c: (len(c), c))
 
 
@@ -208,45 +203,31 @@ def differential_D(diagram: CoherentDiagram, chain, x):
     Returns a dict (chain, gen) -> coeff: the inner-face terms, the internal
     differential term, and the prefix-tensor-suffix-action terms.
     """
-    F = diagram.field
     chain = tuple(chain)
     L = len(chain)
-    k = L - 2
     out = {}
-
-    def acc(key, val):
-        w = F.add(out.get(key, F.zero()), val)
-        if w == F.zero():
-            out.pop(key, None)
-        else:
-            out[key] = w
-
     # inner faces (vanish for pairs)
     for l in range(1, L - 1):
-        face = chain[:l] + chain[l + 1:]
-        acc((face, x), F.one())
+        add_scaled(out, {(chain[:l] + chain[l + 1:], x): 1}, 1, GF2)
     # internal differential
-    for h, v in diagram.V[chain[-1]].complex.d.get(x, {}).items():
-        acc((chain, h), v)
-    # suffix actions
-    for j in range(1, k + 1):
-        cut = L - 1 - j
-        prefix = chain[: cut + 1]
-        suffix = chain[cut:]
-        m = diagram.chunk_map(suffix)
-        for h, v in m.get(x, {}).items():
-            acc((prefix, h), v)
+    dx = diagram.V[chain[-1]].complex.d.get(x, {})
+    add_scaled(out, {(chain, h): v for h, v in dx.items()}, 1, GF2)
+    # suffix actions, prefix (v0..v_cut) tensor the suffix from v_cut on
+    for cut in range(L - 2, 0, -1):
+        m = diagram.chunk_map(chain[cut:])
+        add_scaled(out, {(chain[: cut + 1], h): v
+                         for h, v in m.get(x, {}).items()}, 1, GF2)
     return out
 
 
 class RectifiedComplex:
     """The windowed twisting complex at (start function, action < lam)."""
 
-    def __init__(self, diagram: CoherentDiagram, i, lam=INF, max_extra=None):
+    def __init__(self, diagram: CoherentDiagram, i, lam=INF):
         self.diagram = diagram
         self.start = i
         self.lam = lam
-        chains = rectified_basis(diagram, i, max_extra)
+        chains = rectified_basis(diagram, i)
         gens, deg, action = [], {}, {}
         for ch in chains:
             V = diagram.V[ch[-1]]
@@ -266,8 +247,7 @@ class RectifiedComplex:
                     cb[key] = v
             if cb:
                 d[(ch, g)] = cb
-        self.complex = ChainComplex(gens, deg, d, diagram.field, check=False)
-        self.complex.assert_d_squared_zero()
+        self.complex = ChainComplex(gens, deg, d, GF2)  # checks D^2 = 0
         self.filtered = FilteredComplex(self.complex, action, check=True)
 
     def inclusion(self) -> ChainMap:
@@ -275,16 +255,15 @@ class RectifiedComplex:
         V = self.diagram.V[self.start]
         keep = [g for g in V.complex.gens if V.action[g] < self.lam]
         sub = V.complex.restricted(keep)
-        one = self.diagram.field.one()
-        comp = {g: {(((self.start, self.start)), g): one} for g in keep}
+        comp = {g: {((self.start, self.start), g): 1} for g in keep}
         return ChainMap(sub, self.complex, comp)
 
     def cohomology_ranks(self):
         return self.complex.cohomology_ranks()
 
 
-def rectify_at(diagram: CoherentDiagram, i, lam=INF, max_extra=None):
-    R = RectifiedComplex(diagram, i, lam, max_extra)
+def rectify_at(diagram: CoherentDiagram, i, lam=INF):
+    R = RectifiedComplex(diagram, i, lam)
     inc = R.inclusion()
     inc.verify()
     return R, inc
@@ -296,7 +275,6 @@ def restriction_map(diagram: CoherentDiagram, R_f: RectifiedComplex,
     f, g = R_f.start, R_g.start
     if not diagram.poset.leq(g, f):
         raise ValueError("restriction needs g <= f")
-    one = diagram.field.one()
     comp = {}
     tgt = set(R_g.complex.gens)
     for (ch, x) in R_f.complex.gens:
@@ -306,7 +284,7 @@ def restriction_map(diagram: CoherentDiagram, R_f: RectifiedComplex,
             new = (g,) + ch[1:]
         key = (new, x)
         if key in tgt:
-            comp[(ch, x)] = {key: one}
+            comp[(ch, x)] = {key: 1}
     T = ChainMap(R_f.complex, R_g.complex, comp)
     T.verify()
     return T
@@ -320,116 +298,56 @@ def index_complex_homology(m):
     inner-face differential, and under its twist by last-vertex truncation
     with a strict rank-one coefficient system.
 
-    Returns {'delta_ranks': {k: rank}, 'twisted_ranks': {k: rank},
-    'delta_squared_zero': True} computed exactly over F2; the inner-face
-    homology vanishes in every degree while the twisted homology is one-
-    dimensional in degree 0.
+    Tuples of lengths 2..m + 3 starting at 0 sit in degree -length, so both
+    differentials raise the degree by one; each is a ChainComplex, whose
+    construction checks its square.  Returns {'delta_ranks': {k: rank},
+    'twisted_ranks': {k: rank}, 'delta_squared_zero': True} for the tuples
+    of length k + 2, k = 0..m (length m + 3 is the truncation's edge),
+    exactly over F2; the inner-face homology vanishes in every degree while
+    the twisted homology is one-dimensional in degree 0.
     """
     if m < 2:
         raise ValueError("need at least two indices")
-    max_len = m + 3
-    tuples = {}
-    for L in range(2, max_len + 1):
-        tuples[L] = [(0,) + t for t in
-                     itertools.combinations_with_replacement(range(m), L - 1)]
-    idx = {L: {t: i for i, t in enumerate(tuples[L])} for L in tuples}
-
-    def delta_cols(L):
-        """delta: length L -> length L-1 (drop one inner vertex, F2)."""
-        cols = []
-        for t in tuples[L]:
-            col = {}
-            for l in range(1, L - 1):
-                face = t[:l] + t[l + 1:]
-                j = idx[L - 1][face]
-                col[j] = col.get(j, 0) ^ 1
-            cols.append({k: v for k, v in col.items() if v})
-        return cols
-
-    def twisted_cols(L):
-        cols = []
-        for t in tuples[L]:
-            col = {}
-            for l in range(1, L - 1):
-                face = t[:l] + t[l + 1:]
-                j = idx[L - 1][face]
-                col[j] = col.get(j, 0) ^ 1
-            trunc = t[:-1]
-            if len(trunc) >= 2:
-                j = idx[L - 1][trunc]
-                col[j] = col.get(j, 0) ^ 1
-            cols.append({k: v for k, v in col.items() if v})
-        return cols
-
-    from .linalg import rank_of_columns
-    out_delta, out_twisted = {}, {}
-    ranks_d = {L: rank_of_columns(delta_cols(L)) for L in range(3, max_len + 1)}
-    ranks_t = {L: rank_of_columns(twisted_cols(L))
-               for L in range(3, max_len + 1)}
-    # check delta^2 = 0 en route
-    for L in range(4, max_len + 1):
-        colsL = delta_cols(L)
-        colsL1 = delta_cols(L - 1)
-        for c in colsL:
-            acc = {}
-            for j, v in c.items():
-                for kk, w in colsL1[j].items():
-                    acc[kk] = acc.get(kk, 0) ^ (v & w)
-            assert not any(acc.values()), "delta^2 != 0"
-    for k in range(0, m + 1):
-        L = k + 2
-        dim = len(tuples[L])
-        rk_out = ranks_d.get(L + 1, 0) if L + 1 <= max_len else None
-        rk_in = ranks_d.get(L, 0) if L >= 3 else 0
-        if rk_out is None:
-            continue  # boundary of the truncation: skip unstable degree
-        out_delta[k] = dim - rk_in - rk_out
-        rk_out_t = ranks_t.get(L + 1, 0)
-        rk_in_t = ranks_t.get(L, 0) if L >= 3 else 0
-        out_twisted[k] = dim - rk_in_t - rk_out_t
-    return {"delta_ranks": out_delta, "twisted_ranks": out_twisted,
+    tuples = [(0,) + t for n in range(1, m + 3)
+              for t in itertools.combinations_with_replacement(range(m), n)]
+    deg = {t: -len(t) for t in tuples}
+    delta, twisted = {}, {}
+    for t in tuples:
+        faces = {}
+        for l in range(1, len(t) - 1):
+            add_scaled(faces, {t[:l] + t[l + 1:]: 1}, 1, GF2)
+        delta[t], twisted[t] = faces, dict(faces)
+        if len(t) >= 3:
+            add_scaled(twisted[t], {t[:-1]: 1}, 1, GF2)
+    ranks_d, ranks_t = (ChainComplex(tuples, deg, d).cohomology_ranks()
+                        for d in (delta, twisted))
+    return {"delta_ranks": {k: ranks_d.get(-k - 2, 0) for k in range(m + 1)},
+            "twisted_ranks": {k: ranks_t.get(-k - 2, 0)
+                              for k in range(m + 1)},
             "delta_squared_zero": True}
 
 
 # ---------------------------------------------------------------------------
 # generators and perturbation
 
-def strict_geometric_diagram(functions, target: SampledFunction,
-                             field=GF2, cells=None) -> CoherentDiagram:
+def strict_geometric_diagram(functions,
+                             target: SampledFunction) -> CoherentDiagram:
     """The sublevel diagram of a fixed target over a poset of comparison
     functions: V(f) is the grid cochain complex with action target - f and
-    the chain maps are the identity on cells (strict composition).
-
-    With cells given, every V(f) is restricted to that cell subset (an
-    open-star germ model); the subset must be closed under cofaces.
-    """
-    from .grids import sublevel_filtration
+    the chain maps are the identity on cells (strict composition)."""
     poset = FunPoset(functions)
-    complexes = []
-    for f in functions:
-        FC = sublevel_filtration(target - f, field)
-        if cells is not None:
-            keep = [c for c in FC.complex.gens if c in cells]
-            sub = FC.complex.restricted(keep)
-            FC = FilteredComplex(sub, {c: FC.action[c] for c in keep},
-                                 check=False)
-        complexes.append(FC)
-    maps = {}
-    one = field.one()
+    complexes = [sublevel_filtration(target - f) for f in functions]
     n = len(functions)
-    for i in range(n):
-        for j in range(n):
-            if i != j and poset.leq(i, j):
-                gens = complexes[j].complex.gens
-                maps[(i, j)] = {g: {g: one} for g in gens}
-    return CoherentDiagram(poset, complexes, maps, field)
+    maps = {(i, j): {g: {g: 1} for g in complexes[j].complex.gens}
+            for i in range(n) for j in range(n)
+            if i != j and poset.leq(i, j)}
+    return CoherentDiagram(poset, complexes, maps)
 
 
-def strict_synthetic_diagram(rng, n_functions=3, max_gens=10,
-                             field=GF2) -> CoherentDiagram:
+def strict_synthetic_diagram(rng, n_functions=3,
+                             max_gens=10) -> CoherentDiagram:
     """A strict chain-poset diagram on windowed versions of one random
     filtered complex, with projection continuation maps."""
-    from .grids import BoxGrid, circle_grid
     base = BoxGrid((circle_grid(4),))
     offsets = sorted(rng.uniform(0, 1.5) for _ in range(n_functions))
     functions = [SampledFunction(base, np.full(base.vertex_shape, -c))
@@ -451,23 +369,18 @@ def strict_synthetic_diagram(rng, n_functions=3, max_gens=10,
         gens.append(("e", i))
         deg[("e", i)] = rng.randint(-1, 2)
         action[("e", i)] = round(rng.uniform(0, 2), 2)
-    C = ChainComplex(gens, deg, d, field)
+    C = ChainComplex(gens, deg, d)
     poset = FunPoset(functions)
-    complexes = []
-    one = field.one()
-    for c in offsets:
-        complexes.append(FilteredComplex(
-            C, {g: action[g] + c for g in gens}, check=False))
-    maps = {}
-    for i in range(n_functions):
-        for j in range(n_functions):
-            if i != j and poset.leq(i, j):
-                maps[(i, j)] = {g: {g: one} for g in gens}
-    return CoherentDiagram(poset, complexes, maps, field)
+    complexes = [FilteredComplex(C, {g: action[g] + c for g in gens},
+                                 check=False) for c in offsets]
+    maps = {(i, j): {g: {g: 1} for g in gens}
+            for i in range(n_functions) for j in range(n_functions)
+            if i != j and poset.leq(i, j)}
+    return CoherentDiagram(poset, complexes, maps)
 
 
 def random_filtered_homotopy(rng, V_src: FilteredComplex,
-                             V_tgt: FilteredComplex, density=0.3, field=GF2):
+                             V_tgt: FilteredComplex, density=0.3):
     """A degree -1 action-non-decreasing sparse map V_src -> V_tgt."""
     H = {}
     for g in V_src.complex.gens:
@@ -475,28 +388,29 @@ def random_filtered_homotopy(rng, V_src: FilteredComplex,
             if V_tgt.complex.deg[h] == V_src.complex.deg[g] - 1 and \
                     V_tgt.action[h] >= V_src.action[g] and \
                     rng.random() < density:
-                H.setdefault(g, {})[h] = field.one()
+                H.setdefault(g, {})[h] = 1
     return H
 
 
-def perturb_coherent(diagram: CoherentDiagram, seed=0, density=0.25,
-                     attempts=8) -> CoherentDiagram:
+def perturb_coherent(diagram: CoherentDiagram, seed=0,
+                     density=0.25) -> CoherentDiagram:
     """Gauge-transform a strict diagram by random filtered homotopies.
 
     Pair maps move within their chain-homotopy class; the induced triple
     homotopies have a closed form, and longer corrections are solved
-    linearly in the filtered-map space (resampling the homotopies when a
-    draw is obstructed there).  The output passes the coherence check by
-    construction (asserted) and has unchanged rectified cohomology.
+    linearly in the filtered-map space (resampling the homotopies, up to
+    eight draws, when a draw is obstructed there).  The output passes the
+    coherence check by construction (asserted) and has unchanged rectified
+    cohomology.
     """
     last = None
-    for k in range(attempts):
+    for k in range(8):
         try:
             return _perturb_once(diagram, seed + 1000 * k, density)
         except RuntimeError as e:
             last = e
     raise RuntimeError(f"no filtered gauge transform found after "
-                       f"{attempts} draws: {last}")
+                       f"8 draws: {last}")
 
 
 def _perturb_once(diagram: CoherentDiagram, seed, density):
@@ -506,13 +420,12 @@ def _perturb_once(diagram: CoherentDiagram, seed, density):
         raise ValueError("perturbation needs a coherent input")
     poset = diagram.poset
     n = len(poset)
-    F = diagram.field
     homos = {}
     for i in range(n):
         for j in range(n):
             if i != j and poset.leq(i, j):
                 homos[(i, j)] = random_filtered_homotopy(
-                    rng, diagram.V[j], diagram.V[i], density, F)
+                    rng, diagram.V[j], diagram.V[i], density)
     new_maps = {}
     pair_keys = [c for c in diagram.maps if len(c) == 2]
     for (i, j) in pair_keys:
@@ -525,7 +438,6 @@ def _perturb_once(diagram: CoherentDiagram, seed, density):
     triple_keys = sorted({(i, k2, j)
                           for (i, k2) in pair_keys for (kk, j) in pair_keys
                           if kk == k2 and (i, j) in pair_keys})
-    out = CoherentDiagram(poset, diagram.V, new_maps, F)
     for (i, k2, j) in triple_keys:
         T_ik = diagram.chunk_map((i, k2))
         T_kj = diagram.chunk_map((k2, j))
@@ -541,7 +453,7 @@ def _perturb_once(diagram: CoherentDiagram, seed, density):
             diagram.compose(diagram.compose(H_ik, H_kj),
                             diagram.V[j].complex.d))
         new_maps[(i, k2, j)] = X
-    out = CoherentDiagram(poset, diagram.V, new_maps, F)
+    out = CoherentDiagram(poset, diagram.V, new_maps)
     # longer chains: solve the coherence identity in the filtered-map space
     all_chains = sorted({c for i in range(n)
                          for c in poset.chains_from(i) if len(c) >= 4},
@@ -555,15 +467,19 @@ def _perturb_once(diagram: CoherentDiagram, seed, density):
             raise RuntimeError(f"no filtered correction for {chain}; "
                                f"resample the homotopies")
         new_maps[tuple(chain)] = X
-        out = CoherentDiagram(poset, out.V, new_maps, F)
+        out = CoherentDiagram(poset, out.V, new_maps)
     ok, report = check_coherence(out)
     assert ok, f"perturbation failed coherence: {report}"
     return out
 
 
 def _solve_homotopy(diagram: CoherentDiagram, chain, residual):
-    """Solve d X + X d = residual among filtered maps of the right degree."""
-    F = diagram.field
+    """Solve d X + X d = residual among filtered maps of the right degree.
+
+    The unknowns are the entries X[g] = h; their rows are numbered in the
+    order the columns first meet them, so the reduction's choice among the
+    solutions is fixed by the order of the unknowns and of the two
+    differentials."""
     V_src = diagram.V[chain[-1]]
     V_tgt = diagram.V[chain[0]]
     degree = 2 - len(chain)
@@ -573,6 +489,11 @@ def _solve_homotopy(diagram: CoherentDiagram, chain, residual):
             if V_tgt.complex.deg[h] == V_src.complex.deg[g] + degree and \
                     V_tgt.action[h] >= V_src.action[g] - 1e-12:
                 unknowns.append((g, h))
+    # the transposed source differential, in the insertion order of d
+    faces = {}
+    for g0, cb in V_src.complex.d.items():
+        for g in cb:
+            faces.setdefault(g, []).append(g0)
     rows = {}
 
     def row_index(g, h):
@@ -580,121 +501,81 @@ def _solve_homotopy(diagram: CoherentDiagram, chain, residual):
 
     cols = []
     for (g, h) in unknowns:
-        col = {}
-        # d o X contribution: X[g] = h adds d(h) at source g
-        for h2, v in V_tgt.complex.d.get(h, {}).items():
-            col[row_index(g, h2)] = v
-        # X o d contribution: for every g0 with g in d(g0)
-        for g0, cb in V_src.complex.d.items():
-            if g in cb:
-                r = row_index(g0, h)
-                col[r] = F.add(col.get(r, F.zero()), cb[g])
-        cols.append({k: v for k, v in col.items() if v != F.zero()})
-    target = {}
-    for g, c in residual.items():
-        for h, v in c.items():
-            target[row_index(g, h)] = v
-    [sol] = solve_columns(cols, [target], F)
+        # d o X: X[g] = h adds d(h) at source g; X o d: adds h at every g0
+        # with g in d(g0).  The two row sets are disjoint (g0 != g).
+        col = {row_index(g, h2): 1 for h2 in V_tgt.complex.d.get(h, {})}
+        for g0 in faces.get(g, ()):
+            col[row_index(g0, h)] = 1
+        cols.append(col)
+    target = {row_index(g, h): 1 for g, c in residual.items() for h in c}
+    [sol] = solve_columns(cols, [target])
     if sol is None:
         return None
     X = {}
     for coeff, (g, h) in zip(sol, unknowns):
-        if coeff != F.zero():
-            X.setdefault(g, {})[h] = coeff
+        if coeff:
+            X.setdefault(g, {})[h] = 1
     return X
 
 
 # ---------------------------------------------------------------------------
 # spectral shadow and the mirrored variant
 
-def e2_page(diagram: CoherentDiagram, i, lam=INF):
+def e2_page(diagram: CoherentDiagram, i):
     """Ranks of the two-step page of the chain-length filtration: the
     internal-differential cohomology per chain length, then the induced
     length-lowering differential.  Returns {(p, total degree): rank}."""
-    R = RectifiedComplex(diagram, i, lam)
-    return _e2_direct(R, diagram.field)
+    return _e2_direct(RectifiedComplex(diagram, i))
 
 
-def _e2_direct(R: RectifiedComplex, F):
-    """E2 of the chain-length filtration, computed per (p, total degree)."""
+def _e2_direct(R: RectifiedComplex):
+    """E2 of the chain-length filtration, computed per (p, total degree).
+
+    Page p is the subquotient on the chains of length p + 2; d1 sends a
+    basis cocycle of page p to the length p + 1 part of its D, read in the
+    cohomology basis of page p - 1."""
     by_p = {}
-    for gkey in R.complex.gens:
-        by_p.setdefault(len(gkey[0]) - 2, []).append(gkey)
-    pages = {}
-    for p, gens in by_p.items():
-        genset = set(gens)
-        sub_d = {g: {k: v for k, v in R.complex.d.get(g, {}).items()
-                     if k in genset} for g in gens}
-        sub_d = {g: cb for g, cb in sub_d.items() if cb}
-        C0 = ChainComplex(gens, {g: R.complex.deg[g] for g in gens}, sub_d,
-                          F, check=False)
-        pages[p] = (C0, cohomology_basis(C0))
-    from .complexes import class_coordinates
-    from .linalg import rank_of_columns
+    for key in R.complex.gens:
+        by_p.setdefault(len(key[0]) - 2, []).append(key)
+    pages = {p: R.complex.restricted(gens) for p, gens in by_p.items()}
+    bases = {p: cohomology_basis(C) for p, C in pages.items()}
+    d1 = {}  # (p, q) -> coordinates of d1 of the page-p classes of degree q
+    for p, basis in bases.items():
+        imgs = [{k: v for k, v in apply_d(R.complex, vec).items()
+                 if len(k[0]) == p + 1} for _q, vec in basis]
+        if p - 1 in pages:
+            coords = class_coordinates(pages[p - 1],
+                                       [vec for _q, vec in bases[p - 1]],
+                                       imgs)
+            assert None not in coords
+        else:
+            assert not any(imgs)
+            coords = [[] for _ in imgs]
+        for (q, _vec), c in zip(basis, coords):
+            d1.setdefault((p, q), []).append(
+                {r: v for r, v in enumerate(c) if v})
     e2 = {}
-    for p, (C0, basis) in pages.items():
-        # d1 out of p
-        def d1_cols(p_from, basis_from, page_to):
-            imgs = []
-            for (q, vec) in basis_from:
-                img = {}
-                for gkey, v in vec.items():
-                    for k2, w in R.complex.d.get(gkey, {}).items():
-                        if len(k2[0]) - 2 == p_from - 1:
-                            img[k2] = F.add(img.get(k2, F.zero()),
-                                            F.mul(v, w))
-                imgs.append({k: v for k, v in img.items() if v != F.zero()})
-            if page_to is None:
-                assert not any(imgs)
-                return [(q, {}) for (q, _vec) in basis_from]
-            C_low, basis_low = page_to
-            all_coords = class_coordinates(
-                C_low, [b for _, b in basis_low], imgs)
-            assert None not in all_coords
-            return [(q, {r: c for r, c in enumerate(coords)
-                         if c != F.zero()})
-                    for (q, _vec), coords in zip(basis_from, all_coords)]
-        out_cols = d1_cols(p, basis, pages.get(p - 1))
-        in_cols = []
-        upper = pages.get(p + 1)
-        if upper is not None:
-            in_cols = d1_cols(p + 1, upper[1], pages.get(p))
-        degs = {}
-        for (q, _vec) in basis:
-            degs[q] = degs.get(q, 0) + 1
-        for q in degs:
-            outs = [c for (qq, c) in out_cols if qq == q]
-            rk_out = rank_of_columns(outs, F) if outs else 0
-            # incoming d1 lands in our (p, q) coordinates: collect columns
-            ins = []
-            if upper is not None:
-                # d1 raises total degree by one: sources of degree q - 1
-                for (qq, col) in in_cols:
-                    if qq == q - 1:
-                        ins.append(col)
-            rk_in = rank_of_columns(ins, F) if ins else 0
-            r = degs[q] - rk_out - rk_in
-            if r:
-                e2[(p, q)] = r
+    for (p, q), cols in d1.items():
+        # d1 raises the total degree by one: into (p, q) from (p + 1, q - 1)
+        r = len(cols) - rank_of_columns(cols) - \
+            rank_of_columns(d1.get((p + 1, q - 1), []))
+        if r:
+            e2[(p, q)] = r
     return e2
-
-
-class ScheduleError(RuntimeError):
-    def __init__(self, msg, last_tables):
-        super().__init__(msg)
-        self.last_tables = last_tables
 
 
 class LimitSheaf:
     """The conormal-limit sheaf of a graph brane, evaluated lazily.
 
     A section query over a region runs the decreasing clamp schedule of that
-    region, rectifies each rung's sublevel diagram over the clamp chain, and
-    returns the first stabilized windowed rank table (two consecutive rungs
-    equal); non-stabilizing schedules raise a ScheduleError carrying the
-    last two tables.  Every returned number is computed through the twisting
-    differential, so route-independence tests against the direct
-    quantization have genuine content.
+    region: each rung's sublevel diagram over the clamp chain is rectified
+    once, without truncation, and the barcode of that rectified complex
+    answers every window of the region.  The first windowed rank table equal
+    to the previous rung's is returned; a schedule that does not stabilize
+    raises StabilizationError carrying the last two tables.  Every returned
+    number is computed through the twisting differential, so
+    route-independence tests against the direct quantization have genuine
+    content.
     """
 
     def __init__(self, target: SampledFunction, ks=(1, 2, 3, 4)):
@@ -704,44 +585,38 @@ class LimitSheaf:
         self.ks = tuple(ks)
         lo, hi = target.range()
         self.span = (hi - lo) + 1.0
-        self._cache = {}
+        self._barcodes = {}  # (region membership bytes, rung) -> Barcode
 
     def breakpoints(self):
         cm = self.target.cell_max()
         return tuple(sorted({round(float(v), 9) for v in cm.ravel()}))
 
     def sections(self, region, a, b):
-        from .floer import clamp_schedule
-        from .grids import BaseRegion
         grid = self.target.grid
         region = region if region is not None else BaseRegion(grid)
-        key = (region.membership.tobytes(), a, b)
-        if key in self._cache:
-            return self._cache[key]
-        clamps = clamp_schedule(BaseRegion(grid, region.membership),
-                                self.span, self.ks)
         if a == -INF:
             a = float(self.target.values.min()) - 2 * self.span
-        prev = None
-        tables = []
-        for rung in range(len(self.ks)):
-            functions = list(reversed(clamps[: rung + 1]))
-            diagram = strict_geometric_diagram(functions, self.target)
-            lam = (float(self.target.values.max()) + 0.5 if b == INF else b)
-            R = RectifiedComplex(diagram, 0, lam=lam)
-            table = cohomology_ranks(R.filtered.window(a, lam))
-            tables.append(table)
-            if prev is not None and table == prev:
-                self._cache[key] = table
-                return table
-            prev = table
-        raise ScheduleError("clamp schedule did not stabilize by "
-                            f"k={self.ks[-1]}", tuple(tables[-2:]))
+        lam = float(self.target.values.max()) + 0.5 if b == INF else b
+        if not a < lam:
+            raise ValueError("window requires a < b")
+        tables = (self._barcode(region.membership, rung).window_ranks(a, lam)
+                  for rung in range(len(self.ks)))
+        return stabilize(tables, self.ks)[0]
+
+    def _barcode(self, membership, rung):
+        """The barcode of the rectified complex of one rung over a region."""
+        key = (membership.tobytes(), rung)
+        if key not in self._barcodes:
+            clamps = clamp_schedule(BaseRegion(self.target.grid, membership),
+                                    self.span, self.ks[: rung + 1])
+            diagram = strict_geometric_diagram(clamps[::-1], self.target)
+            self._barcodes[key] = \
+                RectifiedComplex(diagram, 0).filtered.barcode()
+        return self._barcodes[key]
 
 
 def sheafify_limit(L, ks=(1, 2, 3, 4)):
     """The lazily-evaluated conormal-limit sheaf of a graph brane."""
-    from .floer import GraphBrane
     from .sheaves import TameSheaf
     if isinstance(L, GraphBrane):
         target = L.f
@@ -774,7 +649,7 @@ def serialize_diagram(diagram: CoherentDiagram):
     return "\n".join(lines) + "\n"
 
 
-def deserialize_diagram(text, field=GF2) -> CoherentDiagram:
+def deserialize_diagram(text) -> CoherentDiagram:
     import ast
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "diagram v1":
@@ -802,7 +677,7 @@ def deserialize_diagram(text, field=GF2) -> CoherentDiagram:
             left, rest = body.split(" -> ")
             right, coeff = rest.rsplit(" * ", 1)
             g, h = ast.literal_eval(left), ast.literal_eval(right)
-            cur_obj["d"].setdefault(g, {})[h] = field.coerce(
+            cur_obj["d"].setdefault(g, {})[h] = GF2.coerce(
                 ast.literal_eval(coeff))
         elif s.startswith("chain "):
             cur_chain = tuple(ast.literal_eval(s[6:]))
@@ -812,20 +687,19 @@ def deserialize_diagram(text, field=GF2) -> CoherentDiagram:
             left, rest = body.split(" -> ")
             right, coeff = rest.rsplit(" * ", 1)
             g, h = ast.literal_eval(left), ast.literal_eval(right)
-            maps[cur_chain].setdefault(g, {})[h] = field.coerce(
+            maps[cur_chain].setdefault(g, {})[h] = GF2.coerce(
                 ast.literal_eval(coeff))
         else:
             raise ValueError(f"bad line in diagram fixture: {s!r}")
     # rebuild a constant-function poset skeleton ordered by object index
-    from .grids import BoxGrid, circle_grid
     base = BoxGrid((circle_grid(4),))
     funs = [SampledFunction(base, np.full(base.vertex_shape, -float(i)))
             for i in reversed(range(len(objects)))]
     complexes = []
     for ob in objects:
-        C = ChainComplex(ob["gens"], ob["deg"], ob["d"], field, check=False)
+        C = ChainComplex(ob["gens"], ob["deg"], ob["d"], check=False)
         complexes.append(FilteredComplex(C, ob["action"], check=False))
-    return CoherentDiagram(FunPoset(funs), complexes, maps, field)
+    return CoherentDiagram(FunPoset(funs), complexes, maps)
 
 
 def e2_csv_rows(e2):
@@ -835,13 +709,11 @@ def e2_csv_rows(e2):
     return rows
 
 
-def mirrored_rectified(diagram: CoherentDiagram, i, lam=INF):
+def mirrored_rectified(diagram: CoherentDiagram, i):
     """The homological variant on decreasing chains: rectify the opposite
     diagram (dual complexes, reversed order, transposed maps)."""
     from .complexes import dual_complex
-    poset = diagram.poset
-    n = len(poset)
-    rev = FunPoset([-f for f in poset.functions])
+    rev = FunPoset([-f for f in diagram.poset.functions])
     duals = []
     for V in diagram.V:
         D = dual_complex(V.complex)
@@ -855,5 +727,5 @@ def mirrored_rectified(diagram: CoherentDiagram, i, lam=INF):
             for h, v in c.items():
                 out.setdefault(("dual", h), {})[("dual", g)] = v
         maps[rchain] = out
-    mirror = CoherentDiagram(rev, duals, maps, diagram.field)
-    return RectifiedComplex(mirror, i, lam if lam == INF else INF)
+    mirror = CoherentDiagram(rev, duals, maps)
+    return RectifiedComplex(mirror, i)

@@ -165,13 +165,11 @@ def check_grid_scale(value):
 
 class ScenarioContext:
     def __init__(self, spec, seed=None, field="f2", grid_scale=1.0):
-        self.spec = spec
         meta = spec.get("scenario", {})
         self.name = meta.get("name", "scenario")
         self.seed = int(seed if seed is not None else meta.get("seed", 0))
         self.field = FIELDS[meta.get("field", field)]
         self.grid_scale = check_grid_scale(meta.get("grid_scale", grid_scale))
-        self.rng = random.Random(self.seed)
         self.functions = {}
         self.genfuns = {}
         self.regions = {}

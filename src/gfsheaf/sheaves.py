@@ -171,7 +171,7 @@ class CellSheaf:
     """
 
     def __init__(self, base: BoxGrid, taxis: TAxis, stalk_fn, shift=0,
-                 label="cell", plus_ranks=None, field=GF2, indicator=None):
+                 label="cell", field=GF2, indicator=None):
         if base.fiber:
             raise ValueError("cellular sheaves live over a base-only grid")
         self.base = base
@@ -179,7 +179,6 @@ class CellSheaf:
         self._stalk_fn = stalk_fn
         self.shift = shift
         self.label = label
-        self.plus_ranks = dict(plus_ranks or {})
         self.field = field
         self.indicator = indicator  # ('region', mask, t0) | ('graph', f) | None
         self._cache = {}
@@ -411,8 +410,7 @@ def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
     ind = ("region", None if mask is None else np.array(mask, copy=True), t0)
     return TameSheaf("cell",
                      cell=CellSheaf(base, taxis, stalk_fn, shift=0,
-                                    label=label or "unit",
-                                    plus_ranks={0: 1}, indicator=ind),
+                                    label=label or "unit", indicator=ind),
                      label=label or f"k_[{t0},oo)")
 
 
@@ -462,17 +460,10 @@ def to_cellular(F: TameSheaf, max_cells=250_000, spot_checks=20,
 
     ind = ("graph", gf.S) if gf.k == 0 else None
     cell = CellSheaf(base, TAxis(breaks), stalk_fn, shift=gf.i_q,
-                     label=f"cellular({F.label})",
-                     plus_ranks=_plus_ranks_of_base(base), indicator=ind)
+                     label=f"cellular({F.label})", indicator=ind)
     out = TameSheaf("cell", cell=cell, label=cell.label)
     _spot_check_cellular(F, out, spot_checks, rng)
     return out
-
-
-def _plus_ranks_of_base(base: BoxGrid):
-    from .grids import empty_set, full_set, relative_cochain_complex
-    C = relative_cochain_complex(full_set(base), empty_set(base))
-    return C.cohomology_ranks()
 
 
 def _spot_check_cellular(F_gf: TameSheaf, F_cell: TameSheaf, n, rng):
@@ -755,8 +746,7 @@ def materialize_rank_one_tensor(CA: CellSheaf, CB: CellSheaf) -> CellSheaf:
 
     return CellSheaf(CA.base, TAxis(tuple(breaks)), stalk_fn,
                      shift=CA.shift + CB.shift,
-                     label=f"({CA.label})(x)({CB.label})",
-                     plus_ranks={})
+                     label=f"({CA.label})(x)({CB.label})")
 
 
 def product_section_complex(CA: CellSheaf, CB: CellSheaf, diagonal,

@@ -11,8 +11,8 @@ from gfsheaf.floer import (FloerDatum, GraphBrane, StabilizationError,
                            SuperlevelHome, clamp_schedule, continuation_map,
                            duality_bridge_ranks, floer_complex, floer_data,
                            floer_ranks, pant_product,
-                           restrict_classes, unit_class, conormal_limit_ranks,
-                           zero_brane)
+                           restrict_classes, stabilize, unit_class,
+                           conormal_limit_ranks, zero_brane)
 from gfsheaf.genfun import GenFun, gf_cohomology, graph_genfun, ominus
 from gfsheaf.grids import BaseRegion, sublevel_filtration
 from gfsheaf.linalg import GF2
@@ -109,6 +109,39 @@ def test_conormal_limit_stabilization_failure_reported():
     with pytest.raises(StabilizationError) as err:
         conormal_limit_ranks(region, GraphBrane(f), -2.123, 2.117, ks=(4,))
     assert err.value.last_tables is not None
+
+
+def test_stabilization_reads_no_table_past_the_stable_one():
+    pulled = []
+
+    def tables():
+        for table in ({0: 1}, {0: 2}, {0: 2}, {0: 3}):
+            pulled.append(table)
+            yield table
+
+    ranks, cert = stabilize(tables(), (1, 2, 3, 4))
+    assert ranks == {0: 2} and len(pulled) == 3
+    assert cert.k_values == (1, 2, 3) and cert.stabilized_at == 3
+    assert cert.tables == ("{0: 1}", "{0: 2}", "{0: 2}")
+    with pytest.raises(StabilizationError) as err:
+        stabilize(iter([{0: 1}, {0: 2}, {1: 1}]), (1, 2, 3))
+    assert err.value.last_tables == ({0: 2}, {1: 1})
+
+
+def test_conormal_limit_stops_at_the_stable_clamp(monkeypatch):
+    import gfsheaf.floer as floer
+    built = []
+    real = floer.sublevel_filtration
+
+    def counted(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(floer, "sublevel_filtration", counted)
+    f = random_circle_morse(random.Random(3), n=24)
+    region = BaseRegion.interval_arc(f.grid, 3, 11)
+    ranks, cert = conormal_limit_ranks(region, GraphBrane(f), -2.17, 2.31)
+    assert len(built) == len(cert.k_values) < 5
 
 
 def test_superlevel_home_ranks_circle():

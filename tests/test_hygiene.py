@@ -2,6 +2,7 @@
 every module-level private name is used somewhere in the package."""
 
 import ast
+import builtins
 import functools
 from pathlib import Path
 
@@ -141,3 +142,72 @@ def test_no_dead_private_names(path):
                   if name not in elsewhere
                   and name not in referenced_names(tree, skip=node))
     assert dead == []
+
+
+def exception_classes(trees):
+    """Names of the package's exception classes: their bases reach a
+    built-in exception, directly or through another package class."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    found = set()
+
+    def is_exception(name):
+        if name in found:
+            return True
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return True
+        if any(is_exception(b) for b in bases.get(name, ())):
+            found.add(name)
+            return True
+        return False
+
+    return {name for name in bases if is_exception(name)}
+
+
+def write_only_attributes(trees):
+    """(class, attribute) for every attribute a method assigns on self that
+    no code of the package loads by name.  A getattr by string does not
+    count; the fields of an exception class are for its callers."""
+    trees = list(trees)
+    skip = exception_classes(trees)
+    loaded, stored = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    not isinstance(node.ctx, ast.Store):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and \
+                    isinstance(node.target, ast.Attribute):
+                loaded.add(node.target.attr)
+            if isinstance(node, ast.ClassDef) and node.name not in skip:
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) and \
+                            isinstance(sub.ctx, ast.Store) and \
+                            isinstance(sub.value, ast.Name) and \
+                            sub.value.id == "self":
+                        stored.add((node.name, sub.attr))
+    return sorted((cls, attr) for cls, attr in stored if attr not in loaded)
+
+
+def test_no_write_only_attributes():
+    assert write_only_attributes(package_trees().values()) == []
+
+
+def test_write_only_attribute_found():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.kept = 1\n"
+        "        self.dropped = 2\n"
+        "        self.counted = 0\n"
+        "        self.counted += 1\n"
+        "    def get(self):\n"
+        "        return getattr(self, 'dropped'), self.kept\n"
+        "class Oops(ValueError):\n"
+        "    pass\n"
+        "class Failure(Oops):\n"
+        "    def __init__(self, detail):\n"
+        "        self.detail = detail\n")
+    assert write_only_attributes([tree]) == [("A", "dropped")]

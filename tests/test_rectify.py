@@ -1,18 +1,23 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from gfsheaf.complexes import cohomology_ranks, is_quasi_iso
+from gfsheaf.complexes import (ChainComplex, class_coordinates,
+                               cohomology_basis, cohomology_ranks,
+                               is_quasi_iso)
 from gfsheaf.fixtures import circle_function, random_circle_morse
-from gfsheaf.grids import sublevel_filtration
+from gfsheaf.floer import StabilizationError, clamp_schedule
+from gfsheaf.grids import BaseRegion, sublevel_filtration
+from gfsheaf.linalg import GF2, QQ, rank_of_columns
 from gfsheaf.rectify import (CoherentDiagram, FunPoset, RectifiedComplex,
-                             index_complex_homology, check_coherence,
-                             coherence_residual, differential_D, e2_page,
-                             mirrored_rectified, perturb_coherent,
-                             rectify_at, restriction_map,
-                             strict_geometric_diagram,
+                             _e2_direct, index_complex_homology,
+                             check_coherence, coherence_residual,
+                             differential_D, e2_page, mirrored_rectified,
+                             perturb_coherent, rectify_at, restriction_map,
+                             sheafify_limit, strict_geometric_diagram,
                              strict_synthetic_diagram)
 
 INF = math.inf
@@ -167,21 +172,31 @@ def test_perturb_coherent_properties():
         assert before == after, i
 
 
-def test_perturbed_strict_diagrams_stay_coherent():
-    # the diagrams of the rectify-check task at its seeds 0-299, six each:
-    # the closed-form triple homotopy must carry H_ik H_kj d_j, without
-    # which program seeds 7, 10, 27 and 287 failed the coherence check
-    failures = []
+@pytest.fixture(scope="module")
+def rectify_check_draws():
+    """The diagrams of the rectify-check task at its seeds 0-299, six each:
+    (seed, instance, strict diagram, perturbed diagram)."""
+    draws = []
     for seed in range(300):
         rng = random.Random(seed)
         for i in range(6):
             diagram = strict_synthetic_diagram(
                 rng, n_functions=rng.choice([2, 3]),
                 max_gens=rng.randint(6, 10))
-            perturbed = perturb_coherent(diagram, seed=seed + i, density=0.3)
-            ok, report = check_coherence(perturbed)
-            if not ok:
-                failures.append((seed, i, report))
+            draws.append((seed, i, diagram,
+                          perturb_coherent(diagram, seed=seed + i,
+                                           density=0.3)))
+    return draws
+
+
+def test_perturbed_strict_diagrams_stay_coherent(rectify_check_draws):
+    # the closed-form triple homotopy must carry H_ik H_kj d_j, without
+    # which program seeds 7, 10, 27 and 287 failed the coherence check
+    failures = []
+    for seed, i, _strict, perturbed in rectify_check_draws:
+        ok, report = check_coherence(perturbed)
+        if not ok:
+            failures.append((seed, i, report))
     assert not failures
 
 
@@ -216,7 +231,7 @@ def test_e2_page_strict():
 def test_sheafify_limit_three_routes():
     from gfsheaf.genfun import graph_genfun
     from gfsheaf.grids import BaseRegion, sublevel_filtration
-    from gfsheaf.rectify import ScheduleError, sheafify_limit
+    from gfsheaf.rectify import sheafify_limit
     from gfsheaf.sheaves import quantize, sections
     rng = random.Random(101)
     g = random_circle_morse(rng, n=8)
@@ -241,13 +256,14 @@ def test_sheafify_limit_three_routes():
 
 def test_sheafify_limit_non_stabilizing_schedule():
     from gfsheaf.grids import BaseRegion
-    from gfsheaf.rectify import ScheduleError, sheafify_limit
+    from gfsheaf.floer import StabilizationError
+    from gfsheaf.rectify import sheafify_limit
     from gfsheaf.sheaves import sections
     rng = random.Random(103)
     g = random_circle_morse(rng, n=8)
     Sh = sheafify_limit(g, ks=(0.001,))
     reg = BaseRegion.from_cells(g.grid, [(0,)])
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(StabilizationError) as err:
         sections(Sh, reg, -4.0, 4.0)
     assert err.value.last_tables is not None
 
@@ -277,3 +293,173 @@ def test_diagram_serialization_roundtrip():
     for i in range(3):
         assert RectifiedComplex(back, i).cohomology_ranks() == \
             RectifiedComplex(diagram, i).cohomology_ranks()
+
+
+def test_diagrams_run_over_f2_only():
+    target = random_circle_morse(random.Random(0), n=8)
+    with pytest.raises(ValueError, match="F2"):
+        CoherentDiagram(FunPoset([target]), [sublevel_filtration(target, QQ)],
+                        {})
+
+
+def reference_index_complex_homology(m):
+    """The hand-built coboundary columns that index_complex_homology
+    replaced, kept as the reference: ranks per tuple length by
+    rank_of_columns, and a delta^2 loop of its own."""
+    max_len = m + 3
+    tuples = {}
+    for L in range(2, max_len + 1):
+        tuples[L] = [(0,) + t for t in
+                     itertools.combinations_with_replacement(range(m), L - 1)]
+    idx = {L: {t: i for i, t in enumerate(tuples[L])} for L in tuples}
+
+    def cols(L, twisted):
+        out = []
+        for t in tuples[L]:
+            col = {}
+            for l in range(1, L - 1):
+                j = idx[L - 1][t[:l] + t[l + 1:]]
+                col[j] = col.get(j, 0) ^ 1
+            if twisted and len(t) >= 3:
+                j = idx[L - 1][t[:-1]]
+                col[j] = col.get(j, 0) ^ 1
+            out.append({k: v for k, v in col.items() if v})
+        return out
+
+    ranks_d = {L: rank_of_columns(cols(L, False))
+               for L in range(3, max_len + 1)}
+    ranks_t = {L: rank_of_columns(cols(L, True))
+               for L in range(3, max_len + 1)}
+    for L in range(4, max_len + 1):
+        lower = cols(L - 1, False)
+        for c in cols(L, False):
+            acc = {}
+            for j in c:
+                for kk in lower[j]:
+                    acc[kk] = acc.get(kk, 0) ^ 1
+            assert not any(acc.values()), "delta^2 != 0"
+    out_delta, out_twisted = {}, {}
+    for k in range(0, m + 1):
+        L = k + 2
+        dim = len(tuples[L])
+        out_delta[k] = dim - ranks_d.get(L, 0) - ranks_d.get(L + 1, 0)
+        out_twisted[k] = dim - ranks_t.get(L, 0) - ranks_t.get(L + 1, 0)
+    return {"delta_ranks": out_delta, "twisted_ranks": out_twisted,
+            "delta_squared_zero": True}
+
+
+def test_index_complex_matches_the_hand_built_columns():
+    for m in range(2, 8):
+        # equal dicts in equal key order, zero ranks included
+        assert repr(index_complex_homology(m)) == \
+            repr(reference_index_complex_homology(m)), m
+
+
+def reference_e2(R):
+    """The per-page loop that _e2_direct replaced, kept as the reference:
+    pages restricted by hand, every d1 computed twice (out of its page and
+    into the page below) and ranked per (p, q)."""
+    by_p = {}
+    for gkey in R.complex.gens:
+        by_p.setdefault(len(gkey[0]) - 2, []).append(gkey)
+    pages = {}
+    for p, gens in by_p.items():
+        genset = set(gens)
+        sub_d = {g: {k: v for k, v in R.complex.d.get(g, {}).items()
+                     if k in genset} for g in gens}
+        C0 = ChainComplex(gens, {g: R.complex.deg[g] for g in gens},
+                          {g: cb for g, cb in sub_d.items() if cb}, GF2,
+                          check=False)
+        pages[p] = (C0, cohomology_basis(C0))
+
+    def d1_cols(p_from, basis_from, page_to):
+        imgs = []
+        for (_q, vec) in basis_from:
+            img = {}
+            for gkey in vec:
+                for k2 in R.complex.d.get(gkey, {}):
+                    if len(k2[0]) - 2 == p_from - 1:
+                        img[k2] = img.get(k2, 0) ^ 1
+            imgs.append({k: v for k, v in img.items() if v})
+        if page_to is None:
+            assert not any(imgs)
+            return [(q, {}) for (q, _vec) in basis_from]
+        C_low, basis_low = page_to
+        coords = class_coordinates(C_low, [b for _, b in basis_low], imgs)
+        assert None not in coords
+        return [(q, {r: c for r, c in enumerate(cs) if c})
+                for (q, _vec), cs in zip(basis_from, coords)]
+
+    e2 = {}
+    for p, (C0, basis) in pages.items():
+        out_cols = d1_cols(p, basis, pages.get(p - 1))
+        upper = pages.get(p + 1)
+        in_cols = [] if upper is None else d1_cols(p + 1, upper[1], pages[p])
+        degs = {}
+        for (q, _vec) in basis:
+            degs[q] = degs.get(q, 0) + 1
+        for q in degs:
+            rk_out = rank_of_columns([c for (qq, c) in out_cols if qq == q])
+            rk_in = rank_of_columns([c for (qq, c) in in_cols
+                                     if qq == q - 1])
+            r = degs[q] - rk_out - rk_in
+            if r:
+                e2[(p, q)] = r
+    return e2
+
+
+def test_e2_matches_the_per_page_reference(rectify_check_draws):
+    # every start of the strict and the perturbed rectify-check diagrams
+    for seed, i, strict, perturbed in rectify_check_draws:
+        for diagram in (strict, perturbed):
+            for start in range(len(diagram.poset)):
+                R = RectifiedComplex(diagram, start)
+                # equal pages in equal key order
+                assert repr(_e2_direct(R)) == repr(reference_e2(R)), \
+                    (seed, i, start)
+
+
+def reference_limit_sections(limit, region, a, b):
+    """The per-window loop that LimitSheaf.sections replaced, kept as the
+    reference: one rectified complex per (window, rung), truncated at the
+    top of the window.  None when the schedule does not stabilize."""
+    grid = limit.target.grid
+    region = region if region is not None else BaseRegion(grid)
+    clamps = clamp_schedule(BaseRegion(grid, region.membership), limit.span,
+                            limit.ks)
+    if a == -INF:
+        a = float(limit.target.values.min()) - 2 * limit.span
+    lam = float(limit.target.values.max()) + 0.5 if b == INF else b
+    prev = None
+    for rung in range(len(limit.ks)):
+        diagram = strict_geometric_diagram(
+            list(reversed(clamps[: rung + 1])), limit.target)
+        R = RectifiedComplex(diagram, 0, lam=lam)
+        table = cohomology_ranks(R.filtered.window(a, lam))
+        if table == prev:
+            return table
+        prev = table
+    return None
+
+
+def test_limit_sections_match_the_per_window_reference():
+    from gfsheaf.sheaves import sections
+    rng = random.Random(211)
+    checked = 0
+    for _ in range(16):
+        g = random_circle_morse(rng, n=8)
+        Sh = sheafify_limit(g)
+        vals = sublevel_filtration(g).barcode().breakpoints()
+        cuts = [vals[0] - 0.4] + [(x + y) / 2 for x, y in
+                                  zip(vals, vals[1:])] + [vals[-1] + 0.4]
+        ends = [-INF] + cuts + [INF]
+        lo = rng.randrange(12)
+        regions = [None, BaseRegion.interval_arc(g.grid, lo, lo + 4),
+                   BaseRegion.from_cells(g.grid, [(rng.randrange(16),)])]
+        for region in regions:
+            for a, b in itertools.combinations(ends, 2):
+                want = reference_limit_sections(Sh.limit, region, a, b)
+                assert want is not None
+                assert sections(Sh, region, a, b) == want, (region, a, b)
+                checked += 1
+    assert checked > 700

@@ -654,6 +654,23 @@ def test_section_barcode_is_built_once_per_region():
     assert section_barcode(F) is not section_barcode(F, region)
 
 
+def test_to_cellular_builds_no_relative_complex(monkeypatch):
+    # the presentation needs no cohomology of the whole base
+    from gfsheaf import genfun, grids
+    calls = []
+    real = grids.relative_cochain_complex
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grids, "relative_cochain_complex", counted)
+    monkeypatch.setattr(genfun, "relative_cochain_complex", counted)
+    f = random_circle_morse(random.Random(5), n=8)
+    to_cellular(quantize(graph_genfun(f)), spot_checks=0)
+    assert calls == []
+
+
 def test_a_limit_sheaf_has_no_cellular_form():
     from gfsheaf.rectify import sheafify_limit
     from gfsheaf.sheaves import _as_cellsheaf, section_barcode
