@@ -6,13 +6,19 @@ Conventions fixed once for the whole package:
     filtration value; ties are broken by generator order;
   * windows [a, b) keep generators with a <= action < b and carry the induced
     subquotient differential.
+
+A complex is held in one of two forms: ChainComplex, keyed by hashable
+generators, for callers that read generators; and IndexComplex, on the
+generator ids 0..n-1 as integer arrays, for the large section complexes,
+which are checked and reduced without a per-generator dict.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .linalg import GF2, Reducer, add_scaled, kernel_of_columns, solve_columns
 
@@ -27,18 +33,13 @@ class ChainComplex:
     d:    dict id -> {id: scalar}, raising degree by exactly 1.  The inner
           dicts are taken over, not copied (empty ones are dropped): the
           caller must not change them afterwards.
-    matching: None, or a dict lower -> upper of generator pairs that the
-          builder knows to form an acyclic matching, listed in a gradient
-          order (FilteredComplex.barcode checks both); carried for the
-          barcode, not used by the complex.
     """
 
-    def __init__(self, gens, deg, d, field=GF2, check=True, matching=None):
+    def __init__(self, gens, deg, d, field=GF2, check=True):
         self.gens = tuple(gens)
         self.deg = dict(deg)
         self.field = field
         self.d = {g: cb for g, cb in d.items() if cb}
-        self.matching = matching
         self._index = {g: i for i, g in enumerate(self.gens)}
         if check:
             self._check()
@@ -236,114 +237,292 @@ class FilteredComplex:
                                check=False)
 
     def barcode(self, matching=None):
-        """Interval decomposition of the filtered cohomology.
+        """Interval decomposition of the filtered cohomology, by the column
+        reduction with clearing of _bars on the generators in filtration
+        order (action, degree, generator order).
 
-        Computed by column reduction of the filtration-ordered boundary
-        (transposed-differential) matrix, one degree at a time from the top
-        down with clearing (Chen-Kerber 2011): a generator of degree k that
-        is a pivot row of degree k+1 is the birth of a bar and is skipped.
-        Its column would reduce to zero (the argument of
-        ChainComplex.cohomology_ranks); every other column that reduces to
-        zero is an essential class.  A column only meets columns of its own
-        degree, so the passes per degree give the pairs of one left-to-right
-        pass; the transposed columns are built one degree at a time.
-
-        With a matching (a dict lower -> upper of generator pairs, see
-        _morse_complex) the same reduction runs on the Morse complex of the
-        critical generators, which has the same bars (Mischaikow-Nanda,
-        DCG 2013).
+        With a matching (a dict lower -> upper of generator pairs in a
+        gradient order) the complex is taken to its IndexComplex form and
+        reduced there, on the Morse complex of the critical generators
+        (IndexComplex.barcode, which checks the matching).
         """
         C, action = self.complex, self.action
-        gens, d = ((C.gens, C.d) if matching is None
-                   else _morse_complex(C, action, matching))
-        order = sorted(gens, key=lambda g: (action[g], C.deg[g],
-                                            C._index[g]))
-        pos = {g: i for i, g in enumerate(order)}
-        by_deg = {}
-        for g in order:
-            by_deg.setdefault(C.deg[g], []).append(g)
-        bars, cleared = [], set()
-        for k in sorted(by_deg, reverse=True):
-            # boundary of h = transposed differential: the faces of h
-            bdry = {h: {} for h in by_deg[k]}
-            for g in by_deg.get(k - 1, ()):
-                i = pos[g]
-                for h, v in d.get(g, {}).items():
-                    bdry[h][i] = v
-            red = Reducer(C.field)
-            for h in by_deg[k]:
-                col = bdry.pop(h)
-                if pos[h] in cleared:
-                    continue
-                p = red.add(col)
-                if p is None:
-                    bars.append((k, action[h], INF))
-                elif action[order[p]] < action[h]:
-                    bars.append((k - 1, action[order[p]], action[h]))
-            # after a gap in the degrees, cleared indexes no degree-k-1 gen
-            cleared = set(red.pivots)
-        return Barcode(bars)
+        if matching is not None:
+            index = C._index
+            value = np.array([action[g] for g in C.gens], dtype=float)
+            pairs = (np.array([index[s] for s in matching], dtype=np.int64),
+                     np.array([index[t] for t in matching.values()],
+                              dtype=np.int64))
+            return _index_form(C).barcode(value, pairs)
+        order = sorted(C.gens, key=lambda g: (action[g], C.deg[g],
+                                              C._index[g]))
+        return _bars(order, C.deg, action, C.d, C.field)
 
 
-def _morse_complex(C: ChainComplex, action, matching):
-    """The critical generators of an acyclic matching and their Morse
-    coboundaries: (generators in C's order, dict generator -> coboundary).
+def _bars(order, deg, value, d, field):
+    """Barcode of a filtered complex given by its generators in filtration
+    order, deg[g], value[g] and the coboundary dicts d (a missing generator
+    has none).
 
-    matching maps a lower generator s to an upper one t, a coface of s of
-    equal action, and lists its pairs in a gradient order: d(s) reaches no
-    upper generator of an earlier pair.  Every pair is checked: d(s) has a
-    nonzero entry at t, the values are equal, no generator is in two pairs,
-    and the order holds, which no matching with a cycle can satisfy.  A
-    ValueError says which check failed.
-
-    Gaussian elimination of the pairs in that order, read on the critical
-    columns: a critical c whose coboundary holds a * t, t = matching[s],
-    trades it for -(a / d(s)[t]) * (d(s) - d(s)[t] * t), whose upper
-    entries belong to later pairs; lower entries are dropped.  One sweep
-    over the pairs carries every critical's pending multiple of each t.
+    Column reduction of the filtration-ordered boundary (transposed-
+    differential) matrix, one degree at a time from the top down with
+    clearing (Chen-Kerber 2011): a generator of degree k that is a pivot
+    row of degree k+1 is the birth of a bar and is skipped.  Its column
+    would reduce to zero (the argument of ChainComplex.cohomology_ranks);
+    every other column that reduces to zero is an essential class.  A
+    column only meets columns of its own degree, so the passes per degree
+    give the pairs of one left-to-right pass; the transposed columns are
+    built one degree at a time.
     """
-    F, d = C.field, C.d
-    # upper generator of pair j -> j, lower generator of pair j -> ~j
-    role = {t: j for j, t in enumerate(matching.values())}
-    role.update(zip(matching, itertools.count(-1, -1)))
-    if len(role) < 2 * len(matching):
-        raise ValueError("a generator is matched twice")
-    gens = [g for g in C.gens if g not in role]
-    morse = {g: {} for g in gens}
-    pending = [[] for _ in matching]    # pair j -> [(critical, a)]
-    for g in gens:
-        for h, v in d.get(g, {}).items():
-            j = role.get(h)
-            if j is None:
-                morse[g][h] = v
-            elif j >= 0:
-                pending[j].append((g, v))
-    for j, (s, t) in enumerate(matching.items()):
-        row = d.get(s, {})
-        u = row.get(t)
-        if u is None or F.is_zero(u):
+    pos = {g: i for i, g in enumerate(order)}
+    by_deg = {}
+    for g in order:
+        by_deg.setdefault(deg[g], []).append(g)
+    bars, cleared = [], set()
+    for k in sorted(by_deg, reverse=True):
+        # boundary of h = transposed differential: the faces of h
+        bdry = {h: {} for h in by_deg[k]}
+        for g in by_deg.get(k - 1, ()):
+            i = pos[g]
+            for h, v in d.get(g, {}).items():
+                bdry[h][i] = v
+        red = Reducer(field)
+        for h in by_deg[k]:
+            col = bdry.pop(h)
+            if pos[h] in cleared:
+                continue
+            p = red.add(col)
+            if p is None:
+                bars.append((k, value[h], INF))
+            elif value[order[p]] < value[h]:
+                bars.append((k - 1, value[order[p]], value[h]))
+        # after a gap in the degrees, cleared indexes no degree-k-1 gen
+        cleared = set(red.pivots)
+    return Barcode(bars)
+
+
+def index_ranges(starts, counts):
+    """The concatenation of arange(s, s + c) over the pairs (s, c)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    return (np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+            + np.repeat(np.asarray(starts, dtype=np.int64) - ends + counts,
+                        counts))
+
+
+class IndexComplex:
+    """Cochain complex on the generator ids 0..n-1, held as index arrays.
+
+    deg:    int array, the degree of each generator.
+    indptr: n + 1 offsets: the coboundary of generator i is the entries
+            indptr[i]:indptr[i+1] of tgt (generator ids) and coef, in
+            order, every one nonzero in field.
+    coef:   int64 integer lifts of the field entries (as an assembly
+            builds them; the d^2 check needs these), or field scalars in
+            an object array (the form _index_form gives a ChainComplex).
+    name:   id -> the generator an error message names.
+    """
+
+    def __init__(self, deg, indptr, tgt, coef, field, name):
+        self.deg = deg
+        self.indptr = indptr
+        self.tgt = tgt
+        self.coef = coef
+        self.field = field
+        self.name = name
+
+    def src(self):
+        """The generator id of each entry."""
+        return np.repeat(np.arange(len(self.deg), dtype=np.int64),
+                         np.diff(self.indptr))
+
+    def check(self):
+        """Raise ValueError unless every entry raises the degree by one and
+        d^2 = 0 holds in the field, naming the first failing generator in id
+        order, as ChainComplex's dict checks do.
+
+        The two-step paths x -> y -> z are grouped by (x, z) over the
+        integers.  Over F2 every entry is odd, so d^2 vanishes at (x, z)
+        exactly when the number of paths is even; over Q exactly when the
+        integer sum of the products of the two coefficients is 0.
+        """
+        n, indptr, tgt, coef = len(self.deg), self.indptr, self.tgt, self.coef
+        src = self.src()
+        bad = np.flatnonzero(self.deg[tgt] != self.deg[src] + 1)
+        if bad.size:
+            e = bad[0]
+            raise ValueError(f"differential not degree +1 at "
+                             f"{self.name(src[e])} -> {self.name(tgt[e])}")
+        length = np.diff(indptr)[tgt]
+        first = np.repeat(np.arange(len(tgt), dtype=np.int64), length)
+        second = index_ranges(indptr[:-1][tgt], length)
+        key = src[first] * n + tgt[second]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        if self.field is GF2:
+            odd = np.diff(np.r_[starts, len(key)]) & 1
+            failing = key[starts[odd == 1]]
+        else:
+            paths = np.diff(np.r_[starts, len(key)])
+            big = int(np.abs(coef).max()) if len(coef) else 0
+            if big * big * int(paths.max(initial=0)) >= 1 << 63:
+                raise ValueError("coefficients too large for an exact "
+                                 "d^2 check")
+            w = (coef[first] * coef[second])[order]
+            sums = np.add.reduceat(w, starts) if len(w) else w
+            failing = key[starts[sums != 0]]
+        if failing.size:
+            raise ValueError(f"d^2 != 0 at generator "
+                             f"{self.name(failing[0] // n)!r}")
+
+    def barcode(self, value, matching=None):
+        """Barcode of the complex filtered by value (one float per
+        generator), checking first that no entry decreases the value.
+
+        matching, when given, is a pair (lower, upper) of id arrays: lower[j]
+        is matched with upper[j].  Its pairs are checked (_check_matching),
+        and the reduction of _bars runs on the Morse complex of the critical
+        generators (_morse), which has the same bars (Mischaikow-Nanda, DCG
+        2013), in the filtration order (value, degree, id).
+        """
+        src, tgt, name = self.src(), self.tgt, self.name
+        bad = np.flatnonzero(value[tgt] < value[src])
+        if bad.size:
+            e = bad[0]
+            raise ValueError(f"differential decreases action: "
+                             f"{name(src[e])!r} -> {name(tgt[e])!r}")
+        if matching is None:
+            matching = (np.zeros(0, np.int64),) * 2
+        lower, upper = matching
+        self._check_matching(value, lower, upper, src)
+        crit, d = self._morse(lower, upper, src)
+        order = crit[np.lexsort((crit, self.deg[crit], value[crit]))]
+        return _bars(order.tolist(), self.deg.tolist(), value.tolist(), d,
+                     self.field)
+
+    def _check_matching(self, value, lower, upper, src):
+        """Raise ValueError unless (lower, upper) is an acyclic matching in
+        a gradient order: no generator in two pairs, and for every pair j,
+        in order, upper[j] is a coface of lower[j] (an entry, so nonzero),
+        the two values are equal, and d(lower[j]) reaches the upper
+        generator of no earlier pair, which no matching with a cycle can
+        satisfy.  The message names the first pair that fails."""
+        n, tgt, name = len(self.deg), self.tgt, self.name
+        both = np.concatenate([lower, upper])
+        if np.unique(both).size < both.size:
+            raise ValueError("a generator is matched twice")
+        entries = np.sort(src * n + tgt)
+        want = lower * n + upper
+        at = np.minimum(np.searchsorted(entries, want), len(entries) - 1)
+        if len(entries):
+            coface = entries[at] == want
+        else:
+            coface = np.zeros(len(want), dtype=bool)
+        pair_of = np.full(n, -1, dtype=np.int64)
+        pair_of[upper] = np.arange(len(upper))
+        low_of = np.full(n, -1, dtype=np.int64)
+        low_of[lower] = np.arange(len(lower))
+        j, j2 = low_of[src], pair_of[tgt]
+        failing = (np.flatnonzero(~coface),
+                   np.flatnonzero(value[lower] != value[upper]),
+                   j[(j >= 0) & (j2 >= 0) & (j2 < j)])
+        fails = [(int(x.min()), rank) for rank, x in enumerate(failing)
+                 if x.size]
+        if not fails:
+            return
+        j, rank = min(fails)
+        s, t = name(lower[j]), name(upper[j])
+        if rank == 0:
             raise ValueError(f"{t!r} is not a coface of {s!r}")
-        if action[s] != action[t]:
+        if rank == 1:
             raise ValueError(f"matched pair {s!r} -> {t!r} has unequal "
-                             f"values {action[s]!r} and {action[t]!r}")
-        crit, ups = {}, []
-        for h, v in row.items():
-            j2 = role.get(h)
-            if j2 is None:
-                crit[h] = v
-            elif j2 > j:
-                ups.append((j2, v))
-            elif 0 <= j2 < j:
-                raise ValueError(
-                    f"matched pair {s!r} -> {t!r} reaches the upper "
-                    f"generator of an earlier pair: the matching has a "
-                    f"cycle or is not in gradient order")
-        for g, a in pending[j]:
-            c = F.neg(F.mul(a, F.inv(u)))
-            add_scaled(morse[g], crit, c, F)
-            for j2, v in ups:
-                pending[j2].append((g, F.mul(c, v)))
-    return gens, {g: cb for g, cb in morse.items() if cb}
+                             f"values {float(value[lower[j]])!r} and "
+                             f"{float(value[upper[j]])!r}")
+        raise ValueError(f"matched pair {s!r} -> {t!r} reaches the upper "
+                         f"generator of an earlier pair: the matching has a "
+                         f"cycle or is not in gradient order")
+
+    def _morse(self, lower, upper, src):
+        """The critical ids (in id order) and their Morse coboundaries, a
+        dict critical -> {critical: scalar}, of a checked matching.
+
+        Gaussian elimination of the pairs in their order, read on the
+        critical columns: a critical c whose coboundary holds a * t, t =
+        upper[j], s = lower[j], trades it for -(a / d(s)[t]) * (d(s) -
+        d(s)[t] * t), whose upper entries belong to later pairs; lower
+        entries are dropped.  pending[j] collects every critical's multiple
+        of upper[j]; a pair that no critical reaches costs one dict pop.
+        The entries of every d(s) are sorted into their three kinds
+        (critical, the pair's own upper, a later upper) once, with numpy.
+        """
+        F, n, one = self.field, len(self.deg), self.field.one()
+        role = np.full(n, -1, dtype=np.int64)     # -1: critical, -2: lower
+        role[lower] = -2
+        role[upper] = np.arange(len(upper))
+        crit = np.flatnonzero(role == -1)
+        coef = self.coef.tolist()
+        scalar = {c: F.coerce(c) for c in set(coef)}
+        kind = role[self.tgt]
+        # the entries of the critical generators, in entry order
+        morse, pending = {c: {} for c in crit.tolist()}, {}
+        for e in np.flatnonzero(role[src] == -1).tolist():
+            c, k, v = int(src[e]), int(kind[e]), scalar[coef[e]]
+            if k == -1:
+                morse[c][int(self.tgt[e])] = v
+            elif k >= 0:
+                add_scaled(pending.setdefault(k, {}), {c: v}, one, F)
+        # the entries of the lower generators, by pair, then in entry order
+        low_of = np.full(n, -1, dtype=np.int64)
+        low_of[lower] = np.arange(len(lower))
+        pair = low_of[src]
+        sel = np.flatnonzero(pair >= 0)
+        sel = sel[np.argsort(pair[sel], kind="stable")]
+        pair, kind_sel = pair[sel], kind[sel]
+        u = [scalar[coef[e]] for e in sel[kind_sel == pair].tolist()]
+
+        def by_pair(part, ids):
+            """(offsets per pair, ids, scalars) of the entries in part."""
+            e = sel[part]
+            ptr = np.searchsorted(pair[part], np.arange(len(lower) + 1))
+            return (ptr.tolist(), ids[e].tolist(),
+                    [scalar[coef[x]] for x in e.tolist()])
+
+        cptr, ch, cv = by_pair(kind_sel == -1, self.tgt)     # critical
+        uptr, uj, uv = by_pair(kind_sel > pair, kind)       # later pairs
+        for j in range(len(u)):
+            mult = pending.pop(j, None)
+            if not mult:
+                continue
+            inv = F.neg(F.inv(u[j]))
+            if inv != one:
+                mult = {c: F.mul(a, inv) for c, a in mult.items()}
+            if cptr[j] < cptr[j + 1]:
+                crit_part = dict(zip(ch[cptr[j]:cptr[j + 1]],
+                                     cv[cptr[j]:cptr[j + 1]]))
+                for c, k in mult.items():
+                    add_scaled(morse[c], crit_part, k, F)
+            for e in range(uptr[j], uptr[j + 1]):
+                add_scaled(pending.setdefault(uj[e], {}), mult, uv[e], F)
+        return crit, {c: row for c, row in morse.items() if row}
+
+
+def _index_form(C: ChainComplex) -> IndexComplex:
+    """C on the ids of its generators (their positions), without the
+    entries that are zero in the field."""
+    index, F = C._index, C.field
+    tgt, coef, indptr = [], [], [0]
+    for g in C.gens:
+        for h, v in C.d.get(g, {}).items():
+            if not F.is_zero(v):
+                tgt.append(index[h])
+                coef.append(v)
+        indptr.append(len(tgt))
+    return IndexComplex(np.array([C.deg[g] for g in C.gens], dtype=np.int64),
+                        np.array(indptr, dtype=np.int64),
+                        np.array(tgt, dtype=np.int64),
+                        np.array(coef, dtype=object), F,
+                        lambda i: C.gens[int(i)])
 
 
 @dataclass(frozen=True)

@@ -12,32 +12,42 @@ A tame sheaf is carried in one of three presentations:
     pushforward evaluated through the discretized two-axis model.
 
 Sections are computed as cochain complexes over the cells of the queried
-region; d^2 = 0 is asserted on every assembled complex.  A cellular sheaf
-is constant on its own strata: its sections are taken on its own t-axis,
-and a t-cell of a refined axis takes the stalk of the own stratum that
-contains it.  The window [a, b) keeps the t-cells whose top value (in the
-product carrier, the sum of the two tops) lies in [a, b), so every window
-is a subquotient of one complex filtered by that value.  section_barcode
-builds and reduces it once per (sheaf, region); sections() reads every
-cellular and product window off it, and its bars are the pushforward
-barcode.  The reduction runs on the Morse complex of the vertical matching,
-which pairs a generator over ('v', i) with the same labels over ('e', i):
-the assembly records the pairs, FilteredComplex.barcode checks them, and
-d^2 = 0 is still asserted on the whole complex.  GF windows stay on the
-pair route (gf_cohomology) and limit sheaves on their clamp schedules, so
-the routes stay independent.
+region.  A cellular sheaf is constant on its own strata: CellSheaf.stalk
+keeps one stalk per (base cell, own stratum), its sections are taken on its
+own t-axis, and a t-cell of a refined axis takes the stalk of the own
+stratum that contains it.  The window [a, b) keeps the t-cells whose top
+value (in the product carrier, the sum of the two tops) lies in [a, b), so
+every window is a subquotient of one complex filtered by that value.
+
+One builder, _total_complex, assembles every section complex as integer
+index arrays (a SectionArrays, an IndexComplex): each generator (bc, t_1..
+t_m, label_1..label_m) is an id, numbered in generator order; the
+coboundary is src/tgt/coef arrays built from the base cofaces, the t-axis
+cofaces and the stalk differentials with Koszul signs; degree +1 and
+d^2 = 0 are checked on the integer arrays, exactly in the field (the
+parity of the two-step path count over F2, the integer sum over Q).
+section_barcode builds one such complex per (sheaf, region) and reduces it
+on ids through its vertical matching, which pairs a generator over
+('v', i) with the same labels over ('e', i) and is checked there too;
+sections() reads every cellular and product window off the barcode, and
+its bars are the pushforward barcode.  Tuple ChainComplexes are built from
+the same arrays only for callers that read generators: section_complex,
+product_section_complex and the unit and product maps on them.  GF windows
+stay on the pair route (gf_cohomology) and limit sheaves on their clamp
+schedules, so the routes stay independent.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Barcode, ChainComplex, FilteredComplex
+from .complexes import Barcode, ChainComplex, IndexComplex, index_ranges
 from .genfun import (GenFun, cerf_diagram, gf_cohomology,
                      strand_value_range, window_ceiling, window_floor)
 from .grids import BaseRegion, BoxGrid
@@ -150,6 +160,34 @@ class Stalk:
             out.setdefault(a, {})[b] = c
         return out
 
+    @functools.cached_property
+    def index_form(self):
+        """The stalk on the positions 0..size-1 of its generators, computed
+        once: (labels, degrees, dptr, dpos, dcoef), int64 arrays but the
+        label list.  The differential leaving position p is the entries
+        dptr[p]:dptr[p+1] of dpos (target positions) and dcoef (integer
+        coefficients), in d_map order, without the entries whose target is
+        no generator.  Raises ValueError on a repeated label or on a
+        coefficient that is not an integer."""
+        labels = [lbl for lbl, _ in self.gens]
+        local = {lbl: p for p, lbl in enumerate(labels)}
+        if len(local) < len(labels):
+            raise ValueError("it repeats a label")
+        rows = [[] for _ in labels]
+        for lbl, row in self.d_map().items():
+            p = local.get(lbl)
+            for lbl2, c in row.items():
+                if int(c) != c:
+                    raise ValueError(f"its coefficient {c!r} is not an "
+                                     f"integer")
+                if p is not None and lbl2 in local:
+                    rows[p].append((local[lbl2], int(c)))
+        flat = [x for row in rows for x in row]
+        return (labels, np.array([k for _, k in self.gens], dtype=np.int64),
+                np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
+                np.array([p2 for p2, _ in flat], dtype=np.int64),
+                np.array([c for _, c in flat], dtype=np.int64))
+
     @property
     def size(self):
         return len(self.gens)
@@ -181,177 +219,296 @@ class CellSheaf:
         self.label = label
         self.field = field
         self.indicator = indicator  # ('region', mask, t0) | ('graph', f) | None
-        self._cache = {}
+        self._cache = {}    # (base cell, own stratum index) -> Stalk
 
     def stalk(self, base_cell, threshold):
-        key = (tuple(base_cell), round(float(threshold), 12))
+        """The stalk over base_cell of the own stratum ('e', i) that
+        contains threshold (a breakpoint belongs to the stratum above it),
+        sampled at the stratum's representative: the sheaf is constant on
+        its strata."""
+        i = bisect.bisect(self.taxis.breaks, threshold)
+        key = (tuple(base_cell), i)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._stalk_fn(tuple(base_cell), float(threshold))
-            self._cache[key] = hit
+            hit = self._cache[key] = self._stalk_fn(
+                key[0], self.taxis.rep(("e", i)))
         return hit
 
     def stalk_over(self, base_cell, ax: TAxis, tc):
         """The stalk over t-cell tc of the axis ax, a refinement of the own
-        axis: that of the own stratum containing the cell, sampled at the
-        stratum's representative, so the sheaf is constant on its strata
-        whatever axis the sections are taken on."""
-        own = self.taxis
-        i = bisect.bisect(own.breaks, ax.rep(tc))
-        return self.stalk(base_cell, own.rep(("e", i)))
+        axis: that of the own stratum containing the cell."""
+        return self.stalk(base_cell, ax.rep(tc))
 
     def section_complex(self, region: BaseRegion | None, a, b,
                         taxis=None) -> ChainComplex:
         """Total complex over region x [a, b) with stalk coefficients, on
         the own t-axis unless a refinement of it is given."""
-        return _total_complex(self.base, region,
+        return _total_complex(self.base,
                               [(self, taxis or self.taxis, _same_cell)],
-                              a, b, self.field)
+                              region, a, b, self.field).chain_complex()
 
 
 def _same_cell(bc):
     return bc
 
 
-def _total_complex(base: BoxGrid, region: BaseRegion | None, factors, a, b,
-                   field) -> ChainComplex:
-    """Total complex over region x [a, b) of the tensor product of stalks.
+def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
+                   field) -> "SectionArrays":
+    """Total complex over region x [a, b) of the tensor product of stalks,
+    as index arrays.
 
     factors: (CellSheaf, TAxis, project) triples; project(bc) is the
     factor's base cell under bc.  The window holds the tuples of t-cells
-    whose summed top value lies in [a, b).  A generator is
-    (bc, t_1..t_m, label_1..label_m).  Its coboundary is, in this order:
-    the base cofaces; the cofaces on t-axis i, signed by
+    whose value (the top value of the one t-cell, or the sum of the two
+    tops) lies in [a, b).  A generator is (bc, t_1..t_m, label_1..label_m),
+    numbered by its id in the order: base cells of the region in C order,
+    window tuples in product order, then the labels of the stalks, first
+    factor outermost.  The stalk over a t-cell is that of the factor's own
+    stratum containing it (CellSheaf.stalk_over), fetched once per (base
+    cell, stratum); each distinct stalk gives its labels integer ids once
+    (_Stalks), so a generator also has an integer key, (flat base cell,
+    flat t-cell tuple, label ids) in mixed radix, and a coboundary target
+    is found by searching the sorted keys.
+
+    The coboundary of a generator lists, in this order: the base cofaces
+    (BoxGrid.coface_table, slot order); the cofaces on t-axis i, signed by
     (-1)^(dim bc + dims of t_1..t_{i-1}); the differential of stalk j,
     signed by (-1)^(dim bc + all t dims + degrees of labels 1..j-1).  A term
     counts when its target is a generator.  Each term changes a different
-    component, so no two meet: entries are stored, not summed.  The stalk
-    over a t-cell is that of the factor's own stratum containing it
-    (CellSheaf.stalk_over).  Generization maps match labels; d^2 = 0
-    certifies that they are chain maps.
+    component, so no two meet.  Coefficients are integers (the signs times
+    the stalk coefficients), zero ones in the field dropped;
+    IndexComplex.check certifies degree +1 and d^2 = 0 in the field on the
+    integer arrays, which certifies that the label-matching generization
+    maps are chain maps.
 
-    The complex carries its vertical matching: a generator whose first
-    t-cell is ('v', i) is paired with the generator that differs only by
-    ('e', i) in its place, when there is one.  The two share their summed
-    top value, the coface entry is +-1, and the only other upper generator
-    a lower one reaches is the one over ('e', i+1): the first-axis index
-    rises along every gradient path, so the matching is acyclic, and the
-    pairs are recorded in a gradient order (generator order).
+    The vertical matching pairs a generator whose first t-cell is ('v', i)
+    with the generator that differs only by ('e', i) in its place, when
+    there is one.  The two share their value, the coface entry is +-1, and
+    the only other upper generator a lower one reaches is the one over
+    ('e', i+1): the first-axis index rises along every gradient path, so
+    the matching is acyclic, and its pairs come in a gradient order (id
+    order).
     """
-    F = field
     m = len(factors)
-    unit = {1: F.coerce(1), -1: F.coerce(-1)}
     axes = [ax for _, ax, _ in factors]
-    # window: per t-cell of the first axis, the tuples that start with it,
-    # each as (t-cells, their dims summed, t-axis terms by parity of dim bc)
-    windows = []
-    for ts in itertools.product(*(ax.cells() for ax in axes)):
-        if not a <= sum(ax.top_value(tc) for ax, tc in zip(axes, ts)) < b:
-            continue
-        tmoves, tdim = ([], []), 0
-        for i, (ax, tc) in enumerate(zip(axes, ts)):
-            for tcf, s in ax.cofaces(tc):
-                moved = ts[:i] + (tcf,) + ts[i + 1:]
-                tmoves[0].append((moved, unit[-s if tdim & 1 else s]))
-                tmoves[1].append((moved, unit[s if tdim & 1 else -s]))
-            tdim += ax.dim(tc)
-        if not windows or windows[-1][0] != ts[0]:
-            windows.append((ts[0], []))
-        windows[-1][1].append((ts, tdim, tmoves))
-    cells = (region.base_cells() if region is not None
-             else list(base.base_cells()))
-    memos = [{} for _ in factors]   # per factor: (cell, t-cell) -> terms
-    converted = {}  # id(stalk) -> (stalk, terms): ('v', i), ('e', i+1) share
+    tcells = [ax.cells() for ax in axes]
+    nt = [len(cells) for cells in tcells]
+    # window tuples: flat index over the product of the axes, in product
+    # order, and their t-cell index per axis
+    value = functools.reduce(np.add.outer, [
+        np.array([ax.top_value(tc) for tc in cells], dtype=float)
+        for ax, cells in zip(axes, tcells)])
+    wflat = np.flatnonzero((a <= value) & (value < b))
+    wt = np.stack(np.unravel_index(wflat, nt), axis=1)
+    wdim = (1 - (wt & 1)).sum(axis=1)    # ('e', i) at 2i, ('v', i) at 2i+1
+    mask = (region.membership if region is not None
+            else np.ones(base.base_cell_shape, dtype=bool))
+    cflat = np.flatnonzero(mask)
+    cells = [tuple(c) for c in np.argwhere(mask).tolist()]
+    table = base.coface_table
+    # per factor: the stalk index over each (region cell, t-cell), -1 empty
+    stalks = [_Stalks(field) for _ in factors]
+    over = []
+    for (cell, ax, project), st, cells_f in zip(factors, stalks, tcells):
+        own = cell.taxis
+        strata = np.array([bisect.bisect(own.breaks, ax.rep(tc))
+                           for tc in cells_f])
+        reps = [own.rep(("e", i)) for i in range(own.m + 1)]
+        memo, rows = {}, []
+        for bc in cells:
+            pc = project(bc)
+            row = memo.get(pc)
+            if row is None:
+                row = memo[pc] = np.array(
+                    [st.index(cell.stalk(pc, thr), (cell.label, pc, i))
+                     for i, thr in enumerate(reps)])[strata]
+            rows.append(row)
+        over.append(np.array(rows).reshape(len(cells), len(cells_f)))
+        st.freeze()
+    # blocks (cell, window tuple) with every stalk nonempty, in C order;
+    # the window tuples that start with one t-cell are consecutive
+    group = np.bincount(wt[:, 0], minlength=nt[0])
+    start = np.cumsum(group) - group
+    c1, j1 = np.nonzero((over[0] >= 0) & (group > 0))
+    blk_c = np.repeat(c1, group[j1])
+    blk_w = index_ranges(start[j1], group[j1])
+    for f in range(1, m):
+        keep = over[f][blk_c, wt[blk_w, f]] >= 0
+        blk_c, blk_w = blk_c[keep], blk_w[keep]
+    which = [over[f][blk_c, wt[blk_w, f]] for f in range(m)]
+    size = [st.off[1:][k] - st.off[:-1][k] for st, k in zip(stalks, which)]
+    inner = [functools.reduce(np.multiply, size[f + 1:], np.ones_like(blk_c))
+             for f in range(m)]
+    bsize = inner[0] * size[0]
+    n = int(bsize.sum())
+    gb = np.repeat(np.arange(len(blk_c)), bsize)
+    r = np.arange(n) - np.repeat(np.cumsum(bsize) - bsize, bsize)
+    pos = [(r // inner[f][gb]) % size[f][gb] for f in range(m)]
+    slot = [st.off[:-1][k[gb]] + p for st, k, p in zip(stalks, which, pos)]
+    lab = [st.lab[q] for st, q in zip(stalks, slot)]
+    gc, gw = blk_c[gb], blk_w[gb]
+    bdim = table.dim[cflat].astype(np.int64)[gc]
+    deg = bdim + wdim[gw] + sum(st.ldeg[q] for st, q in zip(stalks, slot))
+    # generator keys in mixed radix: (flat base cell, flat window tuple,
+    # label id per factor)
+    radix = [len(st.labels) for st in stalks]
+    lab_stride = [functools.reduce(int.__mul__, radix[f + 1:], 1)
+                  for f in range(m)]
+    w_stride = lab_stride[0] * radix[0]
+    c_stride = w_stride * int(np.prod(nt))
+    if c_stride * int(np.prod(base.base_cell_shape)) >= 1 << 63:
+        raise ValueError("section complex too large to index")
+    key = cflat[gc] * c_stride + wflat[gw] * w_stride
+    for f in range(m):
+        key += lab[f] * lab_stride[f]
+    korder = np.argsort(key, kind="stable")
+    sorted_keys = key[korder]
 
-    def fetch(i, bci, tc):
-        cell, ax, _ = factors[i]
-        st = cell.stalk_over(bci, ax, tc)
-        hit = converted.get(id(st))
+    def find(want):
+        at = np.minimum(np.searchsorted(sorted_keys, want), n - 1)
+        return sorted_keys[at] == want, korder[at]
+
+    ids = np.arange(n, dtype=np.int64)
+    parts = []      # (source ids, target ids, integer coefficients)
+    gcf = cflat[gc]
+    for k in range(table.cof.shape[1]):
+        cf = table.cof[gcf, k].astype(np.int64)
+        has = np.flatnonzero(cf >= 0)
+        hit, tgt = find(key[has] + (cf[has] - gcf[has]) * c_stride)
+        parts.append((has[hit], tgt[hit], table.sgn[gcf[has[hit]], k]))
+    parity = bdim.copy()
+    matching = None
+    for f in range(m):
+        tf = wt[gw, f]
+        step = w_stride * int(np.prod(nt[f + 1:]))
+        vert = np.flatnonzero(tf & 1)
+        sign = 1 - 2 * (parity[vert] & 1)
+        for move, s in ((-1, 1), (1, -1)):
+            hit, tgt = find(key[vert] + move * step)
+            parts.append((vert[hit], tgt[hit], s * sign[hit]))
+            if matching is None:
+                matching = (vert[hit], tgt[hit])
+        parity += 1 - (tf & 1)
+    for st, q, p, inn in zip(stalks, slot, pos, inner):
+        count = st.dptr[q + 1] - st.dptr[q]
+        src = np.repeat(ids, count)
+        e = index_ranges(st.dptr[q], count)
+        tgt = src + (st.dpos[e] - p[src]) * inn[gb[src]]
+        parts.append((src, tgt, st.dcoef[e] * (1 - 2 * (parity[src] & 1))))
+        parity += st.ldeg[q]
+    src = np.concatenate([x for x, _, _ in parts])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    arrays = SectionArrays(
+        deg, indptr, np.concatenate([t for _, t, _ in parts])[order],
+        np.concatenate([c for _, _, c in parts]).astype(np.int64)[order],
+        field, value.ravel()[wflat][gw], matching,
+        [(cells, gc)] + [(tcells[f], wt[gw, f]) for f in range(m)]
+        + [(st.labels, x) for st, x in zip(stalks, lab)])
+    arrays.check()
+    return arrays
+
+
+class _Stalks:
+    """The distinct stalks of one factor in one assembly, as index arrays
+    (after freeze).
+
+    Stalk k holds the slots off[k]:off[k+1], one per generator in stalk
+    order; slot q carries the label id lab[q] (labels are numbered on first
+    sight, so equal labels of different stalks share an id; labels[i] is
+    label i), the degree ldeg[q], and the stalk differential leaving it: the
+    entries dptr[q]:dptr[q+1] of dpos (the local position of the target)
+    and dcoef (integer coefficients, nonzero in the field), in Stalk.d_map
+    order.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self._label_id = {}
+        self._known = {}    # id(stalk) -> (stalk, index or -1 if empty)
+        self._forms = []    # per stalk: label ids, then its index_form arrays
+
+    def index(self, st: Stalk, where):
+        """The index of st, taken in on first sight; where (sheaf label,
+        base cell, stratum) names it in an error."""
+        hit = self._known.get(id(st))
         if hit is None:
-            hit = converted[id(st)] = (st, _stalk_terms(st, F))
-        memos[i][(bci, tc)] = hit[1]
+            hit = self._known[id(st)] = (st, self._add(st, where))
         return hit[1]
 
-    gens, deg, blocks = [], {}, []
-    for bc in cells:
-        bdim = base.cell_dim(bc)
-        own = [project(bc) for _, _, project in factors]
-        group = []
-        for tc1, entries in windows:
-            first = memos[0].get((own[0], tc1)) or fetch(0, own[0], tc1)
-            if not first[0]:
-                continue    # an empty first stalk empties all its tuples
-            for ts, tdim, tmoves in entries:
-                parts = [first]
-                for i in range(1, m):
-                    hit = (memos[i].get((own[i], ts[i]))
-                           or fetch(i, own[i], ts[i]))
-                    if not hit[0]:
-                        break
-                    parts.append(hit)
-                else:
-                    items = [((bc,) + ts, bdim + tdim)]
-                    for st_gens, _, _ in parts:
-                        items = [(g + (lbl,), k + kl) for g, k in items
-                                 for lbl, kl in st_gens]
-                    group.append((ts, bdim + tdim, tmoves[bdim & 1], parts,
-                                  len(items)))
-                    gens.extend(g for g, _ in items)
-                    deg.update(items)
-        if group:
-            blocks.append((bc, group))
-    d, matching = {}, {}
-    todo = iter(gens)
-    for bc, group in blocks:
-        bterms = [(cf, unit[s]) for cf, s in base.cofaces(bc)]
-        for ts, bt_dim, tmoves, parts, size in group:
-            # base and t-axis terms change the head (bc, t_1..t_m) only; on
-            # a first t-cell ('v', i) the first t-axis term is ('e', i)
-            bmoves = [((cf,) + ts, v) for cf, v in bterms]
-            tmoves = [((bc,) + moved, v) for moved, v in tmoves]
-            pmove = tmoves.pop(0) if ts[0][0] == "v" else None
-            for g in itertools.islice(todo, size):
-                labels = g[1 + m:]
-                cb = {}
-                for hd, v in bmoves:
-                    h = hd + labels
-                    if h in deg:
-                        cb[h] = v
-                if pmove is not None:
-                    h = pmove[0] + labels
-                    if h in deg:
-                        cb[h] = pmove[1]
-                        matching[g] = h
-                for hd, v in tmoves:
-                    h = hd + labels
-                    if h in deg:
-                        cb[h] = v
-                odd = bt_dim & 1
-                for j, (_, kl, dterms) in enumerate(parts, 1 + m):
-                    row = dterms.get(g[j])
-                    if row:
-                        pre, post = g[:j], g[j + 1:]
-                        for lbl2, vp, vn in row:
-                            h = pre + (lbl2,) + post
-                            if h in deg:
-                                cb[h] = vn if odd else vp
-                    odd ^= kl[g[j]] & 1
-                if cb:
-                    d[g] = cb
-    C = ChainComplex(gens, deg, d, F, check=False, matching=matching)
-    C.assert_d_squared_zero()
-    return C
+    def _add(self, st, where):
+        if not st.gens:
+            return -1
+        try:
+            labels, *arrays = st.index_form
+        except ValueError as e:
+            raise ValueError(f"the stalk of {where[0]} over base cell "
+                             f"{where[1]} on stratum {where[2]}: {e}") \
+                from None
+        ids = self._label_id
+        self._forms.append([[ids.setdefault(lbl, len(ids))
+                             for lbl in labels]] + arrays)
+        return len(self._forms) - 1
+
+    def freeze(self):
+        """Concatenate the stalks into the arrays, once every stalk is in;
+        differential entries that are zero in the field are dropped."""
+        empty = [np.zeros(0, dtype=np.int64)]
+        lab, ldeg, dptr, dpos, dcoef = (
+            empty + list(x) for x in (list(zip(*self._forms)) or [()] * 5))
+        self.labels = list(self._label_id)
+        size = np.array([len(x) for x in lab[1:]], dtype=np.int64)
+        self.off = np.concatenate([[0], np.cumsum(size)])
+        self.lab = np.concatenate(lab).astype(np.int64)
+        self.ldeg = np.concatenate(ldeg)
+        # local offsets, shifted past the entries of the earlier stalks
+        before = np.cumsum([0] + [len(x) for x in dpos[1:]])
+        dptr = np.concatenate([x[:-1] + b for x, b in zip(dptr[1:], before)]
+                              + [before[-1:]])
+        dpos, dcoef = np.concatenate(dpos), np.concatenate(dcoef)
+        F = self.field
+        zero = [c for c in set(dcoef.tolist()) if F.is_zero(F.coerce(c))]
+        keep = ~np.isin(dcoef, zero)
+        self.dptr = np.concatenate([[0], np.cumsum(keep)])[dptr]
+        self.dpos, self.dcoef = dpos[keep], dcoef[keep]
 
 
-def _stalk_terms(st: Stalk, F):
-    """A stalk's generators, its degrees by label and its differential as
-    label -> [(label, c, -c)] in the field, without the zero entries."""
-    dterms = {}
-    for lbl, row in st.d_map().items():
-        dterms[lbl] = [(lbl2, F.coerce(c), F.coerce(-c))
-                       for lbl2, c in row.items()
-                       if not F.is_zero(F.coerce(c))]
-    return st.gens, st.degrees(), dterms
+class SectionArrays(IndexComplex):
+    """A section complex in index form (_total_complex) with the filtration
+    value of each generator and the vertical matching (lower ids, upper
+    ids).  Tuple generators are built only on demand, for an error message
+    (name) and for chain_complex: generator i is the tuple of
+    values[index[i]] over the columns (values, index) -- the base cell, the
+    t-cell of each axis, the label of each factor.
+    """
+
+    def __init__(self, deg, indptr, tgt, coef, field, value, matching,
+                 columns):
+        super().__init__(deg, indptr, tgt, coef, field, self._generator)
+        self.value = value
+        self.matching = matching
+        self._columns = columns
+
+    def _generator(self, i):
+        return tuple(values[int(index[i])] for values, index in self._columns)
+
+    def chain_complex(self) -> ChainComplex:
+        """The same complex keyed by tuple generators, with field scalars:
+        generators, degrees and coboundary entries in id and entry order."""
+        F = self.field
+        gens = list(zip(*(map(values.__getitem__, index.tolist())
+                          for values, index in self._columns)))
+        coef = self.coef.tolist()
+        scalar = {c: F.coerce(c) for c in set(coef)}
+        entries = zip(map(gens.__getitem__, self.tgt.tolist()),
+                      map(scalar.__getitem__, coef))
+        d = {}
+        for g, k in zip(gens, np.diff(self.indptr).tolist()):
+            if k:
+                d[g] = dict(itertools.islice(entries, k))
+        return ChainComplex(gens, dict(zip(gens, self.deg.tolist())), d, F,
+                            check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -553,22 +710,15 @@ def _section_barcode(F: TameSheaf, region) -> Barcode:
         cells = (_as_cellsheaf(A), _as_cellsheaf(B))
         if F.diagonal and cells[0].base != cells[1].base:
             raise ValueError("diagonal product requires a shared base grid")
-        C = product_section_complex(*cells, F.diagonal, region, -INF, INF)
+        base, factors = _product_factors(*cells, F.diagonal)
     else:
         cells = (_as_cellsheaf(F),)
-        C = cells[0].section_complex(region, -INF, INF)
-    # the filtration value of each t-cell tuple, computed once and shared by
-    # its generators (a single axis keeps its top value as it is)
-    axes = [cell.taxis for cell in cells]
-    m = len(axes)
-    value = {}
-    for ts in itertools.product(*(ax.cells() for ax in axes)):
-        tops = [ax.top_value(tc) for ax, tc in zip(axes, ts)]
-        value[ts] = tops[0] if m == 1 else tops[0] + tops[1]
-    FC = FilteredComplex(C, {g: value[g[1:1 + m]] for g in C.gens})
+        base, factors = cells[0].base, [(cells[0], cells[0].taxis,
+                                         _same_cell)]
+    S = _total_complex(base, factors, region, -INF, INF, cells[0].field)
     shift = sum(cell.shift for cell in cells)
     return Barcode([(k - shift, b, x)
-                    for k, b, x in FC.barcode(C.matching).bars])
+                    for k, b, x in S.barcode(S.value, S.matching).bars])
 
 
 def behavior_at_infinity(F: TameSheaf):
@@ -754,6 +904,13 @@ def product_section_complex(CA: CellSheaf, CB: CellSheaf, diagonal,
     """Total complex over base x [sum of two t-axes in [a, b)) with tensor
     stalks; the sum-sublevel convention discretizes the pushforward along
     (t1, t2) -> t1 + t2 exactly."""
+    return _total_complex(*_product_factors(CA, CB, diagonal), region, a, b,
+                          CA.field).chain_complex()
+
+
+def _product_factors(CA: CellSheaf, CB: CellSheaf, diagonal):
+    """The carrier's base grid and its two factors for _total_complex: the
+    shared base on a diagonal, the product of the two bases otherwise."""
     if diagonal:
         base = CA.base
         pa = pb = _same_cell
@@ -762,8 +919,7 @@ def product_section_complex(CA: CellSheaf, CB: CellSheaf, diagonal,
         na = len(CA.base.base)
         pa = lambda bc: bc[:na]
         pb = lambda bc: bc[na:]
-    factors = [(CA, CA.taxis, pa), (CB, CB.taxis, pb)]
-    return _total_complex(base, region, factors, a, b, CA.field)
+    return base, [(CA, CA.taxis, pa), (CB, CB.taxis, pb)]
 
 
 # ---------------------------------------------------------------------------

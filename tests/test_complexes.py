@@ -543,3 +543,107 @@ def test_a_matched_pair_of_unequal_values_is_refused():
     FC = FilteredComplex(acyclic_pair(), {"x": 1.0, "y": 3.0})
     with pytest.raises(ValueError, match="unequal values"):
         FC.barcode({"x": "y"})
+
+
+# ---------------------------------------------------------------------------
+# the index-array form: checks and matched barcodes on generator ids
+
+def index_complex(names, deg, d, field=GF2):
+    """The IndexComplex of generators names (ids in list order) with
+    degrees deg and coboundaries d = {name: {name: integer}}."""
+    import numpy as np
+    from gfsheaf.complexes import IndexComplex
+    index = {g: i for i, g in enumerate(names)}
+    rows = [d.get(g, {}) for g in names]
+    return IndexComplex(
+        np.array([deg[g] for g in names], dtype=np.int64),
+        np.cumsum([0] + [len(r) for r in rows], dtype=np.int64),
+        np.array([index[h] for r in rows for h in r], dtype=np.int64),
+        np.array([v for r in rows for v in r.values()], dtype=np.int64),
+        field, lambda i: names[int(i)])
+
+
+def _tied_square_ids():
+    """The tied square of _tied_square on the ids 0..4, with its values."""
+    import numpy as np
+    names = ["a", "b", "x", "y", "c"]
+    C = index_complex(names, {"a": 0, "b": 0, "x": 1, "y": 1, "c": 1},
+                      {"a": {"x": 1, "y": 1}, "b": {"x": 1, "y": 1}})
+    return C, np.array([0.0, 0.0, 0.0, 0.0, 1.0]), names.index
+
+
+def _id_pairs(index, matching):
+    import numpy as np
+    return (np.array([index(s) for s in matching], dtype=np.int64),
+            np.array([index(t) for t in matching.values()], dtype=np.int64))
+
+
+def test_an_id_matching_of_the_tied_square_keeps_the_bars():
+    C, value, index = _tied_square_ids()
+    got = C.barcode(value, _id_pairs(index, {"a": "x"}))
+    assert got == C.barcode(value) == _tied_square().barcode()
+
+
+@pytest.mark.parametrize("matching, message", [
+    ({"a": "c"}, "not a coface"),
+    ({"a": "b"}, "not a coface"),
+    ({"a": "x", "b": "x"}, "matched twice"),
+    ({"a": "x", "x": "c"}, "matched twice"),
+    ({"a": "x", "b": "y"}, "cycle"),
+    ({"b": "y", "a": "x"}, "cycle"),
+])
+def test_an_id_matching_that_is_no_acyclic_matching_is_refused(matching,
+                                                               message):
+    C, value, index = _tied_square_ids()
+    with pytest.raises(ValueError, match=message):
+        C.barcode(value, _id_pairs(index, matching))
+
+
+def test_an_id_pair_of_unequal_values_is_refused():
+    import numpy as np
+    C = index_complex(["x", "y"], {"x": 0, "y": 1}, {"x": {"y": 1}})
+    with pytest.raises(ValueError, match=r"'x' -> 'y' has unequal values "
+                                         r"1\.0 and 3\.0"):
+        C.barcode(np.array([1.0, 3.0]), (np.array([0]), np.array([1])))
+
+
+def test_an_id_entry_that_decreases_the_value_is_refused():
+    import numpy as np
+    C = index_complex(["x", "y"], {"x": 0, "y": 1}, {"x": {"y": 1}})
+    with pytest.raises(ValueError, match="differential decreases action: "
+                                         "'x' -> 'y'"):
+        C.barcode(np.array([3.0, 1.0]))
+
+
+def test_the_d_squared_check_on_ids_is_exact_in_the_field():
+    # d a = x + y, d x = d y = z: d^2 a = 2 z, zero over F2 only
+    names = ["a", "x", "y", "z"]
+    deg = {"a": 0, "x": 1, "y": 1, "z": 2}
+    d = {"a": {"x": 1, "y": 1}, "x": {"z": 1}, "y": {"z": 1}}
+    index_complex(names, deg, d, GF2).check()
+    with pytest.raises(ValueError, match=r"d\^2 != 0 at generator 'a'"):
+        index_complex(names, deg, d, QQ).check()
+    with pytest.raises(ValueError, match=r"d\^2 != 0 at generator 'a'"):
+        ChainComplex(names, deg, d, QQ)
+    d["y"] = {"z": -1}
+    index_complex(names, deg, d, QQ).check()
+
+
+def test_the_degree_check_on_ids_names_the_entry():
+    C = index_complex(["x", "y"], {"x": 0, "y": 0}, {"x": {"y": 1}})
+    with pytest.raises(ValueError, match="differential not degree "
+                                         r"\+1 at x -> y"):
+        C.check()
+
+
+def test_an_id_cycle_names_the_first_pair_that_reaches_back():
+    # pairs in order 0: e -> z, 1: a -> x, 2: b -> y.  d b reaches x (pair
+    # 1) and d a reaches z (pair 0); b's entries come first, but pair 1 is
+    # the first pair that reaches the upper generator of an earlier one
+    import numpy as np
+    names = ["b", "a", "e", "x", "y", "z"]
+    C = index_complex(names, {"a": 0, "b": 0, "e": 0, "x": 1, "y": 1, "z": 1},
+                      {"b": {"y": 1, "x": 1}, "a": {"x": 1, "z": 1},
+                       "e": {"z": 1}})
+    with pytest.raises(ValueError, match="'a' -> 'x' reaches the upper"):
+        C.barcode(np.zeros(6), (np.array([2, 1, 0]), np.array([5, 3, 4])))
