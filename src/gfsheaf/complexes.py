@@ -7,14 +7,16 @@ Conventions fixed once for the whole package:
   * windows [a, b) keep generators with a <= action < b and carry the induced
     subquotient differential.
 
-A complex is held in one of two forms: ChainComplex, keyed by hashable
-generators, for callers that read generators; and IndexComplex, on the
-generator ids 0..n-1 as integer arrays, for the large section complexes,
-which are checked and reduced without a per-generator dict.
+Every array builder (grids.cubical_complex, sheaves._total_complex) makes
+an IndexComplex: the generator ids 0..n-1 with integer arrays, checked
+(IndexComplex.check) and, for section barcodes, reduced without a
+per-generator dict.  ChainComplex, keyed by hashable generators, is the
+form for callers that read generators; IndexComplex.chain_complex gives it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -236,24 +238,11 @@ class FilteredComplex:
         return FilteredComplex(sub, {g: self.action[g] for g in sub.gens},
                                check=False)
 
-    def barcode(self, matching=None):
+    def barcode(self):
         """Interval decomposition of the filtered cohomology, by the column
         reduction with clearing of _bars on the generators in filtration
-        order (action, degree, generator order).
-
-        With a matching (a dict lower -> upper of generator pairs in a
-        gradient order) the complex is taken to its IndexComplex form and
-        reduced there, on the Morse complex of the critical generators
-        (IndexComplex.barcode, which checks the matching).
-        """
+        order (action, degree, generator order)."""
         C, action = self.complex, self.action
-        if matching is not None:
-            index = C._index
-            value = np.array([action[g] for g in C.gens], dtype=float)
-            pairs = (np.array([index[s] for s in matching], dtype=np.int64),
-                     np.array([index[t] for t in matching.values()],
-                              dtype=np.int64))
-            return _index_form(C).barcode(value, pairs)
         order = sorted(C.gens, key=lambda g: (action[g], C.deg[g],
                                               C._index[g]))
         return _bars(order, C.deg, action, C.d, C.field)
@@ -317,9 +306,8 @@ class IndexComplex:
     indptr: n + 1 offsets: the coboundary of generator i is the entries
             indptr[i]:indptr[i+1] of tgt (generator ids) and coef, in
             order, every one nonzero in field.
-    coef:   int64 integer lifts of the field entries (as an assembly
-            builds them; the d^2 check needs these), or field scalars in
-            an object array (the form _index_form gives a ChainComplex).
+    coef:   int64 integer lifts of the field entries (the d^2 check
+            needs these).
     name:   id -> the generator an error message names.
     """
 
@@ -336,15 +324,22 @@ class IndexComplex:
         return np.repeat(np.arange(len(self.deg), dtype=np.int64),
                          np.diff(self.indptr))
 
-    def check(self):
+    def check(self, integral=False):
         """Raise ValueError unless every entry raises the degree by one and
-        d^2 = 0 holds in the field, naming the first failing generator in id
-        order, as ChainComplex's dict checks do.
+        d^2 = 0 holds, naming the first failing generator in id order, as
+        ChainComplex's dict checks do.
 
         The two-step paths x -> y -> z are grouped by (x, z) over the
-        integers.  Over F2 every entry is odd, so d^2 vanishes at (x, z)
-        exactly when the number of paths is even; over Q exactly when the
-        integer sum of the products of the two coefficients is 0.
+        integers.  d^2 vanishes at (x, z) over Z exactly when the integer
+        sum of the products of the two coefficients is 0; over F2, where
+        every entry is odd, exactly when the number of paths is even.  Over
+        Q the integer sum is taken.  Over F2 it is taken too when integral
+        is set, which certifies d^2 = 0 in every field, since Z -> field is
+        a ring homomorphism.  A cubical complex is certified that way: its
+        Koszul signs make it a complex over Z, and parity cannot see a
+        wrong sign.  An F2 section complex is certified by parity, because
+        an F2 stalk may carry unsigned differentials, whose integer lifts
+        are no complex over Z.
         """
         n, indptr, tgt, coef = len(self.deg), self.indptr, self.tgt, self.coef
         src = self.src()
@@ -357,24 +352,40 @@ class IndexComplex:
         first = np.repeat(np.arange(len(tgt), dtype=np.int64), length)
         second = index_ranges(indptr[:-1][tgt], length)
         key = src[first] * n + tgt[second]
+        if not len(key):
+            return      # no two-step path
         order = np.argsort(key, kind="stable")
         key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        if self.field is GF2:
-            odd = np.diff(np.r_[starts, len(key)]) & 1
-            failing = key[starts[odd == 1]]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        paths = np.diff(starts, append=len(key))
+        if self.field is GF2 and not integral:
+            failing = key[starts[paths & 1 == 1]]
         else:
-            paths = np.diff(np.r_[starts, len(key)])
-            big = int(np.abs(coef).max()) if len(coef) else 0
-            if big * big * int(paths.max(initial=0)) >= 1 << 63:
+            big = int(np.abs(coef).max())
+            if big * big * int(paths.max()) >= 1 << 63:
                 raise ValueError("coefficients too large for an exact "
                                  "d^2 check")
             w = (coef[first] * coef[second])[order]
-            sums = np.add.reduceat(w, starts) if len(w) else w
-            failing = key[starts[sums != 0]]
+            failing = key[starts[np.add.reduceat(w, starts) != 0]]
         if failing.size:
             raise ValueError(f"d^2 != 0 at generator "
                              f"{self.name(failing[0] // n)!r}")
+
+    def chain_complex(self, gens) -> ChainComplex:
+        """The same complex keyed by gens (the generator of each id, in id
+        order), with field scalars: degrees and coboundary entries in id
+        and entry order."""
+        F = self.field
+        coef = self.coef.tolist()
+        scalar = {c: F.coerce(c) for c in set(coef)}
+        entries = zip(map(gens.__getitem__, self.tgt.tolist()),
+                      map(scalar.__getitem__, coef))
+        d = {}
+        for g, k in zip(gens, np.diff(self.indptr).tolist()):
+            if k:
+                d[g] = dict(itertools.islice(entries, k))
+        return ChainComplex(gens, dict(zip(gens, self.deg.tolist())), d, F,
+                            check=False)
 
     def barcode(self, value, matching=None):
         """Barcode of the complex filtered by value (one float per
@@ -505,24 +516,6 @@ class IndexComplex:
             for e in range(uptr[j], uptr[j + 1]):
                 add_scaled(pending.setdefault(uj[e], {}), mult, uv[e], F)
         return crit, {c: row for c, row in morse.items() if row}
-
-
-def _index_form(C: ChainComplex) -> IndexComplex:
-    """C on the ids of its generators (their positions), without the
-    entries that are zero in the field."""
-    index, F = C._index, C.field
-    tgt, coef, indptr = [], [], [0]
-    for g in C.gens:
-        for h, v in C.d.get(g, {}).items():
-            if not F.is_zero(v):
-                tgt.append(index[h])
-                coef.append(v)
-        indptr.append(len(tgt))
-    return IndexComplex(np.array([C.deg[g] for g in C.gens], dtype=np.int64),
-                        np.array(indptr, dtype=np.int64),
-                        np.array(tgt, dtype=np.int64),
-                        np.array(coef, dtype=object), F,
-                        lambda i: C.gens[int(i)])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import ChainComplex, FilteredComplex
+from .complexes import ChainComplex, FilteredComplex, IndexComplex
 from .linalg import GF2
 from . import exprs
 
@@ -435,73 +435,38 @@ def restrict_to_region(W: CubicalSet, region: BaseRegion) -> CubicalSet:
 
 def cubical_complex(grid: BoxGrid, keep, field=GF2) -> ChainComplex:
     """Cellular cochain complex on the cells where keep (a boolean array over
-    grid.cell_shape) is true, read off grid.coface_table.
+    grid.cell_shape) is true, read off grid.coface_table as an IndexComplex:
+    its ids are the kept cells in C order, and the coboundary of each lists
+    its kept cofaces in slot order (the order BoxGrid.cofaces yields them)
+    with their Koszul signs.
 
-    Every entry is checked over the integers before anything is coerced: it
-    raises the dimension by one, and for every kept pair (x, z) the signed
-    two-step paths x -> y -> z through kept y sum to 0.  The coefficient map
-    Z -> field is a ring homomorphism, so d^2 = 0 holds over the field too.
-    Generators come in C order; each coboundary dict lists its cofaces in
-    the order BoxGrid.cofaces yields them.
+    Degree +1 and d^2 = 0 are certified over the integers before anything
+    is coerced (IndexComplex.check with integral set), so at F2 too a wrong
+    sign is refused; the tuple ChainComplex is IndexComplex.chain_complex.
     """
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != grid.cell_shape:
         raise ValueError("keep shape mismatch")
     table = grid.coface_table
     kept = np.append(keep.ravel(), False)   # slot -1 (no coface) reads False
-    ids = np.flatnonzero(kept).astype(np.int32)
+    ids = np.flatnonzero(kept)
     cof = table.cof[ids]
     on = kept[cof]
     row, slot = np.nonzero(on)
-    tgt = cof[row, slot]
-    sgn = table.sgn[ids[row], slot]
-    counts = on.sum(axis=1).tolist()
-    del cof, on, slot
-    dims = table.dim[ids]
-    bad = np.flatnonzero(table.dim[tgt] != dims[row] + 1)
-    if bad.size:
-        x, y = ids[row[bad[0]]], tgt[bad[0]]
-        raise ValueError(f"differential not degree +1 at {_cell(grid, x)} -> "
-                         f"{_cell(grid, y)}")
-    _check_d_squared(grid, kept, ids, row, tgt, sgn)
-    pos = np.zeros(len(kept), dtype=np.int32)
-    pos[ids] = np.arange(len(ids), dtype=np.int32)
-    gens = _cells(keep)
-    targets = map(gens.__getitem__, pos[tgt].tolist())
-    value = {1: field.coerce(1), -1: field.coerce(-1)}
-    entries = zip(targets, map(value.__getitem__, sgn.tolist()))
-    del row, tgt, sgn, pos      # index arrays go before the dicts grow
-    d = {}
-    for g, n in zip(gens, counts):
-        if n:
-            d[g] = dict(itertools.islice(entries, n))
-    return ChainComplex(gens, dict(zip(gens, dims.tolist())), d, field,
-                        check=False)
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(on.sum(axis=1), out=indptr[1:])
+    K = IndexComplex(table.dim[ids].astype(np.int64), indptr,
+                     np.searchsorted(ids, cof[row, slot]),
+                     table.sgn[ids[row], slot].astype(np.int64), field,
+                     lambda i: _cell(grid, ids[i]))
+    del cof, on, row, slot      # before the check and the dicts grow
+    K.check(integral=True)
+    return K.chain_complex(_cells(keep))
 
 
 def _cell(grid, flat):
     """Cell tuple of a flat id, as Python ints."""
     return tuple(map(int, np.unravel_index(int(flat), grid.cell_shape)))
-
-
-def _check_d_squared(grid, kept, ids, row, tgt, sgn):
-    """Raise ValueError unless, for every kept pair (x, z), the signed
-    two-step paths x -> y -> z of the kept entries (generator row[e] ->
-    flat id tgt[e], sign sgn[e]) sum to 0.  The signs are +-1, so that holds
-    exactly when the sorted (x, z) keys of the positive paths equal those of
-    the negative ones."""
-    table = grid.coface_table
-    cof2 = table.cof[tgt]
-    first, slot = np.nonzero(kept[cof2])
-    key = row[first].astype(np.int64) * len(kept) + cof2[first, slot]
-    up = sgn[first] * table.sgn[tgt[first], slot] > 0
-    del cof2, slot
-    if np.array_equal(np.sort(key[up]), np.sort(key[~up])):
-        return
-    keys, group = np.unique(key, return_inverse=True)
-    sums = np.bincount(group, weights=np.where(up, 1, -1))
-    x = ids[keys[np.flatnonzero(sums)[0]] // len(kept)]
-    raise ValueError(f"d^2 != 0 at generator {_cell(grid, x)}")
 
 
 def relative_cochain_complex(W: CubicalSet, A: CubicalSet,
@@ -641,26 +606,28 @@ def cup_product_cochain(grid: BoxGrid, a, b):
     for cell in grid.all_cells():
         if grid.cell_dim(cell) != p + q:
             continue
-        edge_axes = [i for i, c in enumerate(cell) if c & 1]
         total = 0
-        for A in itertools.combinations(edge_axes, p):
-            Aset = set(A)
-            front = []
-            back = []
-            for i, c in enumerate(cell):
-                g = grid.axes[i]
-                if c & 1 == 0:
-                    front.append(c)
-                    back.append(c)
-                elif i in Aset:
-                    front.append(c)
-                    lo, hi = g.edge_vertices(c >> 1)
-                    back.append(2 * hi)
-                else:
-                    lo, hi = g.edge_vertices(c >> 1)
-                    front.append(2 * lo)
-                    back.append(c)
-            total ^= a.get(tuple(front), 0) & b.get(tuple(back), 0)
+        for front, back in _front_back_faces(grid, cell, (p,)):
+            total ^= a.get(front, 0) & b.get(back, 0)
         if total:
             out[cell] = 1
     return out
+
+
+def _front_back_faces(grid: BoxGrid, cell, sizes):
+    """(front, back) faces of cell for every splitting of its edge axes
+    into (A, B) with |A| in sizes, A in itertools.combinations order: on an
+    axis of A the front keeps the edge and the back takes its upper vertex
+    2*hi; on an axis of B the front takes the lower vertex 2*lo and the back
+    keeps the edge; a vertex axis stays on both."""
+    edge_axes = [i for i, c in enumerate(cell) if c & 1]
+    for r in sizes:
+        for A in itertools.combinations(edge_axes, r):
+            front, back = list(cell), list(cell)
+            for i in edge_axes:
+                lo, hi = grid.axes[i].edge_vertices(cell[i] >> 1)
+                if i in A:
+                    back[i] = 2 * hi
+                else:
+                    front[i] = 2 * lo
+            yield tuple(front), tuple(back)

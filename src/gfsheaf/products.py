@@ -10,7 +10,6 @@ sheaves whose stalks have rank at most one in a single degree, over F2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,8 @@ import numpy as np
 from .complexes import (ChainComplex, apply_d, class_coordinates,
                         cohomology_basis)
 from .genfun import GenFun, box_sum, graph_genfun, negate
-from .grids import BaseRegion, BoxGrid, SampledFunction, cubical_complex
+from .grids import (BaseRegion, BoxGrid, SampledFunction, cubical_complex,
+                    _front_back_faces)
 from .linalg import GF2
 from .sheaves import (CellSheaf, TAxis, TameSheaf, _as_cellsheaf,
                       corner_table, product_section_complex, quantize,
@@ -414,36 +414,18 @@ def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
             beta_at.setdefault(bc, {})[(t2, lb)] = c
     out = {}
     for cell in base.all_cells():
-        cell = tuple(cell)
-        edge_axes = [i for i, c in enumerate(cell) if c & 1]
-        for r in range(len(edge_axes) + 1):
-            for A in itertools.combinations(edge_axes, r):
-                Aset = set(A)
-                front, back = [], []
-                for i, c in enumerate(cell):
-                    gax = base.axes[i]
-                    if c & 1 == 0:
-                        front.append(c)
-                        back.append(c)
-                    elif i in Aset:
-                        front.append(c)
-                        lo, hi = gax.edge_vertices(c >> 1)
-                        back.append(2 * hi)
-                    else:
-                        lo, hi = gax.edge_vertices(c >> 1)
-                        front.append(2 * lo)
-                        back.append(c)
-                fa = alpha_at.get(tuple(front))
-                fb = beta_at.get(tuple(back))
-                if not fa or not fb:
-                    continue
-                for (t1, la), c1 in fa.items():
-                    for (t2, lb), c2 in fb.items():
-                        g = (cell, t1, t2, la, lb)
-                        if g in genset:
-                            w = GF2.mul(c1, c2)
-                            if w:
-                                out[g] = GF2.add(out.get(g, 0), w)
+        for front, back in _front_back_faces(base, cell, range(len(cell) + 1)):
+            fa = alpha_at.get(front)
+            fb = beta_at.get(back)
+            if not fa or not fb:
+                continue
+            for (t1, la), c1 in fa.items():
+                for (t2, lb), c2 in fb.items():
+                    g = (cell, t1, t2, la, lb)
+                    if g in genset:
+                        w = GF2.mul(c1, c2)
+                        if w:
+                            out[g] = GF2.add(out.get(g, 0), w)
     out = {k: v for k, v in out.items() if v}
     if apply_d(C_out, out):
         raise AssertionError("cup product output is not closed; window "

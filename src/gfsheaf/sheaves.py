@@ -243,9 +243,10 @@ class CellSheaf:
                         taxis=None) -> ChainComplex:
         """Total complex over region x [a, b) with stalk coefficients, on
         the own t-axis unless a refinement of it is given."""
-        return _total_complex(self.base,
-                              [(self, taxis or self.taxis, _same_cell)],
-                              region, a, b, self.field).chain_complex()
+        S = _total_complex(self.base,
+                           [(self, taxis or self.taxis, _same_cell)],
+                           region, a, b, self.field)
+        return S.chain_complex(S.generators())
 
 
 def _same_cell(bc):
@@ -478,7 +479,7 @@ class SectionArrays(IndexComplex):
     """A section complex in index form (_total_complex) with the filtration
     value of each generator and the vertical matching (lower ids, upper
     ids).  Tuple generators are built only on demand, for an error message
-    (name) and for chain_complex: generator i is the tuple of
+    (name) and for chain_complex (generators): generator i is the tuple of
     values[index[i]] over the columns (values, index) -- the base cell, the
     t-cell of each axis, the label of each factor.
     """
@@ -493,22 +494,10 @@ class SectionArrays(IndexComplex):
     def _generator(self, i):
         return tuple(values[int(index[i])] for values, index in self._columns)
 
-    def chain_complex(self) -> ChainComplex:
-        """The same complex keyed by tuple generators, with field scalars:
-        generators, degrees and coboundary entries in id and entry order."""
-        F = self.field
-        gens = list(zip(*(map(values.__getitem__, index.tolist())
+    def generators(self):
+        """The tuple generator of every id, in id order."""
+        return list(zip(*(map(values.__getitem__, index.tolist())
                           for values, index in self._columns)))
-        coef = self.coef.tolist()
-        scalar = {c: F.coerce(c) for c in set(coef)}
-        entries = zip(map(gens.__getitem__, self.tgt.tolist()),
-                      map(scalar.__getitem__, coef))
-        d = {}
-        for g, k in zip(gens, np.diff(self.indptr).tolist()):
-            if k:
-                d[g] = dict(itertools.islice(entries, k))
-        return ChainComplex(gens, dict(zip(gens, self.deg.tolist())), d, F,
-                            check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -904,8 +893,9 @@ def product_section_complex(CA: CellSheaf, CB: CellSheaf, diagonal,
     """Total complex over base x [sum of two t-axes in [a, b)) with tensor
     stalks; the sum-sublevel convention discretizes the pushforward along
     (t1, t2) -> t1 + t2 exactly."""
-    return _total_complex(*_product_factors(CA, CB, diagonal), region, a, b,
-                          CA.field).chain_complex()
+    S = _total_complex(*_product_factors(CA, CB, diagonal), region, a, b,
+                       CA.field)
+    return S.chain_complex(S.generators())
 
 
 def _product_factors(CA: CellSheaf, CB: CellSheaf, diagonal):

@@ -9,22 +9,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# install the tracer, then run a stalk lookup and a small section barcode
-# through the wrapped functions and publish the stalk counts
+# install the tracer, then run a stalk lookup, a small section barcode and
+# one relative complex and one sublevel filtration through the wrapped
+# functions, and check the counts the tracer reads off their results
 TRACED = """
 import tracer
 t = tracer.Tracer()
 tracer.install(t)
-from gfsheaf.grids import BoxGrid, circle_grid
+from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid, full_set,
+                           relative_cochain_complex, sublevel_filtration,
+                           sublevel_set)
 from gfsheaf.sheaves import section_barcode, unit_sheaf
-F = unit_sheaf(BoxGrid((circle_grid(4),)))
+grid = BoxGrid((circle_grid(4),))
+F = unit_sheaf(grid)
 assert F.cell.stalk((0,), 1.0).gens
 assert section_barcode(F).bars == ((0, 0.0, float("inf")),
                                    (1, 0.0, float("inf")))
+f = SampledFunction(grid, [0.0, 1.0, 2.0, 1.0])
+C = relative_cochain_complex(full_set(grid), sublevel_set(f, 1.5))
+FC = sublevel_filtration(f)
 for publish in t.finish:
     publish()
 assert t.counts["sheaves.stalk.lookups"] > 1, t.counts
 assert t.counts["sheaves.stalk.hits"] >= 1, t.counts
+assert t.counts["grids.relative_complex.gens"] == len(C.gens) == 3, t.counts
+assert t.counts["grids.sublevel_filtration.cells"] == len(FC.complex.gens) \
+    == 8, t.counts
 """
 
 

@@ -506,7 +506,14 @@ def test_barcode_through_a_random_acyclic_matching(field):
     for FC in cases:
         matching = random_acyclic_matching(rng, FC)
         matched += bool(matching)
-        assert FC.barcode(matching).bars == FC.barcode().bars, matching
+        C = FC.complex
+        assert all(v == int(v) for cb in C.d.values() for v in cb.values())
+        K = index_complex(list(C.gens), C.deg, {
+            g: {h: int(v) for h, v in cb.items()} for g, cb in C.d.items()},
+            field)
+        value = np.array([FC.action[g] for g in C.gens])
+        got = K.barcode(value, _id_pairs(C._index.__getitem__, matching))
+        assert got.bars == FC.barcode().bars, matching
     assert matched > len(cases) // 2
 
 
@@ -518,31 +525,6 @@ def _tied_square(field=GF2):
                      {"a": {"x": 1, "y": 1}, "b": {"x": 1, "y": 1}}, field)
     return FilteredComplex(C, {"a": 0.0, "b": 0.0, "x": 0.0, "y": 0.0,
                                "c": 1.0})
-
-
-def test_barcode_through_a_matching_of_the_tied_square():
-    FC = _tied_square()
-    assert FC.barcode({"a": "x"}).bars == FC.barcode().bars == (
-        (0, 0.0, INF), (1, 0.0, INF), (1, 1.0, INF))
-
-
-@pytest.mark.parametrize("matching, message", [
-    ({"a": "c"}, "not a coface"),
-    ({"a": "b"}, "not a coface"),
-    ({"a": "x", "b": "x"}, "matched twice"),
-    ({"a": "x", "x": "c"}, "matched twice"),
-    ({"a": "x", "b": "y"}, "cycle"),
-    ({"b": "y", "a": "x"}, "cycle"),
-])
-def test_a_matching_that_is_no_acyclic_matching_is_refused(matching, message):
-    with pytest.raises(ValueError, match=message):
-        _tied_square().barcode(matching)
-
-
-def test_a_matched_pair_of_unequal_values_is_refused():
-    FC = FilteredComplex(acyclic_pair(), {"x": 1.0, "y": 3.0})
-    with pytest.raises(ValueError, match="unequal values"):
-        FC.barcode({"x": "y"})
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from gfsheaf import grids
-from gfsheaf.complexes import cohomology_ranks, apply_d
+from gfsheaf.complexes import IndexComplex, cohomology_ranks, apply_d
 from gfsheaf.fixtures import random_circle_morse
 from gfsheaf.floer import SuperlevelHome
 from gfsheaf.genfun import graph_genfun
@@ -105,19 +104,19 @@ def test_sublevel_filtration_constant():
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
 def test_sublevel_filtration_checks_d_squared(field, monkeypatch):
-    # the cubical builder's integer check, once, on the whole complex
+    # the shared integer check, once, on the whole complex
     checked = []
-    check = grids._check_d_squared
+    check = IndexComplex.check
 
-    def counted(grid, kept, ids, *rest):
-        checked.append(len(ids))
-        return check(grid, kept, ids, *rest)
+    def counted(self, integral=False):
+        checked.append((len(self.deg), integral))
+        return check(self, integral)
 
-    monkeypatch.setattr(grids, "_check_d_squared", counted)
+    monkeypatch.setattr(IndexComplex, "check", counted)
     f = sf(BoxGrid((circle_grid(6), interval_grid(4, 0.0, 1.0))),
            "cos(2*pi*x) + y")
     FC = sublevel_filtration(f, field)
-    assert checked == [len(FC.complex.gens)]
+    assert checked == [(len(FC.complex.gens), True)]
 
 
 def test_sublevel_filtration_cosine_circle():
@@ -331,7 +330,10 @@ def test_decoupled_superlevel_complex_matches_cell_by_cell(field):
                                 field)
 
 
-def test_builder_rejects_a_flipped_sign(monkeypatch):
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_builder_rejects_a_flipped_sign(field, monkeypatch):
+    # over F2 a flipped sign leaves an even path count: only the integer
+    # check sees it
     grid = BoxGrid((circle_grid(5),), (interval_grid(4, -1.0, 1.0),))
     table = grid.coface_table
     cell = (2, 4)                       # a vertex: cofaces on both axes
@@ -341,5 +343,19 @@ def test_builder_rejects_a_flipped_sign(monkeypatch):
     monkeypatch.setitem(grid.__dict__, "coface_table",
                         table._replace(sgn=sgn))
     with pytest.raises(ValueError, match=r"d\^2 != 0") as err:
-        relative_cochain_complex(full_set(grid), empty_set(grid))
+        relative_cochain_complex(full_set(grid), empty_set(grid), field)
     assert str(err.value) == f"d^2 != 0 at generator {cell}"
+
+
+def test_builder_rejects_a_wrong_dimension(monkeypatch):
+    # the edge (3, 4) claims dimension 2; the first entry that meets it, in
+    # generator order and then slot order, comes from its face (2, 4)
+    grid = BoxGrid((circle_grid(5),), (interval_grid(4, -1.0, 1.0),))
+    table = grid.coface_table
+    dim = table.dim.copy()
+    dim[np.ravel_multi_index((3, 4), grid.cell_shape)] = 2
+    monkeypatch.setitem(grid.__dict__, "coface_table",
+                        table._replace(dim=dim))
+    with pytest.raises(ValueError) as err:
+        relative_cochain_complex(full_set(grid), empty_set(grid))
+    assert str(err.value) == "differential not degree +1 at (2, 4) -> (3, 4)"
