@@ -188,8 +188,8 @@ class BoxGrid:
             sgn[..., 2 * i + 1] = np.where(right, prefix, 0)
             dim += odd.astype(np.int8)
             prefix = np.where(odd, -prefix, prefix)
-        return CofaceTable(cof.reshape(-1, 2 * k), sgn.reshape(-1, 2 * k),
-                           dim.ravel())
+        return CofaceTable(cof.reshape(flat.size, 2 * k),
+                           sgn.reshape(flat.size, 2 * k), dim.ravel())
 
     def faces(self, cell):
         out = []

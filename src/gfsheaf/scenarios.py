@@ -154,6 +154,11 @@ def _is_finite_real(value):
             and math.isfinite(value))
 
 
+# the largest grid size per axis a scenario may ask for; the bundled
+# scenarios ask for at most 256 at grid scale 4
+MAX_AXIS_N = 4096
+
+
 def check_grid_scale(value):
     """A grid scale as a float; anything but a finite positive number is an
     input error."""
@@ -182,11 +187,22 @@ class ScenarioContext:
             self.regions[name] = cfg  # resolved lazily against a grid
 
     def _n(self, cfg, key, default):
+        """The grid size cfg[key] (or default) times the grid scale, at
+        least 4.  A value that is no positive number, or a scaled size above
+        MAX_AXIS_N, is an input error, raised before anything is built."""
         value = cfg.get(key, default)
         if not _is_finite_real(value):
             raise ScenarioParseError(
                 f"{key} must be a finite number, got {value!r}")
-        return max(4, int(round(value * self.grid_scale)))
+        if value <= 0:
+            raise ScenarioParseError(f"{key} must be positive, got {value!r}")
+        scaled = value * self.grid_scale
+        if not scaled < MAX_AXIS_N + 0.5:
+            raise ScenarioParseError(
+                f"{key} = {value!r} at grid scale {self.grid_scale:g} gives "
+                f"grid size {scaled:.6g}, above the per-axis ceiling of "
+                f"{MAX_AXIS_N}")
+        return max(4, int(round(scaled)))
 
     def _build_function(self, cfg):
         kind = cfg.get("grid", "circle")

@@ -7,7 +7,9 @@ A tame sheaf is carried in one of three presentations:
   * Cellular: a stratification of N x R by base cells and breakpoint
     intervals, a stalk complex per stratum given by a pure function of
     (base cell, threshold), and generization maps that match generators by
-    label (restrictions are projections, extensions are inclusions).
+    label (restrictions are projections, extensions are inclusions).  The
+    cellular presentation of a GF sheaf gives its stalks as masks over the
+    cells of its fiber (FiberMasks).
   * Product: a pair of factors on a shared or doubled base with the sum
     pushforward evaluated through the discretized two-axis model.
 
@@ -23,7 +25,10 @@ One builder, _total_complex, assembles every section complex as integer
 index arrays (a SectionArrays, an IndexComplex): each generator (bc, t_1..
 t_m, label_1..label_m) is an id, numbered in generator order; the
 coboundary is src/tgt/coef arrays built from the base cofaces, the t-axis
-cofaces and the stalk differentials with Koszul signs; degree +1 and
+cofaces and the stalk differentials with Koszul signs.  The stalks of each
+factor come in as one StalkTable of integer slots: read off the fiber masks
+in one numpy pass for a GF sheaf's cellular presentation, gathered from
+tuple Stalks (Stalk.index_form) for any other stalk_fn.  Degree +1 and
 d^2 = 0 are checked on the integer arrays, exactly in the field (the
 parity of the two-step path count over F2, the integer sum over Q).
 section_barcode builds one such complex per (sheaf, region) and reduces it
@@ -44,6 +49,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,7 +155,6 @@ class Stalk:
 
     gens: tuple          # tuple of (label, degree)
     diff: tuple = ()     # tuple of (label, label, coeff): degree +1 entries
-    unit: tuple = ()     # degree-0 labels of the canonical unit cocycle
 
     def degrees(self):
         return dict(self.gens)
@@ -194,7 +199,100 @@ class Stalk:
 
 
 ZERO_STALK = Stalk(())
-CONST_STALK = Stalk(((("k",), 0),), (), (("k",),))
+CONST_STALK = Stalk(((("k",), 0),))
+
+
+class StalkTable(NamedTuple):
+    """Stalks on integer slots, as _total_complex reads them.
+
+    Stalk k holds the slots off[k]:off[k+1], one per generator in stalk
+    order; slot q carries the label id lab[q] (labels[i] is label i), the
+    degree ldeg[q], and the stalk differential leaving it: the entries
+    dptr[q]:dptr[q+1] of dpos (the local position of the target) and dcoef
+    (integer coefficients, nonzero in the field), in Stalk.d_map order.
+    """
+
+    off: np.ndarray
+    lab: np.ndarray
+    ldeg: np.ndarray
+    dptr: np.ndarray
+    dpos: np.ndarray
+    dcoef: np.ndarray
+    labels: list
+
+
+class FiberMasks:
+    """The stalks of a GF sheaf's cellular presentation, as masks over the
+    cells of its fiber.
+
+    The stalk over base cell bc at threshold thr is the fiber complex on
+    the cells whose value v (values[flat bc, flat fiber cell], the largest
+    vertex value of the cell) has floor <= v < thr, with the fiber's
+    coboundary (its CofaceTable) between them; generator labels are the
+    fiber cells, in flat id order.  table is the one place that applies
+    this rule: it gives the stalks of many (base cell, threshold) pairs in
+    one numpy pass, and stalks (or a call) reads tuple Stalks off a table,
+    for the callers that read labels.
+    """
+
+    def __init__(self, base: BoxGrid, fiber: BoxGrid, values, floor):
+        self.base_shape = base.base_cell_shape
+        self.coface = fiber.coface_table
+        self.labels = list(fiber.all_cells())
+        self.values = values.reshape(-1, len(self.labels))
+        self.floor = floor
+
+    def table(self, rows, thresholds):
+        """(index, StalkTable) of the stalks over the flat base cells rows
+        at thresholds: index[r, i] numbers the stalk over (rows[r],
+        thresholds[i]) in the table, -1 when it is empty.  Label id = flat
+        fiber cell id; a stalk's differential keeps the coface entries
+        between its cells, in slot order."""
+        n_fc = len(self.labels)
+        v = self.values[rows][:, None, :]
+        kept = ((self.floor <= v) & (v < np.asarray(
+            thresholds, dtype=float)[None, :, None])).reshape(-1, n_fc)
+        size = kept.sum(axis=1)
+        full = size > 0
+        index = np.where(full, np.cumsum(full) - 1, -1).reshape(
+            len(rows), len(thresholds))
+        size = size[full]
+        off = np.concatenate([[0], np.cumsum(size)])
+        row, fc = np.nonzero(kept)
+        key = row * n_fc + fc               # increasing: the slot order
+        cof = self.coface.cof[fc]
+        want = row[:, None] * n_fc + cof
+        at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        src, k = np.nonzero((cof >= 0) & (key[at] == want))
+        dptr = np.concatenate([[0], np.cumsum(np.bincount(
+            src, minlength=len(fc)))])
+        start = np.repeat(off[:-1], size)   # of the stalk holding each slot
+        return index, StalkTable(
+            off, fc, self.coface.dim[fc].astype(np.int64), dptr,
+            at[src, k] - start[src],
+            self.coface.sgn[fc[src], k].astype(np.int64), self.labels)
+
+    def stalks(self, base_cell, thresholds):
+        """The stalks over base_cell at thresholds as tuple Stalks, read off
+        one table."""
+        row = np.ravel_multi_index(tuple(base_cell), self.base_shape)
+        index, t = self.table([row], thresholds)
+        labels = [self.labels[x] for x in t.lab.tolist()]
+        gens = list(zip(labels, t.ldeg.tolist()))
+        src = np.repeat(np.arange(len(labels)), np.diff(t.dptr))
+        start = np.repeat(t.off[:-1], np.diff(t.off))
+        diff = list(zip(map(labels.__getitem__, src.tolist()),
+                        map(labels.__getitem__,
+                            (start[src] + t.dpos).tolist()),
+                        t.dcoef.tolist()))
+        off, end = t.off.tolist(), t.dptr[t.off].tolist()
+        return [Stalk(tuple(gens[off[k]:off[k + 1]]),
+                      tuple(diff[end[k]:end[k + 1]])) if k >= 0
+                else ZERO_STALK for k in index[0].tolist()]
+
+    def __call__(self, base_cell, thr):
+        """The stalk over base_cell at thr as a tuple Stalk."""
+        return self.stalks(base_cell, [thr])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +303,9 @@ class CellSheaf:
 
     Generization maps are label matches; this is exact for restriction maps
     (projections) and star inclusions alike, and is verified by the d^2 = 0
-    assertion on every assembled section complex.
+    assertion on every assembled section complex.  A stalk_fn that is a
+    FiberMasks (the cellular presentation of a GF sheaf) also gives the
+    section assembly all its stalks at once (strata_stalks).
     """
 
     def __init__(self, base: BoxGrid, taxis: TAxis, stalk_fn, shift=0,
@@ -229,15 +329,50 @@ class CellSheaf:
         i = bisect.bisect(self.taxis.breaks, threshold)
         key = (tuple(base_cell), i)
         hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = self._stalk_fn(
-                key[0], self.taxis.rep(("e", i)))
+        if hit is not None:
+            return hit
+        if isinstance(self._stalk_fn, FiberMasks):
+            # one table gives the stalks of every stratum over the cell
+            stalks = self._stalk_fn.stalks(key[0], self._reps())
+            self._cache.update(((key[0], j), st)
+                               for j, st in enumerate(stalks))
+            return stalks[i]
+        hit = self._cache[key] = self._stalk_fn(key[0],
+                                                self.taxis.rep(("e", i)))
         return hit
+
+    def _reps(self):
+        """The representative threshold of each own stratum ('e', i)."""
+        return [self.taxis.rep(("e", i)) for i in range(self.taxis.m + 1)]
 
     def stalk_over(self, base_cell, ax: TAxis, tc):
         """The stalk over t-cell tc of the axis ax, a refinement of the own
         axis: that of the own stratum containing the cell."""
         return self.stalk(base_cell, ax.rep(tc))
+
+    def strata_stalks(self, base_cells, field):
+        """(index, StalkTable) of the stalks over base_cells (cell tuples)
+        on the own strata: index[c, i] numbers the stalk over (base_cells[c],
+        ('e', i)) in the table, -1 when it is empty.  A FiberMasks reads
+        them off its masks in one pass; any other stalk_fn is sampled
+        through stalk once per (distinct cell, stratum) and each distinct
+        stalk is converted once (_Stalks)."""
+        reps = self._reps()
+        if isinstance(self._stalk_fn, FiberMasks):
+            shape = self.base.base_cell_shape
+            flat = np.ravel_multi_index(tuple(np.array(
+                base_cells, dtype=np.int64).reshape(-1, len(shape)).T), shape)
+            rows, inverse = np.unique(flat, return_inverse=True)
+            index, table = self._stalk_fn.table(rows, reps)
+            return index[inverse], table
+        stalks, memo = _Stalks(field), {}
+        for bc in base_cells:
+            if bc not in memo:
+                memo[bc] = [stalks.index(self.stalk(bc, thr),
+                                         (self.label, bc, i))
+                            for i, thr in enumerate(reps)]
+        index = np.array([memo[bc] for bc in base_cells], dtype=np.int64)
+        return index.reshape(len(base_cells), len(reps)), stalks.freeze()
 
     def section_complex(self, region: BaseRegion | None, a, b,
                         taxis=None) -> ChainComplex:
@@ -265,11 +400,12 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     numbered by its id in the order: base cells of the region in C order,
     window tuples in product order, then the labels of the stalks, first
     factor outermost.  The stalk over a t-cell is that of the factor's own
-    stratum containing it (CellSheaf.stalk_over), fetched once per (base
-    cell, stratum); each distinct stalk gives its labels integer ids once
-    (_Stalks), so a generator also has an integer key, (flat base cell,
-    flat t-cell tuple, label ids) in mixed radix, and a coboundary target
-    is found by searching the sorted keys.
+    stratum containing it (as CellSheaf.stalk_over gives it); each factor
+    gives the stalks over its base cells under the region on all its strata
+    as one StalkTable (CellSheaf.strata_stalks), whose labels have integer
+    ids, so a generator also has an integer key, (flat base cell, flat
+    t-cell tuple, label ids) in mixed radix, and a coboundary target is
+    found by searching the sorted keys.
 
     The coboundary of a generator lists, in this order: the base cofaces
     (BoxGrid.coface_table, slot order); the cofaces on t-axis i, signed by
@@ -308,24 +444,13 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     cells = [tuple(c) for c in np.argwhere(mask).tolist()]
     table = base.coface_table
     # per factor: the stalk index over each (region cell, t-cell), -1 empty
-    stalks = [_Stalks(field) for _ in factors]
-    over = []
-    for (cell, ax, project), st, cells_f in zip(factors, stalks, tcells):
-        own = cell.taxis
-        strata = np.array([bisect.bisect(own.breaks, ax.rep(tc))
-                           for tc in cells_f])
-        reps = [own.rep(("e", i)) for i in range(own.m + 1)]
-        memo, rows = {}, []
-        for bc in cells:
-            pc = project(bc)
-            row = memo.get(pc)
-            if row is None:
-                row = memo[pc] = np.array(
-                    [st.index(cell.stalk(pc, thr), (cell.label, pc, i))
-                     for i, thr in enumerate(reps)])[strata]
-            rows.append(row)
-        over.append(np.array(rows).reshape(len(cells), len(cells_f)))
-        st.freeze()
+    stalks, over = [], []
+    for (cell, ax, project), cells_f in zip(factors, tcells):
+        strata = np.array([bisect.bisect(cell.taxis.breaks, ax.rep(tc))
+                           for tc in cells_f], dtype=np.int64)
+        index, st = cell.strata_stalks([project(bc) for bc in cells], field)
+        stalks.append(st)
+        over.append(index[:, strata])
     # blocks (cell, window tuple) with every stalk nonempty, in C order;
     # the window tuples that start with one t-cell are consecutive
     group = np.bincount(wt[:, 0], minlength=nt[0])
@@ -412,17 +537,9 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
 
 
 class _Stalks:
-    """The distinct stalks of one factor in one assembly, as index arrays
-    (after freeze).
-
-    Stalk k holds the slots off[k]:off[k+1], one per generator in stalk
-    order; slot q carries the label id lab[q] (labels are numbered on first
-    sight, so equal labels of different stalks share an id; labels[i] is
-    label i), the degree ldeg[q], and the stalk differential leaving it: the
-    entries dptr[q]:dptr[q+1] of dpos (the local position of the target)
-    and dcoef (integer coefficients, nonzero in the field), in Stalk.d_map
-    order.
-    """
+    """The distinct tuple stalks of one factor in one assembly, gathered
+    for one StalkTable (freeze).  Labels are numbered on first sight, so
+    equal labels of different stalks share an id."""
 
     def __init__(self, field):
         self.field = field
@@ -452,17 +569,13 @@ class _Stalks:
                              for lbl in labels]] + arrays)
         return len(self._forms) - 1
 
-    def freeze(self):
-        """Concatenate the stalks into the arrays, once every stalk is in;
+    def freeze(self) -> StalkTable:
+        """Concatenate the stalks into a StalkTable, once every stalk is in;
         differential entries that are zero in the field are dropped."""
         empty = [np.zeros(0, dtype=np.int64)]
         lab, ldeg, dptr, dpos, dcoef = (
             empty + list(x) for x in (list(zip(*self._forms)) or [()] * 5))
-        self.labels = list(self._label_id)
         size = np.array([len(x) for x in lab[1:]], dtype=np.int64)
-        self.off = np.concatenate([[0], np.cumsum(size)])
-        self.lab = np.concatenate(lab).astype(np.int64)
-        self.ldeg = np.concatenate(ldeg)
         # local offsets, shifted past the entries of the earlier stalks
         before = np.cumsum([0] + [len(x) for x in dpos[1:]])
         dptr = np.concatenate([x[:-1] + b for x, b in zip(dptr[1:], before)]
@@ -471,8 +584,11 @@ class _Stalks:
         F = self.field
         zero = [c for c in set(dcoef.tolist()) if F.is_zero(F.coerce(c))]
         keep = ~np.isin(dcoef, zero)
-        self.dptr = np.concatenate([[0], np.cumsum(keep)])[dptr]
-        self.dpos, self.dcoef = dpos[keep], dcoef[keep]
+        return StalkTable(np.concatenate([[0], np.cumsum(size)]),
+                          np.concatenate(lab).astype(np.int64),
+                          np.concatenate(ldeg),
+                          np.concatenate([[0], np.cumsum(keep)])[dptr],
+                          dpos[keep], dcoef[keep], list(self._label_id))
 
 
 class SectionArrays(IndexComplex):
@@ -563,7 +679,8 @@ def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
 def to_cellular(F: TameSheaf, max_cells=250_000, spot_checks=20,
                 rng=None) -> TameSheaf:
     """Cellular presentation of a GF sheaf: breakpoints at strand values,
-    stalks the floored fiber complexes; spot-checked against the GF route."""
+    stalks the floored fiber complexes, held as masks over the fiber cells
+    (FiberMasks); spot-checked against the GF route."""
     if F.kind != "gf":
         raise ValueError("to_cellular expects a GF presentation")
     gf = F.gf
@@ -578,34 +695,11 @@ def to_cellular(F: TameSheaf, max_cells=250_000, spot_checks=20,
     if est > max_cells:
         raise ValueError(f"stratification too large ({est} strata cells); "
                          f"coarsen the grid")
-    cm = gf.S.cell_max()
-    fib = BoxGrid(gf.grid.fiber, ())
-    if gf.k:
-        fib_cells = list(fib.all_cells())   # flat cell id order
-        table = fib.coface_table
-        fib_dims = table.dim.tolist()
-
-    def stalk_fn(bc, thr):
-        if gf.k == 0:
-            v = float(cm[tuple(bc)])
-            if floor <= v < thr:
-                return Stalk((((), 0),), (), ((),))
-            return ZERO_STALK
-        # the fiber cells with floor <= value < thr, and the coface entries
-        # between them (slot -1 of the table reads the appended False)
-        block = cm[tuple(bc)].ravel()
-        kept = np.append((floor <= block) & (block < thr), False)
-        ids = np.flatnonzero(kept)
-        cof = table.cof[ids]
-        row, slot = np.nonzero(kept[cof])
-        gens = tuple((fib_cells[i], fib_dims[i]) for i in ids.tolist())
-        diff = tuple(zip(map(fib_cells.__getitem__, ids[row].tolist()),
-                         map(fib_cells.__getitem__, cof[row, slot].tolist()),
-                         table.sgn[ids[row], slot].tolist()))
-        return Stalk(gens, diff, ())
-
+    # k = 0: one fiber cell, labelled () in degree 0
+    masks = FiberMasks(base, BoxGrid(gf.grid.fiber, ()), gf.S.cell_max(),
+                       floor)
     ind = ("graph", gf.S) if gf.k == 0 else None
-    cell = CellSheaf(base, TAxis(breaks), stalk_fn, shift=gf.i_q,
+    cell = CellSheaf(base, TAxis(breaks), masks, shift=gf.i_q,
                      label=f"cellular({F.label})", indicator=ind)
     out = TameSheaf("cell", cell=cell, label=cell.label)
     _spot_check_cellular(F, out, spot_checks, rng)
@@ -881,7 +975,7 @@ def materialize_rank_one_tensor(CA: CellSheaf, CB: CellSheaf) -> CellSheaf:
         th = theta.get(tuple(bc))
         if th is None or thr <= th:
             return ZERO_STALK
-        return Stalk(((("t",), deg[tuple(bc)]),), (), ())
+        return Stalk(((("t",), deg[tuple(bc)]),))
 
     return CellSheaf(CA.base, TAxis(tuple(breaks)), stalk_fn,
                      shift=CA.shift + CB.shift,

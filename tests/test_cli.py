@@ -323,3 +323,34 @@ def test_bad_function_input_exits_2_without_traceback(tmp_path, name):
     assert proc.returncode == 2
     assert "[input error]" in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_oversize_grid_scale_is_refused_before_building(tmp_path, capsys):
+    # 32 * 1e9 grid points per axis: refused by size, never allocated
+    path = next(p for p in bundled_scenarios()
+                if os.path.basename(p) == "cusp.toml")
+    assert main(["run", path, "--grid-scale", "1e9", "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "[input error]" in out
+    assert "n_base = 32 at grid scale 1e+09 gives grid size 3.2e+10, " \
+           "above the per-axis ceiling of 4096" in out
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1e12", "n_base = 1000000000000.0 at grid scale 1 gives grid size "
+             "1e+12, above the per-axis ceiling of 4096"),
+    ("1e308", "above the per-axis ceiling"),
+    ("-3", "n_base must be positive, got -3"),
+    ("0", "n_base must be positive, got 0"),
+])
+def test_bad_grid_size_in_file_exits_2(tmp_path, capsys, value, message):
+    path = tmp_path / "size.toml"
+    path.write_text('[scenario]\nname = "s"\nseed = 1\n'
+                    f'[inputs.genfuns.g]\nkind = "cusp"\nn_base = {value}\n')
+    assert main(["run", str(path), "--grid-scale", "1", "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "[input error]" in out and message in out
+    assert main(["run", str(path), "--grid-scale", "2", "--out-dir",
+                 str(tmp_path / "out")]) == 2

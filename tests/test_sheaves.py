@@ -513,7 +513,7 @@ def _flipped(cell, bc, thr, field):
         st = cell._stalk_fn(c, t)
         if c == bc and t == thr:
             (x, y, v), *rest = st.diff
-            st = Stalk(st.gens, ((x, y, -v), *rest), st.unit)
+            st = Stalk(st.gens, ((x, y, -v), *rest))
         return st
 
     return CellSheaf(cell.base, cell.taxis, stalk_fn, field=field)
@@ -906,7 +906,7 @@ def reference_stalk(gf, bc, thr):
         for cf, s in fib.cofaces(fc):
             if cf in included:
                 diff.append((fc, cf, s))
-    return Stalk(tuple(gens), tuple(diff), ())
+    return Stalk(tuple(gens), tuple(diff))
 
 
 def _stalk_inputs():
@@ -916,7 +916,9 @@ def _stalk_inputs():
     from gfsheaf.scenarios import ScenarioContext, load_scenario
     spec = load_scenario(os.path.join(BUNDLED_DIR, "three-routes.toml"))
     for scale in (1, 2):
-        yield ScenarioContext(spec, grid_scale=scale).genfuns["cusp"]
+        ctx = ScenarioContext(spec, grid_scale=scale)
+        yield ctx.genfuns["cusp"]
+    yield graph_genfun(ctx.functions["f"])      # k = 0
     small = cusp_genfun(n_base=4, n_fiber=12)
     yield box_sum(small, small)     # a two-axis fiber
 
@@ -938,6 +940,102 @@ def test_cellular_stalks_equal_the_fiber_loop():
                 assert all(type(c) is int for _, _, c in got.diff)
                 count += 1
     assert count > 1584
+
+
+@pytest.mark.parametrize("field", ["f2", "q"])
+def test_mask_stalks_assemble_as_the_fiber_loop_stalks(field):
+    # to_cellular's stalks, read off its fiber masks in one table per
+    # factor, against the same sheaf sampled through the fiber loop one
+    # tuple stalk at a time
+    import functools
+    from gfsheaf.linalg import GF2, QQ
+    from gfsheaf.sheaves import (CellSheaf, FiberMasks, _same_cell,
+                                 _total_complex)
+    F = {"f2": GF2, "q": QQ}[field]
+    rng = random.Random(13)
+    for gf in _stalk_inputs():
+        cell = to_cellular(quantize(gf), spot_checks=0).cell
+        assert isinstance(cell._stalk_fn, FiberMasks)
+        masked = CellSheaf(cell.base, cell.taxis, cell._stalk_fn, field=F)
+        loop = CellSheaf(cell.base, cell.taxis,
+                         functools.partial(reference_stalk, gf), field=F)
+        for region in (None, _random_box(rng, cell.base)):
+            got, want = (_total_complex(c.base, [(c, c.taxis, _same_cell)],
+                                        region, -INF, INF, F)
+                         for c in (masked, loop))
+            assert len(got.deg) > 0 and len(got.tgt) > 0
+            for name in ("deg", "indptr", "tgt", "coef", "value"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+            for x, y in zip(got.matching, want.matching, strict=True):
+                assert np.array_equal(x, y)
+            assert got.generators() == want.generators()
+
+
+def test_a_mask_backed_assembly_builds_no_tuple_stalk(monkeypatch):
+    from gfsheaf import sheaves
+    from gfsheaf.sheaves import section_barcode
+    rng = random.Random(5)
+    cusp = to_cellular(quantize(cusp_genfun(n_base=6, n_fiber=12)),
+                       spot_checks=0)
+    graphs = [to_cellular(quantize(graph_genfun(random_circle_morse(
+        rng, n=8))), spot_checks=0) for _ in range(2)]
+    product = TameSheaf("prod", factors=tuple(graphs), diagonal=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tuple stalk was built")
+
+    monkeypatch.setattr(sheaves.Stalk, "index_form", property(refuse))
+    monkeypatch.setattr(sheaves, "Stalk", refuse)
+    monkeypatch.setattr(sheaves.CellSheaf, "stalk", refuse)
+    monkeypatch.setattr(sheaves.FiberMasks, "stalks", refuse)
+    for F in (cusp, graphs[0], product):
+        assert section_barcode(F).bars
+        assert section_barcode(F, _random_box(rng, F.base_grid)) is not None
+    assert cusp.cell.section_complex(None, -INF, INF).d
+
+
+def test_a_flipped_sign_in_the_fiber_masks_is_refused():
+    # one coface sign of a two-axis fiber flipped: a mask-derived stalk
+    # that holds a whole square through the entry is no complex over Q, and
+    # the table assembly names the generator that the reference assembly
+    # names (on a one-axis fiber any signs make a complex)
+    import copy
+    from gfsheaf.complexes import ChainComplex
+    from gfsheaf.genfun import box_sum
+    from gfsheaf.linalg import GF2, QQ
+    from gfsheaf.sheaves import CellSheaf
+    small = cusp_genfun(n_base=4, n_fiber=8)
+    cusp = to_cellular(quantize(box_sum(small, small)), spot_checks=0).cell
+    sgn = cusp._stalk_fn.coface.sgn
+    tried = 0
+    for x, k in np.argwhere(sgn != 0)[::7].tolist():
+        masks = copy.copy(cusp._stalk_fn)
+        flipped = sgn.copy()
+        flipped[x, k] *= -1
+        masks.coface = masks.coface._replace(sgn=flipped)
+        loop = CellSheaf(cusp.base, cusp.taxis,
+                         lambda bc, thr, masks=masks: masks(bc, thr),
+                         field=QQ)
+        ref = _reference_section_complex(loop, None, -INF, INF)
+        try:
+            ChainComplex(ref.gens, ref.deg, ref.d, QQ, check=True)
+            continue
+        except ValueError as e:
+            want = str(e)
+        assert want.startswith("d^2 != 0 at generator ((")
+        for F in (QQ, GF2):
+            cell = CellSheaf(cusp.base, cusp.taxis, masks, field=F)
+            if F is GF2:    # a flipped sign is invisible over F2
+                cell.section_complex(None, -INF, INF)
+                continue
+            with pytest.raises(ValueError) as got:
+                cell.section_complex(None, -INF, INF)
+            assert str(got.value) == want
+        tried += 1
+        if tried == 3:
+            break
+    assert tried == 3
 
 
 def test_a_gf_sheaf_is_converted_to_cellular_form_once(tmp_path,
