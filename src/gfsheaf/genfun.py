@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grids import (BaseRegion, BoxGrid, SampledFunction, critical_vertices,
-                    relative_cochain_complex, restrict_to_region,
-                    sublevel_set)
+from .grids import (BaseRegion, BoxGrid, SampledFunction, critical_stencil,
+                    neighbor_values, relative_cochain_complex,
+                    restrict_to_region, sublevel_set)
 from .linalg import GF2
 
 
@@ -90,7 +91,6 @@ class GenFun:
         self.Q = Q
         self.tau_q = tau_q
         self.i_q = Q.index  # recomputed, not trusted
-        self._crit_cache = {}
         self._tau_val = None
         if check_collar and Q.k:
             self._check_collar()
@@ -110,19 +110,13 @@ class GenFun:
 
     def tau_val(self):
         """Largest strand-value sampling resolution over the whole base."""
-        if self._tau_val is not None:
-            return self._tau_val
-        lo, hi = self.S.range()
-        out = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if self.k:
-            for bc in self.base_grid.base_cells():
-                if any(c & 1 for c in bc):
-                    continue
-                bv = tuple(c >> 1 for c in bc)
-                for cp in self.fiber_critical_data(bv):
-                    out = max(out, cp.val_tol)
-        self._tau_val = out
-        return out
+        if self._tau_val is None:
+            lo, hi = self.S.range()
+            self._tau_val = max(
+                [1e-9 * max(1.0, abs(lo), abs(hi))] +
+                [cp.val_tol for cps in self.critical_table.values()
+                 for cp in cps])
+        return self._tau_val
 
     def _fiber_boundary_ring(self, depth=1):
         """Fiber vertex multi-indices within depth of the truncation boundary."""
@@ -150,9 +144,8 @@ class GenFun:
                 f" (> tau_q = {self.tau_q:.3g})")
 
     def _check_no_boundary_criticals(self, collar=2):
-        for bv in itertools.product(
-                *(range(g.n_vertices) for g in self.grid.base)):
-            for cp in self.fiber_critical_data(bv):
+        for bv, cps in self.critical_table.items():
+            for cp in cps:
                 for j, g in zip(cp.xi_vertex, self.grid.fiber):
                     if j < collar or j >= g.n_vertices - collar:
                         raise ValueError(
@@ -161,73 +154,74 @@ class GenFun:
 
     def fiber_critical_data(self, base_vertex):
         """All discrete fiber-critical points over one base vertex, by value."""
-        base_vertex = tuple(base_vertex)
-        if base_vertex in self._crit_cache:
-            return self._crit_cache[base_vertex]
-        x = tuple(g.origin + g.spacing * j
-                  for g, j in zip(self.grid.base, base_vertex))
-        if self.k == 0:
-            val = float(self.S.values[base_vertex])
-            out = [FiberCriticalPoint(base_vertex, x, (), (), val, 0,
-                                      self._base_derivative(base_vertex, ()))]
-            self._crit_cache[base_vertex] = out
-            return out
-        fib_grid = BoxGrid(self.grid.fiber, ())
-        fib_vals = self.S.values[base_vertex]
-        fib_fun = SampledFunction(fib_grid, fib_vals)
-        out = []
-        for rec in critical_vertices(fib_fun):
-            v = rec["vertex"]
-            xi = tuple(g.origin + g.spacing * j
-                       for g, j in zip(self.grid.fiber, v))
-            out.append(FiberCriticalPoint(
-                base_vertex, x, v, xi, rec["value"], rec["index"],
-                self._base_derivative(base_vertex, v), rec["degenerate"],
-                self._value_resolution(fib_vals, v)))
-        out.sort(key=lambda c: c.value)
-        self._crit_cache[base_vertex] = out
-        return out
+        return self.critical_table[tuple(base_vertex)]
 
-    def _value_resolution(self, fib_vals, v):
-        """Newton-style estimate of the critical-value sampling error."""
-        est = 0.0
-        for ax, g in enumerate(self.grid.fiber):
+    @cached_property
+    def critical_table(self):
+        """Base vertex (C order) -> its FiberCriticalPoints, sorted stably by
+        value (ties in fiber C order).  One critical_stencil over the fiber
+        axes, batched over the base vertices; for k = 0 every base vertex is
+        one point.  The base derivative p and the value resolution val_tol
+        are computed at the critical points only."""
+        base, fiber = self.grid.base, self.grid.fiber
+        vals = self.S.values
+        nb = len(base)
+        if self.k:
+            crit = critical_stencil(vals, fiber)
+            at, value = crit.vertex, crit.value
+            rest = zip(crit.index.tolist(), crit.degenerate.tolist(),
+                       list(self._value_resolution(at, value)))
+        else:
+            at = np.indices(vals.shape).reshape(nb, -1).T
+            value = vals.ravel()
+            rest = itertools.repeat((0, False, 1e-9))
+        p = np.stack([_base_derivative(vals, g, i, at)
+                      for i, g in enumerate(base)], axis=1)
+        table = {bv: [] for bv in itertools.product(
+            *(range(g.n_vertices) for g in base))}
+        for v, val, dv, (index, degenerate, val_tol) in zip(
+                at.tolist(), value.tolist(), p.tolist(), rest):
+            bv, fv = tuple(v[:nb]), tuple(v[nb:])
+            table[bv].append(FiberCriticalPoint(
+                bv, _coords(base, bv), fv, _coords(fiber, fv), val, index,
+                tuple(dv), degenerate, val_tol))
+        return table
+
+    def _value_resolution(self, at, value):
+        """Newton-style estimate of the critical-value sampling error at the
+        critical points at (interior on every fiber axis)."""
+        est = np.zeros(len(at))
+        for ax, g in enumerate(self.grid.fiber, len(self.grid.base)):
             h = g.spacing
-            j = v[ax]
-
-            def at(dj):
-                idx = list(v)
-                idx[ax] = min(max(j + dj, 0), g.n_vertices - 1)
-                return fib_vals[tuple(idx)]
-
-            grad_c = (at(1) - at(-1)) / (2 * h)
-            hess = (at(1) - 2 * at(0) + at(-1)) / h ** 2
-            if abs(hess) > 1e-9:
-                est += grad_c ** 2 / (2 * abs(hess))
-            else:
-                est += abs(grad_c) * h
+            up, dn = (neighbor_values(self.S.values, at, [(ax, d)])
+                      for d in (1, -1))
+            grad_c = (up - dn) / (2 * h)
+            hess = (up - 2 * value + dn) / h ** 2
+            term = np.abs(grad_c) * h
+            curved = np.abs(hess) > 1e-9
+            # a scalar x ** 2 is C pow; an array's ** 2 is x * x, which
+            # differs in the last bit for about one value in 1,200
+            square = np.array([x ** 2 for x in grad_c[curved].tolist()])
+            term[curved] = square / (2 * np.abs(hess[curved]))
+            est += term
         return 2 * est + 1e-9
 
-    def _base_derivative(self, base_vertex, fiber_vertex):
-        vals = self.S.values
-        p = []
-        for i, g in enumerate(self.grid.base):
-            nv = g.n_vertices
 
-            def at(j):
-                idx = list(base_vertex) + list(fiber_vertex)
-                idx[i] = j % nv if g.topology == "circle" else j
-                return vals[tuple(idx)]
+def _coords(axes, vertex):
+    return tuple(g.origin + g.spacing * j for g, j in zip(axes, vertex))
 
-            j0 = base_vertex[i]
-            if g.topology == "interval" and j0 == 0:
-                der = (at(1) - at(0)) / g.spacing
-            elif g.topology == "interval" and j0 == nv - 1:
-                der = (at(j0) - at(j0 - 1)) / g.spacing
-            else:
-                der = (at(j0 + 1) - at(j0 - 1)) / (2 * g.spacing)
-            p.append(float(der))
-        return tuple(p)
+
+def _base_derivative(vals, g, axis, at):
+    """dS/dx along base axis at the index rows at: central differences,
+    one-sided at interval ends."""
+    up, mid, dn = (neighbor_values(vals, at, [(axis, d)]) for d in (1, 0, -1))
+    der = (up - dn) / (2 * g.spacing)
+    if g.topology == "interval":
+        j = at[:, axis]
+        der = np.where(j == 0, (up - mid) / g.spacing,
+                       np.where(j == g.n_vertices - 1,
+                                (mid - dn) / g.spacing, der))
+    return der
 
 
 @dataclass(frozen=True)
@@ -254,38 +248,31 @@ def dedup_breakpoints(values, tol):
     return out
 
 
+def _over(gf: GenFun, region: BaseRegion | None):
+    """The entries of gf.critical_table over the vertices of region."""
+    if region is None:
+        return gf.critical_table
+    return {bv: cps for bv, cps in gf.critical_table.items()
+            if region.membership[tuple(2 * j for j in bv)]}
+
+
 def cerf_diagram(gf: GenFun, region: BaseRegion | None = None) -> CerfDiagram:
-    region = region or BaseRegion(gf.grid)
-    strands = []
-    counts = {}
-    for bc in region.base_cells():
-        if any(c & 1 for c in bc):  # vertices only
-            continue
-        bv = tuple(c >> 1 for c in bc)
-        cps = gf.fiber_critical_data(bv)
-        counts[bv] = len(cps)
-        for cp in cps:
-            strands.append((cp.x, cp.value, cp.index, cp.p, cp.degenerate))
+    table = _over(gf, region)
+    strands = [(cp.x, cp.value, cp.index, cp.p, cp.degenerate)
+               for cps in table.values() for cp in cps]
     tau = gf.tau_val()
     breaks = dedup_breakpoints([s[1] for s in strands], tau)
-    cusps = []
-    verts = sorted(counts)
-    for a, b in zip(verts, verts[1:]):
-        if counts[a] != counts[b]:
-            x = tuple(g.origin + g.spacing * j
-                      for g, j in zip(gf.grid.base, b))
-            cusps.append(x)
+    verts = list(table)
+    cusps = [_coords(gf.grid.base, b) for a, b in zip(verts, verts[1:])
+             if len(table[a]) != len(table[b])]
     return CerfDiagram(tuple(strands), tuple(breaks), tuple(cusps), tau)
 
 
 def assert_window_regular(gf: GenFun, region: BaseRegion, a, b, tau=None):
     """Reject windows whose boundary sits on a Cerf strand over the region
     (within the per-strand value resolution, never silently perturbed)."""
-    for bc in region.base_cells():
-        if any(c & 1 for c in bc):
-            continue
-        bv = tuple(c >> 1 for c in bc)
-        for cp in gf.fiber_critical_data(bv):
+    for cps in _over(gf, region).values():
+        for cp in cps:
             tol = cp.val_tol if tau is None else tau
             for c in (a, b):
                 if c not in (-np.inf, np.inf) and abs(cp.value - c) <= tol:
@@ -296,17 +283,10 @@ def assert_window_regular(gf: GenFun, region: BaseRegion, a, b, tau=None):
 
 def strand_value_range(gf: GenFun):
     """Min and max fiber-critical value over the whole base."""
-    lo, hi = np.inf, -np.inf
-    for bc in gf.base_grid.base_cells():
-        if any(c & 1 for c in bc):
-            continue
-        bv = tuple(c >> 1 for c in bc)
-        for cp in gf.fiber_critical_data(bv):
-            lo = min(lo, cp.value)
-            hi = max(hi, cp.value)
-    if lo is np.inf:  # no critical data (flat input): fall back to values
-        lo, hi = gf.S.range()
-    return float(lo), float(hi)
+    values = [cp.value for cps in gf.critical_table.values() for cp in cps]
+    if not values:  # no critical data (flat input): fall back to values
+        return gf.S.range()
+    return min(values), max(values)
 
 
 def window_floor(gf: GenFun):
@@ -427,13 +407,8 @@ class Brane:
 
 def brane_of(gf: GenFun) -> Brane:
     """Brane presented by a generating function; grading m = fiber index - i_Q."""
-    pts = []
-    for bc in gf.base_grid.base_cells():
-        if any(c & 1 for c in bc):
-            continue
-        bv = tuple(c >> 1 for c in bc)
-        for cp in gf.fiber_critical_data(bv):
-            pts.append((cp.x, cp.p, cp.value, cp.index - gf.i_q))
+    pts = [(cp.x, cp.p, cp.value, cp.index - gf.i_q)
+           for cps in gf.critical_table.values() for cp in cps]
     return Brane(tuple(pts), "fibered" if gf.k else "graph")
 
 

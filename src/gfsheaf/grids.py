@@ -485,104 +485,83 @@ def sublevel_filtration(f: SampledFunction, field=GF2) -> FilteredComplex:
     return FilteredComplex(C, action, check=False)
 
 
-def critical_vertices(f: SampledFunction):
-    """Discrete critical vertices by sign-change stencils of the gradient.
+class CriticalPoints(NamedTuple):
+    """The discrete critical points critical_stencil finds, one row each,
+    sorted stably by value within each leading index (ties in C order)."""
 
-    A vertex is critical when on every axis the forward and backward
-    differences change sign; exact plateaus contribute their left edge.
-    Returns a list of dicts with keys: vertex, value, index, degenerate,
-    gradient.
+    vertex: np.ndarray      # (m, ndim) int: leading, then trailing indices
+    value: np.ndarray       # (m,) float
+    index: np.ndarray       # (m,) int: count of negative Hessian eigenvalues
+    degenerate: np.ndarray  # (m,) bool: a Hessian eigenvalue near zero
+    gradient: np.ndarray    # (m, trailing axes) float: central differences
+
+
+def critical_stencil(values, axes) -> CriticalPoints:
+    """Discrete critical points of values over its trailing axes (one
+    Grid1D each), batched over its leading axes.
+
+    A point is critical when on every trailing axis the forward and backward
+    differences change sign, or it is the left edge of an exact plateau;
+    interval end vertices never are.  A difference counts as zero within
+    1e-12 * max(1, max |values|) of its own slice of the leading axes.  The
+    Hessian of central differences and its eigenvalues are formed at the
+    critical points only.
     """
-    grid = f.grid
-    vals = f.values
-    scale = max(1.0, float(np.abs(vals).max()))
-    ez = 1e-12 * scale
-    out = []
-    shape = grid.vertex_shape
-    for v in itertools.product(*(range(s) for s in shape)):
-        crit = True
-        grads = []
-        for i, g in enumerate(grid.axes):
-            h = g.spacing
-            nv = shape[i]
+    lead = values.ndim - len(axes)
+    trailing = range(lead, values.ndim)
+    ez = 1e-12 * np.maximum(1.0, np.abs(values).max(
+        axis=tuple(trailing), keepdims=True))
+    crit = np.ones(values.shape, dtype=bool)
+    for ax, g in zip(trailing, axes):
+        fwd = (np.roll(values, -1, ax) - values) / g.spacing
+        bwd = (values - np.roll(values, 1, ax)) / g.spacing
+        flat = np.abs(fwd) <= ez
+        crit &= (np.abs(bwd) > ez) & (flat | (fwd * bwd < 0))
+        if g.topology == "interval":
+            np.moveaxis(crit, ax, 0)[[0, -1]] = False
+    at = np.argwhere(crit)
+    value = values[tuple(at.T)]
+    order = np.lexsort([value] + [at[:, i] for i in reversed(range(lead))])
+    at, value = at[order], value[order]
+    k = len(axes)
+    gradient = np.empty((len(at), k))
+    H = np.empty((len(at), k, k))
+    for i, (ai, gi) in enumerate(zip(trailing, axes)):
+        hi = gi.spacing
+        a, c = (neighbor_values(values, at, [(ai, d)]) for d in (1, -1))
+        gradient[:, i] = ((a - value) / hi + (value - c) / hi) / 2
+        H[:, i, i] = (a - 2 * value + c) / hi ** 2
+        for j in range(i + 1, k):
+            aj, hj = trailing[j], axes[j].spacing
+            pp, pm, mp, mm = (neighbor_values(values, at, [(ai, s), (aj, t)])
+                              for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+            H[:, i, j] = H[:, j, i] = (pp - pm - mp + mm) / (4 * hi * hj)
+    eigs = np.linalg.eigvalsh(H)
+    tol = 1e-8 * np.maximum(1.0, np.abs(eigs).max(axis=1))
+    return CriticalPoints(at, value, (eigs < -tol[:, None]).sum(axis=1),
+                          (np.abs(eigs) <= tol[:, None]).any(axis=1),
+                          gradient)
 
-            def at(j):
-                idx = list(v)
-                if g.topology == "circle":
-                    idx[i] = j % nv
-                else:
-                    idx[i] = min(max(j, 0), nv - 1)
-                return vals[tuple(idx)]
 
-            if g.topology == "interval" and (v[i] == 0 or v[i] == nv - 1):
-                crit = False  # boundary vertices are never interior criticals
-                break
-            fwd = (at(v[i] + 1) - at(v[i])) / h
-            bwd = (at(v[i]) - at(v[i] - 1)) / h
-            grads.append((fwd + bwd) / 2)
-            sign_change = fwd * bwd < 0 and abs(fwd) > ez and abs(bwd) > ez
-            plateau_edge = abs(fwd) <= ez and abs(bwd) > ez
-            if not (sign_change or plateau_edge):
-                crit = False
-                break
-        if not crit:
-            continue
-        # sampled Hessian, central differences
-        k = len(shape)
-        H = np.zeros((k, k))
-        for i in range(k):
-            gi = grid.axes[i]
-            hi = gi.spacing
+def neighbor_values(values, at, steps):
+    """values at the index rows at, each moved by delta along axis for every
+    (axis, delta) in steps, modulo the axis length (circles wrap)."""
+    idx = list(at.T)
+    for axis, delta in steps:
+        idx[axis] = (idx[axis] + delta) % values.shape[axis]
+    return values[tuple(idx)]
 
-            def atv(delta):
-                idx = list(v)
-                ok = True
-                for ax, dd in enumerate(delta):
-                    g2 = grid.axes[ax]
-                    j = idx[ax] + dd
-                    if g2.topology == "circle":
-                        j %= shape[ax]
-                    elif not (0 <= j < shape[ax]):
-                        ok = False
-                        j = min(max(j, 0), shape[ax] - 1)
-                    idx[ax] = j
-                return vals[tuple(idx)] if ok else None
 
-            d0 = [0] * k
-            d0[i] = 1
-            dm = [0] * k
-            dm[i] = -1
-            a, b, c = atv(d0), atv([0] * k), atv(dm)
-            H[i, i] = (a - 2 * b + c) / hi ** 2
-            for j in range(i + 1, k):
-                hj = grid.axes[j].spacing
-                dpp = [0] * k
-                dpp[i] = 1
-                dpp[j] = 1
-                dpm = [0] * k
-                dpm[i] = 1
-                dpm[j] = -1
-                dmp = [0] * k
-                dmp[i] = -1
-                dmp[j] = 1
-                dmm = [0] * k
-                dmm[i] = -1
-                dmm[j] = -1
-                H[i, j] = H[j, i] = (
-                    atv(dpp) - atv(dpm) - atv(dmp) + atv(dmm)) / (4 * hi * hj)
-        eigs = np.linalg.eigvalsh(H)
-        tol = 1e-8 * max(1.0, float(np.abs(eigs).max()))
-        degenerate = bool(np.any(np.abs(eigs) <= tol))
-        index = int(np.sum(eigs < -tol))
-        out.append({
-            "vertex": v,
-            "value": float(vals[v]),
-            "index": index,
-            "degenerate": degenerate,
-            "gradient": tuple(float(x) for x in grads),
-        })
-    out.sort(key=lambda r: r["value"])
-    return out
+def critical_vertices(f: SampledFunction):
+    """Discrete critical vertices of f by critical_stencil over all its axes,
+    sorted stably by value.  Returns a list of dicts with keys: vertex,
+    value, index, degenerate, gradient (Python scalars)."""
+    c = critical_stencil(f.values, f.grid.axes)
+    return [{"vertex": tuple(v), "value": value, "index": index,
+             "degenerate": degenerate, "gradient": tuple(gradient)}
+            for v, value, index, degenerate, gradient in zip(
+                c.vertex.tolist(), c.value.tolist(), c.index.tolist(),
+                c.degenerate.tolist(), c.gradient.tolist())]
 
 
 def cup_product_cochain(grid: BoxGrid, a, b):

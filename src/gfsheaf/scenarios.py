@@ -159,6 +159,30 @@ def _is_finite_real(value):
 MAX_AXIS_N = 4096
 
 
+def _integer(value, key, lo, hi=math.inf):
+    """A task's integer value in [lo, hi]; anything else is an input error."""
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            and lo <= value <= hi):
+        raise ScenarioParseError(
+            f"{key} must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
+
+
+def _real(value, key, infinite=False):
+    """A task's real value as a float: finite, or also +-inf when infinite
+    is set; anything else is an input error."""
+    if not (_is_finite_real(value) or infinite and value in (-INF, INF)):
+        raise ScenarioParseError(f"{key} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _array(task, key, default):
+    value = task.get(key, default)
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{key} must be an array, got {value!r}")
+    return value
+
+
 def check_grid_scale(value):
     """A grid scale as a float; anything but a finite positive number is an
     input error."""
@@ -279,7 +303,8 @@ class ScenarioContext:
 # task runners
 
 def _window(task):
-    return float(task.get("a", -INF)), float(task.get("b", INF))
+    return (_real(task.get("a", -INF), "a", infinite=True),
+            _real(task.get("b", INF), "b", infinite=True))
 
 
 def run_task(ctx: ScenarioContext, task, out_dir):
@@ -335,8 +360,8 @@ def _task_microstalk(ctx, task, out_dir):
     tables = []
     for cell in range(0, grid1.n_cells, 2):
         x = grid1.cell_coord(cell)
-        for t in task.get("t_values", [0.0]):
-            r = microstalk(F, (cell,), float(t))
+        for t in _array(task, "t_values", [0.0]):
+            r = microstalk(F, (cell,), _real(t, "t_values"))
             rows.append((x, t, sum(r.values())))
             tables.append(sum(r.values()))
     iox.write_csv(_out(task, out_dir, "microstalk.csv"), rows)
@@ -347,14 +372,14 @@ def _task_front_table(ctx, task, out_dir):
     gf = ctx.genfuns[task["genfun"]]
     F = quantize(gf)
     grid1 = gf.grid.base[0]
-    band_top = float(task.get("band_top", 1.0))
+    band_top = _real(task.get("band_top", 1.0), "band_top")
     rows = [("x", "t", "inside_rank")]
     for cell in range(0, grid1.n_cells, max(2, grid1.n_cells // 16)):
         if cell & 1:
             continue
         x = grid1.cell_coord(cell)
-        for t in task.get("t_values", [0.0]):
-            if float(t) >= band_top:
+        for t in _array(task, "t_values", [0.0]):
+            if _real(t, "t_values") >= band_top:
                 continue
             val = front_interior_table(F, (cell,), float(t), band_top)
             rows.append((x, t, val))
@@ -365,7 +390,8 @@ def _task_front_table(ctx, task, out_dir):
 def _task_ss(ctx, task, out_dir):
     gf = ctx.genfuns[task["genfun"]]
     F = quantize(gf)
-    ss = singular_support(F, p_samples=int(task.get("p_samples", 9)))
+    ss = singular_support(
+        F, p_samples=_integer(task.get("p_samples", 9), "p_samples", 1))
     cone = conify(brane_of(gf))
     iox.write_csv(_out(task, out_dir, "ss.csv"), ss.to_csv_rows())
     if task.get("svg"):
@@ -454,7 +480,7 @@ def _task_unit_laws(ctx, task, out_dir):
     """Neutrality, shifted-unit addition, sum-of-graphs, and clamp duality."""
     rng = random.Random(ctx.seed)
     from .fixtures import random_circle_morse
-    n = int(task.get("n", 12))
+    n = _integer(task.get("n", 12), "n", 4, MAX_AXIS_N)
     f = random_circle_morse(rng, n=n)
     g = random_circle_morse(rng, n=n)
     grid = f.grid
@@ -462,7 +488,7 @@ def _task_unit_laws(ctx, task, out_dir):
     Ff, Fg = quantize(graph_genfun(f)), quantize(graph_genfun(g))
     Fsum = quantize(graph_genfun(f + g))
     U = unit(grid)
-    boxes = int(task.get("boxes", 8))
+    boxes = _integer(task.get("boxes", 8), "boxes", 0)
     regions = [None]
     g1 = grid.base[0]
     for _ in range(boxes):
@@ -562,7 +588,7 @@ def _task_oracle_compare(ctx, task, out_dir):
 def _task_rectify_check(ctx, task, out_dir):
     from .rectify import e2_csv_rows, e2_page, serialize_diagram
     rng = random.Random(ctx.seed)
-    count = int(task.get("count", 10))
+    count = _integer(task.get("count", 10), "count", 1)
     rows = [("instance", "coherent", "quasi_iso")]
     ok_all = True
     last = None
@@ -596,12 +622,13 @@ def _task_cup(ctx, task, out_dir):
                            floer_to_product_classes)
     from .sheaves import _as_cellsheaf
     rng = random.Random(ctx.seed)
-    n = int(task.get("n", 12))
+    n = _integer(task.get("n", 12), "n", 4, MAX_AXIS_N)
     rows = [("triple", "entry", "pant", "sum_product")]
     mismatches = 0
     done = 0
     attempts = 0
-    while done < int(task.get("triples", 3)) and attempts < 30:
+    triples = _integer(task.get("triples", 3), "triples", 1)
+    while done < triples and attempts < 30:
         attempts += 1
         f = random_circle_morse(rng, n=n)
         g = random_circle_morse(rng, n=n)
@@ -647,8 +674,8 @@ def _task_cup(ctx, task, out_dir):
 def _task_sublemma(ctx, task, out_dir):
     rows = [("m", "delta_ranks", "twisted_ranks")]
     ok = True
-    for m in task.get("sizes", [2, 3, 4, 5]):
-        out = index_complex_homology(int(m))
+    for m in _array(task, "sizes", [2, 3, 4, 5]):
+        out = index_complex_homology(_integer(m, "sizes", 2))
         rows.append((m, str(out["delta_ranks"]), str(out["twisted_ranks"])))
         ok = ok and all(r == 0 for r in out["delta_ranks"].values())
         tw = out["twisted_ranks"]

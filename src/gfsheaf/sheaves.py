@@ -1117,12 +1117,8 @@ def singular_support(F: TameSheaf, tau_res=None, p_samples=9) -> ConeSet:
 
 def _gf_front_samples(gf: GenFun):
     """Per base vertex: list of (t, p, tol) strand samples."""
-    g = gf.grid.base[0]
-    out = {}
-    for j in range(g.n_vertices):
-        out[j] = [(cp.value, cp.p[0], cp.val_tol)
-                  for cp in gf.fiber_critical_data((j,))]
-    return out
+    return {bv[0]: [(cp.value, cp.p[0], cp.val_tol) for cp in cps]
+            for bv, cps in gf.critical_table.items()}
 
 
 def _cell_front_samples(cell: CellSheaf):

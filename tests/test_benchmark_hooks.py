@@ -9,9 +9,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# install the tracer, then run a stalk lookup, a small section barcode and
+# install the tracer, then run a stalk lookup, a small section barcode,
 # one relative complex and one sublevel filtration through the wrapped
-# functions, and check the counts the tracer reads off their results
+# functions, and check the counts the tracer reads off their results; then
+# check that a stabilized genfun's Cerf diagram and pair cohomology and a
+# Floer datum are spanned
 TRACED = """
 import tracer
 t = tracer.Tracer()
@@ -35,6 +37,16 @@ assert t.counts["sheaves.stalk.hits"] >= 1, t.counts
 assert t.counts["grids.relative_complex.gens"] == len(C.gens) == 3, t.counts
 assert t.counts["grids.sublevel_filtration.cells"] == len(FC.complex.gens) \
     == 8, t.counts
+from gfsheaf.fixtures import stabilized_graph_genfun
+from gfsheaf.floer import GraphBrane, floer_data, zero_brane
+from gfsheaf.genfun import cerf_diagram, gf_cohomology
+gf = stabilized_graph_genfun(f, coeffs=(1.0,), n_fiber=8)
+assert len(cerf_diagram(gf).strands) == 4
+assert gf_cohomology(gf, None, -10.0, 10.0) == {0: 1, 1: 1}
+assert len(floer_data(zero_brane(grid), GraphBrane(f))) == 2
+spanned = {t.names[span[0]] for span in t.spans}
+assert {"grids.critical_vertices", "genfun.cerf_diagram",
+        "genfun.gf_cohomology"} <= spanned, spanned
 """
 
 

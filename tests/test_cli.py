@@ -354,3 +354,31 @@ def test_bad_grid_size_in_file_exits_2(tmp_path, capsys, value, message):
     assert "[input error]" in out and message in out
     assert main(["run", str(path), "--grid-scale", "2", "--out-dir",
                  str(tmp_path / "out")]) == 2
+
+
+# one bad task parameter per probe: each was refused with exit 1 or ran
+# (unit-laws truncated n = 12.7 to 12 and passed)
+BAD_TASK_PARAMETERS = {
+    "sublemma-size": ('op = "sublemma"\nsizes = [1]\n',
+                      "sizes must be an integer in [2, inf], got 1"),
+    "cup-n": ('op = "cup"\nn = 2\n',
+              "n must be an integer in [4, 4096], got 2"),
+    "rectify-count": ('op = "rectify-check"\ncount = "x"\n',
+                      "count must be an integer in [1, inf], got 'x'"),
+    "microstalk-t": ('op = "microstalk"\nsheaf = "f"\nt_values = ["abc"]\n',
+                     "t_values must be a real number, got 'abc'"),
+    "unit-laws-n": ('op = "unit-laws"\nn = 12.7\n',
+                    "n must be an integer in [4, 4096], got 12.7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TASK_PARAMETERS))
+def test_bad_task_parameter_exits_2(tmp_path, capsys, name):
+    task, message = BAD_TASK_PARAMETERS[name]
+    path = tmp_path / f"{name}.toml"
+    path.write_text('[scenario]\nname = "s"\nseed = 1\n'
+                    '[inputs.functions.f]\nexpr = "cos(2*pi*x)"\nn = 8\n'
+                    "[[tasks]]\n" + task)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "[input-error]" in out and message in out
