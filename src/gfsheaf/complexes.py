@@ -9,9 +9,10 @@ Conventions fixed once for the whole package:
 
 Every array builder (grids.cubical_complex, sheaves._total_complex) makes
 an IndexComplex: the generator ids 0..n-1 with integer arrays, checked
-(IndexComplex.check) and, for section barcodes, reduced without a
-per-generator dict.  ChainComplex, keyed by hashable generators, is the
-form for callers that read generators; IndexComplex.chain_complex gives it.
+(IndexComplex.check) and, for section barcodes and product class tables,
+reduced without a per-generator dict.  ChainComplex, keyed by hashable
+generators, is the form for callers that read generators;
+IndexComplex.chain_complex gives it.
 """
 
 from __future__ import annotations
@@ -371,6 +372,19 @@ class IndexComplex:
             raise ValueError(f"d^2 != 0 at generator "
                              f"{self.name(failing[0] // n)!r}")
 
+    def coboundaries(self, ids):
+        """The coboundary of each generator of ids (an int array) as a dict
+        id -> field scalar, in entry order.  The coefficients are coerced
+        into the field; entries that are zero there are kept (linalg drops
+        them)."""
+        F = self.field
+        count = np.diff(self.indptr)[ids]
+        e = index_ranges(self.indptr[:-1][ids], count)
+        coef = self.coef[e].tolist()
+        scalar = {c: F.coerce(c) for c in set(coef)}
+        entries = zip(self.tgt[e].tolist(), map(scalar.__getitem__, coef))
+        return [dict(itertools.islice(entries, k)) for k in count.tolist()]
+
     def chain_complex(self, gens) -> ChainComplex:
         """The same complex keyed by gens (the generator of each id, in id
         order), with field scalars: degrees and coboundary entries in id
@@ -600,30 +614,55 @@ def cohomology_basis(C: ChainComplex, order_key=None):
     return basis
 
 
-def class_coordinates(C: ChainComplex, basis_cocycles, zs):
+def class_coordinates(C, basis_cocycles, zs):
     """Coordinates of each class [z] of zs in the given cohomology basis.
 
-    basis_cocycles: list of cocycle vectors (dict gen -> scalar) whose classes
-    are independent. Solves z = sum c_i b_i + d(w) for every z of zs against
-    one reduction of the basis and coboundary columns; returns one list of
+    C is a ChainComplex, whose vectors are dicts generator -> scalar, or an
+    IndexComplex, whose vectors are dicts id -> scalar.  basis_cocycles:
+    cocycle vectors whose classes are independent.  Solves z = sum c_i b_i
+    + d(w) for every z of zs against one reduction of the basis columns and
+    the coboundary columns (rows in generator order); returns one list of
     the c_i (or None) per z.
+
+    Only the coboundaries that land in a degree some basis or target vector
+    touches are columns.  Any other coboundary column is supported in one
+    degree no basis column or target reaches, and it only ever meets pivots
+    of that degree, so dropping it changes no coordinate.
     """
-    F = C.field
-    idx = C._index
-    cols = []
-    for b in basis_cocycles:
-        cols.append({idx[g]: v for g, v in b.items()})
-    nb = len(cols)
-    for g in C.gens:
-        cb = C.d.get(g)
-        if cb:
-            cols.append({idx[h]: v for h, v in cb.items()})
-    sols = solve_columns(cols, [{idx[g]: v for g, v in z.items()}
-                                for z in zs], F)
-    return [None if sol is None else sol[:nb] for sol in sols]
+    basis, zs = list(basis_cocycles), list(zs)
+    if isinstance(C, IndexComplex):
+        degrees = {int(C.deg[i]) for v in basis + zs for i in v}
+        keep = np.isin(C.deg + 1, sorted(degrees)) & (np.diff(C.indptr) > 0)
+        cobound = C.coboundaries(np.flatnonzero(keep))
+    else:
+        idx, deg = C._index, C.deg
+        degrees = {deg[g] for v in basis + zs for g in v}
+        cobound = [{idx[h]: v for h, v in C.d[g].items()} for g in C.gens
+                   if deg[g] + 1 in degrees and g in C.d]
+        basis, zs = ([{idx[g]: v for g, v in vec.items()} for vec in vecs]
+                     for vecs in (basis, zs))
+    sols = solve_columns(basis + cobound, zs, C.field)
+    return [None if sol is None else sol[:len(basis)] for sol in sols]
 
 
-def apply_d(C: ChainComplex, vec):
+def apply_d(C, vec):
+    """d(vec), entries zero in the field dropped.  Over a ChainComplex vec
+    is a dict generator -> scalar.  Over an IndexComplex it is a dict id ->
+    integer: the sums are taken over the integers on the CSR arrays, then
+    coerced into the field (Z -> field is a ring homomorphism)."""
+    if isinstance(C, IndexComplex):
+        F = C.field
+        if any(int(c) != c for c in vec.values()):
+            raise ValueError("an id-keyed vector needs integer entries")
+        ids = np.fromiter(vec, dtype=np.int64, count=len(vec))
+        count = np.diff(C.indptr)[ids]
+        e = index_ranges(C.indptr[:-1][ids], count)
+        acc = np.zeros(len(C.deg), dtype=np.int64)
+        np.add.at(acc, C.tgt[e], C.coef[e] * np.repeat(np.fromiter(
+            map(int, vec.values()), dtype=np.int64, count=len(vec)), count))
+        hit = np.flatnonzero(acc)
+        out = zip(hit.tolist(), map(F.coerce, acc[hit].tolist()))
+        return {i: v for i, v in out if not F.is_zero(v)}
     out = {}
     for g, c in vec.items():
         add_scaled(out, C.d.get(g, {}), c, C.field)

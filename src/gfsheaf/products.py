@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import (ChainComplex, apply_d, class_coordinates,
-                        cohomology_basis)
+                        cohomology_basis, index_ranges)
 from .genfun import GenFun, box_sum, graph_genfun, negate
 from .grids import (BaseRegion, BoxGrid, SampledFunction, cubical_complex,
                     _front_back_faces)
 from .linalg import GF2
 from .sheaves import (CellSheaf, TAxis, TameSheaf, _as_cellsheaf,
-                      corner_table, product_section_complex, quantize,
-                      section_barcode, sections, to_cellular, unit_sheaf)
+                      _product_factors, _total_complex, corner_table,
+                      product_section_complex, quantize, section_barcode,
+                      sections, to_cellular, unit_sheaf)
 
 INF = math.inf
 
@@ -296,22 +297,38 @@ def verify_unit_composition(F: TameSheaf, lambdas, eps=None):
 class ProductHome:
     """The home of the classes of (dual F_i) tensor F_j at threshold lam:
     the product section complex of CA (x) CB on the diagonal over the window
-    [lam, ceiling), built (and its d^2 = 0 checked) once per (CA, CB, lam)
-    and shared by every class, cup product and class table landing there."""
+    [lam, ceiling), as the index arrays of _total_complex (which checks d^2
+    = 0), built once per (CA, CB, lam) and shared by every class, cup
+    product and class table landing there.
+
+    A class is a dict generator id -> integer.  The parts of generator i
+    are read off the complex's columns: cell[i], its flat base cell (the
+    window covers the whole base, so this is also its index among the base
+    cells in C order); ta[i] and tb[i], its t-cell on each factor's axis as
+    an index into TAxis.cells(), where ('v', k) is 2 k + 1; la[i] and
+    lb[i], its label id on each factor, into labels[0] and labels[1].  The
+    label ids of a factor are those of its stalk table over all base cells
+    (CellSheaf.strata_stalks), the same in every home of the factor and in
+    its CellSheaf.corners.
+    """
 
     def __init__(self, CA: CellSheaf, CB: CellSheaf, lam):
         self.CA = CA
         self.CB = CB
         self.lam = lam
         ceil = CA.taxis.breaks[-1] + CB.taxis.breaks[-1] + 1.0
-        self.complex = product_section_complex(CA, CB, True, None, lam, ceil)
+        self.complex = _total_complex(*_product_factors(CA, CB, True), None,
+                                      lam, ceil, CA.field)
+        (_, self.cell), (_, self.ta), (_, self.tb), (la_of, self.la), \
+            (lb_of, self.lb) = self.complex.columns
+        self.labels = (la_of, lb_of)
 
 
 @dataclass
 class CohomologyClass:
     """A class in H^*(N x [lam, oo), W) for W = (dual F_i) tensor F_j in
-    product form with rank-one factors; the representative is a cocycle of
-    its home's product section complex."""
+    product form with rank-one factors; the representative is an F2 cocycle
+    of its home's product section complex, a dict generator id -> 1."""
 
     home: ProductHome
     degree: int
@@ -323,48 +340,45 @@ def floer_to_product_classes(home: ProductHome, n_level_basis):
 
     n_level_basis: list of (degree, cochain on base cells) from the
     decoupled superlevel complex; each pushed class spreads over the
-    vertex-pairs above the per-cell corners.
+    vertex pairs (('v', i), ('v', j)) above the per-cell corners whose sum
+    b_i + b_j reaches lam, each with the one label of its rank-one stalks.
     """
-    CA, CB, lam, C = home.CA, home.CB, home.lam, home.complex
-    corner_a, _ = corner_table(CA)
-    corner_b, _ = corner_table(CB)
+    CA, CB, C = home.CA, home.CB, home.complex
+    ka, kb = CA.corners, CB.corners
+    if (ka.labels, kb.labels) != home.labels:
+        raise AssertionError("the home numbers the stalk labels otherwise")
+    ba, bb = np.array(CA.taxis.breaks), np.array(CB.taxis.breaks)
+    shape = CA.base.base_cell_shape
     one = GF2.one()
     out = []
-    genset = set(C.gens)
     for (deg, vec) in n_level_basis:
-        push = {}
-        for bc, coeff in vec.items():
-            ca, cb = corner_a[tuple(bc)], corner_b[tuple(bc)]
-            if ca is None or cb is None:
+        cells = np.array([np.ravel_multi_index(tuple(bc), shape)
+                          for bc in vec], dtype=np.int64)
+        ia, ib = ka.opens[cells], kb.opens[cells]
+        # candidate vertex pairs per cell, in (cell, i, j) order
+        k, i, j = np.nonzero(
+            (np.arange(len(ba))[:, None] >= ia[:, None, None])
+            & (np.arange(len(bb)) >= ib[:, None, None])
+            & (ba[:, None] + bb >= home.lam))
+        c = cells[k]
+        sa, sb = ka.size[c, i + 1], kb.size[c, j + 1]
+        wide = np.bincount(k[(sa != 1) | (sb != 1)], minlength=len(cells))
+        fail = np.flatnonzero((ia < 0) | (ib < 0) | (wide > 0))
+        if fail.size:
+            if ia[fail[0]] < 0 or ib[fail[0]] < 0:
                 raise ValueError("class supported where a stalk never opens")
-            for i, b1 in enumerate(CA.taxis.breaks):
-                if b1 < ca:
-                    continue
-                for j, b2 in enumerate(CB.taxis.breaks):
-                    if b2 < cb or b1 + b2 < lam:
-                        continue
-                    g = (tuple(bc), ("v", i), ("v", j), _only(CA, bc, b1),
-                         _only(CB, bc, b2))
-                    if g in genset:
-                        push[g] = one
+            raise ValueError("rank-one stalk expected")
+        ids = C.find((c, 2 * i + 1, 2 * j + 1, ka.label[c, i + 1],
+                      kb.label[c, j + 1]))
+        if (ids < 0).any():
+            raise AssertionError("a pushed generator is missing from its "
+                                 "home")
+        push = dict.fromkeys(ids.tolist(), one)
         if apply_d(C, push):
             raise AssertionError("pushed class is not closed; thresholds "
                                  "sit too close to the value spectrum")
         out.append(CohomologyClass(home, deg, push))
     return out
-
-
-def _only(cell: CellSheaf, bc, brk):
-    st = cell.stalk(tuple(bc), brk + _half_gap(cell.taxis, brk))
-    if len(st.gens) != 1:
-        raise ValueError("rank-one stalk expected")
-    return st.gens[0][0]
-
-
-def _half_gap(taxis: TAxis, brk):
-    bigger = [b for b in taxis.breaks if b > brk + 1e-12]
-    nxt = bigger[0] if bigger else brk + 1.0
-    return (nxt - brk) / 2
 
 
 def decoupled_superlevel_complex(CA: CellSheaf, CB: CellSheaf, lam,
@@ -397,40 +411,59 @@ def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
     if check_closed:
         if apply_d(ha.complex, alpha.rep) or apply_d(hb.complex, beta.rep):
             raise ValueError("representatives must be closed")
-    b_star = len(ha.CB.taxis.breaks) - 1
-    c_star = len(hb.CA.taxis.breaks) - 1
-    C_out = home.complex
-    genset = set(C_out.gens)
-    # index alpha by (front cell, Ja) at Jb = top corner; beta likewise
-    alpha_at = {}
-    for g, c in alpha.rep.items():
-        (bc, t1, t2, la, lb) = g
-        if t2 == ("v", b_star):
-            alpha_at.setdefault(bc, {})[(t1, la)] = c
-    beta_at = {}
-    for g, c in beta.rep.items():
-        (bc, t1, t2, la, lb) = g
-        if t1 == ("v", c_star):
-            beta_at.setdefault(bc, {})[(t2, lb)] = c
-    out = {}
-    for cell in base.all_cells():
-        for front, back in _front_back_faces(base, cell, range(len(cell) + 1)):
-            fa = alpha_at.get(front)
-            fb = beta_at.get(back)
-            if not fa or not fb:
-                continue
-            for (t1, la), c1 in fa.items():
-                for (t2, lb), c2 in fb.items():
-                    g = (cell, t1, t2, la, lb)
-                    if g in genset:
-                        w = GF2.mul(c1, c2)
-                        if w:
-                            out[g] = GF2.add(out.get(g, 0), w)
-    out = {k: v for k, v in out.items() if v}
-    if apply_d(C_out, out):
+    # alpha over its front cells at the top corner ('v', b*) of its second
+    # axis, beta over its back cells at the top corner ('v', c*) of its first
+    a = _odd(alpha.rep)
+    a = a[ha.tb[a] == 2 * len(ha.CB.taxis.breaks) - 1]
+    b = _odd(beta.rep)
+    b = b[hb.ta[b] == 2 * len(hb.CA.taxis.breaks) - 1]
+    cell, front, back = _front_back_table(base)
+    t, x, y = _meet(ha.cell[a], hb.cell[b], front, back,
+                    int(np.prod(base.cell_shape)))
+    x, y = a[x], b[y]
+    if (ha.labels[0], hb.labels[1]) != home.labels:
+        raise AssertionError("the homes number the stalk labels otherwise")
+    ids = home.complex.find((cell[t], ha.ta[x], hb.tb[y], ha.la[x],
+                             hb.lb[y]))
+    odd = np.bincount(ids[ids >= 0], minlength=len(home.complex.deg)) & 1
+    out = dict.fromkeys(np.flatnonzero(odd).tolist(), GF2.one())
+    if apply_d(home.complex, out):
         raise AssertionError("cup product output is not closed; window "
                              "endpoints sit too close to the value spectrum")
     return CohomologyClass(home, alpha.degree + beta.degree, out)
+
+
+def _odd(rep):
+    """The ids of the entries of rep that are nonzero over F2."""
+    return np.array([i for i, c in rep.items() if c & 1], dtype=np.int64)
+
+
+def _front_back_table(base: BoxGrid):
+    """(cell, front, back) flat cell arrays over every cell of base and
+    every front/back splitting of it (grids._front_back_faces)."""
+    shape = base.cell_shape
+    rows = [(cell, front, back) for cell in base.all_cells()
+            for front, back in _front_back_faces(base, cell,
+                                                 range(len(cell) + 1))]
+    return tuple(np.ravel_multi_index(np.array(part, dtype=np.int64).T,
+                                      shape)
+                 for part in zip(*rows))
+
+
+def _meet(at_front, at_back, front, back, n_cells):
+    """(t, i, j) over every splitting t and every i with at_front[i] ==
+    front[t] and j with at_back[j] == back[t], in (t, i, j) order; cells
+    are flat ids below n_cells."""
+    ia, ib = np.argsort(at_front, kind="stable"), np.argsort(at_back,
+                                                            kind="stable")
+    na = np.bincount(at_front, minlength=n_cells)
+    nb = np.bincount(at_back, minlength=n_cells)
+    count = na[front] * nb[back]
+    t = np.repeat(np.arange(len(front)), count)
+    r = index_ranges(np.zeros_like(count), count)
+    first_a, first_b = np.cumsum(na) - na, np.cumsum(nb) - nb
+    return (t, ia[first_a[front[t]] + r // nb[back[t]]],
+            ib[first_b[back[t]] + r % nb[back[t]]])
 
 
 def class_table(home: ProductHome, classes, basis_classes):

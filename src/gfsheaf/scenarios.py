@@ -157,6 +157,11 @@ def _is_finite_real(value):
 # the largest grid size per axis a scenario may ask for; the bundled
 # scenarios ask for at most 256 at grid scale 4
 MAX_AXIS_N = 4096
+# index_complex_homology(m) grows about fourfold in time per step of m (1.9
+# s and 100 MB at 8); singular_support is linear in p_samples (about 1 s
+# per 900 samples on the bundled cusp).
+MAX_SUBLEMMA_SIZE = 8
+MAX_P_SAMPLES = 1000
 
 
 def _integer(value, key, lo, hi=math.inf):
@@ -388,10 +393,10 @@ def _task_front_table(ctx, task, out_dir):
 
 
 def _task_ss(ctx, task, out_dir):
+    p_samples = _integer(task.get("p_samples", 9), "p_samples", 1,
+                         MAX_P_SAMPLES)
     gf = ctx.genfuns[task["genfun"]]
-    F = quantize(gf)
-    ss = singular_support(
-        F, p_samples=_integer(task.get("p_samples", 9), "p_samples", 1))
+    ss = singular_support(quantize(gf), p_samples=p_samples)
     cone = conify(brane_of(gf))
     iox.write_csv(_out(task, out_dir, "ss.csv"), ss.to_csv_rows())
     if task.get("svg"):
@@ -611,11 +616,19 @@ def _task_rectify_check(ctx, task, out_dir):
     return {"status": "pass" if ok_all else "fail"}
 
 
+# The refusals on which a cup triple is redrawn: a threshold that sits too
+# close to the value spectrum (a pushed class, a cup product or a pant
+# product that is not a cocycle there), or a class over a cell where a
+# stalk never opens.  Any other error fails the task.
+CUP_REFUSALS = ("too close to the value spectrum", "stalk never opens")
+
+
 def _task_cup(ctx, task, out_dir):
     """Multiplication tables of the threshold-additive product against the
     base-level cup product, entry for entry.  Each triple builds its three
     product homes once and solves each of its two tables against one
-    reduction; its rows count only when the whole triple succeeds."""
+    reduction; its rows count only when the whole triple succeeds, and a
+    triple is redrawn only on a refusal of CUP_REFUSALS."""
     from .complexes import class_coordinates
     from .fixtures import random_circle_morse
     from .products import (ProductHome, class_table, cup_product,
@@ -659,7 +672,9 @@ def _task_cup(ctx, task, out_dir):
             cup = class_table(
                 out_home, [cup_product(alpha[i], beta[j], out_home)
                            for i, j in entries], pushed)
-        except (ValueError, AssertionError):
+        except (ValueError, AssertionError) as e:
+            if not any(refusal in str(e) for refusal in CUP_REFUSALS):
+                raise
             continue
         for (i, j), row_p, row_c in zip(entries, pant, cup):
             rows.append((done, f"({i},{j})", str(row_p), str(row_c)))
@@ -674,8 +689,10 @@ def _task_cup(ctx, task, out_dir):
 def _task_sublemma(ctx, task, out_dir):
     rows = [("m", "delta_ranks", "twisted_ranks")]
     ok = True
-    for m in _array(task, "sizes", [2, 3, 4, 5]):
-        out = index_complex_homology(_integer(m, "sizes", 2))
+    sizes = [_integer(m, "sizes", 2, MAX_SUBLEMMA_SIZE)
+             for m in _array(task, "sizes", [2, 3, 4, 5])]
+    for m in sizes:
+        out = index_complex_homology(m)
         rows.append((m, str(out["delta_ranks"]), str(out["twisted_ranks"])))
         ok = ok and all(r == 0 for r in out["delta_ranks"].values())
         tw = out["twisted_ranks"]

@@ -221,6 +221,21 @@ class StalkTable(NamedTuple):
     labels: list
 
 
+class Corners(NamedTuple):
+    """Where the stalks of a sheaf open (CellSheaf.corners), over its base
+    cells in C order.  opens[c] is the index of the break above which the
+    stalk over cell c opens, -1 when it never opens, and deg[c] the degree
+    of its first generator there (-1 too).  On each own stratum ('e', s),
+    size[c, s] is the number of stalk generators and label[c, s] the label
+    id (into labels) of the first one, -1 when the stalk is empty."""
+
+    opens: np.ndarray
+    deg: np.ndarray
+    size: np.ndarray
+    label: np.ndarray
+    labels: list
+
+
 class FiberMasks:
     """The stalks of a GF sheaf's cellular presentation, as masks over the
     cells of its fiber.
@@ -374,6 +389,37 @@ class CellSheaf:
         index = np.array([memo[bc] for bc in base_cells], dtype=np.int64)
         return index.reshape(len(base_cells), len(reps)), stalks.freeze()
 
+    @functools.cached_property
+    def corners(self) -> Corners:
+        """The Corners of this sheaf, read once off the stalk table of all
+        its base cells (strata_stalks).  The stalk opens above break i when
+        stratum i + 1 has generators and stratum i has none.  Raises
+        ValueError ("rank-one stalks required") when a stalk above a break
+        at or below the opening one has more than one generator, and
+        AssertionError when a stalk that never opens is nonempty on the top
+        stratum; the first failing cell in C order decides."""
+        index, st = self.strata_stalks(
+            [tuple(bc) for bc in self.base.base_cells()], self.field)
+        first = st.off[:-1]         # the first slot of each stalk
+        size = np.append(np.diff(st.off), 0)[index]
+        label = np.append(st.lab[first], -1)[index]
+        m = self.taxis.m
+        step = (size[:, 1:] > 0) & (size[:, :-1] == 0)
+        has = step.any(axis=1)
+        opens = np.where(has, step.argmax(axis=1), -1)
+        last = np.where(has, opens, m - 1)
+        wide = ((size[:, 1:] > 1)
+                & (np.arange(m) <= last[:, None])).any(axis=1)
+        loose = ~has & (size[:, m] > 0)
+        fail = np.flatnonzero(wide | loose)
+        if fail.size:
+            if wide[fail[0]]:
+                raise ValueError("rank-one stalks required")
+            raise AssertionError("stalk opens without a breakpoint")
+        at = index[np.arange(len(opens)), opens + 1]
+        deg = np.where(has, np.append(st.ldeg[first], -1)[at], -1)
+        return Corners(opens, deg, size, label, st.labels)
+
     def section_complex(self, region: BaseRegion | None, a, b,
                         taxis=None) -> ChainComplex:
         """Total complex over region x [a, b) with stalk coefficients, on
@@ -487,12 +533,7 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     key = cflat[gc] * c_stride + wflat[gw] * w_stride
     for f in range(m):
         key += lab[f] * lab_stride[f]
-    korder = np.argsort(key, kind="stable")
-    sorted_keys = key[korder]
-
-    def find(want):
-        at = np.minimum(np.searchsorted(sorted_keys, want), n - 1)
-        return sorted_keys[at] == want, korder[at]
+    keys = _Keys(key, (int(np.prod(base.base_cell_shape)), *nt, *radix))
 
     ids = np.arange(n, dtype=np.int64)
     parts = []      # (source ids, target ids, integer coefficients)
@@ -500,7 +541,7 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     for k in range(table.cof.shape[1]):
         cf = table.cof[gcf, k].astype(np.int64)
         has = np.flatnonzero(cf >= 0)
-        hit, tgt = find(key[has] + (cf[has] - gcf[has]) * c_stride)
+        hit, tgt = keys.search(key[has] + (cf[has] - gcf[has]) * c_stride)
         parts.append((has[hit], tgt[hit], table.sgn[gcf[has[hit]], k]))
     parity = bdim.copy()
     matching = None
@@ -510,7 +551,7 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
         vert = np.flatnonzero(tf & 1)
         sign = 1 - 2 * (parity[vert] & 1)
         for move, s in ((-1, 1), (1, -1)):
-            hit, tgt = find(key[vert] + move * step)
+            hit, tgt = keys.search(key[vert] + move * step)
             parts.append((vert[hit], tgt[hit], s * sign[hit]))
             if matching is None:
                 matching = (vert[hit], tgt[hit])
@@ -531,7 +572,7 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
         np.concatenate([c for _, _, c in parts]).astype(np.int64)[order],
         field, value.ravel()[wflat][gw], matching,
         [(cells, gc)] + [(tcells[f], wt[gw, f]) for f in range(m)]
-        + [(st.labels, x) for st, x in zip(stalks, lab)])
+        + [(st.labels, x) for st, x in zip(stalks, lab)], keys)
     arrays.check()
     return arrays
 
@@ -591,29 +632,60 @@ class _Stalks:
                           dpos[keep], dcoef[keep], list(self._label_id))
 
 
+class _Keys:
+    """The generator keys of one assembly, sorted once: a generator's key is
+    np.ravel_multi_index of its parts (flat base cell, t-cell index per
+    axis, label id per factor) over dims."""
+
+    def __init__(self, key, dims):
+        self.order = np.argsort(key, kind="stable")
+        self.sorted = key[self.order]
+        self.dims = dims
+
+    def search(self, want):
+        """(hit, id): whether each key of want is a generator's key, and
+        that generator's id where it is."""
+        if not len(self.sorted):
+            return np.zeros(len(want), dtype=bool), np.zeros_like(want)
+        at = np.minimum(np.searchsorted(self.sorted, want),
+                        len(self.sorted) - 1)
+        return self.sorted[at] == want, self.order[at]
+
+
 class SectionArrays(IndexComplex):
     """A section complex in index form (_total_complex) with the filtration
     value of each generator and the vertical matching (lower ids, upper
-    ids).  Tuple generators are built only on demand, for an error message
-    (name) and for chain_complex (generators): generator i is the tuple of
-    values[index[i]] over the columns (values, index) -- the base cell, the
-    t-cell of each axis, the label of each factor.
+    ids).  columns holds the parts of every generator as (values, index)
+    pairs -- the base cell, the t-cell of each axis, the label of each
+    factor: part k of generator i is values[index[i]] -- and find maps
+    parts back to ids.  Tuple generators are built only on demand, for an
+    error message (name) and for chain_complex (generators).
     """
 
     def __init__(self, deg, indptr, tgt, coef, field, value, matching,
-                 columns):
+                 columns, keys):
         super().__init__(deg, indptr, tgt, coef, field, self._generator)
         self.value = value
         self.matching = matching
-        self._columns = columns
+        self.columns = columns
+        self._keys = keys
 
     def _generator(self, i):
-        return tuple(values[int(index[i])] for values, index in self._columns)
+        return tuple(values[int(index[i])] for values, index in self.columns)
 
     def generators(self):
         """The tuple generator of every id, in id order."""
         return list(zip(*(map(values.__getitem__, index.tolist())
-                          for values, index in self._columns)))
+                          for values, index in self.columns)))
+
+    def find(self, parts):
+        """The id of the generator with the given parts, -1 where there is
+        none.  parts: int arrays of the flat base cell (in the C order of
+        the whole base), the t-cell index on each axis (into TAxis.cells())
+        and the label id on each factor (into the labels of columns)."""
+        hit, ids = self._keys.search(np.ravel_multi_index(parts,
+                                                          self._keys.dims))
+        return np.where(hit, ids, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -926,27 +998,16 @@ def _as_cellsheaf(F: TameSheaf) -> CellSheaf:
 
 def corner_table(cell: CellSheaf):
     """For rank-one sheaves: per base cell the entry breakpoint (None if the
-    stalk never opens) and the degree of the single stalk generator."""
-    taxis = cell.taxis
-    table, deg_table = {}, {}
-    for bc in cell.base.base_cells():
-        bc = tuple(bc)
-        theta = None
-        deg = None
-        for i, b in enumerate(taxis.breaks):
-            above = cell.stalk(bc, taxis.rep(("v", i)))
-            if len(above.gens) > 1:
-                raise ValueError("rank-one stalks required")
-            below = cell.stalk(bc, taxis.rep_below(("v", i)))
-            if above.gens and not below.gens:
-                theta = b
-                deg = above.gens[0][1]
-                break
-        if theta is None and cell.stalk(bc, taxis.breaks[-1] + 0.5).gens:
-            raise AssertionError("stalk opens without a breakpoint")
-        table[bc] = theta
-        deg_table[bc] = deg
-    return table, deg_table
+    stalk never opens) and the degree of the single stalk generator, as
+    dicts over the cell tuples (CellSheaf.corners)."""
+    k = cell.corners
+    cells = list(cell.base.base_cells())
+    breaks = cell.taxis.breaks
+    opens = k.opens.tolist()
+    return ({bc: breaks[i] if i >= 0 else None
+             for bc, i in zip(cells, opens)},
+            {bc: d if i >= 0 else None
+             for bc, i, d in zip(cells, opens, k.deg.tolist())})
 
 
 def materialize_rank_one_tensor(CA: CellSheaf, CB: CellSheaf) -> CellSheaf:

@@ -12,8 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # install the tracer, then run a stalk lookup, a small section barcode,
 # one relative complex and one sublevel filtration through the wrapped
 # functions, and check the counts the tracer reads off their results; then
-# check that a stabilized genfun's Cerf diagram and pair cohomology and a
-# Floer datum are spanned
+# check that a stabilized genfun's Cerf diagram and pair cohomology, a
+# Floer datum and one cup triple (its classes, products, tables and
+# solves) are spanned and counted
 TRACED = """
 import tracer
 t = tracer.Tracer()
@@ -44,9 +45,21 @@ gf = stabilized_graph_genfun(f, coeffs=(1.0,), n_fiber=8)
 assert len(cerf_diagram(gf).strands) == 4
 assert gf_cohomology(gf, None, -10.0, 10.0) == {0: 1, 1: 1}
 assert len(floer_data(zero_brane(grid), GraphBrane(f))) == 2
+import tempfile
+import types
+from gfsheaf import scenarios
+with tempfile.TemporaryDirectory() as out:
+    result = scenarios._RUNNERS["cup"](types.SimpleNamespace(seed=29),
+                                       {"triples": 1, "n": 12}, out)
+assert result["status"] == "pass" and result["triples"] == 1, result
 spanned = {t.names[span[0]] for span in t.spans}
 assert {"grids.critical_vertices", "genfun.cerf_diagram",
-        "genfun.gf_cohomology"} <= spanned, spanned
+        "genfun.gf_cohomology", "scenarios.task.cup", "products.cup",
+        "products.class_table", "products.floer_to_product_classes",
+        "complexes.class_coordinates", "linalg.solve"} <= spanned, spanned
+assert t.counts["linalg.solve.calls"] >= 2, t.counts
+assert t.counts["linalg.solve.cols"] > 0, t.counts
+assert t.counts["scenarios.cup.triples"] == 1, t.counts
 """
 
 

@@ -360,7 +360,13 @@ def test_bad_grid_size_in_file_exits_2(tmp_path, capsys, value, message):
 # (unit-laws truncated n = 12.7 to 12 and passed)
 BAD_TASK_PARAMETERS = {
     "sublemma-size": ('op = "sublemma"\nsizes = [1]\n',
-                      "sizes must be an integer in [2, inf], got 1"),
+                      "sizes must be an integer in [2, 8], got 1"),
+    "sublemma-size-above": ('op = "sublemma"\nsizes = [2, 9]\n',
+                            "sizes must be an integer in [2, 8], got 9"),
+    "ss-p-samples": ('op = "ss"\ngenfun = "g"\np_samples = 1001\n',
+                     "p_samples must be an integer in [1, 1000], got 1001"),
+    "ss-p-samples-zero": ('op = "ss"\ngenfun = "g"\np_samples = 0\n',
+                          "p_samples must be an integer in [1, 1000], got 0"),
     "cup-n": ('op = "cup"\nn = 2\n',
               "n must be an integer in [4, 4096], got 2"),
     "rectify-count": ('op = "rectify-check"\ncount = "x"\n',

@@ -629,3 +629,136 @@ def test_an_id_cycle_names_the_first_pair_that_reaches_back():
                        "e": {"z": 1}})
     with pytest.raises(ValueError, match="'a' -> 'x' reaches the upper"):
         C.barcode(np.zeros(6), (np.array([2, 1, 0]), np.array([5, 3, 4])))
+
+
+# ---------------------------------------------------------------------------
+# class coordinates against the coboundaries of the touched degrees only
+
+def reference_class_coordinates(C, basis_cocycles, zs):
+    """class_coordinates against the coboundaries of every degree."""
+    from gfsheaf.linalg import solve_columns
+    F = C.field
+    idx = C._index
+    cols = []
+    for b in basis_cocycles:
+        cols.append({idx[g]: v for g, v in b.items()})
+    nb = len(cols)
+    for g in C.gens:
+        cb = C.d.get(g)
+        if cb:
+            cols.append({idx[h]: v for h, v in cb.items()})
+    sols = solve_columns(cols, [{idx[g]: v for g, v in z.items()}
+                                for z in zs], F)
+    return [None if sol is None else sol[:nb] for sol in sols]
+
+
+def class_problem(rng, C):
+    """(basis, targets) over C: its cohomology basis with dependent vectors
+    shuffled in (a sum of two basis vectors, a basis vector plus a
+    coboundary, a coboundary), and targets that mix degrees (combinations
+    of basis vectors and coboundaries), the zero vector, and vectors that
+    are no cocycles (inconsistent)."""
+    from gfsheaf.complexes import apply_d, cohomology_basis
+    F = C.field
+    basis = [v for _, v in cohomology_basis(C)]
+
+    def combo(vecs):
+        out = {}
+        for v in vecs:
+            add_scaled(out, v, random_entry(rng, F), F)
+        return out
+
+    def boundary():
+        return apply_d(C, {rng.choice(C.gens): random_entry(rng, F)})
+
+    dependent = [combo(rng.sample(basis, min(2, len(basis)))),
+                 combo(rng.sample(basis, min(1, len(basis))) + [boundary()]),
+                 boundary()]
+    basis += dependent
+    rng.shuffle(basis)
+    loose = [g for g in C.gens if g in C.d]
+    targets = [combo(basis + [boundary(), boundary()]),
+               combo(rng.sample(basis, len(basis) // 2) + [boundary()]),
+               {}, {rng.choice(loose): F.one()},
+               combo([basis[0], {rng.choice(loose): F.one()}])]
+    return basis, targets
+
+
+def as_index_complex(C):
+    """The IndexComplex of C (integer entries) on the ids of C.gens, and
+    a converter of generator-keyed vectors to id-keyed ones."""
+    names = list(C.gens)
+    K = index_complex(names, C.deg,
+                      {g: {h: int(v) for h, v in cb.items()}
+                       for g, cb in C.d.items()}, C.field)
+    return K, lambda vec: {C._index[g]: v for g, v in vec.items()}
+
+
+def class_problem_complexes(field):
+    from test_linalg import complexes_under_test
+    rng = random.Random(71)
+    for _ in range(40):
+        C, _ = random_known_complex(rng, field)
+        yield C, field is GF2    # over Q its entries are fractions
+    for C in complexes_under_test(field):
+        yield C, True
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_class_coordinates_match_the_unrestricted_solve(field):
+    from gfsheaf.complexes import class_coordinates
+    rng = random.Random(72)
+    inconsistent = 0
+    for C, integral in class_problem_complexes(field):
+        basis, targets = class_problem(rng, C)
+        want = reference_class_coordinates(C, basis, targets)
+        assert class_coordinates(C, basis, targets) == want
+        assert want[2] == [field.zero()] * len(basis)
+        assert want[3] is None and want[4] is None
+        inconsistent += want.count(None)
+        if integral:
+            K, ids = as_index_complex(C)
+            got = class_coordinates(K, [ids(b) for b in basis],
+                                    [ids(z) for z in targets])
+            assert got == want
+    assert inconsistent >= 2 * 40
+
+
+def test_class_coordinates_solves_against_the_touched_degrees(monkeypatch):
+    from gfsheaf.complexes import class_coordinates, cohomology_basis
+    solve, seen = complexes.solve_columns, []
+
+    def recorded(cols, targets, field):
+        seen.append(cols)
+        return solve(cols, targets, field)
+
+    monkeypatch.setattr(complexes, "solve_columns", recorded)
+    rng = random.Random(73)
+    for _ in range(20):
+        C, _ = random_known_complex(rng, GF2)
+        for k in sorted({C.deg[g] for g in C.gens}):
+            basis = [v for d, v in cohomology_basis(C) if d == k]
+            zs = [{g: 1} for g in C.gens if C.deg[g] == k]
+            assert class_coordinates(C, basis, zs) == \
+                reference_class_coordinates(C, basis, zs)
+            cols = seen.pop()[len(basis):]
+            assert all(C.deg[C.gens[i]] == k for col in cols for i in col)
+            assert len(cols) == sum(1 for g in C.gens
+                                    if C.deg[g] == k - 1 and g in C.d)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_apply_d_on_ids_matches_the_tuple_complex(field):
+    from fractions import Fraction
+    from gfsheaf.complexes import apply_d
+    from test_linalg import complexes_under_test
+    rng = random.Random(74)
+    for C in complexes_under_test(field):
+        K, ids = as_index_complex(C)
+        for _ in range(20):
+            vec = {g: rng.choice([-2, -1, 1, 2, 3])
+                   for g in rng.sample(C.gens, 6)}
+            want = apply_d(C, {g: field.coerce(c) for g, c in vec.items()})
+            assert apply_d(K, ids(vec)) == ids(want)
+        with pytest.raises(ValueError, match="integer entries"):
+            apply_d(K, {0: Fraction(1, 2)})

@@ -439,8 +439,9 @@ def test_cup_task_keeps_no_rows_of_a_failed_triple(tmp_path, monkeypatch):
 
     def fail_second_entry(*args, **kwargs):
         calls.append(args)
-        if len(calls) == 2:
-            raise ValueError("injected failure in the first triple")
+        if len(calls) == 2:  # a refusal the task redraws on
+            raise AssertionError("injected: window endpoints sit too close "
+                                 "to the value spectrum")
         return cup(*args, **kwargs)
 
     monkeypatch.setattr(products, "cup_product", fail_second_entry)
@@ -455,25 +456,65 @@ def test_cup_task_builds_each_home_once_and_reduces_each_table_once(
         tmp_path, monkeypatch):
     import gfsheaf.complexes as complexes
     import gfsheaf.products as products
-    build, solve = products.product_section_complex, complexes.solve_columns
+    import gfsheaf.sheaves as sheaves
+    build, solve = products._total_complex, complexes.solve_columns
+    to_tuples = complexes.IndexComplex.chain_complex
     homes, tables = [], []
 
-    def counted_build(CA, CB, *args):
-        homes.append((CA, CB) + args)
-        return build(CA, CB, *args)
+    def counted_build(base, factors, *args):
+        homes.append(tuple(cell for cell, _, _ in factors) + args)
+        return build(base, factors, *args)
 
     def counted_solve(cols, targets, field):
         tables.append(len(targets))
         return solve(cols, targets, field)
 
-    monkeypatch.setattr(products, "product_section_complex", counted_build)
+    def no_section_tuples(self, gens):
+        # the pant route's cubical superlevel complexes stay tuple complexes
+        if isinstance(self, sheaves.SectionArrays):
+            raise AssertionError("a product home built a tuple complex")
+        return to_tuples(self, gens)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cup task walked a corner table")
+
+    monkeypatch.setattr(products, "_total_complex", counted_build)
     monkeypatch.setattr(complexes, "solve_columns", counted_solve)
+    monkeypatch.setattr(complexes.IndexComplex, "chain_complex",
+                        no_section_tuples)
+    monkeypatch.setattr(sheaves.SectionArrays, "generators", refuse)
+    monkeypatch.setattr(products, "corner_table", refuse)
+    monkeypatch.setattr(sheaves, "corner_table", refuse)
     result, rows = _run_cup_task(tmp_path)
     assert result["triples"] == 2
     assert len(homes) == 3 * result["triples"]
-    assert len({(id(h[0]), id(h[1])) + h[2:] for h in homes}) == len(homes)
+    assert len({tuple(map(id, h[:2])) + h[2:] for h in homes}) == len(homes)
     # one pant table and one cup table per triple, each solving every entry
     assert tables == [len(rows) // result["triples"]] * 2 * result["triples"]
+
+
+@pytest.mark.parametrize("name, error", [
+    ("class_table", AssertionError("class does not lie in the pushed basis "
+                                   "span; presentation mismatch")),
+    ("cup_product", ValueError("homes are not composable: base grids "
+                               "differ"))])
+def test_cup_task_fails_on_an_error_that_is_no_threshold_refusal(
+        tmp_path, monkeypatch, capsys, name, error):
+    import os
+    import gfsheaf.products as products
+    from gfsheaf.cli import BUNDLED_DIR, main
+    real = getattr(products, name)
+
+    def failing(*args, **kwargs):
+        real(*args, **kwargs)
+        raise error
+
+    monkeypatch.setattr(products, name, failing)
+    path = os.path.join(BUNDLED_DIR, "products.toml")
+    assert main(["run", path, "--out-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert f"[fail] products#0 cup certifies=product-tables-two-routes " \
+           f":: {error}" in out, out
 
 
 def test_a_limit_sheaf_has_no_dual_and_no_support_band():
