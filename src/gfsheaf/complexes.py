@@ -27,6 +27,10 @@ from .linalg import GF2, Reducer, add_scaled, kernel_of_columns, solve_columns
 
 INF = math.inf
 
+# the most two-step paths IndexComplex.check holds at once (a block of
+# source generators; one generator with more paths is a block of its own)
+PATH_BUDGET = 1 << 21
+
 
 class ChainComplex:
     """Finite cochain complex over a field.
@@ -341,17 +345,41 @@ class IndexComplex:
         wrong sign.  An F2 section complex is certified by parity, because
         an F2 stalk may carry unsigned differentials, whose integer lifts
         are no complex over Z.
+
+        The paths are taken in blocks of consecutive source generators,
+        each with at most PATH_BUDGET paths (a source with more is a block
+        of its own), in id order, so the memory the check holds is bounded
+        and the first failing generator is still the first in id order.
+        The refusal of integer sums too large for int64 is made per block,
+        after the failures of earlier blocks.
         """
-        n, indptr, tgt, coef = len(self.deg), self.indptr, self.tgt, self.coef
+        n, indptr, tgt = len(self.deg), self.indptr, self.tgt
         src = self.src()
         bad = np.flatnonzero(self.deg[tgt] != self.deg[src] + 1)
         if bad.size:
             e = bad[0]
             raise ValueError(f"differential not degree +1 at "
                              f"{self.name(src[e])} -> {self.name(tgt[e])}")
+        # the two-step paths from the sources lo..hi-1, one block of
+        # sources at a time, each block holding at most PATH_BUDGET paths
+        # unless one source alone has more
         length = np.diff(indptr)[tgt]
-        first = np.repeat(np.arange(len(tgt), dtype=np.int64), length)
-        second = index_ranges(indptr[:-1][tgt], length)
+        reach = np.concatenate(([0], np.cumsum(length)))[indptr]
+        lo = 0
+        while lo < n:
+            hi = int(np.searchsorted(reach, reach[lo] + PATH_BUDGET,
+                                     side="right")) - 1
+            hi = max(hi, lo + 1)
+            self._check_paths(src, length, indptr[lo], indptr[hi], integral)
+            lo = hi
+
+    def _check_paths(self, src, length, e0, e1, integral):
+        """The d^2 check of check on the two-step paths through the entries
+        e0..e1-1."""
+        n, indptr, tgt, coef = len(self.deg), self.indptr, self.tgt, self.coef
+        length = length[e0:e1]
+        first = np.repeat(np.arange(e0, e1, dtype=np.int64), length)
+        second = index_ranges(indptr[:-1][tgt[e0:e1]], length)
         key = src[first] * n + tgt[second]
         if not len(key):
             return      # no two-step path
@@ -428,14 +456,15 @@ class IndexComplex:
 
     def _check_matching(self, value, lower, upper, src):
         """Raise ValueError unless (lower, upper) is an acyclic matching in
-        a gradient order: no generator in two pairs, and for every pair j,
-        in order, upper[j] is a coface of lower[j] (an entry, so nonzero),
-        the two values are equal, and d(lower[j]) reaches the upper
-        generator of no earlier pair, which no matching with a cycle can
-        satisfy.  The message names the first pair that fails."""
+        a gradient order: no generator in two pairs (a count per id, which
+        takes linear time), and for every pair j, in order, upper[j] is a
+        coface of lower[j] (an entry, so nonzero), the two values are
+        equal, and d(lower[j]) reaches the upper generator of no earlier
+        pair, which no matching with a cycle can satisfy.  The message
+        names the first pair that fails."""
         n, tgt, name = len(self.deg), self.tgt, self.name
         both = np.concatenate([lower, upper])
-        if np.unique(both).size < both.size:
+        if both.size and np.bincount(both, minlength=n).max() > 1:
             raise ValueError("a generator is matched twice")
         entries = np.sort(src * n + tgt)
         want = lower * n + upper
@@ -472,64 +501,102 @@ class IndexComplex:
         """The critical ids (in id order) and their Morse coboundaries, a
         dict critical -> {critical: scalar}, of a checked matching.
 
-        Gaussian elimination of the pairs in their order, read on the
-        critical columns: a critical c whose coboundary holds a * t, t =
-        upper[j], s = lower[j], trades it for -(a / d(s)[t]) * (d(s) -
-        d(s)[t] * t), whose upper entries belong to later pairs; lower
-        entries are dropped.  pending[j] collects every critical's multiple
-        of upper[j]; a pair that no critical reaches costs one dict pop.
-        The entries of every d(s) are sorted into their three kinds
-        (critical, the pair's own upper, a later upper) once, with numpy.
+        Pair j matches s = lower[j] with u = upper[j]; a_j = d(s)[u] and
+        inv_j = -1/a_j.  Eliminating the pairs in their order trades an
+        entry a * u of a critical's coboundary for a * inv_j * (d(s) - a_j
+        * u), whose upper entries belong to later pairs; entries into lower
+        generators are dropped.  In matrix form, with the blocks of the
+        coboundary D (critical -> critical), A (critical -> upper, by
+        pair), R (lower -> critical, by pair) and M (lower of j -> upper of
+        a later pair j'), N = diag(inv) M and Y0 = diag(inv) R, the Morse
+        coboundary is D + A Y with Y = sum_i N^i Y0.  N is nilpotent (the
+        pairs are in a gradient order), and Y is taken by repeated
+        squaring: Y <- Y + P Y, P <- P P from P = N, Y = Y0, until P
+        vanishes, in ceil(log2(longest gradient path)) rounds.  In a
+        section complex every lower reaches at most one later upper, so a
+        round is one pointer jump along each t-axis chain.  Over F2 the
+        sums are parities of int64 entries; over Q exact sums of Fraction
+        object arrays.
         """
-        F, n, one = self.field, len(self.deg), self.field.one()
+        F, n, P = self.field, len(self.deg), len(lower)
+
+        def lift(e):
+            """The field entries of the entries e: int64 0/1 or Fractions."""
+            if F is GF2:
+                return self.coef[e] & 1
+            return np.array([F.coerce(c) for c in self.coef[e].tolist()],
+                            dtype=object)
+
         role = np.full(n, -1, dtype=np.int64)     # -1: critical, -2: lower
         role[lower] = -2
-        role[upper] = np.arange(len(upper))
+        role[upper] = np.arange(P)
         crit = np.flatnonzero(role == -1)
-        coef = self.coef.tolist()
-        scalar = {c: F.coerce(c) for c in set(coef)}
-        kind = role[self.tgt]
-        # the entries of the critical generators, in entry order
-        morse, pending = {c: {} for c in crit.tolist()}, {}
-        for e in np.flatnonzero(role[src] == -1).tolist():
-            c, k, v = int(src[e]), int(kind[e]), scalar[coef[e]]
-            if k == -1:
-                morse[c][int(self.tgt[e])] = v
-            elif k >= 0:
-                add_scaled(pending.setdefault(k, {}), {c: v}, one, F)
-        # the entries of the lower generators, by pair, then in entry order
         low_of = np.full(n, -1, dtype=np.int64)
-        low_of[lower] = np.arange(len(lower))
-        pair = low_of[src]
-        sel = np.flatnonzero(pair >= 0)
-        sel = sel[np.argsort(pair[sel], kind="stable")]
-        pair, kind_sel = pair[sel], kind[sel]
-        u = [scalar[coef[e]] for e in sel[kind_sel == pair].tolist()]
+        low_of[lower] = np.arange(P)
+        kind, j = role[self.tgt], low_of[src]
+        c_row = role[src] == -1
+        own = np.flatnonzero((j >= 0) & (kind == j))
+        inv = np.empty(P, dtype=np.int64 if F is GF2 else object)
+        inv[j[own]] = lift(own)
+        if F is not GF2:
+            inv = -1 / inv
+        parity = F is GF2
+        e = np.flatnonzero((j >= 0) & (kind > j))
+        path = _sparse_sum([(j[e], kind[e], inv[j[e]] * lift(e))], n, parity)
+        e = np.flatnonzero((j >= 0) & (kind == -1))
+        y = _sparse_sum([(j[e], self.tgt[e], inv[j[e]] * lift(e))], n, parity)
+        for _ in range(P.bit_length()):
+            if not len(path[0]):
+                break
+            y = _sparse_sum([y, _sparse_product(path, y, n)], n, parity)
+            path = _sparse_sum([_sparse_product(path, path, n)], n, parity)
+        if len(path[0]):
+            raise RuntimeError("the Morse elimination did not terminate: "
+                               "the matching is not acyclic")
+        e = np.flatnonzero(c_row & (kind >= 0))
+        a = (src[e], kind[e], lift(e))
+        e = np.flatnonzero(c_row & (kind == -1))
+        row, col, val = _sparse_sum(
+            [(src[e], self.tgt[e], lift(e)), _sparse_product(a, y, n)], n,
+            parity)
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        entries = zip(col.tolist(), val.tolist())
+        return crit, {c: dict(itertools.islice(entries, k)) for c, k in
+                      zip(row[starts].tolist(),
+                          np.diff(starts, append=len(row)).tolist())}
 
-        def by_pair(part, ids):
-            """(offsets per pair, ids, scalars) of the entries in part."""
-            e = sel[part]
-            ptr = np.searchsorted(pair[part], np.arange(len(lower) + 1))
-            return (ptr.tolist(), ids[e].tolist(),
-                    [scalar[coef[x]] for x in e.tolist()])
 
-        cptr, ch, cv = by_pair(kind_sel == -1, self.tgt)     # critical
-        uptr, uj, uv = by_pair(kind_sel > pair, kind)       # later pairs
-        for j in range(len(u)):
-            mult = pending.pop(j, None)
-            if not mult:
-                continue
-            inv = F.neg(F.inv(u[j]))
-            if inv != one:
-                mult = {c: F.mul(a, inv) for c, a in mult.items()}
-            if cptr[j] < cptr[j + 1]:
-                crit_part = dict(zip(ch[cptr[j]:cptr[j + 1]],
-                                     cv[cptr[j]:cptr[j + 1]]))
-                for c, k in mult.items():
-                    add_scaled(morse[c], crit_part, k, F)
-            for e in range(uptr[j], uptr[j + 1]):
-                add_scaled(pending.setdefault(uj[e], {}), mult, uv[e], F)
-        return crit, {c: row for c, row in morse.items() if row}
+def _sparse_product(a, b, n):
+    """The entries of the product a b of two sparse matrices, each given
+    as (rows, cols, values) arrays with b's rows sorted and below n: for
+    every entry (r, k, v) of a, the entries (r, c, v w) over row k of b,
+    unsummed."""
+    (ar, ak, av), (br, bc, bv) = a, b
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(br, minlength=n), out=ptr[1:])
+    count = ptr[1:][ak] - ptr[:-1][ak]
+    e = index_ranges(ptr[:-1][ak], count)
+    return np.repeat(ar, count), bc[e], np.repeat(av, count) * bv[e]
+
+
+def _sparse_sum(parts, n, parity):
+    """The sum of the sparse matrices parts, each (rows, cols, values) with
+    rows and cols below n, as one (rows, cols, values) sorted by (row, col):
+    equal keys summed with np.add.reduceat (mod 2 when parity is set) and
+    zero sums dropped."""
+    row, col, val = (np.concatenate(x) for x in zip(*parts))
+    key = row * n + col
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    if not len(starts):
+        return key, key, val[order]
+    val = np.add.reduceat(val[order], starts)
+    if parity:
+        val &= 1
+    keep = np.flatnonzero(val != 0)
+    key = key[starts[keep]]
+    return key // n, key % n, val[keep]
 
 
 @dataclass(frozen=True)

@@ -748,7 +748,12 @@ def run_scenario(path, out_dir=None, seed=None, field="f2", grid_scale=1.0,
         # ScenarioParseError and ExprError are ValueErrors too
         return 2, {"error": str(e), "scenario": str(path)}
     out_dir = out_dir or (ctx.name + "-out")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        # a regular file at out_dir or on the way to it
+        return 2, {"error": f"cannot use {out_dir!r} as output directory: "
+                            f"{e.strerror or e}", "scenario": str(path)}
     summary = {"scenario": ctx.name, "seed": ctx.seed, "tasks": []}
     code = 0
     for index, task in enumerate(spec.get("tasks", [])):

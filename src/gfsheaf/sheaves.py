@@ -471,7 +471,17 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     ('e', i+1): the first-axis index rises along every gradient path, so
     the matching is acyclic, and its pairs come in a gradient order (id
     order).
+
+    The arrays are assembled in _section_arrays, whose temporaries are
+    freed before the check runs.
     """
+    arrays = _section_arrays(base, factors, region, a, b, field)
+    arrays.check()
+    return arrays
+
+
+def _section_arrays(base, factors, region, a, b, field) -> "SectionArrays":
+    """The SectionArrays of _total_complex, unchecked."""
     m = len(factors)
     axes = [ax for _, ax, _ in factors]
     tcells = [ax.cells() for ax in axes]
@@ -567,14 +577,12 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     order = np.argsort(src, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    arrays = SectionArrays(
+    return SectionArrays(
         deg, indptr, np.concatenate([t for _, t, _ in parts])[order],
         np.concatenate([c for _, _, c in parts]).astype(np.int64)[order],
         field, value.ravel()[wflat][gw], matching,
         [(cells, gc)] + [(tcells[f], wt[gw, f]) for f in range(m)]
         + [(st.labels, x) for st, x in zip(stalks, lab)], keys)
-    arrays.check()
-    return arrays
 
 
 class _Stalks:

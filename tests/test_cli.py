@@ -388,3 +388,25 @@ def test_bad_task_parameter_exits_2(tmp_path, capsys, name):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     out = capsys.readouterr().out
     assert "[input-error]" in out and message in out
+
+
+@pytest.mark.parametrize("verb", ["run", "verify-all"])
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_an_unusable_out_dir_exits_2_without_traceback(tmp_path, verb,
+                                                       where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out = blocker if where == "file" else blocker / "x"
+    args = [verb] + ([next(p for p in bundled_scenarios()
+                           if os.path.basename(p) == "duality.toml")]
+                     if verb == "run" else [])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfsheaf", *args, "--out-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert "[input error]" in proc.stdout
+    assert "as output directory" in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert blocker.read_text() == "a regular file\n"

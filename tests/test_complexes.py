@@ -486,8 +486,12 @@ def random_acyclic_matching(rng, FC):
     return matching
 
 
-@pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
-def test_barcode_through_a_random_acyclic_matching(field):
+def random_matched_cases(field):
+    """(FC, K, value, (lower, upper)) per case of the matching sweep: 40
+    random filtered complexes with floored actions and 6 torus sublevel
+    filtrations, each with a random acyclic matching in a gradient order;
+    K is the IndexComplex of FC on the ids of its generators, value its
+    actions, and (lower, upper) the matching on ids."""
     import numpy as np
     from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid,
                                sublevel_filtration)
@@ -502,18 +506,25 @@ def test_barcode_through_a_random_acyclic_matching(field):
         vals = np.array([rng.randrange(3) for _ in range(20)], dtype=float)
         cases.append(sublevel_filtration(
             SampledFunction(torus, vals.reshape(torus.vertex_shape)), field))
-    matched = 0
     for FC in cases:
         matching = random_acyclic_matching(rng, FC)
-        matched += bool(matching)
         C = FC.complex
         assert all(v == int(v) for cb in C.d.values() for v in cb.values())
         K = index_complex(list(C.gens), C.deg, {
             g: {h: int(v) for h, v in cb.items()} for g, cb in C.d.items()},
             field)
         value = np.array([FC.action[g] for g in C.gens])
-        got = K.barcode(value, _id_pairs(C._index.__getitem__, matching))
-        assert got.bars == FC.barcode().bars, matching
+        yield FC, K, value, _id_pairs(C._index.__getitem__, matching)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
+def test_barcode_through_a_random_acyclic_matching(field):
+    cases = list(random_matched_cases(field))
+    matched = 0
+    for FC, K, value, pairs in cases:
+        matched += bool(len(pairs[0]))
+        got = K.barcode(value, pairs)
+        assert got.bars == FC.barcode().bars, pairs
     assert matched > len(cases) // 2
 
 
@@ -609,6 +620,53 @@ def test_the_d_squared_check_on_ids_is_exact_in_the_field():
         ChainComplex(names, deg, d, QQ)
     d["y"] = {"z": -1}
     index_complex(names, deg, d, QQ).check()
+
+
+def _squares(k, field, drop=(), flip=()):
+    """k copies of a -> x, y -> z with d a = x + y, d x = z, d y = -z, on
+    the ids a0 x0 y0 z0 a1 ...: copy i loses its entry y -> z when i is in
+    drop and has it as +z when i is in flip."""
+    names, deg, d = [], {}, {}
+    for i in range(k):
+        a, x, y, z = (f"{g}{i}" for g in "axyz")
+        names += [a, x, y, z]
+        deg.update({a: 0, x: 1, y: 1, z: 2})
+        d[a] = {x: 1, y: 1}
+        d[x] = {z: 1}
+        if i not in drop:
+            d[y] = {z: 1 if i in flip else -1}
+    return index_complex(names, deg, d, field)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2, 5])
+@pytest.mark.parametrize("field, integral, bad", [
+    (GF2, False, "drop"), (QQ, False, "flip"), (GF2, True, "flip")],
+    ids=["F2", "Q", "integral"])
+def test_the_blocked_d_squared_check_names_the_first_failing_generator(
+        monkeypatch, budget, field, integral, bad):
+    # the two-step paths start at the a_i, two each: a budget of 1 path
+    # makes a block of each a_i alone and one of each x_i y_i z_i, 2 one
+    # block per copy, 5 one per two copies
+    if budget is not None:
+        monkeypatch.setattr(complexes, "PATH_BUDGET", budget)
+    blocks = []
+    check_paths = complexes.IndexComplex._check_paths
+    monkeypatch.setattr(complexes.IndexComplex, "_check_paths",
+                        lambda *args: blocks.append(args[3:5])
+                        or check_paths(*args))
+    _squares(12, field).check(integral=integral)
+    assert len(blocks) == {None: 1, 1: 24, 2: 12, 5: 6}[budget]
+    assert blocks[0][0] == 0 and blocks[-1][1] == 12 * 4
+    assert all(e1 == e0 for (_, e1), (e0, _) in zip(blocks, blocks[1:]))
+    for broken, first in [((1, 10), "a1"), ((10,), "a10"), ((0, 11), "a0"),
+                          ((11,), "a11")]:
+        C = _squares(12, field, **{bad: broken})
+        with pytest.raises(ValueError, match=rf"d\^2 != 0 at generator "
+                                             rf"'{first}'"):
+            C.check(integral=integral)
+    if bad == "flip":
+        # parity cannot see a flipped sign
+        _squares(12, GF2, flip=(1, 10)).check()
 
 
 def test_the_degree_check_on_ids_names_the_entry():
