@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (ChainComplex, apply_d, class_coordinates,
-                        cohomology_basis, index_ranges)
+from .complexes import apply_d, class_coordinates, index_ranges
 from .genfun import GenFun, box_sum, graph_genfun, negate
 from .grids import (BaseRegion, BoxGrid, SampledFunction, cubical_complex,
                     _front_back_faces)
 from .linalg import GF2
-from .sheaves import (CellSheaf, TAxis, TameSheaf, _as_cellsheaf,
-                      _product_factors, _total_complex, corner_table,
-                      product_section_complex, quantize, section_barcode,
+from .sheaves import (CellSheaf, SectionArrays, TAxis, TameSheaf,
+                      _as_cellsheaf, _product_factors, _same_cell,
+                      _total_complex, corner_table, quantize, section_barcode,
                       sections, to_cellular, unit_sheaf)
 
 INF = math.inf
@@ -193,37 +192,36 @@ class UnitMorphisms:
                 worst = max(worst, ca + cb)
         return worst
 
-    def u_cocycle(self, complex_: ChainComplex):
-        """The corner cocycle representing u in a W-section complex."""
-        one = GF2.one()
-        vec = {}
-        for g in complex_.gens:
-            (bc, t1, t2, la, lb) = g
-            if complex_.deg[g] != 0:
-                continue
-            if t1[0] != "v" or t2[0] != "v":
-                continue
-            b1 = self.CA.taxis.breaks[t1[1]]
-            b2 = self.CB.taxis.breaks[t2[1]]
-            ca = self.corner_a[bc]
-            cb = self.corner_b[bc]
-            if ca is not None and cb is not None and b1 >= ca and b2 >= cb:
-                vec[g] = one
-        return vec
+    def u_cocycle(self, W: SectionArrays):
+        """The corner cocycle representing u in W, the section complex of
+        CA (x) CB on the diagonal over all of N: the degree-0 generators
+        over vertex pairs (('v', i), ('v', j)) at or above the corners of
+        their base cell, as a dict id -> 1."""
+        (_, cell), (_, ta), (_, tb), _, _ = W.columns
+        ia, ib = self.CA.corners.opens[cell], self.CB.corners.opens[cell]
+        keep = ((W.deg == 0) & (ta & 1 == 1) & (tb & 1 == 1) & (ia >= 0)
+                & (ib >= 0) & (ta // 2 >= ia) & (tb // 2 >= ib))
+        return dict.fromkeys(np.flatnonzero(keep).tolist(), 1)
 
-    def v_apply(self, vec, unit_taxis: TAxis, t0=0.0):
-        """Evaluation at the fixed top corner; lands in unit sections whose
-        t-axis is the given (possibly refined) one."""
+    def v_apply(self, vec, W: SectionArrays, U: SectionArrays,
+                unit_taxis: TAxis, t0=0.0):
+        """Evaluation at the fixed top corner of vec, an F2 cochain of W
+        (as u_cocycle), into U, the unit's section complex over all of N on
+        unit_taxis (a refinement of its own axis that has t0 as a break),
+        as a dict id -> 1."""
         b1s, b2s = self.top_corner
         i0 = next(i for i, b in enumerate(unit_taxis.breaks)
                   if abs(b - t0) < 1e-12)
-        out = {}
-        for g, c in vec.items():
-            (bc, t1, t2, la, lb) = g
-            if t1 == ("v", b1s) and t2 == ("v", b2s):
-                tgt = (bc, ("v", i0), ("k",))
-                out[tgt] = GF2.add(out.get(tgt, 0), c)
-        return {k: v for k, v in out.items() if v}
+        (_, cell), (_, ta), (_, tb), _, _ = W.columns
+        ids = _odd(vec)
+        ids = ids[(ta[ids] == 2 * b1s + 1) & (tb[ids] == 2 * b2s + 1)]
+        tgt = U.find((cell[ids], np.full_like(ids, 2 * i0 + 1),
+                      np.full_like(ids, U.columns[2][0].index(("k",)))))
+        if (tgt < 0).any():
+            raise AssertionError("an evaluated generator is missing from "
+                                 "the unit complex")
+        odd = np.bincount(tgt, minlength=len(U.deg)) & 1
+        return dict.fromkeys(np.flatnonzero(odd).tolist(), 1)
 
 
 def unit_morphisms(F: TameSheaf) -> UnitMorphisms:
@@ -260,20 +258,21 @@ def verify_unit_composition(F: TameSheaf, lambdas, eps=None):
         below = [abs(s) for s in sums if abs(s) > 1e-9]
         eps = min(below) / 2 if below else 0.5
     ceil = max(sums) + 1.0
-    WC = product_section_complex(um.CA, um.CB, True, None, -eps, ceil)
+    WC = _total_complex(*_product_factors(um.CA, um.CB, True), None, -eps,
+                        ceil, um.CA.field)
     z = um.u_cocycle(WC)
     if not z or apply_d(WC, z):
         raise AssertionError("u image is missing or not closed")
     unit_taxis = U.cell.taxis.with_breaks([-eps, ceil])
-    UC = U.cell.section_complex(None, -eps, ceil, taxis=unit_taxis)
-    img = um.v_apply(z, unit_taxis)
+    UC = _total_complex(U.cell.base, [(U.cell, unit_taxis, _same_cell)],
+                        None, -eps, ceil, U.cell.field)
+    img = um.v_apply(z, WC, UC, unit_taxis)
     if apply_d(UC, img):
         raise AssertionError("v o u image is not closed")
-    basis = [vec for d, vec in cohomology_basis(UC) if d == 0]
-    if len(basis) != 1:
+    if UC.barcode(UC.value, UC.matching).essential_ranks().get(0) != 1:
         raise AssertionError("unit degree-0 sections not rank one")
-    [coords] = class_coordinates(UC, basis, [img])
-    if coords != [GF2.one()]:
+    # over F2 a closed image that is not exact is the generator of H^0
+    if class_coordinates(UC, [], [img]) != [None]:
         raise AssertionError("v o u is not the identity on degree-0 sections")
     for lam in lambdas:
         if not lam > 0:

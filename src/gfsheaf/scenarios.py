@@ -140,10 +140,37 @@ def load_scenario(path):
         text = fh.read()
     if path.endswith(".json"):
         try:
-            return json.loads(text)
+            spec = json.loads(text)
         except json.JSONDecodeError as e:
             raise ScenarioParseError(str(e), e.lineno, e.colno)
-    return parse_toml_subset(text)
+    else:
+        spec = parse_toml_subset(text)
+    _check_shape(spec)
+    return spec
+
+
+def _check_shape(spec):
+    """Raise ScenarioParseError unless spec has the shape the runner reads:
+    a table whose scenario, inputs, inputs.functions, inputs.genfuns and
+    inputs.regions are tables (the last three of tables), and whose tasks
+    are an array of tables."""
+    if not isinstance(spec, dict):
+        raise ScenarioParseError(f"a scenario must be a table, got {spec!r}")
+    for key in ("scenario", "inputs"):
+        if not isinstance(spec.get(key, {}), dict):
+            raise ScenarioParseError(
+                f"{key} must be a table, got {spec[key]!r}")
+    for key, group in spec.get("inputs", {}).items():
+        if key in ("functions", "genfuns", "regions") and not (
+                isinstance(group, dict)
+                and all(isinstance(cfg, dict) for cfg in group.values())):
+            raise ScenarioParseError(
+                f"inputs.{key} must be a table of tables, got {group!r}")
+    tasks = spec.get("tasks", [])
+    if not (isinstance(tasks, list)
+            and all(isinstance(task, dict) for task in tasks)):
+        raise ScenarioParseError(
+            f"tasks must be an array of tables, got {tasks!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ A tame sheaf is carried in one of three presentations:
   * GF: a generating function; section queries reduce to windowed pairs of
     sublevel sets (with the canonical degree shift applied once, here).
   * Cellular: a stratification of N x R by base cells and breakpoint
-    intervals, a stalk complex per stratum given by a pure function of
-    (base cell, threshold), and generization maps that match generators by
-    label (restrictions are projections, extensions are inclusions).  The
-    cellular presentation of a GF sheaf gives its stalks as masks over the
-    cells of its fiber (FiberMasks).
+    intervals, a stalk complex per stratum given by a StalkSource (a rule
+    over (base cell, threshold)), and generization maps that match
+    generators by label (restrictions are projections, extensions are
+    inclusions).  The cellular presentation of a GF sheaf gives its stalks
+    as masks over the cells of its fiber (FiberMasks); unit sheaves and
+    rank-one tensors give one generator above a per-cell opening threshold
+    (RankOneStalks).
   * Product: a pair of factors on a shared or doubled base with the sum
     pushforward evaluated through the discretized two-axis model.
 
@@ -26,18 +28,17 @@ index arrays (a SectionArrays, an IndexComplex): each generator (bc, t_1..
 t_m, label_1..label_m) is an id, numbered in generator order; the
 coboundary is src/tgt/coef arrays built from the base cofaces, the t-axis
 cofaces and the stalk differentials with Koszul signs.  The stalks of each
-factor come in as one StalkTable of integer slots: read off the fiber masks
-in one numpy pass for a GF sheaf's cellular presentation, gathered from
-tuple Stalks (Stalk.index_form) for any other stalk_fn.  Degree +1 and
-d^2 = 0 are checked on the integer arrays, exactly in the field (the
-parity of the two-step path count over F2, the integer sum over Q).
-section_barcode builds one such complex per (sheaf, region) and reduces it
-on ids through its vertical matching, which pairs a generator over
-('v', i) with the same labels over ('e', i) and is checked there too;
-sections() reads every cellular and product window off the barcode, and
-its bars are the pushforward barcode.  Tuple ChainComplexes are built from
-the same arrays only for callers that read generators: section_complex,
-product_section_complex and the unit and product maps on them.  GF windows
+factor come in as one StalkTable of integer slots, read off its
+StalkSource in one numpy pass.  Degree +1 and d^2 = 0 are checked on the
+integer arrays, exactly in the field (the parity of the two-step path
+count over F2, the integer sum over Q).  section_barcode builds one such
+complex per (sheaf, region) and reduces it on ids through its vertical
+matching, which pairs a generator over ('v', i) with the same labels over
+('e', i) and is checked there too; sections() reads every cellular and
+product window off the barcode, and its bars are the pushforward barcode.
+The unit and product maps act on id-keyed cochains of the same arrays.
+Tuple ChainComplexes are built from them only by section_complex and
+product_section_complex, for callers that read generators.  GF windows
 stay on the pair route (gf_cohomology) and limit sheaves on their clamp
 schedules, so the routes stay independent.
 """
@@ -165,41 +166,12 @@ class Stalk:
             out.setdefault(a, {})[b] = c
         return out
 
-    @functools.cached_property
-    def index_form(self):
-        """The stalk on the positions 0..size-1 of its generators, computed
-        once: (labels, degrees, dptr, dpos, dcoef), int64 arrays but the
-        label list.  The differential leaving position p is the entries
-        dptr[p]:dptr[p+1] of dpos (target positions) and dcoef (integer
-        coefficients), in d_map order, without the entries whose target is
-        no generator.  Raises ValueError on a repeated label or on a
-        coefficient that is not an integer."""
-        labels = [lbl for lbl, _ in self.gens]
-        local = {lbl: p for p, lbl in enumerate(labels)}
-        if len(local) < len(labels):
-            raise ValueError("it repeats a label")
-        rows = [[] for _ in labels]
-        for lbl, row in self.d_map().items():
-            p = local.get(lbl)
-            for lbl2, c in row.items():
-                if int(c) != c:
-                    raise ValueError(f"its coefficient {c!r} is not an "
-                                     f"integer")
-                if p is not None and lbl2 in local:
-                    rows[p].append((local[lbl2], int(c)))
-        flat = [x for row in rows for x in row]
-        return (labels, np.array([k for _, k in self.gens], dtype=np.int64),
-                np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
-                np.array([p2 for p2, _ in flat], dtype=np.int64),
-                np.array([c for _, c in flat], dtype=np.int64))
-
     @property
     def size(self):
         return len(self.gens)
 
 
 ZERO_STALK = Stalk(())
-CONST_STALK = Stalk(((("k",), 0),))
 
 
 class StalkTable(NamedTuple):
@@ -236,7 +208,44 @@ class Corners(NamedTuple):
     labels: list
 
 
-class FiberMasks:
+class StalkSource:
+    """Where a CellSheaf takes its stalks from: a rule that gives the stalk
+    over every (flat base cell, threshold) pair.
+
+    table is the one place that applies the rule: it gives the stalks of
+    many pairs in one numpy pass, as the section assembly reads them.
+    stalks reads tuple Stalks off one table, for the callers that read
+    labels.
+    """
+
+    base_shape: tuple   # the base cell shape the flat ids index
+
+    def table(self, rows, thresholds):
+        """(index, StalkTable) of the stalks over the flat base cells rows
+        at thresholds: index[r, i] numbers the stalk over (rows[r],
+        thresholds[i]) in the table, -1 when it is empty."""
+        raise NotImplementedError
+
+    def stalks(self, base_cell, thresholds):
+        """The stalks over base_cell at thresholds as tuple Stalks, read off
+        one table."""
+        row = np.ravel_multi_index(tuple(base_cell), self.base_shape)
+        index, t = self.table([row], thresholds)
+        labels = [t.labels[x] for x in t.lab.tolist()]
+        gens = list(zip(labels, t.ldeg.tolist()))
+        src = np.repeat(np.arange(len(labels)), np.diff(t.dptr))
+        start = np.repeat(t.off[:-1], np.diff(t.off))
+        diff = list(zip(map(labels.__getitem__, src.tolist()),
+                        map(labels.__getitem__,
+                            (start[src] + t.dpos).tolist()),
+                        t.dcoef.tolist()))
+        off, end = t.off.tolist(), t.dptr[t.off].tolist()
+        return [Stalk(tuple(gens[off[k]:off[k + 1]]),
+                      tuple(diff[end[k]:end[k + 1]])) if k >= 0
+                else ZERO_STALK for k in index[0].tolist()]
+
+
+class FiberMasks(StalkSource):
     """The stalks of a GF sheaf's cellular presentation, as masks over the
     cells of its fiber.
 
@@ -244,10 +253,7 @@ class FiberMasks:
     the cells whose value v (values[flat bc, flat fiber cell], the largest
     vertex value of the cell) has floor <= v < thr, with the fiber's
     coboundary (its CofaceTable) between them; generator labels are the
-    fiber cells, in flat id order.  table is the one place that applies
-    this rule: it gives the stalks of many (base cell, threshold) pairs in
-    one numpy pass, and stalks (or a call) reads tuple Stalks off a table,
-    for the callers that read labels.
+    fiber cells, in flat id order.
     """
 
     def __init__(self, base: BoxGrid, fiber: BoxGrid, values, floor):
@@ -258,11 +264,9 @@ class FiberMasks:
         self.floor = floor
 
     def table(self, rows, thresholds):
-        """(index, StalkTable) of the stalks over the flat base cells rows
-        at thresholds: index[r, i] numbers the stalk over (rows[r],
-        thresholds[i]) in the table, -1 when it is empty.  Label id = flat
-        fiber cell id; a stalk's differential keeps the coface entries
-        between its cells, in slot order."""
+        """StalkSource.table.  Label id = flat fiber cell id; a stalk's
+        differential keeps the coface entries between its cells, in slot
+        order."""
         n_fc = len(self.labels)
         v = self.values[rows][:, None, :]
         kept = ((self.floor <= v) & (v < np.asarray(
@@ -287,49 +291,51 @@ class FiberMasks:
             at[src, k] - start[src],
             self.coface.sgn[fc[src], k].astype(np.int64), self.labels)
 
-    def stalks(self, base_cell, thresholds):
-        """The stalks over base_cell at thresholds as tuple Stalks, read off
-        one table."""
-        row = np.ravel_multi_index(tuple(base_cell), self.base_shape)
-        index, t = self.table([row], thresholds)
-        labels = [self.labels[x] for x in t.lab.tolist()]
-        gens = list(zip(labels, t.ldeg.tolist()))
-        src = np.repeat(np.arange(len(labels)), np.diff(t.dptr))
-        start = np.repeat(t.off[:-1], np.diff(t.off))
-        diff = list(zip(map(labels.__getitem__, src.tolist()),
-                        map(labels.__getitem__,
-                            (start[src] + t.dpos).tolist()),
-                        t.dcoef.tolist()))
-        off, end = t.off.tolist(), t.dptr[t.off].tolist()
-        return [Stalk(tuple(gens[off[k]:off[k + 1]]),
-                      tuple(diff[end[k]:end[k + 1]])) if k >= 0
-                else ZERO_STALK for k in index[0].tolist()]
 
-    def __call__(self, base_cell, thr):
-        """The stalk over base_cell at thr as a tuple Stalk."""
-        return self.stalks(base_cell, [thr])[0]
+class RankOneStalks(StalkSource):
+    """Stalks of rank at most one, without differential: over the flat base
+    cell c, one generator labelled label in degree deg[c] at every
+    threshold above opens[c] (+inf: never), none at or below it."""
+
+    def __init__(self, base_shape, opens, deg, label):
+        self.base_shape = base_shape
+        self.opens = np.asarray(opens, dtype=float).ravel()
+        self.deg = np.asarray(deg, dtype=np.int64).ravel()
+        self.label = label
+
+    def table(self, rows, thresholds):
+        """StalkSource.table: one stalk of one slot per nonempty pair, in
+        (row, threshold) order; the label id is 0."""
+        full = self.opens[rows][:, None] < np.asarray(thresholds,
+                                                      dtype=float)
+        index = np.where(full, np.cumsum(full).reshape(full.shape) - 1, -1)
+        n = int(full.sum())
+        none = np.zeros(0, dtype=np.int64)
+        return index, StalkTable(
+            np.arange(n + 1, dtype=np.int64), np.zeros(n, dtype=np.int64),
+            self.deg[rows][np.nonzero(full)[0]],
+            np.zeros(n + 1, dtype=np.int64), none, none, [self.label])
 
 
 # ---------------------------------------------------------------------------
 # cellular presentation
 
 class CellSheaf:
-    """Stratified presentation: stalk_fn(base_cell, threshold) -> Stalk.
+    """Stratified presentation: the stalk over (base cell, threshold) comes
+    from a StalkSource, source.
 
     Generization maps are label matches; this is exact for restriction maps
     (projections) and star inclusions alike, and is verified by the d^2 = 0
-    assertion on every assembled section complex.  A stalk_fn that is a
-    FiberMasks (the cellular presentation of a GF sheaf) also gives the
-    section assembly all its stalks at once (strata_stalks).
+    assertion on every assembled section complex.
     """
 
-    def __init__(self, base: BoxGrid, taxis: TAxis, stalk_fn, shift=0,
-                 label="cell", field=GF2, indicator=None):
+    def __init__(self, base: BoxGrid, taxis: TAxis, source: StalkSource,
+                 shift=0, label="cell", field=GF2, indicator=None):
         if base.fiber:
             raise ValueError("cellular sheaves live over a base-only grid")
         self.base = base
         self.taxis = taxis
-        self._stalk_fn = stalk_fn
+        self.source = source
         self.shift = shift
         self.label = label
         self.field = field
@@ -340,54 +346,33 @@ class CellSheaf:
         """The stalk over base_cell of the own stratum ('e', i) that
         contains threshold (a breakpoint belongs to the stratum above it),
         sampled at the stratum's representative: the sheaf is constant on
-        its strata."""
+        its strata.  One table gives the stalks of every stratum over the
+        cell, and all of them are kept."""
         i = bisect.bisect(self.taxis.breaks, threshold)
         key = (tuple(base_cell), i)
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(self._stalk_fn, FiberMasks):
-            # one table gives the stalks of every stratum over the cell
-            stalks = self._stalk_fn.stalks(key[0], self._reps())
+        if hit is None:
+            stalks = self.source.stalks(key[0], self._reps())
             self._cache.update(((key[0], j), st)
                                for j, st in enumerate(stalks))
-            return stalks[i]
-        hit = self._cache[key] = self._stalk_fn(key[0],
-                                                self.taxis.rep(("e", i)))
+            hit = stalks[i]
         return hit
 
     def _reps(self):
         """The representative threshold of each own stratum ('e', i)."""
         return [self.taxis.rep(("e", i)) for i in range(self.taxis.m + 1)]
 
-    def stalk_over(self, base_cell, ax: TAxis, tc):
-        """The stalk over t-cell tc of the axis ax, a refinement of the own
-        axis: that of the own stratum containing the cell."""
-        return self.stalk(base_cell, ax.rep(tc))
-
-    def strata_stalks(self, base_cells, field):
+    def strata_stalks(self, base_cells):
         """(index, StalkTable) of the stalks over base_cells (cell tuples)
-        on the own strata: index[c, i] numbers the stalk over (base_cells[c],
-        ('e', i)) in the table, -1 when it is empty.  A FiberMasks reads
-        them off its masks in one pass; any other stalk_fn is sampled
-        through stalk once per (distinct cell, stratum) and each distinct
-        stalk is converted once (_Stalks)."""
-        reps = self._reps()
-        if isinstance(self._stalk_fn, FiberMasks):
-            shape = self.base.base_cell_shape
-            flat = np.ravel_multi_index(tuple(np.array(
-                base_cells, dtype=np.int64).reshape(-1, len(shape)).T), shape)
-            rows, inverse = np.unique(flat, return_inverse=True)
-            index, table = self._stalk_fn.table(rows, reps)
-            return index[inverse], table
-        stalks, memo = _Stalks(field), {}
-        for bc in base_cells:
-            if bc not in memo:
-                memo[bc] = [stalks.index(self.stalk(bc, thr),
-                                         (self.label, bc, i))
-                            for i, thr in enumerate(reps)]
-        index = np.array([memo[bc] for bc in base_cells], dtype=np.int64)
-        return index.reshape(len(base_cells), len(reps)), stalks.freeze()
+        on the own strata, read off one table of the source:
+        index[c, i] numbers the stalk over (base_cells[c], ('e', i)) in the
+        table, -1 when it is empty."""
+        shape = self.base.base_cell_shape
+        flat = np.ravel_multi_index(tuple(np.array(
+            base_cells, dtype=np.int64).reshape(-1, len(shape)).T), shape)
+        rows, inverse = np.unique(flat, return_inverse=True)
+        index, table = self.source.table(rows, self._reps())
+        return index[inverse], table
 
     @functools.cached_property
     def corners(self) -> Corners:
@@ -399,7 +384,7 @@ class CellSheaf:
         AssertionError when a stalk that never opens is nonempty on the top
         stratum; the first failing cell in C order decides."""
         index, st = self.strata_stalks(
-            [tuple(bc) for bc in self.base.base_cells()], self.field)
+            [tuple(bc) for bc in self.base.base_cells()])
         first = st.off[:-1]         # the first slot of each stalk
         size = np.append(np.diff(st.off), 0)[index]
         label = np.append(st.lab[first], -1)[index]
@@ -446,7 +431,7 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     numbered by its id in the order: base cells of the region in C order,
     window tuples in product order, then the labels of the stalks, first
     factor outermost.  The stalk over a t-cell is that of the factor's own
-    stratum containing it (as CellSheaf.stalk_over gives it); each factor
+    stratum containing it (CellSheaf.stalk at the t-cell's rep); each factor
     gives the stalks over its base cells under the region on all its strata
     as one StalkTable (CellSheaf.strata_stalks), whose labels have integer
     ids, so a generator also has an integer key, (flat base cell, flat
@@ -481,7 +466,32 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
 
 
 def _section_arrays(base, factors, region, a, b, field) -> "SectionArrays":
-    """The SectionArrays of _total_complex, unchecked."""
+    """The SectionArrays of _total_complex, unchecked: the coboundary
+    entries of _section_parts joined in source order.  The per-generator
+    temporaries of the assembly are gone before the join, which holds the
+    entries twice."""
+    deg, parts, value, matching, columns, keys = _section_parts(
+        base, factors, region, a, b)
+    n = len(deg)
+    src = np.concatenate([x for x, _, _ in parts])
+    tgts, coefs = [t for _, t, _ in parts], [c for _, _, c in parts]
+    del parts
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    del src
+    tgt = np.concatenate(tgts)[order]
+    del tgts
+    coef = np.concatenate(coefs).astype(np.int64)[order]
+    return SectionArrays(deg, indptr, tgt, coef, field, value, matching,
+                         columns, keys)
+
+
+def _section_parts(base, factors, region, a, b):
+    """The generators and coboundary entries of _total_complex: (deg, parts,
+    value, matching, columns, keys) as SectionArrays takes them, but the
+    coboundary as a list parts of (source ids, target ids, integer
+    coefficients) triples, in coboundary order per source."""
     m = len(factors)
     axes = [ax for _, ax, _ in factors]
     tcells = [ax.cells() for ax in axes]
@@ -504,7 +514,7 @@ def _section_arrays(base, factors, region, a, b, field) -> "SectionArrays":
     for (cell, ax, project), cells_f in zip(factors, tcells):
         strata = np.array([bisect.bisect(cell.taxis.breaks, ax.rep(tc))
                            for tc in cells_f], dtype=np.int64)
-        index, st = cell.strata_stalks([project(bc) for bc in cells], field)
+        index, st = cell.strata_stalks([project(bc) for bc in cells])
         stalks.append(st)
         over.append(index[:, strata])
     # blocks (cell, window tuple) with every stalk nonempty, in C order;
@@ -573,71 +583,9 @@ def _section_arrays(base, factors, region, a, b, field) -> "SectionArrays":
         tgt = src + (st.dpos[e] - p[src]) * inn[gb[src]]
         parts.append((src, tgt, st.dcoef[e] * (1 - 2 * (parity[src] & 1))))
         parity += st.ldeg[q]
-    src = np.concatenate([x for x, _, _ in parts])
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return SectionArrays(
-        deg, indptr, np.concatenate([t for _, t, _ in parts])[order],
-        np.concatenate([c for _, _, c in parts]).astype(np.int64)[order],
-        field, value.ravel()[wflat][gw], matching,
-        [(cells, gc)] + [(tcells[f], wt[gw, f]) for f in range(m)]
-        + [(st.labels, x) for st, x in zip(stalks, lab)], keys)
-
-
-class _Stalks:
-    """The distinct tuple stalks of one factor in one assembly, gathered
-    for one StalkTable (freeze).  Labels are numbered on first sight, so
-    equal labels of different stalks share an id."""
-
-    def __init__(self, field):
-        self.field = field
-        self._label_id = {}
-        self._known = {}    # id(stalk) -> (stalk, index or -1 if empty)
-        self._forms = []    # per stalk: label ids, then its index_form arrays
-
-    def index(self, st: Stalk, where):
-        """The index of st, taken in on first sight; where (sheaf label,
-        base cell, stratum) names it in an error."""
-        hit = self._known.get(id(st))
-        if hit is None:
-            hit = self._known[id(st)] = (st, self._add(st, where))
-        return hit[1]
-
-    def _add(self, st, where):
-        if not st.gens:
-            return -1
-        try:
-            labels, *arrays = st.index_form
-        except ValueError as e:
-            raise ValueError(f"the stalk of {where[0]} over base cell "
-                             f"{where[1]} on stratum {where[2]}: {e}") \
-                from None
-        ids = self._label_id
-        self._forms.append([[ids.setdefault(lbl, len(ids))
-                             for lbl in labels]] + arrays)
-        return len(self._forms) - 1
-
-    def freeze(self) -> StalkTable:
-        """Concatenate the stalks into a StalkTable, once every stalk is in;
-        differential entries that are zero in the field are dropped."""
-        empty = [np.zeros(0, dtype=np.int64)]
-        lab, ldeg, dptr, dpos, dcoef = (
-            empty + list(x) for x in (list(zip(*self._forms)) or [()] * 5))
-        size = np.array([len(x) for x in lab[1:]], dtype=np.int64)
-        # local offsets, shifted past the entries of the earlier stalks
-        before = np.cumsum([0] + [len(x) for x in dpos[1:]])
-        dptr = np.concatenate([x[:-1] + b for x, b in zip(dptr[1:], before)]
-                              + [before[-1:]])
-        dpos, dcoef = np.concatenate(dpos), np.concatenate(dcoef)
-        F = self.field
-        zero = [c for c in set(dcoef.tolist()) if F.is_zero(F.coerce(c))]
-        keep = ~np.isin(dcoef, zero)
-        return StalkTable(np.concatenate([[0], np.cumsum(size)]),
-                          np.concatenate(lab).astype(np.int64),
-                          np.concatenate(ldeg),
-                          np.concatenate([[0], np.cumsum(keep)])[dptr],
-                          dpos[keep], dcoef[keep], list(self._label_id))
+    return (deg, parts, value.ravel()[wflat][gw], matching,
+            [(cells, gc)] + [(tcells[f], wt[gw, f]) for f in range(m)]
+            + [(st.labels, x) for st, x in zip(stalks, lab)], keys)
 
 
 class _Keys:
@@ -740,19 +688,16 @@ def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
                t0=0.0, label=None) -> TameSheaf:
     """Constant sheaf on (closed region) x [t0, oo) as a cellular object."""
     base = grid.base_only()
-    reg = region
-    mask = None if reg is None else reg.membership
-
-    def stalk_fn(bc, thr):
-        if mask is not None and not mask[tuple(bc)]:
-            return ZERO_STALK
-        return CONST_STALK if thr > t0 else ZERO_STALK
-
-    taxis = TAxis((t0,))
-    ind = ("region", None if mask is None else np.array(mask, copy=True), t0)
+    mask = None if region is None else np.array(region.membership, copy=True)
+    opens = np.full(base.base_cell_shape, t0, dtype=float)
+    if mask is not None:
+        opens[~mask] = INF
+    stalks = RankOneStalks(base.base_cell_shape, opens,
+                           np.zeros(opens.shape, dtype=np.int64), ("k",))
     return TameSheaf("cell",
-                     cell=CellSheaf(base, taxis, stalk_fn, shift=0,
-                                    label=label or "unit", indicator=ind),
+                     cell=CellSheaf(base, TAxis((t0,)), stalks, shift=0,
+                                    label=label or "unit",
+                                    indicator=("region", mask, t0)),
                      label=label or f"k_[{t0},oo)")
 
 
@@ -936,40 +881,6 @@ def _breaks_of(F: TameSheaf):
     return tuple(sorted({x + y for x in b1 for y in b2}))
 
 
-def unit_map_section_level(F: TameSheaf, region, a, b):
-    """The canonical map from unit sections into F's sections over a window,
-    as a chain map between the two assembled complexes.
-
-    Sends the constant generator over each stratum to the sum of the
-    degree-0 stalk generators of F there (the unit cocycle of the stalk);
-    defined for cellular presentations whose stalks have no floor cut.
-    """
-    from .complexes import ChainMap
-    cell = _as_cellsheaf(F)
-    grid = cell.base
-    U = unit_sheaf(BoxGrid(grid.base, ()),
-                   t0=cell.taxis.breaks[0] - 1.0)
-    # share one refined t-axis so strata line up
-    taxis = cell.taxis.with_breaks(list(U.cell.taxis.breaks) + [a, b])
-    CU = U.cell.section_complex(region, a, b, taxis=taxis)
-    CF = cell.section_complex(region, a, b, taxis=taxis)
-    one = GF2.one()
-    comp = {}
-    genset = set(CF.gens)
-    for g in CU.gens:
-        (bc, tc, _lbl) = g
-        st = cell.stalk_over(bc, taxis, tc)
-        img = {}
-        for lbl, k in st.gens:
-            if k == 0 and (bc, tc, lbl) in genset:
-                img[(bc, tc, lbl)] = one
-        if img:
-            comp[g] = img
-    T = ChainMap(CU, CF, comp)
-    T.verify()
-    return T
-
-
 def front_interior_table(F: TameSheaf, base_cell, t, band_top, eps=None):
     """Total rank of the one-sided window [t - eps, band_top[: equals 1 when
     (x, t) lies between the strands of a simple front band and 0 outside it."""
@@ -1025,28 +936,14 @@ def materialize_rank_one_tensor(CA: CellSheaf, CB: CellSheaf) -> CellSheaf:
     every window)."""
     if CA.base != CB.base:
         raise ValueError("tensor factors must share the base grid")
-    ta, da = corner_table(CA)
-    tb, db = corner_table(CB)
-    theta = {}
-    deg = {}
-    for bc in ta:
-        if ta[bc] is None or tb[bc] is None:
-            theta[bc] = None
-            deg[bc] = None
-        else:
-            theta[bc] = ta[bc] + tb[bc]
-            deg[bc] = da[bc] + db[bc]
-    breaks = sorted({v for v in theta.values() if v is not None})
-    if not breaks:
-        breaks = [0.0]
-
-    def stalk_fn(bc, thr):
-        th = theta.get(tuple(bc))
-        if th is None or thr <= th:
-            return ZERO_STALK
-        return Stalk(((("t",), deg[tuple(bc)]),))
-
-    return CellSheaf(CA.base, TAxis(tuple(breaks)), stalk_fn,
+    ka, kb = CA.corners, CB.corners
+    both = (ka.opens >= 0) & (kb.opens >= 0)
+    theta = np.where(both, np.array(CA.taxis.breaks)[ka.opens]
+                     + np.array(CB.taxis.breaks)[kb.opens], INF)
+    breaks = tuple(np.unique(theta[both]).tolist()) or (0.0,)
+    stalks = RankOneStalks(CA.base.base_cell_shape, theta, ka.deg + kb.deg,
+                           ("t",))
+    return CellSheaf(CA.base, TAxis(breaks), stalks,
                      shift=CA.shift + CB.shift,
                      label=f"({CA.label})(x)({CB.label})")
 

@@ -9,12 +9,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# install the tracer, then run a stalk lookup, a small section barcode,
-# one relative complex and one sublevel filtration through the wrapped
-# functions, and check the counts the tracer reads off their results; then
-# check that a stabilized genfun's Cerf diagram and pair cohomology, a
-# Floer datum and one cup triple (its classes, products, tables and
-# solves) are spanned and counted
+# install the tracer, then run two stalk lookups in one stratum (a miss,
+# then a hit), a small section barcode (which takes its stalks as a table,
+# not by lookup), one relative complex and one sublevel filtration through
+# the wrapped functions, and check the counts the tracer reads off their
+# results; then check that a stabilized genfun's Cerf diagram and pair
+# cohomology, a Floer datum and one cup triple (its classes, products,
+# tables and solves) are spanned and counted
 TRACED = """
 import tracer
 t = tracer.Tracer()
@@ -26,6 +27,7 @@ from gfsheaf.sheaves import section_barcode, unit_sheaf
 grid = BoxGrid((circle_grid(4),))
 F = unit_sheaf(grid)
 assert F.cell.stalk((0,), 1.0).gens
+F.cell.stalk((0,), 2.0)
 assert section_barcode(F).bars == ((0, 0.0, float("inf")),
                                    (1, 0.0, float("inf")))
 f = SampledFunction(grid, [0.0, 1.0, 2.0, 1.0])

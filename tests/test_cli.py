@@ -410,3 +410,38 @@ def test_an_unusable_out_dir_exits_2_without_traceback(tmp_path, verb,
     assert "as output directory" in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
     assert blocker.read_text() == "a regular file\n"
+
+
+# scenario files of the wrong shape: each raised TypeError or
+# AttributeError with a traceback and exit 1
+BAD_SHAPES = {
+    "tasks-number.toml": 'tasks = 3\n[scenario]\nname = "s"\n',
+    "task-number.toml": 'tasks = [1]\n[scenario]\nname = "s"\n',
+    "scenario-number.toml": "scenario = 3\n",
+    "top-level-array.json": "[1, 2]",
+    "tasks-table.json": '{"tasks": {"op": "barcode"}}',
+}
+
+
+@pytest.mark.parametrize("verb", ["run", "verify-all"])
+@pytest.mark.parametrize("name", sorted(BAD_SHAPES))
+def test_a_scenario_of_the_wrong_shape_exits_2_without_traceback(
+        tmp_path, verb, name):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    path = scenarios / name
+    path.write_text(BAD_SHAPES[name])
+    # verify-all runs the scenarios of the bundled directory, here this one
+    script = ("import sys; from gfsheaf import cli; "
+              "cli.BUNDLED_DIR = sys.argv[1]; sys.exit(cli.main(sys.argv[2:]))")
+    args = [verb] + ([str(path)] if verb == "run" else [])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(scenarios), *args, "--out-dir",
+         str(tmp_path / "out")], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "[input error]" in proc.stdout
+    assert "must be a" in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr

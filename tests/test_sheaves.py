@@ -192,27 +192,66 @@ def test_conify_conormal_shape():
     assert outward  # rim codirections present
 
 
+def unit_map_section_level(F: TameSheaf, region, a, b):
+    """The canonical map from unit sections into F's sections over a window,
+    as a chain map between the two assembled complexes.
+
+    Sends the constant generator over each stratum to the sum of the
+    degree-0 stalk generators of F there (the unit cocycle of the stalk);
+    defined for cellular presentations whose stalks have no floor cut.
+    """
+    from gfsheaf.complexes import ChainMap
+    from gfsheaf.linalg import GF2
+    from gfsheaf.sheaves import _as_cellsheaf
+    cell = _as_cellsheaf(F)
+    grid = cell.base
+    U = unit_sheaf(BoxGrid(grid.base, ()),
+                   t0=cell.taxis.breaks[0] - 1.0)
+    # share one refined t-axis so strata line up
+    taxis = cell.taxis.with_breaks(list(U.cell.taxis.breaks) + [a, b])
+    CU = U.cell.section_complex(region, a, b, taxis=taxis)
+    CF = cell.section_complex(region, a, b, taxis=taxis)
+    one = GF2.one()
+    comp = {}
+    genset = set(CF.gens)
+    for g in CU.gens:
+        (bc, tc, _lbl) = g
+        st = cell.stalk(bc, taxis.rep(tc))
+        img = {}
+        for lbl, k in st.gens:
+            if k == 0 and (bc, tc, lbl) in genset:
+                img[(bc, tc, lbl)] = one
+        if img:
+            comp[g] = img
+    T = ChainMap(CU, CF, comp)
+    T.verify()
+    return T
+
+
 def test_unit_map_cone_is_the_band_fiber():
     # the fiber of the counit is the half-open band below the front: its
     # section ranks (computed from a directly built stratified indicator)
     # match the cone of the section-level map, shifted by one
     from gfsheaf.complexes import cohomology_ranks, mapping_cone
-    from gfsheaf.sheaves import (CONST_STALK, ZERO_STALK, CellSheaf, TAxis,
-                                 TameSheaf, unit_map_section_level)
+    from gfsheaf.sheaves import ZERO_STALK, CellSheaf, Stalk, TAxis
+    from tuple_stalks import TupleStalks
     f = circle_function("0.4*cos(2*pi*x)", n=16)
     F = quantize(graph_genfun(f))
     cell = to_cellular(F, spot_checks=0).cell
     t0 = cell.taxis.breaks[0] - 1.0
     cm = f.cell_max()
+    const = Stalk(((("k",), 0),))
 
     def band_stalk(bc, thr):
         if t0 < thr and not thr > float(cm[tuple(bc)]):
-            return CONST_STALK
+            return const
         return ZERO_STALK
 
+    base = f.grid.base_only()
     K = TameSheaf("cell", cell=CellSheaf(
-        f.grid.base_only(), TAxis((t0,) + cell.taxis.breaks), band_stalk,
-        label="band"), label="band")
+        base, TAxis((t0,) + cell.taxis.breaks),
+        TupleStalks(base.base_cell_shape, band_stalk), label="band"),
+        label="band")
     lo, hi = f.range()
     for (a, b) in [(lo - 1.04, hi + 1.02), (lo - 1.04, 0.0131),
                    (-0.1043, 0.2091), (0.2091, hi + 1.02)]:
@@ -436,7 +475,7 @@ def _cell_sheaves(seed):
     Cg = to_cellular(quantize(graph_genfun(g)), spot_checks=0).cell
     cusp = to_cellular(quantize(cusp_genfun(n_base=6, n_fiber=12)),
                        spot_checks=0).cell
-    cusp_q = CellSheaf(cusp.base, cusp.taxis, cusp._stalk_fn, field=QQ)
+    cusp_q = CellSheaf(cusp.base, cusp.taxis, cusp.source, field=QQ)
     U = unit_sheaf(f.grid).cell
     UR = unit_sheaf(f.grid, _random_box(rng, f.grid), t0=0.25).cell
     T = materialize_rank_one_tensor(Cf, Cg)
@@ -495,11 +534,13 @@ def test_section_complex_rejects_a_non_chain_generization():
     # labels is then no chain map, and d^2 = 0 fails on the total complex
     from gfsheaf.grids import BoxGrid
     from gfsheaf.sheaves import CellSheaf, Stalk
+    from tuple_stalks import TupleStalks
     gens = ((("a",), 0), (("b",), 1))
     vertex = Stalk(gens, ((("a",), ("b",), 1),))
     edge = Stalk(gens)
-    cell = CellSheaf(BoxGrid((circle_grid(4),)), TAxis((0.0,)),
-                     lambda bc, thr: edge if bc[0] & 1 else vertex)
+    base = BoxGrid((circle_grid(4),))
+    cell = CellSheaf(base, TAxis((0.0,)), TupleStalks(
+        base.base_cell_shape, lambda bc, thr: edge if bc[0] & 1 else vertex))
     with pytest.raises(ValueError, match=r"d\^2 != 0"):
         cell.section_complex(None, -1.0, 1.0)
 
@@ -508,15 +549,17 @@ def _flipped(cell, bc, thr, field):
     """cell with the sign of the first differential entry of its stalk over
     (bc, thr) flipped, over field."""
     from gfsheaf.sheaves import CellSheaf, Stalk
+    from tuple_stalks import TupleStalks
 
     def stalk_fn(c, t):
-        st = cell._stalk_fn(c, t)
+        [st] = cell.source.stalks(c, [t])
         if c == bc and t == thr:
             (x, y, v), *rest = st.diff
             st = Stalk(st.gens, ((x, y, -v), *rest))
         return st
 
-    return CellSheaf(cell.base, cell.taxis, stalk_fn, field=field)
+    return CellSheaf(cell.base, cell.taxis, TupleStalks(
+        cell.base.base_cell_shape, stalk_fn, field), field=field)
 
 
 def test_a_flipped_stalk_sign_is_refused_at_the_reference_generator():
@@ -555,37 +598,24 @@ def test_a_flipped_stalk_sign_is_refused_at_the_reference_generator():
     assert tried == 3
 
 
-def test_a_stalk_coefficient_that_is_no_integer_is_refused():
-    from fractions import Fraction
-    from gfsheaf.sheaves import CellSheaf, Stalk
-    half = Stalk(((("a",), 0), (("b",), 1)),
-                 ((("a",), ("b",), Fraction(1, 2)),))
-    cell = CellSheaf(BoxGrid((circle_grid(4),)), TAxis((0.0,)),
-                     lambda bc, thr: half, label="halves")
-    with pytest.raises(ValueError, match=r"stalk of halves over base cell "
-                                         r"\(0,\) on stratum 0: its "
-                                         r"coefficient Fraction\(1, 2\)"):
-        cell.section_complex(None, -1.0, 1.0)
-
-
 def test_a_stalk_lookup_caches_one_stalk_per_cell_and_stratum():
-    from gfsheaf.sheaves import CONST_STALK, ZERO_STALK, CellSheaf
-    calls = []
-
-    def stalk_fn(bc, thr):
-        calls.append((bc, thr))
-        return CONST_STALK if thr > 1.0 else ZERO_STALK
-
+    # one lookup reads the stalks of every own stratum over its cell; a
+    # repeat lookup in the same stratum returns the same object
+    from gfsheaf.sheaves import ZERO_STALK, CellSheaf, RankOneStalks
     ax = TAxis((0.0, 1.0))
-    cell = CellSheaf(BoxGrid((circle_grid(4),)), ax, stalk_fn)
-    for thr in (1.0, 1.2, 1.5, ax.rep(("v", 1)), ax.rep(("e", 2))):
-        assert cell.stalk((0,), thr) is CONST_STALK
+    base = BoxGrid((circle_grid(4),))
+    opens = np.array([1.0] + [0.0] * 7)
+    cell = CellSheaf(base, ax, RankOneStalks(
+        base.base_cell_shape, opens, np.zeros(8, dtype=np.int64), ("k",)))
+    top = cell.stalk((0,), 1.0)
+    assert top.gens == ((("k",), 0),)
+    for thr in (1.2, 1.5, ax.rep(("v", 1)), ax.rep(("e", 2))):
+        assert cell.stalk((0,), thr) is top
     assert cell.stalk((0,), 0.999) is ZERO_STALK
-    assert cell.stalk_over((1,), ax.with_breaks([0.5]), ("v", 1)) \
-        is ZERO_STALK
-    assert calls == [((0,), ax.rep(("e", 2))), ((0,), ax.rep(("e", 1))),
-                     ((1,), ax.rep(("e", 1)))]
-    assert sorted(cell._cache) == [((0,), 1), ((0,), 2), ((1,), 1)]
+    assert cell.stalk((1,), ax.with_breaks([0.5]).rep(("v", 1))).gens
+    assert sorted(cell._cache) == [((0,), 0), ((0,), 1), ((0,), 2),
+                                   ((1,), 0), ((1,), 1), ((1,), 2)]
+    assert cell.stalk((1,), -1.0) is cell._cache[((1,), 0)] is ZERO_STALK
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +846,7 @@ def _over_q(F):
                          diagonal=F.diagonal)
     cell = _as_cellsheaf(F)
     return TameSheaf("cell", cell=CellSheaf(
-        cell.base, cell.taxis, cell._stalk_fn, shift=cell.shift, field=QQ))
+        cell.base, cell.taxis, cell.source, shift=cell.shift, field=QQ))
 
 
 def _sweep_sheaf(rng, kind):
@@ -951,14 +981,16 @@ def test_mask_stalks_assemble_as_the_fiber_loop_stalks(field):
     from gfsheaf.linalg import GF2, QQ
     from gfsheaf.sheaves import (CellSheaf, FiberMasks, _same_cell,
                                  _total_complex)
+    from tuple_stalks import TupleStalks
     F = {"f2": GF2, "q": QQ}[field]
     rng = random.Random(13)
     for gf in _stalk_inputs():
         cell = to_cellular(quantize(gf), spot_checks=0).cell
-        assert isinstance(cell._stalk_fn, FiberMasks)
-        masked = CellSheaf(cell.base, cell.taxis, cell._stalk_fn, field=F)
-        loop = CellSheaf(cell.base, cell.taxis,
-                         functools.partial(reference_stalk, gf), field=F)
+        assert isinstance(cell.source, FiberMasks)
+        masked = CellSheaf(cell.base, cell.taxis, cell.source, field=F)
+        loop = CellSheaf(cell.base, cell.taxis, TupleStalks(
+            cell.base.base_cell_shape, functools.partial(reference_stalk, gf),
+            F), field=F)
         for region in (None, _random_box(rng, cell.base)):
             got, want = (_total_complex(c.base, [(c, c.taxis, _same_cell)],
                                         region, -INF, INF, F)
@@ -973,23 +1005,29 @@ def test_mask_stalks_assemble_as_the_fiber_loop_stalks(field):
 
 
 def test_a_mask_backed_assembly_builds_no_tuple_stalk(monkeypatch):
+    # neither the fiber masks nor the rank-one stalks of unit sheaves,
+    # region units and rank-one tensors build a tuple stalk to assemble
     from gfsheaf import sheaves
-    from gfsheaf.sheaves import section_barcode
+    from gfsheaf.sheaves import materialize_rank_one_tensor, section_barcode
     rng = random.Random(5)
     cusp = to_cellular(quantize(cusp_genfun(n_base=6, n_fiber=12)),
                        spot_checks=0)
     graphs = [to_cellular(quantize(graph_genfun(random_circle_morse(
         rng, n=8))), spot_checks=0) for _ in range(2)]
     product = TameSheaf("prod", factors=tuple(graphs), diagonal=True)
+    grid = graphs[0].base_grid
 
     def refuse(*args, **kwargs):
         raise AssertionError("a tuple stalk was built")
 
-    monkeypatch.setattr(sheaves.Stalk, "index_form", property(refuse))
     monkeypatch.setattr(sheaves, "Stalk", refuse)
     monkeypatch.setattr(sheaves.CellSheaf, "stalk", refuse)
-    monkeypatch.setattr(sheaves.FiberMasks, "stalks", refuse)
-    for F in (cusp, graphs[0], product):
+    monkeypatch.setattr(sheaves.StalkSource, "stalks", refuse)
+    units = [unit_sheaf(grid), unit_sheaf(grid, _random_box(rng, grid),
+                                          t0=0.25)]
+    tensor = TameSheaf("cell", cell=materialize_rank_one_tensor(
+        graphs[0].cell, graphs[1].cell))
+    for F in (cusp, graphs[0], product, *units, tensor):
         assert section_barcode(F).bars
         assert section_barcode(F, _random_box(rng, F.base_grid)) is not None
     assert cusp.cell.section_complex(None, -INF, INF).d
@@ -1007,16 +1045,14 @@ def test_a_flipped_sign_in_the_fiber_masks_is_refused():
     from gfsheaf.sheaves import CellSheaf
     small = cusp_genfun(n_base=4, n_fiber=8)
     cusp = to_cellular(quantize(box_sum(small, small)), spot_checks=0).cell
-    sgn = cusp._stalk_fn.coface.sgn
+    sgn = cusp.source.coface.sgn
     tried = 0
     for x, k in np.argwhere(sgn != 0)[::7].tolist():
-        masks = copy.copy(cusp._stalk_fn)
+        masks = copy.copy(cusp.source)
         flipped = sgn.copy()
         flipped[x, k] *= -1
         masks.coface = masks.coface._replace(sgn=flipped)
-        loop = CellSheaf(cusp.base, cusp.taxis,
-                         lambda bc, thr, masks=masks: masks(bc, thr),
-                         field=QQ)
+        loop = CellSheaf(cusp.base, cusp.taxis, masks, field=QQ)
         ref = _reference_section_complex(loop, None, -INF, INF)
         try:
             ChainComplex(ref.gens, ref.deg, ref.d, QQ, check=True)
