@@ -137,17 +137,16 @@ class ChainMap:
     source: ChainComplex
     target: ChainComplex
     comp: dict  # gen -> {gen: scalar}
-    shift: int = 0
 
     def __post_init__(self):
         self.comp = {g: dict(c) for g, c in self.comp.items() if c}
 
     def verify(self):
-        """Chain-map law d f = (-1)^shift f d."""
+        """Chain-map law d f = f d (every map here has degree 0)."""
         F = self.source.field
-        minus = F.one() if self.shift % 2 else F.neg(F.one())
+        minus = F.neg(F.one())
         for g in self.source.gens:
-            # acc = d f(g) - (-1)^shift f d(g)
+            # acc = d f(g) - f d(g)
             acc = {}
             for h, v in self.comp.get(g, {}).items():
                 add_scaled(acc, self.target.d.get(h, {}), v, F)
@@ -168,9 +167,7 @@ def zero_map(A: ChainComplex, B: ChainComplex) -> ChainMap:
 
 
 def mapping_cone(phi: ChainMap) -> ChainComplex:
-    """Cone of a degree-0 chain map: Cone^k = A^{k+1} (+) B^k."""
-    if phi.shift != 0:
-        raise ValueError("cone requires a degree-0 chain map")
+    """Cone of a (degree-0) chain map: Cone^k = A^{k+1} (+) B^k."""
     A, B = phi.source, phi.target
     if A.field is not B.field:
         raise ValueError("mismatched coefficient fields")

@@ -92,13 +92,7 @@ def smoothed_clamp(region, depth=2.0, ramp_cells=4):
     if len(grid.base) != 1:
         raise ValueError("smoothed clamps implemented for 1-d bases")
     g = grid.base[0]
-    inside = np.zeros(g.n_vertices, dtype=bool)
-    for cell in region.base_cells():
-        if cell[0] & 1 == 0:
-            inside[cell[0] >> 1] = True
-        else:
-            a, b = g.edge_vertices(cell[0] >> 1)
-            inside[a] = inside[b] = True
+    inside = region.membership[::2]   # the vertex cells of the closed region
     dist = np.full(g.n_vertices, np.inf)
     dist[inside] = 0.0
     for _ in range(g.n_vertices):

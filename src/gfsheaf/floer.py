@@ -26,10 +26,9 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class GraphBrane:
-    """Graph of df with primitive f and constant grading offset."""
+    """Graph of df with primitive f (grading: Morse index, no offset)."""
 
     f: SampledFunction
-    offset: int = 0
 
     def __post_init__(self):
         if self.f.grid.fiber:
@@ -44,7 +43,7 @@ class GraphBrane:
 class FloerDatum:
     generator: tuple    # critical vertex of g - f
     action: float       # g(x) - f(x)
-    degree: int         # Morse index of g - f (plus grading offsets)
+    degree: int         # Morse index of g - f
     degenerate: bool
 
 
@@ -54,13 +53,9 @@ def zero_brane(grid: BoxGrid) -> GraphBrane:
 
 def floer_data(L0: GraphBrane, L1: GraphBrane):
     """Generators of the pair complex: critical points of f_{L1} - f_{L0}."""
-    h = L1.f - L0.f
-    out = []
-    for rec in critical_vertices(h):
-        out.append(FloerDatum(rec["vertex"], rec["value"],
-                              rec["index"] + L0.offset - L1.offset,
-                              rec["degenerate"]))
-    return out
+    return [FloerDatum(rec["vertex"], rec["value"], rec["index"],
+                       rec["degenerate"])
+            for rec in critical_vertices(L1.f - L0.f)]
 
 
 def floer_complex(L0: GraphBrane, L1: GraphBrane, a=-INF, b=INF,
@@ -112,18 +107,12 @@ def continuation_map(f0: SampledFunction, f1: SampledFunction, L: GraphBrane,
 
 
 def clamp_schedule(region: BaseRegion, scale, ks=(4, 8, 16, 32, 64)):
-    """Decreasing functions equal to 0 over the region, -k*scale outside."""
-    grid = region.grid
-    base_only = grid.base_only()
-    inside = np.zeros(base_only.vertex_shape, dtype=bool)
-    for cell in region.base_cells():
-        for v in base_only.cell_vertices(cell):
-            inside[v] = True
-    out = []
-    for k in ks:
-        vals = np.where(inside, 0.0, -float(k) * scale)
-        out.append(SampledFunction(base_only, vals))
-    return out
+    """Decreasing functions equal to 0 over the region, -k*scale outside.
+    The inside vertices are the vertex cells of the closed region."""
+    base_only = region.grid.base_only()
+    inside = region.membership[(slice(None, None, 2),) * len(base_only.base)]
+    return [SampledFunction(base_only, np.where(inside, 0.0, -float(k) * scale))
+            for k in ks]
 
 
 @dataclass(frozen=True)
@@ -252,22 +241,20 @@ def unit_class(home: SuperlevelHome):
     return vec
 
 
-def restrict_classes(home: SuperlevelHome, reps, Z: BaseRegion,
-                     check_generic=True):
+def restrict_classes(home: SuperlevelHome, reps, Z: BaseRegion):
     """Restriction to a closed subgrid Z: drop components outside Z-cells.
 
     Returns (restricted home complex, list of restricted class vectors).
-    Genericity: no critical vertex of h on the boundary ring of Z.
+    Genericity (always checked): no critical vertex of h on the boundary
+    ring of Z.
     """
-    grid = home.h.grid
     zmask = Z.membership
-    if check_generic:
-        ring = _boundary_ring(Z)
-        for rec in critical_vertices(home.h):
-            if tuple(2 * j for j in rec["vertex"]) in ring:
-                raise ValueError(
-                    f"critical vertex {rec['vertex']} sits on the boundary "
-                    f"ring of Z; restriction not generic")
+    ring = _boundary_ring(Z)
+    for rec in critical_vertices(home.h):
+        if ring[tuple(2 * j for j in rec["vertex"])]:
+            raise ValueError(
+                f"critical vertex {rec['vertex']} sits on the boundary "
+                f"ring of Z; restriction not generic")
     keep = [c for c in home.complex.gens if zmask[c]]
     sub = home.complex.restricted(keep)
     out = []
@@ -279,19 +266,14 @@ def restrict_classes(home: SuperlevelHome, reps, Z: BaseRegion,
 
 
 def _boundary_ring(Z: BaseRegion):
-    """Cells of Z whose star leaves Z (candidate non-generic locus)."""
-    grid = Z.grid.base_only()
-    ring = set()
-    for cell in Z.base_cells():
-        for cf, _ in grid.cofaces(cell):
-            if not Z.membership[cf]:
-                ring.add(cell)
-                break
-    return ring
+    """Mask over the base cells: the cells of Z with a direct coface outside
+    Z (their star leaves Z; the candidate non-generic locus)."""
+    cof = Z.grid.base_only().coface_table.cof
+    inside = np.append(Z.membership.ravel(), True)  # slot -1 reads inside
+    return Z.membership & ~inside[cof].all(axis=1).reshape(Z.membership.shape)
 
 
-def reduce_to_Z(h: SampledFunction, lam, Z: BaseRegion, field=GF2,
-                check_generic=True):
+def reduce_to_Z(h: SampledFunction, lam, Z: BaseRegion, field=GF2):
     """Restriction of superlevel classes to a closed subgrid, with the
     tubular-limit cross-check.
 
@@ -300,8 +282,7 @@ def reduce_to_Z(h: SampledFunction, lam, Z: BaseRegion, field=GF2,
     """
     home = SuperlevelHome(h, lam, field)
     basis = home.canonical_basis()
-    sub, reps = restrict_classes(home, [v for _, v in basis], Z,
-                                 check_generic=check_generic)
+    sub, reps = restrict_classes(home, [v for _, v in basis], Z)
     restricted = cohomology_ranks(sub)
     lo, hi = h.range()
     limit, cert = conormal_limit_ranks(Z, GraphBrane(h), lam, hi + 1.0 + (hi - lo),

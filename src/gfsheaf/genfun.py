@@ -143,11 +143,12 @@ class GenFun:
                 f"fiber boundary ring deviates from Q + c(x) by {resid:.3g}"
                 f" (> tau_q = {self.tau_q:.3g})")
 
-    def _check_no_boundary_criticals(self, collar=2):
+    def _check_no_boundary_criticals(self):
+        """No fiber-critical cell within two vertices of the truncation."""
         for bv, cps in self.critical_table.items():
             for cp in cps:
                 for j, g in zip(cp.xi_vertex, self.grid.fiber):
-                    if j < collar or j >= g.n_vertices - collar:
+                    if j < 2 or j >= g.n_vertices - 2:
                         raise ValueError(
                             f"critical cell {cp.xi_vertex} touches the fiber "
                             f"boundary collar at base vertex {bv}")
@@ -248,16 +249,8 @@ def dedup_breakpoints(values, tol):
     return out
 
 
-def _over(gf: GenFun, region: BaseRegion | None):
-    """The entries of gf.critical_table over the vertices of region."""
-    if region is None:
-        return gf.critical_table
-    return {bv: cps for bv, cps in gf.critical_table.items()
-            if region.membership[tuple(2 * j for j in bv)]}
-
-
-def cerf_diagram(gf: GenFun, region: BaseRegion | None = None) -> CerfDiagram:
-    table = _over(gf, region)
+def cerf_diagram(gf: GenFun) -> CerfDiagram:
+    table = gf.critical_table
     strands = [(cp.x, cp.value, cp.index, cp.p, cp.degenerate)
                for cps in table.values() for cp in cps]
     tau = gf.tau_val()
@@ -268,14 +261,16 @@ def cerf_diagram(gf: GenFun, region: BaseRegion | None = None) -> CerfDiagram:
     return CerfDiagram(tuple(strands), tuple(breaks), tuple(cusps), tau)
 
 
-def assert_window_regular(gf: GenFun, region: BaseRegion, a, b, tau=None):
+def assert_window_regular(gf: GenFun, region: BaseRegion, a, b):
     """Reject windows whose boundary sits on a Cerf strand over the region
     (within the per-strand value resolution, never silently perturbed)."""
-    for cps in _over(gf, region).values():
+    for bv, cps in gf.critical_table.items():
+        if not region.membership[tuple(2 * j for j in bv)]:
+            continue
         for cp in cps:
-            tol = cp.val_tol if tau is None else tau
             for c in (a, b):
-                if c not in (-np.inf, np.inf) and abs(cp.value - c) <= tol:
+                if c not in (-np.inf, np.inf) and \
+                        abs(cp.value - c) <= cp.val_tol:
                     raise ValueError(
                         f"window boundary {c} hits Cerf strand "
                         f"t={cp.value:.6g} (index {cp.index}) over x={cp.x}")

@@ -6,6 +6,10 @@ Cells of a product grid are tuples of per-axis cell ids; on one axis the id
 belongs to a sublevel set iff all of its vertices do (lower-star convention),
 with strict inequality resolved at vertices: a vertex value exactly equal to
 the threshold counts as outside.
+
+BoxGrid.coface_table is the one cubical incidence rule: the cochain
+complexes, the face closure of a BaseRegion and the rims of regions are all
+read off it.
 """
 
 from __future__ import annotations
@@ -67,26 +71,6 @@ class Grid1D:
             return (k, (k + 1) % self.n)
         return (k, k + 1)
 
-    def vertex_cofaces(self, k):
-        """Edges containing vertex k, with 1-d incidence signs.
-
-        [left end : e] = -1, [right end : e] = +1.
-        """
-        out = []
-        if self.topology == "circle":
-            out.append((2 * k + 1, -1))                      # left end of e_k
-            out.append((2 * ((k - 1) % self.n) + 1, +1))     # right end of e_{k-1}
-        else:
-            if k < self.n:
-                out.append((2 * k + 1, -1))
-            if k > 0:
-                out.append((2 * (k - 1) + 1, +1))
-        return out
-
-    def edge_faces(self, k):
-        a, b = self.edge_vertices(k)
-        return ((2 * a, -1), (2 * b, +1))
-
 
 def circle_grid(n, length=1.0):
     return Grid1D("circle", n, length / n, 0.0)
@@ -99,9 +83,9 @@ def interval_grid(n, lo, hi):
 class CofaceTable(NamedTuple):
     """Integer coboundary of a whole cell lattice, by flat cell id (C order).
 
-    Row x of cof lists the cofaces of cell x in the order BoxGrid.cofaces
-    yields them, two slots per axis (-1 marks a slot with no coface); sgn
-    holds their Koszul signs and dim the cell dimensions.
+    Row x of cof lists the cofaces of cell x, two slots per axis (-1 marks
+    a slot with no coface); sgn holds their Koszul signs and dim the cell
+    dimensions.
     """
 
     cof: np.ndarray   # (cells, 2 * axes) int32
@@ -142,27 +126,15 @@ class BoxGrid:
     def cell_dim(self, cell):
         return sum(c & 1 for c in cell)
 
-    def cofaces(self, cell):
-        """Codimension-1 cofaces with Koszul incidence signs."""
-        out = []
-        sign_prefix = 1
-        for i, (g, c) in enumerate(zip(self.axes, cell)):
-            if c & 1 == 0:
-                for cf, s in g.vertex_cofaces(c >> 1):
-                    nc = list(cell)
-                    nc[i] = cf
-                    out.append((tuple(nc), sign_prefix * s))
-            else:
-                sign_prefix = -sign_prefix
-        return out
-
     @cached_property
     def coface_table(self):
-        """The CofaceTable of this grid, built one axis at a time from the
-        rules of Grid1D.vertex_cofaces and the sign_prefix walk of cofaces:
-        on an axis where a cell is a vertex 2k, slot 0 is the edge 2k+1
-        (sign -prefix) and slot 1 the edge 2k-1, wrapping on circles (sign
-        +prefix); prefix flips once per edge axis before it."""
+        """The CofaceTable of this grid: the cubical incidence rule, one axis
+        at a time.  On an axis where a cell is the vertex 2k, slot 0 is the
+        edge 2k+1, whose left end it is (sign -prefix), and slot 1 the edge
+        2k-1, whose right end it is (sign +prefix); on a circle the vertex 0
+        wraps to the edge 2n-1, and an interval's end vertex has no coface
+        past its end.  prefix is -1 to the number of edge axes before this
+        one (the Koszul sign)."""
         shape = self.cell_shape
         k = len(shape)
         flat = np.arange(int(np.prod(shape)), dtype=np.int32).reshape(shape)
@@ -190,28 +162,6 @@ class BoxGrid:
             prefix = np.where(odd, -prefix, prefix)
         return CofaceTable(cof.reshape(flat.size, 2 * k),
                            sgn.reshape(flat.size, 2 * k), dim.ravel())
-
-    def faces(self, cell):
-        out = []
-        sign_prefix = 1
-        for i, (g, c) in enumerate(zip(self.axes, cell)):
-            if c & 1:
-                for f, s in g.edge_faces(c >> 1):
-                    nc = list(cell)
-                    nc[i] = f
-                    out.append((tuple(nc), sign_prefix * s))
-                sign_prefix = -sign_prefix
-        return out
-
-    def cell_vertices(self, cell):
-        """Vertex multi-indices spanned by a cell."""
-        per_axis = []
-        for g, c in zip(self.axes, cell):
-            if c & 1:
-                per_axis.append(g.edge_vertices(c >> 1))
-            else:
-                per_axis.append((c >> 1,))
-        return list(itertools.product(*per_axis))
 
     def all_cells(self):
         return itertools.product(*(range(s) for s in self.cell_shape))
@@ -270,14 +220,11 @@ class SampledFunction:
         self._cell_min = None
 
     @staticmethod
-    def from_expr(grid: BoxGrid, expr, extra=None):
+    def from_expr(grid: BoxGrid, expr):
         coords = np.meshgrid(*(g.vertex_coords() for g in grid.axes),
                              indexing="ij")
         names = ["x", "y"][: len(grid.base)] + ["xi", "eta"][: len(grid.fiber)]
-        env = dict(zip(names, coords))
-        if extra:
-            env.update(extra)
-        vals = exprs.evaluate(expr, **env)
+        vals = exprs.evaluate(expr, **dict(zip(names, coords)))
         vals = np.broadcast_to(np.asarray(vals, dtype=float),
                                grid.vertex_shape).copy()
         return SampledFunction(grid, vals)
@@ -332,21 +279,16 @@ def _cells(mask):
 
 
 class CubicalSet:
-    """Subset of the cells of a BoxGrid, closed under taking faces."""
+    """Subset of the cells of a BoxGrid, by membership over its cell
+    lattice.  Closedness is not checked; the library builds closed sets
+    only: sublevel sets (closed by the lower-star rule), their restrictions
+    to a closed BaseRegion, the full and empty sets and unions."""
 
-    def __init__(self, grid: BoxGrid, membership, check_closed=False):
+    def __init__(self, grid: BoxGrid, membership):
         self.grid = grid
         self.membership = np.asarray(membership, dtype=bool)
         if self.membership.shape != grid.cell_shape:
             raise ValueError("membership shape mismatch")
-        if check_closed:
-            self.assert_closed()
-
-    def assert_closed(self):
-        for cell in _cells(self.membership):
-            for f, _ in self.grid.faces(cell):
-                if not self.membership[f]:
-                    raise AssertionError(f"not closed: {cell} has face {f} outside")
 
     def __contains__(self, cell):
         return bool(self.membership[tuple(cell)])
@@ -378,20 +320,25 @@ def sublevel_set(f: SampledFunction, t: float) -> CubicalSet:
 
 
 class BaseRegion:
-    """Closed union of base cells of a grid (the whole N by default)."""
+    """Closed union of base cells of a grid (the whole N by default): the
+    given cells with all of their faces, so on a 2-d base a square brings
+    its four edges and its four corners."""
 
     def __init__(self, grid: BoxGrid, membership=None):
         self.grid = grid
         if membership is None:
             membership = np.ones(grid.base_cell_shape, dtype=bool)
-        self.membership = np.array(membership, dtype=bool, copy=True)
-        if self.membership.shape != grid.base_cell_shape:
+        membership = np.asarray(membership, dtype=bool)
+        if membership.shape != grid.base_cell_shape:
             raise ValueError("region shape mismatch")
-        # closure under faces of the base complex
-        base_only = grid.base_only()
-        for cell in _cells(self.membership):
-            for f, _ in base_only.faces(cell):
-                self.membership[f] = True
+        # transitive face closure over the base coface table: a cell joins
+        # when one of its cofaces is in; a cell of dimension d is reached
+        # after len(base) - d rounds
+        cof = grid.base_only().coface_table.cof
+        kept = np.append(membership.ravel(), False)  # slot -1 reads False
+        for _ in grid.base:
+            kept[:-1] |= kept[cof].any(axis=1)
+        self.membership = kept[:-1].reshape(grid.base_cell_shape)
         self.membership.setflags(write=False)
 
     @staticmethod
@@ -437,8 +384,7 @@ def cubical_complex(grid: BoxGrid, keep, field=GF2) -> ChainComplex:
     """Cellular cochain complex on the cells where keep (a boolean array over
     grid.cell_shape) is true, read off grid.coface_table as an IndexComplex:
     its ids are the kept cells in C order, and the coboundary of each lists
-    its kept cofaces in slot order (the order BoxGrid.cofaces yields them)
-    with their Koszul signs.
+    its kept cofaces in slot order with their Koszul signs.
 
     Degree +1 and d^2 = 0 are certified over the integers before anything
     is coerced (IndexComplex.check with integral set), so at F2 too a wrong

@@ -47,8 +47,8 @@ def _json_default(x):
     return str(x)
 
 
-def ranks_to_rows(tables, header=("key", "degree", "rank")):
-    rows = [header]
+def ranks_to_rows(tables):
+    rows = [("key", "degree", "rank")]
     for key, table in tables:
         for d in sorted(table):
             rows.append((key, d, table[d]))
@@ -82,7 +82,9 @@ def _svg_document(width, height, body):
     return head + body + "</svg>\n"
 
 
-def _scale(points, width, height, margin=30):
+def _scale(points, width, height):
+    """Map data points into the canvas, 30 px in from every side."""
+    margin = 30
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     x0, x1 = min(xs), max(xs)
@@ -98,9 +100,10 @@ def _scale(points, width, height, margin=30):
     return to_px
 
 
-def write_front_svg(path, strand_points, cone_points=None,
-                    width=640, height=400):
-    """Front samples in the (x, t)-plane, optional codirection arrows."""
+def write_front_svg(path, strand_points, cone_points=None):
+    """Front samples in the (x, t)-plane, optional codirection arrows, on a
+    640 x 400 canvas."""
+    width, height = 640, 400
     pts = [(x[0], t) for (x, t, *_rest) in strand_points]
     if not pts:
         _atomic_write(path, _svg_document(width, height, ""))
@@ -123,10 +126,11 @@ def write_front_svg(path, strand_points, cone_points=None,
     _atomic_write(path, _svg_document(width, height, "\n".join(body) + "\n"))
 
 
-def write_barcode_svg(path, bars, width=640, height=None):
-    """Interval stack; infinite deaths are drawn to the right margin."""
+def write_barcode_svg(path, bars):
+    """Interval stack, 640 px wide and 14 px a bar; infinite deaths are
+    drawn to the right margin."""
     bars = sorted(bars)
-    height = height or (40 + 14 * len(bars))
+    width, height = 640, 40 + 14 * len(bars)
     finite = [b for (_d, b, _x) in bars] + \
         [x for (_d, _b, x) in bars if not math.isinf(x)]
     if not finite:

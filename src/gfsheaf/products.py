@@ -136,9 +136,9 @@ def dualize(F: TameSheaf) -> TameSheaf:
     return convolve(dA, dB)
 
 
-def rhom_tensor(F: TameSheaf, G: TameSheaf, strategy="auto") -> TameSheaf:
+def rhom_tensor(F: TameSheaf, G: TameSheaf) -> TameSheaf:
     """The hom-from-F-to-G object: (dual of F) tensor G."""
-    return tensor(dualize(F), G, strategy=strategy)
+    return tensor(dualize(F), G)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +204,14 @@ class UnitMorphisms:
         return dict.fromkeys(np.flatnonzero(keep).tolist(), 1)
 
     def v_apply(self, vec, W: SectionArrays, U: SectionArrays,
-                unit_taxis: TAxis, t0=0.0):
+                unit_taxis: TAxis):
         """Evaluation at the fixed top corner of vec, an F2 cochain of W
         (as u_cocycle), into U, the unit's section complex over all of N on
-        unit_taxis (a refinement of its own axis that has t0 as a break),
+        unit_taxis (a refinement of its own axis, which has 0 as a break),
         as a dict id -> 1."""
         b1s, b2s = self.top_corner
         i0 = next(i for i, b in enumerate(unit_taxis.breaks)
-                  if abs(b - t0) < 1e-12)
+                  if abs(b) < 1e-12)
         (_, cell), (_, ta), (_, tb), _, _ = W.columns
         ids = _odd(vec)
         ids = ids[(ta[ids] == 2 * b1s + 1) & (tb[ids] == 2 * b2s + 1)]
@@ -240,11 +240,12 @@ def unit_morphisms(F: TameSheaf) -> UnitMorphisms:
     return UnitMorphisms(F, W, CA, CB, corner_a, corner_b, top)
 
 
-def verify_unit_composition(F: TameSheaf, lambdas, eps=None):
+def verify_unit_composition(F: TameSheaf, lambdas):
     """Certify Prop-style unit composition data:
 
     * v o u is the identity on H^0 of the [-eps, oo) window, where the unit
-      class lives and the corner evaluation is defined;
+      class lives and the corner evaluation is defined (eps is half the
+      least nonzero |corner sum|, or 1/2 when every sum is zero);
     * the composite object (dual F) tensor F has the unit's section ranks
       over (-oo, lam) for every lam in the given positive ladder.
     """
@@ -254,9 +255,8 @@ def verify_unit_composition(F: TameSheaf, lambdas, eps=None):
     sums = [um.CA.taxis.breaks[i] + um.CB.taxis.breaks[j]
             for i in range(len(um.CA.taxis.breaks))
             for j in range(len(um.CB.taxis.breaks))]
-    if eps is None:
-        below = [abs(s) for s in sums if abs(s) > 1e-9]
-        eps = min(below) / 2 if below else 0.5
+    below = [abs(s) for s in sums if abs(s) > 1e-9]
+    eps = min(below) / 2 if below else 0.5
     ceil = max(sums) + 1.0
     WC = _total_complex(*_product_factors(um.CA, um.CB, True), None, -eps,
                         ceil, um.CA.field)
@@ -394,7 +394,7 @@ def decoupled_superlevel_complex(CA: CellSheaf, CB: CellSheaf, lam,
 
 
 def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
-                home: ProductHome, check_closed=True) -> CohomologyClass:
+                home: ProductHome) -> CohomologyClass:
     """The threshold-additive product: contract the middle factors at the
     fixed top corner, restrict to the diagonal by the front/back splitting,
     and view the result above lam + mu in home, which must be the home of
@@ -407,9 +407,8 @@ def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
             home.lam != ha.lam + hb.lam:
         raise ValueError("the output home is not the home of "
                          "(alpha's CA, beta's CB, lam + mu)")
-    if check_closed:
-        if apply_d(ha.complex, alpha.rep) or apply_d(hb.complex, beta.rep):
-            raise ValueError("representatives must be closed")
+    if apply_d(ha.complex, alpha.rep) or apply_d(hb.complex, beta.rep):
+        raise ValueError("representatives must be closed")
     # alpha over its front cells at the top corner ('v', b*) of its second
     # axis, beta over its back cells at the top corner ('v', c*) of its first
     a = _odd(alpha.rep)

@@ -311,13 +311,34 @@ class ScenarioContext:
         raise ScenarioParseError(f"unknown genfun kind {kind!r}")
 
     def region_on(self, name, grid):
+        """The region name on the base of grid.  An arc [lo, hi] takes the
+        cell ids 0 <= lo <= hi < n_cells of a 1-d base; cells lists cell ids,
+        one integer per base axis, each in range.  Anything else is an input
+        error."""
         cfg = self.regions[name]
+        shape = grid.base_cell_shape
         if "arc" in cfg:
-            lo, hi = cfg["arc"]
-            return BaseRegion.interval_arc(grid, int(lo), int(hi))
+            arc = cfg["arc"]
+            if len(shape) != 1:
+                raise ScenarioParseError(
+                    f"region {name!r}: an arc needs a 1-d base, this base "
+                    f"has {len(shape)} axes")
+            if not (isinstance(arc, list) and len(arc) == 2):
+                raise ScenarioParseError(
+                    f"region {name!r}: arc must be [lo, hi], got {arc!r}")
+            lo = _integer(arc[0], f"region {name!r} arc lo", 0, shape[0] - 1)
+            hi = _integer(arc[1], f"region {name!r} arc hi", lo, shape[0] - 1)
+            return BaseRegion.interval_arc(grid, lo, hi)
         if "cells" in cfg:
-            return BaseRegion.from_cells(grid, [tuple(c) for c in
-                                                cfg["cells"]])
+            cells = []
+            for c in _array(cfg, "cells", []):
+                if not (isinstance(c, list) and len(c) == len(shape)):
+                    raise ScenarioParseError(
+                        f"region {name!r}: a cell must be an array of "
+                        f"{len(shape)} integers, got {c!r}")
+                cells.append(tuple(_integer(v, f"region {name!r} cell id", 0,
+                                            n - 1) for v, n in zip(c, shape)))
+            return BaseRegion.from_cells(grid, cells)
         raise ScenarioParseError(f"region {name!r} needs arc or cells")
 
     def sheaf_for(self, ref):
@@ -483,15 +504,15 @@ def _task_rhom(ctx, task, out_dir):
     return {"status": "done", "bars": len(bars)}
 
 
-def _carrier_safe_cuts(f, g, max_cuts=12):
+def _carrier_safe_cuts(f, g):
     """Window cuts clear of the product carrier's resolution collar.
 
     The two-axis carrier can move rank jumps anywhere within the pairwise
     sums of the factors' value spectra; exact agreement with the one-axis
     model is guaranteed on windows whose endpoints clear that whole spectrum
     by more than the largest per-cell value spread.  Returns the midpoints
-    of the spectrum gaps that are wide enough (always including a cut below
-    and above everything)."""
+    of those of the ten widest spectrum gaps that are wide enough, with a
+    cut below and a cut above everything."""
     fb = sorted(set(np.round(f.cell_max().ravel(), 9)))
     gb = sorted(set(np.round(g.cell_max().ravel(), 9)))
     spectrum = sorted({round(x + y, 9) for x in fb for y in gb} |
@@ -501,7 +522,7 @@ def _carrier_safe_cuts(f, g, max_cuts=12):
     cuts = [spectrum[0] - 0.51 - spread]
     gaps = sorted(((y - x, x, y) for x, y in zip(spectrum, spectrum[1:])),
                   reverse=True)
-    for (w, x, y) in gaps[: max_cuts - 2]:
+    for (w, x, y) in gaps[:10]:
         if w > 2.2 * spread:
             cuts.append((x + y) / 2)
     cuts.append(spectrum[-1] + 0.49 + spread)

@@ -685,7 +685,7 @@ def quantize(gf: GenFun) -> TameSheaf:
 
 
 def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
-               t0=0.0, label=None) -> TameSheaf:
+               t0=0.0) -> TameSheaf:
     """Constant sheaf on (closed region) x [t0, oo) as a cellular object."""
     base = grid.base_only()
     mask = None if region is None else np.array(region.membership, copy=True)
@@ -696,13 +696,13 @@ def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
                            np.zeros(opens.shape, dtype=np.int64), ("k",))
     return TameSheaf("cell",
                      cell=CellSheaf(base, TAxis((t0,)), stalks, shift=0,
-                                    label=label or "unit",
+                                    label="unit",
                                     indicator=("region", mask, t0)),
-                     label=label or f"k_[{t0},oo)")
+                     label=f"k_[{t0},oo)")
 
 
-def to_cellular(F: TameSheaf, max_cells=250_000, spot_checks=20,
-                rng=None) -> TameSheaf:
+def to_cellular(F: TameSheaf, max_cells=250_000,
+                spot_checks=20) -> TameSheaf:
     """Cellular presentation of a GF sheaf: breakpoints at strand values,
     stalks the floored fiber complexes, held as masks over the fiber cells
     (FiberMasks); spot-checked against the GF route."""
@@ -727,13 +727,13 @@ def to_cellular(F: TameSheaf, max_cells=250_000, spot_checks=20,
     cell = CellSheaf(base, TAxis(breaks), masks, shift=gf.i_q,
                      label=f"cellular({F.label})", indicator=ind)
     out = TameSheaf("cell", cell=cell, label=cell.label)
-    _spot_check_cellular(F, out, spot_checks, rng)
+    _spot_check_cellular(F, out, spot_checks)
     return out
 
 
-def _spot_check_cellular(F_gf: TameSheaf, F_cell: TameSheaf, n, rng):
+def _spot_check_cellular(F_gf: TameSheaf, F_cell: TameSheaf, n):
     import random as _random
-    rng = rng or _random.Random(20240601)
+    rng = _random.Random(20240601)
     gf = F_gf.gf
     lo = window_floor(gf)
     hi = window_ceiling(gf)
@@ -1042,25 +1042,23 @@ def conify_conormal(region: BaseRegion) -> ConeSet:
         raise ValueError("conormal samples implemented for 1-d bases")
     g = grid.base[0]
     pts = []
-    cells = sorted(c[0] for c in region.base_cells())
-    cellset = set(cells)
-    for c in cells:
+    for c in sorted(c[0] for c in region.base_cells()):
         x = (g.cell_coord(c),)
         pts.append((x, 0.0, (0.0,), 1))
         pts.append((x, 0.0, (0.0,), 0))
-    for c in cells:
-        if c & 1 == 0:
-            k = c >> 1
-            for e, s in g.vertex_cofaces(k):
-                if e not in cellset:
-                    # rim vertex: outward direction sign = +1 to the right
-                    out = 1.0 if s == -1 else -1.0
-                    for mult in (0.5, 1.0, 2.0):
-                        pts.append(((g.cell_coord(c),), 0.0, (out * mult,), 1))
+    # rim vertices: slot 0 holds the edge to the right of a vertex, slot 1
+    # the edge to its left; an outward codirection points at a slot that
+    # holds an edge outside the region
+    m = np.append(region.membership, True)   # slot -1 (no edge) reads inside
+    cof = grid.coface_table.cof
+    for slot, out in ((0, 1.0), (1, -1.0)):
+        for c in np.flatnonzero(m[:-1] & ~m[cof[:, slot]]).tolist():
+            for mult in (0.5, 1.0, 2.0):
+                pts.append(((g.cell_coord(c),), 0.0, (out * mult,), 1))
     return ConeSet(tuple(sorted(set(pts))))
 
 
-def singular_support(F: TameSheaf, tau_res=None, p_samples=9) -> ConeSet:
+def singular_support(F: TameSheaf, p_samples=9) -> ConeSet:
     """Estimated codirections by the affine test: (x, t; p, 1) enters when
     the level line of slope p is tangent to a front branch at (x, t), i.e.
     when the tilted branch value s(x') = t(x') - p x' has a local extremum
@@ -1077,8 +1075,7 @@ def singular_support(F: TameSheaf, tau_res=None, p_samples=9) -> ConeSet:
                          "presentation")
     if g is None:
         raise ValueError("SS estimation implemented for 1-d bases")
-    tau_res = tau_res or g.spacing
-    return _front_tangency_ss(fronts, g, tau_res, p_samples)
+    return _front_tangency_ss(fronts, g, g.spacing, p_samples)
 
 
 def _gf_front_samples(gf: GenFun):

@@ -445,3 +445,42 @@ def test_a_scenario_of_the_wrong_shape_exits_2_without_traceback(
     assert "[input error]" in proc.stdout
     assert "must be a" in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+# region inputs out of range: [[99]] raised IndexError with a traceback,
+# [[-1]] took the last cell, the bad arcs gave an empty region, and an arc
+# on a 2-d base failed the task
+BAD_REGIONS = {
+    "cell-above": ("circle", "cells = [[99]]", "must be an integer in [0, 15]"),
+    "cell-negative": ("circle", "cells = [[-1]]",
+                      "must be an integer in [0, 15], got -1"),
+    "cell-short": ("torus", "cells = [[1]]", "an array of 2 integers"),
+    "cell-real": ("circle", "cells = [[1.5]]", "got 1.5"),
+    "arc-negative": ("circle", "arc = [-3, 2]",
+                     "arc lo must be an integer in [0, 15], got -3"),
+    "arc-reversed": ("circle", "arc = [5, 2]",
+                     "arc hi must be an integer in [5, 15], got 2"),
+    "arc-long": ("circle", "arc = [1, 2, 3]", "arc must be [lo, hi]"),
+    "arc-2d": ("torus", "arc = [1, 2]", "an arc needs a 1-d base"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_REGIONS))
+def test_a_bad_region_exits_2_without_traceback(tmp_path, name):
+    grid, region, message = BAD_REGIONS[name]
+    path = tmp_path / f"{name}.toml"
+    path.write_text('[scenario]\nname = "s"\nseed = 1\n'
+                    "[inputs.functions.f]\n"
+                    f'expr = "cos(2*pi*x)"\ngrid = "{grid}"\nn = 8\n'
+                    f"[inputs.regions.Z]\n{region}\n"
+                    '[[tasks]]\nop = "sections"\nsheaf = "f"\nregion = "Z"\n'
+                    "a = -2.0\nb = 2.0\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfsheaf", "run", str(path), "--out-dir",
+         str(tmp_path / "out")], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "[input-error]" in proc.stdout and message in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr

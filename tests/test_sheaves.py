@@ -17,6 +17,7 @@ from gfsheaf.sheaves import (ConeSet, TAxis, TameSheaf, behavior_at_infinity,
                              conify, conify_conormal, front_interior_table,
                              microstalk, quantize, sections,
                              singular_support, to_cellular, unit_sheaf)
+from tuple_cells import cofaces
 
 INF = math.inf
 
@@ -339,7 +340,7 @@ def _reference_section_complex(cell, region, a, b, taxis=None):
         dmap = st.d_map()
         for lbl, k in st.gens:
             cb = {}
-            for cf, s in cell.base.cofaces(bc):
+            for cf, s in cofaces(cell.base, bc):
                 t = (tuple(cf), tc, lbl)
                 if tuple(cf) in region_set and t in genset:
                     _ref_acc(cb, t, F.coerce(s), F)
@@ -403,7 +404,7 @@ def _reference_product_section_complex(CA, CB, diagonal, region, a, b):
         for la, ka in sa.gens:
             for lb, kb in sb.gens:
                 cb = {}
-                for cf, s in base.cofaces(bc):
+                for cf, s in cofaces(base, bc):
                     t = (tuple(cf), t1, t2, la, lb)
                     if tuple(cf) in region_set and t in genset:
                         _ref_acc(cb, t, F.coerce(s), F)
@@ -933,7 +934,7 @@ def reference_stalk(gf, bc, thr):
             gens.append((fc, fib.cell_dim(fc)))
     diff = []
     for fc in included:
-        for cf, s in fib.cofaces(fc):
+        for cf, s in cofaces(fib, fc):
             if cf in included:
                 diff.append((fc, cf, s))
     return Stalk(tuple(gens), tuple(diff))
