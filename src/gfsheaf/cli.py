@@ -82,7 +82,7 @@ def main(argv=None):
 
 def _print_summary(summary):
     if "error" in summary:
-        print(f"[input error] {summary.get('scenario')}: {summary['error']}")
+        print(f"[input-error] {summary.get('scenario')}: {summary['error']}")
         return
     name = summary["scenario"]
     for entry in summary["tasks"]:

@@ -21,7 +21,7 @@ from .grids import (BaseRegion, BoxGrid, SampledFunction, cubical_complex,
                     _front_back_faces)
 from .linalg import GF2
 from .sheaves import (CellSheaf, SectionArrays, TAxis, TameSheaf,
-                      _as_cellsheaf, _product_factors, _same_cell,
+                      _as_cellsheaf, _band_floor, _product_factors, _same_cell,
                       _total_complex, corner_table, quantize, section_barcode,
                       sections, to_cellular, unit_sheaf)
 
@@ -48,19 +48,28 @@ def external_box_sum(g0: GenFun, g1: GenFun) -> GenFun:
                   tau_q=g0.tau_q + g1.tau_q, check_collar=False)
 
 
-def _assert_bounded_below(F: TameSheaf):
-    from .sheaves import _band_floor
+# how tensor and convolve build a product: "auto" through the generating
+# families when both factors have one, else (and always for "cell") as the
+# product carrier of the two factors
+STRATEGIES = ("auto", "cell")
+
+
+def _through_gf(F: TameSheaf, G: TameSheaf, strategy):
+    """Whether the product of F and G goes through their generating families.
+    A strategy outside STRATEGIES, or a factor with no finite support band,
+    is refused."""
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     _band_floor(F)  # raises when no finite support band exists
+    _band_floor(G)
+    return strategy == "auto" and F.kind == "gf" and G.kind == "gf"
 
 
 def convolve(F: TameSheaf, G: TameSheaf, strategy="auto") -> TameSheaf:
     """Sum-pushforward of the external product, on the product base."""
-    _assert_bounded_below(F)
-    _assert_bounded_below(G)
-    if strategy in ("auto", "gf") and F.kind == "gf" and G.kind == "gf":
+    if _through_gf(F, G, strategy):
         return quantize(external_box_sum(F.gf, G.gf))
-    if strategy == "gf":
-        raise ValueError("gf strategy needs two GF presentations")
     return TameSheaf("prod", factors=(F, G), diagonal=False,
                      label=f"({F.label})*({G.label})")
 
@@ -69,12 +78,8 @@ def tensor(F: TameSheaf, G: TameSheaf, strategy="auto") -> TameSheaf:
     """Diagonal pullback of the convolution; same base grid required."""
     if F.base_grid != G.base_grid:
         raise ValueError("tensor requires a shared base grid")
-    _assert_bounded_below(F)
-    _assert_bounded_below(G)
-    if strategy in ("auto", "gf") and F.kind == "gf" and G.kind == "gf":
+    if _through_gf(F, G, strategy):
         return quantize(box_sum(F.gf, G.gf))
-    if strategy == "gf":
-        raise ValueError("gf strategy needs two GF presentations")
     return TameSheaf("prod", factors=(F, G), diagonal=True,
                      label=f"({F.label})(x)({G.label})")
 

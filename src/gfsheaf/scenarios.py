@@ -1,6 +1,6 @@
-"""Scenario files: a flat TOML-style schema (JSON accepted too), resolved
-into named inputs and a task list; every task writes artifacts and a summary
-row, and oracle-compare tasks fail loudly on any rank disagreement.
+"""Scenario files: TOML (JSON accepted too), resolved into named inputs and
+a task list; every task writes artifacts and a summary row, and
+oracle-compare tasks fail loudly on any rank disagreement.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import math
 import numbers
 import os
 import random
+import tomllib
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .genfun import (GenFun, QuadForm, brane_of, cerf_diagram, gf_cohomology,
 from .grids import BaseRegion, BoxGrid, SampledFunction, circle_grid, \
     interval_grid, sublevel_filtration
 from .linalg import FIELDS, GF2
-from .products import dualize, pushforward_barcode, rhom_tensor, tensor, unit
+from .products import (STRATEGIES, convolve, dualize, pushforward_barcode,
+                       rhom_tensor, tensor, unit)
 from .rectify import (check_coherence, index_complex_homology,
                       perturb_coherent, rectify_at,
                       strict_synthetic_diagram)
@@ -35,116 +37,23 @@ INF = math.inf
 
 
 # ---------------------------------------------------------------------------
-# flat TOML-subset reader
+# reading a scenario file
 
 class ScenarioParseError(ValueError):
-    def __init__(self, msg, line=None, col=None):
-        where = f" at line {line}" if line is not None else ""
-        where += f", column {col}" if col is not None else ""
-        super().__init__(msg + where)
-        self.line = line
-        self.col = col
-
-
-def _parse_value(text, line):
-    text = text.strip()
-    if not text:
-        raise ScenarioParseError("empty value", line)
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        parts, depth, quoted, cur = [], 0, False, ""
-        for ch in inner:
-            # a comma splits the array only outside brackets and quotes
-            if ch == '"':
-                quoted = not quoted
-            elif not quoted and ch in "[]":
-                depth += 1 if ch == "[" else -1
-            elif not quoted and ch == "," and depth == 0:
-                parts.append(cur)
-                cur = ""
-                continue
-            cur += ch
-        parts.append(cur)
-        return [_parse_value(p, line) for p in parts]
-    if text.startswith('"') and text.endswith('"'):
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    if text == "inf":
-        return INF
-    if text == "-inf":
-        return -INF
-    try:
-        if any(c in text for c in ".eE") and not text.startswith("0x"):
-            return float(text)
-        return int(text)
-    except ValueError:
-        raise ScenarioParseError(f"cannot parse value {text!r}", line)
-
-
-def parse_toml_subset(text):
-    """Sections [a.b], array-of-table headers [[a]], and key = value lines."""
-    root = {}
-    current = root
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise ScenarioParseError("unterminated table array header", ln)
-            path = line[2:-2].strip().split(".")
-            node = root
-            for p in path[:-1]:
-                node = node.setdefault(p, {})
-            arr = node.setdefault(path[-1], [])
-            if not isinstance(arr, list):
-                raise ScenarioParseError(f"{path[-1]} is not an array", ln)
-            current = {}
-            arr.append(current)
-        elif line.startswith("["):
-            if not line.endswith("]"):
-                raise ScenarioParseError("unterminated table header", ln)
-            path = line[1:-1].strip().split(".")
-            node = root
-            for p in path:
-                nxt = node.setdefault(p, {})
-                if not isinstance(nxt, dict):
-                    raise ScenarioParseError(f"{p} is not a table", ln)
-                node = nxt
-            current = node
-        else:
-            if "=" not in line:
-                raise ScenarioParseError("expected key = value", ln,
-                                         raw.find(line))
-            key, val = line.split("=", 1)
-            current[key.strip()] = _parse_value(val, ln)
-    return root
-
-
-def _strip_comment(raw):
-    """The line up to its first # outside double quotes."""
-    quoted = False
-    for i, ch in enumerate(raw):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return raw[:i]
-    return raw
+    """A scenario file, or a value in it, that the runner cannot use."""
 
 
 def load_scenario(path):
+    """The scenario at path: JSON for a .json path, TOML otherwise.  A file
+    its decoder refuses (duplicate keys and redeclared tables among others)
+    is an input error."""
     with open(path) as fh:
         text = fh.read()
-    if path.endswith(".json"):
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ScenarioParseError(str(e), e.lineno, e.colno)
-    else:
-        spec = parse_toml_subset(text)
+    decode = json.loads if path.endswith(".json") else tomllib.loads
+    try:
+        spec = decode(text)
+    except (json.JSONDecodeError, tomllib.TOMLDecodeError) as e:
+        raise ScenarioParseError(str(e)) from e
     _check_shape(spec)
     return spec
 
@@ -208,11 +117,26 @@ def _real(value, key, infinite=False):
     return float(value)
 
 
-def _array(task, key, default):
-    value = task.get(key, default)
+def _array(value, key):
+    """An array value; anything else is an input error."""
     if not isinstance(value, list):
         raise ScenarioParseError(f"{key} must be an array, got {value!r}")
     return value
+
+
+def _reals(value, key):
+    """An array of finite reals as a tuple of floats; anything else is an
+    input error."""
+    return tuple(_real(v, key) for v in _array(value, key))
+
+
+def _interval(cfg, n):
+    """The interval grid of n cells on [lo, hi] of cfg, by default [0, 1];
+    lo and hi must be finite with lo < hi."""
+    lo, hi = _real(cfg.get("lo", 0.0), "lo"), _real(cfg.get("hi", 1.0), "hi")
+    if not lo < hi:
+        raise ScenarioParseError(f"lo must be below hi, got {lo!r}, {hi!r}")
+    return interval_grid(n, lo, hi)
 
 
 def check_grid_scale(value):
@@ -228,7 +152,11 @@ class ScenarioContext:
     def __init__(self, spec, seed=None, field="f2", grid_scale=1.0):
         meta = spec.get("scenario", {})
         self.name = meta.get("name", "scenario")
-        self.seed = int(seed if seed is not None else meta.get("seed", 0))
+        if not isinstance(self.name, str):
+            raise ScenarioParseError(
+                f"name must be a string, got {self.name!r}")
+        file_seed = _integer(meta.get("seed", 0), "seed", -INF)
+        self.seed = file_seed if seed is None else seed
         self.field = FIELDS[meta.get("field", field)]
         self.grid_scale = check_grid_scale(meta.get("grid_scale", grid_scale))
         self.functions = {}
@@ -269,14 +197,12 @@ class ScenarioContext:
             n2 = self._n(cfg, "n2", n)
             grid = BoxGrid((circle_grid(n), circle_grid(n2)))
         elif kind == "interval":
-            grid = BoxGrid((interval_grid(n, cfg.get("lo", 0.0),
-                                          cfg.get("hi", 1.0)),))
+            grid = BoxGrid((_interval(cfg, n),))
         else:
             raise ScenarioParseError(f"unknown grid kind {kind!r}")
         if "values" in cfg:
-            vals = np.array(cfg["values"], dtype=float).reshape(
-                grid.vertex_shape)
-            return SampledFunction(grid, vals)
+            vals = np.array(_reals(cfg["values"], "values"))
+            return SampledFunction(grid, vals.reshape(grid.vertex_shape))
         return SampledFunction.from_expr(grid, cfg["expr"])
 
     def _build_genfun(self, cfg):
@@ -289,25 +215,28 @@ class ScenarioContext:
         if kind == "stabilized-graph":
             return stabilized_graph_genfun(
                 self.functions[cfg["function"]],
-                coeffs=tuple(cfg.get("coeffs", [1.0])),
+                coeffs=_reals(cfg.get("coeffs", [1.0]), "coeffs"),
                 n_fiber=self._n(cfg, "n_fiber", 16))
         if kind == "pure-quadratic":
             base = circle_grid(self._n(cfg, "n_base", 16))
-            return pure_quad_genfun((base,), tuple(cfg["coeffs"]),
+            return pure_quad_genfun((base,),
+                                    _reals(cfg.get("coeffs"), "coeffs"),
                                     n_fiber=self._n(cfg, "n_fiber", 16))
         if kind == "expr":
             n_base = self._n(cfg, "n_base", 32)
             base = (circle_grid(n_base) if cfg.get("base", "circle") ==
-                    "circle" else interval_grid(n_base, cfg.get("lo", 0.0),
-                                                cfg.get("hi", 1.0)))
-            radius = float(cfg.get("radius", 4.0))
+                    "circle" else _interval(cfg, n_base))
+            radius = _real(cfg.get("radius", 4.0), "radius")
+            if radius <= 0:
+                raise ScenarioParseError(
+                    f"radius must be positive, got {radius!r}")
+            q = tuple(_reals(row, "q") for row in _array(cfg.get("q"), "q"))
             fibers = tuple(interval_grid(self._n(cfg, "n_fiber", 32),
-                                         -radius, radius)
-                           for _ in cfg["q"])
+                                         -radius, radius) for _ in q)
             grid = BoxGrid((base,), fibers)
             S = SampledFunction.from_expr(grid, cfg["expr"])
-            return GenFun(S, QuadForm(tuple(tuple(row) for row in cfg["q"])),
-                          tau_q=float(cfg.get("tau_q", 1e-7)))
+            return GenFun(S, QuadForm(q),
+                          tau_q=_real(cfg.get("tau_q", 1e-7), "tau_q"))
         raise ScenarioParseError(f"unknown genfun kind {kind!r}")
 
     def region_on(self, name, grid):
@@ -331,7 +260,7 @@ class ScenarioContext:
             return BaseRegion.interval_arc(grid, lo, hi)
         if "cells" in cfg:
             cells = []
-            for c in _array(cfg, "cells", []):
+            for c in _array(cfg.get("cells", []), "cells"):
                 if not (isinstance(c, list) and len(c) == len(shape)):
                     raise ScenarioParseError(
                         f"region {name!r}: a cell must be an array of "
@@ -413,7 +342,7 @@ def _task_microstalk(ctx, task, out_dir):
     tables = []
     for cell in range(0, grid1.n_cells, 2):
         x = grid1.cell_coord(cell)
-        for t in _array(task, "t_values", [0.0]):
+        for t in _array(task.get("t_values", [0.0]), "t_values"):
             r = microstalk(F, (cell,), _real(t, "t_values"))
             rows.append((x, t, sum(r.values())))
             tables.append(sum(r.values()))
@@ -431,7 +360,7 @@ def _task_front_table(ctx, task, out_dir):
         if cell & 1:
             continue
         x = grid1.cell_coord(cell)
-        for t in _array(task, "t_values", [0.0]):
+        for t in _array(task.get("t_values", [0.0]), "t_values"):
             if _real(t, "t_values") >= band_top:
                 continue
             val = front_interior_table(F, (cell,), float(t), band_top)
@@ -443,6 +372,7 @@ def _task_front_table(ctx, task, out_dir):
 def _task_ss(ctx, task, out_dir):
     p_samples = _integer(task.get("p_samples", 9), "p_samples", 1,
                          MAX_P_SAMPLES)
+    p_scale = _real(task.get("p_scale", 5.0), "p_scale")
     gf = ctx.genfuns[task["genfun"]]
     ss = singular_support(quantize(gf), p_samples=p_samples)
     cone = conify(brane_of(gf))
@@ -454,7 +384,7 @@ def _task_ss(ctx, task, out_dir):
                             cone_points=ss.points)
     g = gf.grid.base[0]
     scales = (g.spacing, 2 * gf.tau_val() + 1e-6,
-              float(task.get("p_scale", 5.0)) * g.spacing, 1.0)
+              p_scale * g.spacing, 1.0)
     dist = ss.hausdorff(cone, scales)
     status = "pass" if dist <= 2.0 else "fail"
     return {"status": status, "hausdorff_cells": dist}
@@ -469,19 +399,17 @@ def _task_barcode(ctx, task, out_dir):
     return {"status": "done", "bars": len(bc.bars)}
 
 
-def _task_tensor(ctx, task, out_dir):
-    A = ctx.sheaf_for(task["left"])
-    B = ctx.sheaf_for(task["right"])
-    T = tensor(A, B, strategy=task.get("strategy", "auto"))
-    return _window_sections(task, out_dir, "tensor.csv", T)
-
-
-def _task_convolve(ctx, task, out_dir):
-    from .products import convolve
-    A = ctx.sheaf_for(task["left"])
-    B = ctx.sheaf_for(task["right"])
-    C = convolve(A, B, strategy=task.get("strategy", "auto"))
-    return _window_sections(task, out_dir, "convolve.csv", C)
+def _task_product(ctx, task, out_dir):
+    """The sections of the tensor or convolve product of two sheaves."""
+    op = task["op"]
+    strategy = task.get("strategy", "auto")
+    if strategy not in STRATEGIES:
+        raise ScenarioParseError(
+            f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    product = tensor if op == "tensor" else convolve
+    P = product(ctx.sheaf_for(task["left"]), ctx.sheaf_for(task["right"]),
+                strategy=strategy)
+    return _window_sections(task, out_dir, f"{op}.csv", P)
 
 
 def _task_dual(ctx, task, out_dir):
@@ -738,7 +666,7 @@ def _task_sublemma(ctx, task, out_dir):
     rows = [("m", "delta_ranks", "twisted_ranks")]
     ok = True
     sizes = [_integer(m, "sizes", 2, MAX_SUBLEMMA_SIZE)
-             for m in _array(task, "sizes", [2, 3, 4, 5])]
+             for m in _array(task.get("sizes", [2, 3, 4, 5]), "sizes")]
     for m in sizes:
         out = index_complex_homology(m)
         rows.append((m, str(out["delta_ranks"]), str(out["twisted_ranks"])))
@@ -773,8 +701,8 @@ _RUNNERS = {
     "front-table": _task_front_table,
     "ss": _task_ss,
     "barcode": _task_barcode,
-    "tensor": _task_tensor,
-    "convolve": _task_convolve,
+    "tensor": _task_product,
+    "convolve": _task_product,
     "dual": _task_dual,
     "rhom": _task_rhom,
     "unit-laws": _task_unit_laws,

@@ -7,14 +7,14 @@ import sys
 import pytest
 
 from gfsheaf.cli import bundled_scenarios, main
-from gfsheaf.scenarios import (ScenarioParseError, load_scenario,
-                               parse_toml_subset, run_scenario)
+from gfsheaf.scenarios import ScenarioParseError, load_scenario, run_scenario
 
 INF = math.inf
 
 
-def test_toml_subset_parser():
-    text = """
+def test_toml_subset_parser(tmp_path):
+    path = tmp_path / "s.toml"
+    path.write_text("""
 # comment
 [scenario]
 name = "demo"
@@ -38,8 +38,8 @@ b = 0.25
 name = "x"   # a trailing comment after a string
 label = "a # b"
 words = ["a,b", "c]", "[d"]
-"""
-    spec = parse_toml_subset(text)
+""")
+    spec = load_scenario(str(path))
     assert spec["scenario"]["name"] == "demo"
     assert spec["scenario"]["seed"] == 3
     assert spec["scenario"]["flag"] is True
@@ -52,9 +52,13 @@ words = ["a,b", "c]", "[d"]
     assert spec["tasks"][1]["words"] == ["a,b", "c]", "[d"]
 
 
-def test_toml_parse_error_carries_line():
+def test_toml_parse_error_carries_line(tmp_path):
+    path = tmp_path / "s.toml"
+    # ends in a newline: on an unterminated last line tomllib reports the
+    # position as "at end of document"
+    path.write_text("[scenario]\noops\n")
     with pytest.raises(ScenarioParseError) as err:
-        parse_toml_subset("[scenario]\noops")
+        load_scenario(str(path))
     assert "line 2" in str(err.value)
 
 
@@ -299,21 +303,48 @@ def test_bad_grid_scale_in_file_is_input_error(tmp_path, capsys, name, text):
     assert code == 2
     assert "grid_scale must be a finite positive number" in summary["error"]
     assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
-    assert "[input error]" in capsys.readouterr().out
+    assert "[input-error]" in capsys.readouterr().out
 
 
+# the body of [inputs.functions.f], where a genfun g follows a good f.  A
+# reversed or infinite interval, a negative radius and tau_q = inf ran,
+# q = [1.0] raised TypeError with a traceback, and nan (which TOML reads)
+# was refused only because the hand-written reader could not parse it
+GENFUN = 'expr = "cos(2*pi*x)"\nn = 8\n[inputs.genfuns.g]\n'
+EXPR_GENFUN = GENFUN + 'kind = "expr"\nexpr = "xi^2"\nq = [[1.0]]\n'
 BAD_FUNCTIONS = {
-    "unbalanced": 'expr = "cos(2*pi*x"\nn = 12\n',
-    "short-values": "values = [1.0, 2.0, 3.0]\nn = 12\n",
-    "word-n": 'expr = "cos(2*pi*x)"\nn = "twelve"\n',
+    "unbalanced": ('expr = "cos(2*pi*x"\nn = 12\n', "expected ), found end"),
+    "short-values": ("values = [1.0, 2.0, 3.0]\nn = 12\n",
+                     "cannot reshape array of size 3"),
+    "word-n": ('expr = "cos(2*pi*x)"\nn = "twelve"\n',
+               "n must be a finite number, got 'twelve'"),
+    "values-nan": ("values = [nan, 1.0, 2.0, 3.0]\nn = 4\n",
+                   "values must be a real number, got nan"),
+    "interval-reversed": ('grid = "interval"\nlo = 1.0\nhi = 0.0\n'
+                          'expr = "x"\nn = 12\n',
+                          "lo must be below hi, got 1.0, 0.0"),
+    "interval-hi-inf": ('grid = "interval"\nhi = inf\nexpr = "x"\nn = 12\n',
+                        "hi must be a real number, got inf"),
+    "genfun-radius-negative": (EXPR_GENFUN + "radius = -1.0\n",
+                               "radius must be positive, got -1.0"),
+    "genfun-tau-q-inf": (EXPR_GENFUN + "tau_q = inf\n",
+                         "tau_q must be a real number, got inf"),
+    "genfun-q-row": (GENFUN + 'kind = "expr"\nexpr = "xi^2"\nq = [1.0]\n',
+                     "q must be an array, got 1.0"),
+    "genfun-q-word": (GENFUN + 'kind = "expr"\nexpr = "xi^2"\n'
+                      'q = [["x"]]\n', "q must be a real number, got 'x'"),
+    "genfun-coeffs-nan": (GENFUN + 'kind = "stabilized-graph"\n'
+                          'function = "f"\ncoeffs = [nan]\n',
+                          "coeffs must be a real number, got nan"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_FUNCTIONS))
 def test_bad_function_input_exits_2_without_traceback(tmp_path, name):
+    body, message = BAD_FUNCTIONS[name]
     path = tmp_path / f"{name}.toml"
     path.write_text('[scenario]\nname = "s"\nseed = 1\n'
-                    "[inputs.functions.f]\n" + BAD_FUNCTIONS[name])
+                    "[inputs.functions.f]\n" + body)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
@@ -321,7 +352,7 @@ def test_bad_function_input_exits_2_without_traceback(tmp_path, name):
          str(tmp_path / "out")], capture_output=True, text=True, env=env,
         timeout=120)
     assert proc.returncode == 2
-    assert "[input error]" in proc.stdout
+    assert "[input-error]" in proc.stdout and message in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
@@ -332,7 +363,7 @@ def test_oversize_grid_scale_is_refused_before_building(tmp_path, capsys):
     assert main(["run", path, "--grid-scale", "1e9", "--out-dir",
                  str(tmp_path / "out")]) == 2
     out = capsys.readouterr().out
-    assert "[input error]" in out
+    assert "[input-error]" in out
     assert "n_base = 32 at grid scale 1e+09 gives grid size 3.2e+10, " \
            "above the per-axis ceiling of 4096" in out
 
@@ -351,13 +382,15 @@ def test_bad_grid_size_in_file_exits_2(tmp_path, capsys, value, message):
     assert main(["run", str(path), "--grid-scale", "1", "--out-dir",
                  str(tmp_path / "out")]) == 2
     out = capsys.readouterr().out
-    assert "[input error]" in out and message in out
+    assert "[input-error]" in out and message in out
     assert main(["run", str(path), "--grid-scale", "2", "--out-dir",
                  str(tmp_path / "out")]) == 2
 
 
 # one bad task parameter per probe: each was refused with exit 1 or ran
-# (unit-laws truncated n = 12.7 to 12 and passed)
+# (unit-laws truncated n = 12.7 to 12 and passed; strategy "gf" was a third
+# strategy; p_scale = nan was refused only as a value the hand-written
+# reader could not parse)
 BAD_TASK_PARAMETERS = {
     "sublemma-size": ('op = "sublemma"\nsizes = [1]\n',
                       "sizes must be an integer in [2, 8], got 1"),
@@ -373,6 +406,21 @@ BAD_TASK_PARAMETERS = {
                       "count must be an integer in [1, inf], got 'x'"),
     "microstalk-t": ('op = "microstalk"\nsheaf = "f"\nt_values = ["abc"]\n',
                      "t_values must be a real number, got 'abc'"),
+    "ss-p-scale": ('op = "ss"\ngenfun = "g"\np_scale = nan\n',
+                   "p_scale must be a real number, got nan"),
+    "convolve-strategy": ('op = "convolve"\nleft = "f"\nright = "f"\n'
+                          'strategy = "gf"\n', "strategy must be one of "
+                          "('auto', 'cell'), got 'gf'"),
+    # read as TOML reads them: a multi-line array, an escaped quote and a
+    # multi-line string
+    "sublemma-size-multiline": ('op = "sublemma"\nsizes = [\n  2,\n  9,\n]\n',
+                                "sizes must be an integer in [2, 8], got 9"),
+    "rectify-count-escaped": ('op = "rectify-check"\ncount = "x\\"y"\n',
+                              "count must be an integer in [1, inf], "
+                              "got 'x\"y'"),
+    "rectify-count-triple-quoted": (
+        'op = "rectify-check"\ncount = """x"""\n',
+        "count must be an integer in [1, inf], got 'x'"),
     "unit-laws-n": ('op = "unit-laws"\nn = 12.7\n',
                     "n must be an integer in [4, 4096], got 12.7"),
 }
@@ -406,20 +454,52 @@ def test_an_unusable_out_dir_exits_2_without_traceback(tmp_path, verb,
         [sys.executable, "-m", "gfsheaf", *args, "--out-dir", str(out)],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 2
-    assert "[input error]" in proc.stdout
+    assert "[input-error]" in proc.stdout
     assert "as output directory" in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
     assert blocker.read_text() == "a regular file\n"
 
 
-# scenario files of the wrong shape: each raised TypeError or
-# AttributeError with a traceback and exit 1
+# scenario files the runner cannot use.  The first five, of the wrong
+# shape, raised TypeError or AttributeError with a traceback and exit 1.
+# The hand-written TOML reader took the duplicate key (last value wins), the
+# table declared twice (merged), the key with a space and the dotted key (as
+# the literal key "inputs.functions"); name = 3, seed = 1.7 (as seed 1), the
+# NaN radius and the strategy typo (as the product carrier) ran; lo = "abc"
+# and coeffs = ["x"] raised with a traceback
 BAD_SHAPES = {
-    "tasks-number.toml": 'tasks = 3\n[scenario]\nname = "s"\n',
-    "task-number.toml": 'tasks = [1]\n[scenario]\nname = "s"\n',
-    "scenario-number.toml": "scenario = 3\n",
-    "top-level-array.json": "[1, 2]",
-    "tasks-table.json": '{"tasks": {"op": "barcode"}}',
+    "tasks-number.toml": ('tasks = 3\n[scenario]\nname = "s"\n', "must be a"),
+    "task-number.toml": ('tasks = [1]\n[scenario]\nname = "s"\n',
+                         "must be a"),
+    "scenario-number.toml": ("scenario = 3\n", "must be a"),
+    "top-level-array.json": ("[1, 2]", "must be a"),
+    "tasks-table.json": ('{"tasks": {"op": "barcode"}}', "must be a"),
+    "duplicate-key.toml": ("[scenario]\nseed = 1\nseed = 2\n",
+                           "Cannot overwrite a value (at line 3, column 9)"),
+    "table-twice.toml": ('[inputs.functions.f]\nexpr = "x"\n'
+                         "[inputs.functions.f]\nn = 8\n",
+                         "Cannot declare ('inputs', 'functions', 'f') twice"),
+    "key-with-space.toml": ("[scenario]\nx y = 3\n", "(at line 2, column 3)"),
+    "dotted-key.toml": ("inputs.functions = 3\n",
+                        "inputs.functions must be a table of tables, got 3"),
+    "name-number.toml": ("[scenario]\nname = 3\n",
+                         "name must be a string, got 3"),
+    "seed-real.toml": ("[scenario]\nseed = 1.7\n",
+                       "seed must be an integer in [-inf, inf], got 1.7"),
+    "interval-lo-word.toml": ('[inputs.functions.f]\ngrid = "interval"\n'
+                              'lo = "abc"\nexpr = "x"\n',
+                              "lo must be a real number, got 'abc'"),
+    "coeffs-word.toml": ('[inputs.genfuns.g]\nkind = "pure-quadratic"\n'
+                         'coeffs = ["x"]\n',
+                         "coeffs must be a real number, got 'x'"),
+    "radius-nan.json": ('{"inputs": {"genfuns": {"g": {"kind": "expr", '
+                        '"expr": "xi^2", "q": [[1.0]], "radius": NaN}}}}',
+                        "radius must be a real number, got nan"),
+    "strategy-typo.toml": ('[inputs.functions.f]\nexpr = "cos(2*pi*x)"\n'
+                           'n = 8\n[[tasks]]\nop = "tensor"\nleft = "f"\n'
+                           'right = "f"\nstrategy = "cel"\n',
+                           "strategy must be one of ('auto', 'cell'), "
+                           "got 'cel'"),
 }
 
 
@@ -429,8 +509,9 @@ def test_a_scenario_of_the_wrong_shape_exits_2_without_traceback(
         tmp_path, verb, name):
     scenarios = tmp_path / "scenarios"
     scenarios.mkdir()
+    text, message = BAD_SHAPES[name]
     path = scenarios / name
-    path.write_text(BAD_SHAPES[name])
+    path.write_text(text)
     # verify-all runs the scenarios of the bundled directory, here this one
     script = ("import sys; from gfsheaf import cli; "
               "cli.BUNDLED_DIR = sys.argv[1]; sys.exit(cli.main(sys.argv[2:]))")
@@ -442,8 +523,8 @@ def test_a_scenario_of_the_wrong_shape_exits_2_without_traceback(
          str(tmp_path / "out")], capture_output=True, text=True, env=env,
         timeout=120)
     assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "[input error]" in proc.stdout
-    assert "must be a" in proc.stdout
+    assert "[input-error]" in proc.stdout
+    assert message in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
 
 

@@ -55,6 +55,9 @@ def test_tensor_of_graphs_is_sum_graph():
     Ff, Fg = quantize(graph_genfun(f)), quantize(graph_genfun(g))
     T_gf = tensor(Ff, Fg)                      # GF strategy
     T_cell = tensor(Ff, Fg, strategy="cell")   # product carrier
+    for strategy in ("gf", "cel"):
+        with pytest.raises(ValueError, match="strategy must be one of"):
+            tensor(Ff, Fg, strategy=strategy)
     Fsum = quantize(graph_genfun(f + g))
     bc_sum = sublevel_filtration(f + g).barcode()
     boxes = random_boxes(rng, f.grid, 6)
@@ -106,6 +109,9 @@ def test_convolve_different_bases():
     C2 = convolve(F, G, strategy="cell")
     got = sections(C2, None, -INF, INF)
     assert got == top
+    for strategy in ("gf", "cel"):
+        with pytest.raises(ValueError, match="strategy must be one of"):
+            convolve(F, G, strategy=strategy)
 
 
 def test_dualize_gf_and_cellular_agree():
