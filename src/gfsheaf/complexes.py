@@ -109,9 +109,6 @@ class ChainComplex:
             raise AssertionError("negative cohomology rank; corrupted complex")
         return ranks
 
-    def total_dim(self):
-        return len(self.gens)
-
     def restricted(self, keep):
         """Subquotient on a subset of generators (caller must know it is valid)."""
         keep = set(keep)
@@ -608,14 +605,6 @@ class Barcode:
             if not b < x:
                 raise ValueError(f"bar with birth {b} >= death {x}")
         object.__setattr__(self, "bars", bars)
-
-    def ranks_at(self, lam):
-        """Ranks of H^* of the window (-inf, lam)."""
-        out = {}
-        for (d, b, x) in self.bars:
-            if b < lam <= x or (b < lam and x == INF):
-                out[d] = out.get(d, 0) + 1
-        return out
 
     def window_ranks(self, a, b):
         """Ranks of H^* of the window [a, b) (relative pair counts)."""

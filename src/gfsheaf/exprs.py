@@ -1,167 +1,95 @@
-"""Tiny expression grammar for scenario inputs.
+"""The expressions of scenario inputs, read by Python's ast: numbers (each
+a float), pi, the variables, + - * / ^ (power), unary minus and plus,
+parentheses and the one-argument functions sin, cos and exp, whitespace
+anywhere.  ^ is Python's **: it groups to the right and binds tighter than
+unary minus (-x^2 is -(x^2), 2^-x is 2^(-x)).  Base variables are x (alias
+x1) and y (alias x2); fiber variables xi (alias xi1) and eta (alias xi2).
+Evaluation is vectorized over numpy arrays.  Anything else, or an expression
+longer than MAX_LENGTH characters, is an ExprError."""
 
-Supported: + - * / ^ (power), unary minus, parentheses, sin cos exp,
-numeric literals, pi, and variables.  Base variables are named x (alias x1)
-and y (alias x2); fiber variables xi (alias xi1) and eta (alias xi2).
-Evaluation is vectorized over numpy arrays.
-"""
-
-from __future__ import annotations
-
+import ast
 import math
+import operator
+import re
 
 import numpy as np
 
+# the bundled expressions are under 40 characters; 256 nest at most 255 deep,
+# far inside the recursion limits of ast.parse and of the walk below
+MAX_LENGTH = 256
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _ALIASES = {"x1": "x", "x2": "y", "xi1": "xi", "xi2": "eta"}
 VARIABLES = ("x", "y", "xi", "eta")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: np.power}
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 
 
 class ExprError(ValueError):
-    def __init__(self, msg, pos):
-        super().__init__(f"{msg} at position {pos}")
-        self.pos = pos
+    """An expression outside the grammar; the message names the position
+    in the expression string where there is one."""
 
 
-def _tokenize(src):
-    toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*/^()":
-            toks.append((c, i))
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] in ".eE" or
-                             (src[j] in "+-" and src[j - 1] in "eE")):
-                j += 1
-            toks.append(("num", i, float(src[i:j])))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(("name", i, src[i:j]))
-            i = j
-        else:
-            raise ExprError(f"unexpected character {c!r}", i)
-    toks.append(("end", n))
-    return toks
+def evaluate(src, **env):
+    """The value of the expression src over the variables of env."""
+    if not isinstance(src, str):
+        raise ExprError(f"an expression must be a string, got {src!r}")
+    if len(src) > MAX_LENGTH:
+        raise ExprError(f"an expression may have at most {MAX_LENGTH} "
+                        f"characters, this one has {len(src)}")
+    text = re.sub(r"\s", " ", src)
+    bad = re.search(r"\*\*|#|[^ -~]", text)
+    if bad:
+        raise ExprError(f"unexpected {bad.group()!r} at position "
+                        f"{bad.start()}")
+    lead = len(text) - len(text.lstrip())
+    body = text.strip()
+    parsed = body.replace("^", "**")
+
+    def where(p):
+        """The position in src of position p of parsed."""
+        return lead + p - parsed[:p].count("**")
+
+    try:
+        tree = ast.parse(parsed, mode="eval")
+    except SyntaxError as e:
+        p = e.offset - 1 if e.offset else len(parsed)
+        raise ExprError(f"{e.msg} at position {where(p)}") from None
+
+    def refuse(node, what=None):
+        start, end = where(node.col_offset), where(node.end_col_offset)
+        what = what or f"{src[start:end]!r} is outside the grammar"
+        raise ExprError(f"{what} at position {start}")
+
+    return _value(tree.body, env, refuse)
 
 
-class _Parser:
-    def __init__(self, src):
-        self.toks = _tokenize(src)
-        self.k = 0
+def _value(node, env, refuse):
+    """The value of node over env; refuse(node[, what]) raises ExprError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name):
+        if node.id == "pi":
+            return math.pi
+        name = _ALIASES.get(node.id, node.id)
+        if name not in VARIABLES:
+            refuse(node, f"unknown name {node.id!r}")
+        if name not in env:
+            refuse(node, f"variable {name!r} not available here")
+        return env[name]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_value(node.operand, env, refuse))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        a = _value(node.left, env, refuse)
+        b = _value(node.right, env, refuse)
+        try:
+            return _BINARY[type(node.op)](a, b)
+        except ZeroDivisionError:
+            refuse(node, "division by zero")
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and len(node.args) == 1
+            and not node.keywords):
+        return _FUNCS[node.func.id](_value(node.args[0], env, refuse))
+    refuse(node)
 
-    def peek(self):
-        return self.toks[self.k]
-
-    def eat(self, kind=None):
-        t = self.toks[self.k]
-        if kind is not None and t[0] != kind:
-            raise ExprError(f"expected {kind}, found {t[0]}", t[1])
-        self.k += 1
-        return t
-
-    # expr := term (('+'|'-') term)*
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in "+-":
-            op = self.eat()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in "*/":
-            op = self.eat()[0]
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.eat()
-            return ("neg", self.unary())
-        if self.peek()[0] == "+":
-            self.eat()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.eat()
-            expo = self.unary()
-            return ("pow", base, expo)
-        return base
-
-    def atom(self):
-        t = self.peek()
-        if t[0] == "num":
-            self.eat()
-            return ("const", t[2])
-        if t[0] == "name":
-            self.eat()
-            name = t[2]
-            if name == "pi":
-                return ("const", math.pi)
-            if name in _FUNCS:
-                self.eat("(")
-                arg = self.expr()
-                self.eat(")")
-                return ("call", name, arg)
-            name = _ALIASES.get(name, name)
-            if name in VARIABLES:
-                return ("var", name)
-            raise ExprError(f"unknown name {t[2]!r}", t[1])
-        if t[0] == "(":
-            self.eat()
-            node = self.expr()
-            self.eat(")")
-            return node
-        raise ExprError(f"unexpected token {t[0]!r}", t[1])
-
-
-def parse(src):
-    p = _Parser(src)
-    node = p.expr()
-    p.eat("end")
-    return node
-
-
-def _eval(node, env):
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "var":
-        if node[1] not in env:
-            raise ExprError(f"variable {node[1]!r} not available here", 0)
-        return env[node[1]]
-    if op == "neg":
-        return -_eval(node[1], env)
-    if op == "call":
-        return _FUNCS[node[1]](_eval(node[2], env))
-    a = _eval(node[1], env)
-    b = _eval(node[2], env)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return np.power(a, b)
-    raise AssertionError(op)
-
-
-def evaluate(src_or_node, **env):
-    node = parse(src_or_node) if isinstance(src_or_node, str) else src_or_node
-    return _eval(node, env)

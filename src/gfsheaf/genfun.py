@@ -106,7 +106,7 @@ class GenFun:
 
     @property
     def base_grid(self) -> BoxGrid:
-        return BoxGrid(self.grid.base, ())
+        return self.grid.base_only()
 
     def tau_val(self):
         """Largest strand-value sampling resolution over the whole base."""

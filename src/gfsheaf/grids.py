@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -170,7 +170,14 @@ class BoxGrid:
         return itertools.product(*(range(s) for s in self.base_cell_shape))
 
     def base_only(self):
-        return BoxGrid(self.base, ())
+        """The grid of the base axes alone: one grid per base value, so its
+        coface table is built once."""
+        return _base_grid(self.base)
+
+
+@cache
+def _base_grid(base):
+    return BoxGrid(base)
 
 
 def _axis_cell_reduce(values, grid, axis, op):

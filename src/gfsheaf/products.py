@@ -89,11 +89,6 @@ def unit(grid: BoxGrid) -> TameSheaf:
     return unit_sheaf(grid)
 
 
-def restricted_unit(grid: BoxGrid, region: BaseRegion, t0=0.0) -> TameSheaf:
-    """k on (closed region) x [t0, oo)."""
-    return unit_sheaf(grid, region, t0)
-
-
 # ---------------------------------------------------------------------------
 # duality
 

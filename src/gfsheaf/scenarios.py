@@ -117,6 +117,14 @@ def _real(value, key, infinite=False):
     return float(value)
 
 
+def _string(value, key):
+    """A string value: a name, a reference or a file name; anything else is
+    an input error."""
+    if not isinstance(value, str):
+        raise ScenarioParseError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _array(value, key):
     """An array value; anything else is an input error."""
     if not isinstance(value, list):
@@ -151,13 +159,10 @@ def check_grid_scale(value):
 class ScenarioContext:
     def __init__(self, spec, seed=None, field="f2", grid_scale=1.0):
         meta = spec.get("scenario", {})
-        self.name = meta.get("name", "scenario")
-        if not isinstance(self.name, str):
-            raise ScenarioParseError(
-                f"name must be a string, got {self.name!r}")
+        self.name = _string(meta.get("name", "scenario"), "name")
         file_seed = _integer(meta.get("seed", 0), "seed", -INF)
         self.seed = file_seed if seed is None else seed
-        self.field = FIELDS[meta.get("field", field)]
+        self.field = FIELDS[_string(meta.get("field", field), "field")]
         self.grid_scale = check_grid_scale(meta.get("grid_scale", grid_scale))
         self.functions = {}
         self.genfuns = {}
@@ -211,10 +216,11 @@ class ScenarioContext:
             return cusp_genfun(n_base=self._n(cfg, "n_base", 32),
                                n_fiber=self._n(cfg, "n_fiber", 64))
         if kind == "graph":
-            return graph_genfun(self.functions[cfg["function"]])
+            return graph_genfun(
+                self.functions[_string(cfg["function"], "function")])
         if kind == "stabilized-graph":
             return stabilized_graph_genfun(
-                self.functions[cfg["function"]],
+                self.functions[_string(cfg["function"], "function")],
                 coeffs=_reals(cfg.get("coeffs", [1.0]), "coeffs"),
                 n_fiber=self._n(cfg, "n_fiber", 16))
         if kind == "pure-quadratic":
@@ -289,7 +295,15 @@ def _window(task):
             _real(task.get("b", INF), "b", infinite=True))
 
 
+# the task keys that hold a reference or an output file name
+_NAME_KEYS = ("op", "function", "genfun", "sheaf", "region", "left", "right",
+              "out", "svg")
+
+
 def run_task(ctx: ScenarioContext, task, out_dir):
+    for key in _NAME_KEYS:
+        if key in task:
+            _string(task[key], key)
     op = task["op"]
     runner = _RUNNERS.get(op)
     if runner is None:
@@ -525,7 +539,10 @@ def _task_oracle_compare(ctx, task, out_dir):
     the sheaf route reads every window off one section barcode."""
     mismatches = []
     if "pair" in task:
-        fname, gname = task["pair"]
+        pair = _array(task["pair"], "pair")
+        if len(pair) != 2:
+            raise ScenarioParseError(f"pair must be [f, g], got {pair!r}")
+        fname, gname = (_string(name, "pair entry") for name in pair)
         f, g = ctx.functions[fname], ctx.functions[gname]
         h = g - f
         bc = sublevel_filtration(h).barcode()

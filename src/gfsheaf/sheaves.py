@@ -91,9 +91,6 @@ class TAxis:
         out.append(("e", self.m))
         return out
 
-    def dim(self, tc):
-        return 1 if tc[0] == "e" else 0
-
     def span(self, i):
         """Endpoints of interval cell ('e', i), with sentinels at the ends."""
         lo = self.breaks[i - 1] if i > 0 else self.breaks[0] - 1.0
@@ -113,28 +110,12 @@ class TAxis:
             return self.rep(tc)
         return self.rep(("e", tc[1]))
 
-    def cofaces(self, tc):
-        """Codim-1 cofaces with incidence signs ([left:e]=-1, [right:e]=+1)."""
-        if tc[0] == "e":
-            return []
-        i = tc[1]
-        return [(("e", i), +1), (("e", i + 1), -1)]
-
     def top_value(self, tc):
         """Largest vertex value touched by a cell (top ray: +inf)."""
         if tc[0] == "v":
             return self.breaks[tc[1]]
         i = tc[1]
         return self.breaks[i] if i < self.m else INF
-
-    def window_cells(self, a, b):
-        """Cells of the relative window [a, b): touching >= a, not >= b."""
-        out = []
-        for tc in self.cells():
-            top = self.top_value(tc)
-            if top >= a and not top >= b:
-                out.append(tc)
-        return out
 
     def with_breaks(self, extra):
         vals = list(self.breaks)

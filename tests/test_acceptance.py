@@ -25,7 +25,7 @@ from gfsheaf.grids import BaseRegion, sublevel_filtration
 from gfsheaf.products import (ProductHome, class_table, cup_product,
                               decoupled_superlevel_complex, dualize,
                               floer_to_product_classes, pushforward_barcode,
-                              restricted_unit, rhom_tensor, tensor, unit,
+                              rhom_tensor, tensor, unit,
                               unit_morphisms, verify_unit_composition)
 from gfsheaf.rectify import (RectifiedComplex, index_complex_homology,
                              check_coherence, perturb_coherent, rectify_at,
@@ -33,7 +33,7 @@ from gfsheaf.rectify import (RectifiedComplex, index_complex_homology,
 from gfsheaf.scenarios import _carrier_safe_cuts
 from gfsheaf.sheaves import (conify, front_interior_table, microstalk,
                              quantize, sections, singular_support,
-                             to_cellular, _as_cellsheaf)
+                             to_cellular, unit_sheaf, _as_cellsheaf)
 
 INF = math.inf
 
@@ -136,10 +136,10 @@ def test_criterion_2_unit_monoid_laws():
     # (b) shifted units add their entry levels
     grid = f.grid
     lam, mu = 0.7, -0.2
-    A = restricted_unit(grid, BaseRegion(grid), lam)
-    B = restricted_unit(grid, BaseRegion(grid), mu)
+    A = unit_sheaf(grid, BaseRegion(grid), lam)
+    B = unit_sheaf(grid, BaseRegion(grid), mu)
     TAB = tensor(A, B)
-    target = restricted_unit(grid, BaseRegion(grid), lam + mu)
+    target = unit_sheaf(grid, BaseRegion(grid), lam + mu)
     for region in [None] + boxes(grid, n_boxes):
         for b in (lam + mu - 0.31, lam + mu + 0.29, lam + mu + 1.3):
             for a in (-INF, lam + mu - 0.61):
@@ -197,9 +197,9 @@ def test_criterion_3_duality():
     # region indicator: dual is the constant sheaf on the complement closure
     grid = f.grid
     reg = BaseRegion.interval_arc(grid, 7, 19)
-    KU = restricted_unit(grid, reg)
+    KU = unit_sheaf(grid, reg)
     DK = dualize(KU)
-    comp = restricted_unit(grid, reg.complement_closure())
+    comp = unit_sheaf(grid, reg.complement_closure())
     for lam in (0.4, 1.9):
         if sections(DK, None, -INF, lam) != sections(comp, None, -INF, lam):
             failures.append(("region", lam))

@@ -313,7 +313,19 @@ def test_bad_grid_scale_in_file_is_input_error(tmp_path, capsys, name, text):
 GENFUN = 'expr = "cos(2*pi*x)"\nn = 8\n[inputs.genfuns.g]\n'
 EXPR_GENFUN = GENFUN + 'kind = "expr"\nexpr = "xi^2"\nq = [[1.0]]\n'
 BAD_FUNCTIONS = {
-    "unbalanced": ('expr = "cos(2*pi*x"\nn = 12\n', "expected ), found end"),
+    "unbalanced": ('expr = "cos(2*pi*x"\nn = 12\n',
+                   "'(' was never closed at position 3"),
+    # these five raised RecursionError, TypeError or ZeroDivisionError with
+    # a traceback
+    "expr-deep-parentheses": (f'expr = "{"(" * 3000}x{")" * 3000}"\n',
+                              "an expression may have at most 256 "
+                              "characters, this one has 6001"),
+    "expr-deep-minus": (f'expr = "{"-" * 5000}x"\n', "at most 256 characters"),
+    "expr-long-sum": (f'expr = "{"+".join(["x"] * 3000)}"\n',
+                      "at most 256 characters"),
+    "expr-number": ("expr = 3\n", "an expression must be a string, got 3"),
+    "expr-division-by-zero": ('expr = "x + 1/0"\n',
+                              "division by zero at position 4"),
     "short-values": ("values = [1.0, 2.0, 3.0]\nn = 12\n",
                      "cannot reshape array of size 3"),
     "word-n": ('expr = "cos(2*pi*x)"\nn = "twelve"\n',
@@ -339,21 +351,35 @@ BAD_FUNCTIONS = {
 }
 
 
+def run_alone(tmp_path, verb, name, text):
+    """Run the CLI verb in a new interpreter on the scenario file name with
+    text; verify-all runs it as the one bundled scenario."""
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    path = scenarios / name
+    path.write_text(text)
+    script = ("import sys; from gfsheaf import cli; "
+              "cli.BUNDLED_DIR = sys.argv[1]; sys.exit(cli.main(sys.argv[2:]))")
+    args = [verb] + ([str(path)] if verb == "run" else [])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run(
+        [sys.executable, "-c", script, str(scenarios), *args, "--out-dir",
+         str(tmp_path / "out")], capture_output=True, text=True, env=env,
+        timeout=120)
+
+
 @pytest.mark.parametrize("name", sorted(BAD_FUNCTIONS))
 def test_bad_function_input_exits_2_without_traceback(tmp_path, name):
     body, message = BAD_FUNCTIONS[name]
-    path = tmp_path / f"{name}.toml"
-    path.write_text('[scenario]\nname = "s"\nseed = 1\n'
-                    "[inputs.functions.f]\n" + body)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gfsheaf", "run", str(path), "--out-dir",
-         str(tmp_path / "out")], capture_output=True, text=True, env=env,
-        timeout=120)
-    assert proc.returncode == 2
-    assert "[input-error]" in proc.stdout and message in proc.stdout
-    assert "Traceback" not in proc.stdout + proc.stderr
+    for verb in ("run", "verify-all"):
+        (tmp_path / verb).mkdir()
+        proc = run_alone(tmp_path / verb, verb, f"{name}.toml",
+                         '[scenario]\nname = "s"\nseed = 1\n'
+                         "[inputs.functions.f]\n" + body)
+        assert proc.returncode == 2, (verb, proc.stdout + proc.stderr)
+        assert "[input-error]" in proc.stdout and message in proc.stdout
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_oversize_grid_scale_is_refused_before_building(tmp_path, capsys):
@@ -423,6 +449,30 @@ BAD_TASK_PARAMETERS = {
         "count must be an integer in [1, inf], got 'x'"),
     "unit-laws-n": ('op = "unit-laws"\nn = 12.7\n',
                     "n must be an integer in [4, 4096], got 12.7"),
+    # references and output names that are no strings: the lists raised
+    # TypeError (unhashable) and out = 3 a TypeError in os.path.join, with
+    # a traceback; the one-entry pair failed the task (exit 1)
+    "barcode-function-list": ('op = "barcode"\nfunction = ["f"]\n',
+                              "function must be a string, got ['f']"),
+    "quantize-genfun-list": ('op = "quantize"\ngenfun = ["g"]\n',
+                             "genfun must be a string, got ['g']"),
+    "sections-sheaf-list": ('op = "sections"\nsheaf = ["f"]\n',
+                            "sheaf must be a string, got ['f']"),
+    "sections-region-list": ('op = "sections"\nsheaf = "f"\n'
+                             'region = ["Z"]\n',
+                             "region must be a string, got ['Z']"),
+    "tensor-left-list": ('op = "tensor"\nleft = ["f"]\nright = "f"\n',
+                         "left must be a string, got ['f']"),
+    "rhom-right-list": ('op = "rhom"\nleft = "f"\nright = ["f"]\n',
+                        "right must be a string, got ['f']"),
+    "oracle-pair-entry": ('op = "oracle-compare"\npair = ["f", ["f"]]\n',
+                          "pair entry must be a string, got ['f']"),
+    "oracle-pair-short": ('op = "oracle-compare"\npair = ["f"]\n',
+                          "pair must be [f, g], got ['f']"),
+    "barcode-out-number": ('op = "barcode"\nfunction = "f"\nout = 3\n',
+                           "out must be a string, got 3"),
+    "barcode-svg-number": ('op = "barcode"\nfunction = "f"\nsvg = 3\n',
+                           "svg must be a string, got 3"),
 }
 
 
@@ -465,8 +515,9 @@ def test_an_unusable_out_dir_exits_2_without_traceback(tmp_path, verb,
 # The hand-written TOML reader took the duplicate key (last value wins), the
 # table declared twice (merged), the key with a space and the dotted key (as
 # the literal key "inputs.functions"); name = 3, seed = 1.7 (as seed 1), the
-# NaN radius and the strategy typo (as the product carrier) ran; lo = "abc"
-# and coeffs = ["x"] raised with a traceback
+# NaN radius and the strategy typo (as the product carrier) ran; lo = "abc",
+# coeffs = ["x"] and the lists given as field, function and op raised with a
+# traceback
 BAD_SHAPES = {
     "tasks-number.toml": ('tasks = 3\n[scenario]\nname = "s"\n', "must be a"),
     "task-number.toml": ('tasks = [1]\n[scenario]\nname = "s"\n',
@@ -495,6 +546,14 @@ BAD_SHAPES = {
     "radius-nan.json": ('{"inputs": {"genfuns": {"g": {"kind": "expr", '
                         '"expr": "xi^2", "q": [[1.0]], "radius": NaN}}}}',
                         "radius must be a real number, got nan"),
+    "field-list.toml": ('[scenario]\nfield = ["q"]\n',
+                        "field must be a string, got ['q']"),
+    "genfun-function-list.toml": ('[inputs.functions.f]\nexpr = "x"\n'
+                                  '[inputs.genfuns.g]\nkind = "graph"\n'
+                                  'function = ["f"]\n',
+                                  "function must be a string, got ['f']"),
+    "op-list.toml": ('[[tasks]]\nop = ["barcode"]\n',
+                     "op must be a string, got ['barcode']"),
     "strategy-typo.toml": ('[inputs.functions.f]\nexpr = "cos(2*pi*x)"\n'
                            'n = 8\n[[tasks]]\nop = "tensor"\nleft = "f"\n'
                            'right = "f"\nstrategy = "cel"\n',
@@ -507,21 +566,8 @@ BAD_SHAPES = {
 @pytest.mark.parametrize("name", sorted(BAD_SHAPES))
 def test_a_scenario_of_the_wrong_shape_exits_2_without_traceback(
         tmp_path, verb, name):
-    scenarios = tmp_path / "scenarios"
-    scenarios.mkdir()
     text, message = BAD_SHAPES[name]
-    path = scenarios / name
-    path.write_text(text)
-    # verify-all runs the scenarios of the bundled directory, here this one
-    script = ("import sys; from gfsheaf import cli; "
-              "cli.BUNDLED_DIR = sys.argv[1]; sys.exit(cli.main(sys.argv[2:]))")
-    args = [verb] + ([str(path)] if verb == "run" else [])
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(scenarios), *args, "--out-dir",
-         str(tmp_path / "out")], capture_output=True, text=True, env=env,
-        timeout=120)
+    proc = run_alone(tmp_path, verb, name, text)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "[input-error]" in proc.stdout
     assert message in proc.stdout

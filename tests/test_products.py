@@ -15,7 +15,7 @@ from gfsheaf.products import (ProductHome, class_table, convolve,
                               cup_product, decoupled_superlevel_complex,
                               dualize, external_box_sum,
                               floer_to_product_classes, pushforward_barcode,
-                              restricted_unit, rhom_tensor, tensor, unit,
+                              rhom_tensor, tensor, unit,
                               unit_morphisms, verify_unit_composition)
 from gfsheaf.sheaves import (TameSheaf, corner_table, quantize, sections,
                              to_cellular, unit_sheaf, _as_cellsheaf)
@@ -130,13 +130,13 @@ def test_dualize_gf_and_cellular_agree():
 def test_dualize_region_unit():
     grid = grid16()
     reg = BaseRegion.interval_arc(grid, 3, 9)
-    KU = restricted_unit(grid, reg)
+    KU = unit_sheaf(grid, reg)
     D = dualize(KU)
     # k on the closure of the complement
     comp = reg.complement_closure()
     for lam in (0.5, 2.0):
         assert sections(D, None, -INF, lam) == \
-            sections(restricted_unit(grid, comp), None, -INF, lam)
+            sections(unit_sheaf(grid, comp), None, -INF, lam)
     # dual of the dual has the ranks of the original
     DD = dualize(D)
     for lam in (0.5, 2.0):

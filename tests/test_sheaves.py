@@ -18,6 +18,7 @@ from gfsheaf.sheaves import (ConeSet, TAxis, TameSheaf, behavior_at_infinity,
                              microstalk, quantize, sections,
                              singular_support, to_cellular, unit_sheaf)
 from tuple_cells import cofaces
+from tuple_taxis import t_cofaces, t_dim, window_cells
 
 INF = math.inf
 
@@ -32,7 +33,7 @@ def test_taxis_cells_and_reps():
     assert ax.rep_below(("v", 1)) == 0.5
     # window selection [0, 1): touches >= 0, not >= 1 (the open interval
     # (0,1) has a vertex at 1, so it belongs to the >= 1 subcomplex)
-    assert ax.window_cells(0.0, 1.0) == [("e", 0), ("v", 0)]
+    assert window_cells(ax, 0.0, 1.0) == [("e", 0), ("v", 0)]
 
 
 def test_unit_sheaf_sections():
@@ -319,7 +320,7 @@ def _reference_section_complex(cell, region, a, b, taxis=None):
     region_cells = (region.base_cells() if region is not None
                     else list(cell.base.base_cells()))
     region_set = set(map(tuple, region_cells))
-    tcells = taxis.window_cells(a, b)
+    tcells = window_cells(taxis, a, b)
     tset = set(tcells)
     gens, deg, d, stalks = [], {}, {}, {}
     for bc in region_cells:
@@ -332,11 +333,11 @@ def _reference_section_complex(cell, region, a, b, taxis=None):
             stalks[(bc, tc)] = st
             for lbl, k in st.gens:
                 gens.append((bc, tc, lbl))
-                deg[(bc, tc, lbl)] = bdim + taxis.dim(tc) + k
+                deg[(bc, tc, lbl)] = bdim + t_dim(tc) + k
     genset = set(gens)
     for (bc, tc), st in stalks.items():
         bdim = cell.base.cell_dim(bc)
-        tdim = taxis.dim(tc)
+        tdim = t_dim(tc)
         dmap = st.d_map()
         for lbl, k in st.gens:
             cb = {}
@@ -345,7 +346,7 @@ def _reference_section_complex(cell, region, a, b, taxis=None):
                 if tuple(cf) in region_set and t in genset:
                     _ref_acc(cb, t, F.coerce(s), F)
             sgn_t = -1 if bdim % 2 else 1
-            for tcf, s in taxis.cofaces(tc):
+            for tcf, s in t_cofaces(tc):
                 t = (bc, tcf, lbl)
                 if tcf in tset and t in genset:
                     _ref_acc(cb, t, F.coerce(sgn_t * s), F)
@@ -395,11 +396,11 @@ def _reference_product_section_complex(CA, CB, diagonal, region, a, b):
                 for lb, kb in sb.gens:
                     g = (bc, t1, t2, la, lb)
                     gens.append(g)
-                    deg[g] = bdim + ta.dim(t1) + tb.dim(t2) + ka + kb
+                    deg[g] = bdim + t_dim(t1) + t_dim(t2) + ka + kb
     genset = set(gens)
     for (bc, t1, t2), (sa, sb) in pairs.items():
         bdim = base.cell_dim(bc)
-        d1, d2 = ta.dim(t1), tb.dim(t2)
+        d1, d2 = t_dim(t1), t_dim(t2)
         da, db = sa.d_map(), sb.d_map()
         for la, ka in sa.gens:
             for lb, kb in sb.gens:
@@ -409,12 +410,12 @@ def _reference_product_section_complex(CA, CB, diagonal, region, a, b):
                     if tuple(cf) in region_set and t in genset:
                         _ref_acc(cb, t, F.coerce(s), F)
                 sgn = -1 if bdim % 2 else 1
-                for tcf, s in ta.cofaces(t1):
+                for tcf, s in t_cofaces(t1):
                     t = (bc, tcf, t2, la, lb)
                     if (tcf, t2) in tpset and t in genset:
                         _ref_acc(cb, t, F.coerce(sgn * s), F)
                 sgn = -1 if (bdim + d1) % 2 else 1
-                for tcf, s in tb.cofaces(t2):
+                for tcf, s in t_cofaces(t2):
                     t = (bc, t1, tcf, la, lb)
                     if (t1, tcf) in tpset and t in genset:
                         _ref_acc(cb, t, F.coerce(sgn * s), F)
