@@ -54,16 +54,16 @@ class QuadForm:
         return QuadForm(m)
 
 
-def block_quad(q0: QuadForm, q1: QuadForm, negate_second=False):
+def block_quad(q0: QuadForm, q1: QuadForm, sign):
+    """The block-diagonal form q0 (+) sign * q1."""
     k0, k1 = q0.k, q1.k
     m = [[0.0] * (k0 + k1) for _ in range(k0 + k1)]
     for i in range(k0):
         for j in range(k0):
             m[i][j] = q0.matrix[i][j]
-    s = -1.0 if negate_second else 1.0
     for i in range(k1):
         for j in range(k1):
-            m[k0 + i][k0 + j] = s * q1.matrix[i][j]
+            m[k0 + i][k0 + j] = sign * q1.matrix[i][j]
     return QuadForm(tuple(tuple(r) for r in m))
 
 
@@ -118,19 +118,19 @@ class GenFun:
                  for cp in cps])
         return self._tau_val
 
-    def _fiber_boundary_ring(self, depth=1):
-        """Fiber vertex multi-indices within depth of the truncation boundary."""
+    def _fiber_boundary_ring(self):
+        """Fiber vertex multi-indices on the truncation boundary."""
         shape = tuple(g.n_vertices for g in self.grid.fiber)
         ring = []
         for v in itertools.product(*(range(s) for s in shape)):
-            if any(j < depth or j >= s - depth for j, s in zip(v, shape)):
+            if any(j in (0, s - 1) for j, s in zip(v, shape)):
                 ring.append(v)
         return ring
 
     def _check_collar(self):
         """On the fiber boundary ring, S - Q must be a function of the base
         point alone (constant across the ring for each x), within tau_q."""
-        ring = self._fiber_boundary_ring(1)
+        ring = self._fiber_boundary_ring()
         corrections = []
         for v in ring:
             xi = tuple(g.origin + g.spacing * j
@@ -304,7 +304,7 @@ def window_ceiling(gf: GenFun):
     ceil = hi + 0.25 * (1.0 + gf.tau_val())
     if gf.k:
         ring_vals = []
-        for v in gf._fiber_boundary_ring(1):
+        for v in gf._fiber_boundary_ring():
             ring_vals.append(gf.S.values[(Ellipsis,) + v])
         ring_min_above = np.inf
         for block in ring_vals:
@@ -346,37 +346,36 @@ def gf_cohomology(gf: GenFun, region: BaseRegion | None, a, b,
     return {d - gf.i_q: r for d, r in ranks.items() if r}
 
 
-def ominus(g0: GenFun, g1: GenFun) -> GenFun:
-    """(S0 (-) S1)(x, xi0, xi1) = S0(x, xi0) - S1(x, xi1)."""
-    if g0.grid.base != g1.grid.base:
+def stacked_sum(g0: GenFun, g1: GenFun, sign, shared_base) -> GenFun:
+    """S0(x, xi0) + sign * S1(y, xi1) with the form Q0 (+) sign * Q1, sign
+    being 1.0 or -1.0, on the fiber (xi0, xi1): over one base with y = x
+    when shared_base (the two base grids must match), else over the
+    product base (x, y)."""
+    b0, b1 = g0.grid.base, g1.grid.base
+    if shared_base and b0 != b1:
         raise ValueError("base grids must match")
-    grid = BoxGrid(g0.grid.base, g0.grid.fiber + g1.grid.fiber)
-    v0, v1 = _aligned_values(g0, g1)
-    vals = np.broadcast_to(v0 - v1, grid.vertex_shape).copy()
-    Q = block_quad(g0.Q, g1.Q, negate_second=True)
-    return GenFun(SampledFunction(grid, vals), Q,
+    grid = BoxGrid(b0 if shared_base else b0 + b1,
+                   g0.grid.fiber + g1.grid.fiber)
+    # axes (x, y, xi0, xi1), with the y axes dropped on a shared base
+    m0, m1 = (0, 0) if shared_base else (len(b0), len(b1))
+    s0, s1 = g0.S.values.shape, g1.S.values.shape
+    v0 = g0.S.values.reshape(s0[:len(b0)] + (1,) * m1 + s0[len(b0):]
+                             + (1,) * g1.k)
+    v1 = g1.S.values.reshape((1,) * m0 + s1[:len(b1)] + (1,) * g0.k
+                             + s1[len(b1):])
+    vals = np.broadcast_to(v0 + sign * v1, grid.vertex_shape).copy()
+    return GenFun(SampledFunction(grid, vals), block_quad(g0.Q, g1.Q, sign),
                   tau_q=g0.tau_q + g1.tau_q, check_collar=False)
 
 
-def _aligned_values(g0: GenFun, g1: GenFun):
-    """Broadcast the two value arrays over (base, fiber0, fiber1)."""
-    nb = len(g0.grid.base)
-    v0 = g0.S.values.reshape(g0.S.values.shape + (1,) * g1.k)
-    s1 = g1.S.values.shape
-    v1 = g1.S.values.reshape(s1[:nb] + (1,) * g0.k + s1[nb:])
-    return v0, v1
+def ominus(g0: GenFun, g1: GenFun) -> GenFun:
+    """(S0 (-) S1)(x, xi0, xi1) = S0(x, xi0) - S1(x, xi1)."""
+    return stacked_sum(g0, g1, -1.0, shared_base=True)
 
 
 def box_sum(g0: GenFun, g1: GenFun) -> GenFun:
     """(S0 [+] S1)(x, xi0, xi1) = S0(x, xi0) + S1(x, xi1)."""
-    if g0.grid.base != g1.grid.base:
-        raise ValueError("base grids must match")
-    grid = BoxGrid(g0.grid.base, g0.grid.fiber + g1.grid.fiber)
-    v0, v1 = _aligned_values(g0, g1)
-    vals = np.broadcast_to(v0 + v1, grid.vertex_shape).copy()
-    Q = block_quad(g0.Q, g1.Q, negate_second=False)
-    return GenFun(SampledFunction(grid, vals), Q,
-                  tau_q=g0.tau_q + g1.tau_q, check_collar=False)
+    return stacked_sum(g0, g1, 1.0, shared_base=True)
 
 
 def negate(gf: GenFun) -> GenFun:

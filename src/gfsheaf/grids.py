@@ -9,7 +9,9 @@ the threshold counts as outside.
 
 BoxGrid.coface_table is the one cubical incidence rule: the cochain
 complexes, the face closure of a BaseRegion and the rims of regions are all
-read off it.
+read off it.  BoxGrid.splitting_table is the one front/back splitting of
+cubes: both cup products (cup_product_cochain and products.cup_product)
+read it off the base grid.
 """
 
 from __future__ import annotations
@@ -93,6 +95,23 @@ class CofaceTable(NamedTuple):
     dim: np.ndarray   # (cells,) int8
 
 
+class SplittingTable(NamedTuple):
+    """Every front/back splitting of every cell of a cell lattice, by flat
+    cell id (C order), one row per splitting.
+
+    A splitting of a cell divides its edge axes into (A, B): on an axis of
+    A the front keeps the edge and the back takes its upper vertex; on an
+    axis of B the front takes the lower vertex and the back keeps the edge;
+    a vertex axis stays on both.  So the front has dimension |A|.  Rows run
+    over the cells in C order, and within a cell by |A|, then A in
+    itertools.combinations order.
+    """
+
+    cell: np.ndarray    # (splittings,) int64
+    front: np.ndarray   # (splittings,) int64
+    back: np.ndarray    # (splittings,) int64
+
+
 @dataclass(frozen=True)
 class BoxGrid:
     """Product of base axes (N) and fiber axes (truncated R^k)."""
@@ -162,6 +181,37 @@ class BoxGrid:
             prefix = np.where(odd, -prefix, prefix)
         return CofaceTable(cof.reshape(flat.size, 2 * k),
                            sgn.reshape(flat.size, 2 * k), dim.ravel())
+
+    @cached_property
+    def splitting_table(self):
+        """The SplittingTable of this grid, the splittings of both cup
+        products, one subset A of the axes at a time: a cell has the
+        splitting A when every axis of A is an edge of it."""
+        shape = self.cell_shape
+        k = len(shape)
+        c, edge, lower, upper = [], [], [], []
+        for i, g in enumerate(self.axes):
+            ci = np.arange(g.n_cells).reshape((-1,) + (1,) * (k - 1 - i))
+            j = ci >> 1
+            c.append(ci)
+            edge.append((ci & 1) == 1)
+            lower.append(np.where(edge[i], 2 * j, ci))
+            upper.append(np.where(edge[i], 2 * ((j + 1) % g.n_vertices), ci))
+        parts = []
+        for r in range(k + 1):
+            for A in itertools.combinations(range(k), r):
+                ok, front, back = np.ones(shape, dtype=bool), 0, 0
+                for i in range(k):
+                    if i in A:
+                        ok = ok & edge[i]
+                    front = front * shape[i] + (c[i] if i in A else lower[i])
+                    back = back * shape[i] + (upper[i] if i in A else c[i])
+                parts.append([np.flatnonzero(ok),
+                              np.broadcast_to(front, shape)[ok],
+                              np.broadcast_to(back, shape)[ok]])
+        cell, front, back = (np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(cell, kind="stable")
+        return SplittingTable(cell[order], front[order], back[order])
 
     def all_cells(self):
         return itertools.product(*(range(s) for s in self.cell_shape))
@@ -289,7 +339,7 @@ class CubicalSet:
     """Subset of the cells of a BoxGrid, by membership over its cell
     lattice.  Closedness is not checked; the library builds closed sets
     only: sublevel sets (closed by the lower-star rule), their restrictions
-    to a closed BaseRegion, the full and empty sets and unions."""
+    to a closed BaseRegion, and the full and empty sets."""
 
     def __init__(self, grid: BoxGrid, membership):
         self.grid = grid
@@ -308,9 +358,6 @@ class CubicalSet:
 
     def issubset(self, other):
         return bool(np.all(~self.membership | other.membership))
-
-    def union(self, other):
-        return CubicalSet(self.grid, self.membership | other.membership)
 
 
 def full_set(grid: BoxGrid):
@@ -520,10 +567,12 @@ def critical_vertices(f: SampledFunction):
 def cup_product_cochain(grid: BoxGrid, a, b):
     """Cubical cup product of F2 cochains on a base-only grid.
 
-    a, b: dicts cell -> 1 (F2).  Returns the product cochain as a dict.
+    a, b: dicts cell -> 1 (F2).  Returns the product cochain as a dict, in
+    C order of its cells.
     (a cup b)(s) = sum over splittings of s's edge-directions S into (A, B)
     with |A| = deg(a): a(front_A s) * b(back_B s), front anchored at the
-    min corner and back at the max corner.
+    min corner and back at the max corner; the splittings are read off
+    BoxGrid.splitting_table.
     """
     if grid.fiber:
         raise ValueError("cup product lives on base-only grids")
@@ -533,33 +582,15 @@ def cup_product_cochain(grid: BoxGrid, a, b):
     deg_b = {grid.cell_dim(c) for c in b}
     if len(deg_a) != 1 or len(deg_b) != 1:
         raise ValueError("cup product needs homogeneous cochains")
-    p, q = deg_a.pop(), deg_b.pop()
-    out = {}
-    for cell in grid.all_cells():
-        if grid.cell_dim(cell) != p + q:
-            continue
-        total = 0
-        for front, back in _front_back_faces(grid, cell, (p,)):
-            total ^= a.get(front, 0) & b.get(back, 0)
-        if total:
-            out[cell] = 1
-    return out
-
-
-def _front_back_faces(grid: BoxGrid, cell, sizes):
-    """(front, back) faces of cell for every splitting of its edge axes
-    into (A, B) with |A| in sizes, A in itertools.combinations order: on an
-    axis of A the front keeps the edge and the back takes its upper vertex
-    2*hi; on an axis of B the front takes the lower vertex 2*lo and the back
-    keeps the edge; a vertex axis stays on both."""
-    edge_axes = [i for i, c in enumerate(cell) if c & 1]
-    for r in sizes:
-        for A in itertools.combinations(edge_axes, r):
-            front, back = list(cell), list(cell)
-            for i in edge_axes:
-                lo, hi = grid.axes[i].edge_vertices(cell[i] >> 1)
-                if i in A:
-                    back[i] = 2 * hi
-                else:
-                    front[i] = 2 * lo
-            yield tuple(front), tuple(back)
+    # a homogeneous cochain of degree p only meets fronts of dimension p
+    table = grid.base_only().splitting_table
+    shape = grid.cell_shape
+    n = int(np.prod(shape))
+    in_a, in_b = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for mask, vec in ((in_a, a), (in_b, b)):
+        cells = [c for c, v in vec.items() if v & 1]
+        if cells:
+            mask[np.ravel_multi_index(tuple(np.array(cells).T), shape)] = True
+    hit = table.cell[in_a[table.front] & in_b[table.back]]
+    odd = np.bincount(hit, minlength=n) & 1
+    return dict.fromkeys(_cells(odd.reshape(shape)), 1)

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import apply_d, class_coordinates, index_ranges
-from .genfun import GenFun, box_sum, graph_genfun, negate
-from .grids import (BaseRegion, BoxGrid, SampledFunction, cubical_complex,
-                    _front_back_faces)
+from .genfun import GenFun, box_sum, graph_genfun, negate, stacked_sum
+from .grids import BaseRegion, BoxGrid
 from .linalg import GF2
 from .sheaves import (CellSheaf, SectionArrays, TAxis, TameSheaf,
                       _as_cellsheaf, _band_floor, _product_factors, _same_cell,
-                      _total_complex, corner_table, quantize, section_barcode,
-                      sections, to_cellular, unit_sheaf)
+                      _total_complex, quantize, section_barcode, sections,
+                      to_cellular, unit_sheaf)
 
 INF = math.inf
 
@@ -33,19 +32,7 @@ INF = math.inf
 
 def external_box_sum(g0: GenFun, g1: GenFun) -> GenFun:
     """S0(x, xi0) + S1(y, xi1) on the product base."""
-    grid = BoxGrid(g0.grid.base + g1.grid.base, g0.grid.fiber + g1.grid.fiber)
-    n0b = len(g0.grid.base)
-    n1b = len(g1.grid.base)
-    s0 = g0.S.values
-    s1 = g1.S.values
-    v0 = s0.reshape(s0.shape[:n0b] + (1,) * n1b + s0.shape[n0b:]
-                    + (1,) * g1.k)
-    v1 = s1.reshape((1,) * n0b + s1.shape[:n1b] + (1,) * g0.k
-                    + s1.shape[n1b:])
-    vals = np.broadcast_to(v0 + v1, grid.vertex_shape).copy()
-    from .genfun import block_quad
-    return GenFun(SampledFunction(grid, vals), block_quad(g0.Q, g1.Q),
-                  tau_q=g0.tau_q + g1.tau_q, check_collar=False)
+    return stacked_sum(g0, g1, 1.0, shared_base=False)
 
 
 # how tensor and convolve build a product: "auto" through the generating
@@ -159,15 +146,6 @@ def pushforward_barcode(F: TameSheaf):
 # ---------------------------------------------------------------------------
 # rank-one stalk calculus (corners), unit morphisms, cup product
 
-def _require_rank_one(cell: CellSheaf):
-    for bc in cell.base.base_cells():
-        st = cell.stalk(bc, cell.taxis.breaks[-1] + 0.5)
-        if len(st.gens) > 1:
-            raise ValueError(
-                "unit/cup morphisms are implemented for sheaves with rank-one "
-                "stalks (unit-type and graph quantizations)")
-
-
 @dataclass
 class UnitMorphisms:
     """The coevaluation u: unit -> W and evaluation v: W -> unit for
@@ -177,20 +155,18 @@ class UnitMorphisms:
     W: TameSheaf
     CA: CellSheaf
     CB: CellSheaf
-    corner_a: dict
-    corner_b: dict
     top_corner: tuple  # (b*, c*) global evaluation breaks
 
     @property
     def collar(self):
-        """Resolution collar: the largest per-cell corner sum.  Section-rank
-        identities with the unit hold for thresholds beyond it."""
-        worst = 0.0
-        for bc, ca in self.corner_a.items():
-            cb = self.corner_b.get(bc)
-            if ca is not None and cb is not None:
-                worst = max(worst, ca + cb)
-        return worst
+        """Resolution collar: the largest per-cell corner sum, and 0 when
+        none is positive.  Section-rank identities with the unit hold for
+        thresholds beyond it."""
+        ia, ib = self.CA.corners.opens, self.CB.corners.opens
+        both = (ia >= 0) & (ib >= 0)
+        sums = (np.array(self.CA.taxis.breaks)[ia[both]]
+                + np.array(self.CB.taxis.breaks)[ib[both]])
+        return max([0.0] + sums.tolist())
 
     def u_cocycle(self, W: SectionArrays):
         """The corner cocycle representing u in W, the section complex of
@@ -230,14 +206,15 @@ def unit_morphisms(F: TameSheaf) -> UnitMorphisms:
     the caller or the test suite on a threshold ladder)."""
     CA = _as_cellsheaf(dualize(F))
     CB = _as_cellsheaf(F)
-    _require_rank_one(CA)
-    _require_rank_one(CB)
-    corner_a, _ = corner_table(CA)
-    corner_b, _ = corner_table(CB)
+    for C in (CA, CB):
+        if (C.corners.size[:, -1] > 1).any():
+            raise ValueError(
+                "unit/cup morphisms are implemented for sheaves with rank-one "
+                "stalks (unit-type and graph quantizations)")
     W = tensor(TameSheaf("cell", cell=CA, label="dualF"),
                TameSheaf("cell", cell=CB, label="F"), strategy="cell")
     top = (len(CA.taxis.breaks) - 1, len(CB.taxis.breaks) - 1)
-    return UnitMorphisms(F, W, CA, CB, corner_a, corner_b, top)
+    return UnitMorphisms(F, W, CA, CB, top)
 
 
 def verify_unit_composition(F: TameSheaf, lambdas):
@@ -337,10 +314,12 @@ class CohomologyClass:
 def floer_to_product_classes(home: ProductHome, n_level_basis):
     """Push base-level canonical cocycles into the product model.
 
-    n_level_basis: list of (degree, cochain on base cells) from the
-    decoupled superlevel complex; each pushed class spreads over the
-    vertex pairs (('v', i), ('v', j)) above the per-cell corners whose sum
-    b_i + b_j reaches lam, each with the one label of its rank-one stalks.
+    n_level_basis: list of (degree, cochain on base cells), cocycles on
+    the base cells whose corner sum reaches lam (the cup task takes the
+    canonical basis of a floer.SuperlevelHome); each pushed class spreads
+    over the vertex pairs (('v', i), ('v', j)) above the per-cell corners
+    whose sum b_i + b_j reaches lam, each with the one label of its
+    rank-one stalks.
     """
     CA, CB, C = home.CA, home.CB, home.complex
     ka, kb = CA.corners, CB.corners
@@ -380,19 +359,6 @@ def floer_to_product_classes(home: ProductHome, n_level_basis):
     return out
 
 
-def decoupled_superlevel_complex(CA: CellSheaf, CB: CellSheaf, lam,
-                                 field=GF2):
-    """Base-level compression of the [lam, oo) product sections: cochains on
-    cells whose corner sum reaches lam."""
-    corner_a, _ = corner_table(CA)
-    corner_b, _ = corner_table(CB)
-    keep = np.zeros(CA.base.cell_shape, dtype=bool)
-    for bc, ca in corner_a.items():
-        cb = corner_b[bc]
-        keep[bc] = ca is not None and cb is not None and ca + cb >= lam
-    return cubical_complex(CA.base, keep, field)
-
-
 def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
                 home: ProductHome) -> CohomologyClass:
     """The threshold-additive product: contract the middle factors at the
@@ -415,7 +381,7 @@ def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
     a = a[ha.tb[a] == 2 * len(ha.CB.taxis.breaks) - 1]
     b = _odd(beta.rep)
     b = b[hb.ta[b] == 2 * len(hb.CA.taxis.breaks) - 1]
-    cell, front, back = _front_back_table(base)
+    cell, front, back = base.base_only().splitting_table
     t, x, y = _meet(ha.cell[a], hb.cell[b], front, back,
                     int(np.prod(base.cell_shape)))
     x, y = a[x], b[y]
@@ -434,18 +400,6 @@ def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
 def _odd(rep):
     """The ids of the entries of rep that are nonzero over F2."""
     return np.array([i for i, c in rep.items() if c & 1], dtype=np.int64)
-
-
-def _front_back_table(base: BoxGrid):
-    """(cell, front, back) flat cell arrays over every cell of base and
-    every front/back splitting of it (grids._front_back_faces)."""
-    shape = base.cell_shape
-    rows = [(cell, front, back) for cell in base.all_cells()
-            for front, back in _front_back_faces(base, cell,
-                                                 range(len(cell) + 1))]
-    return tuple(np.ravel_multi_index(np.array(part, dtype=np.int64).T,
-                                      shape)
-                 for part in zip(*rows))
 
 
 def _meet(at_front, at_back, front, back, n_cells):

@@ -5,6 +5,7 @@ oracle-compare tasks fail loudly on any rank disagreement.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -230,8 +231,13 @@ class ScenarioContext:
                                     n_fiber=self._n(cfg, "n_fiber", 16))
         if kind == "expr":
             n_base = self._n(cfg, "n_base", 32)
-            base = (circle_grid(n_base) if cfg.get("base", "circle") ==
-                    "circle" else _interval(cfg, n_base))
+            topology = _string(cfg.get("base", "circle"), "base")
+            if topology == "circle":
+                base = circle_grid(n_base)
+            elif topology == "interval":
+                base = _interval(cfg, n_base)
+            else:
+                raise ScenarioParseError(f"unknown genfun base {topology!r}")
             radius = _real(cfg.get("radius", 4.0), "radius")
             if radius <= 0:
                 raise ScenarioParseError(
@@ -282,8 +288,12 @@ class ScenarioContext:
         if ref in self.functions:
             return quantize(graph_genfun(self.functions[ref]))
         if ref == "unit":
-            grid = next(iter(self.functions.values())).grid
-            return unit(grid)
+            if not self.functions:
+                raise ScenarioParseError(
+                    "the unit sheaf takes its base grid from the first "
+                    "function input, and this scenario has no "
+                    "[inputs.functions]")
+            return unit(next(iter(self.functions.values())).grid)
         raise ScenarioParseError(f"unresolved sheaf reference {ref!r}")
 
 
@@ -536,47 +546,35 @@ def _task_unit_laws(ctx, task, out_dir):
 
 def _task_oracle_compare(ctx, task, out_dir):
     """Three-route rank comparison on a graph pair or a generating family;
-    the sheaf route reads every window off one section barcode."""
-    mismatches = []
-    if "pair" in task:
+    the sheaf route reads every window off one section barcode.  The cuts
+    lie between the breakpoints of the filtration (pair) or of the Cerf
+    diagram (genfun), and 0.5 (pair) or 0.3 (genfun) beyond the outer ones;
+    a pair compares every window between two cuts, a genfun the windows
+    between adjacent cuts and the whole span."""
+    graphs = "pair" in task
+    if graphs:
         pair = _array(task["pair"], "pair")
         if len(pair) != 2:
             raise ScenarioParseError(f"pair must be [f, g], got {pair!r}")
         fname, gname = (_string(name, "pair entry") for name in pair)
-        f, g = ctx.functions[fname], ctx.functions[gname]
-        h = g - f
-        bc = sublevel_filtration(h).barcode()
-        gfn = graph_genfun(h)
-        sheaf_bc = section_barcode(to_cellular(quantize(gfn), spot_checks=0))
-        vals = bc.breakpoints()
-        cuts = [vals[0] - 0.5] + [(x + y) / 2 for x, y in
-                                  zip(vals, vals[1:])] + [vals[-1] + 0.5]
-        for i in range(len(cuts)):
-            for j in range(i + 1, len(cuts)):
-                a, b = cuts[i], cuts[j]
-                r1 = bc.window_ranks(a, b)
-                r2 = gf_cohomology(gfn, None, a, b, check_regular=False)
-                r3 = sheaf_bc.window_ranks(a, b)
-                if not (r1 == r2 == r3):
-                    mismatches.append((a, b, str(r1), str(r2), str(r3)))
+        gf = graph_genfun(ctx.functions[gname] - ctx.functions[fname])
     else:
         gf = ctx.genfuns[task["genfun"]]
-        bc = sublevel_filtration(gf.S).barcode()
-        sheaf_bc = section_barcode(to_cellular(quantize(gf), spot_checks=0))
-        diagram = cerf_diagram(gf)
-        vals = list(diagram.breakpoints)
-        cuts = [vals[0] - 0.3] + [(x + y) / 2 for x, y in
-                                  zip(vals, vals[1:])] + [vals[-1] + 0.3]
-        windows = list(zip(cuts, cuts[1:]))
-        windows += [(cuts[0], cuts[-1])]
-        for (a, b) in windows:
-            r1 = {d - gf.i_q: r
-                  for d, r in bc.window_ranks(a, b).items()}
-            r1 = {d: r for d, r in r1.items() if r}
-            r2 = gf_cohomology(gf, None, a, b, check_regular=False)
-            r3 = sheaf_bc.window_ranks(a, b)
-            if not (r1 == r2 == r3):
-                mismatches.append((a, b, str(r1), str(r2), str(r3)))
+    bc = sublevel_filtration(gf.S).barcode()
+    sheaf_bc = section_barcode(to_cellular(quantize(gf), spot_checks=0))
+    vals = bc.breakpoints() if graphs else list(cerf_diagram(gf).breakpoints)
+    margin = 0.5 if graphs else 0.3
+    cuts = [vals[0] - margin] + [(x + y) / 2 for x, y in
+                                 zip(vals, vals[1:])] + [vals[-1] + margin]
+    windows = (list(itertools.combinations(cuts, 2)) if graphs else
+               list(zip(cuts, cuts[1:])) + [(cuts[0], cuts[-1])])
+    mismatches = []
+    for (a, b) in windows:
+        r1 = {d - gf.i_q: r for d, r in bc.window_ranks(a, b).items()}
+        r2 = gf_cohomology(gf, None, a, b, check_regular=False)
+        r3 = sheaf_bc.window_ranks(a, b)
+        if not (r1 == r2 == r3):
+            mismatches.append((a, b, str(r1), str(r2), str(r3)))
     rows = [("a", "b", "filtered", "pair", "sheaf")] + mismatches
     iox.write_csv(_out(task, out_dir, "oracle_compare.csv"), rows)
     return {"status": "pass" if not mismatches else "fail",

@@ -896,20 +896,6 @@ def _as_cellsheaf(F: TameSheaf) -> CellSheaf:
     return cell
 
 
-def corner_table(cell: CellSheaf):
-    """For rank-one sheaves: per base cell the entry breakpoint (None if the
-    stalk never opens) and the degree of the single stalk generator, as
-    dicts over the cell tuples (CellSheaf.corners)."""
-    k = cell.corners
-    cells = list(cell.base.base_cells())
-    breaks = cell.taxis.breaks
-    opens = k.opens.tolist()
-    return ({bc: breaks[i] if i >= 0 else None
-             for bc, i in zip(cells, opens)},
-            {bc: d if i >= 0 else None
-             for bc, i, d in zip(cells, opens, k.deg.tolist())})
-
-
 def materialize_rank_one_tensor(CA: CellSheaf, CB: CellSheaf) -> CellSheaf:
     """Corner-sum indicator presentation of a diagonal tensor of rank-one
     sheaves (section-exact: each base column of the product model has its

@@ -23,9 +23,8 @@ from gfsheaf.genfun import (brane_of, cerf_diagram, gf_cohomology,
                             graph_brane, graph_genfun)
 from gfsheaf.grids import BaseRegion, sublevel_filtration
 from gfsheaf.products import (ProductHome, class_table, cup_product,
-                              decoupled_superlevel_complex, dualize,
-                              floer_to_product_classes, pushforward_barcode,
-                              rhom_tensor, tensor, unit,
+                              dualize, floer_to_product_classes,
+                              pushforward_barcode, rhom_tensor, tensor, unit,
                               unit_morphisms, verify_unit_composition)
 from gfsheaf.rectify import (RectifiedComplex, index_complex_homology,
                              check_coherence, perturb_coherent, rectify_at,
@@ -34,6 +33,7 @@ from gfsheaf.scenarios import _carrier_safe_cuts
 from gfsheaf.sheaves import (conify, front_interior_table, microstalk,
                              quantize, sections, singular_support,
                              to_cellular, unit_sheaf, _as_cellsheaf)
+from convolution_reference import decoupled_superlevel_complex
 
 INF = math.inf
 

@@ -517,7 +517,9 @@ def test_an_unusable_out_dir_exits_2_without_traceback(tmp_path, verb,
 # the literal key "inputs.functions"); name = 3, seed = 1.7 (as seed 1), the
 # NaN radius and the strategy typo (as the product carrier) ran; lo = "abc",
 # coeffs = ["x"] and the lists given as field, function and op raised with a
-# traceback
+# traceback; the unit sheaf in a scenario without functions raised
+# StopIteration with a traceback, and the genfun base typo ran on an
+# interval
 BAD_SHAPES = {
     "tasks-number.toml": ('tasks = 3\n[scenario]\nname = "s"\n', "must be a"),
     "task-number.toml": ('tasks = [1]\n[scenario]\nname = "s"\n',
@@ -559,6 +561,20 @@ BAD_SHAPES = {
                            'right = "f"\nstrategy = "cel"\n',
                            "strategy must be one of ('auto', 'cell'), "
                            "got 'cel'"),
+    "unit-without-functions.toml": ('[inputs.genfuns.g]\nkind = "cusp"\n'
+                                    'n_base = 8\nn_fiber = 16\n[[tasks]]\n'
+                                    'op = "sections"\nsheaf = "unit"\n',
+                                    "the unit sheaf takes its base grid from "
+                                    "the first function input, and this "
+                                    "scenario has no [inputs.functions]"),
+    "genfun-base-typo.toml": ('[inputs.genfuns.g]\nkind = "expr"\n'
+                              'base = "circel"\nexpr = "xi^2"\n'
+                              'q = [[1.0]]\n',
+                              "unknown genfun base 'circel'"),
+    "genfun-base-list.toml": ('[inputs.genfuns.g]\nkind = "expr"\n'
+                              'base = ["circle"]\nexpr = "xi^2"\n'
+                              'q = [[1.0]]\n',
+                              "base must be a string, got ['circle']"),
 }
 
 

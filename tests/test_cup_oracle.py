@@ -18,13 +18,13 @@ from gfsheaf.complexes import apply_d, class_coordinates, cohomology_basis
 from gfsheaf.fixtures import circle_function, random_circle_morse
 from gfsheaf.floer import SuperlevelHome, pant_product, unit_class
 from gfsheaf.genfun import graph_genfun
-from gfsheaf.grids import _front_back_faces
 from gfsheaf.linalg import GF2, solve_columns
-from gfsheaf.products import (ProductHome, class_table, cup_product,
-                              decoupled_superlevel_complex, dualize,
+from gfsheaf.products import (ProductHome, class_table, cup_product, dualize,
                               floer_to_product_classes)
-from gfsheaf.sheaves import (TAxis, _as_cellsheaf, corner_table,
-                             product_section_complex, quantize, to_cellular)
+from gfsheaf.sheaves import (TAxis, _as_cellsheaf, product_section_complex,
+                             quantize, to_cellular)
+from convolution_reference import (corner_table, decoupled_superlevel_complex,
+                                   front_back_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def ref_cup_product(alpha, beta, home, check_closed=True):
             beta_at.setdefault(bc, {})[(t2, lb)] = c
     out = {}
     for cell in base.all_cells():
-        for front, back in _front_back_faces(base, cell, range(len(cell) + 1)):
+        for front, back in front_back_faces(base, cell, range(len(cell) + 1)):
             fa = alpha_at.get(front)
             fb = beta_at.get(back)
             if not fa or not fb:

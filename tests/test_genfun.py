@@ -12,6 +12,8 @@ from gfsheaf.genfun import (GenFun, QuadForm, assert_window_regular, box_sum,
                             graph_brane, graph_genfun, negate, ominus)
 from gfsheaf.grids import BaseRegion, BoxGrid, circle_grid, sublevel_filtration
 from gfsheaf.linalg import QQ
+from gfsheaf.products import external_box_sum
+import convolution_reference as reference
 
 INF = math.inf
 
@@ -149,6 +151,44 @@ def test_ominus_and_box_sum_indices():
     assert om.i_q == q1.i_q + (q2.k - q2.i_q)  # 1 + (1 - 0) = 2
     bs = box_sum(q1, q2)
     assert bs.i_q == q1.i_q + q2.i_q
+
+
+STACK_FACTORS = {
+    "graph": lambda: graph_genfun(circle_function("0.3*cos(2*pi*x)", n=8)),
+    "quad-": lambda: GenFun(pure_quad_genfun(
+        (circle_grid(8),), (-1.0,), n_fiber=8).S, QuadForm.diagonal(-1.0),
+        tau_q=3e-7, check_collar=False),
+    "quad+": lambda: pure_quad_genfun((circle_grid(8),), (2.0,), n_fiber=6),
+    "stabilized": lambda: stabilized_graph_genfun(
+        circle_function("0.5*sin(2*pi*x) + 0.1", n=8), coeffs=[1.0, -1.0],
+        n_fiber=5),
+}
+
+
+@pytest.mark.parametrize("first", STACK_FACTORS)
+@pytest.mark.parametrize("second", STACK_FACTORS)
+def test_stacked_sums_match_the_old_stacking_bodies(first, second):
+    g0, g1 = STACK_FACTORS[first](), STACK_FACTORS[second]()
+    for new, old in ((ominus, reference.ominus), (box_sum, reference.box_sum),
+                     (external_box_sum, reference.external_box_sum)):
+        if g0.k + g1.k > 2:     # no grid has more than two fiber axes
+            for stack in (new, old):
+                with pytest.raises(ValueError, match="fiber k <= 2"):
+                    stack(g0, g1)
+            continue
+        got, want = new(g0, g1), old(g0, g1)
+        assert got.grid == want.grid
+        assert got.S.values.dtype == want.S.values.dtype
+        assert got.S.values.tobytes() == want.S.values.tobytes()
+        assert (got.Q, got.tau_q, got.i_q) == (want.Q, want.tau_q, want.i_q)
+
+
+def test_a_shared_base_stacked_sum_refuses_two_bases():
+    g0 = graph_genfun(circle_function("0*x", n=8))
+    g1 = graph_genfun(circle_function("0*x", n=9))
+    for stack in (ominus, box_sum, reference.ominus, reference.box_sum):
+        with pytest.raises(ValueError, match="base grids must match"):
+            stack(g0, g1)
 
 
 def test_ominus_self_annihilation():

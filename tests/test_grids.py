@@ -15,8 +15,12 @@ from gfsheaf.grids import (BaseRegion, BoxGrid, CubicalSet, SampledFunction,
                            relative_cochain_complex, restrict_to_region,
                            sublevel_filtration, sublevel_set)
 from gfsheaf.linalg import GF2, QQ
-from gfsheaf.products import decoupled_superlevel_complex, dualize
-from gfsheaf.sheaves import _as_cellsheaf, corner_table, quantize, to_cellular
+from gfsheaf.products import dualize
+from gfsheaf.sheaves import _as_cellsheaf, quantize, to_cellular
+from convolution_reference import (corner_table, cup_product_cochain as
+                                   reference_cup_product_cochain,
+                                   decoupled_superlevel_complex,
+                                   front_back_table)
 from tuple_cells import cofaces
 
 INF = math.inf
@@ -205,6 +209,42 @@ def test_cup_product_torus_ring():
     assert len(prod21) == 1
     assert cup_product_cochain(g, th1, th1) == {}
     assert cup_product_cochain(g, th2, th2) == {}
+
+
+CUP_GRIDS = {
+    "interval": BoxGrid((interval_grid(7, -1.0, 2.0),)),
+    "circle": circle_box(6),
+    "torus": BoxGrid((circle_grid(4), circle_grid(4))),
+    "cylinder": BoxGrid((interval_grid(4, 0.0, 1.0), circle_grid(5))),
+}
+
+
+@pytest.mark.parametrize("name", CUP_GRIDS)
+def test_splitting_table_is_the_per_cell_splitting(name):
+    grid = CUP_GRIDS[name]
+    got = grid.splitting_table
+    for part, want in zip(got, front_back_table(grid)):
+        assert part.dtype == np.int64
+        assert np.array_equal(part, want)
+    assert grid.base_only().splitting_table is grid.base_only(
+        ).splitting_table
+
+
+@pytest.mark.parametrize("name", CUP_GRIDS)
+def test_cup_product_cochain_matches_the_per_cell_reference(name):
+    grid = CUP_GRIDS[name]
+    rng = random.Random(61)
+    by_dim = {}
+    for c in grid.all_cells():
+        by_dim.setdefault(grid.cell_dim(c), []).append(c)
+    for p, q in itertools.product(by_dim, repeat=2):
+        for _ in range(6):
+            a, b = ({c: rng.choice((0, 1, 1)) for c in by_dim[d]
+                     if rng.random() < 0.5} for d in (p, q))
+            got = cup_product_cochain(grid, a, b)
+            want = reference_cup_product_cochain(grid, a, b)
+            assert got == want, (p, q, a, b)
+            assert list(got) == sorted(got)
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 
 from gfsheaf.complexes import apply_d, class_coordinates, cohomology_basis
-from gfsheaf.fixtures import circle_function, random_circle_morse
+from gfsheaf.fixtures import circle_function, cusp_genfun, random_circle_morse
 from gfsheaf.floer import SuperlevelHome
 from gfsheaf.genfun import graph_genfun
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction,
                            circle_grid, sublevel_filtration)
 from gfsheaf.linalg import GF2
 from gfsheaf.products import (ProductHome, class_table, convolve,
-                              cup_product, decoupled_superlevel_complex,
-                              dualize, external_box_sum,
+                              cup_product, dualize, external_box_sum,
                               floer_to_product_classes, pushforward_barcode,
                               rhom_tensor, tensor, unit,
                               unit_morphisms, verify_unit_composition)
-from gfsheaf.sheaves import (TameSheaf, corner_table, quantize, sections,
-                             to_cellular, unit_sheaf, _as_cellsheaf)
+from gfsheaf.sheaves import (TameSheaf, quantize, sections, to_cellular,
+                             unit_sheaf, _as_cellsheaf)
+from convolution_reference import corner_table, decoupled_superlevel_complex
 
 INF = math.inf
 
@@ -241,8 +241,36 @@ def test_unit_morphisms_take_a_diagonal_product_through_its_corners():
     T = tensor(F, unit(f.grid))
     assert T.kind == "prod"
     um, ut = unit_morphisms(F), unit_morphisms(T)
-    assert (ut.corner_a, ut.corner_b) == (um.corner_a, um.corner_b)
+    assert [corner_table(C) for C in (ut.CA, ut.CB)] == \
+        [corner_table(C) for C in (um.CA, um.CB)]
     assert verify_unit_composition(T, [ut.collar + 0.31])
+
+
+def test_unit_morphisms_refuse_stalks_of_more_than_one_generator():
+    # the cusp's cellular presentation: its fiber stalks are complexes
+    with pytest.raises(ValueError, match="rank-one stalks"):
+        unit_morphisms(quantize(cusp_genfun(n_base=12, n_fiber=24)))
+
+
+def test_unit_morphisms_refuse_a_stalk_that_widens_above_its_corner(
+        monkeypatch):
+    import gfsheaf.products as products
+    from gfsheaf.sheaves import ZERO_STALK, CellSheaf, Stalk, TAxis
+    from tuple_stalks import TupleStalks
+    base = grid16().base_only()
+    one = Stalk(((("a",), 0),))
+    two = Stalk(((("a",), 0), (("b",), 0)))
+
+    def stalk_fn(bc, thr):
+        return ZERO_STALK if thr <= 0 else one if thr <= 1 else two
+
+    C = CellSheaf(base, TAxis((0.0, 1.0)), TupleStalks(
+        base.base_cell_shape, stalk_fn, GF2, "wide"))
+    assert (C.corners.opens == 0).all()     # rank one where it opens
+    monkeypatch.setattr(products, "dualize", lambda F: F)
+    monkeypatch.setattr(products, "_as_cellsheaf", lambda F: C)
+    with pytest.raises(ValueError, match="rank-one stalks"):
+        unit_morphisms(TameSheaf("cell", cell=C, label="wide"))
 
 
 def test_unit_morphisms_composition():
@@ -369,7 +397,6 @@ def test_monoid_laws_with_duals():
 
 def test_cup_associativity_on_unit_based_classes():
     from gfsheaf.complexes import cohomology_basis
-    from gfsheaf.products import decoupled_superlevel_complex
     zero = circle_function("0*x", n=12)
     F0 = to_cellular(quantize(graph_genfun(zero)), spot_checks=0)
     CA = _as_cellsheaf(dualize(F0))
@@ -489,8 +516,6 @@ def test_cup_task_builds_each_home_once_and_reduces_each_table_once(
     monkeypatch.setattr(complexes.IndexComplex, "chain_complex",
                         no_section_tuples)
     monkeypatch.setattr(sheaves.SectionArrays, "generators", refuse)
-    monkeypatch.setattr(products, "corner_table", refuse)
-    monkeypatch.setattr(sheaves, "corner_table", refuse)
     result, rows = _run_cup_task(tmp_path)
     assert result["triples"] == 2
     assert len(homes) == 3 * result["triples"]

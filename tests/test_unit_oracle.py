@@ -26,10 +26,10 @@ from gfsheaf.linalg import GF2, QQ
 from gfsheaf.products import dualize, tensor, unit, verify_unit_composition
 from gfsheaf.sheaves import (ZERO_STALK, CellSheaf, RankOneStalks, Stalk,
                              TAxis, _product_factors, _same_cell,
-                             _total_complex, corner_table,
-                             materialize_rank_one_tensor,
+                             _total_complex, materialize_rank_one_tensor,
                              product_section_complex, quantize, sections,
                              to_cellular, unit_sheaf)
+from convolution_reference import corner_table
 from tuple_stalks import TupleStalks
 
 INF = math.inf
@@ -204,6 +204,8 @@ def test_unit_products_assemble_as_their_tuple_stalks(field):
 def reference_u_cocycle(um, complex_):
     """The corner cocycle representing u in a W-section complex."""
     one = GF2.one()
+    corner_a, _ = corner_table(um.CA)
+    corner_b, _ = corner_table(um.CB)
     vec = {}
     for g in complex_.gens:
         (bc, t1, t2, la, lb) = g
@@ -213,8 +215,8 @@ def reference_u_cocycle(um, complex_):
             continue
         b1 = um.CA.taxis.breaks[t1[1]]
         b2 = um.CB.taxis.breaks[t2[1]]
-        ca = um.corner_a[bc]
-        cb = um.corner_b[bc]
+        ca = corner_a[bc]
+        cb = corner_b[bc]
         if ca is not None and cb is not None and b1 >= ca and b2 >= cb:
             vec[g] = one
     return vec
