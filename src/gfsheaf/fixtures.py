@@ -46,15 +46,11 @@ def cusp_front(x):
 
 
 def pure_quad_genfun(base_axes, coeffs, radius=4.0, n_fiber=32):
-    """S(x, xi) = Q(xi) with Q diagonal; the zero-brane quantization input."""
-    fibers = tuple(interval_grid(n_fiber, -radius, radius) for _ in coeffs)
-    grid = BoxGrid(tuple(base_axes), fibers)
-    mesh = np.meshgrid(*(g.vertex_coords() for g in grid.axes), indexing="ij")
-    nb = len(base_axes)
-    vals = np.zeros(grid.vertex_shape)
-    for c, m in zip(coeffs, mesh[nb:]):
-        vals = vals + c * m ** 2
-    return GenFun(SampledFunction(grid, vals), QuadForm.diagonal(*coeffs))
+    """S(x, xi) = Q(xi) with Q diagonal, the stabilized graph of the zero
+    function on the base; the zero-brane quantization input."""
+    base = BoxGrid(tuple(base_axes))
+    zero = SampledFunction(base, np.zeros(base.vertex_shape))
+    return stabilized_graph_genfun(zero, coeffs, radius, n_fiber)
 
 
 def stabilized_graph_genfun(f: SampledFunction, coeffs=(1.0,), radius=4.0,

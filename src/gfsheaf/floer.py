@@ -288,13 +288,3 @@ def reduce_to_Z(h: SampledFunction, lam, Z: BaseRegion, field=GF2):
     limit, cert = conormal_limit_ranks(Z, GraphBrane(h), lam, hi + 1.0 + (hi - lo),
                                 field)
     return restricted, limit, cert
-
-
-def duality_bridge_ranks(L0: GraphBrane, L1: GraphBrane, a, b, field=GF2):
-    """Window ranks of the pair alongside the reversed-dual window of the
-    swapped pair: rank_d FH(L0, L1; a, b) vs rank_{n-d} FH(L1, L0; -b, -a)."""
-    n = len(L0.grid.base)
-    direct = floer_ranks(L0, L1, a, b, field)
-    swapped = floer_ranks(L1, L0, -b, -a, field)
-    mirrored = {n - d: r for d, r in swapped.items()}
-    return direct, mirrored

@@ -19,9 +19,24 @@ from .linalg import GF2
 
 @dataclass(frozen=True)
 class QuadForm:
-    """Nondegenerate symmetric form on the fiber; index = #negative eigenvalues."""
+    """Nondegenerate symmetric form on the fiber; index = #negative eigenvalues.
+
+    The matrix must be square and exactly symmetric: the index reads one
+    triangle, and Q(xi) the symmetric part, so an asymmetric matrix would
+    give them two different forms."""
 
     matrix: tuple  # tuple of tuples, k x k; () for k = 0
+
+    def __post_init__(self):
+        m, k = self.matrix, len(self.matrix)
+        if any(len(row) != k for row in m):
+            raise ValueError(
+                f"a quadratic form needs a square matrix, got {m!r}")
+        for i, j in itertools.combinations(range(k), 2):
+            if m[i][j] != m[j][i]:
+                raise ValueError(
+                    f"a quadratic form needs a symmetric matrix, got entry "
+                    f"({i}, {j}) = {m[i][j]!r} and ({j}, {i}) = {m[j][i]!r}")
 
     @property
     def k(self):
@@ -41,10 +56,9 @@ class QuadForm:
         return int(np.sum(eigs < 0))
 
     def __call__(self, xi):
-        if self.k == 0:
-            return 0.0
+        """Q at each row of the points xi, an (m, k) array."""
         xi = np.asarray(xi, dtype=float)
-        return float(xi @ self.as_array() @ xi)
+        return (xi[:, None, :] @ self.as_array() @ xi[:, :, None])[:, 0, 0]
 
     @staticmethod
     def diagonal(*coeffs):
@@ -118,26 +132,24 @@ class GenFun:
                  for cp in cps])
         return self._tau_val
 
-    def _fiber_boundary_ring(self):
-        """Fiber vertex multi-indices on the truncation boundary."""
-        shape = tuple(g.n_vertices for g in self.grid.fiber)
-        ring = []
-        for v in itertools.product(*(range(s) for s in shape)):
-            if any(j in (0, s - 1) for j, s in zip(v, shape)):
-                ring.append(v)
-        return ring
+    @cached_property
+    def collar_mask(self):
+        """Boolean mask over the fiber vertices: True on the truncation
+        boundary, where some fiber index is first or last."""
+        mask = np.ones([g.n_vertices for g in self.grid.fiber], dtype=bool)
+        mask[tuple(slice(1, -1) for _ in self.grid.fiber)] = False
+        return mask
 
     def _check_collar(self):
-        """On the fiber boundary ring, S - Q must be a function of the base
-        point alone (constant across the ring for each x), within tau_q."""
-        ring = self._fiber_boundary_ring()
-        corrections = []
-        for v in ring:
-            xi = tuple(g.origin + g.spacing * j
-                       for g, j in zip(self.grid.fiber, v))
-            corrections.append(self.S.values[(Ellipsis,) + v] - self.Q(xi))
-        stack = np.stack(corrections, axis=0)
-        resid = float((stack.max(axis=0) - stack.min(axis=0)).max())
+        """On the fiber truncation boundary, S - Q must be a function of the
+        base point alone (constant across the boundary for each x), within
+        tau_q."""
+        mesh = np.meshgrid(*(g.vertex_coords() for g in self.grid.fiber),
+                           indexing="ij")
+        xi = np.stack([m[self.collar_mask] for m in mesh], axis=1)
+        corrections = self.S.values[..., self.collar_mask] - self.Q(xi)
+        resid = float((corrections.max(axis=-1)
+                       - corrections.min(axis=-1)).max())
         if resid > self.tau_q:
             raise ValueError(
                 f"fiber boundary ring deviates from Q + c(x) by {resid:.3g}"
@@ -303,16 +315,8 @@ def window_ceiling(gf: GenFun):
     _, hi = strand_value_range(gf)
     ceil = hi + 0.25 * (1.0 + gf.tau_val())
     if gf.k:
-        ring_vals = []
-        for v in gf._fiber_boundary_ring():
-            ring_vals.append(gf.S.values[(Ellipsis,) + v])
-        ring_min_above = np.inf
-        for block in ring_vals:
-            vals = np.asarray(block)
-            above = vals[vals > hi]
-            if above.size:
-                ring_min_above = min(ring_min_above, float(above.min()))
-        if ceil >= ring_min_above:
+        collar = gf.S.values[..., gf.collar_mask]
+        if ceil >= float(collar[collar > hi].min(initial=np.inf)):
             raise ValueError(
                 "no regular level separates the strand band from the upper "
                 "truncation caps; enlarge the fiber radius")

@@ -231,28 +231,19 @@ def _base_grid(base):
 
 
 def _axis_cell_reduce(values, grid, axis, op):
-    """Per-axis reduction from vertex arrays to cell arrays along one axis."""
-    nv = grid.n_vertices
-    idx_v = np.arange(grid.n_vertices)
-    v_part = np.take(values, idx_v, axis=axis)
-    if grid.topology == "circle":
-        nxt = np.take(values, (idx_v + 1) % nv, axis=axis)
-        e_part = op(v_part, nxt)
-        k = grid.n_edges
-    else:
-        base = np.take(values, np.arange(grid.n_edges), axis=axis)
-        nxt = np.take(values, np.arange(1, grid.n_edges + 1), axis=axis)
-        e_part = op(base, nxt)
-        k = grid.n_edges
+    """Per-axis reduction from vertex arrays to cell arrays along one axis:
+    vertex k keeps its value and edge k takes op of vertices k and k + 1
+    modulo the vertex count (which closes a circle's last edge)."""
+    k = np.arange(grid.n_edges)
     out_shape = list(values.shape)
     out_shape[axis] = grid.n_cells
     out = np.empty(out_shape, dtype=values.dtype)
-    sl_v = [slice(None)] * values.ndim
-    sl_v[axis] = slice(0, 2 * grid.n_vertices, 2)
-    out[tuple(sl_v)] = v_part
-    sl_e = [slice(None)] * values.ndim
-    sl_e[axis] = slice(1, 2 * k + 1, 2)
-    out[tuple(sl_e)] = e_part
+    sl = [slice(None)] * values.ndim
+    sl[axis] = slice(0, None, 2)
+    out[tuple(sl)] = values
+    sl[axis] = slice(1, None, 2)
+    out[tuple(sl)] = op(np.take(values, k, axis=axis),
+                        np.take(values, (k + 1) % grid.n_vertices, axis=axis))
     return out
 
 

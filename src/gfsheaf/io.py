@@ -55,23 +55,6 @@ def ranks_to_rows(tables):
     return rows
 
 
-def write_sampled_function_csv(path, f, quad=None):
-    """Row-major vertex values with a header describing the grid (and the
-    quadratic form at infinity when the function carries a fiber)."""
-    grid = f.grid
-    header = ["header"]
-    for g in grid.base:
-        header.append(f"base:{g.topology}:{g.n}:{g.spacing!r}:{g.origin!r}")
-    for g in grid.fiber:
-        header.append(f"fiber:{g.topology}:{g.n}:{g.spacing!r}:{g.origin!r}")
-    if quad is not None:
-        header.append("q:" + ";".join(
-            ",".join(repr(x) for x in row) for row in quad.matrix))
-    rows = [tuple(header), ("values",) + tuple(
-        repr(v) for v in f.values.ravel(order="C"))]
-    write_csv(path, rows)
-
-
 # ---------------------------------------------------------------------------
 # SVG
 

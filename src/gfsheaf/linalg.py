@@ -10,41 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class Field:
-    """A field of scalars with exact arithmetic."""
+class _GF2:
+    """The field with two elements; scalars are the ints 0 and 1."""
 
-    name: str
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        raise NotImplementedError
-
-    def coerce(self, a):
-        raise NotImplementedError
+    name = "F2"
 
     def __repr__(self):
         return self.name
-
-
-class _GF2(Field):
-    name = "F2"
 
     def zero(self):
         return 0
@@ -73,8 +45,13 @@ class _GF2(Field):
         return int(a) & 1
 
 
-class _QQ(Field):
+class _QQ:
+    """The rationals; scalars are fractions.Fraction."""
+
     name = "Q"
+
+    def __repr__(self):
+        return self.name
 
     def zero(self):
         return Fraction(0)

@@ -269,27 +269,6 @@ def rectify_at(diagram: CoherentDiagram, i, lam=INF):
     return R, inc
 
 
-def restriction_map(diagram: CoherentDiagram, R_f: RectifiedComplex,
-                    R_g: RectifiedComplex) -> ChainMap:
-    """rho_{f,g} for g <= f: replace the first vertex of every chain."""
-    f, g = R_f.start, R_g.start
-    if not diagram.poset.leq(g, f):
-        raise ValueError("restriction needs g <= f")
-    comp = {}
-    tgt = set(R_g.complex.gens)
-    for (ch, x) in R_f.complex.gens:
-        if len(ch) == 2 and ch[0] == ch[1]:
-            new = (g, f) if g != f else (g, g)
-        else:
-            new = (g,) + ch[1:]
-        key = (new, x)
-        if key in tgt:
-            comp[(ch, x)] = {key: 1}
-    T = ChainMap(R_f.complex, R_g.complex, comp)
-    T.verify()
-    return T
-
-
 # ---------------------------------------------------------------------------
 # the chain-level vanishing pattern of the index complex
 
@@ -707,25 +686,3 @@ def e2_csv_rows(e2):
     for (p, q) in sorted(e2):
         rows.append((p, q, e2[(p, q)]))
     return rows
-
-
-def mirrored_rectified(diagram: CoherentDiagram, i):
-    """The homological variant on decreasing chains: rectify the opposite
-    diagram (dual complexes, reversed order, transposed maps)."""
-    from .complexes import dual_complex
-    rev = FunPoset([-f for f in diagram.poset.functions])
-    duals = []
-    for V in diagram.V:
-        D = dual_complex(V.complex)
-        action = {("dual", g): -V.action[g] for g in V.complex.gens}
-        duals.append(FilteredComplex(D, action, check=False))
-    maps = {}
-    for chain, m in diagram.maps.items():
-        rchain = tuple(reversed(chain))
-        out = {}
-        for g, c in m.items():
-            for h, v in c.items():
-                out.setdefault(("dual", h), {})[("dual", g)] = v
-        maps[rchain] = out
-    mirror = CoherentDiagram(rev, duals, maps)
-    return RectifiedComplex(mirror, i)

@@ -397,6 +397,8 @@ def _task_ss(ctx, task, out_dir):
     p_samples = _integer(task.get("p_samples", 9), "p_samples", 1,
                          MAX_P_SAMPLES)
     p_scale = _real(task.get("p_scale", 5.0), "p_scale")
+    if p_scale <= 0:
+        raise ScenarioParseError(f"p_scale must be positive, got {p_scale!r}")
     gf = ctx.genfuns[task["genfun"]]
     ss = singular_support(quantize(gf), p_samples=p_samples)
     cone = conify(brane_of(gf))
@@ -673,8 +675,12 @@ def _task_cup(ctx, task, out_dir):
                 mismatches += 1
         done += 1
     iox.write_csv(_out(task, out_dir, "cup_tables.csv"), rows)
-    status = "pass" if done and not mismatches else "fail"
-    return {"status": status, "triples": done, "mismatches": mismatches}
+    result = {"status": "pass" if done == triples and not mismatches
+              else "fail", "triples": done, "mismatches": mismatches}
+    if done < triples:
+        result["message"] = (f"only {done} of the {triples} triples asked "
+                             f"for completed in {attempts} draws")
+    return result
 
 
 def _task_sublemma(ctx, task, out_dir):

@@ -954,7 +954,11 @@ class ConeSet:
         """Symmetric Hausdorff distance in the scaled max-norm
         max_k |p_k - q_k| / scales[k] over the coordinates (x, t, p, tau);
         inf when either set is empty.  The float operations are those of
-        the pairwise loop, so the distance is the loop's to the bit."""
+        the pairwise loop, so the distance is the loop's to the bit.  Every
+        scale must be positive."""
+        if not all(s > 0 for s in scales):
+            raise ValueError(
+                f"Hausdorff scales must be positive, got {scales!r}")
         ps, qs = self._coordinates(), other._coordinates()
         if not len(ps) or not len(qs):
             return INF

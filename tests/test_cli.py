@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,9 +8,27 @@ import sys
 import pytest
 
 from gfsheaf.cli import bundled_scenarios, main
+from gfsheaf.io import write_csv
 from gfsheaf.scenarios import ScenarioParseError, load_scenario, run_scenario
 
 INF = math.inf
+
+
+def write_sampled_function_csv(path, f, quad=None):
+    """Row-major vertex values with a header describing the grid (and the
+    quadratic form at infinity when the function carries a fiber)."""
+    grid = f.grid
+    header = ["header"]
+    for g in grid.base:
+        header.append(f"base:{g.topology}:{g.n}:{g.spacing!r}:{g.origin!r}")
+    for g in grid.fiber:
+        header.append(f"fiber:{g.topology}:{g.n}:{g.spacing!r}:{g.origin!r}")
+    if quad is not None:
+        header.append("q:" + ";".join(
+            ",".join(repr(x) for x in row) for row in quad.matrix))
+    rows = [tuple(header), ("values",) + tuple(
+        repr(v) for v in f.values.ravel(order="C"))]
+    write_csv(path, rows)
 
 
 def test_toml_subset_parser(tmp_path):
@@ -155,7 +174,6 @@ def test_summary_lists_check_ids(tmp_path):
 
 def test_sampled_function_serialization(tmp_path):
     from gfsheaf.fixtures import circle_function, cusp_genfun
-    from gfsheaf.io import write_sampled_function_csv
     f = circle_function("0.4*cos(2*pi*x)", n=8)
     path = tmp_path / "fn.csv"
     write_sampled_function_csv(str(path), f)
@@ -348,6 +366,17 @@ BAD_FUNCTIONS = {
     "genfun-coeffs-nan": (GENFUN + 'kind = "stabilized-graph"\n'
                           'function = "f"\ncoeffs = [nan]\n',
                           "coeffs must be a real number, got nan"),
+    # the index read the lower triangle (1) and Q(xi) the symmetric part
+    # (index 0), so a sections task ran with the degrees shifted by one
+    "genfun-q-asymmetric": (GENFUN + 'kind = "expr"\n'
+                            'expr = "xi^2 + 1.5*xi*eta + eta^2"\n'
+                            "q = [[1.0, 0.0], [1.5, 1.0]]\n",
+                            "a quadratic form needs a symmetric matrix, got "
+                            "entry (0, 1) = 0.0 and (1, 0) = 1.5"),
+    "genfun-q-ragged": (GENFUN + 'kind = "expr"\nexpr = "xi^2 + eta^2"\n'
+                        "q = [[1.0], [0.0, 1.0]]\n",
+                        "a quadratic form needs a square matrix, got "
+                        "((1.0,), (0.0, 1.0))"),
 }
 
 
@@ -434,6 +463,12 @@ BAD_TASK_PARAMETERS = {
                      "t_values must be a real number, got 'abc'"),
     "ss-p-scale": ('op = "ss"\ngenfun = "g"\np_scale = nan\n',
                    "p_scale must be a real number, got nan"),
+    # 0 made every p distance nan, which max dropped, and a negative scale
+    # took the p axis out of the max-norm: both passed a failing check
+    "ss-p-scale-zero": ('op = "ss"\ngenfun = "g"\np_scale = 0.0\n',
+                        "p_scale must be positive, got 0.0"),
+    "ss-p-scale-negative": ('op = "ss"\ngenfun = "g"\np_scale = -5\n',
+                            "p_scale must be positive, got -5.0"),
     "convolve-strategy": ('op = "convolve"\nleft = "f"\nright = "f"\n'
                           'strategy = "gf"\n', "strategy must be one of "
                           "('auto', 'cell'), got 'gf'"),
@@ -627,3 +662,43 @@ def test_a_bad_region_exits_2_without_traceback(tmp_path, name):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "[input-error]" in proc.stdout and message in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+# verify-all's output trees and stdout, pinned by SHA-256 digest at five
+# settings: a refactor must leave every artifact byte for byte as it was.  A
+# change that moves artifacts on purpose updates the digests it moves and
+# names them in CHANGES.md.
+VERIFY_ALL_DIGESTS = {
+    "--seed 1":
+        "ad3ffc6f6cbc081922017b361cfc5993e82a0b0f3b06282721d7356cb4966e5b",
+    "--seed 4":
+        "d189529e4b5ff335d8d06ffa0052d159a2bb44031cea8dcfa9be9e40bac434e0",
+    "--seed 3 --grid-scale 2":
+        "d1aba9fd84c0723931bdba5271c50ab7486c292211ea0db5d5ee3c6cc291c2de",
+    "--seed 1 --grid-scale 4":
+        "44a438d727dd1bf1ef9d7e7e1507186159683ef9f0b7bbf2bda7d23f82b92306",
+    "--seed 5 --field q":
+        "cf75d2c362708f2da85cefec7213bcf7cc1361782d4cfc5ba2f1e28477019cc2",
+}
+
+
+def tree_digest(root, stdout):
+    """SHA-256 over the sorted relative paths of the files under root, each
+    with its length and bytes, then stdout."""
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix()
+                      for p in root.rglob("*") if p.is_file()):
+        data = (root / rel).read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    h.update(b"stdout\0" + stdout.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("flags", VERIFY_ALL_DIGESTS)
+def test_verify_all_output_is_byte_identical(tmp_path, capsys, flags):
+    capsys.readouterr()
+    assert main(["verify-all", *flags.split(), "--out-dir",
+                 str(tmp_path)]) == 0
+    digest = tree_digest(tmp_path, capsys.readouterr().out)
+    assert digest == VERIFY_ALL_DIGESTS[flags]

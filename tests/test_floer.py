@@ -9,7 +9,7 @@ from gfsheaf.fixtures import (circle_function, cusp_genfun, graph_pair,
                               random_circle_morse, torus_function)
 from gfsheaf.floer import (FloerDatum, GraphBrane, StabilizationError,
                            SuperlevelHome, clamp_schedule, continuation_map,
-                           duality_bridge_ranks, floer_complex, floer_data,
+                           floer_complex, floer_data,
                            floer_ranks, pant_product,
                            restrict_classes, stabilize, unit_class,
                            conormal_limit_ranks, zero_brane)
@@ -18,6 +18,16 @@ from gfsheaf.grids import BaseRegion, sublevel_filtration
 from gfsheaf.linalg import GF2
 
 INF = math.inf
+
+
+def duality_bridge_ranks(L0, L1, a, b):
+    """Window ranks of the pair alongside the reversed-dual window of the
+    swapped pair: rank_d FH(L0, L1; a, b) vs rank_{n-d} FH(L1, L0; -b, -a)."""
+    n = len(L0.grid.base)
+    direct = floer_ranks(L0, L1, a, b)
+    swapped = floer_ranks(L1, L0, -b, -a)
+    mirrored = {n - d: r for d, r in swapped.items()}
+    return direct, mirrored
 
 
 def test_floer_complex_morse_example():

@@ -9,11 +9,14 @@ from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
                               stabilized_graph_genfun)
 from gfsheaf.genfun import (GenFun, QuadForm, assert_window_regular, box_sum,
                             brane_of, cerf_diagram, gf_cohomology,
-                            graph_brane, graph_genfun, negate, ominus)
-from gfsheaf.grids import BaseRegion, BoxGrid, circle_grid, sublevel_filtration
+                            graph_brane, graph_genfun, negate, ominus,
+                            window_ceiling)
+from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
+                           interval_grid, sublevel_filtration)
 from gfsheaf.linalg import QQ
 from gfsheaf.products import external_box_sum
 import convolution_reference as reference
+import foundation_reference
 
 INF = math.inf
 
@@ -24,6 +27,32 @@ def test_quadform_index():
     assert QuadForm(()).index == 0
     with pytest.raises(ValueError):
         QuadForm.diagonal(1.0, 0.0).index
+
+
+@pytest.mark.parametrize("matrix, message", [
+    # the asymmetric q whose lower triangle has index 1 and whose symmetric
+    # part, which Q(xi) evaluates, has index 0
+    (((1.0, 0.0), (1.5, 1.0)), "a quadratic form needs a symmetric matrix, "
+     "got entry (0, 1) = 0.0 and (1, 0) = 1.5"),
+    (((1.0, 2.0, 3.0), (2.0, 1.0, 0.0), (3.0, 1e-12, 1.0)),
+     "got entry (1, 2) = 0.0 and (2, 1) = 1e-12"),
+    (((1.0,), (0.0, 1.0)), "a quadratic form needs a square matrix"),
+    (((1.0, 0.0),), "a quadratic form needs a square matrix"),
+    (((),), "a quadratic form needs a square matrix"),
+])
+def test_quadform_refuses_a_matrix_that_is_not_square_and_symmetric(
+        matrix, message):
+    with pytest.raises(ValueError) as e:
+        QuadForm(matrix)
+    assert message in str(e.value)
+
+
+def test_quadform_takes_a_symmetric_matrix_off_the_diagonal():
+    q = QuadForm(((1.0, 0.75), (0.75, 1.0)))
+    assert q.index == 0
+    assert QuadForm(((1.0, 1.5), (1.5, 1.0))).index == 1
+    xi = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    assert q(xi).tolist() == [1.0 + 3.0 + 4.0, 9.0 - 2.25 + 0.25]
 
 
 def test_pure_quadratic_critical_data():
@@ -293,3 +322,107 @@ def test_window_perturbation_invariance():
             b2 = b + db * (b1 - b0) / 2
             assert gf_cohomology(gf, None, a2, b2,
                                  check_regular=False) == base
+
+
+# ---------------------------------------------------------------------------
+# the collar mask and the pure quadratic against the old code paths
+
+def outcome(fn, gf):
+    """fn(gf) as ('ok', the type and repr of its value) or ('refused', its
+    message)."""
+    try:
+        value = fn(gf)
+        return "ok", type(value), repr(value)
+    except ValueError as e:
+        return "refused", str(e)
+
+
+def bumped(gf, where, by):
+    """gf with S raised by `by` at one vertex (base then fiber indices)."""
+    vals = gf.S.values.copy()
+    vals[where] += by
+    return GenFun(SampledFunction(gf.grid, vals), gf.Q, tau_q=gf.tau_q,
+                  check_collar=False)
+
+
+def skewed_genfun():
+    """A sampled Q(xi) + f(x) with a symmetric form off the diagonal."""
+    base = (circle_grid(6),)
+    fiber = (interval_grid(8, -2.0, 2.0),) * 2
+    S = SampledFunction.from_expr(
+        BoxGrid(base, fiber),
+        "0.3*cos(2*pi*x) + xi^2 + 1.5*xi*eta + 3*eta^2")
+    return GenFun(S, QuadForm(((1.0, 0.75), (0.75, 3.0))))
+
+
+def collar_cases():
+    f = circle_function("0.4*cos(2*pi*x) + 0.1*sin(4*pi*x)", n=8)
+    one = stabilized_graph_genfun(f, (1.0,), radius=3.0, n_fiber=12)
+    two = stabilized_graph_genfun(f, (1.0, -1.0), radius=3.0, n_fiber=10)
+    cusp = cusp_genfun(n_base=8, n_fiber=32)
+    return {
+        "one-axis": one,
+        "two-axes": two,
+        "cusp": cusp,
+        "skewed": skewed_genfun(),
+        "pure-two-axes": pure_quad_genfun((circle_grid(6),), (2.0, 0.5),
+                                          radius=2.0, n_fiber=8),
+        # collars that break tau_q = 1e-7, and one bump within it
+        "one-axis-bumped": bumped(one, (3, 0), 1e-3),
+        "one-axis-bumped-top": bumped(one, (5, 12), -0.25),
+        "two-axes-corner": bumped(two, (0, 10, 0), 2.0),
+        "two-axes-edge": bumped(two, (7, 4, 10), 1e-6),
+        "cusp-bumped": bumped(cusp, (2, 0), 0.5),
+        "two-axes-within": bumped(two, (1, 0, 3), 5e-8),
+        # the fiber ends sit below the strand band's ceiling
+        "one-axis-low-caps": stabilized_graph_genfun(f, (1.0,), radius=0.4,
+                                                     n_fiber=8),
+        "two-axes-low-caps": pure_quad_genfun((circle_grid(5),), (1.0, 1.0),
+                                              radius=0.4, n_fiber=8),
+        "mixed-low-caps": pure_quad_genfun((circle_grid(5),), (1.0, -1.0),
+                                           radius=0.4, n_fiber=8),
+    }
+
+
+COLLAR_CASES = collar_cases()
+
+
+@pytest.mark.parametrize("name", COLLAR_CASES)
+def test_the_collar_mask_matches_the_boundary_ring(name):
+    gf = COLLAR_CASES[name]
+    ring = foundation_reference.fiber_boundary_ring(gf)
+    assert np.argwhere(gf.collar_mask).tolist() == [list(v) for v in ring]
+    assert gf.collar_mask is gf.collar_mask
+    check = outcome(GenFun._check_collar, gf)
+    assert check == outcome(foundation_reference.check_collar, gf)
+    ceiling = outcome(window_ceiling, gf)
+    assert ceiling == outcome(foundation_reference.window_ceiling, gf)
+
+
+def test_the_collar_cases_cover_both_refusals():
+    checks = {name: outcome(GenFun._check_collar, gf)[0]
+              for name, gf in COLLAR_CASES.items()}
+    ceilings = {name: outcome(window_ceiling, gf)[0]
+                for name, gf in COLLAR_CASES.items()}
+    assert checks["one-axis"] == checks["two-axes-within"] == "ok"
+    assert checks["one-axis-bumped"] == checks["two-axes-corner"] == \
+        checks["cusp-bumped"] == "refused"
+    assert ceilings["one-axis"] == ceilings["cusp"] == "ok"
+    assert ceilings["one-axis-low-caps"] == ceilings["two-axes-low-caps"] == \
+        ceilings["mixed-low-caps"] == "refused"
+
+
+@pytest.mark.parametrize("args", [
+    ((circle_grid(8),), (-1.0,)),
+    ((circle_grid(12),), (1.0, -1.0), 4.0, 12),
+    ((interval_grid(6, 0.0, 1.0),), (2.0,), 3.0, 6),
+    ((circle_grid(5), interval_grid(4, -1.0, 1.0)), (0.5, -0.25), 2.0, 8),
+    ((interval_grid(4, -1.0, 1.0),), ()),
+])
+def test_pure_quad_genfun_is_the_old_builder_bit_for_bit(args):
+    got = pure_quad_genfun(*args)
+    want = foundation_reference.pure_quad_genfun(*args)
+    assert got.grid == want.grid
+    assert got.S.values.dtype == want.S.values.dtype
+    assert got.S.values.tobytes() == want.S.values.tobytes()
+    assert (got.Q, got.tau_q, got.i_q) == (want.Q, want.tau_q, want.i_q)

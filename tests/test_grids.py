@@ -10,7 +10,8 @@ from gfsheaf.fixtures import random_circle_morse
 from gfsheaf.floer import SuperlevelHome
 from gfsheaf.genfun import graph_genfun
 from gfsheaf.grids import (BaseRegion, BoxGrid, CubicalSet, SampledFunction,
-                           circle_grid, critical_vertices, cup_product_cochain,
+                           _axis_cell_reduce, cell_extreme, circle_grid,
+                           critical_vertices, cup_product_cochain,
                            empty_set, full_set, interval_grid,
                            relative_cochain_complex, restrict_to_region,
                            sublevel_filtration, sublevel_set)
@@ -22,6 +23,7 @@ from convolution_reference import (corner_table, cup_product_cochain as
                                    decoupled_superlevel_complex,
                                    front_back_table)
 from tuple_cells import cofaces
+import foundation_reference
 
 INF = math.inf
 
@@ -245,6 +247,51 @@ def test_cup_product_cochain_matches_the_per_cell_reference(name):
             want = reference_cup_product_cochain(grid, a, b)
             assert got == want, (p, q, a, b)
             assert list(got) == sorted(got)
+
+
+# ---------------------------------------------------------------------------
+# cell extremes: the one edge rule against the two-branch reference
+
+EXTREME_GRIDS = {
+    "interval": BoxGrid((interval_grid(5, -1.0, 1.0),)),
+    "circle": BoxGrid((circle_grid(6),)),
+    "torus": BoxGrid((circle_grid(4), circle_grid(5))),
+    "cylinder": BoxGrid((circle_grid(5), interval_grid(4, 0.0, 1.0))),
+    "one-fiber": BoxGrid((circle_grid(4),), (interval_grid(6, -2.0, 2.0),)),
+    "two-fibers": BoxGrid((interval_grid(4, 0.0, 1.0),),
+                          (interval_grid(4, -1.0, 1.0),) * 2),
+}
+
+
+def extreme_inputs(shape, rng):
+    """Vertex values: generic, tied on a coarse lattice, and with signed
+    zeros, infinities and nan among them."""
+    special = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0], shape)
+    return (rng.normal(size=shape),
+            rng.integers(-2, 3, size=shape).astype(float),
+            np.where(rng.random(shape) < 0.5, special, rng.normal(size=shape)))
+
+
+@pytest.mark.parametrize("name", EXTREME_GRIDS)
+def test_cell_extremes_match_the_two_branch_reference(name):
+    grid = EXTREME_GRIDS[name]
+    rng = np.random.default_rng(71)
+    for values in extreme_inputs(grid.vertex_shape, rng):
+        for op in (np.maximum, np.minimum):
+            got = cell_extreme(values, grid, op)
+            want = foundation_reference.cell_extreme(values, grid, op)
+            assert got.shape == want.shape == grid.cell_shape
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    # one axis at a time, on integer values too
+    ints = rng.integers(-9, 9, size=grid.vertex_shape)
+    for axis, g in enumerate(grid.axes):
+        for values in (ints,) + extreme_inputs(grid.vertex_shape, rng):
+            got = _axis_cell_reduce(values, g, axis, np.maximum)
+            want = foundation_reference.axis_cell_reduce(values, g, axis,
+                                                         np.maximum)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -548,6 +548,32 @@ def test_cup_task_fails_on_an_error_that_is_no_threshold_refusal(
            f":: {error}" in out, out
 
 
+def test_cup_task_fails_when_refusals_leave_fewer_triples_than_asked(
+        tmp_path, monkeypatch, capsys):
+    import json
+    import os
+    import gfsheaf.scenarios as scenarios
+    from gfsheaf.cli import BUNDLED_DIR, main
+    home, calls = scenarios.SuperlevelHome, []
+
+    def refuse_after_one_triple(*args):
+        calls.append(args)
+        if len(calls) > 3:  # each triple builds three homes first
+            raise ValueError("injected: threshold too close to the value "
+                             "spectrum")
+        return home(*args)
+
+    monkeypatch.setattr(scenarios, "SuperlevelHome", refuse_after_one_triple)
+    path = os.path.join(BUNDLED_DIR, "products.toml")
+    assert main(["run", path, "--out-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "[fail] products#0 cup certifies=product-tables-two-routes :: " \
+           "only 1 of the 2 triples asked for completed in 30 draws" in out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["tasks"][0]["triples"] == 1
+    assert summary["tasks"][0]["mismatches"] == 0
+
+
 def test_a_limit_sheaf_has_no_dual_and_no_support_band():
     from gfsheaf.rectify import sheafify_limit
     f = random_circle_morse(random.Random(3), n=6)

@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from gfsheaf.complexes import (ChainComplex, class_coordinates,
-                               cohomology_basis, cohomology_ranks,
-                               is_quasi_iso)
+from gfsheaf.complexes import (ChainComplex, ChainMap, FilteredComplex,
+                               class_coordinates, cohomology_basis,
+                               cohomology_ranks, dual_complex, is_quasi_iso)
 from gfsheaf.fixtures import circle_function, random_circle_morse
 from gfsheaf.floer import StabilizationError, clamp_schedule
 from gfsheaf.grids import BaseRegion, sublevel_filtration
@@ -15,12 +15,53 @@ from gfsheaf.linalg import GF2, QQ, rank_of_columns
 from gfsheaf.rectify import (CoherentDiagram, FunPoset, RectifiedComplex,
                              _e2_direct, index_complex_homology,
                              check_coherence, coherence_residual,
-                             differential_D, e2_page, mirrored_rectified,
-                             perturb_coherent, rectify_at, restriction_map,
+                             differential_D, e2_page,
+                             perturb_coherent, rectify_at,
                              sheafify_limit, strict_geometric_diagram,
                              strict_synthetic_diagram)
 
 INF = math.inf
+
+
+def restriction_map(diagram, R_f, R_g):
+    """rho_{f,g} for g <= f: replace the first vertex of every chain."""
+    f, g = R_f.start, R_g.start
+    if not diagram.poset.leq(g, f):
+        raise ValueError("restriction needs g <= f")
+    comp = {}
+    tgt = set(R_g.complex.gens)
+    for (ch, x) in R_f.complex.gens:
+        if len(ch) == 2 and ch[0] == ch[1]:
+            new = (g, f) if g != f else (g, g)
+        else:
+            new = (g,) + ch[1:]
+        key = (new, x)
+        if key in tgt:
+            comp[(ch, x)] = {key: 1}
+    T = ChainMap(R_f.complex, R_g.complex, comp)
+    T.verify()
+    return T
+
+
+def mirrored_rectified(diagram, i):
+    """The homological variant on decreasing chains: rectify the opposite
+    diagram (dual complexes, reversed order, transposed maps)."""
+    rev = FunPoset([-f for f in diagram.poset.functions])
+    duals = []
+    for V in diagram.V:
+        D = dual_complex(V.complex)
+        action = {("dual", g): -V.action[g] for g in V.complex.gens}
+        duals.append(FilteredComplex(D, action, check=False))
+    maps = {}
+    for chain, m in diagram.maps.items():
+        rchain = tuple(reversed(chain))
+        out = {}
+        for g, c in m.items():
+            for h, v in c.items():
+                out.setdefault(("dual", h), {})[("dual", g)] = v
+        maps[rchain] = out
+    mirror = CoherentDiagram(rev, duals, maps)
+    return RectifiedComplex(mirror, i)
 
 
 def geometric_diagram(rng=None, n_funs=3, n=8):

@@ -1143,6 +1143,15 @@ def test_hausdorff_equals_the_pairwise_loop_on_tied_point_sets():
         assert type(A.hausdorff(B, scales)) is float
 
 
+@pytest.mark.parametrize("bad", [0.0, -5.0, math.nan])
+def test_hausdorff_refuses_a_scale_that_is_not_positive(bad):
+    rng = random.Random(33)
+    A, B = _random_cone_set(rng, 5), _random_cone_set(rng, 5)
+    scales = SCALES[:2] + (bad,) + SCALES[3:]
+    with pytest.raises(ValueError, match="Hausdorff scales must be positive"):
+        A.hausdorff(B, scales)
+
+
 def test_hausdorff_at_the_block_boundary(monkeypatch):
     import gfsheaf.sheaves as sheaves
     rng = random.Random(32)
