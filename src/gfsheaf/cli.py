@@ -53,31 +53,25 @@ def main(argv=None):
             print(os.path.basename(path))
         return 0
 
-    if args.verb == "run":
-        code, summary = run_scenario(args.scenario, out_dir=args.out_dir,
-                                     seed=args.seed, field=args.field,
+    verify_all = args.verb == "verify-all"
+    worst = 0
+    for path in bundled_scenarios() if verify_all else [args.scenario]:
+        out_dir = args.out_dir
+        if verify_all and out_dir:
+            out_dir = os.path.join(
+                out_dir, os.path.splitext(os.path.basename(path))[0])
+        code, summary = run_scenario(path, out_dir=out_dir, seed=args.seed,
+                                     field=args.field,
                                      grid_scale=args.grid_scale,
                                      fail_fast=args.fail_fast)
         _print_summary(summary)
-        return code
-
-    if args.verb == "verify-all":
-        worst = 0
-        for path in bundled_scenarios():
-            out_dir = args.out_dir and os.path.join(
-                args.out_dir, os.path.splitext(os.path.basename(path))[0])
-            code, summary = run_scenario(path, out_dir=out_dir,
-                                         seed=args.seed, field=args.field,
-                                         grid_scale=args.grid_scale,
-                                         fail_fast=args.fail_fast)
-            _print_summary(summary)
-            worst = max(worst, code)
-            if worst and args.fail_fast:
-                break
+        worst = max(worst, code)
+        if worst and args.fail_fast:
+            break
+    if verify_all:
         print("verify-all:", "PASS" if worst == 0 else
               ("CHECK FAILURE" if worst == 1 else "INPUT ERROR"))
-        return worst
-    return 2
+    return worst
 
 
 def _print_summary(summary):

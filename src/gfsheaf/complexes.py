@@ -62,13 +62,8 @@ class ChainComplex:
         self.assert_d_squared_zero()
 
     def assert_d_squared_zero(self):
-        F, d = self.field, self.d
-        for g, cb in d.items():
-            acc = {}
-            for h, v in cb.items():
-                add_scaled(acc, d.get(h, {}), v, F)
-            if acc:
-                raise ValueError(f"d^2 != 0 at generator {g!r}")
+        for g in compose(self.d, self.d, self.field):
+            raise ValueError(f"d^2 != 0 at generator {g!r}")
 
     def dims_by_degree(self):
         out = {}
@@ -127,6 +122,20 @@ def cohomology_ranks(C: ChainComplex):
     return C.cohomology_ranks()
 
 
+def compose(outer, inner, field):
+    """The sparse map outer o inner of two {source: {target: scalar}} dicts,
+    over the sources of inner in its order; a source whose image is zero is
+    left out."""
+    out = {}
+    for g, c in inner.items():
+        acc = {}
+        for h, v in c.items():
+            add_scaled(acc, outer.get(h, {}), v, field)
+        if acc:
+            out[g] = acc
+    return out
+
+
 @dataclass
 class ChainMap:
     """Map of complexes; components stored as one sparse dict source -> target."""
@@ -141,26 +150,12 @@ class ChainMap:
     def verify(self):
         """Chain-map law d f = f d (every map here has degree 0)."""
         F = self.source.field
-        minus = F.neg(F.one())
+        df = compose(self.target.d, self.comp, F)
+        fd = compose(self.comp, self.source.d, F)
         for g in self.source.gens:
-            # acc = d f(g) - f d(g)
-            acc = {}
-            for h, v in self.comp.get(g, {}).items():
-                add_scaled(acc, self.target.d.get(h, {}), v, F)
-            for h, v in self.source.d.get(g, {}).items():
-                add_scaled(acc, self.comp.get(h, {}), F.mul(minus, v), F)
-            if acc:
+            if df.get(g, {}) != fd.get(g, {}):
                 raise AssertionError(f"not a chain map at {g!r}")
         return True
-
-
-def identity_map(C: ChainComplex) -> ChainMap:
-    one = C.field.one()
-    return ChainMap(C, C, {g: {g: one} for g in C.gens})
-
-
-def zero_map(A: ChainComplex, B: ChainComplex) -> ChainMap:
-    return ChainMap(A, B, {})
 
 
 def mapping_cone(phi: ChainMap) -> ChainComplex:

@@ -83,7 +83,6 @@ def block_quad(q0: QuadForm, q1: QuadForm, sign):
 
 @dataclass(frozen=True)
 class FiberCriticalPoint:
-    base_vertex: tuple
     x: tuple            # base coordinates
     xi_vertex: tuple
     xi: tuple           # fiber coordinates
@@ -140,14 +139,19 @@ class GenFun:
         mask[tuple(slice(1, -1) for _ in self.grid.fiber)] = False
         return mask
 
+    @cached_property
+    def collar_q(self):
+        """Q at the truncation boundary's fiber vertices, in the order of
+        collar_mask."""
+        mesh = np.meshgrid(*(g.vertex_coords() for g in self.grid.fiber),
+                           indexing="ij")
+        return self.Q(np.stack([m[self.collar_mask] for m in mesh], axis=1))
+
     def _check_collar(self):
         """On the fiber truncation boundary, S - Q must be a function of the
         base point alone (constant across the boundary for each x), within
         tau_q."""
-        mesh = np.meshgrid(*(g.vertex_coords() for g in self.grid.fiber),
-                           indexing="ij")
-        xi = np.stack([m[self.collar_mask] for m in mesh], axis=1)
-        corrections = self.S.values[..., self.collar_mask] - self.Q(xi)
+        corrections = self.S.values[..., self.collar_mask] - self.collar_q
         resid = float((corrections.max(axis=-1)
                        - corrections.min(axis=-1)).max())
         if resid > self.tau_q:
@@ -196,7 +200,7 @@ class GenFun:
                 at.tolist(), value.tolist(), p.tolist(), rest):
             bv, fv = tuple(v[:nb]), tuple(v[nb:])
             table[bv].append(FiberCriticalPoint(
-                bv, _coords(base, bv), fv, _coords(fiber, fv), val, index,
+                _coords(base, bv), fv, _coords(fiber, fv), val, index,
                 tuple(dv), degenerate, val_tol))
         return table
 
@@ -311,12 +315,14 @@ def window_floor(gf: GenFun):
 
 def window_ceiling(gf: GenFun):
     """A regular level strictly above every strand value (and below the
-    upper truncation caps, which is asserted)."""
+    upper truncation caps, which is checked).  The caps are the truncation
+    boundary's values above the band where Q is positive: where Q vanishes
+    on the boundary, S is the band value up to rounding."""
     _, hi = strand_value_range(gf)
     ceil = hi + 0.25 * (1.0 + gf.tau_val())
     if gf.k:
-        collar = gf.S.values[..., gf.collar_mask]
-        if ceil >= float(collar[collar > hi].min(initial=np.inf)):
+        caps = gf.S.values[..., gf.collar_mask][..., gf.collar_q > 0]
+        if ceil >= float(caps[caps > hi].min(initial=np.inf)):
             raise ValueError(
                 "no regular level separates the strand band from the upper "
                 "truncation caps; enlarge the fiber radius")

@@ -40,8 +40,6 @@ def write_json(path, payload):
 
 
 def _json_default(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     if hasattr(x, "item"):
         return x.item()
     return str(x)

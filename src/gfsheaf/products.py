@@ -151,7 +151,6 @@ class UnitMorphisms:
     """The coevaluation u: unit -> W and evaluation v: W -> unit for
     W = (dual F) tensor F, acting on window section complexes."""
 
-    F: TameSheaf
     W: TameSheaf
     CA: CellSheaf
     CB: CellSheaf
@@ -214,7 +213,7 @@ def unit_morphisms(F: TameSheaf) -> UnitMorphisms:
     W = tensor(TameSheaf("cell", cell=CA, label="dualF"),
                TameSheaf("cell", cell=CB, label="F"), strategy="cell")
     top = (len(CA.taxis.breaks) - 1, len(CB.taxis.breaks) - 1)
-    return UnitMorphisms(F, W, CA, CB, top)
+    return UnitMorphisms(W, CA, CB, top)
 
 
 def verify_unit_composition(F: TameSheaf, lambdas):

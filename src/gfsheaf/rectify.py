@@ -22,7 +22,7 @@ import random as _random
 import numpy as np
 
 from .complexes import (ChainComplex, ChainMap, FilteredComplex, apply_d,
-                        class_coordinates, cohomology_basis)
+                        class_coordinates, cohomology_basis, compose)
 from .floer import GraphBrane, clamp_schedule, stabilize
 from .grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
                     sublevel_filtration)
@@ -44,8 +44,9 @@ class FunPoset:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if self._leq[i, j] and self._leq[j, k]:
-                        assert self._leq[i, k], "order not transitive"
+                    if self._leq[i, j] and self._leq[j, k] and \
+                            not self._leq[i, k]:
+                        raise ValueError("order not transitive")
 
     def __len__(self):
         return len(self.functions)
@@ -108,23 +109,14 @@ class CoherentDiagram:
             return {}
         return self.maps.get(chain, {})
 
-    def compose(self, m2, m1):
-        """m2 after m1 (sparse map composition)."""
-        out = {}
-        for g, c1 in m1.items():
-            acc = {}
-            for h, v in c1.items():
-                add_scaled(acc, m2.get(h, {}), v, GF2)
-            if acc:
-                out[g] = acc
-        return out
 
-    def add_maps(self, *maps):
-        out = {}
-        for m in maps:
-            for g, c in m.items():
-                add_scaled(out.setdefault(g, {}), c, 1, GF2)
-        return {g: c for g, c in out.items() if c}
+def add_maps(*maps):
+    """The sum of sparse maps over F2."""
+    out = {}
+    for m in maps:
+        for g, c in m.items():
+            add_scaled(out.setdefault(g, {}), c, 1, GF2)
+    return {g: c for g, c in out.items() if c}
 
 
 def coherence_residual(diagram: CoherentDiagram, chain):
@@ -139,23 +131,23 @@ def coherence_residual(diagram: CoherentDiagram, chain):
     k = L - 2
     terms = []
     # j = 0: sigma_* o d  (suffix = degenerate pair at the last vertex)
-    terms.append(diagram.compose(diagram.chunk_map(chain),
-                                 diagram.V[chain[-1]].complex.d))
+    terms.append(compose(diagram.chunk_map(chain),
+                         diagram.V[chain[-1]].complex.d, GF2))
     # inner cuts j = 1..k: prefix (v0..v_{k+1-j}) after suffix chunk
     for j in range(1, k + 1):
         cut = L - 1 - j
         prefix = chain[: cut + 1]
         suffix = chain[cut:]
-        terms.append(diagram.compose(diagram.chunk_map(prefix),
-                                     diagram.chunk_map(suffix)))
+        terms.append(compose(diagram.chunk_map(prefix),
+                             diagram.chunk_map(suffix), GF2))
     # j = k+1: d o sigma_*
-    terms.append(diagram.compose(diagram.V[chain[0]].complex.d,
-                                 diagram.chunk_map(chain)))
+    terms.append(compose(diagram.V[chain[0]].complex.d,
+                         diagram.chunk_map(chain), GF2))
     # inner faces
     for l in range(1, L - 1):
         face = chain[:l] + chain[l + 1:]
         terms.append(diagram.chunk_map(face))
-    return diagram.add_maps(*terms)
+    return add_maps(*terms)
 
 
 def check_coherence(diagram: CoherentDiagram):
@@ -314,13 +306,8 @@ def strict_geometric_diagram(functions,
     """The sublevel diagram of a fixed target over a poset of comparison
     functions: V(f) is the grid cochain complex with action target - f and
     the chain maps are the identity on cells (strict composition)."""
-    poset = FunPoset(functions)
-    complexes = [sublevel_filtration(target - f) for f in functions]
-    n = len(functions)
-    maps = {(i, j): {g: {g: 1} for g in complexes[j].complex.gens}
-            for i in range(n) for j in range(n)
-            if i != j and poset.leq(i, j)}
-    return CoherentDiagram(poset, complexes, maps)
+    return _strict_diagram(functions, [sublevel_filtration(target - f)
+                                       for f in functions])
 
 
 def strict_synthetic_diagram(rng, n_functions=3,
@@ -349,11 +336,18 @@ def strict_synthetic_diagram(rng, n_functions=3,
         deg[("e", i)] = rng.randint(-1, 2)
         action[("e", i)] = round(rng.uniform(0, 2), 2)
     C = ChainComplex(gens, deg, d)
+    return _strict_diagram(functions, [
+        FilteredComplex(C, {g: action[g] + c for g in gens}, check=False)
+        for c in offsets])
+
+
+def _strict_diagram(functions, complexes):
+    """The diagram of the complexes over the poset of the functions in
+    which every comparable pair acts by the identity on generators."""
     poset = FunPoset(functions)
-    complexes = [FilteredComplex(C, {g: action[g] + c for g in gens},
-                                 check=False) for c in offsets]
-    maps = {(i, j): {g: {g: 1} for g in gens}
-            for i in range(n_functions) for j in range(n_functions)
+    n = len(functions)
+    maps = {(i, j): {g: {g: 1} for g in complexes[j].complex.gens}
+            for i in range(n) for j in range(n)
             if i != j and poset.leq(i, j)}
     return CoherentDiagram(poset, complexes, maps)
 
@@ -379,7 +373,7 @@ def perturb_coherent(diagram: CoherentDiagram, seed=0,
     homotopies have a closed form, and longer corrections are solved
     linearly in the filtered-map space (resampling the homotopies, up to
     eight draws, when a draw is obstructed there).  The output passes the
-    coherence check by construction (asserted) and has unchanged rectified
+    coherence check by construction (checked) and has unchanged rectified
     cohomology.
     """
     last = None
@@ -410,9 +404,9 @@ def _perturb_once(diagram: CoherentDiagram, seed, density):
     for (i, j) in pair_keys:
         T = diagram.chunk_map((i, j))
         H = homos[(i, j)]
-        dH = diagram.compose(diagram.V[i].complex.d, H)
-        Hd = diagram.compose(H, diagram.V[j].complex.d)
-        new_maps[(i, j)] = diagram.add_maps(T, dH, Hd)
+        dH = compose(diagram.V[i].complex.d, H, GF2)
+        Hd = compose(H, diagram.V[j].complex.d, GF2)
+        new_maps[(i, j)] = add_maps(T, dH, Hd)
     # triples: closed-form correction
     triple_keys = sorted({(i, k2, j)
                           for (i, k2) in pair_keys for (kk, j) in pair_keys
@@ -423,14 +417,12 @@ def _perturb_once(diagram: CoherentDiagram, seed, density):
         H_ij = homos[(i, j)]
         H_ik = homos[(i, k2)]
         H_kj = homos[(k2, j)]
-        X = diagram.add_maps(
+        X = add_maps(
             H_ij,
-            diagram.compose(T_ik, H_kj),
-            diagram.compose(H_ik, T_kj),
-            diagram.compose(H_ik,
-                            diagram.compose(diagram.V[k2].complex.d, H_kj)),
-            diagram.compose(diagram.compose(H_ik, H_kj),
-                            diagram.V[j].complex.d))
+            compose(T_ik, H_kj, GF2),
+            compose(H_ik, T_kj, GF2),
+            compose(H_ik, compose(diagram.V[k2].complex.d, H_kj, GF2), GF2),
+            compose(compose(H_ik, H_kj, GF2), diagram.V[j].complex.d, GF2))
         new_maps[(i, k2, j)] = X
     out = CoherentDiagram(poset, diagram.V, new_maps)
     # longer chains: solve the coherence identity in the filtered-map space
@@ -448,7 +440,8 @@ def _perturb_once(diagram: CoherentDiagram, seed, density):
         new_maps[tuple(chain)] = X
         out = CoherentDiagram(poset, out.V, new_maps)
     ok, report = check_coherence(out)
-    assert ok, f"perturbation failed coherence: {report}"
+    if not ok:
+        raise AssertionError(f"perturbation failed coherence: {report}")
     return out
 
 
@@ -526,9 +519,13 @@ def _e2_direct(R: RectifiedComplex):
             coords = class_coordinates(pages[p - 1],
                                        [vec for _q, vec in bases[p - 1]],
                                        imgs)
-            assert None not in coords
+            if None in coords:
+                raise AssertionError(f"a d1 image of page {p} is not a "
+                                     f"class of page {p - 1}")
         else:
-            assert not any(imgs)
+            if any(imgs):
+                raise AssertionError(f"a d1 image of page {p} is nonzero "
+                                     f"below the lowest page")
             coords = [[] for _ in imgs]
         for (q, _vec), c in zip(basis, coords):
             d1.setdefault((p, q), []).append(
@@ -626,59 +623,6 @@ def serialize_diagram(diagram: CoherentDiagram):
             for h, v in sorted(cb.items(), key=repr):
                 lines.append(f"  map {g!r} -> {h!r} * {v}")
     return "\n".join(lines) + "\n"
-
-
-def deserialize_diagram(text) -> CoherentDiagram:
-    import ast
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "diagram v1":
-        raise ValueError("unknown diagram format")
-    objects = []
-    maps = {}
-    cur_obj = None
-    cur_chain = None
-    for ln in lines[1:]:
-        s = ln.strip()
-        if s.startswith("object "):
-            cur_obj = {"gens": [], "deg": {}, "action": {}, "d": {}}
-            objects.append(cur_obj)
-            cur_chain = None
-        elif s.startswith("gen "):
-            body = s[4:]
-            gpart, rest = body.rsplit(" deg=", 1)
-            dpart, apart = rest.split(" action=")
-            g = ast.literal_eval(gpart)
-            cur_obj["gens"].append(g)
-            cur_obj["deg"][g] = int(dpart)
-            cur_obj["action"][g] = float(ast.literal_eval(apart))
-        elif s.startswith("d "):
-            body = s[2:]
-            left, rest = body.split(" -> ")
-            right, coeff = rest.rsplit(" * ", 1)
-            g, h = ast.literal_eval(left), ast.literal_eval(right)
-            cur_obj["d"].setdefault(g, {})[h] = GF2.coerce(
-                ast.literal_eval(coeff))
-        elif s.startswith("chain "):
-            cur_chain = tuple(ast.literal_eval(s[6:]))
-            maps[cur_chain] = {}
-        elif s.startswith("map "):
-            body = s[4:]
-            left, rest = body.split(" -> ")
-            right, coeff = rest.rsplit(" * ", 1)
-            g, h = ast.literal_eval(left), ast.literal_eval(right)
-            maps[cur_chain].setdefault(g, {})[h] = GF2.coerce(
-                ast.literal_eval(coeff))
-        else:
-            raise ValueError(f"bad line in diagram fixture: {s!r}")
-    # rebuild a constant-function poset skeleton ordered by object index
-    base = BoxGrid((circle_grid(4),))
-    funs = [SampledFunction(base, np.full(base.vertex_shape, -float(i)))
-            for i in reversed(range(len(objects)))]
-    complexes = []
-    for ob in objects:
-        C = ChainComplex(ob["gens"], ob["deg"], ob["d"], check=False)
-        complexes.append(FilteredComplex(C, ob["action"], check=False))
-    return CoherentDiagram(FunPoset(funs), complexes, maps)
 
 
 def e2_csv_rows(e2):

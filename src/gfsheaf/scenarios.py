@@ -32,7 +32,7 @@ from .rectify import (check_coherence, index_complex_homology,
 from .sheaves import (conify, front_interior_table, microstalk, quantize,
                       section_barcode, sections, singular_support,
                       to_cellular)
-from .complexes import is_quasi_iso
+from .complexes import Barcode, is_quasi_iso
 
 INF = math.inf
 
@@ -450,9 +450,7 @@ def _task_rhom(ctx, task, out_dir):
     R = rhom_tensor(F, G)
     bars = pushforward_barcode(R)
     iox.write_csv(_out(task, out_dir, "rhom_pushforward.csv"),
-                  [("degree", "birth", "death")] +
-                  [(d, b2, "inf" if math.isinf(x) else x)
-                   for (d, b2, x) in bars])
+                  Barcode(bars).to_csv_rows())
     if task.get("svg"):
         iox.write_barcode_svg(os.path.join(out_dir, task["svg"]), bars)
     return {"status": "done", "bars": len(bars)}
@@ -505,39 +503,31 @@ def _task_unit_laws(ctx, task, out_dir):
         for k in range(width):
             mask[((start + k) % g1.n_cells,)] = True
         regions.append(BaseRegion(grid, mask))
-    # exact route: the sum generating family against the pointwise sum
     vals = sorted(set(np.round((f + g).cell_max().ravel(), 9)))
     cuts_exact = [vals[0] - 0.51] + [
         (x + y) / 2 for x, y in zip(vals, vals[1:]) if y - x > 1e-6] + \
         [vals[-1] + 0.49]
-    T_gf = tensor(Ff, Fg)  # generating-family strategy
-    for region in regions:
-        for a, b in zip(cuts_exact, cuts_exact[2:]):
-            want = sections(Fsum, region, a, b, check_regular=False)
-            got = sections(T_gf, region, a, b, check_regular=False)
-            if got != want:
-                failures.append(("sum", a, b, str(got), str(want)))
-    # carrier cross-check on collar-cleared windows
-    T = tensor(Ff, Fg, strategy="cell")
-    cuts = _carrier_safe_cuts(f, g)
-    for region in regions[:3]:
-        for a, b in zip(cuts, cuts[1:]):
-            want = sections(Fsum, region, a, b, check_regular=False)
-            got = sections(T, region, a, b)
-            if got != want:
-                failures.append(("sum-carrier", a, b, str(got), str(want)))
-    # neutrality: the unit contributes no collar (its corner is exact)
-    bcf = sublevel_filtration(f).barcode()
-    valsf = bcf.breakpoints()
+    valsf = sublevel_filtration(f).barcode().breakpoints()
     cutsf = [valsf[0] - 0.51] + [(x + y) / 2 for x, y in
                                  zip(valsf, valsf[1:])] + [valsf[-1] + 0.49]
-    TU = tensor(Ff, U)
-    for region in regions:
-        for a, b in zip(cutsf, cutsf[1:]):
-            want = sections(Ff, region, a, b, check_regular=False)
-            got = sections(TU, region, a, b)
-            if got != want:
-                failures.append(("neutral", a, b, str(got), str(want)))
+    comparisons = [
+        # exact route: the sum generating family against the pointwise sum
+        ("sum", Fsum, tensor(Ff, Fg), regions,
+         list(zip(cuts_exact, cuts_exact[2:]))),
+        # carrier cross-check on collar-cleared windows
+        ("sum-carrier", Fsum, tensor(Ff, Fg, strategy="cell"), regions[:3],
+         list(itertools.pairwise(_carrier_safe_cuts(f, g)))),
+        # neutrality: the unit contributes no collar (its corner is exact)
+        ("neutral", Ff, tensor(Ff, U), regions,
+         list(itertools.pairwise(cutsf))),
+    ]
+    for name, want_sheaf, got_sheaf, covered, windows in comparisons:
+        for region in covered:
+            for a, b in windows:
+                want = sections(want_sheaf, region, a, b, check_regular=False)
+                got = sections(got_sheaf, region, a, b, check_regular=False)
+                if got != want:
+                    failures.append((name, a, b, str(got), str(want)))
     status = "pass" if not failures else "fail"
     iox.write_csv(_out(task, out_dir, "unit_laws.csv"),
                   [("identity", "a", "b", "got", "want")] + failures

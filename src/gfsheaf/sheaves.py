@@ -138,9 +138,6 @@ class Stalk:
     gens: tuple          # tuple of (label, degree)
     diff: tuple = ()     # tuple of (label, label, coeff): degree +1 entries
 
-    def degrees(self):
-        return dict(self.gens)
-
     def d_map(self):
         out = {}
         for (a, b, c) in self.diff:
@@ -948,7 +945,6 @@ class ConeSet:
     slice carries the base points of the front."""
 
     points: tuple
-    resolution: float = 0.0
 
     def hausdorff(self, other: "ConeSet", scales):
         """Symmetric Hausdorff distance in the scaled max-norm
@@ -1046,7 +1042,7 @@ def singular_support(F: TameSheaf, p_samples=9) -> ConeSet:
                          "presentation")
     if g is None:
         raise ValueError("SS estimation implemented for 1-d bases")
-    return _front_tangency_ss(fronts, g, g.spacing, p_samples)
+    return _front_tangency_ss(fronts, g, p_samples)
 
 
 def _gf_front_samples(gf: GenFun):
@@ -1102,10 +1098,10 @@ def _stalk_rank_signature(cell: CellSheaf, bc, thr):
     return tuple(sorted(C.cohomology_ranks().items()))
 
 
-def _front_tangency_ss(fronts, g, tau_res, p_samples) -> ConeSet:
+def _front_tangency_ss(fronts, g, p_samples) -> ConeSet:
     all_ps = [p for recs in fronts.values() for (_t, p, _tol) in recs]
     if not all_ps:
-        return ConeSet((), tau_res)
+        return ConeSet(())
     pad = 0.5 * (1 + max(abs(p) for p in all_ps))
     pgrid = sorted(set(np.linspace(min(all_ps) - pad, max(all_ps) + pad,
                                    p_samples)))
@@ -1117,7 +1113,7 @@ def _front_tangency_ss(fronts, g, tau_res, p_samples) -> ConeSet:
             for p in list(pgrid) + [p_strand]:
                 if _is_tangency(fronts, g, j, t, p, tol):
                     pts.append(((x,), t, (float(p),), 1))
-    return ConeSet(tuple(sorted(set(pts))), tau_res)
+    return ConeSet(tuple(sorted(set(pts))))
 
 
 def _is_tangency(fronts, g, j, t, p, tol):

@@ -162,6 +162,17 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert main(["run", str(good), "--out-dir", str(tmp_path / "o2")]) == 0
 
 
+def test_run_writes_into_the_out_dir_itself(tmp_path, capsys):
+    # only verify-all nests a directory per scenario and prints a verdict
+    path = next(p for p in bundled_scenarios() if p.endswith("duality.toml"))
+    assert main(["run", path, "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert (tmp_path / "summary.json").is_file()
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
+    assert out.startswith("[done] duality#0 dual ")
+    assert "verify-all" not in out
+
+
 def test_summary_lists_check_ids(tmp_path):
     src = [p for p in bundled_scenarios() if p.endswith("rectify.toml")][0]
     code, summary = run_scenario(src, out_dir=str(tmp_path / "out"), seed=19)

@@ -5,13 +5,21 @@ import pytest
 
 from gfsheaf import complexes
 from gfsheaf.complexes import (Barcode, ChainComplex, ChainMap,
-                               FilteredComplex, cohomology_ranks,
-                               dual_complex, is_quasi_iso, identity_map,
-                               mapping_cone, zero_map)
+                               FilteredComplex, cohomology_ranks, compose,
+                               dual_complex, is_quasi_iso, mapping_cone)
 from gfsheaf.linalg import GF2, QQ, Reducer, add_scaled
 from test_linalg import dense_rank, random_entry, scalar
 
 INF = math.inf
+
+
+def identity_map(C: ChainComplex) -> ChainMap:
+    one = C.field.one()
+    return ChainMap(C, C, {g: {g: one} for g in C.gens})
+
+
+def zero_map(A: ChainComplex, B: ChainComplex) -> ChainMap:
+    return ChainMap(A, B, {})
 
 
 def point_complex(field=GF2):
@@ -822,3 +830,128 @@ def test_apply_d_on_ids_matches_the_tuple_complex(field):
             assert apply_d(K, ids(vec)) == ids(want)
         with pytest.raises(ValueError, match="integer entries"):
             apply_d(K, {0: Fraction(1, 2)})
+
+
+# ---------------------------------------------------------------------------
+# sparse composition, and the d^2 check and the chain-map law through it,
+# against the loops they replaced (kept as references)
+
+def reference_compose(m2, m1, field):
+    """m2 after m1: the body of the rectification's own composition."""
+    out = {}
+    for g, c1 in m1.items():
+        acc = {}
+        for h, v in c1.items():
+            add_scaled(acc, m2.get(h, {}), v, field)
+        if acc:
+            out[g] = acc
+    return out
+
+
+def reference_assert_d_squared_zero(C):
+    F, d = C.field, C.d
+    for g, cb in d.items():
+        acc = {}
+        for h, v in cb.items():
+            add_scaled(acc, d.get(h, {}), v, F)
+        if acc:
+            raise ValueError(f"d^2 != 0 at generator {g!r}")
+
+
+def reference_verify(phi):
+    F = phi.source.field
+    minus = F.neg(F.one())
+    for g in phi.source.gens:
+        # acc = d f(g) - f d(g)
+        acc = {}
+        for h, v in phi.comp.get(g, {}).items():
+            add_scaled(acc, phi.target.d.get(h, {}), v, F)
+        for h, v in phi.source.d.get(g, {}).items():
+            add_scaled(acc, phi.comp.get(h, {}), F.mul(minus, v), F)
+        if acc:
+            raise AssertionError(f"not a chain map at {g!r}")
+    return True
+
+
+def raised(fn, *args):
+    """('ok', value) or (exception type name, message)."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, AssertionError) as e:
+        return type(e).__name__, str(e)
+
+
+def random_sparse_map(rng, sources, targets, field, density=0.3):
+    """{source: {target: scalar}} with empty images and, over F2, even
+    scalars mixed in."""
+    out = {}
+    for g in sources:
+        c = {h: random_entry(rng, field) for h in targets
+             if rng.random() < density}
+        if field is GF2 and c and rng.random() < 0.2:
+            c[rng.choice(list(c))] = 2
+        if c or rng.random() < 0.3:
+            out[g] = c
+    return out
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_compose_is_the_old_composition(field):
+    rng = random.Random(17)
+    for _ in range(200):
+        names = [[(k, i) for i in range(rng.randint(0, 6))] for k in range(4)]
+        a, b, c = (random_sparse_map(rng, names[k + 1], names[k], field)
+                   for k in range(3))
+        got = compose(a, b, field)
+        want = reference_compose(a, b, field)
+        assert list(got.items()) == list(want.items())
+        assert all(got.values())
+        assert list(got) == [g for g in b if g in got]
+        assert compose(a, compose(b, c, field), field) == \
+            compose(compose(a, b, field), c, field)
+
+
+def random_graded_maps(rng, field):
+    """A differential of degree +1 on random generators, d^2 = 0 or not."""
+    gens = [(k, i) for k in range(-1, 3) for i in range(rng.randint(0, 4))]
+    deg = {g: g[0] for g in gens}
+    d = {}
+    for g in gens:
+        cb = {h: random_entry(rng, field) for h in gens
+              if deg[h] == deg[g] + 1 and rng.random() < 0.35}
+        if cb:
+            d[g] = cb
+    return gens, deg, d
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_the_d_squared_check_raises_where_the_old_loop_did(field):
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(300):
+        C = ChainComplex(*random_graded_maps(rng, field), field, check=False)
+        got = raised(C.assert_d_squared_zero)
+        assert got == raised(reference_assert_d_squared_zero, C)
+        outcomes.add(got[0])
+    for _ in range(30):
+        C = random_filtered_complex(rng, field, max_gens=16).complex
+        assert raised(C.assert_d_squared_zero) == ("ok", None)
+    assert outcomes == {"ok", "ValueError"}
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_chain_map_verify_raises_where_the_old_loop_did(field):
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(150):
+        A = random_filtered_complex(rng, field, max_gens=12).complex
+        B = random_filtered_complex(rng, field, max_gens=12).complex
+        for phi in (ChainMap(A, B, random_sparse_map(rng, A.gens, B.gens,
+                                                     field, density=0.2)),
+                    ChainMap(A, A, {g: {g: random_entry(rng, field)}
+                                    for g in A.gens}),
+                    identity_map(A), zero_map(A, B)):
+            got = raised(phi.verify)
+            assert got == raised(reference_verify, phi)
+            outcomes.add(got[0])
+    assert outcomes == {"ok", "AssertionError"}

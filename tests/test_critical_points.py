@@ -135,7 +135,7 @@ def reference_fiber_critical_data(gf, base_vertex):
     if gf.k == 0:
         val = float(gf.S.values[base_vertex])
         out = [FiberCriticalPoint(
-            base_vertex, x, (), (), val, 0,
+            x, (), (), val, 0,
             reference_base_derivative(gf, base_vertex, ()))]
         return out
     fib_grid = BoxGrid(gf.grid.fiber, ())
@@ -147,7 +147,7 @@ def reference_fiber_critical_data(gf, base_vertex):
         xi = tuple(g.origin + g.spacing * j
                    for g, j in zip(gf.grid.fiber, v))
         out.append(FiberCriticalPoint(
-            base_vertex, x, v, xi, rec["value"], rec["index"],
+            x, v, xi, rec["value"], rec["index"],
             reference_base_derivative(gf, base_vertex, v), rec["degenerate"],
             reference_value_resolution(gf, fib_vals, v)))
     out.sort(key=lambda c: c.value)

@@ -10,7 +10,7 @@ from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
 from gfsheaf.genfun import (GenFun, QuadForm, assert_window_regular, box_sum,
                             brane_of, cerf_diagram, gf_cohomology,
                             graph_brane, graph_genfun, negate, ominus,
-                            window_ceiling)
+                            strand_value_range, window_ceiling)
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
                            interval_grid, sublevel_filtration)
 from gfsheaf.linalg import QQ
@@ -385,6 +385,10 @@ def collar_cases():
 
 
 COLLAR_CASES = collar_cases()
+# (1, -1) at radius 3: S = f(x) + 9 - 9 at the corners rounds onto the band
+# top or just above it, and the reference took that for a cap
+CORNER_CAPS = ("two-axes", "two-axes-corner", "two-axes-edge",
+               "two-axes-within")
 
 
 @pytest.mark.parametrize("name", COLLAR_CASES)
@@ -396,7 +400,14 @@ def test_the_collar_mask_matches_the_boundary_ring(name):
     check = outcome(GenFun._check_collar, gf)
     assert check == outcome(foundation_reference.check_collar, gf)
     ceiling = outcome(window_ceiling, gf)
-    assert ceiling == outcome(foundation_reference.window_ceiling, gf)
+    if name in CORNER_CAPS:
+        assert outcome(foundation_reference.window_ceiling, gf)[0] == \
+            "refused"
+        _, hi = strand_value_range(gf)
+        assert ceiling == ("ok", float,
+                           repr(hi + 0.25 * (1.0 + gf.tau_val())))
+    else:
+        assert ceiling == outcome(foundation_reference.window_ceiling, gf)
 
 
 def test_the_collar_cases_cover_both_refusals():
@@ -407,9 +418,39 @@ def test_the_collar_cases_cover_both_refusals():
     assert checks["one-axis"] == checks["two-axes-within"] == "ok"
     assert checks["one-axis-bumped"] == checks["two-axes-corner"] == \
         checks["cusp-bumped"] == "refused"
-    assert ceilings["one-axis"] == ceilings["cusp"] == "ok"
+    assert ceilings["one-axis"] == ceilings["cusp"] == \
+        ceilings["two-axes"] == "ok"
     assert ceilings["one-axis-low-caps"] == ceilings["two-axes-low-caps"] == \
         ceilings["mixed-low-caps"] == "refused"
+
+
+@pytest.mark.parametrize("radius", [3.0, 8.0, 20.0])
+def test_an_indefinite_family_has_a_ceiling_at_every_radius(radius):
+    # the reference refused at radii 3 and 8, where the corners S = f + 0
+    # round above the band top, and accepted at 20, where they round below
+    f = circle_function("0.4*cos(2*pi*x)", n=8)
+    gf = stabilized_graph_genfun(f, (1.0, -1.0), radius=radius, n_fiber=10)
+    _, hi = strand_value_range(gf)
+    assert window_ceiling(gf) == hi + 0.25 * (1.0 + gf.tau_val())
+    assert gf_cohomology(gf, None, -np.inf, np.inf) == \
+        gf_cohomology(graph_genfun(f), None, -np.inf, np.inf)
+
+
+def test_the_cap_rule_refuses_only_what_the_reference_refused():
+    rng = random.Random(5)
+    refused = {"reference": 0, "caps": 0}
+    for _ in range(3):
+        f = random_circle_morse(rng, n=12)
+        for form in ((1.0, -1.0), (1.0,), (-1.0,), (2.0, 1.0)):
+            for radius in (2.0, 3.0, 8.0):
+                gf = stabilized_graph_genfun(f, form, radius=radius,
+                                             n_fiber=10)
+                want = outcome(foundation_reference.window_ceiling, gf)
+                got = outcome(window_ceiling, gf)
+                refused["reference"] += want[0] == "refused"
+                refused["caps"] += got[0] == "refused"
+                assert got == want or want[0] == "refused"
+    assert refused["reference"] > refused["caps"] > 0
 
 
 @pytest.mark.parametrize("args", [

@@ -1,6 +1,7 @@
 """Every module-level import of the package is used in its module, every
-module-level private name is used somewhere in the package, and every
-defaulted parameter is passed by some call."""
+module-level private name is used somewhere in the package, every
+defaulted parameter is passed by some call, every record field is read,
+and no assert statement stands in for a check."""
 
 import ast
 import builtins
@@ -178,8 +179,7 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
     # draws random_circle_morse with terms=3)
     defining = {p: tree for p, tree in package_trees().items()
                 if p.name != "fixtures.py"}
-    calling = [ast.parse(p.read_text(), str(p))
-               for d in CALLERS for p in sorted((ROOT / d).rglob("*.py"))]
+    calling = caller_trees()
     # a field parameter defaults to F2 where no route passes Q yet;
     # ROADMAP item 2 threads --field q through those routes
     unset = [u for u in unset_parameters(defining, calling)
@@ -253,6 +253,13 @@ PACKAGE = sorted(SRC.glob("*.py"))
 @functools.lru_cache(maxsize=None)
 def package_trees():
     return {p: ast.parse(p.read_text(), str(p)) for p in PACKAGE}
+
+
+@functools.lru_cache(maxsize=None)
+def caller_trees():
+    """The parsed files of the package, its tests, demos and benchmark."""
+    return tuple(ast.parse(p.read_text(), str(p))
+                 for d in CALLERS for p in sorted((ROOT / d).rglob("*.py")))
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -336,3 +343,60 @@ def test_write_only_attribute_found():
         "    def __init__(self, detail):\n"
         "        self.detail = detail\n")
     assert write_only_attributes([tree]) == [("A", "dropped")]
+
+
+def is_record(node):
+    """A dataclass or a NamedTuple class."""
+    return is_dataclass(node) or any(
+        getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+        for b in node.bases)
+
+
+def unread_fields(defining, reading):
+    """'Class.field' for every field of the dataclasses and NamedTuples in
+    defining whose name no attribute load in reading reads."""
+    read = set()
+    for tree in reading:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and \
+                    isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+    return sorted(f"{node.name}.{s.target.id}"
+                  for tree in defining for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and is_record(node)
+                  for s in node.body
+                  if isinstance(s, ast.AnnAssign)
+                  and isinstance(s.target, ast.Name)
+                  and s.target.id not in read)
+
+
+def test_every_record_field_is_read():
+    assert unread_fields(package_trees().values(), caller_trees()) == []
+
+
+def test_an_unread_field_is_found():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    kept: int\n"
+        "    dropped: float = 0.0\n"
+        "class N(NamedTuple):\n"
+        "    counted: int\n"
+        "    ignored: int\n"
+        "class Plain:\n"
+        "    note: int = 0\n")
+    reads = ast.parse("d.kept\nn.counted += 1\nn.ignored = 2\n")
+    assert unread_fields([tree], [reads]) == ["D.dropped", "N.ignored"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert statements, and a check must not go with them
+    lines = [node.lineno for node in ast.walk(package_trees()[path])
+             if isinstance(node, ast.Assert)]
+    assert lines == []

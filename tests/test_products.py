@@ -582,3 +582,107 @@ def test_a_limit_sheaf_has_no_dual_and_no_support_band():
         dualize(L)
     with pytest.raises(ValueError, match="limit presentation"):
         tensor(L, unit(f.grid))
+
+
+# ---------------------------------------------------------------------------
+# the unit-laws task against its three old comparison loops
+
+def reference_unit_laws(ctx, task, out_dir):
+    """The body of scenarios._task_unit_laws before its three region x
+    window loops became one, kept as the reference."""
+    from gfsheaf import io as iox
+    from gfsheaf import scenarios as sc
+    rng = random.Random(ctx.seed)
+    n = sc._integer(task.get("n", 12), "n", 4, sc.MAX_AXIS_N)
+    f = random_circle_morse(rng, n=n)
+    g = random_circle_morse(rng, n=n)
+    grid = f.grid
+    failures = []
+    Ff, Fg = sc.quantize(graph_genfun(f)), sc.quantize(graph_genfun(g))
+    Fsum = sc.quantize(graph_genfun(f + g))
+    U = sc.unit(grid)
+    boxes = sc._integer(task.get("boxes", 8), "boxes", 0)
+    regions = [None]
+    g1 = grid.base[0]
+    for _ in range(boxes):
+        start = rng.randrange(g1.n_cells)
+        width = rng.randrange(1, g1.n_cells // 2)
+        mask = np.zeros(grid.base_cell_shape, dtype=bool)
+        for k in range(width):
+            mask[((start + k) % g1.n_cells,)] = True
+        regions.append(BaseRegion(grid, mask))
+    vals = sorted(set(np.round((f + g).cell_max().ravel(), 9)))
+    cuts_exact = [vals[0] - 0.51] + [
+        (x + y) / 2 for x, y in zip(vals, vals[1:]) if y - x > 1e-6] + \
+        [vals[-1] + 0.49]
+    T_gf = sc.tensor(Ff, Fg)
+    for region in regions:
+        for a, b in zip(cuts_exact, cuts_exact[2:]):
+            want = sc.sections(Fsum, region, a, b, check_regular=False)
+            got = sc.sections(T_gf, region, a, b, check_regular=False)
+            if got != want:
+                failures.append(("sum", a, b, str(got), str(want)))
+    T = sc.tensor(Ff, Fg, strategy="cell")
+    cuts = sc._carrier_safe_cuts(f, g)
+    for region in regions[:3]:
+        for a, b in zip(cuts, cuts[1:]):
+            want = sc.sections(Fsum, region, a, b, check_regular=False)
+            got = sc.sections(T, region, a, b)
+            if got != want:
+                failures.append(("sum-carrier", a, b, str(got), str(want)))
+    bcf = sc.sublevel_filtration(f).barcode()
+    valsf = bcf.breakpoints()
+    cutsf = [valsf[0] - 0.51] + [(x + y) / 2 for x, y in
+                                 zip(valsf, valsf[1:])] + [valsf[-1] + 0.49]
+    TU = sc.tensor(Ff, U)
+    for region in regions:
+        for a, b in zip(cutsf, cutsf[1:]):
+            want = sc.sections(Ff, region, a, b, check_regular=False)
+            got = sc.sections(TU, region, a, b)
+            if got != want:
+                failures.append(("neutral", a, b, str(got), str(want)))
+    status = "pass" if not failures else "fail"
+    iox.write_csv(sc._out(task, out_dir, "unit_laws.csv"),
+                  [("identity", "a", "b", "got", "want")] + failures
+                  if failures else [("identity", "a", "b", "got", "want"),
+                                    ("all", "-", "-", "equal", "equal")])
+    return {"status": status, "failures": len(failures)}
+
+
+@pytest.mark.parametrize("seed", [11, 3])
+def test_unit_laws_compares_as_the_three_old_loops(seed, tmp_path,
+                                                   monkeypatch):
+    # every third comparison is made to fail on its second (got) side, so
+    # the failure rows show the order of the comparisons
+    import os
+    from gfsheaf import scenarios as sc
+    from gfsheaf.cli import BUNDLED_DIR
+    real = sc.sections
+    calls = []
+
+    def recorded(F, region, a, b, **kwargs):
+        out = real(F, region, a, b, **kwargs)
+        key = None if region is None else region.membership.tobytes()
+        calls.append((key, a, b))
+        if len(calls) % 2 == 0 and len(calls) % 3 == 0:
+            out = dict(out, rigged=len(calls))
+        return out
+
+    monkeypatch.setattr(sc, "sections", recorded)
+    spec = sc.load_scenario(os.path.join(BUNDLED_DIR, "unit-laws.toml"))
+    task = spec["tasks"][0]
+    results, texts, sequences = [], [], []
+    for fn in (sc._task_unit_laws, reference_unit_laws):
+        calls.clear()
+        out_dir = tmp_path / fn.__name__
+        out_dir.mkdir()
+        ctx = sc.ScenarioContext(spec, seed=seed, field="f2", grid_scale=1.0)
+        results.append(fn(ctx, task, str(out_dir)))
+        texts.append((out_dir / task["out"]).read_text())
+        sequences.append(list(calls))
+    assert results[0] == results[1]
+    assert results[0]["failures"] > 10
+    assert {row.split(",")[0] for row in texts[0].splitlines()[1:]} == \
+        {"sum", "sum-carrier", "neutral"}
+    assert texts[0] == texts[1]
+    assert sequences[0] == sequences[1]

@@ -1,6 +1,10 @@
+import ast
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,14 +14,16 @@ from gfsheaf.complexes import (ChainComplex, ChainMap, FilteredComplex,
                                cohomology_ranks, dual_complex, is_quasi_iso)
 from gfsheaf.fixtures import circle_function, random_circle_morse
 from gfsheaf.floer import StabilizationError, clamp_schedule
-from gfsheaf.grids import BaseRegion, sublevel_filtration
+from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
+                           sublevel_filtration)
 from gfsheaf.linalg import GF2, QQ, rank_of_columns
 from gfsheaf.rectify import (CoherentDiagram, FunPoset, RectifiedComplex,
                              _e2_direct, index_complex_homology,
                              check_coherence, coherence_residual,
                              differential_D, e2_page,
                              perturb_coherent, rectify_at,
-                             sheafify_limit, strict_geometric_diagram,
+                             serialize_diagram, sheafify_limit,
+                             strict_geometric_diagram,
                              strict_synthetic_diagram)
 
 INF = math.inf
@@ -319,9 +325,61 @@ def test_mirrored_rectified_dual_ranks():
     assert M.cohomology_ranks() == dual_ranks
 
 
+def deserialize_diagram(text) -> CoherentDiagram:
+    """The diagram of a serialize_diagram text, over a poset of constant
+    functions ordered by object index."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "diagram v1":
+        raise ValueError("unknown diagram format")
+    objects = []
+    maps = {}
+    cur_obj = None
+    cur_chain = None
+    for ln in lines[1:]:
+        s = ln.strip()
+        if s.startswith("object "):
+            cur_obj = {"gens": [], "deg": {}, "action": {}, "d": {}}
+            objects.append(cur_obj)
+            cur_chain = None
+        elif s.startswith("gen "):
+            body = s[4:]
+            gpart, rest = body.rsplit(" deg=", 1)
+            dpart, apart = rest.split(" action=")
+            g = ast.literal_eval(gpart)
+            cur_obj["gens"].append(g)
+            cur_obj["deg"][g] = int(dpart)
+            cur_obj["action"][g] = float(ast.literal_eval(apart))
+        elif s.startswith("d "):
+            body = s[2:]
+            left, rest = body.split(" -> ")
+            right, coeff = rest.rsplit(" * ", 1)
+            g, h = ast.literal_eval(left), ast.literal_eval(right)
+            cur_obj["d"].setdefault(g, {})[h] = GF2.coerce(
+                ast.literal_eval(coeff))
+        elif s.startswith("chain "):
+            cur_chain = tuple(ast.literal_eval(s[6:]))
+            maps[cur_chain] = {}
+        elif s.startswith("map "):
+            body = s[4:]
+            left, rest = body.split(" -> ")
+            right, coeff = rest.rsplit(" * ", 1)
+            g, h = ast.literal_eval(left), ast.literal_eval(right)
+            maps[cur_chain].setdefault(g, {})[h] = GF2.coerce(
+                ast.literal_eval(coeff))
+        else:
+            raise ValueError(f"bad line in diagram fixture: {s!r}")
+    # rebuild a constant-function poset skeleton ordered by object index
+    base = BoxGrid((circle_grid(4),))
+    funs = [SampledFunction(base, np.full(base.vertex_shape, -float(i)))
+            for i in reversed(range(len(objects)))]
+    complexes = []
+    for ob in objects:
+        C = ChainComplex(ob["gens"], ob["deg"], ob["d"], check=False)
+        complexes.append(FilteredComplex(C, ob["action"], check=False))
+    return CoherentDiagram(FunPoset(funs), complexes, maps)
+
+
 def test_diagram_serialization_roundtrip():
-    from gfsheaf.rectify import (check_coherence, deserialize_diagram,
-                                 perturb_coherent, serialize_diagram)
     rng = random.Random(71)
     diagram = perturb_coherent(
         strict_synthetic_diagram(rng, n_functions=3, max_gens=8), seed=5,
@@ -504,3 +562,97 @@ def test_limit_sections_match_the_per_window_reference():
                 assert sections(Sh, region, a, b) == want, (region, a, b)
                 checked += 1
     assert checked > 700
+
+
+# ---------------------------------------------------------------------------
+# the strict builders against their old bodies, kept as references
+
+def reference_strict_geometric_diagram(functions, target):
+    poset = FunPoset(functions)
+    complexes = [sublevel_filtration(target - f) for f in functions]
+    n = len(functions)
+    maps = {(i, j): {g: {g: 1} for g in complexes[j].complex.gens}
+            for i in range(n) for j in range(n)
+            if i != j and poset.leq(i, j)}
+    return CoherentDiagram(poset, complexes, maps)
+
+
+def reference_strict_synthetic_diagram(rng, n_functions=3, max_gens=10):
+    base = BoxGrid((circle_grid(4),))
+    offsets = sorted(rng.uniform(0, 1.5) for _ in range(n_functions))
+    functions = [SampledFunction(base, np.full(base.vertex_shape, -c))
+                 for c in offsets]
+    gens = []
+    deg, action, d = {}, {}, {}
+    n_pairs = rng.randint(1, max_gens // 2 - 1)
+    for i in range(n_pairs):
+        k = rng.randint(-1, 2)
+        a = round(rng.uniform(0, 2), 2)
+        b = a + round(rng.uniform(0.05, 1.5), 2)
+        gens += [("p", i, 0), ("p", i, 1)]
+        deg[("p", i, 0)] = k
+        deg[("p", i, 1)] = k + 1
+        action[("p", i, 0)] = a
+        action[("p", i, 1)] = b
+        d[("p", i, 0)] = {("p", i, 1): 1}
+    for i in range(rng.randint(1, max_gens - 2 * n_pairs)):
+        gens.append(("e", i))
+        deg[("e", i)] = rng.randint(-1, 2)
+        action[("e", i)] = round(rng.uniform(0, 2), 2)
+    C = ChainComplex(gens, deg, d)
+    poset = FunPoset(functions)
+    complexes = [FilteredComplex(C, {g: action[g] + c for g in gens},
+                                 check=False) for c in offsets]
+    maps = {(i, j): {g: {g: 1} for g in gens}
+            for i in range(n_functions) for j in range(n_functions)
+            if i != j and poset.leq(i, j)}
+    return CoherentDiagram(poset, complexes, maps)
+
+
+def test_strict_synthetic_diagram_is_the_old_builder():
+    # 100 seeds at four sizes, the demo's (3, 10) among them, with the
+    # generator left in the same state
+    for seed in range(100):
+        for n_functions, max_gens in ((2, 6), (3, 10), (4, 12), (3, 8)):
+            new, old = random.Random(seed), random.Random(seed)
+            got = strict_synthetic_diagram(new, n_functions, max_gens)
+            want = reference_strict_synthetic_diagram(old, n_functions,
+                                                      max_gens)
+            assert serialize_diagram(got) == serialize_diagram(want)
+            assert new.getstate() == old.getstate()
+
+
+def test_strict_geometric_diagram_is_the_old_builder():
+    rng = random.Random(29)
+    for _ in range(6):
+        target = random_circle_morse(rng, n=8)
+        clamps = clamp_schedule(BaseRegion.interval_arc(target.grid, 2, 6),
+                                3.0, (1, 2, 3))
+        for funs in (clamps[::-1], clamps[:1],
+                     geometric_diagram(rng).poset.functions):
+            got = strict_geometric_diagram(funs, target)
+            want = reference_strict_geometric_diagram(funs, target)
+            assert serialize_diagram(got) == serialize_diagram(want)
+
+
+def test_funposet_refuses_a_non_transitive_order_under_python_O():
+    # the pointwise order with its 1e-12 slack is not transitive on these
+    # three constants; the refusal must survive assert stripping
+    script = (
+        "import numpy as np\n"
+        "from gfsheaf.grids import BoxGrid, SampledFunction, circle_grid\n"
+        "from gfsheaf.rectify import FunPoset\n"
+        "base = BoxGrid((circle_grid(4),))\n"
+        "funs = [SampledFunction(base, np.full(base.vertex_shape, c))\n"
+        "        for c in (1.5e-12, 0.8e-12, 0.0)]\n"
+        "try:\n"
+        "    FunPoset(funs)\n"
+        "except ValueError as e:\n"
+        "    print('refused:', e)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused: order not transitive\n"
