@@ -7,11 +7,11 @@ Conventions fixed once for the whole package:
   * windows [a, b) keep generators with a <= action < b and carry the induced
     subquotient differential.
 
-Every array builder (grids.cubical_complex, sheaves._total_complex) makes
-an IndexComplex: the generator ids 0..n-1 with integer arrays, checked
-(IndexComplex.check) and, for section barcodes and product class tables,
-reduced without a per-generator dict.  ChainComplex, keyed by hashable
-generators, is the form for callers that read generators;
+Every array builder (grids.cubical_index_complex, sheaves._total_complex)
+makes an IndexComplex: the generator ids 0..n-1 with integer arrays, checked
+(IndexComplex.check) and, for pair ranks, section barcodes and product class
+tables, reduced without a per-generator dict.  ChainComplex, keyed by
+hashable generators, is the form for callers that read generators;
 IndexComplex.chain_complex gives it.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,44 +66,21 @@ class ChainComplex:
         for g in compose(self.d, self.d, self.field):
             raise ValueError(f"d^2 != 0 at generator {g!r}")
 
-    def dims_by_degree(self):
-        out = {}
-        for g in self.gens:
-            out[self.deg[g]] = out.get(self.deg[g], 0) + 1
-        return out
-
     def cohomology_ranks(self):
-        """Map degree -> rank of H^degree.
-
-        The degrees are reduced upwards, one Reducer each, with clearing: a
-        generator of degree k+1 whose index is a pivot row of degree k is
-        skipped.  That is exact over any field.  A reduced column r = d(v)
-        with pivot row i has d(r) = 0, its entry at i is nonzero and every
-        other entry sits at a smaller index; so trading e_i for r is a
-        triangular change of basis of C^{k+1}, and d vanishes on r.
-        """
+        """Map degree -> rank of H^degree, by the reduction with clearing
+        of _clearing_ranks on the generator indexes."""
         index, deg = self._index, self.deg
         cols = {}
         for g, cb in self.d.items():
             cols.setdefault(deg[g], []).append((index[g], cb))
-        rk, cleared = {}, set()
-        for k in sorted(cols):
-            # after a gap in the degrees, cleared indexes no degree-k generator
-            red = Reducer(self.field)
-            for i, cb in cols[k]:
-                if i not in cleared:
-                    red.add({index[h]: v for h, v in cb.items()})
-            rk[k] = len(red.pivots)
-            cleared = set(red.pivots)
-        dims = self.dims_by_degree()
-        ranks = {}
-        for k, n in dims.items():
-            r = n - rk.get(k, 0) - rk.get(k - 1, 0)
-            if r:
-                ranks[k] = r
-        if any(v < 0 for v in ranks.values()):
-            raise AssertionError("negative cohomology rank; corrupted complex")
-        return ranks
+
+        def columns(k, cleared):
+            return [{index[h]: v for h, v in cb.items()}
+                    for i, cb in cols.get(k, ()) if i not in cleared]
+
+        return _clearing_ranks(sorted(cols), columns,
+                               Counter(map(deg.__getitem__, self.gens)),
+                               self.field)
 
     def restricted(self, keep):
         """Subquotient on a subset of generators (caller must know it is valid)."""
@@ -120,6 +98,40 @@ class ChainComplex:
 def cohomology_ranks(C: ChainComplex):
     C.assert_d_squared_zero()
     return C.cohomology_ranks()
+
+
+def _clearing_ranks(degrees, columns, dims, field):
+    """Map degree -> rank of H^degree of a complex with dims[k] generators
+    of degree k (the map's order is that of dims), the one rank loop of
+    ChainComplex and IndexComplex.
+
+    degrees lists in ascending order the degrees of the generators with a
+    nonzero coboundary; columns(k, cleared) gives the coboundaries of those
+    of degree k whose index is not in cleared, in index order, each a dict
+    row index -> field scalar.  The degrees are reduced upwards, one
+    Reducer each, with clearing: a generator of degree k+1 whose index is a
+    pivot row of degree k is skipped.  That is exact over any field.  A
+    reduced column r = d(v) with pivot row i has d(r) = 0, its entry at i
+    is nonzero and every other entry sits at a smaller index; so trading
+    e_i for r is a triangular change of basis of C^{k+1}, and d vanishes
+    on r.
+    """
+    rk, cleared = {}, set()
+    for k in degrees:
+        # after a gap in the degrees, cleared indexes no degree-k generator
+        red = Reducer(field)
+        for col in columns(k, cleared):
+            red.add(col)
+        rk[k] = len(red.pivots)
+        cleared = set(red.pivots)
+    ranks = {}
+    for k, n in dims.items():
+        r = n - rk.get(k, 0) - rk.get(k - 1, 0)
+        if r:
+            ranks[k] = r
+    if any(v < 0 for v in ranks.values()):
+        raise AssertionError("negative cohomology rank; corrupted complex")
+    return ranks
 
 
 def compose(outer, inner, field):
@@ -251,7 +263,7 @@ def _bars(order, deg, value, d, field):
     differential) matrix, one degree at a time from the top down with
     clearing (Chen-Kerber 2011): a generator of degree k that is a pivot
     row of degree k+1 is the birth of a bar and is skipped.  Its column
-    would reduce to zero (the argument of ChainComplex.cohomology_ranks);
+    would reduce to zero (the argument of _clearing_ranks);
     every other column that reduces to zero is an essential class.  A
     column only meets columns of its own degree, so the passes per degree
     give the pairs of one left-to-right pass; the transposed columns are
@@ -401,6 +413,21 @@ class IndexComplex:
         scalar = {c: F.coerce(c) for c in set(coef)}
         entries = zip(self.tgt[e].tolist(), map(scalar.__getitem__, coef))
         return [dict(itertools.islice(entries, k)) for k in count.tolist()]
+
+    def cohomology_ranks(self):
+        """Map degree -> rank of H^degree, by the reduction with clearing
+        of _clearing_ranks on the ids: the columns are the coboundaries of
+        the uncleared generators that have entries.  The degrees are in the
+        order of their first id, as in the ChainComplex of chain_complex."""
+        deg, has = self.deg, np.diff(self.indptr) > 0
+
+        def columns(k, cleared):
+            live = has & (deg == k)
+            live[np.fromiter(cleared, np.int64, len(cleared))] = False
+            return self.coboundaries(np.flatnonzero(live))
+
+        return _clearing_ranks(sorted(set(deg[has].tolist())), columns,
+                               Counter(deg.tolist()), self.field)
 
     def chain_complex(self, gens) -> ChainComplex:
         """The same complex keyed by gens (the generator of each id, in id

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import (BaseRegion, BoxGrid, SampledFunction, critical_stencil,
-                    neighbor_values, relative_cochain_complex,
+                    cubical_index_complex, neighbor_values, relative_mask,
                     restrict_to_region, sublevel_set)
 from .linalg import GF2
 
@@ -301,16 +301,27 @@ def strand_value_range(gf: GenFun):
 
 
 def window_floor(gf: GenFun):
-    """A regular level strictly below every strand value.
+    """A regular level strictly below every strand value (and above the
+    lower truncation ends, which is checked).
 
     Windows reaching -infinity are cut here: on the truncated fiber grid the
     sublevel sets of the quadratic collar are born far below the strand band
     and are homotopically inert between their birth and the band, so cutting
-    below the band is exact.  (For fiberless data this is simply a level
-    below the minimum.)
+    below the band is exact once they are born over every base point.  The
+    lower ends are the truncation boundary's values where Q is negative:
+    over each base vertex the least of them must lie below the floor, or
+    the floor's sublevel set misses the fiber there.  (For fiberless data
+    this is simply a level below the minimum.)
     """
     lo, _ = strand_value_range(gf)
-    return lo - 0.25 * (1.0 + gf.tau_val())
+    floor = lo - 0.25 * (1.0 + gf.tau_val())
+    if gf.k:
+        ends = gf.S.values[..., gf.collar_mask][..., gf.collar_q < 0]
+        if ends.size and float(ends.min(axis=-1).max()) >= floor:
+            raise ValueError(
+                "no regular level separates the strand band from the lower "
+                "truncation ends; enlarge the fiber radius")
+    return floor
 
 
 def window_ceiling(gf: GenFun):
@@ -342,7 +353,9 @@ def gf_cohomology(gf: GenFun, region: BaseRegion | None, a, b,
     The returned map sends degree d to the rank of the pair group in degree
     d + index(Q); windows whose boundary meets a strand are rejected.
     Infinite window ends are normalized to regular levels just outside the
-    strand band (exact on the truncated grid).
+    strand band (exact on the truncated grid).  The pair complex is the
+    cubical IndexComplex of the relative_mask of W = S^b and A = S^a over
+    the region, reduced on its ids.
     """
     if not a < b:
         raise ValueError("window requires a < b")
@@ -352,8 +365,8 @@ def gf_cohomology(gf: GenFun, region: BaseRegion | None, a, b,
         assert_window_regular(gf, region, a, b)
     W = restrict_to_region(sublevel_set(gf.S, b), region)
     A = restrict_to_region(sublevel_set(gf.S, a), region)
-    ranks = relative_cochain_complex(W, A, field).cohomology_ranks()
-    return {d - gf.i_q: r for d, r in ranks.items() if r}
+    K = cubical_index_complex(gf.grid, relative_mask(W, A), field)
+    return {d - gf.i_q: r for d, r in K.cohomology_ranks().items() if r}
 
 
 def stacked_sum(g0: GenFun, g1: GenFun, sign, shared_base) -> GenFun:

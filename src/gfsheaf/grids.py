@@ -426,6 +426,14 @@ def restrict_to_region(W: CubicalSet, region: BaseRegion) -> CubicalSet:
 
 
 def cubical_complex(grid: BoxGrid, keep, field=GF2) -> ChainComplex:
+    """Cellular cochain complex on the cells where keep is true, keyed by
+    the cell tuples: the IndexComplex of cubical_index_complex as a tuple
+    ChainComplex."""
+    return cubical_index_complex(grid, keep, field).chain_complex(
+        _cells(keep))
+
+
+def cubical_index_complex(grid: BoxGrid, keep, field) -> IndexComplex:
     """Cellular cochain complex on the cells where keep (a boolean array over
     grid.cell_shape) is true, read off grid.coface_table as an IndexComplex:
     its ids are the kept cells in C order, and the coboundary of each lists
@@ -433,7 +441,7 @@ def cubical_complex(grid: BoxGrid, keep, field=GF2) -> ChainComplex:
 
     Degree +1 and d^2 = 0 are certified over the integers before anything
     is coerced (IndexComplex.check with integral set), so at F2 too a wrong
-    sign is refused; the tuple ChainComplex is IndexComplex.chain_complex.
+    sign is refused.
     """
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != grid.cell_shape:
@@ -450,9 +458,9 @@ def cubical_complex(grid: BoxGrid, keep, field=GF2) -> ChainComplex:
                      np.searchsorted(ids, cof[row, slot]),
                      table.sgn[ids[row], slot].astype(np.int64), field,
                      lambda i: _cell(grid, ids[i]))
-    del cof, on, row, slot      # before the check and the dicts grow
+    del cof, on, row, slot      # before the check
     K.check(integral=True)
-    return K.chain_complex(_cells(keep))
+    return K
 
 
 def _cell(grid, flat):
@@ -460,12 +468,18 @@ def _cell(grid, flat):
     return tuple(map(int, np.unravel_index(int(flat), grid.cell_shape)))
 
 
+def relative_mask(W: CubicalSet, A: CubicalSet):
+    """The cells of W not in A, as a mask over the cell lattice: the
+    generators of the pair (W, A), whose cohomology is H^*(W, A)."""
+    if not A.issubset(W):
+        raise ValueError("A must be contained in W")
+    return W.membership & ~A.membership
+
+
 def relative_cochain_complex(W: CubicalSet, A: CubicalSet,
                              field=GF2) -> ChainComplex:
     """Cellular cochains of W vanishing on A; cohomology H^*(W, A)."""
-    if not A.issubset(W):
-        raise ValueError("A must be contained in W")
-    return cubical_complex(W.grid, W.membership & ~A.membership, field)
+    return cubical_complex(W.grid, relative_mask(W, A), field)
 
 
 def sublevel_filtration(f: SampledFunction, field=GF2) -> FilteredComplex:

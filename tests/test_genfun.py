@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,13 +11,17 @@ from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
 from gfsheaf.genfun import (GenFun, QuadForm, assert_window_regular, box_sum,
                             brane_of, cerf_diagram, gf_cohomology,
                             graph_brane, graph_genfun, negate, ominus,
-                            strand_value_range, window_ceiling)
+                            strand_value_range, window_ceiling,
+                            window_floor)
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
-                           interval_grid, sublevel_filtration)
-from gfsheaf.linalg import QQ
+                           critical_vertices, interval_grid,
+                           sublevel_filtration)
+from gfsheaf.linalg import GF2, QQ
 from gfsheaf.products import external_box_sum
+from test_complexes import index_complex
 import convolution_reference as reference
 import foundation_reference
+import pair_reference
 
 INF = math.inf
 
@@ -327,11 +332,11 @@ def test_window_perturbation_invariance():
 # ---------------------------------------------------------------------------
 # the collar mask and the pure quadratic against the old code paths
 
-def outcome(fn, gf):
-    """fn(gf) as ('ok', the type and repr of its value) or ('refused', its
-    message)."""
+def outcome(fn, *args, **kwargs):
+    """fn(*args, **kwargs) as ('ok', the type and repr of its value) or
+    ('refused', its message)."""
     try:
-        value = fn(gf)
+        value = fn(*args, **kwargs)
         return "ok", type(value), repr(value)
     except ValueError as e:
         return "refused", str(e)
@@ -467,3 +472,182 @@ def test_pure_quad_genfun_is_the_old_builder_bit_for_bit(args):
     assert got.S.values.dtype == want.S.values.dtype
     assert got.S.values.tobytes() == want.S.values.tobytes()
     assert (got.Q, got.tau_q, got.i_q) == (want.Q, want.tau_q, want.i_q)
+
+
+# ---------------------------------------------------------------------------
+# the pair route on ids against the tuple reference, and the lower ends
+
+def pair_cases(rng):
+    """Stabilized circle families with one and two fiber axes, each with
+    its cuts: far below and far above the values of S, every critical value
+    of the graph and a level between each two."""
+    for form in ((1.0,), (-1.0,), (1.0, -1.0), (2.0, 1.0)):
+        f = random_circle_morse(rng, n=8)
+        gf = stabilized_graph_genfun(f, form, radius=2.5,
+                                     n_fiber=5 if len(form) == 2 else 8)
+        vals = sorted({c["value"] for c in critical_vertices(f)})
+        lo, hi = gf.S.range()
+        cuts = sorted([lo - 1.0, lo - 0.5, hi + 0.5, hi + 1.0] + vals +
+                      [(a + b) / 2 for a, b in zip(vals, vals[1:])])
+        yield form, gf, [-INF] + cuts + [INF]
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_the_id_ranks_equal_the_tuple_reference(field):
+    kept = set()
+    for form, gf, cuts in pair_cases(random.Random(24)):
+        cell_max = gf.S.cell_max()
+        arc = BaseRegion.interval_arc(gf.grid, 3, 9)
+        for a, b in itertools.combinations(cuts, 2):
+            for region in (None, arc):
+                want = outcome(pair_reference.gf_cohomology, gf, region,
+                               a, b, field, check_regular=False)
+                got = outcome(gf_cohomology, gf, region, a, b, field,
+                              check_regular=False)
+                assert got == want, (form, a, b)
+            if -INF < a and b < INF:
+                n = int(((a <= cell_max) & (cell_max < b)).sum())
+                kept.add("empty" if n == 0 else
+                         "full" if n == cell_max.size else "part")
+    # W == A (no cell kept) and W the whole grid with A empty
+    assert kept == {"empty", "full", "part"}
+
+
+def gapped_complex(rng, field):
+    """An integral IndexComplex with generators in degrees -1, 0, 2, 3 and
+    4 only, ids shuffled: unimodular pairs x -> y and lone cocycles under a
+    random unimodular triangular change of basis in each degree, with the
+    ranks it must have.  The columns sit in degrees -1, 2 and 3: degree 0
+    is cleared by degree -1, then the gap, then degree 3 is cleared by
+    degree 2."""
+    deg, d, known = [], {}, {}
+    for k, pairs, lone in ((-1, 3, 1), (0, 0, 2), (2, 3, 1), (3, 2, 1),
+                           (4, 0, 1)):
+        for _ in range(pairs):
+            deg.append(k)
+            deg.append(k + 1)
+            d[len(deg) - 2] = {len(deg) - 1: rng.choice((1, -1))}
+        deg.extend([k] * lone)
+        known[k] = lone
+    order = list(range(len(deg)))
+    rng.shuffle(order)
+    d = {order[g]: {order[h]: v for h, v in cb.items()}
+         for g, cb in d.items()}
+    deg = [deg[order.index(i)] for i in range(len(deg))]
+    # d -> S d S^-1 for S = 1 + c E_ab, a before b in one degree
+    for _ in range(2 * len(deg)):
+        a, b = sorted(rng.sample(range(len(deg)), 2))
+        if deg[a] != deg[b]:
+            continue
+        c = rng.choice((1, -1))
+        for col in d.values():
+            if b in col:
+                col[a] = col.get(a, 0) + c * col[b]
+                if not col[a]:
+                    del col[a]
+        for h, v in d.get(a, {}).items():
+            d.setdefault(b, {})[h] = d.get(b, {}).get(h, 0) - c * v
+            if not d[b][h]:
+                del d[b][h]
+    names = [f"g{i}" for i in range(len(deg))]
+    K = index_complex(names, dict(zip(names, deg)),
+                      {names[g]: {names[h]: v for h, v in sorted(cb.items())}
+                       for g, cb in d.items()}, field)
+    K.check(integral=True)
+    return K, names, {k: n for k, n in known.items() if n}
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_the_id_ranks_hold_across_a_gap_in_the_degrees(field):
+    for seed in range(20):
+        K, names, known = gapped_complex(random.Random(seed), field)
+        assert sorted(set(K.deg[np.diff(K.indptr) > 0].tolist())) == \
+            [-1, 2, 3]
+        want = pair_reference.cohomology_ranks(K.chain_complex(names))
+        assert list(K.cohomology_ranks().items()) == list(want.items())
+        assert want == known
+
+
+def test_gf_cohomology_builds_no_chain_complex(monkeypatch):
+    from gfsheaf import complexes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tuple pair complex was built")
+
+    monkeypatch.setattr(complexes.IndexComplex, "chain_complex", refuse)
+    f = random_circle_morse(random.Random(3), n=8)
+    gf = stabilized_graph_genfun(f, (1.0, -1.0), radius=4.0, n_fiber=6)
+    assert gf_cohomology(gf, None, -INF, INF, QQ) == \
+        gf_cohomology(graph_genfun(f), None, -INF, INF, QQ)
+    with pytest.raises(AssertionError, match="tuple pair complex"):
+        pair_reference.gf_cohomology(gf, None, -INF, INF, QQ)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_the_pair_route_refuses_a_flipped_sign(field, monkeypatch):
+    # over F2 a flipped sign leaves an even path count: only the integer
+    # check sees it
+    gf = stabilized_graph_genfun(random_circle_morse(random.Random(4), n=6),
+                                 (1.0,), radius=2.5, n_fiber=6)
+    grid = gf.grid
+    table = grid.coface_table
+    cell = (2, 4)                       # a vertex: cofaces on both axes
+    flat = int(np.ravel_multi_index(cell, grid.cell_shape))
+    sgn = table.sgn.copy()
+    sgn[flat, 0] = -sgn[flat, 0]
+    monkeypatch.setitem(grid.__dict__, "coface_table",
+                        table._replace(sgn=sgn))
+    lo, hi = gf.S.range()
+    with pytest.raises(ValueError) as err:
+        gf_cohomology(gf, None, lo - 1.0, hi + 1.0, field,
+                      check_regular=False)
+    assert str(err.value) == f"d^2 != 0 at generator {cell}"
+
+
+def test_window_floor_refuses_a_fiber_too_short_for_the_band():
+    # max f - r^2 = -2.22 lies above the floor -2.65 at radius 2: the
+    # floor's sublevel set misses the fiber over the top of f, and the old
+    # floor answered {0: 2} for the whole window
+    f = random_circle_morse(random.Random(2), n=12)
+    want = gf_cohomology(graph_genfun(f), None, -INF, INF)
+    assert want == {0: 1, 1: 1}
+    short = stabilized_graph_genfun(f, (-1.0,), radius=2.0, n_fiber=8)
+    assert pair_reference.gf_cohomology(short, None, -INF, INF) == {0: 2}
+    for fn in (window_floor,
+               lambda gf: gf_cohomology(gf, None, -INF, INF)):
+        with pytest.raises(ValueError, match="enlarge the fiber radius"):
+            fn(short)
+    wide = stabilized_graph_genfun(f, (-1.0,), radius=3.0, n_fiber=8)
+    assert window_floor(wide) == pair_reference.window_floor(wide)
+    assert gf_cohomology(wide, None, -INF, INF) == want
+
+
+def test_the_floor_rule_refuses_only_wrong_answers():
+    # families whose oscillation lies on either side of r^2 - 1/4 at
+    # radius 2: the new floor refuses exactly those where the old floor
+    # gave some (-inf, c) window ranks other than the graph's
+    refused = wrong = 0
+    for seed in range(3):
+        f0 = random_circle_morse(random.Random(seed), n=10)
+        spread = float(f0.values.max() - f0.values.min())
+        for osc in (3.5, 3.7, 3.8, 4.5):
+            f = f0 * (osc / spread)
+            vals = sorted({c["value"] for c in critical_vertices(f)})
+            cuts = [(a + b) / 2 for a, b in zip(vals, vals[1:])] + [INF]
+            for form in ((-1.0,), (1.0, -1.0)):
+                gf = stabilized_graph_genfun(f, form, radius=2.0, n_fiber=6)
+                old = [outcome(pair_reference.gf_cohomology, gf, None,
+                               -INF, c, check_regular=False)
+                       for c in cuts]
+                graph = [outcome(gf_cohomology, graph_genfun(f), None,
+                                 -INF, c) for c in cuts]
+                floor = outcome(window_floor, gf)
+                # a window the old ceiling refused answers nothing
+                bad = any(o != g for o, g in zip(old, graph)
+                          if o[0] == "ok")
+                refused += floor[0] == "refused"
+                wrong += bad
+                assert (floor[0] == "refused") == bad, (osc, form)
+                if floor[0] == "ok":
+                    assert floor == outcome(pair_reference.window_floor, gf)
+    assert 0 < refused < 24 and wrong == refused

@@ -771,17 +771,19 @@ def test_section_barcode_is_built_once_per_region():
 
 
 def test_to_cellular_builds_no_relative_complex(monkeypatch):
-    # the presentation needs no cohomology of the whole base
+    # the presentation needs no cohomology of the whole base: no cubical
+    # complex is built, on ids (gf_cohomology) or as tuples
+    # (relative_cochain_complex, through cubical_complex)
     from gfsheaf import genfun, grids
     calls = []
-    real = grids.relative_cochain_complex
+    real = grids.cubical_index_complex
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(grids, "relative_cochain_complex", counted)
-    monkeypatch.setattr(genfun, "relative_cochain_complex", counted)
+    monkeypatch.setattr(grids, "cubical_index_complex", counted)
+    monkeypatch.setattr(genfun, "cubical_index_complex", counted)
     f = random_circle_morse(random.Random(5), n=8)
     to_cellular(quantize(graph_genfun(f)), spot_checks=0)
     assert calls == []
