@@ -332,8 +332,8 @@ class IndexComplex:
 
     def check(self, integral=False):
         """Raise ValueError unless every entry raises the degree by one and
-        d^2 = 0 holds, naming the first failing generator in id order, as
-        ChainComplex's dict checks do.
+        is nonzero in the field, and d^2 = 0 holds, naming the first
+        failing generator in id order, as ChainComplex's dict checks do.
 
         The two-step paths x -> y -> z are grouped by (x, z) over the
         integers.  d^2 vanishes at (x, z) over Z exactly when the integer
@@ -355,12 +355,16 @@ class IndexComplex:
         after the failures of earlier blocks.
         """
         n, indptr, tgt = len(self.deg), self.indptr, self.tgt
-        src = self.src()
-        bad = np.flatnonzero(self.deg[tgt] != self.deg[src] + 1)
-        if bad.size:
-            e = bad[0]
-            raise ValueError(f"differential not degree +1 at "
-                             f"{self.name(src[e])} -> {self.name(tgt[e])}")
+        src, coef = self.src(), self.coef
+        for what, bad in (("differential not degree +1",
+                           self.deg[tgt] != self.deg[src] + 1),
+                          ("stored zero in differential",
+                           coef & 1 == 0 if self.field is GF2 else coef == 0)):
+            if bad.any():
+                e = int(bad.argmax())
+                raise ValueError(f"{what} at {self.name(src[e])} -> "
+                                 f"{self.name(tgt[e])}")
+        del bad     # the entry masks are not held during the path blocks
         # the two-step paths from the sources lo..hi-1, one block of
         # sources at a time, each block holding at most PATH_BUDGET paths
         # unless one source alone has more
@@ -404,8 +408,7 @@ class IndexComplex:
     def coboundaries(self, ids):
         """The coboundary of each generator of ids (an int array) as a dict
         id -> field scalar, in entry order.  The coefficients are coerced
-        into the field; entries that are zero there are kept (linalg drops
-        them)."""
+        into the field, where none is zero (check refuses a zero one)."""
         F = self.field
         count = np.diff(self.indptr)[ids]
         e = index_ranges(self.indptr[:-1][ids], count)
@@ -474,21 +477,19 @@ class IndexComplex:
         """Raise ValueError unless (lower, upper) is an acyclic matching in
         a gradient order: no generator in two pairs (a count per id, which
         takes linear time), and for every pair j, in order, upper[j] is a
-        coface of lower[j] (an entry, so nonzero), the two values are
-        equal, and d(lower[j]) reaches the upper generator of no earlier
+        coface of lower[j] (an entry of its row, so nonzero), the two values
+        are equal, and d(lower[j]) reaches the upper generator of no earlier
         pair, which no matching with a cycle can satisfy.  The message
         names the first pair that fails."""
-        n, tgt, name = len(self.deg), self.tgt, self.name
+        n, indptr, tgt, name = len(self.deg), self.indptr, self.tgt, self.name
         both = np.concatenate([lower, upper])
         if both.size and np.bincount(both, minlength=n).max() > 1:
             raise ValueError("a generator is matched twice")
-        entries = np.sort(src * n + tgt)
-        want = lower * n + upper
-        at = np.minimum(np.searchsorted(entries, want), len(entries) - 1)
-        if len(entries):
-            coface = entries[at] == want
-        else:
-            coface = np.zeros(len(want), dtype=bool)
+        count = np.diff(indptr)[lower]
+        pair = np.repeat(np.arange(len(lower)), count)
+        hit = tgt[index_ranges(indptr[:-1][lower], count)] == upper[pair]
+        coface = np.zeros(len(lower), dtype=bool)
+        coface[pair[hit]] = True
         pair_of = np.full(n, -1, dtype=np.int64)
         pair_of[upper] = np.arange(len(upper))
         low_of = np.full(n, -1, dtype=np.int64)

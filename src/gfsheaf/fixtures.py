@@ -84,7 +84,7 @@ def smoothed_clamp(region, depth=2.0, ramp_cells=4):
     clearing that margin see the conormal limit exactly.
     """
     from .grids import SampledFunction
-    grid = region.grid.base_only()
+    grid = region.grid
     if len(grid.base) != 1:
         raise ValueError("smoothed clamps implemented for 1-d bases")
     g = grid.base[0]

@@ -109,9 +109,9 @@ def continuation_map(f0: SampledFunction, f1: SampledFunction, L: GraphBrane,
 def clamp_schedule(region: BaseRegion, scale, ks=(4, 8, 16, 32, 64)):
     """Decreasing functions equal to 0 over the region, -k*scale outside.
     The inside vertices are the vertex cells of the closed region."""
-    base_only = region.grid.base_only()
-    inside = region.membership[(slice(None, None, 2),) * len(base_only.base)]
-    return [SampledFunction(base_only, np.where(inside, 0.0, -float(k) * scale))
+    grid = region.grid
+    inside = region.membership[(slice(None, None, 2),) * len(grid.base)]
+    return [SampledFunction(grid, np.where(inside, 0.0, -float(k) * scale))
             for k in ks]
 
 
@@ -161,7 +161,6 @@ def conormal_limit_ranks(region: BaseRegion, L, a, b, field=GF2,
             return sublevel_filtration(h, field).barcode().window_ranks(a, b)
     elif isinstance(L, GenFun):
         f = L.S
-        region = BaseRegion(L.base_grid, region.membership)
 
         def table(fk):
             shifted = GenFun(L.S - fk.lift_to(L.grid), L.Q, tau_q=INF,
@@ -268,7 +267,7 @@ def restrict_classes(home: SuperlevelHome, reps, Z: BaseRegion):
 def _boundary_ring(Z: BaseRegion):
     """Mask over the base cells: the cells of Z with a direct coface outside
     Z (their star leaves Z; the candidate non-generic locus)."""
-    cof = Z.grid.base_only().coface_table.cof
+    cof = Z.grid.coface_table.cof
     inside = np.append(Z.membership.ravel(), True)  # slot -1 reads inside
     return Z.membership & ~inside[cof].all(axis=1).reshape(Z.membership.shape)
 

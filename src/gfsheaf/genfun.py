@@ -12,8 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import (BaseRegion, BoxGrid, SampledFunction, critical_stencil,
-                    cubical_index_complex, neighbor_values, relative_mask,
-                    restrict_to_region, sublevel_set)
+                    cubical_index_complex, neighbor_values)
 from .linalg import GF2
 
 
@@ -277,11 +276,13 @@ def cerf_diagram(gf: GenFun) -> CerfDiagram:
     return CerfDiagram(tuple(strands), tuple(breaks), tuple(cusps), tau)
 
 
-def assert_window_regular(gf: GenFun, region: BaseRegion, a, b):
+def assert_window_regular(gf: GenFun, region: BaseRegion | None, a, b):
     """Reject windows whose boundary sits on a Cerf strand over the region
-    (within the per-strand value resolution, never silently perturbed)."""
+    (all of N when None), within the per-strand value resolution, never
+    silently perturbed."""
     for bv, cps in gf.critical_table.items():
-        if not region.membership[tuple(2 * j for j in bv)]:
+        if region is not None and \
+                not region.membership[tuple(2 * j for j in bv)]:
             continue
         for cp in cps:
             for c in (a, b):
@@ -353,19 +354,23 @@ def gf_cohomology(gf: GenFun, region: BaseRegion | None, a, b,
     The returned map sends degree d to the rank of the pair group in degree
     d + index(Q); windows whose boundary meets a strand are rejected.
     Infinite window ends are normalized to regular levels just outside the
-    strand band (exact on the truncated grid).  The pair complex is the
-    cubical IndexComplex of the relative_mask of W = S^b and A = S^a over
-    the region, reduced on its ids.
+    strand band (exact on the truncated grid); a window whose normalized
+    ends are inverted misses the band and has no cohomology.  The pair
+    (S^b, S^a) over the region (all of N when None) is the cell mask
+    a <= cell max < b over the region, and its cubical IndexComplex is
+    reduced on its ids.
     """
     if not a < b:
         raise ValueError("window requires a < b")
-    region = region or BaseRegion(gf.grid)
+    keep = True if region is None else region.over(gf.grid)
     a, b = normalized_window(gf, a, b)
     if check_regular:
         assert_window_regular(gf, region, a, b)
-    W = restrict_to_region(sublevel_set(gf.S, b), region)
-    A = restrict_to_region(sublevel_set(gf.S, a), region)
-    K = cubical_index_complex(gf.grid, relative_mask(W, A), field)
+    if not a < b:
+        return {}
+    cell_max = gf.S.cell_max()
+    K = cubical_index_complex(gf.grid, keep & (a <= cell_max) & (cell_max < b),
+                              field)
     return {d - gf.i_q: r for d, r in K.cohomology_ranks().items() if r}
 
 

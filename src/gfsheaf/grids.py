@@ -329,8 +329,8 @@ def _cells(mask):
 class CubicalSet:
     """Subset of the cells of a BoxGrid, by membership over its cell
     lattice.  Closedness is not checked; the library builds closed sets
-    only: sublevel sets (closed by the lower-star rule), their restrictions
-    to a closed BaseRegion, and the full and empty sets."""
+    only: sublevel sets (closed by the lower-star rule) and the full and
+    empty sets."""
 
     def __init__(self, grid: BoxGrid, membership):
         self.grid = grid
@@ -365,26 +365,36 @@ def sublevel_set(f: SampledFunction, t: float) -> CubicalSet:
 
 
 class BaseRegion:
-    """Closed union of base cells of a grid (the whole N by default): the
+    """Closed union of cells of the base N (the whole N by default): the
     given cells with all of their faces, so on a 2-d base a square brings
-    its four edges and its four corners."""
+    its four edges and its four corners.  The region lives on the base
+    grid (grid.base_only() of the grid it is built on), and any grid over
+    that base reads it through over.  Two regions are equal when they have
+    one base grid and one membership."""
 
     def __init__(self, grid: BoxGrid, membership=None):
-        self.grid = grid
+        self.grid = grid = grid.base_only()
         if membership is None:
-            membership = np.ones(grid.base_cell_shape, dtype=bool)
+            membership = np.ones(grid.cell_shape, dtype=bool)
         membership = np.asarray(membership, dtype=bool)
-        if membership.shape != grid.base_cell_shape:
+        if membership.shape != grid.cell_shape:
             raise ValueError("region shape mismatch")
         # transitive face closure over the base coface table: a cell joins
         # when one of its cofaces is in; a cell of dimension d is reached
         # after len(base) - d rounds
-        cof = grid.base_only().coface_table.cof
+        cof = grid.coface_table.cof
         kept = np.append(membership.ravel(), False)  # slot -1 reads False
         for _ in grid.base:
             kept[:-1] |= kept[cof].any(axis=1)
-        self.membership = kept[:-1].reshape(grid.base_cell_shape)
+        self.membership = kept[:-1].reshape(grid.cell_shape)
         self.membership.setflags(write=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, BaseRegion) and self.grid == other.grid
+                and np.array_equal(self.membership, other.membership))
+
+    def __hash__(self):
+        return hash((self.grid, self.membership.tobytes()))
 
     @staticmethod
     def from_cells(grid: BoxGrid, cells):
@@ -404,25 +414,23 @@ class BaseRegion:
 
     def complement_closure(self):
         """Closure of the complementary open set (N minus interior)."""
-        inner = ~self.membership
-        return BaseRegion(self.grid, inner)
+        return BaseRegion(self.grid, ~self.membership)
 
-    def product_mask(self):
-        """Boolean over the full cell lattice: cells lying over the region."""
-        shape = self.grid.cell_shape
-        extra = (1,) * len(self.grid.fiber)
+    def over(self, grid: BoxGrid):
+        """Read-only boolean over the cell lattice of grid: the cells lying
+        over the region.  Raises ValueError for a grid of another base."""
+        if grid.base != self.grid.base:
+            raise ValueError("the region lives on another base grid")
+        extra = (1,) * len(grid.fiber)
         return np.broadcast_to(
-            self.membership.reshape(self.membership.shape + extra), shape)
+            self.membership.reshape(self.membership.shape + extra),
+            grid.cell_shape)
 
     def base_cells(self):
         return _cells(self.membership)
 
     def count(self):
         return int(self.membership.sum())
-
-
-def restrict_to_region(W: CubicalSet, region: BaseRegion) -> CubicalSet:
-    return CubicalSet(W.grid, W.membership & region.product_mask())
 
 
 def cubical_complex(grid: BoxGrid, keep, field=GF2) -> ChainComplex:
@@ -468,18 +476,12 @@ def _cell(grid, flat):
     return tuple(map(int, np.unravel_index(int(flat), grid.cell_shape)))
 
 
-def relative_mask(W: CubicalSet, A: CubicalSet):
-    """The cells of W not in A, as a mask over the cell lattice: the
-    generators of the pair (W, A), whose cohomology is H^*(W, A)."""
-    if not A.issubset(W):
-        raise ValueError("A must be contained in W")
-    return W.membership & ~A.membership
-
-
 def relative_cochain_complex(W: CubicalSet, A: CubicalSet,
                              field=GF2) -> ChainComplex:
     """Cellular cochains of W vanishing on A; cohomology H^*(W, A)."""
-    return cubical_complex(W.grid, relative_mask(W, A), field)
+    if not A.issubset(W):
+        raise ValueError("A must be contained in W")
+    return cubical_complex(W.grid, W.membership & ~A.membership, field)
 
 
 def sublevel_filtration(f: SampledFunction, field=GF2) -> FilteredComplex:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .complexes import apply_d, class_coordinates, index_ranges
 from .genfun import GenFun, box_sum, graph_genfun, negate, stacked_sum
-from .grids import BaseRegion, BoxGrid
+from .grids import BoxGrid
 from .linalg import GF2
 from .sheaves import (CellSheaf, SectionArrays, TAxis, TameSheaf,
                       _as_cellsheaf, _band_floor, _product_factors, _same_cell,
@@ -100,14 +100,10 @@ def dualize(F: TameSheaf) -> TameSheaf:
                 "sheaf from its generating data")
         kind = ind[0]
         if kind == "region":
-            _, mask, t0 = ind
-            grid = cell.base
-            if mask is None:
-                # dual of the full unit is the full unit (reflected level)
-                out = unit_sheaf(grid, None, -t0)
-            else:
-                comp = BaseRegion(grid, ~np.asarray(mask))
-                out = unit_sheaf(grid, comp, -t0)
+            _, region, t0 = ind
+            # the dual of the full unit is the full unit (reflected level)
+            comp = None if region is None else region.complement_closure()
+            out = unit_sheaf(cell.base, comp, -t0)
             out.label = f"dual({F.label})"
             return out
         if kind == "graph":

@@ -561,30 +561,28 @@ class LimitSheaf:
         self.ks = tuple(ks)
         lo, hi = target.range()
         self.span = (hi - lo) + 1.0
-        self._barcodes = {}  # (region membership bytes, rung) -> Barcode
+        self._barcodes = {}  # (region, rung) -> Barcode
 
     def breakpoints(self):
         cm = self.target.cell_max()
         return tuple(sorted({round(float(v), 9) for v in cm.ravel()}))
 
     def sections(self, region, a, b):
-        grid = self.target.grid
-        region = region if region is not None else BaseRegion(grid)
+        region = region or BaseRegion(self.target.grid)
         if a == -INF:
             a = float(self.target.values.min()) - 2 * self.span
         lam = float(self.target.values.max()) + 0.5 if b == INF else b
         if not a < lam:
             raise ValueError("window requires a < b")
-        tables = (self._barcode(region.membership, rung).window_ranks(a, lam)
+        tables = (self._barcode(region, rung).window_ranks(a, lam)
                   for rung in range(len(self.ks)))
         return stabilize(tables, self.ks)[0]
 
-    def _barcode(self, membership, rung):
+    def _barcode(self, region, rung):
         """The barcode of the rectified complex of one rung over a region."""
-        key = (membership.tobytes(), rung)
+        key = (region, rung)
         if key not in self._barcodes:
-            clamps = clamp_schedule(BaseRegion(self.target.grid, membership),
-                                    self.span, self.ks[: rung + 1])
+            clamps = clamp_schedule(region, self.span, self.ks[: rung + 1])
             diagram = strict_geometric_diagram(clamps[::-1], self.target)
             self._barcodes[key] = \
                 RectifiedComplex(diagram, 0).filtered.barcode()

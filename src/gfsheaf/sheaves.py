@@ -317,7 +317,8 @@ class CellSheaf:
         self.shift = shift
         self.label = label
         self.field = field
-        self.indicator = indicator  # ('region', mask, t0) | ('graph', f) | None
+        # ('region', region or None, t0) | ('graph', f) | None
+        self.indicator = indicator
         self._cache = {}    # (base cell, own stratum index) -> Stalk
 
     def stalk(self, base_cell, threshold):
@@ -482,7 +483,7 @@ def _section_parts(base, factors, region, a, b):
     wflat = np.flatnonzero((a <= value) & (value < b))
     wt = np.stack(np.unravel_index(wflat, nt), axis=1)
     wdim = (1 - (wt & 1)).sum(axis=1)    # ('e', i) at 2i, ('v', i) at 2i+1
-    mask = (region.membership if region is not None
+    mask = (region.over(base) if region is not None
             else np.ones(base.base_cell_shape, dtype=bool))
     cflat = np.flatnonzero(mask)
     cells = [tuple(c) for c in np.argwhere(mask).tolist()]
@@ -637,7 +638,7 @@ class TameSheaf:
         self.diagonal = diagonal
         self.limit = None  # populated for kind == 'limit'
         self.label = label or kind
-        self._barcodes = {}  # region mask (None: all of N) -> section_barcode
+        self._barcodes = {}  # region (None: all of N) -> section_barcode
         self._cellular = None  # the CellSheaf _as_cellsheaf built, once
 
     @property
@@ -666,16 +667,15 @@ def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
                t0=0.0) -> TameSheaf:
     """Constant sheaf on (closed region) x [t0, oo) as a cellular object."""
     base = grid.base_only()
-    mask = None if region is None else np.array(region.membership, copy=True)
     opens = np.full(base.base_cell_shape, t0, dtype=float)
-    if mask is not None:
-        opens[~mask] = INF
+    if region is not None:
+        opens[~region.over(base)] = INF
     stalks = RankOneStalks(base.base_cell_shape, opens,
                            np.zeros(opens.shape, dtype=np.int64), ("k",))
     return TameSheaf("cell",
                      cell=CellSheaf(base, TAxis((t0,)), stalks, shift=0,
                                     label="unit",
-                                    indicator=("region", mask, t0)),
+                                    indicator=("region", region, t0)),
                      label=f"k_[{t0},oo)")
 
 
@@ -733,7 +733,7 @@ def _spot_check_cellular(F_gf: TameSheaf, F_cell: TameSheaf, n):
             a = rng.uniform(lo, hi)
             b = rng.uniform(a + (hi - lo) * 0.05, hi + 0.1)
             try:
-                want = gf_cohomology(gf, _region_on(gf.grid, region), a, b)
+                want = gf_cohomology(gf, region, a, b)
             except ValueError:
                 continue
             got = sections(F_cell, region, a, b)
@@ -743,10 +743,6 @@ def _spot_check_cellular(F_gf: TameSheaf, F_cell: TameSheaf, n):
                     f"box {starts}x{widths} window ({a:.4g},{b:.4g}): "
                     f"{got} != {want}; stratification too coarse")
             break
-
-
-def _region_on(grid: BoxGrid, region: BaseRegion) -> BaseRegion:
-    return BaseRegion(grid, region.membership)
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +757,7 @@ def sections(F: TameSheaf, region: BaseRegion | None, a, b, field=GF2,
         raise ValueError("stratified and product presentations are F2-only; "
                          "use a generating-family presentation for Q")
     if F.kind == "gf":
-        reg = None if region is None else _region_on(F.gf.grid, region)
-        return gf_cohomology(F.gf, reg, a, b, field, check_regular)
+        return gf_cohomology(F.gf, region, a, b, field, check_regular)
     if F.kind == "limit":
         return F.limit.sections(region, a, b)
     return section_barcode(F, region).window_ranks(a, b)
@@ -783,10 +778,9 @@ def section_barcode(F: TameSheaf, region: BaseRegion | None = None) -> Barcode:
     of the complex's vertical matching.  The degrees carry the sheaf's
     shift.
     """
-    key = None if region is None else region.membership.tobytes()
-    hit = F._barcodes.get(key)
+    hit = F._barcodes.get(region)
     if hit is None:
-        hit = F._barcodes[key] = _section_barcode(F, region)
+        hit = F._barcodes[region] = _section_barcode(F, region)
     return hit
 
 
@@ -1004,7 +998,7 @@ def conify(brane) -> ConeSet:
 def conify_conormal(region: BaseRegion) -> ConeSet:
     """The conical lift of the outward conormal of a closed region (base
     points over the region at t = 0, outward codirections over the rim)."""
-    grid = region.grid.base_only()
+    grid = region.grid
     if len(grid.base) != 1:
         raise ValueError("conormal samples implemented for 1-d bases")
     g = grid.base[0]

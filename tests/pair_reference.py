@@ -1,20 +1,27 @@
 """The pair route as it was before it reduced on ids, kept as a test
 reference.
 
-gf_cohomology built the tuple ChainComplex of relative_cochain_complex and
-reduced it with ChainComplex.cohomology_ranks, whose loop (with the
-dims_by_degree it read) is written out here as cohomology_ranks, a function
-of the complex; window_floor checked nothing against the lower truncation
-ends.  Each is the old code unchanged.
+gf_cohomology restricted the sublevel sets W = S^b and A = S^a to the
+region (restrict_to_region, two CubicalSets per window), built the tuple
+ChainComplex of relative_cochain_complex, which refuses a pair with A not
+in W, and reduced it with ChainComplex.cohomology_ranks, whose loop (with
+the dims_by_degree it read) is written out here as cohomology_ranks, a
+function of the complex; window_floor checked nothing against the lower
+truncation ends.  Each is the old code unchanged, except that
+restrict_to_region reads the region through BaseRegion.over.
 """
 
 import numpy as np
 
 from gfsheaf.genfun import (assert_window_regular, strand_value_range,
                             window_ceiling)
-from gfsheaf.grids import (BaseRegion, relative_cochain_complex,
-                           restrict_to_region, sublevel_set)
+from gfsheaf.grids import (BaseRegion, CubicalSet, relative_cochain_complex,
+                           sublevel_set)
 from gfsheaf.linalg import GF2, Reducer
+
+
+def restrict_to_region(W, region):
+    return CubicalSet(W.grid, W.membership & region.over(W.grid))
 
 
 def dims_by_degree(C):

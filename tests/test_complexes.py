@@ -686,6 +686,21 @@ def test_the_degree_check_on_ids_names_the_entry():
         C.check()
 
 
+@pytest.mark.parametrize("field, zero", [(GF2, 2), (QQ, 0)], ids=str)
+def test_an_id_entry_that_is_zero_in_the_field_is_refused(field, zero):
+    # with the entry taken as a coface, the ranks would read {} where the
+    # complex with no differential has {0: 1, 1: 1}
+    C = index_complex(["x", "y"], {"x": 0, "y": 1}, {"x": {"y": zero}}, field)
+    for integral in (False, True):
+        with pytest.raises(ValueError, match="stored zero in differential "
+                                             "at x -> y"):
+            C.check(integral=integral)
+    with pytest.raises(ValueError, match="stored zero"):
+        ChainComplex(["x", "y"], {"x": 0, "y": 1}, {"x": {"y": zero}}, field)
+    assert index_complex(["x", "y"], {"x": 0, "y": 1}, {},
+                         field).cohomology_ranks() == {0: 1, 1: 1}
+
+
 def test_an_id_cycle_names_the_first_pair_that_reaches_back():
     # pairs in order 0: e -> z, 1: a -> x, 2: b -> y.  d b reaches x (pair
     # 1) and d a reaches z (pair 0); b's entries come first, but pair 1 is

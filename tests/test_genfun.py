@@ -10,9 +10,9 @@ from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
                               stabilized_graph_genfun)
 from gfsheaf.genfun import (GenFun, QuadForm, assert_window_regular, box_sum,
                             brane_of, cerf_diagram, gf_cohomology,
-                            graph_brane, graph_genfun, negate, ominus,
-                            strand_value_range, window_ceiling,
-                            window_floor)
+                            graph_brane, graph_genfun, negate,
+                            normalized_window, ominus, strand_value_range,
+                            window_ceiling, window_floor)
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
                            critical_vertices, interval_grid,
                            sublevel_filtration)
@@ -494,7 +494,11 @@ def pair_cases(rng):
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
 def test_the_id_ranks_equal_the_tuple_reference(field):
-    kept = set()
+    # the reference refused a window whose normalized ends are inverted
+    # (it misses the band: one end infinite, the other beyond the band)
+    # with "A must be contained in W"; the pair route answers {} there,
+    # and everywhere else the two agree exactly
+    kept, beyond = set(), 0
     for form, gf, cuts in pair_cases(random.Random(24)):
         cell_max = gf.S.cell_max()
         arc = BaseRegion.interval_arc(gf.grid, 3, 9)
@@ -504,22 +508,30 @@ def test_the_id_ranks_equal_the_tuple_reference(field):
                                a, b, field, check_regular=False)
                 got = outcome(gf_cohomology, gf, region, a, b, field,
                               check_regular=False)
-                assert got == want, (form, a, b)
+                if want == ("refused", "A must be contained in W"):
+                    a2, b2 = normalized_window(gf, a, b)
+                    assert INF in (-a, b) and not a2 < b2, (form, a, b)
+                    assert got == ("ok", dict, "{}"), (form, a, b)
+                    beyond += 1
+                else:
+                    assert got == want, (form, a, b)
             if -INF < a and b < INF:
                 n = int(((a <= cell_max) & (cell_max < b)).sum())
                 kept.add("empty" if n == 0 else
                          "full" if n == cell_max.size else "part")
     # W == A (no cell kept) and W the whole grid with A empty
     assert kept == {"empty", "full", "part"}
+    assert beyond == 20
 
 
 def gapped_complex(rng, field):
-    """An integral IndexComplex with generators in degrees -1, 0, 2, 3 and
-    4 only, ids shuffled: unimodular pairs x -> y and lone cocycles under a
-    random unimodular triangular change of basis in each degree, with the
-    ranks it must have.  The columns sit in degrees -1, 2 and 3: degree 0
-    is cleared by degree -1, then the gap, then degree 3 is cleared by
-    degree 2."""
+    """An IndexComplex with generators in degrees -1, 0, 2, 3 and 4 only,
+    ids shuffled: unimodular pairs x -> y and lone cocycles under a random
+    unimodular triangular change of basis in each degree, with the ranks it
+    must have.  The columns sit in degrees -1, 2 and 3: degree 0 is cleared
+    by degree -1, then the gap, then degree 3 is cleared by degree 2.  The
+    integer complex is certified over Z; over F2 its even entries, zero
+    there, are then dropped."""
     deg, d, known = [], {}, {}
     for k, pairs, lone in ((-1, 3, 1), (0, 0, 2), (2, 3, 1), (3, 2, 1),
                            (4, 0, 1)):
@@ -550,10 +562,14 @@ def gapped_complex(rng, field):
             if not d[b][h]:
                 del d[b][h]
     names = [f"g{i}" for i in range(len(deg))]
-    K = index_complex(names, dict(zip(names, deg)),
-                      {names[g]: {names[h]: v for h, v in sorted(cb.items())}
-                       for g, cb in d.items()}, field)
-    K.check(integral=True)
+    d = {names[g]: {names[h]: v for h, v in sorted(cb.items())}
+         for g, cb in d.items()}
+    deg = dict(zip(names, deg))
+    index_complex(names, deg, d, QQ).check()
+    if field is GF2:
+        d = {g: {h: v for h, v in cb.items() if v & 1} for g, cb in d.items()}
+    K = index_complex(names, deg, d, field)
+    K.check()
     return K, names, {k: n for k, n in known.items() if n}
 
 
@@ -581,6 +597,64 @@ def test_gf_cohomology_builds_no_chain_complex(monkeypatch):
         gf_cohomology(graph_genfun(f), None, -INF, INF, QQ)
     with pytest.raises(AssertionError, match="tuple pair complex"):
         pair_reference.gf_cohomology(gf, None, -INF, INF, QQ)
+
+
+def test_a_window_beyond_the_band_is_empty_on_every_route(monkeypatch):
+    # the normalized window of the stabilized family is inverted: above the
+    # band the reference refused it ("A must be contained in W"), below it
+    # the reference's pair was empty; the filtered and sheaf routes of the
+    # graph answer {}, and so does the pair route, without building a pair
+    # complex
+    from gfsheaf import genfun
+    from gfsheaf.sheaves import quantize, sections, to_cellular
+    f = random_circle_morse(random.Random(24), n=8)
+    gf = stabilized_graph_genfun(f, (1.0,), radius=2.5, n_fiber=8)
+    graph = graph_genfun(f)
+    filtered = sublevel_filtration(f).barcode()
+    sheaf = to_cellular(quantize(graph))
+    above = [(window_ceiling(gf) + 0.5, INF), (gf.S.range()[1] + 1.0, INF)]
+    windows = above + [(-INF, window_floor(gf) - 0.5)]
+    for a, b in windows:
+        a2, b2 = normalized_window(gf, a, b)
+        assert not a2 < b2
+        if (a, b) in above:
+            with pytest.raises(ValueError, match="A must be contained in W"):
+                pair_reference.gf_cohomology(gf, None, a, b)
+        else:
+            assert pair_reference.gf_cohomology(gf, None, a, b) == {}
+        assert filtered.window_ranks(a, b) == {}
+        assert sections(sheaf, None, a, b) == {}
+        assert sections(quantize(gf), None, a, b) == {}
+        for field in (GF2, QQ):
+            assert gf_cohomology(gf, None, a, b, field) == {}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair complex was built")
+
+    monkeypatch.setattr(genfun, "cubical_index_complex", refuse)
+    for a, b in windows:
+        assert gf_cohomology(gf, None, a, b) == {}
+    with pytest.raises(AssertionError, match="pair complex"):
+        gf_cohomology(gf, None, -INF, INF)
+
+
+def test_gf_cohomology_builds_no_cubical_set(monkeypatch):
+    from gfsheaf import grids
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CubicalSet was built")
+
+    f = random_circle_morse(random.Random(3), n=8)
+    gf = stabilized_graph_genfun(f, (1.0, -1.0), radius=4.0, n_fiber=6)
+    arc = BaseRegion.interval_arc(gf.grid, 3, 9)
+    want = [pair_reference.gf_cohomology(gf, region, -INF, INF)
+            for region in (None, arc)]
+    monkeypatch.setattr(grids.CubicalSet, "__init__", refuse)
+    assert [gf_cohomology(gf, region, -INF, INF)
+            for region in (None, arc)] == want
+    assert want[0] == gf_cohomology(graph_genfun(f), None, -INF, INF)
+    with pytest.raises(AssertionError, match="CubicalSet"):
+        pair_reference.gf_cohomology(gf, arc, -INF, INF)
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)

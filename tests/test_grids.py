@@ -13,11 +13,12 @@ from gfsheaf.grids import (BaseRegion, BoxGrid, CubicalSet, SampledFunction,
                            _axis_cell_reduce, cell_extreme, circle_grid,
                            critical_vertices, cup_product_cochain,
                            empty_set, full_set, interval_grid,
-                           relative_cochain_complex, restrict_to_region,
-                           sublevel_filtration, sublevel_set)
+                           relative_cochain_complex, sublevel_filtration,
+                           sublevel_set)
 from gfsheaf.linalg import GF2, QQ
 from gfsheaf.products import dualize
 from gfsheaf.sheaves import _as_cellsheaf, quantize, to_cellular
+from pair_reference import restrict_to_region
 from convolution_reference import (corner_table, cup_product_cochain as
                                    reference_cup_product_cochain,
                                    decoupled_superlevel_complex,

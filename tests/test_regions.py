@@ -1,23 +1,32 @@
 """Closed base regions read off the coface table: the face closure, the
 boundary ring, the clamp vertices and the conormal rim, each against the
 tuple walkers of tests/tuple_cells.py on seeded random bases, and a 2-d
-region whose corners the direct-face closure left out."""
+region whose corners the direct-face closure left out.  A region lives on
+its base grid: a grid of another base is refused, and a region built on a
+grid with fibers is the region built on its base."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from gfsheaf.fixtures import smoothed_clamp
+from gfsheaf.fixtures import (random_circle_morse, smoothed_clamp,
+                              stabilized_graph_genfun)
 from gfsheaf.floer import _boundary_ring, clamp_schedule
 from gfsheaf.genfun import gf_cohomology, graph_genfun
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
                            interval_grid)
 from gfsheaf.products import dualize
-from gfsheaf.sheaves import (conify_conormal, microstalk, quantize, sections,
-                             to_cellular, unit_sheaf)
+from gfsheaf.rectify import sheafify_limit
+from gfsheaf.sheaves import (conify_conormal, microstalk, quantize,
+                             section_barcode, sections, to_cellular,
+                             unit_sheaf)
 from tuple_cells import (boundary_ring, conormal_points, direct_face_closure,
                          face_closure, inside_vertices, smoothed_clamp_values)
+
+
+INF = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -157,3 +166,67 @@ def test_the_full_and_the_empty_region_are_closed():
     assert not _boundary_ring(empty).any()
     assert not _boundary_ring(BaseRegion(grid)).any()
     assert (clamp_schedule(empty, 1.0, ks=(4,))[0].values == -4.0).all()
+
+
+# ---------------------------------------------------------------------------
+# a region lives on the base grid
+
+def circle_family():
+    f = random_circle_morse(random.Random(5), n=12)
+    return f, stabilized_graph_genfun(f, (1.0,), radius=2.5, n_fiber=8)
+
+
+def test_a_region_of_another_base_is_refused():
+    f, gf = circle_family()
+    C = to_cellular(quantize(graph_genfun(f)))
+    section_barcode(C, BaseRegion.interval_arc(gf.base_grid, 3, 9))
+    # a circle of another length: the same cells, so the same membership
+    # bytes, over another base
+    other = BaseRegion.interval_arc(BoxGrid((circle_grid(12, 2.0),)), 3, 9)
+    assert other.membership.shape == gf.base_grid.base_cell_shape
+    for route in (lambda: gf_cohomology(gf, other, -INF, INF),
+                  lambda: sections(C, other, -1.0, 1.0),
+                  lambda: section_barcode(C, other),
+                  lambda: other.over(gf.grid)):
+        with pytest.raises(ValueError, match="another base grid"):
+            route()
+
+
+def test_a_region_on_the_grid_and_on_its_base_are_one_region():
+    f, gf = circle_family()
+    on_grid = BaseRegion.interval_arc(gf.grid, 3, 9)
+    on_base = BaseRegion.interval_arc(gf.base_grid, 3, 9)
+    assert on_grid.grid is on_base.grid is gf.base_grid
+    assert on_grid == on_base and hash(on_grid) == hash(on_base)
+    assert on_grid != BaseRegion.interval_arc(gf.grid, 3, 8)
+    over = on_grid.over(gf.grid)
+    assert over.shape == gf.grid.cell_shape and not over.flags.writeable
+    assert (over == on_grid.membership[:, None]).all()
+    assert gf_cohomology(gf, on_grid, -INF, INF) == \
+        gf_cohomology(gf, on_base, -INF, INF) == {0: 1}
+    C = to_cellular(quantize(gf), spot_checks=0)
+    assert section_barcode(C, on_grid) is section_barcode(C, on_base)
+    assert list(C._barcodes) == [on_grid]
+    L = sheafify_limit(f, ks=(1, 2, 3))
+    lo, hi = f.range()
+    assert sections(L, on_grid, lo - 1.0, hi + 1.0) == \
+        sections(L, on_base, lo - 1.0, hi + 1.0)
+    assert {region for region, _ in L.limit._barcodes} == {on_grid}
+
+
+def test_the_dual_of_a_region_unit_is_the_old_rebuild():
+    grid = torus()
+    region = square(grid)
+    for t0 in (0.0, 0.75):
+        D = dualize(unit_sheaf(grid, region, t0))
+        old = unit_sheaf(grid, BaseRegion(grid, ~region.membership), -t0)
+        assert D.cell.indicator == old.cell.indicator == \
+            ("region", region.complement_closure(), -t0)
+        assert D.cell.taxis == old.cell.taxis
+        for got, want in ((D.cell.source, old.cell.source),
+                          (section_barcode(D), section_barcode(old))):
+            assert vars(got).keys() == vars(want).keys()
+            for key, value in vars(got).items():
+                assert np.array_equal(value, vars(want)[key]), key
+    full = dualize(unit_sheaf(grid, None, 0.75))
+    assert full.cell.indicator == ("region", None, -0.75)
