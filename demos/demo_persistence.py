@@ -21,10 +21,10 @@ write_barcode_svg("persistence_circle.svg", bc.bars)
 # a window straddling only the maximum value
 print("window [0.31, 1.27):", bc.window_ranks(0.31, 1.27))
 
-# the same window as a relative pair of cubical sublevel sets
+# the same window as a relative pair of cubical sublevel sets (cell masks)
 W = sublevel_set(f, 1.27)
 A = sublevel_set(f, 0.31)
-pair = cohomology_ranks(relative_cochain_complex(W, A))
+pair = cohomology_ranks(relative_cochain_complex(f.grid, W, A))
 print("relative pair route:", pair)
 
 ft = torus_function("0.8*cos(2*pi*x) + 0.5*sin(2*pi*y)", n1=24, n2=24)

@@ -239,11 +239,6 @@ class FilteredComplex:
         keep = [g for g in self.complex.gens if a <= self.action[g] < b]
         return self.complex.restricted(keep)
 
-    def window_filtered(self, a, b):
-        sub = self.window(a, b)
-        return FilteredComplex(sub, {g: self.action[g] for g in sub.gens},
-                               check=False)
-
     def barcode(self):
         """Interval decomposition of the filtered cohomology, by the column
         reduction with clearing of _bars on the generators in filtration

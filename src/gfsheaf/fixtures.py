@@ -83,7 +83,6 @@ def smoothed_clamp(region, depth=2.0, ramp_cells=4):
     The per-cell value spread is bounded by depth / ramp_cells, so windows
     clearing that margin see the conormal limit exactly.
     """
-    from .grids import SampledFunction
     grid = region.grid
     if len(grid.base) != 1:
         raise ValueError("smoothed clamps implemented for 1-d bases")

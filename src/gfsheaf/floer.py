@@ -1,10 +1,6 @@
-"""The independent comparison route: filtered complexes of graph branes,
-sublevel-inclusion continuation maps, conormal limits by clamp schedules,
-the cup product on superlevel classes, and restriction to closed subgrids.
-
-Every quantity here is computed from sublevel/superlevel data of sampled
-functions on the base grid only, so it can cross-check the generating-function
-and sheaf routes without sharing their code paths.
+"""Graph branes and base-level checks: conormal limits along clamp schedules
+(the filtered route for a graph brane, the pair route for a generating
+family), superlevel homes with their pant product, and reduce_to_Z.
 """
 
 from __future__ import annotations
@@ -14,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (ChainMap, FilteredComplex, apply_d, cohomology_basis,
-                        cohomology_ranks)
+from .complexes import apply_d, cohomology_basis, cohomology_ranks
 from .genfun import GenFun, gf_cohomology
 from .grids import (BaseRegion, BoxGrid, SampledFunction, critical_vertices,
                     cubical_complex, cup_product_cochain, sublevel_filtration)
@@ -37,73 +32,6 @@ class GraphBrane:
     @property
     def grid(self) -> BoxGrid:
         return self.f.grid
-
-
-@dataclass(frozen=True)
-class FloerDatum:
-    generator: tuple    # critical vertex of g - f
-    action: float       # g(x) - f(x)
-    degree: int         # Morse index of g - f
-    degenerate: bool
-
-
-def zero_brane(grid: BoxGrid) -> GraphBrane:
-    return GraphBrane(SampledFunction(grid, np.zeros(grid.vertex_shape)))
-
-
-def floer_data(L0: GraphBrane, L1: GraphBrane):
-    """Generators of the pair complex: critical points of f_{L1} - f_{L0}."""
-    return [FloerDatum(rec["vertex"], rec["value"], rec["index"],
-                       rec["degenerate"])
-            for rec in critical_vertices(L1.f - L0.f)]
-
-
-def floer_complex(L0: GraphBrane, L1: GraphBrane, a=-INF, b=INF,
-                  field=GF2) -> FilteredComplex:
-    """Windowed filtered complex of the pair (sublevel model of f_{L1}-f_{L0}).
-
-    Degenerate critical data or a window boundary on a critical value is
-    rejected; the action convention is second argument minus first.
-    """
-    if not a < b:
-        raise ValueError("window requires a < b")
-    h = L1.f - L0.f
-    data = floer_data(L0, L1)
-    for d in data:
-        if d.degenerate:
-            raise ValueError(f"degenerate critical cell at {d.generator}")
-        for c in (a, b):
-            if c not in (-INF, INF) and abs(d.action - c) < 1e-9:
-                raise ValueError(f"window boundary {c} hits critical value "
-                                 f"{d.action}")
-    return sublevel_filtration(h, field).window_filtered(a, b)
-
-
-def floer_ranks(L0: GraphBrane, L1: GraphBrane, a, b, field=GF2):
-    return cohomology_ranks(floer_complex(L0, L1, a, b, field).complex)
-
-
-def continuation_map(f0: SampledFunction, f1: SampledFunction, L: GraphBrane,
-                     a, b, field=GF2) -> ChainMap:
-    """Map FC(L, graph f0; a,b) -> FC(L, graph f1; a,b) for f0 <= f1.
-
-    Induced by the inclusion of f1-side sublevel sets into f0-side ones;
-    cells whose action slides past b map to zero.  Monotonicity at every
-    vertex is required; a strand crossing a or b downward cannot occur for
-    monotone data and non-monotone input is rejected outright.
-    """
-    if not np.all(f1.values >= f0.values - 1e-12):
-        raise ValueError("family must be monotone: f0 <= f1 at every vertex")
-    h0 = f0 - L.f
-    h1 = f1 - L.f
-    F0 = sublevel_filtration(h0, field).window_filtered(a, b)
-    F1 = sublevel_filtration(h1, field).window_filtered(a, b)
-    one = field.one()
-    gens1 = set(F1.complex.gens)
-    comp = {g: {g: one} for g in F0.complex.gens if g in gens1}
-    T = ChainMap(F0.complex, F1.complex, comp)
-    T.verify()
-    return T
 
 
 def clamp_schedule(region: BaseRegion, scale, ks=(4, 8, 16, 32, 64)):

@@ -326,42 +326,9 @@ def _cells(mask):
     return [tuple(c) for c in np.argwhere(mask).tolist()]
 
 
-class CubicalSet:
-    """Subset of the cells of a BoxGrid, by membership over its cell
-    lattice.  Closedness is not checked; the library builds closed sets
-    only: sublevel sets (closed by the lower-star rule) and the full and
-    empty sets."""
-
-    def __init__(self, grid: BoxGrid, membership):
-        self.grid = grid
-        self.membership = np.asarray(membership, dtype=bool)
-        if self.membership.shape != grid.cell_shape:
-            raise ValueError("membership shape mismatch")
-
-    def __contains__(self, cell):
-        return bool(self.membership[tuple(cell)])
-
-    def cells(self):
-        return _cells(self.membership)
-
-    def count(self):
-        return int(self.membership.sum())
-
-    def issubset(self, other):
-        return bool(np.all(~self.membership | other.membership))
-
-
-def full_set(grid: BoxGrid):
-    return CubicalSet(grid, np.ones(grid.cell_shape, dtype=bool))
-
-
-def empty_set(grid: BoxGrid):
-    return CubicalSet(grid, np.zeros(grid.cell_shape, dtype=bool))
-
-
-def sublevel_set(f: SampledFunction, t: float) -> CubicalSet:
-    """Cells whose vertices all satisfy f < t (strict at vertices)."""
-    return CubicalSet(f.grid, f.cell_max() < t)
+def sublevel_set(f: SampledFunction, t: float):
+    """Mask of the cells whose vertices all satisfy f < t."""
+    return f.cell_max() < t
 
 
 class BaseRegion:
@@ -398,9 +365,15 @@ class BaseRegion:
 
     @staticmethod
     def from_cells(grid: BoxGrid, cells):
+        """The closure of cells, each one in-range integer per base axis."""
         m = np.zeros(grid.base_cell_shape, dtype=bool)
-        for c in cells:
-            m[tuple(c)] = True
+        for c in map(tuple, cells):
+            ids = np.asarray(c)
+            if ids.dtype.kind not in "iu" or ids.shape != (m.ndim,) or \
+                    not ((0 <= ids) & (ids < m.shape)).all():
+                raise ValueError(f"base cell {c!r} is not one in-range "
+                                 f"integer per axis of {m.shape}")
+            m[tuple(ids)] = True
         return BaseRegion(grid, m)
 
     @staticmethod
@@ -476,12 +449,15 @@ def _cell(grid, flat):
     return tuple(map(int, np.unravel_index(int(flat), grid.cell_shape)))
 
 
-def relative_cochain_complex(W: CubicalSet, A: CubicalSet,
-                             field=GF2) -> ChainComplex:
-    """Cellular cochains of W vanishing on A; cohomology H^*(W, A)."""
-    if not A.issubset(W):
+def relative_cochain_complex(grid: BoxGrid, W, A, field=GF2) -> ChainComplex:
+    """Cellular cochains of the closed cell set W vanishing on the closed
+    set A, both boolean masks over grid.cell_shape; cohomology H^*(W, A)."""
+    W, A = np.asarray(W, dtype=bool), np.asarray(A, dtype=bool)
+    if W.shape != grid.cell_shape or A.shape != grid.cell_shape:
+        raise ValueError("membership shape mismatch")
+    if np.any(A & ~W):
         raise ValueError("A must be contained in W")
-    return cubical_complex(W.grid, W.membership & ~A.membership, field)
+    return cubical_complex(grid, W & ~A, field)
 
 
 def sublevel_filtration(f: SampledFunction, field=GF2) -> FilteredComplex:

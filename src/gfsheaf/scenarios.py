@@ -359,9 +359,17 @@ def _task_quantize(ctx, task, out_dir):
             "breakpoints": len(diagram.breakpoints)}
 
 
+def _line_base(grid, op):
+    """The axis of a 1-d base; op reads no other base."""
+    if len(grid.base) != 1:
+        raise ScenarioParseError(
+            f"{op} needs a 1-d base, this base has {len(grid.base)} axes")
+    return grid.base[0]
+
+
 def _task_microstalk(ctx, task, out_dir):
     F = ctx.sheaf_for(task["sheaf"])
-    grid1 = F.base_grid.base[0]
+    grid1 = _line_base(F.base_grid, "microstalk")
     rows = [("x", "t", "total_rank")]
     tables = []
     for cell in range(0, grid1.n_cells, 2):
@@ -376,8 +384,8 @@ def _task_microstalk(ctx, task, out_dir):
 
 def _task_front_table(ctx, task, out_dir):
     gf = ctx.genfuns[task["genfun"]]
+    grid1 = _line_base(gf.grid, "front-table")
     F = quantize(gf)
-    grid1 = gf.grid.base[0]
     band_top = _real(task.get("band_top", 1.0), "band_top")
     rows = [("x", "t", "inside_rank")]
     for cell in range(0, grid1.n_cells, max(2, grid1.n_cells // 16)):
@@ -400,6 +408,7 @@ def _task_ss(ctx, task, out_dir):
     if p_scale <= 0:
         raise ScenarioParseError(f"p_scale must be positive, got {p_scale!r}")
     gf = ctx.genfuns[task["genfun"]]
+    g = _line_base(gf.grid, "ss")
     ss = singular_support(quantize(gf), p_samples=p_samples)
     cone = conify(brane_of(gf))
     iox.write_csv(_out(task, out_dir, "ss.csv"), ss.to_csv_rows())
@@ -408,7 +417,6 @@ def _task_ss(ctx, task, out_dir):
                             [(x, t) + ((), 0) for (x, t, _p, tau)
                              in cone.points if tau == 0],
                             cone_points=ss.points)
-    g = gf.grid.base[0]
     scales = (g.spacing, 2 * gf.tau_val() + 1e-6,
               p_scale * g.spacing, 1.0)
     dist = ss.hausdorff(cone, scales)
@@ -549,7 +557,11 @@ def _task_oracle_compare(ctx, task, out_dir):
         if len(pair) != 2:
             raise ScenarioParseError(f"pair must be [f, g], got {pair!r}")
         fname, gname = (_string(name, "pair entry") for name in pair)
-        gf = graph_genfun(ctx.functions[gname] - ctx.functions[fname])
+        f, g = ctx.functions[fname], ctx.functions[gname]
+        if f.grid != g.grid:
+            raise ScenarioParseError(
+                f"pair functions {fname!r} and {gname!r} differ in grid")
+        gf = graph_genfun(g - f)
     else:
         gf = ctx.genfuns[task["genfun"]]
     bc = sublevel_filtration(gf.S).barcode()
@@ -613,6 +625,7 @@ def _task_cup(ctx, task, out_dir):
     reduction; its rows count only when the whole triple succeeds, and a
     triple is redrawn only on a refusal of CUP_REFUSALS."""
     from .complexes import class_coordinates
+    # read per call: perfbench/tracer.py swaps fixtures.random_circle_morse
     from .fixtures import random_circle_morse
     from .products import (ProductHome, class_table, cup_product,
                            floer_to_product_classes)

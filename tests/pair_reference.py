@@ -2,26 +2,21 @@
 reference.
 
 gf_cohomology restricted the sublevel sets W = S^b and A = S^a to the
-region (restrict_to_region, two CubicalSets per window), built the tuple
-ChainComplex of relative_cochain_complex, which refuses a pair with A not
-in W, and reduced it with ChainComplex.cohomology_ranks, whose loop (with
-the dims_by_degree it read) is written out here as cohomology_ranks, a
-function of the complex; window_floor checked nothing against the lower
-truncation ends.  Each is the old code unchanged, except that
-restrict_to_region reads the region through BaseRegion.over.
+region, built the tuple ChainComplex of relative_cochain_complex, which
+refuses a pair with A not in W, and reduced it with
+ChainComplex.cohomology_ranks, whose loop (with the dims_by_degree it read)
+is written out here as cohomology_ranks, a function of the complex;
+window_floor checked nothing against the lower truncation ends.  Each is the
+old code, except that W and A are cell masks over gf.grid, restricted as
+W & region.over(gf.grid).
 """
 
 import numpy as np
 
 from gfsheaf.genfun import (assert_window_regular, strand_value_range,
                             window_ceiling)
-from gfsheaf.grids import (BaseRegion, CubicalSet, relative_cochain_complex,
-                           sublevel_set)
+from gfsheaf.grids import BaseRegion, relative_cochain_complex, sublevel_set
 from gfsheaf.linalg import GF2, Reducer
-
-
-def restrict_to_region(W, region):
-    return CubicalSet(W.grid, W.membership & region.over(W.grid))
 
 
 def dims_by_degree(C):
@@ -78,7 +73,8 @@ def gf_cohomology(gf, region, a, b, field=GF2, check_regular=True):
     a, b = normalized_window(gf, a, b)
     if check_regular:
         assert_window_regular(gf, region, a, b)
-    W = restrict_to_region(sublevel_set(gf.S, b), region)
-    A = restrict_to_region(sublevel_set(gf.S, a), region)
-    ranks = cohomology_ranks(relative_cochain_complex(W, A, field))
+    mask = region.over(gf.grid)
+    W = sublevel_set(gf.S, b) & mask
+    A = sublevel_set(gf.S, a) & mask
+    ranks = cohomology_ranks(relative_cochain_complex(gf.grid, W, A, field))
     return {d - gf.i_q: r for d, r in ranks.items() if r}

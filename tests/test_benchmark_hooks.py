@@ -14,15 +14,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # not by lookup), one relative complex and one sublevel filtration through
 # the wrapped functions, and check the counts the tracer reads off their
 # results; then check that a stabilized genfun's Cerf diagram and pair
-# cohomology, a Floer datum and one cup triple (its classes, products,
-# tables and solves) are spanned and counted
+# cohomology, the critical vertices of a function and one cup triple (its
+# classes, products, tables and solves) are spanned and counted
 TRACED = """
 import tracer
 t = tracer.Tracer()
 tracer.install(t)
-from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid, full_set,
-                           relative_cochain_complex, sublevel_filtration,
-                           sublevel_set)
+import numpy as np
+from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid,
+                           critical_vertices, relative_cochain_complex,
+                           sublevel_filtration, sublevel_set)
 from gfsheaf.sheaves import section_barcode, unit_sheaf
 grid = BoxGrid((circle_grid(4),))
 F = unit_sheaf(grid)
@@ -31,7 +32,8 @@ F.cell.stalk((0,), 2.0)
 assert section_barcode(F).bars == ((0, 0.0, float("inf")),
                                    (1, 0.0, float("inf")))
 f = SampledFunction(grid, [0.0, 1.0, 2.0, 1.0])
-C = relative_cochain_complex(full_set(grid), sublevel_set(f, 1.5))
+C = relative_cochain_complex(grid, np.ones(grid.cell_shape, dtype=bool),
+                             sublevel_set(f, 1.5))
 FC = sublevel_filtration(f)
 for publish in t.finish:
     publish()
@@ -41,12 +43,11 @@ assert t.counts["grids.relative_complex.gens"] == len(C.gens) == 3, t.counts
 assert t.counts["grids.sublevel_filtration.cells"] == len(FC.complex.gens) \
     == 8, t.counts
 from gfsheaf.fixtures import stabilized_graph_genfun
-from gfsheaf.floer import GraphBrane, floer_data, zero_brane
 from gfsheaf.genfun import cerf_diagram, gf_cohomology
 gf = stabilized_graph_genfun(f, coeffs=(1.0,), n_fiber=8)
 assert len(cerf_diagram(gf).strands) == 4
 assert gf_cohomology(gf, None, -10.0, 10.0) == {0: 1, 1: 1}
-assert len(floer_data(zero_brane(grid), GraphBrane(f))) == 2
+assert len(critical_vertices(f)) == 2
 import tempfile
 import types
 from gfsheaf import scenarios

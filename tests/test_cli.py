@@ -534,6 +534,37 @@ def test_bad_task_parameter_exits_2(tmp_path, capsys, name):
     assert "[input-error]" in out and message in out
 
 
+# inputs a task cannot use, each once answered: microstalk and front-table
+# read row 0 of a torus as the point (0,) and exited 0 (microstalk wrote
+# total rank 1 at x = 0, t = 0.3, where the point answer is {}), ss failed
+# (exit 1), and a pair on two grids failed at the subtraction (exit 1)
+MIXED_INPUTS = ('[scenario]\nname = "s"\nseed = 1\n'
+                '[inputs.functions.h]\ngrid = "torus"\n'
+                'expr = "0.8*cos(2*pi*x) + 0.5*sin(2*pi*y)"\nn = 8\n'
+                '[inputs.functions.c]\nexpr = "cos(2*pi*x)"\nn = 8\n'
+                '[inputs.functions.s]\nexpr = "sin(2*pi*x)"\nn = 12\n'
+                '[inputs.genfuns.g]\nkind = "graph"\nfunction = "h"\n')
+
+
+@pytest.mark.parametrize("task, message", [
+    ('op = "microstalk"\nsheaf = "h"\nt_values = [0.3]\n',
+     "microstalk needs a 1-d base, this base has 2 axes"),
+    ('op = "front-table"\ngenfun = "g"\nt_values = [0.3]\n',
+     "front-table needs a 1-d base, this base has 2 axes"),
+    ('op = "ss"\ngenfun = "g"\n',
+     "ss needs a 1-d base, this base has 2 axes"),
+    ('op = "oracle-compare"\npair = ["c", "s"]\n',
+     "pair functions 'c' and 's' differ in grid"),
+], ids=["microstalk", "front-table", "ss", "oracle-compare"])
+def test_an_input_the_task_cannot_read_exits_2(tmp_path, capsys, task,
+                                               message):
+    path = tmp_path / "mixed.toml"
+    path.write_text(MIXED_INPUTS + "[[tasks]]\n" + task)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "[input-error]" in out and message in out
+
+
 @pytest.mark.parametrize("verb", ["run", "verify-all"])
 @pytest.mark.parametrize("where", ["file", "under-file"])
 def test_an_unusable_out_dir_exits_2_without_traceback(tmp_path, verb,

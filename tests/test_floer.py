@@ -7,85 +7,53 @@ import pytest
 from gfsheaf.complexes import apply_d, class_coordinates, cohomology_ranks
 from gfsheaf.fixtures import (circle_function, cusp_genfun, graph_pair,
                               random_circle_morse, torus_function)
-from gfsheaf.floer import (FloerDatum, GraphBrane, StabilizationError,
-                           SuperlevelHome, clamp_schedule, continuation_map,
-                           floer_complex, floer_data,
-                           floer_ranks, pant_product,
-                           restrict_classes, stabilize, unit_class,
-                           conormal_limit_ranks, zero_brane)
+from gfsheaf.floer import (GraphBrane, StabilizationError, SuperlevelHome,
+                           clamp_schedule, pant_product, restrict_classes,
+                           stabilize, unit_class, conormal_limit_ranks)
 from gfsheaf.genfun import GenFun, gf_cohomology, graph_genfun, ominus
-from gfsheaf.grids import BaseRegion, sublevel_filtration
+from gfsheaf.grids import BaseRegion, critical_vertices, sublevel_filtration
 from gfsheaf.linalg import GF2
 
 INF = math.inf
 
 
-def duality_bridge_ranks(L0, L1, a, b):
-    """Window ranks of the pair alongside the reversed-dual window of the
-    swapped pair: rank_d FH(L0, L1; a, b) vs rank_{n-d} FH(L1, L0; -b, -a)."""
-    n = len(L0.grid.base)
-    direct = floer_ranks(L0, L1, a, b)
-    swapped = floer_ranks(L1, L0, -b, -a)
+def window_ranks(h, a, b):
+    """Ranks of the window [a, b) of the sublevel filtration of h: the pair
+    (graph f, graph g) has the action h = g - f."""
+    return cohomology_ranks(sublevel_filtration(h).window(a, b))
+
+
+def duality_bridge_ranks(f, g, a, b):
+    """Window ranks of the pair (graph f, graph g) alongside the
+    reversed-dual window of the swapped pair: rank_d of g - f on [a, b)
+    vs rank_{n-d} of f - g on [-b, -a)."""
+    n = len(f.grid.base)
+    direct = window_ranks(g - f, a, b)
+    swapped = window_ranks(f - g, -b, -a)
     mirrored = {n - d: r for d, r in swapped.items()}
     return direct, mirrored
 
 
 def test_floer_complex_morse_example():
-    # FC(0_N, graph cos) is the Morse data of cos: one min, one max
+    # the pair (0_N, graph cos) is the Morse data of cos: one min, one max
     f = circle_function("cos(2*pi*x)", n=64)
-    zero = zero_brane(f.grid)
-    data = floer_data(zero, GraphBrane(f))
-    assert sorted((d.degree, round(d.action, 6)) for d in data) == \
-        [(0, -1.0), (1, 1.0)]
-    assert floer_ranks(zero, GraphBrane(f), -2.0, 2.0) == {0: 1, 1: 1}
+    assert sorted((c["index"], round(c["value"], 6))
+                  for c in critical_vertices(f)) == [(0, -1.0), (1, 1.0)]
+    assert window_ranks(f, -2.0, 2.0) == {0: 1, 1: 1}
 
 
 def test_floer_disjoint_window_zero():
     f = circle_function("0.2*sin(2*pi*x)", n=32)
     g = circle_function("0.2*sin(2*pi*x) + 1.0", n=32)
     # critical values of g - f sit at 1.0; a window excluding it vanishes
-    assert floer_ranks(GraphBrane(f), GraphBrane(g), 2.0, 3.0) == {}
+    assert window_ranks(g - f, 2.0, 3.0) == {}
 
 
-def test_floer_degenerate_rejected():
+def test_floer_degenerate_flagged():
     # (sin x + sin y)^2 / 2 has a rank-one Hessian at the origin: flagged
     f = torus_function("(sin(2*pi*x) + sin(2*pi*y))^2 / 2", n1=12, n2=12)
-    with pytest.raises(ValueError, match="degenerate"):
-        floer_complex(zero_brane(f.grid), GraphBrane(f), -1.0, 1.0)
-
-
-def test_continuation_identity_and_zero():
-    rng = random.Random(1)
-    f = random_circle_morse(rng, n=24)
-    L = zero_brane(f.grid)
-    T = continuation_map(f, f, L, -3.0, 3.0)
-    assert all(T.comp[g] == {g: 1} for g in T.source.gens)
-    lo, hi = f.range()
-    a, b = lo - 0.11, hi + 0.13
-    C = b - a + 0.5
-    Tz = continuation_map(f, f + C, L, a, b)
-    assert Tz.comp == {}
-    with pytest.raises(ValueError):
-        continuation_map(f, f - 1.0, L, a, b)
-
-
-def test_continuation_functoriality():
-    rng = random.Random(2)
-    f0 = random_circle_morse(rng, n=24)
-    f1 = f0 + 0.3
-    f2 = f1 + 0.4
-    L = zero_brane(f0.grid)
-    a, b = -0.911, 1.913
-    T01 = continuation_map(f0, f1, L, a, b)
-    T12 = continuation_map(f1, f2, L, a, b)
-    T02 = continuation_map(f0, f2, L, a, b)
-    for g in T01.source.gens:
-        step = {}
-        for h, v in T01.comp.get(g, {}).items():
-            for k, w in T12.comp.get(h, {}).items():
-                step[k] = step.get(k, 0) ^ (v & w)
-        step = {k: v for k, v in step.items() if v}
-        assert step == T02.comp.get(g, {})
+    assert [c["degenerate"] for c in critical_vertices(f)
+            if c["vertex"] == (0, 0)] == [True]
 
 
 def test_conormal_limit_full_region_is_plain_ranks():
@@ -249,8 +217,7 @@ def test_duality_bridge_on_graphs():
     for _ in range(5):
         f, g = graph_pair(rng, n=24)
         a, b = -0.977, 1.021
-        direct, mirrored = duality_bridge_ranks(
-            GraphBrane(f), GraphBrane(g), a, b)
+        direct, mirrored = duality_bridge_ranks(f, g, a, b)
         assert direct == mirrored
 
 

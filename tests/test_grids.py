@@ -9,16 +9,14 @@ from gfsheaf.complexes import IndexComplex, cohomology_ranks, apply_d
 from gfsheaf.fixtures import random_circle_morse
 from gfsheaf.floer import SuperlevelHome
 from gfsheaf.genfun import graph_genfun
-from gfsheaf.grids import (BaseRegion, BoxGrid, CubicalSet, SampledFunction,
+from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction,
                            _axis_cell_reduce, cell_extreme, circle_grid,
                            critical_vertices, cup_product_cochain,
-                           empty_set, full_set, interval_grid,
-                           relative_cochain_complex, sublevel_filtration,
-                           sublevel_set)
+                           interval_grid, relative_cochain_complex,
+                           sublevel_filtration, sublevel_set)
 from gfsheaf.linalg import GF2, QQ
 from gfsheaf.products import dualize
 from gfsheaf.sheaves import _as_cellsheaf, quantize, to_cellular
-from pair_reference import restrict_to_region
 from convolution_reference import (corner_table, cup_product_cochain as
                                    reference_cup_product_cochain,
                                    decoupled_superlevel_complex,
@@ -37,32 +35,36 @@ def circle_box(n=16):
     return BoxGrid((circle_grid(n),))
 
 
+def all_and_none(grid):
+    """The masks of all cells and of no cell of grid."""
+    return (np.ones(grid.cell_shape, dtype=bool),
+            np.zeros(grid.cell_shape, dtype=bool))
+
+
 def test_full_complex_circle_and_torus():
-    C = relative_cochain_complex(full_set(circle_box(12)),
-                                 empty_set(circle_box(12)))
+    circle = circle_box(12)
+    C = relative_cochain_complex(circle, *all_and_none(circle))
     assert cohomology_ranks(C) == {0: 1, 1: 1}
     torus = BoxGrid((circle_grid(6), circle_grid(5)))
-    C2 = relative_cochain_complex(full_set(torus), empty_set(torus), QQ)
+    C2 = relative_cochain_complex(torus, *all_and_none(torus), QQ)
     assert cohomology_ranks(C2) == {0: 1, 1: 2, 2: 1}
 
 
 def test_interval_relative_endpoints():
     g = BoxGrid((interval_grid(8, 0.0, 1.0),))
-    W = full_set(g)
-    m = np.zeros(g.cell_shape, dtype=bool)
-    m[(0,)] = True
-    m[(2 * 8,)] = True
-    A = CubicalSet(g, m)
-    C = relative_cochain_complex(W, A)
+    W, A = all_and_none(g)
+    A[(0,)] = True
+    A[(2 * 8,)] = True
+    C = relative_cochain_complex(g, W, A)
     assert cohomology_ranks(C) == {1: 1}
     # and H^*(W, W) = 0
-    assert cohomology_ranks(relative_cochain_complex(W, W)) == {}
+    assert cohomology_ranks(relative_cochain_complex(g, W, W)) == {}
 
 
 def test_d_squared_on_3d_product_over_Q():
     grid = BoxGrid((circle_grid(4),), (interval_grid(4, -1, 1),
                                        interval_grid(4, -1, 1)))
-    C = relative_cochain_complex(full_set(grid), empty_set(grid), QQ)
+    C = relative_cochain_complex(grid, *all_and_none(grid), QQ)
     C.assert_d_squared_zero()
     assert cohomology_ranks(C) == {0: 1, 1: 1}
 
@@ -70,18 +72,18 @@ def test_d_squared_on_3d_product_over_Q():
 def test_sublevel_trivial_thresholds():
     g = circle_box(16)
     f = sf(g, "cos(2*pi*x)")
-    assert sublevel_set(f, -2.0).count() == 0
-    assert sublevel_set(f, 2.0).count() == g.cell_shape[0] * 1
+    assert sublevel_set(f, -2.0).sum() == 0
+    assert sublevel_set(f, 2.0).sum() == g.cell_shape[0] * 1
     # boundary convention: vertex value exactly t counts as outside
     fc = SampledFunction(g, np.zeros(g.vertex_shape))
-    assert sublevel_set(fc, 0.0).count() == 0
+    assert sublevel_set(fc, 0.0).sum() == 0
 
 
 def test_sublevel_one_arc():
     g = circle_box(256)
     f = sf(g, "cos(2*pi*x)")
     S = sublevel_set(f, 0.0)
-    C = relative_cochain_complex(S, empty_set(g))
+    C = relative_cochain_complex(g, S, np.zeros(g.cell_shape, dtype=bool))
     # single arc: one component, no loop  [oracle: direct enumeration]
     assert cohomology_ranks(C) == {0: 1}
 
@@ -99,7 +101,7 @@ def test_sublevel_monotone_random():
         prev = sublevel_set(f, ts[0])
         for t in ts[1:]:
             cur = sublevel_set(f, t)
-            assert prev.issubset(cur)
+            assert not np.any(prev & ~cur)
             prev = cur
 
 
@@ -166,16 +168,28 @@ def test_excision_sanity_random():
         b += 1e-6
         W = sublevel_set(f, b)
         A = sublevel_set(f, a)
-        rel = relative_cochain_complex(W, A)
+        rel = relative_cochain_complex(g, W, A)
         assert cohomology_ranks(rel) == bc.window_ranks(a, b), trial
+
+
+def test_relative_complex_refuses_a_bad_pair():
+    g = circle_box(8)
+    W, A = all_and_none(g)
+    # a mask of another shape would broadcast silently
+    for bad in ((W[:1], A), (W, A[:1])):
+        with pytest.raises(ValueError, match="membership shape mismatch"):
+            relative_cochain_complex(g, *bad)
+    W[3], A[3] = False, True
+    with pytest.raises(ValueError, match="A must be contained in W"):
+        relative_cochain_complex(g, W, A)
 
 
 def test_region_restriction_and_closure():
     g = circle_box(8)
     reg = BaseRegion.from_cells(g, [(3,)])  # an edge: closure adds vertices
     assert reg.count() == 3
-    W = restrict_to_region(full_set(g), reg)
-    C = relative_cochain_complex(W, empty_set(g))
+    C = relative_cochain_complex(g, reg.over(g),
+                                 np.zeros(g.cell_shape, dtype=bool))
     assert cohomology_ranks(C) == {0: 1}
 
 
@@ -204,7 +218,7 @@ def test_cup_product_torus_ring():
     g = BoxGrid((circle_grid(4), circle_grid(4)))
     th1 = {(1, 2 * j): 1 for j in range(4)}   # dual to a meridian circle
     th2 = {(2 * i, 1): 1 for i in range(4)}
-    C = relative_cochain_complex(full_set(g), empty_set(g))
+    C = relative_cochain_complex(g, *all_and_none(g))
     assert not apply_d(C, th1) and not apply_d(C, th2)
     prod12 = cup_product_cochain(g, th1, th2)
     prod21 = cup_product_cochain(g, th2, th1)
@@ -367,8 +381,8 @@ def test_relative_complex_matches_cell_by_cell(field):
         f = random_function(rng, grid)
         a, b = sorted((rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)))
         W, A = sublevel_set(f, b), sublevel_set(f, a)
-        C = relative_cochain_complex(W, A, field)
-        keep = W.membership & ~A.membership
+        C = relative_cochain_complex(grid, W, A, field)
+        keep = W & ~A
         ref = reference_complex(grid, np.argwhere(keep).tolist(), field)
         assert_same_complex(C, *ref, field)
 
@@ -433,7 +447,7 @@ def test_builder_rejects_a_flipped_sign(field, monkeypatch):
     monkeypatch.setitem(grid.__dict__, "coface_table",
                         table._replace(sgn=sgn))
     with pytest.raises(ValueError, match=r"d\^2 != 0") as err:
-        relative_cochain_complex(full_set(grid), empty_set(grid), field)
+        relative_cochain_complex(grid, *all_and_none(grid), field)
     assert str(err.value) == f"d^2 != 0 at generator {cell}"
 
 
@@ -447,5 +461,5 @@ def test_builder_rejects_a_wrong_dimension(monkeypatch):
     monkeypatch.setitem(grid.__dict__, "coface_table",
                         table._replace(dim=dim))
     with pytest.raises(ValueError) as err:
-        relative_cochain_complex(full_set(grid), empty_set(grid))
+        relative_cochain_complex(grid, *all_and_none(grid))
     assert str(err.value) == "differential not degree +1 at (2, 4) -> (3, 4)"

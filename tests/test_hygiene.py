@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used in its module, every
+"""Every module-level import of the package is used in its module, no
+function imports again a name its module already imports, every
 module-level private name is used somewhere in the package, every
 defaulted parameter is passed by some call, every record field is read,
 and no assert statement stands in for a check."""
@@ -85,6 +86,45 @@ def test_a_read_under_a_local_import_does_not_count():
         "    return loads, h\n")
     # f reads its own dumps; h's local loads does not shadow g's read
     assert unused_imports(tree) == [(2, "dumps")]
+
+
+def repeated_local_imports(tree):
+    """(line, name) of every function-local `from m import name` whose
+    module already binds name from m at module level."""
+    def bindings(node):
+        return {(alias.asname or alias.name, node.level, node.module,
+                 alias.name) for alias in node.names}
+
+    top = set().union(*(bindings(node) for node in tree.body
+                        if isinstance(node, ast.ImportFrom)))
+    return sorted((node.lineno, binding[0])
+                  for fn in ast.walk(tree) if isinstance(fn, FUNCTIONS)
+                  for node in own_scope(fn)
+                  if isinstance(node, ast.ImportFrom)
+                  for binding in bindings(node) if binding in top)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_repeated_local_imports(path):
+    assert repeated_local_imports(ast.parse(path.read_text(), str(path))) \
+        == []
+
+
+def test_a_repeated_local_import_is_found():
+    tree = ast.parse(
+        "from .grids import BoxGrid, SampledFunction\n"
+        "from .linalg import GF2 as F\n"
+        "def f():\n"
+        "    from .grids import SampledFunction, circle_grid\n"
+        "    from .linalg import GF2\n"
+        "    from grids import BoxGrid\n"
+        "    def g():\n"
+        "        from .linalg import GF2 as F\n"
+        "        return F\n"
+        "    return SampledFunction, circle_grid, GF2, BoxGrid, g\n")
+    # a new name, another alias and another module are not repeats
+    assert repeated_local_imports(tree) == [(4, "SampledFunction"),
+                                            (8, "F")]
 
 
 ROOT = SRC.parent.parent

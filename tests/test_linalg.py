@@ -4,11 +4,12 @@ import random
 import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gfsheaf.complexes import apply_d, class_coordinates, cohomology_basis
-from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid, empty_set,
-                           full_set, relative_cochain_complex, sublevel_set)
+from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid,
+                           relative_cochain_complex, sublevel_set)
 from gfsheaf.linalg import (GF2, QQ, kernel_of_columns, rank_of_columns,
                             solve_columns)
 
@@ -208,10 +209,12 @@ def test_stored_zeros_over_q_are_dropped(alarm):
 
 def complexes_under_test(field):
     torus = BoxGrid((circle_grid(4), circle_grid(5)))
-    yield relative_cochain_complex(full_set(torus), empty_set(torus), field)
+    yield relative_cochain_complex(
+        torus, np.ones(torus.cell_shape, dtype=bool),
+        np.zeros(torus.cell_shape, dtype=bool), field)
     circle = BoxGrid((circle_grid(16),))
     f = SampledFunction.from_expr(circle, "cos(4*pi*x) + 0.3*sin(2*pi*x)")
-    yield relative_cochain_complex(sublevel_set(f, 2.0),
+    yield relative_cochain_complex(circle, sublevel_set(f, 2.0),
                                    sublevel_set(f, -0.5), field)
 
 

@@ -77,6 +77,22 @@ def test_a_region_unit_and_its_dual_open_on_closed_sets():
     assert closure.sum() == closure.size - 1 and not closure[1, 1]
 
 
+@pytest.mark.parametrize("cell", [(0,), (1, 1, 0), (-1, 1), (1, 8), (1.0, 1),
+                                  (True, False)],
+                         ids=["short", "long", "negative", "beyond", "float",
+                              "bool"])
+def test_a_cell_that_is_no_cell_of_the_base_is_refused(cell):
+    # (0,) selected a whole row of the torus, -1 wrapped around and a bool
+    # read as a mask
+    grid = torus()
+    with pytest.raises(ValueError, match="not one in-range integer"):
+        BaseRegion.from_cells(grid, [cell])
+    with pytest.raises(ValueError, match="not one in-range integer"):
+        microstalk(quantize(graph_genfun(SampledFunction(
+            grid, np.zeros(grid.vertex_shape)))), cell, 0.0, eps=1.0)
+    assert BaseRegion.from_cells(grid, [(np.int64(1), 6)]).count() == 3
+
+
 # ---------------------------------------------------------------------------
 # seeded random bases against the tuple walkers
 
