@@ -4,14 +4,14 @@
 import math
 
 from gfsheaf.fixtures import circle_function, cusp_genfun
-from gfsheaf.genfun import brane_of, graph_brane, graph_genfun
+from gfsheaf.genfun import brane_of, graph_genfun
 from gfsheaf.io import write_front_svg
 from gfsheaf.sheaves import conify, quantize, singular_support
 
 f = circle_function("0.3*cos(2*pi*x)", n=16)
-F = quantize(graph_genfun(f))
-ss = singular_support(F, p_samples=7)
-cone = conify(graph_brane(f))
+graph = graph_genfun(f)
+ss = singular_support(quantize(graph), p_samples=7)
+cone = conify(brane_of(graph))
 g = f.grid.base[0]
 curv = 0.3 * (2 * math.pi) ** 2
 scales = (g.spacing, 0.1, 1.5 * curv * g.spacing, 1.0)

@@ -21,7 +21,7 @@ write_csv("cusp_cerf.csv", diagram.to_csv_rows())
 write_front_svg("cusp_front.svg", diagram.strands)
 
 # fiber-critical data over x = 1: values near +-2/3 with indices 0 and 1
-cps = gf.fiber_critical_data((gf.grid.base[0].n_vertices - 1,))
+cps = gf.critical_table[(gf.grid.base[0].n_vertices - 1,)]
 for cp in cps:
     print(f"  strand at t={cp.value:+.4f} index={cp.index} p={cp.p[0]:+.3f}")
 

@@ -7,7 +7,7 @@ import random
 from gfsheaf.fixtures import random_circle_morse
 from gfsheaf.genfun import graph_genfun
 from gfsheaf.products import (dualize, pushforward_barcode, rhom_tensor,
-                              tensor, unit, verify_unit_composition,
+                              tensor, verify_unit_composition,
                               unit_morphisms)
 from gfsheaf.sheaves import quantize, sections
 

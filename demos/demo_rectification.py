@@ -3,7 +3,7 @@
 
 import random
 
-from gfsheaf.complexes import cohomology_ranks, is_quasi_iso
+from gfsheaf.complexes import is_quasi_iso
 from gfsheaf.fixtures import random_circle_morse
 from gfsheaf.genfun import graph_genfun
 from gfsheaf.rectify import (index_complex_homology, check_coherence, e2_page,

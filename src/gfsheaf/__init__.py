@@ -5,7 +5,7 @@ from .complexes import (Barcode, ChainComplex, ChainMap, FilteredComplex,
                         cohomology_basis, cohomology_ranks, dual_complex,
                         is_quasi_iso, mapping_cone)
 from .genfun import (GenFun, QuadForm, box_sum, brane_of, cerf_diagram,
-                     gf_cohomology, graph_brane, graph_genfun, ominus)
+                     gf_cohomology, graph_genfun, ominus)
 from .grids import (BaseRegion, BoxGrid, Grid1D, SampledFunction, circle_grid,
                     interval_grid, relative_cochain_complex,
                     sublevel_filtration, sublevel_set)
@@ -17,13 +17,13 @@ from .rectify import (CoherentDiagram, FunPoset, RectifiedComplex,
                       rectify_at, sheafify_limit)
 from .sheaves import (ConeSet, TameSheaf, conify, microstalk, quantize,
                       sections, singular_support, to_cellular, unit_sheaf)
-from .floer import GraphBrane, pant_product, reduce_to_Z, conormal_limit_ranks
+from .floer import pant_product, reduce_to_Z, conormal_limit_ranks
 
 __all__ = [
     "GF2", "QQ", "Barcode", "ChainComplex", "ChainMap", "FilteredComplex",
     "cohomology_basis", "cohomology_ranks", "dual_complex", "is_quasi_iso",
     "mapping_cone", "GenFun", "QuadForm", "box_sum", "brane_of",
-    "cerf_diagram", "gf_cohomology", "graph_brane", "graph_genfun", "ominus",
+    "cerf_diagram", "gf_cohomology", "graph_genfun", "ominus",
     "BaseRegion", "BoxGrid", "Grid1D", "SampledFunction", "circle_grid",
     "interval_grid", "relative_cochain_complex", "sublevel_filtration",
     "sublevel_set", "convolve", "cup_product", "dualize",
@@ -32,7 +32,7 @@ __all__ = [
     "index_complex_homology", "check_coherence", "perturb_coherent",
     "rectify_at", "sheafify_limit", "ConeSet", "TameSheaf", "conify",
     "microstalk", "quantize", "sections", "singular_support", "to_cellular",
-    "unit_sheaf", "GraphBrane", "pant_product", "reduce_to_Z",
+    "unit_sheaf", "pant_product", "reduce_to_Z",
     "conormal_limit_ranks",
 ]
 __version__ = "0.1.0"

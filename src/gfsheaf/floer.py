@@ -1,6 +1,6 @@
-"""Graph branes and base-level checks: conormal limits along clamp schedules
-(the filtered route for a graph brane, the pair route for a generating
-family), superlevel homes with their pant product, and reduce_to_Z.
+"""Base-level checks: conormal limits along clamp schedules (the pair route
+of a generating family, a graph being the family graph_genfun(f) with no
+fiber variable), superlevel homes with their pant product, and reduce_to_Z.
 """
 
 from __future__ import annotations
@@ -11,27 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import apply_d, cohomology_basis, cohomology_ranks
-from .genfun import GenFun, gf_cohomology
-from .grids import (BaseRegion, BoxGrid, SampledFunction, critical_vertices,
-                    cubical_complex, cup_product_cochain, sublevel_filtration)
+from .genfun import GenFun, gf_cohomology, graph_genfun
+from .grids import (BaseRegion, SampledFunction, critical_vertices,
+                    cubical_complex, cup_product_cochain)
 from .linalg import GF2
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class GraphBrane:
-    """Graph of df with primitive f (grading: Morse index, no offset)."""
-
-    f: SampledFunction
-
-    def __post_init__(self):
-        if self.f.grid.fiber:
-            raise ValueError("graph branes live over the base grid")
-
-    @property
-    def grid(self) -> BoxGrid:
-        return self.f.grid
 
 
 def clamp_schedule(region: BaseRegion, scale, ks=(4, 8, 16, 32, 64)):
@@ -74,30 +59,20 @@ def stabilize(tables, ks):
         f"clamp schedule did not stabilize by k={ks[-1]}", tuple(seen[-2:]))
 
 
-def conormal_limit_ranks(region: BaseRegion, L, a, b, field=GF2,
-                  ks=(4, 8, 16, 32, 64)):
-    """Stabilized conormal-limit ranks along a clamp schedule.
+def conormal_limit_ranks(region: BaseRegion, L: GenFun, a, b, field=GF2,
+                         ks=(4, 8, 16, 32, 64)):
+    """Stabilized conormal-limit ranks along a clamp schedule: the pair
+    route of L.S minus each clamp, lifted over the fiber.
 
-    L is a GraphBrane or a GenFun.  Returns (ranks, certificate); raises
-    StabilizationError when the last two tables still differ.
+    Returns (ranks, certificate); raises StabilizationError when the last
+    two tables still differ.
     """
-    if isinstance(L, GraphBrane):
-        f = L.f
+    def table(fk):
+        shifted = GenFun(L.S - fk.lift_to(L.grid), L.Q, tau_q=INF,
+                         check_collar=False)
+        return gf_cohomology(shifted, None, a, b, field, check_regular=False)
 
-        def table(fk):
-            h = L.f - fk  # action of (graph f_k, L) pairs: f_L - f_k
-            return sublevel_filtration(h, field).barcode().window_ranks(a, b)
-    elif isinstance(L, GenFun):
-        f = L.S
-
-        def table(fk):
-            shifted = GenFun(L.S - fk.lift_to(L.grid), L.Q, tau_q=INF,
-                             check_collar=False)
-            return gf_cohomology(shifted, None, a, b, field,
-                                 check_regular=False)
-    else:
-        raise TypeError("L must be a GraphBrane or a GenFun")
-    lo, hi = f.range()
+    lo, hi = L.S.range()
     span = max(1.0, hi - lo, abs(a) if a != -INF else 0.0,
                abs(b) if b != INF else 0.0)
     return stabilize(map(table, clamp_schedule(region, span, ks)), ks)
@@ -212,6 +187,6 @@ def reduce_to_Z(h: SampledFunction, lam, Z: BaseRegion, field=GF2):
     sub, reps = restrict_classes(home, [v for _, v in basis], Z)
     restricted = cohomology_ranks(sub)
     lo, hi = h.range()
-    limit, cert = conormal_limit_ranks(Z, GraphBrane(h), lam, hi + 1.0 + (hi - lo),
-                                field)
+    limit, cert = conormal_limit_ranks(Z, graph_genfun(h), lam,
+                                       hi + 1.0 + (hi - lo), field)
     return restricted, limit, cert

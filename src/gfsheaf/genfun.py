@@ -168,10 +168,6 @@ class GenFun:
                             f"critical cell {cp.xi_vertex} touches the fiber "
                             f"boundary collar at base vertex {bv}")
 
-    def fiber_critical_data(self, base_vertex):
-        """All discrete fiber-critical points over one base vertex, by value."""
-        return self.critical_table[tuple(base_vertex)]
-
     @cached_property
     def critical_table(self):
         """Base vertex (C order) -> its FiberCriticalPoints, sorted stably by
@@ -424,15 +420,10 @@ class Brane:
     """Front data of an exact brane: (x, p, primitive value, grading)."""
 
     points: tuple  # tuple of (x: tuple, p: tuple, f_L: float, m_L: int)
-    source: str    # 'graph' | 'fibered'
 
 
 def brane_of(gf: GenFun) -> Brane:
     """Brane presented by a generating function; grading m = fiber index - i_Q."""
     pts = [(cp.x, cp.p, cp.value, cp.index - gf.i_q)
            for cps in gf.critical_table.values() for cp in cps]
-    return Brane(tuple(pts), "fibered" if gf.k else "graph")
-
-
-def graph_brane(f: SampledFunction) -> Brane:
-    return brane_of(graph_genfun(f))
+    return Brane(tuple(pts))

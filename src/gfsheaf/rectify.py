@@ -23,7 +23,7 @@ import numpy as np
 
 from .complexes import (ChainComplex, ChainMap, FilteredComplex, apply_d,
                         class_coordinates, cohomology_basis, compose)
-from .floer import GraphBrane, clamp_schedule, stabilize
+from .floer import clamp_schedule, stabilize
 from .grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
                     sublevel_filtration)
 from .linalg import GF2, add_scaled, rank_of_columns, solve_columns
@@ -589,15 +589,9 @@ class LimitSheaf:
         return self._barcodes[key]
 
 
-def sheafify_limit(L, ks=(1, 2, 3, 4)):
-    """The lazily-evaluated conormal-limit sheaf of a graph brane."""
+def sheafify_limit(target: SampledFunction, ks=(1, 2, 3, 4)):
+    """The lazily-evaluated conormal-limit sheaf of the graph of d(target)."""
     from .sheaves import TameSheaf
-    if isinstance(L, GraphBrane):
-        target = L.f
-    elif isinstance(L, SampledFunction):
-        target = L
-    else:
-        raise TypeError("sheafify_limit expects a graph brane or function")
     out = TameSheaf("limit", label="sheafify_limit")
     out.limit = LimitSheaf(target, ks)
     return out

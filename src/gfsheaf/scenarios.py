@@ -17,8 +17,7 @@ import numpy as np
 
 from . import io as iox
 from .fixtures import cusp_genfun, pure_quad_genfun, stabilized_graph_genfun
-from .floer import GraphBrane, SuperlevelHome, pant_product, \
-    conormal_limit_ranks
+from .floer import SuperlevelHome, pant_product, conormal_limit_ranks
 from .genfun import (GenFun, QuadForm, brane_of, cerf_diagram, gf_cohomology,
                      graph_genfun)
 from .grids import BaseRegion, BoxGrid, SampledFunction, circle_grid, \
@@ -388,14 +387,12 @@ def _task_front_table(ctx, task, out_dir):
     F = quantize(gf)
     band_top = _real(task.get("band_top", 1.0), "band_top")
     rows = [("x", "t", "inside_rank")]
-    for cell in range(0, grid1.n_cells, max(2, grid1.n_cells // 16)):
-        if cell & 1:
-            continue
-        x = grid1.cell_coord(cell)
+    for j in range(0, grid1.n_vertices, max(1, grid1.n // 16)):
+        x = grid1.cell_coord(2 * j)
         for t in _array(task.get("t_values", [0.0]), "t_values"):
             if _real(t, "t_values") >= band_top:
                 continue
-            val = front_interior_table(F, (cell,), float(t), band_top)
+            val = front_interior_table(F, (2 * j,), float(t), band_top)
             rows.append((x, t, val))
     iox.write_csv(_out(task, out_dir, "front_table.csv"), rows)
     return {"status": "done"}
@@ -704,11 +701,11 @@ def _task_sublemma(ctx, task, out_dir):
 
 def _task_reduce(ctx, task, out_dir):
     f = ctx.functions[task["function"]]
-    F = quantize(graph_genfun(f))
+    gf = graph_genfun(f)
     region = ctx.region_on(task["region"], f.grid)
     a, b = _window(task)
-    direct = sections(F, region, a, b, check_regular=False)
-    limit, cert = conormal_limit_ranks(region, GraphBrane(f), a, b)
+    direct = sections(quantize(gf), region, a, b, check_regular=False)
+    limit, cert = conormal_limit_ranks(region, gf, a, b)
     status = "pass" if direct == limit else "fail"
     iox.write_csv(_out(task, out_dir, "reduce.csv"),
                   [("route", "ranks"), ("restriction", str(direct)),

@@ -1025,18 +1025,14 @@ def singular_support(F: TameSheaf, p_samples=9) -> ConeSet:
     when the tilted branch value s(x') = t(x') - p x' has a local extremum
     at x at the sampling resolution.  (A transverse crossing propagates
     sections; only tangencies obstruct them.)"""
-    if F.kind == "gf":
-        fronts = _gf_front_samples(F.gf)
-        g = F.gf.grid.base[0] if len(F.gf.grid.base) == 1 else None
-    elif F.kind == "cell":
-        fronts = _cell_front_samples(F.cell)
-        g = F.cell.base.base[0] if len(F.cell.base.base) == 1 else None
-    else:
+    if F.kind not in ("gf", "cell"):
         raise ValueError("singular support needs a GF or cellular "
                          "presentation")
-    if g is None:
+    if len(F.base_grid.base) != 1:
         raise ValueError("SS estimation implemented for 1-d bases")
-    return _front_tangency_ss(fronts, g, p_samples)
+    fronts = _gf_front_samples(F.gf) if F.kind == "gf" else \
+        _cell_front_samples(F.cell)
+    return _front_tangency_ss(fronts, F.base_grid.base[0], p_samples)
 
 
 def _gf_front_samples(gf: GenFun):

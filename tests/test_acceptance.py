@@ -10,24 +10,20 @@ import math
 import random
 
 import numpy as np
-import pytest
 
-from gfsheaf.complexes import apply_d, class_coordinates, cohomology_basis, \
-    cohomology_ranks, is_quasi_iso
+from gfsheaf.complexes import class_coordinates, cohomology_basis, is_quasi_iso
 from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
                               random_circle_morse, smoothed_clamp,
                               stabilized_graph_genfun, torus_function)
-from gfsheaf.floer import (GraphBrane, SuperlevelHome, pant_product,
-                           unit_class, conormal_limit_ranks)
-from gfsheaf.genfun import (brane_of, cerf_diagram, gf_cohomology,
-                            graph_brane, graph_genfun)
+from gfsheaf.floer import (SuperlevelHome, pant_product, unit_class,
+                           conormal_limit_ranks)
+from gfsheaf.genfun import brane_of, cerf_diagram, gf_cohomology, graph_genfun
 from gfsheaf.grids import BaseRegion, sublevel_filtration
 from gfsheaf.products import (ProductHome, class_table, cup_product,
                               dualize, floer_to_product_classes,
-                              pushforward_barcode, rhom_tensor, tensor, unit,
-                              unit_morphisms, verify_unit_composition)
-from gfsheaf.rectify import (RectifiedComplex, index_complex_homology,
-                             check_coherence, perturb_coherent, rectify_at,
+                              pushforward_barcode, rhom_tensor, tensor, unit)
+from gfsheaf.rectify import (index_complex_homology, check_coherence,
+                             perturb_coherent, rectify_at,
                              strict_synthetic_diagram)
 from gfsheaf.scenarios import _carrier_safe_cuts
 from gfsheaf.sheaves import (conify, front_interior_table, microstalk,
@@ -56,7 +52,7 @@ def test_criterion_1_cusp_front_table():
     # front resolution: strand-value sampling error plus one base cell of
     # front variation
     delta = max(cp.val_tol for j in range(g.n_vertices)
-                for cp in gf.fiber_critical_data((j,))[:2])
+                for cp in gf.critical_table[(j,)][:2])
     delta = max(delta, g.spacing)  # |d front / dx| <= 1 on [0.1, 1]
     checked_inside = checked_outside = 0
     ok = True
@@ -82,7 +78,7 @@ def test_criterion_1_cusp_front_table():
             ok = ok and val == 0
         # supporting invariant: the two-sided pair detects exactly the
         # sampled strand crossings
-        cps = gf.fiber_critical_data((j,))
+        cps = gf.critical_table[(j,)]
         ok = ok and sum(microstalk(F, cell, cps[0].value,
                                    eps=delta / 2).values()) == 1
         if hi_t > delta:
@@ -235,7 +231,8 @@ def test_criterion_4_self_pairing_pushforward():
     ft = torus_function(
         "0.8*cos(2*pi*x) + 0.65*sin(2*pi*y) + 0.2*cos(2*pi*x)*sin(2*pi*y)",
         n1=8, n2=8)
-    Ft = quantize(graph_genfun(ft))
+    gft = graph_genfun(ft)
+    Ft = quantize(gft)
     bars_t = pushforward_barcode(rhom_tensor(Ft, Ft))
     want_t = sorted([(0, 0.0, INF), (1, 0.0, INF), (1, 0.0, INF),
                      (2, 0.0, INF)])
@@ -512,13 +509,13 @@ def test_criterion_9_cone_estimate_fidelity():
     instances = []
     f = circle_function("0.3*cos(2*pi*x)", n=16)
     curv = 0.3 * (2 * math.pi) ** 2
-    instances.append((quantize(graph_genfun(f)), graph_brane(f),
+    instances.append((quantize(graph_genfun(f)), brane_of(graph_genfun(f)),
                       f.grid.base[0], curv))
     rng = random.Random(909)
     f2 = random_circle_morse(rng, n=16)
     curv2 = float(np.abs(np.diff(f2.values, 2)).max()) / \
         f2.grid.base[0].spacing ** 2
-    instances.append((quantize(graph_genfun(f2)), graph_brane(f2),
+    instances.append((quantize(graph_genfun(f2)), brane_of(graph_genfun(f2)),
                       f2.grid.base[0], curv2))
     for n_base in (16, 32):
         gf = cusp_genfun(n_base=n_base, n_fiber=64)
@@ -549,7 +546,8 @@ def test_criterion_10_reduction():
     # a point of the circle
     rng = random.Random(1010)
     f = random_circle_morse(rng, n=16)
-    F = quantize(graph_genfun(f))
+    gf = graph_genfun(f)
+    F = quantize(gf)
     Z = BaseRegion.from_cells(f.grid, [(4,)])
     vals = sorted({round(float(v), 9) for v in f.cell_max().ravel()})
     windows = [(vals[0] - 0.37, vals[-1] + 0.41)]
@@ -558,7 +556,7 @@ def test_criterion_10_reduction():
     windows.append((point_val - 0.003, point_val + 0.003))
     for (a, b) in windows:
         direct = sections(F, Z, a, b, check_regular=False)
-        limit, cert = conormal_limit_ranks(Z, GraphBrane(f), a, b)
+        limit, cert = conormal_limit_ranks(Z, gf, a, b)
         if direct != limit:
             ok = False
         details.append(f"point window [{a:.3f},{b:.3f}): {dict(direct)} == "
@@ -567,7 +565,8 @@ def test_criterion_10_reduction():
     ft = torus_function(
         "0.8*cos(2*pi*x) + 0.6*sin(2*pi*y) + 0.15*cos(2*pi*(x+y))",
         n1=8, n2=8)
-    Ft = quantize(graph_genfun(ft))
+    gft = graph_genfun(ft)
+    Ft = quantize(gft)
     mask = np.zeros(ft.grid.base_cell_shape, dtype=bool)
     mask[:, 4] = True  # the sub-circle {y = const}: all cells in one column
     Zt = BaseRegion(ft.grid, mask)
@@ -575,7 +574,7 @@ def test_criterion_10_reduction():
     for (a, b) in [(lo - 0.43, hi + 0.39), (lo - 0.43, 0.0137),
                    (0.0137, hi + 0.39)]:
         direct = sections(Ft, Zt, a, b, check_regular=False)
-        limit, cert = conormal_limit_ranks(Zt, GraphBrane(ft), a, b)
+        limit, cert = conormal_limit_ranks(Zt, gft, a, b)
         if direct != limit:
             ok = False
         details.append(f"sub-circle [{a:.2f},{b:.2f}): {dict(direct)} == "

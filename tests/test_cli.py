@@ -147,6 +147,40 @@ out = "sections.csv"
     assert outs[0] == outs[1]
 
 
+FRONT_TABLE = """
+[scenario]
+name = "front"
+seed = 7
+
+[inputs.genfuns.cusp]
+kind = "cusp"
+n_base = 32
+n_fiber = 64
+
+[[tasks]]
+op = "front-table"
+genfun = "cusp"
+band_top = 0.4
+t_values = [-0.3, 0.0, 0.3]
+out = "front_table.csv"
+"""
+
+
+@pytest.mark.parametrize("scale, columns", [(1.0, 17), (1.25, 21)])
+def test_front_table_steps_over_base_vertices(tmp_path, scale, columns):
+    # every (n // 16)-th base vertex at any scale: an odd cell step once
+    # skipped every other sample (9 columns at scale 1.25)
+    path = tmp_path / "front.toml"
+    path.write_text(FRONT_TABLE)
+    out = tmp_path / "out"
+    assert run_scenario(str(path), out_dir=str(out), grid_scale=scale)[0] == 0
+    rows = (out / "front_table.csv").read_text().splitlines()[1:]
+    xs = sorted({float(row.split(",")[0]) for row in rows})
+    assert len(xs) == columns
+    step = (xs[-1] - xs[0]) / (columns - 1)
+    assert all(abs(x - xs[0] - i * step) < 1e-9 for i, x in enumerate(xs))
+
+
 def test_cli_main_list(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out

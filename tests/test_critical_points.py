@@ -4,7 +4,7 @@ replaced.
 critical_vertices and GenFun's fiber-critical table are one numpy stencil
 (grids.critical_stencil).  The reference functions below are the loops they
 replaced, kept verbatim: one Python pass per vertex for critical_vertices and
-one per base vertex, on a fresh fiber grid, for fiber_critical_data.  The
+one per base vertex, on a fresh fiber grid, for the fiber-critical table.  The
 records must agree under repr, so the scalar types (Python or numpy) must
 agree as well as the values.
 """
@@ -243,7 +243,7 @@ def test_the_tie_inputs_have_ties():
     assert len(tied) == 144 and len({r["value"] for r in tied}) == 3
     plateaus = _rounded(_morse(64, seed=3), 1)
     assert len(set(plateaus.values.tolist())) < 30
-    tied = _tied_fibers().fiber_critical_data((0,))
+    tied = _tied_fibers().critical_table[(0,)]
     assert len(tied) == 121 and len({cp.value for cp in tied}) == 3
 
 
@@ -319,13 +319,13 @@ def test_fiber_critical_table_matches_the_loop(name):
                                     for g in gf.grid.base)))
     assert list(gf.critical_table) == base
     for bv in base:
-        assert list(map(repr, gf.fiber_critical_data(bv))) == \
+        assert list(map(repr, gf.critical_table[bv])) == \
             list(map(repr, reference_fiber_critical_data(gf, bv))), bv
 
 
 def test_the_tolerance_is_per_slice():
     gf = _two_slices()
-    assert [cp.xi_vertex for cp in gf.fiber_critical_data((2,))] == [(2,)]
+    assert [cp.xi_vertex for cp in gf.critical_table[(2,)]] == [(2,)]
 
 
 def test_one_stencil_per_genfun(monkeypatch):

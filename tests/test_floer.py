@@ -1,18 +1,19 @@
+import ast
 import math
 import random
 
-import numpy as np
 import pytest
 
 from gfsheaf.complexes import apply_d, class_coordinates, cohomology_ranks
 from gfsheaf.fixtures import (circle_function, cusp_genfun, graph_pair,
                               random_circle_morse, torus_function)
-from gfsheaf.floer import (GraphBrane, StabilizationError, SuperlevelHome,
-                           clamp_schedule, pant_product, restrict_classes,
-                           stabilize, unit_class, conormal_limit_ranks)
-from gfsheaf.genfun import GenFun, gf_cohomology, graph_genfun, ominus
+from gfsheaf.floer import (StabilizationError, SuperlevelHome, pant_product,
+                           restrict_classes, stabilize, unit_class,
+                           conormal_limit_ranks)
+from gfsheaf.genfun import gf_cohomology, graph_genfun
 from gfsheaf.grids import BaseRegion, critical_vertices, sublevel_filtration
-from gfsheaf.linalg import GF2
+from gfsheaf.linalg import GF2, QQ
+from limit_reference import filtered_limit_ranks
 
 INF = math.inf
 
@@ -59,10 +60,9 @@ def test_floer_degenerate_flagged():
 def test_conormal_limit_full_region_is_plain_ranks():
     rng = random.Random(3)
     f = random_circle_morse(rng, n=24)
-    L = GraphBrane(f)
     region = BaseRegion(f.grid)
     a, b = -2.17, 2.31
-    ranks, cert = conormal_limit_ranks(region, L, a, b)
+    ranks, cert = conormal_limit_ranks(region, graph_genfun(f), a, b)
     assert ranks == sublevel_filtration(f).barcode().window_ranks(a, b)
     assert cert.stabilized_at <= 8
 
@@ -85,7 +85,8 @@ def test_conormal_limit_stabilization_failure_reported():
     f = random_circle_morse(rng, n=16)
     region = BaseRegion.from_cells(f.grid, [(0,)])
     with pytest.raises(StabilizationError) as err:
-        conormal_limit_ranks(region, GraphBrane(f), -2.123, 2.117, ks=(4,))
+        conormal_limit_ranks(region, graph_genfun(f), -2.123, 2.117,
+                             ks=(4,))
     assert err.value.last_tables is not None
 
 
@@ -109,17 +110,63 @@ def test_stabilization_reads_no_table_past_the_stable_one():
 def test_conormal_limit_stops_at_the_stable_clamp(monkeypatch):
     import gfsheaf.floer as floer
     built = []
-    real = floer.sublevel_filtration
+    real = floer.gf_cohomology
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         built.append(args[0])
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(floer, "sublevel_filtration", counted)
+    monkeypatch.setattr(floer, "gf_cohomology", counted)
     f = random_circle_morse(random.Random(3), n=24)
     region = BaseRegion.interval_arc(f.grid, 3, 11)
-    ranks, cert = conormal_limit_ranks(region, GraphBrane(f), -2.17, 2.31)
+    ranks, cert = conormal_limit_ranks(region, graph_genfun(f), -2.17, 2.31)
     assert len(built) == len(cert.k_values) < 5
+
+
+def _tables(cert):
+    return [ast.literal_eval(t) for t in cert.tables]
+
+
+def _random_closed_arc(rng, grid):
+    """A closed arc of the circle base from a random vertex, wrapping
+    around, of 0 to n - 1 edges."""
+    n_cells = grid.base[0].n_cells
+    start = 2 * rng.randrange(grid.base[0].n_vertices)
+    length = 2 * rng.randrange(grid.base[0].n_edges)
+    return BaseRegion.from_cells(
+        grid, [((start + i) % n_cells,) for i in range(length + 1)])
+
+
+def _random_windows(rng, f):
+    """Eight windows over the value range of f: all of R, two half-lines
+    and five bounded windows."""
+    lo, hi = f.range()
+    ends = [rng.uniform(lo - 0.5, hi + 0.5) for _ in range(12)]
+    bounded = [tuple(sorted(ends[i:i + 2])) for i in range(2, 12, 2)]
+    return [(-INF, INF), (-INF, ends[0]), (ends[1], INF)] + bounded
+
+
+def test_conormal_limit_of_a_graph_matches_the_filtered_reference():
+    """The pair route of graph_genfun(f) minus each clamp gives the ranks,
+    the certificate tables and the stable rung of the per-rung filtered
+    barcodes of f minus each clamp.  A table is compared as the dict its
+    repr writes: the routes list degrees in different orders (the pair
+    route by first generator, the barcode by bar)."""
+    rng = random.Random(27)
+    cases = 0
+    for n in (12, 16, 24):
+        for _ in range(14 if n == 16 else 13):
+            f = random_circle_morse(rng, n=n)
+            region = _random_closed_arc(rng, f.grid)
+            for a, b in _random_windows(rng, f):
+                for field in (GF2, QQ):
+                    got, cert = conormal_limit_ranks(
+                        region, graph_genfun(f), a, b, field)
+                    want, ref = filtered_limit_ranks(region, f, a, b, field)
+                    assert (got, _tables(cert), cert.stabilized_at) == \
+                        (want, _tables(ref), ref.stabilized_at), (n, a, b)
+                    cases += 1
+    assert cases == 640
 
 
 def test_superlevel_home_ranks_circle():

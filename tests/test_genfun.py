@@ -10,7 +10,7 @@ from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
                               stabilized_graph_genfun)
 from gfsheaf.genfun import (GenFun, QuadForm, assert_window_regular, box_sum,
                             brane_of, cerf_diagram, gf_cohomology,
-                            graph_brane, graph_genfun, negate,
+                            graph_genfun, negate,
                             normalized_window, ominus, strand_value_range,
                             window_ceiling, window_floor)
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
@@ -62,7 +62,7 @@ def test_quadform_takes_a_symmetric_matrix_off_the_diagonal():
 
 def test_pure_quadratic_critical_data():
     gf = pure_quad_genfun((circle_grid(8),), (-1.0,))
-    cps = gf.fiber_critical_data((0,))
+    cps = gf.critical_table[(0,)]
     assert len(cps) == 1
     cp = cps[0]
     assert cp.value == pytest.approx(0.0, abs=1e-12)
@@ -76,7 +76,7 @@ def test_cusp_critical_values_and_indices():
     bv = (gf.grid.base[0].n_vertices - 1,)
     x = gf.grid.base[0].vertex_coords()[bv[0]]
     assert x == pytest.approx(1.0)
-    cps = gf.fiber_critical_data(bv)
+    cps = gf.critical_table[bv]
     assert len(cps) == 3
     lo, hi, far = cps
     # inner strands: values -2/3, +2/3 with fiber indices 0 and 1
@@ -88,7 +88,7 @@ def test_cusp_critical_values_and_indices():
     assert far.value > 5.0 and far.index == 1
     # every base vertex carries exactly three strands, cusp band well formed
     for j in range(0, gf.grid.base[0].n_vertices, 7):
-        cps = gf.fiber_critical_data((j,))
+        cps = gf.critical_table[(j,)]
         assert len(cps) == 3
         xj = gf.grid.base[0].vertex_coords()[j]
         lo_t, hi_t = cusp_front(xj)
@@ -286,7 +286,7 @@ def test_grading_consistency_graph_branes():
 
 def test_brane_of_graph():
     f = circle_function("0.2*sin(2*pi*x)", n=32)
-    br = graph_brane(f)
+    br = brane_of(graph_genfun(f))
     for (x, p, t, m) in br.points:
         assert m == 0
         assert t == pytest.approx(0.2 * math.sin(2 * math.pi * x[0]), abs=1e-9)

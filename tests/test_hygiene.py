@@ -1,8 +1,8 @@
-"""Every module-level import of the package is used in its module, no
-function imports again a name its module already imports, every
-module-level private name is used somewhere in the package, every
-defaulted parameter is passed by some call, every record field is read,
-and no assert statement stands in for a check."""
+"""Every module-level import of the package, its tests and its demos is
+used in its module, no function imports again a name its module already
+imports, every module-level private name is used somewhere in the
+package, every defaulted parameter is passed by some call, every record
+field is read, and no assert statement stands in for a check."""
 
 import ast
 import builtins
@@ -14,6 +14,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "gfsheaf"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the test modules and the demos import from the package like any caller
+SCRIPTS = sorted(p for d in ("tests", "demos")
+                 for p in (SRC.parent.parent / d).glob("*.py"))
 
 
 def imported_names(nodes):
@@ -66,7 +69,7 @@ def test_package_modules_found():
     assert len(MODULES) > 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
 

@@ -4,17 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from gfsheaf.complexes import apply_d, class_coordinates, cohomology_basis
+from gfsheaf.complexes import cohomology_basis
 from gfsheaf.fixtures import circle_function, cusp_genfun, random_circle_morse
-from gfsheaf.floer import SuperlevelHome
 from gfsheaf.genfun import graph_genfun
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction,
                            circle_grid, sublevel_filtration)
 from gfsheaf.linalg import GF2
 from gfsheaf.products import (ProductHome, class_table, convolve,
-                              cup_product, dualize, external_box_sum,
-                              floer_to_product_classes, pushforward_barcode,
-                              rhom_tensor, tensor, unit,
+                              cup_product, dualize, floer_to_product_classes,
+                              pushforward_barcode, rhom_tensor, tensor, unit,
                               unit_morphisms, verify_unit_composition)
 from gfsheaf.sheaves import (TameSheaf, quantize, sections, to_cellular,
                              unit_sheaf, _as_cellsheaf)

@@ -13,14 +13,13 @@ from gfsheaf.complexes import (ChainComplex, ChainMap, FilteredComplex,
                                class_coordinates, cohomology_basis,
                                cohomology_ranks, dual_complex, is_quasi_iso)
 from gfsheaf.fixtures import circle_function, random_circle_morse
-from gfsheaf.floer import StabilizationError, clamp_schedule
+from gfsheaf.floer import clamp_schedule
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
                            sublevel_filtration)
 from gfsheaf.linalg import GF2, QQ, rank_of_columns
 from gfsheaf.rectify import (CoherentDiagram, FunPoset, RectifiedComplex,
                              _e2_direct, index_complex_homology,
-                             check_coherence, coherence_residual,
-                             differential_D, e2_page,
+                             check_coherence, differential_D, e2_page,
                              perturb_coherent, rectify_at,
                              serialize_diagram, sheafify_limit,
                              strict_geometric_diagram,

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
-                              pure_quad_genfun, random_circle_morse)
-from gfsheaf.genfun import graph_brane, graph_genfun, window_floor
+                              random_circle_morse, torus_function)
+from gfsheaf.genfun import brane_of, graph_genfun, window_floor
 from gfsheaf.grids import (BaseRegion, BoxGrid, circle_grid,
                            sublevel_filtration)
 from gfsheaf.sheaves import (ConeSet, TAxis, TameSheaf, behavior_at_infinity,
@@ -112,7 +112,7 @@ def test_microstalk_cusp_on_strands():
     x = g.vertex_coords()[j]
     lo_t, hi_t = cusp_front(x)
     cell = (2 * j,)
-    cps = gf.fiber_critical_data((j,))
+    cps = gf.critical_table[(j,)]
     # pair semantics: rank 1 exactly at the sampled strand values
     assert sum(microstalk(F, cell, cps[0].value, eps=0.05).values()) == 1
     assert sum(microstalk(F, cell, cps[1].value, eps=0.05).values()) == 1
@@ -141,7 +141,7 @@ def test_front_interior_table_cusp():
 
 def test_conify_graph():
     f = circle_function("0.2*sin(2*pi*x)", n=16)
-    cone = conify(graph_brane(f))
+    cone = conify(brane_of(graph_genfun(f)))
     taus = {tau for (_x, _t, _p, tau) in cone.points}
     assert taus == {0, 1}
     for (x, t, p, tau) in cone.points:
@@ -153,7 +153,7 @@ def test_singular_support_graph_matches_conify():
     f = circle_function("0.3*cos(2*pi*x)", n=16)
     F = quantize(graph_genfun(f))
     ss = singular_support(F, p_samples=7)
-    cone = conify(graph_brane(f))
+    cone = conify(brane_of(graph_genfun(f)))
     g = f.grid.base[0]
     # codirection axis graded in curvature x spacing units
     curv = 0.3 * (2 * math.pi) ** 2
@@ -173,7 +173,6 @@ def test_singular_support_unit():
 
 
 def test_singular_support_cusp_shape():
-    from gfsheaf.genfun import brane_of
     gf = cusp_genfun(n_base=16, n_fiber=48)
     F = quantize(gf)
     ss = singular_support(F, p_samples=9)
@@ -182,6 +181,17 @@ def test_singular_support_cusp_shape():
     # front curvature of the blended profile reaches ~5 near the far strand
     scales = (g.spacing, 2 * gf.tau_val(), 5.0 * g.spacing, 1.0)
     assert ss.hausdorff(cone, scales) <= 2.0
+
+
+def test_singular_support_refuses_a_2d_base_in_both_presentations():
+    # the base is checked before any front is sampled: the stalk-jump
+    # sampler of a cellular sheaf reads one axis only
+    gf = graph_genfun(torus_function("cos(2*pi*x) + 0.5*cos(2*pi*y)",
+                                     n1=6, n2=6))
+    for F in (quantize(gf), to_cellular(quantize(gf))):
+        with pytest.raises(ValueError,
+                           match="SS estimation implemented for 1-d bases"):
+            singular_support(F)
 
 
 def test_conify_conormal_shape():
@@ -290,7 +300,7 @@ def test_microstalk_locality_on_cropped_grid():
     Fc = quantize(crop)
     cell_full = (2 * j,)
     cell_crop = (2 * 4,)  # the center vertex of the cropped grid
-    cps = gf.fiber_critical_data((j,))
+    cps = gf.critical_table[(j,)]
     for t in [cps[0].value, cps[1].value, 0.0,
               (cps[1].value + cps[2].value) / 2]:
         a = microstalk(F, cell_full, t, eps=0.04)
