@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GF2, Reducer, add_scaled, kernel_of_columns, solve_columns
+from .linalg import (GF2, Reducer, add_scaled, integer_scalars,
+                     kernel_of_columns, pivot_columns, pivot_reducer,
+                     solve_columns)
 
 INF = math.inf
 
@@ -68,15 +70,17 @@ class ChainComplex:
 
     def cohomology_ranks(self):
         """Map degree -> rank of H^degree, by the reduction with clearing
-        of _clearing_ranks on the generator indexes."""
+        of _clearing_ranks on the generator indexes; the columns go
+        through linalg.pivot_columns (over Q, cleared of denominators)."""
         index, deg = self._index, self.deg
         cols = {}
         for g, cb in self.d.items():
             cols.setdefault(deg[g], []).append((index[g], cb))
 
         def columns(k, cleared):
-            return [{index[h]: v for h, v in cb.items()}
-                    for i, cb in cols.get(k, ()) if i not in cleared]
+            return pivot_columns([{index[h]: v for h, v in cb.items()}
+                                  for i, cb in cols.get(k, ())
+                                  if i not in cleared], self.field)
 
         return _clearing_ranks(sorted(cols), columns,
                                Counter(map(deg.__getitem__, self.gens)),
@@ -101,31 +105,33 @@ def cohomology_ranks(C: ChainComplex):
 
 
 def _clearing_ranks(degrees, columns, dims, field):
-    """Map degree -> rank of H^degree of a complex with dims[k] generators
-    of degree k (the map's order is that of dims), the one rank loop of
+    """Map degree -> rank of H^degree, in ascending degree order, of a
+    complex with dims[k] generators of degree k, the one rank loop of
     ChainComplex and IndexComplex.
 
     degrees lists in ascending order the degrees of the generators with a
     nonzero coboundary; columns(k, cleared) gives the coboundaries of those
     of degree k whose index is not in cleared, in index order, each a dict
-    row index -> field scalar.  The degrees are reduced upwards, one
-    Reducer each, with clearing: a generator of degree k+1 whose index is a
-    pivot row of degree k is skipped.  That is exact over any field.  A
-    reduced column r = d(v) with pivot row i has d(r) = 0, its entry at i
-    is nonzero and every other entry sits at a smaller index; so trading
-    e_i for r is a triangular change of basis of C^{k+1}, and d vanishes
-    on r.
+    row index -> entry, a column of linalg.pivot_reducer(field) (a field
+    scalar over F2, an int over Q).  The degrees are reduced upwards, one
+    pivot_reducer each, with clearing: a generator of degree k+1 whose
+    index is a pivot row of degree k is skipped.  That is exact over any
+    field.  A reduced column r = d(v) with pivot row i has d(r) = 0, its
+    entry at i is nonzero and every other entry sits at a smaller index; so
+    trading e_i for r is a triangular change of basis of C^{k+1}, and d
+    vanishes on r.  Over Q the fraction-free kernel holds a nonzero
+    multiple of r, with the same pivot row.
     """
     rk, cleared = {}, set()
     for k in degrees:
         # after a gap in the degrees, cleared indexes no degree-k generator
-        red = Reducer(field)
+        red = pivot_reducer(field)
         for col in columns(k, cleared):
             red.add(col)
         rk[k] = len(red.pivots)
         cleared = set(red.pivots)
     ranks = {}
-    for k, n in dims.items():
+    for k, n in sorted(dims.items()):
         r = n - rk.get(k, 0) - rk.get(k - 1, 0)
         if r:
             ranks[k] = r
@@ -262,7 +268,8 @@ def _bars(order, deg, value, d, field):
     every other column that reduces to zero is an essential class.  A
     column only meets columns of its own degree, so the passes per degree
     give the pairs of one left-to-right pass; the transposed columns are
-    built one degree at a time.
+    built one degree at a time and go through linalg.pivot_columns (over
+    Q, cleared of denominators) to linalg.pivot_reducer.
     """
     pos = {g: i for i, g in enumerate(order)}
     by_deg = {}
@@ -276,11 +283,10 @@ def _bars(order, deg, value, d, field):
             i = pos[g]
             for h, v in d.get(g, {}).items():
                 bdry[h][i] = v
-        red = Reducer(field)
-        for h in by_deg[k]:
-            col = bdry.pop(h)
-            if pos[h] in cleared:
-                continue
+        live = [h for h in by_deg[k] if pos[h] not in cleared]
+        cols = pivot_columns([bdry.pop(h) for h in live], field)
+        red = pivot_reducer(field)
+        for h, col in zip(live, cols):
             p = red.add(col)
             if p is None:
                 bars.append((k, value[h], INF))
@@ -402,21 +408,19 @@ class IndexComplex:
 
     def coboundaries(self, ids):
         """The coboundary of each generator of ids (an int array) as a dict
-        id -> field scalar, in entry order.  The coefficients are coerced
-        into the field, where none is zero (check refuses a zero one)."""
-        F = self.field
+        id -> field scalar (linalg.integer_scalars of the coefficients: over
+        Q the integer lifts, the columns of the fraction-free rank kernel),
+        in entry order; none is zero (check refuses a zero one)."""
         count = np.diff(self.indptr)[ids]
         e = index_ranges(self.indptr[:-1][ids], count)
-        coef = self.coef[e].tolist()
-        scalar = {c: F.coerce(c) for c in set(coef)}
-        entries = zip(self.tgt[e].tolist(), map(scalar.__getitem__, coef))
+        entries = zip(self.tgt[e].tolist(),
+                      integer_scalars(self.coef[e].tolist(), self.field))
         return [dict(itertools.islice(entries, k)) for k in count.tolist()]
 
     def cohomology_ranks(self):
         """Map degree -> rank of H^degree, by the reduction with clearing
         of _clearing_ranks on the ids: the columns are the coboundaries of
-        the uncleared generators that have entries.  The degrees are in the
-        order of their first id, as in the ChainComplex of chain_complex."""
+        the uncleared generators that have entries, integers over Q."""
         deg, has = self.deg, np.diff(self.indptr) > 0
 
         def columns(k, cleared):
@@ -625,14 +629,15 @@ class Barcode:
         object.__setattr__(self, "bars", bars)
 
     def window_ranks(self, a, b):
-        """Ranks of H^* of the window [a, b) (relative pair counts)."""
-        out = {}
+        """Ranks of H^* of the window [a, b) (relative pair counts), in
+        ascending degree order."""
+        out = Counter()
         for (d, bi, dth) in self.bars:
             if a <= bi < b <= dth:
-                out[d] = out.get(d, 0) + 1
+                out[d] += 1
             if bi < a <= dth < b:
-                out[d + 1] = out.get(d + 1, 0) + 1
-        return {k: v for k, v in out.items() if v}
+                out[d + 1] += 1
+        return dict(sorted(out.items()))
 
     def essential_ranks(self):
         out = {}

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from gfsheaf import complexes
+from gfsheaf import complexes, linalg
 from gfsheaf.complexes import (Barcode, ChainComplex, ChainMap,
                                FilteredComplex, cohomology_ranks, compose,
                                dual_complex, is_quasi_iso, mapping_cone)
-from gfsheaf.linalg import GF2, QQ, Reducer, add_scaled
+from gfsheaf.linalg import GF2, QQ, Reducer, add_scaled, rank_of_columns
+
+import fraction_reference
 from test_linalg import dense_rank, random_entry, scalar
 
 INF = math.inf
@@ -349,9 +351,10 @@ def axpy(vec, i, x, field):
         vec.pop(i, None)
 
 
-def random_known_complex(rng, field):
+def random_known_complex(rng, field, entry=random_entry):
     """A direct sum of pairs x -> y and lone cocycles under a random
-    triangular change of basis, with the cohomology ranks it must have.
+    triangular change of basis, with the cohomology ranks it must have;
+    entry(rng, field) draws the pair entries and the change of basis.
 
     Degree 1 holds only targets of degree 0, so every degree-1 generator is
     a pivot row of degree 0 (the whole degree is cleared); degree 2 holds
@@ -366,7 +369,7 @@ def random_known_complex(rng, field):
 
     def pairs(k, n):
         for _ in range(n):
-            d[gen(k)] = {gen(k + 1): random_entry(rng, field)}
+            d[gen(k)] = {gen(k + 1): entry(rng, field)}
 
     def lone(k, n):
         for _ in range(n):
@@ -390,7 +393,7 @@ def random_known_complex(rng, field):
         a, b = gens[i], gens[j]
         if deg[a] != deg[b]:
             continue
-        c = random_entry(rng, field)
+        c = entry(rng, field)
         for col in d.values():
             if b in col:
                 axpy(col, a, c * col[b], field)
@@ -416,22 +419,116 @@ def dense_cohomology_ranks(C):
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
 def test_cohomology_ranks_match_dense_with_clearing(field, monkeypatch):
-    reduced = []
+    """Columns are counted on the kernel of the field's rank loop, patched
+    where linalg.pivot_reducer builds it: Reducer over F2, the fraction-free
+    IntegerReducer over Q; the other kernel reduces nothing."""
+    reduced = {"Reducer": [], "IntegerReducer": []}
 
-    class CountingReducer(Reducer):
-        def add(self, col, combo=None):
-            reduced.append(bool(col))
-            return super().add(col, combo)
+    def counting(name):
+        class Counting(getattr(linalg, name)):
+            def add(self, col, *combo):
+                reduced[name].append(bool(col))
+                return super().add(col, *combo)
+        monkeypatch.setattr(linalg, name, Counting)
 
-    monkeypatch.setattr(complexes, "Reducer", CountingReducer)
+    counting("Reducer")
+    counting("IntegerReducer")
     nonzero = 0
     for seed in range(40):
         C, known = random_known_complex(random.Random(seed), field)
         assert C.cohomology_ranks() == dense_cohomology_ranks(C) == known
         assert not any(C.deg[g] in (1, 2, 3) for g in C.d)
         nonzero += len(C.d)
+    kernel, idle = ("Reducer", "IntegerReducer")[::1 if field is GF2 else -1]
+    assert not reduced[idle]
     # clearing skipped nonzero columns, so it was exercised
-    assert len(reduced) < nonzero
+    assert 0 < len(reduced[kernel]) < nonzero
+
+
+def random_integer_complex(rng):
+    """random_known_complex over Q with integer entries, non-unit ones
+    (+-2, +-3, 6) among them, and integer changes of basis, as an
+    IndexComplex on the generator order, with its known ranks."""
+    C, known = random_known_complex(
+        rng, QQ, lambda rng, field: rng.choice([-3, -2, -1, 1, 2, 3, 6]))
+    K = index_complex(list(C.gens), C.deg, {
+        g: {h: int(v) for h, v in cb.items()} for g, cb in C.d.items()}, QQ)
+    K.check()
+    return K, known
+
+
+def test_ranks_over_q_match_the_fraction_reference(monkeypatch):
+    """ChainComplex ranks over Fraction entries with denominators and
+    IndexComplex ranks over non-unit integer entries, against the
+    replaced Reducer(QQ) loop, which is put in place of _clearing_ranks to
+    read the reference through the same entry points."""
+    cases = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        cases.append(random_known_complex(rng, QQ))
+        cases.append(random_integer_complex(rng))
+    assert any(v.denominator > 1 for C, _ in cases[::2]
+               for cb in C.d.values() for v in cb.values())
+    assert any(abs(c) > 1 for K, _ in cases[1::2] for c in K.coef.tolist())
+    got = [str(C.cohomology_ranks()) for C, _ in cases]
+    assert got == [str(known) for _, known in cases]
+    monkeypatch.setattr(complexes, "_clearing_ranks",
+                        fraction_reference.clearing_ranks)
+    assert got == [str(C.cohomology_ranks()) for C, _ in cases]
+
+
+def test_bars_over_q_match_the_fraction_reference(monkeypatch):
+    """_bars on sublevel filtrations over Q, on filtered complexes whose
+    entries have denominators, and on Morse complexes of random acyclic
+    matchings (whose entries have denominators where a matched entry is no
+    unit), against the replaced Reducer(QQ) loop."""
+    import numpy as np
+    from gfsheaf.fixtures import random_circle_morse
+    from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid,
+                               sublevel_filtration)
+    rng = random.Random(2808)
+    runs = []
+    for seed in range(4):
+        f = random_circle_morse(random.Random(seed), n=16)
+        runs.append(sublevel_filtration(f, QQ).barcode)
+    torus = BoxGrid((circle_grid(5), circle_grid(4)))
+    for _ in range(4):
+        vals = np.array([rng.randrange(3) for _ in range(20)], dtype=float)
+        runs.append(sublevel_filtration(
+            SampledFunction(torus, vals.reshape(torus.vertex_shape)),
+            QQ).barcode)
+    for seed in range(30):
+        C = random_known_complex(random.Random(seed), QQ)[0]
+        action = {g: float(rng.randrange(4)) for g in C.gens}
+        # a coboundary entry may not lower the action: raise its target
+        for _ in C.gens:
+            for g, cb in C.d.items():
+                for h in cb:
+                    action[h] = max(action[h], action[g])
+        runs.append(FilteredComplex(C, action).barcode)
+    for seed in range(30):
+        K, _ = random_integer_complex(random.Random(seed))
+        # an entry raises the degree by one, so it never lowers the value
+        value = 2.0 * K.deg + np.array([rng.randrange(2) for _ in K.deg])
+        runs.append(lambda K=K, v=value: K.barcode(v))
+    for _, K, value, pairs in random_matched_cases(QQ):
+        runs.append(lambda K=K, v=value, m=pairs: K.barcode(v, m))
+    got = [run().bars for run in runs]
+    assert any(bars for bars in got)
+    monkeypatch.setattr(complexes, "_bars", fraction_reference.bars)
+    assert got == [run().bars for run in runs]
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_torsion_complex(field):
+    """Z --2--> Z: no cohomology over Q, Z/2 in degrees 0 and 1 over F2,
+    where the entry 2 is zero and is dropped, on both forms."""
+    want = {} if field is QQ else {0: 1, 1: 1}
+    d = {"x": {"y": 2}} if field is QQ else {}
+    C = ChainComplex(["x", "y"], {"x": 0, "y": 1}, d, field)
+    K = index_complex(["x", "y"], C.deg, d, field)
+    assert C.cohomology_ranks() == K.cohomology_ranks() == want
+    assert rank_of_columns([{0: 2}], field) == len(d)
 
 
 @pytest.mark.parametrize("c", [0, 1, 2, 3])

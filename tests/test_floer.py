@@ -1,4 +1,3 @@
-import ast
 import math
 import random
 
@@ -123,10 +122,6 @@ def test_conormal_limit_stops_at_the_stable_clamp(monkeypatch):
     assert len(built) == len(cert.k_values) < 5
 
 
-def _tables(cert):
-    return [ast.literal_eval(t) for t in cert.tables]
-
-
 def _random_closed_arc(rng, grid):
     """A closed arc of the circle base from a random vertex, wrapping
     around, of 0 to n - 1 edges."""
@@ -149,9 +144,9 @@ def _random_windows(rng, f):
 def test_conormal_limit_of_a_graph_matches_the_filtered_reference():
     """The pair route of graph_genfun(f) minus each clamp gives the ranks,
     the certificate tables and the stable rung of the per-rung filtered
-    barcodes of f minus each clamp.  A table is compared as the dict its
-    repr writes: the routes list degrees in different orders (the pair
-    route by first generator, the barcode by bar)."""
+    barcodes of f minus each clamp.  The tables are compared as the
+    strings the certificates hold: both routes list degrees in ascending
+    order."""
     rng = random.Random(27)
     cases = 0
     for n in (12, 16, 24):
@@ -163,8 +158,8 @@ def test_conormal_limit_of_a_graph_matches_the_filtered_reference():
                     got, cert = conormal_limit_ranks(
                         region, graph_genfun(f), a, b, field)
                     want, ref = filtered_limit_ranks(region, f, a, b, field)
-                    assert (got, _tables(cert), cert.stabilized_at) == \
-                        (want, _tables(ref), ref.stabilized_at), (n, a, b)
+                    assert (str(got), cert.tables, cert.stabilized_at) == \
+                        (str(want), ref.tables, ref.stabilized_at), (n, a, b)
                     cases += 1
     assert cases == 640
 

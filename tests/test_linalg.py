@@ -10,8 +10,8 @@ import pytest
 from gfsheaf.complexes import apply_d, class_coordinates, cohomology_basis
 from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid,
                            relative_cochain_complex, sublevel_set)
-from gfsheaf.linalg import (GF2, QQ, kernel_of_columns, rank_of_columns,
-                            solve_columns)
+from gfsheaf.linalg import (GF2, QQ, IntegerReducer, Reducer, integer_column,
+                            kernel_of_columns, rank_of_columns, solve_columns)
 
 FIELDS = [GF2, QQ]
 
@@ -205,6 +205,89 @@ def test_stored_zeros_over_q_are_dropped(alarm):
     zero = Fraction(0)
     assert rank_of_columns([{0: zero}, {0: Fraction(1), 1: zero}], QQ) == 1
     assert kernel_of_columns([{0: zero}], QQ) == [{0: Fraction(1)}]
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel of ranks and barcodes over Q against Reducer(QQ)
+
+NON_UNITS = [-3, -2, -1, 1, 2, 3, 6]
+
+
+def assert_fraction_pivots(cols):
+    """Feed cols to IntegerReducer (through integer_column) and to
+    Reducer(QQ): every column gets the same pivot row (or none) from both,
+    and each stored integer column is a nonzero multiple of the column
+    Reducer(QQ) stores.  Returns the IntegerReducer."""
+    red, ref = IntegerReducer(), Reducer(QQ)
+    for col in cols:
+        snapshot = dict(col)
+        assert red.add(integer_column(col)) == \
+            ref.add({i: Fraction(v) for i, v in col.items() if v})
+        assert col == snapshot
+    assert red.pivots.keys() == ref.pivots.keys()
+    for p, (want, _) in ref.pivots.items():
+        got = red.pivots[p]
+        assert got.keys() == want.keys()
+        assert all(type(v) is int for v in got.values())
+        assert all(got[i] * want[p] == want[i] * got[p] for i in got), p
+    return red
+
+
+def test_integer_kernel_keeps_the_pivots_of_the_fraction_kernel(alarm):
+    """Seeded columns of non-unit integers, and of Fractions with
+    denominators, with repeated and scaled columns mixed in; a kernel that
+    stops terminating fails at the alarm."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        nrows = rng.randint(1, 9)
+        cols = []
+        for _ in range(rng.randint(1, 12)):
+            roll = rng.random()
+            if cols and roll < 0.2:
+                c = Fraction(rng.choice(NON_UNITS), rng.randint(1, 6))
+                cols.append({i: c * v for i, v in rng.choice(cols).items()})
+            elif cols and roll < 0.3:
+                a, b = rng.choice(cols), rng.choice(cols)
+                c = rng.choice(NON_UNITS)
+                col = {i: a.get(i, 0) + c * b.get(i, 0) for i in a.keys() | b}
+                cols.append({i: v for i, v in col.items() if v})
+            else:
+                den = rng.choice([1, 1, 2, 3, 4, 6]) if seed % 2 else 1
+                cols.append({i: Fraction(rng.choice(NON_UNITS), den)
+                             if den > 1 else rng.choice(NON_UNITS)
+                             for i in range(nrows) if rng.random() < 0.5})
+        red = assert_fraction_pivots(cols)
+        assert rank_of_columns(cols, QQ) == len(red.pivots) == \
+            dense_rank(cols, nrows, QQ)
+
+
+def test_integer_column_clears_denominators():
+    col = {0: Fraction(1, 2), 3: Fraction(-2, 3), 5: 4, 7: Fraction(0)}
+    assert integer_column(col) == {0: 3, 3: -4, 5: 24}
+    assert integer_column({2: -6, 4: 3}) == {2: -6, 4: 3}
+    assert integer_column({}) == {}
+
+
+@pytest.mark.parametrize("seed", [2803, 2804, 2805, 2806])
+def test_integer_kernel_growth_stays_small_and_fast(seed, alarm):
+    """A 30 x 30 integer matrix with entries up to +-5, three of its columns
+    integer combinations of others (rank 27), within the 5 s alarm.  A
+    stored column is an integer multiple of the Reducer(QQ) column dividing
+    the one whose entries are minors of the matrix (Cramer's rule), so
+    every stored entry is within the Hadamard bound of a 30 x 30 minor,
+    (5 sqrt 30)^30 < 2^144."""
+    rng = random.Random(seed)
+    cols = [{i: v for i in range(30) if (v := rng.randint(-5, 5))}
+            for _ in range(27)]
+    for _ in range(3):
+        a, b = rng.sample(cols, 2)
+        c = rng.choice([-2, 3])
+        cols.insert(rng.randrange(len(cols)), {
+            i: v for i in range(30) if (v := a.get(i, 0) + c * b.get(i, 0))})
+    red = assert_fraction_pivots(cols)
+    assert len(red.pivots) == dense_rank(cols, 30, QQ) == 27
+    assert max(abs(v) for col in red.pivots.values()
+               for v in col.values()).bit_length() <= 144
 
 
 def complexes_under_test(field):
