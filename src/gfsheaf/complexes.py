@@ -467,7 +467,7 @@ class IndexComplex:
             matching = (np.zeros(0, np.int64),) * 2
         lower, upper = matching
         self._check_matching(value, lower, upper, src)
-        crit, d = self._morse(lower, upper, src)
+        crit, d = self._morse(lower, upper)
         order = crit[np.lexsort((crit, self.deg[crit], value[crit]))]
         return _bars(order.tolist(), self.deg.tolist(), value.tolist(), d,
                      self.field)
@@ -513,7 +513,7 @@ class IndexComplex:
                          f"generator of an earlier pair: the matching has a "
                          f"cycle or is not in gradient order")
 
-    def _morse(self, lower, upper, src):
+    def _morse(self, lower, upper):
         """The critical ids (in id order) and their Morse coboundaries, a
         dict critical -> {critical: scalar}, of a checked matching.
 
@@ -530,37 +530,44 @@ class IndexComplex:
         squaring: Y <- Y + P Y, P <- P P from P = N, Y = Y0, until P
         vanishes, in ceil(log2(longest gradient path)) rounds.  In a
         section complex every lower reaches at most one later upper, so a
-        round is one pointer jump along each t-axis chain.  Over F2 the
-        sums are parities of int64 entries; over Q exact sums of Fraction
-        object arrays.
+        round is one pointer jump along each t-axis chain.  Only the rows
+        of lower and critical generators are read.  Over F2 the sums are
+        parities of int64 entries.  Over Q they are exact sums of Python
+        int object arrays when every a_j is +-1 (so inv_j = -a_j), as in
+        cubical and section complexes, and of Fraction object arrays
+        otherwise.
         """
         F, n, P = self.field, len(self.deg), len(lower)
-
-        def lift(e):
-            """The field entries of the entries e: int64 0/1 or Fractions."""
-            if F is GF2:
-                return self.coef[e] & 1
-            return np.array([F.coerce(c) for c in self.coef[e].tolist()],
-                            dtype=object)
-
         role = np.full(n, -1, dtype=np.int64)     # -1: critical, -2: lower
         role[lower] = -2
         role[upper] = np.arange(P)
         crit = np.flatnonzero(role == -1)
-        low_of = np.full(n, -1, dtype=np.int64)
-        low_of[lower] = np.arange(P)
-        kind, j = role[self.tgt], low_of[src]
-        c_row = role[src] == -1
-        own = np.flatnonzero((j >= 0) & (kind == j))
-        inv = np.empty(P, dtype=np.int64 if F is GF2 else object)
-        inv[j[own]] = lift(own)
-        if F is not GF2:
-            inv = -1 / inv
+        count = np.diff(self.indptr)
+        e_low = index_ranges(self.indptr[:-1][lower], count[lower])
+        j = np.repeat(np.arange(P), count[lower])     # pair of each entry
+        kind = role[self.tgt[e_low]]
+        keep = np.flatnonzero(kind != -2)     # entries into lowers drop out
+        e_low, j, kind = e_low[keep], j[keep], kind[keep]
+        own = kind == j
+        a = self.coef[e_low[own]]       # a_j, in pair order
+        if F is GF2:
+            lift, inv = (lambda c: c & 1), a & 1
+        elif (np.abs(a) == 1).all():
+            lift = lambda c: c.astype(object)
+            inv = -lift(a)
+        else:
+            lift = lambda c: np.array([F.coerce(x) for x in c.tolist()],
+                                      dtype=object)
+            inv = -1 / lift(a)
         parity = F is GF2
-        e = np.flatnonzero((j >= 0) & (kind > j))
-        path = _sparse_sum([(j[e], kind[e], inv[j[e]] * lift(e))], n, parity)
-        e = np.flatnonzero((j >= 0) & (kind == -1))
-        y = _sparse_sum([(j[e], self.tgt[e], inv[j[e]] * lift(e))], n, parity)
+        e = np.flatnonzero(kind > j)
+        path = _sparse_sum([(j[e], kind[e],
+                             inv[j[e]] * lift(self.coef[e_low[e]]))], n,
+                           parity)
+        e = np.flatnonzero(kind == -1)
+        y = _sparse_sum([(j[e], self.tgt[e_low[e]],
+                          inv[j[e]] * lift(self.coef[e_low[e]]))], n, parity)
+        del e_low, j, kind, keep, own, e
         for _ in range(P.bit_length()):
             if not len(path[0]):
                 break
@@ -569,11 +576,14 @@ class IndexComplex:
         if len(path[0]):
             raise RuntimeError("the Morse elimination did not terminate: "
                                "the matching is not acyclic")
-        e = np.flatnonzero(c_row & (kind >= 0))
-        a = (src[e], kind[e], lift(e))
-        e = np.flatnonzero(c_row & (kind == -1))
+        e_crit = index_ranges(self.indptr[:-1][crit], count[crit])
+        row = np.repeat(crit, count[crit])
+        kind = role[self.tgt[e_crit]]
+        up, to = np.flatnonzero(kind >= 0), np.flatnonzero(kind == -1)
         row, col, val = _sparse_sum(
-            [(src[e], self.tgt[e], lift(e)), _sparse_product(a, y, n)], n,
+            [(row[to], self.tgt[e_crit[to]], lift(self.coef[e_crit[to]])),
+             _sparse_product((row[up], kind[up],
+                              lift(self.coef[e_crit[up]])), y, n)], n,
             parity)
         starts = np.flatnonzero(np.diff(row, prepend=-1))
         entries = zip(col.tolist(), val.tolist())

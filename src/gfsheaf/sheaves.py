@@ -31,16 +31,19 @@ cofaces and the stalk differentials with Koszul signs.  The stalks of each
 factor come in as one StalkTable of integer slots, read off its
 StalkSource in one numpy pass.  Degree +1 and d^2 = 0 are checked on the
 integer arrays, exactly in the field (the parity of the two-step path
-count over F2, the integer sum over Q).  section_barcode builds one such
-complex per (sheaf, region) and reduces it on ids through its vertical
-matching, which pairs a generator over ('v', i) with the same labels over
-('e', i) and is checked there too; sections() reads every cellular and
-product window off the barcode, and its bars are the pushforward barcode.
-The unit and product maps act on id-keyed cochains of the same arrays.
-Tuple ChainComplexes are built from them only by section_complex and
-product_section_complex, for callers that read generators.  GF windows
-stay on the pair route (gf_cohomology) and limit sheaves on their clamp
-schedules, so the routes stay independent.
+count over F2, the integer sum over Q).  A factor's t-axis is data: one
+global TAxis that cuts every base cell at every break, or the sheaf's
+LocalAxes, which cut each base cell only at the breaks where a stalk of
+its star changes.  section_barcode builds one complex per (sheaf, region)
+on the local axes of every factor, and reduces it on ids through its
+vertical matching, which pairs a generator over ('v', i) with the same
+labels over ('e', i) and is checked there too; sections() reads every
+cellular and product window off the barcode, and its bars are the
+pushforward barcode.  The unit and product maps act on id-keyed cochains
+of complexes on the global axes.  Tuple ChainComplexes are built from them
+only by section_complex and product_section_complex, for callers that read
+generators.  GF windows stay on the pair route (gf_cohomology) and limit
+sheaves on their clamp schedules, so the routes stay independent.
 """
 
 from __future__ import annotations
@@ -127,6 +130,67 @@ class TAxis:
         return TAxis(tuple(sorted(vals)))
 
 
+class LocalAxes(NamedTuple):
+    """One t-axis per base cell, cut at the breaks of taxis that the cell
+    keeps (CellSheaf.local_axes), with the stalks of its strata.
+
+    A local t-cell is named by a t-cell of taxis: a kept break i by ('v',
+    i), and the interval from a kept break up to the next one (or the top
+    ray) by the cell ('e', k) of taxis just below its top, so the two have
+    one top value.  cover[c, t] is the index (into taxis.cells()) of the
+    local t-cell of flat base cell c that contains t-cell t of taxis, and
+    -1 when t is a dropped break, which lies inside a local interval, one
+    dimension up.  The local t-cells of c are the t with cover[c, t] == t.
+    index[c, k] numbers in table the stalk over c on the own stratum ('e',
+    k), -1 when it is empty; table holds only the stalks of the strata of
+    the local axes, which stand for the strata of taxis they merge.
+    """
+
+    taxis: TAxis
+    cover: np.ndarray
+    index: np.ndarray
+    table: StalkTable
+
+    @classmethod
+    def cut(cls, taxis, keep, index, table):
+        """The local axes in which flat base cell c keeps break i when
+        keep[c, i] is set, for the stalks index, table of all base cells on
+        the own strata (CellSheaf.strata_stalks), which must not change
+        over c across a break c drops."""
+        n, m = keep.shape
+        tops = np.where(np.append(keep, np.ones((n, 1), dtype=bool), axis=1),
+                        np.arange(m + 1), m)
+        # the own stratum at the top of the local interval holding each
+        nxt = np.minimum.accumulate(tops[:, ::-1], axis=1)[:, ::-1]
+        cover = np.empty((n, 2 * m + 1), dtype=np.int64)
+        cover[:, 0::2] = 2 * nxt
+        cover[:, 1::2] = np.where(keep, np.arange(1, 2 * m, 2), -1)
+        index = np.take_along_axis(index, nxt, axis=1)
+        used, index = np.unique(index, return_inverse=True)
+        index = index.reshape(n, m + 1) - (used[0] < 0)
+        return cls(taxis, cover, index, _take_stalks(table, used[used >= 0]))
+
+    @property
+    def strata(self):
+        """The number of strata (base cell, local t-cell) they cut."""
+        return int((self.cover == np.arange(self.cover.shape[1])).sum())
+
+
+def _factor_axis(cell, ax, rows, region_rows):
+    """(TAxis, cover, index, StalkTable) of a factor of _section_parts whose
+    axis is ax: its t-axis, the cover of its t-cells over the flat base
+    cells rows, and its stalks over region_rows on the own strata (index[r,
+    k] numbers the stalk over (region_rows[r], ('e', k)) in the table, -1
+    when it is empty).  A TAxis covers every t-cell by itself over every
+    base cell, and the stalks are read off cell.strata_stalks; LocalAxes
+    carry both."""
+    if isinstance(ax, LocalAxes):
+        return ax.taxis, ax.cover[rows], ax.index[region_rows], ax.table
+    nt = 2 * ax.m + 1
+    return (ax, np.broadcast_to(np.arange(nt), (len(rows), nt)),
+            *cell.strata_stalks(region_rows))
+
+
 # ---------------------------------------------------------------------------
 # stalks
 
@@ -169,6 +233,42 @@ class StalkTable(NamedTuple):
     dpos: np.ndarray
     dcoef: np.ndarray
     labels: list
+
+
+def _stalk_changes(index, st: StalkTable):
+    """changes[r, i]: whether the stalks index[r, i] and index[r, i + 1] of
+    st (-1: empty) differ as StalkTable rows: in size, or slot by slot in
+    label, degree or differential (the count, target positions and
+    coefficients of its entries)."""
+    size = np.append(np.diff(st.off), 0)[index]
+    changes = size[:, :-1] != size[:, 1:]
+    r, i = np.nonzero(~changes & (size[:, :-1] > 0))
+    count = size[r, i]
+    qa = index_ranges(st.off[index[r, i]], count)
+    qb = index_ranges(st.off[index[r, i + 1]], count)
+    entries = np.diff(st.dptr)
+    na, nb = entries[qa], entries[qb]
+    bad = (st.lab[qa] != st.lab[qb]) | (st.ldeg[qa] != st.ldeg[qb]) | (
+        na != nb)
+    same = np.flatnonzero(~bad)
+    ea = index_ranges(st.dptr[qa[same]], na[same])
+    eb = index_ranges(st.dptr[qb[same]], na[same])
+    bad[np.repeat(same, na[same])[(st.dpos[ea] != st.dpos[eb])
+                                  | (st.dcoef[ea] != st.dcoef[eb])]] = True
+    pair = np.repeat(np.arange(len(r)), count)[bad]
+    changes[r[pair], i[pair]] = True
+    return changes
+
+
+def _take_stalks(st: StalkTable, ks):
+    """The StalkTable of the stalks ks of st, in that order."""
+    size = np.diff(st.off)[ks]
+    q = index_ranges(st.off[ks], size)
+    count = np.diff(st.dptr)[q]
+    e = index_ranges(st.dptr[q], count)
+    return StalkTable(np.append(0, np.cumsum(size)), st.lab[q], st.ldeg[q],
+                      np.append(0, np.cumsum(count)), st.dpos[e], st.dcoef[e],
+                      st.labels)
 
 
 class Corners(NamedTuple):
@@ -341,17 +441,32 @@ class CellSheaf:
         """The representative threshold of each own stratum ('e', i)."""
         return [self.taxis.rep(("e", i)) for i in range(self.taxis.m + 1)]
 
-    def strata_stalks(self, base_cells):
-        """(index, StalkTable) of the stalks over base_cells (cell tuples)
-        on the own strata, read off one table of the source:
-        index[c, i] numbers the stalk over (base_cells[c], ('e', i)) in the
-        table, -1 when it is empty."""
-        shape = self.base.base_cell_shape
-        flat = np.ravel_multi_index(tuple(np.array(
-            base_cells, dtype=np.int64).reshape(-1, len(shape)).T), shape)
-        rows, inverse = np.unique(flat, return_inverse=True)
+    def strata_stalks(self, rows):
+        """(index, StalkTable) of the stalks over the flat base cells rows
+        on the own strata, read off one table of the source: index[r, i]
+        numbers the stalk over (rows[r], ('e', i)) in the table, -1 when it
+        is empty."""
+        rows, inverse = np.unique(rows, return_inverse=True)
         index, table = self.source.table(rows, self._reps())
         return index[inverse], table
+
+    @functools.cached_property
+    def local_axes(self) -> "LocalAxes":
+        """The LocalAxes of this sheaf, built on first use from the stalk
+        table of all its base cells (strata_stalks).  Base cell c keeps
+        break i when some cell of its star (c and every cell that has c as
+        a face) has different stalks on the own strata ('e', i) and ('e',
+        i + 1), in labels, degrees or differential (_stalk_changes).  So a
+        coface keeps no break its face drops."""
+        table = self.base.coface_table
+        index, st = self.strata_stalks(np.arange(len(table.dim)))
+        keep = _stalk_changes(index, st)
+        for d in range(int(table.dim.max(initial=0)) - 1, -1, -1):
+            cells = np.flatnonzero(table.dim == d)
+            for cof in table.cof[cells].T:
+                has = cof >= 0
+                keep[cells[has]] |= keep[cof[has]]
+        return LocalAxes.cut(self.taxis, keep, index, st)
 
     @functools.cached_property
     def corners(self) -> Corners:
@@ -363,7 +478,7 @@ class CellSheaf:
         AssertionError when a stalk that never opens is nonempty on the top
         stratum; the first failing cell in C order decides."""
         index, st = self.strata_stalks(
-            [tuple(bc) for bc in self.base.base_cells()])
+            np.arange(int(np.prod(self.base.base_cell_shape))))
         first = st.off[:-1]         # the first slot of each stalk
         size = np.append(np.diff(st.off), 0)[index]
         label = np.append(st.lab[first], -1)[index]
@@ -403,38 +518,59 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     """Total complex over region x [a, b) of the tensor product of stalks,
     as index arrays.
 
-    factors: (CellSheaf, TAxis, project) triples; project(bc) is the
-    factor's base cell under bc.  The window holds the tuples of t-cells
-    whose value (the top value of the one t-cell, or the sum of the two
-    tops) lies in [a, b).  A generator is (bc, t_1..t_m, label_1..label_m),
-    numbered by its id in the order: base cells of the region in C order,
-    window tuples in product order, then the labels of the stalks, first
-    factor outermost.  The stalk over a t-cell is that of the factor's own
-    stratum containing it (CellSheaf.stalk at the t-cell's rep); each factor
-    gives the stalks over its base cells under the region on all its strata
-    as one StalkTable (CellSheaf.strata_stalks), whose labels have integer
-    ids, so a generator also has an integer key, (flat base cell, flat
-    t-cell tuple, label ids) in mixed radix, and a coboundary target is
-    found by searching the sorted keys.
+    factors: (CellSheaf, axis, project) triples; project(flat) is the
+    factor's flat base cell under each flat base cell, and axis is a TAxis,
+    which cuts every base cell at every break, or the sheaf's LocalAxes,
+    which cut base cell c only at the breaks where a stalk of its star (c
+    and every cell that has c as a face) changes.  section_barcode passes
+    the local axes of every factor; the callers that index cochains by
+    generator (ProductHome, the unit morphisms, section_complex and
+    product_section_complex) pass global ones.  The t-cells over a base
+    cell are those of its axis, named by t-cells of the TAxis (LocalAxes).
+    The window holds the tuples of t-cells whose value (the top value of
+    the one t-cell, or the sum of the two tops) lies in [a, b).  A
+    generator is (bc, t_1..t_m, label_1..label_m), numbered by its id in
+    the order: base cells of the region in C order, window tuples in
+    product order, then the labels of the stalks, first factor outermost.
+    The stalk over a t-cell is that of the factor's own stratum containing
+    it (CellSheaf.stalk at the t-cell's rep); each factor gives the stalks
+    over its base cells under the region on all its strata as one
+    StalkTable (CellSheaf.strata_stalks, or the one its LocalAxes carry),
+    whose labels have integer ids, so a generator also has an integer key,
+    (flat base cell, flat t-cell tuple, label ids) in mixed radix, and a
+    coboundary target is found by searching the sorted keys.
 
     The coboundary of a generator lists, in this order: the base cofaces
-    (BoxGrid.coface_table, slot order); the cofaces on t-axis i, signed by
-    (-1)^(dim bc + dims of t_1..t_{i-1}); the differential of stalk j,
-    signed by (-1)^(dim bc + all t dims + degrees of labels 1..j-1).  A term
-    counts when its target is a generator.  Each term changes a different
-    component, so no two meet.  Coefficients are integers (the signs times
-    the stalk coefficients), zero ones in the field dropped;
-    IndexComplex.check certifies degree +1 and d^2 = 0 in the field on the
-    integer arrays, which certifies that the label-matching generization
-    maps are chain maps.
+    (BoxGrid.coface_table, slot order), each t-cell taken to the t-cell of
+    the coface's axis that contains it, with the base sign (a coface keeps
+    no break its face drops, so there is one; a dropped break lies inside
+    an interval, two dimensions up, and gives no entry); the cofaces on
+    t-axis i, the intervals of the cell's axis below and above the break,
+    signed by (-1)^(dim bc + dims of t_1..t_{i-1}); the differential of
+    stalk j, signed by (-1)^(dim bc + all t dims + degrees of labels
+    1..j-1).  A term counts when its target is a generator.  Each term
+    changes a different component, so no two meet.  Coefficients are
+    integers (the signs times the stalk coefficients), zero ones in the
+    field dropped; IndexComplex.check certifies degree +1 and d^2 = 0 in
+    the field on the integer arrays, which certifies that the
+    label-matching generization maps are chain maps.
 
     The vertical matching pairs a generator whose first t-cell is ('v', i)
     with the generator that differs only by ('e', i) in its place, when
     there is one.  The two share their value, the coface entry is +-1, and
-    the only other upper generator a lower one reaches is the one over
-    ('e', i+1): the first-axis index rises along every gradient path, so
-    the matching is acyclic, and its pairs come in a gradient order (id
+    the only other upper generator a lower one reaches is the one over the
+    interval above: the first-axis index rises along every gradient path,
+    so the matching is acyclic, and its pairs come in a gradient order (id
     order).
+
+    On local axes the complex is the partial Morse complex of the global
+    one under its vertical pairs over the dropped breaks (one axis after
+    the other): a dropped break has one stalk on both sides over every
+    cell of the star, so every generator over it is matched, with equal
+    values, and the Morse path through a run of dropped breaks carries an
+    entry into its lowest interval to the top one with factor +1.  So the
+    bars are those of the global axes (Mischaikow-Nanda, DCG 2013), and
+    every local generator is a global one with the same id order.
 
     The arrays are assembled in _section_arrays, whose temporaries are
     freed before the check runs.
@@ -472,7 +608,13 @@ def _section_parts(base, factors, region, a, b):
     coboundary as a list parts of (source ids, target ids, integer
     coefficients) triples, in coboundary order per source."""
     m = len(factors)
-    axes = [ax for _, ax, _ in factors]
+    n_base = int(np.prod(base.base_cell_shape))
+    mask = (region.over(base) if region is not None
+            else np.ones(base.base_cell_shape, dtype=bool))
+    cflat = np.flatnonzero(mask)
+    axes, covers, index, stalks = zip(*(
+        _factor_axis(cell, ax, project(np.arange(n_base)), project(cflat))
+        for cell, ax, project in factors))
     tcells = [ax.cells() for ax in axes]
     nt = [len(cells) for cells in tcells]
     # window tuples: flat index over the product of the axes, in product
@@ -483,19 +625,17 @@ def _section_parts(base, factors, region, a, b):
     wflat = np.flatnonzero((a <= value) & (value < b))
     wt = np.stack(np.unravel_index(wflat, nt), axis=1)
     wdim = (1 - (wt & 1)).sum(axis=1)    # ('e', i) at 2i, ('v', i) at 2i+1
-    mask = (region.over(base) if region is not None
-            else np.ones(base.base_cell_shape, dtype=bool))
-    cflat = np.flatnonzero(mask)
     cells = [tuple(c) for c in np.argwhere(mask).tolist()]
     table = base.coface_table
-    # per factor: the stalk index over each (region cell, t-cell), -1 empty
-    stalks, over = [], []
-    for (cell, ax, project), cells_f in zip(factors, tcells):
+    # per factor: the stalk index over each (region cell, t-cell), -1 where
+    # it is empty or the t-cell is not one of the cell's axis
+    over = []
+    for (cell, _, _), ax, cover, ix, cells_f in zip(factors, axes, covers,
+                                                     index, tcells):
         strata = np.array([bisect.bisect(cell.taxis.breaks, ax.rep(tc))
                            for tc in cells_f], dtype=np.int64)
-        index, st = cell.strata_stalks([project(bc) for bc in cells])
-        stalks.append(st)
-        over.append(index[:, strata])
+        over.append(np.where(cover[cflat] == np.arange(len(cells_f)),
+                             ix[:, strata], -1))
     # blocks (cell, window tuple) with every stalk nonempty, in C order;
     # the window tuples that start with one t-cell are consecutive
     group = np.bincount(wt[:, 0], minlength=nt[0])
@@ -526,31 +666,43 @@ def _section_parts(base, factors, region, a, b):
     lab_stride = [functools.reduce(int.__mul__, radix[f + 1:], 1)
                   for f in range(m)]
     w_stride = lab_stride[0] * radix[0]
-    c_stride = w_stride * int(np.prod(nt))
-    if c_stride * int(np.prod(base.base_cell_shape)) >= 1 << 63:
+    t_stride = [w_stride * int(np.prod(nt[f + 1:])) for f in range(m)]
+    c_stride = t_stride[0] * nt[0]
+    if c_stride * n_base >= 1 << 63:
         raise ValueError("section complex too large to index")
     key = cflat[gc] * c_stride + wflat[gw] * w_stride
     for f in range(m):
         key += lab[f] * lab_stride[f]
-    keys = _Keys(key, (int(np.prod(base.base_cell_shape)), *nt, *radix))
+    keys = _Keys(key, (n_base, *nt, *radix))
 
     ids = np.arange(n, dtype=np.int64)
     parts = []      # (source ids, target ids, integer coefficients)
     gcf = cflat[gc]
+    # a base coface takes each t-cell to the t-cell of its own axis that
+    # contains it; none contains a dropped break (codimension 2)
     for k in range(table.cof.shape[1]):
         cf = table.cof[gcf, k].astype(np.int64)
         has = np.flatnonzero(cf >= 0)
-        hit, tgt = keys.search(key[has] + (cf[has] - gcf[has]) * c_stride)
-        parts.append((has[hit], tgt[hit], table.sgn[gcf[has[hit]], k]))
+        t = [wt[gw[has], f] for f in range(m)]
+        up = [cover[cf[has], tf] for cover, tf in zip(covers, t)]
+        ok = np.flatnonzero(np.logical_and.reduce([u >= 0 for u in up]))
+        want = key[has[ok]] + (cf[has[ok]] - gcf[has[ok]]) * c_stride
+        for f in range(m):
+            want += (up[f][ok] - t[f][ok]) * t_stride[f]
+        hit, tgt = keys.search(want)
+        has = has[ok[hit]]
+        parts.append((has, tgt[hit], table.sgn[gcf[has], k]))
+    # t-axis cofaces of ('v', i): the intervals of the cell's axis below and
+    # above break i
     parity = bdim.copy()
     matching = None
     for f in range(m):
         tf = wt[gw, f]
-        step = w_stride * int(np.prod(nt[f + 1:]))
         vert = np.flatnonzero(tf & 1)
         sign = 1 - 2 * (parity[vert] & 1)
         for move, s in ((-1, 1), (1, -1)):
-            hit, tgt = keys.search(key[vert] + move * step)
+            up = covers[f][gcf[vert], tf[vert] + move]
+            hit, tgt = keys.search(key[vert] + (up - tf[vert]) * t_stride[f])
             parts.append((vert[hit], tgt[hit], s * sign[hit]))
             if matching is None:
                 matching = (vert[hit], tgt[hit])
@@ -683,7 +835,8 @@ def to_cellular(F: TameSheaf, max_cells=250_000,
                 spot_checks=20) -> TameSheaf:
     """Cellular presentation of a GF sheaf: breakpoints at strand values,
     stalks the floored fiber complexes, held as masks over the fiber cells
-    (FiberMasks); spot-checked against the GF route."""
+    (FiberMasks); spot-checked against the GF route.  Refused when its
+    local axes cut more than max_cells strata (base cell, local t-cell)."""
     if F.kind != "gf":
         raise ValueError("to_cellular expects a GF presentation")
     gf = F.gf
@@ -693,17 +846,19 @@ def to_cellular(F: TameSheaf, max_cells=250_000,
         breaks = (0.0,)
     floor = window_floor(gf)
     base = gf.base_grid
-    n_base = int(np.prod(base.base_cell_shape))
-    est = n_base * (2 * len(breaks) + 1)
-    if est > max_cells:
-        raise ValueError(f"stratification too large ({est} strata cells); "
-                         f"coarsen the grid")
     # k = 0: one fiber cell, labelled () in degree 0
     masks = FiberMasks(base, BoxGrid(gf.grid.fiber, ()), gf.S.cell_max(),
                        floor)
     ind = ("graph", gf.S) if gf.k == 0 else None
     cell = CellSheaf(base, TAxis(breaks), masks, shift=gf.i_q,
                      label=f"cellular({F.label})", indicator=ind)
+    # the local axes cut at most every base cell at every break, so they
+    # are built here only when that bound is over max_cells
+    if int(np.prod(base.base_cell_shape)) * (2 * len(breaks) + 1) > \
+            max_cells and cell.local_axes.strata > max_cells:
+        raise ValueError(f"stratification too large "
+                         f"({cell.local_axes.strata} strata cells); "
+                         f"coarsen the grid")
     out = TameSheaf("cell", cell=cell, label=cell.label)
     _spot_check_cellular(F, out, spot_checks)
     return out
@@ -768,9 +923,13 @@ def section_barcode(F: TameSheaf, region: BaseRegion | None = None) -> Barcode:
     region) and memoised on F.
 
     A cellular sheaf (a GF sheaf through its cellular presentation) gives
-    one section complex over every t-cell of its own axis with a finite
-    top, filtered by that top; a product gives the carrier's complex over
-    every pair of such t-cells, filtered by the sum of the two tops.  The
+    one section complex over every t-cell of its local axes (LocalAxes:
+    each base cell cut only at the breaks where a stalk of its star
+    changes) with a finite top, filtered by that top; a product gives the
+    carrier's complex over every pair of such t-cells, each factor on its
+    local axes, filtered by the sum of the two tops.  The local complex is
+    a partial Morse complex of the one on the global t-axes, with the same
+    bars (_total_complex).  The
     complex of a window [a, b) is the subquotient on the generators whose
     value lies in [a, b), and an infinite end keeps every finite value, so
     window_ranks(a, b) gives the sections over every window and the bars
@@ -795,6 +954,8 @@ def _section_barcode(F: TameSheaf, region) -> Barcode:
         cells = (_as_cellsheaf(F),)
         base, factors = cells[0].base, [(cells[0], cells[0].taxis,
                                          _same_cell)]
+    factors = [(cell, cell.local_axes, project)
+               for cell, _, project in factors]
     S = _total_complex(base, factors, region, -INF, INF, cells[0].field)
     shift = sum(cell.shift for cell in cells)
     return Barcode([(k - shift, b, x)
@@ -924,9 +1085,9 @@ def _product_factors(CA: CellSheaf, CB: CellSheaf, diagonal):
         pa = pb = _same_cell
     else:
         base = BoxGrid(CA.base.base + CB.base.base, ())
-        na = len(CA.base.base)
-        pa = lambda bc: bc[:na]
-        pb = lambda bc: bc[na:]
+        nb = int(np.prod(CB.base.base_cell_shape))
+        pa = lambda flat: flat // nb
+        pb = lambda flat: flat % nb
     return base, [(CA, CA.taxis, pa), (CB, CB.taxis, pb)]
 
 

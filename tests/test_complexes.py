@@ -519,6 +519,108 @@ def test_bars_over_q_match_the_fraction_reference(monkeypatch):
     assert got == [run().bars for run in runs]
 
 
+def _fraction_bars(K, value):
+    """The bars of the IndexComplex K over Q, filtered by value, by the
+    Reducer(QQ) loop of fraction_reference on all of K, no matching."""
+    from fractions import Fraction
+    import numpy as np
+    src, tgt, coef = K.src().tolist(), K.tgt.tolist(), K.coef.tolist()
+    d = {}
+    for s, t, c in zip(src, tgt, coef):
+        d.setdefault(s, {})[t] = Fraction(c)
+    order = np.lexsort((np.arange(len(K.deg)), K.deg, value)).tolist()
+    return fraction_reference.bars(order, K.deg.tolist(), value.tolist(), d,
+                                   QQ)
+
+
+def _q_matched_cases():
+    """(K, value, matching) over Q: the random matchings of the sweep (some
+    with non-unit matched entries), random matchings on an 8 x 8 torus
+    sublevel complex, and the vertical matchings of cusp and circle-graph
+    section complexes on their local axes."""
+    import numpy as np
+    from gfsheaf.fixtures import cusp_genfun, random_circle_morse
+    from gfsheaf.genfun import graph_genfun
+    from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid,
+                               sublevel_filtration)
+    from gfsheaf.sheaves import (CellSheaf, _same_cell, _total_complex,
+                                 quantize, to_cellular)
+    for _, K, value, pairs in random_matched_cases(QQ):
+        yield K, value, pairs
+    rng = random.Random(2904)
+    for _ in range(20):
+        # integer entries up to 6, all of one value, so any coface pair
+        # may be matched, units or not
+        C, _ = random_known_complex(
+            rng, QQ, lambda rng, field: rng.choice([-3, -2, -1, 1, 2, 3, 6]))
+        FC = FilteredComplex(C, dict.fromkeys(C.gens, 0.0))
+        K = index_complex(list(C.gens), C.deg, {
+            g: {h: int(v) for h, v in cb.items()} for g, cb in C.d.items()},
+            QQ)
+        yield (K, np.zeros(len(C.gens)),
+               _id_pairs(C._index.__getitem__,
+                         random_acyclic_matching(rng, FC)))
+    torus = BoxGrid((circle_grid(8), circle_grid(8)))
+    for _ in range(3):
+        vals = np.array([rng.randrange(4) for _ in range(64)], dtype=float)
+        FC = sublevel_filtration(SampledFunction(
+            torus, vals.reshape(torus.vertex_shape)), QQ)
+        C = FC.complex
+        K = index_complex(list(C.gens), C.deg, {
+            g: {h: int(v) for h, v in cb.items()} for g, cb in C.d.items()},
+            QQ)
+        yield (K, np.array([FC.action[g] for g in C.gens]),
+               _id_pairs(C._index.__getitem__,
+                         random_acyclic_matching(rng, FC)))
+    for gf in (cusp_genfun(n_base=6, n_fiber=12),
+               graph_genfun(random_circle_morse(rng, n=9))):
+        cell = to_cellular(quantize(gf), spot_checks=0).cell
+        cell = CellSheaf(cell.base, cell.taxis, cell.source, field=QQ)
+        S = _total_complex(cell.base, [(cell, cell.local_axes, _same_cell)],
+                           None, -INF, INF, QQ)
+        yield S, S.value, S.matching
+
+
+def _matched_entries(K, lower, upper):
+    import numpy as np
+    return [int(K.coef[K.indptr[s] + np.flatnonzero(
+        K.tgt[K.indptr[s]:K.indptr[s + 1]] == u)[0]])
+        for s, u in zip(lower.tolist(), upper.tolist())]
+
+
+def test_matched_bars_over_q_match_the_fraction_reference():
+    """The Morse reduction over Q (integer lifts for unit matchings,
+    Fractions otherwise) keeps the bars of the Reducer(QQ) loop on the
+    whole complex; the cases hold unit and non-unit matchings."""
+    kinds = set()
+    for K, value, (lower, upper) in _q_matched_cases():
+        if len(lower):
+            kinds.add(all(abs(a) == 1 for a in _matched_entries(K, lower,
+                                                                upper)))
+        assert K.barcode(value, (lower, upper)) == _fraction_bars(K, value)
+    assert kinds == {True, False}
+
+
+def test_a_unit_matched_barcode_over_q_builds_no_fraction(monkeypatch):
+    """With every matched entry +-1 the Morse coboundary is summed on
+    Python ints: with Fraction construction and QQ.coerce made to raise,
+    the bars still come out, equal to the reference's."""
+    from fractions import Fraction
+    cases = [(K, value, pairs) for K, value, pairs in _q_matched_cases()
+             if len(pairs[0]) and all(abs(a) == 1 for a in _matched_entries(
+                 K, *pairs))]
+    assert len(cases) > 10
+    want = [_fraction_bars(K, value) for K, value, _ in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(QQ, "coerce", refuse)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert [K.barcode(value, pairs) for K, value, pairs in cases] == want
+    assert any(bars.bars for bars in want)
+
+
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
 def test_torsion_complex(field):
     """Z --2--> Z: no cohomology over Q, Z/2 in degrees 0 and 1 over F2,

@@ -91,9 +91,8 @@ def reference_morse(self, lower, upper, src):
 def assert_same_morse(K, lower, upper):
     """The elimination of K under (lower, upper) equals the reference's:
     the same critical ids and the same rows, exact in the field."""
-    src = K.src()
-    crit, rows = K._morse(lower, upper, src)
-    ref_crit, ref_rows = reference_morse(K, lower, upper, src)
+    crit, rows = K._morse(lower, upper)
+    ref_crit, ref_rows = reference_morse(K, lower, upper, K.src())
     assert crit.tolist() == ref_crit.tolist()
     assert rows == ref_rows
 
@@ -169,7 +168,7 @@ def test_the_hand_built_morse_rows_are_exact():
     for name, rows in want.items():
         d, pairs = HAND_BUILT[name]
         K, value, (lower, upper) = _hand_built(d, pairs)
-        crit, got = K._morse(lower, upper, K.src())
+        crit, got = K._morse(lower, upper)
         named = {K.name(c): {K.name(h): v for h, v in row.items()}
                  for c, row in got.items()}
         assert named == rows, name
@@ -185,9 +184,9 @@ def test_every_matched_barcode_of_verify_all_matches_the_reference(
     morse = IndexComplex._morse
     seen = []
 
-    def compared(self, lower, upper, src):
-        got = morse(self, lower, upper, src)
-        ref = reference_morse(self, lower, upper, src)
+    def compared(self, lower, upper):
+        got = morse(self, lower, upper)
+        ref = reference_morse(self, lower, upper, self.src())
         assert got[0].tolist() == ref[0].tolist()
         assert got[1] == ref[1]
         seen.append(len(lower))
