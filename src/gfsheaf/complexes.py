@@ -21,6 +21,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -533,9 +534,9 @@ class IndexComplex:
         round is one pointer jump along each t-axis chain.  Only the rows
         of lower and critical generators are read.  Over F2 the sums are
         parities of int64 entries.  Over Q they are exact sums of Python
-        int object arrays when every a_j is +-1 (so inv_j = -a_j), as in
-        cubical and section complexes, and of Fraction object arrays
-        otherwise.
+        int object arrays, with inv_j = -a_j when a_j is +-1 (as in every
+        pair of cubical and section complexes) and the Fraction -1/a_j
+        otherwise, so Fractions arise only through non-unit pairs.
         """
         F, n, P = self.field, len(self.deg), len(lower)
         role = np.full(n, -1, dtype=np.int64)     # -1: critical, -2: lower
@@ -552,13 +553,10 @@ class IndexComplex:
         a = self.coef[e_low[own]]       # a_j, in pair order
         if F is GF2:
             lift, inv = (lambda c: c & 1), a & 1
-        elif (np.abs(a) == 1).all():
-            lift = lambda c: c.astype(object)
-            inv = -lift(a)
         else:
-            lift = lambda c: np.array([F.coerce(x) for x in c.tolist()],
-                                      dtype=object)
-            inv = -1 / lift(a)
+            lift = lambda c: c.astype(object)
+            inv = np.array([-x if abs(x) == 1 else Fraction(-1, x)
+                            for x in a.tolist()], dtype=object)
         parity = F is GF2
         e = np.flatnonzero(kind > j)
         path = _sparse_sum([(j[e], kind[e],

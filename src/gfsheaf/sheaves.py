@@ -40,8 +40,9 @@ vertical matching, which pairs a generator over ('v', i) with the same
 labels over ('e', i) and is checked there too; sections() reads every
 cellular and product window off the barcode, and its bars are the
 pushforward barcode.  The unit and product maps act on id-keyed cochains
-of complexes on the global axes.  Tuple ChainComplexes are built from them
-only by section_complex and product_section_complex, for callers that read
+of complexes on the global axes, which are refused past MAX_STRATA
+strata.  Tuple ChainComplexes are built from them only by
+section_complex and product_section_complex, for callers that read
 generators.  GF windows stay on the pair route (gf_cohomology) and limit
 sheaves on their clamp schedules, so the routes stay independent.
 """
@@ -64,6 +65,14 @@ from .grids import BaseRegion, BoxGrid
 from .linalg import GF2
 
 INF = math.inf
+
+# the most strata (base cell, t-cell) a sheaf may be cut into: to_cellular's
+# default bound on its local axes, and the bound on every global t-axis a
+# section complex is assembled on
+MAX_STRATA = 250_000
+# the most (base cell, own stratum, stalk generator) slots whose stalks
+# CellSheaf.local_axes reads off its source in one table
+_TABLE_BLOCK = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +164,28 @@ class LocalAxes(NamedTuple):
     def cut(cls, taxis, keep, index, table):
         """The local axes in which flat base cell c keeps break i when
         keep[c, i] is set, for the stalks index, table of all base cells on
-        the own strata (CellSheaf.strata_stalks), which must not change
-        over c across a break c drops."""
+        the own strata (as CellSheaf.strata_stalks gives them), which must
+        not change over c across a break c drops."""
         n, m = keep.shape
-        tops = np.where(np.append(keep, np.ones((n, 1), dtype=bool), axis=1),
-                        np.arange(m + 1), m)
-        # the own stratum at the top of the local interval holding each
-        nxt = np.minimum.accumulate(tops[:, ::-1], axis=1)[:, ::-1]
+        tops = _run_tops(keep)
         cover = np.empty((n, 2 * m + 1), dtype=np.int64)
-        cover[:, 0::2] = 2 * nxt
+        cover[:, 0::2] = 2 * tops
         cover[:, 1::2] = np.where(keep, np.arange(1, 2 * m, 2), -1)
-        index = np.take_along_axis(index, nxt, axis=1)
-        used, index = np.unique(index, return_inverse=True)
-        index = index.reshape(n, m + 1) - (used[0] < 0)
-        return cls(taxis, cover, index, _take_stalks(table, used[used >= 0]))
+        return cls(taxis, cover, *_stalks_at(index, table, tops))
 
     @property
     def strata(self):
         """The number of strata (base cell, local t-cell) they cut."""
         return int((self.cover == np.arange(self.cover.shape[1])).sum())
+
+
+def _run_tops(keep):
+    """tops[r, j]: the first k >= j with keep[r, k] set, or m (the top
+    stratum) when there is none, for keep of shape (rows, m)."""
+    n, m = keep.shape
+    tops = np.where(np.append(keep, np.ones((n, 1), dtype=bool), axis=1),
+                    np.arange(m + 1), m)
+    return np.minimum.accumulate(tops[:, ::-1], axis=1)[:, ::-1]
 
 
 def _factor_axis(cell, ax, rows, region_rows):
@@ -182,11 +194,16 @@ def _factor_axis(cell, ax, rows, region_rows):
     cells rows, and its stalks over region_rows on the own strata (index[r,
     k] numbers the stalk over (region_rows[r], ('e', k)) in the table, -1
     when it is empty).  A TAxis covers every t-cell by itself over every
-    base cell, and the stalks are read off cell.strata_stalks; LocalAxes
-    carry both."""
+    base cell, and the stalks are read off cell.strata_stalks; it is
+    refused (ValueError) when it cuts the sheaf's base cells into more
+    than MAX_STRATA strata.  LocalAxes carry both."""
     if isinstance(ax, LocalAxes):
         return ax.taxis, ax.cover[rows], ax.index[region_rows], ax.table
     nt = 2 * ax.m + 1
+    strata = int(np.prod(cell.base.base_cell_shape)) * nt
+    if strata > MAX_STRATA:
+        raise ValueError(f"stratification too large ({strata} strata cells "
+                         f"on a global t-axis); coarsen the grid")
     return (ax, np.broadcast_to(np.arange(nt), (len(rows), nt)),
             *cell.strata_stalks(region_rows))
 
@@ -271,6 +288,29 @@ def _take_stalks(st: StalkTable, ks):
                       st.labels)
 
 
+def _stalks_at(index, st: StalkTable, tops):
+    """(index, StalkTable) of the stalks index[r, tops[r, j]] of st, in a
+    table of those stalks only (-1: empty)."""
+    index = np.take_along_axis(index, tops, axis=1)
+    used, index = np.unique(index, return_inverse=True)
+    index = index.reshape(tops.shape) - (used[0] < 0)
+    return index, _take_stalks(st, used[used >= 0])
+
+
+def _join_stalks(tables):
+    """One StalkTable of the stalks of tables, in that order."""
+    slots = np.cumsum([0] + [len(st.lab) for st in tables])
+    entries = np.cumsum([0] + [len(st.dpos) for st in tables])
+    join = lambda f: np.concatenate([getattr(st, f) for st in tables])
+    return StalkTable(
+        np.concatenate([[0]] + [st.off[1:] + q
+                                for st, q in zip(tables, slots)]),
+        join("lab"), join("ldeg"),
+        np.concatenate([[0]] + [st.dptr[1:] + e
+                                for st, e in zip(tables, entries)]),
+        join("dpos"), join("dcoef"), tables[0].labels)
+
+
 class Corners(NamedTuple):
     """Where the stalks of a sheaf open (CellSheaf.corners), over its base
     cells in C order.  opens[c] is the index of the break above which the
@@ -297,6 +337,9 @@ class StalkSource:
     """
 
     base_shape: tuple   # the base cell shape the flat ids index
+    # the most generators a stalk has, where the rule bounds it: it sizes
+    # the blocks of base cells CellSheaf.local_axes reads at once
+    width = 1
 
     def table(self, rows, thresholds):
         """(index, StalkTable) of the stalks over the flat base cells rows
@@ -338,6 +381,7 @@ class FiberMasks(StalkSource):
         self.base_shape = base.base_cell_shape
         self.coface = fiber.coface_table
         self.labels = list(fiber.all_cells())
+        self.width = len(self.labels)
         self.values = values.reshape(-1, len(self.labels))
         self.floor = floor
 
@@ -452,21 +496,37 @@ class CellSheaf:
 
     @functools.cached_property
     def local_axes(self) -> "LocalAxes":
-        """The LocalAxes of this sheaf, built on first use from the stalk
-        table of all its base cells (strata_stalks).  Base cell c keeps
-        break i when some cell of its star (c and every cell that has c as
-        a face) has different stalks on the own strata ('e', i) and ('e',
-        i + 1), in labels, degrees or differential (_stalk_changes).  So a
-        coface keeps no break its face drops."""
+        """The LocalAxes of this sheaf, built on first use from the stalks
+        of all its base cells on the own strata (strata_stalks).  Base cell
+        c keeps break i when some cell of its star (c and every cell that
+        has c as a face) has different stalks on the own strata ('e', i)
+        and ('e', i + 1), in labels, degrees or differential
+        (_stalk_changes).  So a coface keeps no break its face drops.  The
+        stalks are read a block of base cells at a time: the most cells
+        whose count times the own strata times the source's width stays
+        within _TABLE_BLOCK (at least one).  A block keeps only the stalk
+        at the top of each run of equal stalks over a cell."""
         table = self.base.coface_table
-        index, st = self.strata_stalks(np.arange(len(table.dim)))
-        keep = _stalk_changes(index, st)
+        n = len(table.dim)
+        step = max(1, _TABLE_BLOCK // ((self.taxis.m + 1)
+                                       * self.source.width))
+        keep, index, stalks, count = [], [], [], 0
+        for lo in range(0, n, step):
+            ix, st = self.strata_stalks(np.arange(lo, min(n, lo + step)))
+            changes = _stalk_changes(ix, st)
+            ix, st = _stalks_at(ix, st, _run_tops(changes))
+            keep.append(changes)
+            index.append(np.where(ix >= 0, ix + count, -1))
+            stalks.append(st)
+            count += len(st.off) - 1
+        keep = np.concatenate(keep)
         for d in range(int(table.dim.max(initial=0)) - 1, -1, -1):
             cells = np.flatnonzero(table.dim == d)
             for cof in table.cof[cells].T:
                 has = cof >= 0
                 keep[cells[has]] |= keep[cof[has]]
-        return LocalAxes.cut(self.taxis, keep, index, st)
+        return LocalAxes.cut(self.taxis, keep, np.concatenate(index),
+                             _join_stalks(stalks))
 
     @functools.cached_property
     def corners(self) -> Corners:
@@ -831,12 +891,14 @@ def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
                      label=f"k_[{t0},oo)")
 
 
-def to_cellular(F: TameSheaf, max_cells=250_000,
+def to_cellular(F: TameSheaf, max_cells=MAX_STRATA,
                 spot_checks=20) -> TameSheaf:
     """Cellular presentation of a GF sheaf: breakpoints at strand values,
     stalks the floored fiber complexes, held as masks over the fiber cells
     (FiberMasks); spot-checked against the GF route.  Refused when its
-    local axes cut more than max_cells strata (base cell, local t-cell)."""
+    local axes cut more than max_cells strata (base cell, local t-cell),
+    and at once, before any stalk is read, when its global axis cuts more
+    than 4 * max_cells."""
     if F.kind != "gf":
         raise ValueError("to_cellular expects a GF presentation")
     gf = F.gf
@@ -852,13 +914,16 @@ def to_cellular(F: TameSheaf, max_cells=250_000,
     ind = ("graph", gf.S) if gf.k == 0 else None
     cell = CellSheaf(base, TAxis(breaks), masks, shift=gf.i_q,
                      label=f"cellular({F.label})", indicator=ind)
-    # the local axes cut at most every base cell at every break, so they
-    # are built here only when that bound is over max_cells
-    if int(np.prod(base.base_cell_shape)) * (2 * len(breaks) + 1) > \
-            max_cells and cell.local_axes.strata > max_cells:
-        raise ValueError(f"stratification too large "
-                         f"({cell.local_axes.strata} strata cells); "
-                         f"coarsen the grid")
+    # the local axes cut at most every base cell at every break, and
+    # building them reads a stalk and keeps a cover entry per such stratum,
+    # so they are built here only when that count is over max_cells and
+    # within 4 * max_cells
+    strata = int(np.prod(base.base_cell_shape)) * (2 * len(breaks) + 1)
+    if max_cells < strata <= 4 * max_cells:
+        strata = cell.local_axes.strata
+    if strata > max_cells:
+        raise ValueError(f"stratification too large ({strata} strata "
+                         f"cells); coarsen the grid")
     out = TameSheaf("cell", cell=cell, label=cell.label)
     _spot_check_cellular(F, out, spot_checks)
     return out

@@ -22,21 +22,25 @@ from gfsheaf.fixtures import cusp_genfun, random_circle_morse, torus_function
 from gfsheaf.genfun import gf_cohomology, graph_genfun
 from gfsheaf.grids import BaseRegion, BoxGrid, circle_grid, sublevel_filtration
 from gfsheaf.linalg import GF2, QQ
-from gfsheaf.products import convolve, dualize, tensor
+from gfsheaf.products import ProductHome, convolve, dualize, tensor
 from gfsheaf.scenarios import ScenarioContext, load_scenario
-from gfsheaf.sheaves import (CellSheaf, TameSheaf, _as_cellsheaf,
-                             _total_complex, materialize_rank_one_tensor,
-                             quantize, section_barcode, to_cellular,
-                             unit_sheaf)
+from gfsheaf.sheaves import (CellSheaf, FiberMasks, TameSheaf,
+                             _as_cellsheaf, _total_complex,
+                             materialize_rank_one_tensor,
+                             product_section_complex, quantize,
+                             section_barcode, to_cellular, unit_sheaf)
 from tuple_cells import cofaces
 
 INF = math.inf
 
 
-def _bundled_cusp(scale):
+def _bundled_cusp_genfun(scale):
     spec = load_scenario(os.path.join(BUNDLED_DIR, "three-routes.toml"))
-    gf = ScenarioContext(spec, grid_scale=scale).genfuns["cusp"]
-    return to_cellular(quantize(gf), spot_checks=0)
+    return ScenarioContext(spec, grid_scale=scale).genfuns["cusp"]
+
+
+def _bundled_cusp(scale):
+    return to_cellular(quantize(_bundled_cusp_genfun(scale)), spot_checks=0)
 
 
 def _graph(rng, grid):
@@ -193,6 +197,29 @@ def test_a_coface_cuts_no_break_its_face_drops():
                 assert not (kept[cof[has, k]] & ~kept[has]).any(), name
 
 
+@pytest.mark.parametrize("block", [1, 300, 5000])
+def test_the_local_axes_read_in_blocks_equal_the_one_table_build(
+        monkeypatch, block):
+    """Read a few base cells at a time (block slots per table: one cell,
+    a few, or a few dozen), the local axes are those of the default build,
+    array for array."""
+    import gfsheaf.sheaves as sheaves
+    for name, F, _ in SHEAVES:
+        cells = [_as_cellsheaf(G) for G in F.factors] if F.kind == "prod" \
+            else [_as_cellsheaf(F)]
+        for cell in cells:
+            want = cell.local_axes
+            with monkeypatch.context() as patch:
+                patch.setattr(sheaves, "_TABLE_BLOCK", block)
+                got = CellSheaf(cell.base, cell.taxis, cell.source,
+                                field=cell.field).local_axes
+            assert got.taxis == want.taxis, name
+            for a, b in [(got.cover, want.cover), (got.index, want.index),
+                         *zip(got.table[:6], want.table[:6])]:
+                assert np.array_equal(a, b), name
+            assert got.table.labels == want.table.labels, name
+
+
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
 def test_the_local_total_complex_is_certified_in_both_fields(field):
     """_total_complex on local axes over F2 and Q: IndexComplex.check
@@ -223,10 +250,17 @@ def _cuts(vals, margin=0.5):
                                  zip(vals, vals[1:])] + [vals[-1] + margin]
 
 
+def _torus_pair(n):
+    return graph_genfun(torus_function(TORUS_G, n, n)
+                        - torus_function(TORUS_F, n, n))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a stalk table was read")
+
+
 def test_a_16x16_torus_graph_pair_passes_the_three_routes():
-    f = torus_function(TORUS_F, 16, 16)
-    g = torus_function(TORUS_G, 16, 16)
-    gf = graph_genfun(g - f)
+    gf = _torus_pair(16)
     F = to_cellular(quantize(gf), spot_checks=0)
     cell = F.cell
     # the global axes would cut 1,024 base cells at every break
@@ -258,12 +292,48 @@ def test_a_16x16_torus_graph_pair_passes_the_three_routes():
 
 
 def test_the_size_guard_counts_the_strata_of_the_local_axes():
-    gf = graph_genfun(torus_function(TORUS_G, 16, 16)
-                      - torus_function(TORUS_F, 16, 16))
+    """The scale-2 cusp's global axis cuts 2,665 strata, its local axes
+    1,077; a bound between the two is decided on the local count."""
+    gf = _bundled_cusp_genfun(2)
     strata = to_cellular(quantize(gf), spot_checks=0).cell.local_axes.strata
+    assert strata == 1077
     assert to_cellular(quantize(gf), max_cells=strata, spot_checks=0)
     with pytest.raises(ValueError, match=f"too large \\({strata} strata"):
         to_cellular(quantize(gf), max_cells=strata - 1, spot_checks=0)
+
+
+def test_an_oversized_stratification_is_refused_before_a_stalk_is_read(
+        monkeypatch):
+    """Past 4 * max_cells strata on the global axis the local axes are not
+    built: with FiberMasks.table made to raise, a 20 x 20 torus pair
+    (1,275,200 global strata) is refused at the default bound, and the
+    16 x 16 one (521,216) just below a quarter of its global count."""
+    with monkeypatch.context() as patch:
+        patch.setattr(FiberMasks, "table", _refuse)
+        with pytest.raises(ValueError, match=r"too large \(1275200 strata"):
+            to_cellular(quantize(_torus_pair(20)), spot_checks=0)
+        with pytest.raises(ValueError, match=r"too large \(521216 strata"):
+            to_cellular(quantize(_torus_pair(16)), max_cells=130_303,
+                        spot_checks=0)
+    assert to_cellular(quantize(_torus_pair(16)), max_cells=130_304,
+                       spot_checks=0)
+
+
+def test_the_global_axis_builders_refuse_an_oversized_stratification(
+        monkeypatch):
+    """The 16 x 16 torus pair passes the size guard on its local axes, but
+    its global axis cuts 521,216 strata: section_complex,
+    product_section_complex and ProductHome refuse it before a stalk is
+    read."""
+    cell = to_cellular(quantize(_torus_pair(16)), spot_checks=0).cell
+    monkeypatch.setattr(FiberMasks, "table", _refuse)
+    for build in (lambda: cell.section_complex(None, -INF, INF),
+                  lambda: product_section_complex(cell, cell, True, None,
+                                                  -INF, INF),
+                  lambda: ProductHome(cell, cell, 0.0)):
+        with pytest.raises(ValueError, match=r"too large \(521216 strata "
+                                             r"cells on a global t-axis"):
+            build()
 
 
 def test_a_small_cusp_is_not_cut_for_the_size_guard():
