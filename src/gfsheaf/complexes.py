@@ -464,40 +464,40 @@ class IndexComplex:
             e = bad[0]
             raise ValueError(f"differential decreases action: "
                              f"{name(src[e])!r} -> {name(tgt[e])!r}")
+        del src
         if matching is None:
             matching = (np.zeros(0, np.int64),) * 2
         lower, upper = matching
-        self._check_matching(value, lower, upper, src)
+        self._check_matching(value, lower, upper)
         crit, d = self._morse(lower, upper)
         order = crit[np.lexsort((crit, self.deg[crit], value[crit]))]
         return _bars(order.tolist(), self.deg.tolist(), value.tolist(), d,
                      self.field)
 
-    def _check_matching(self, value, lower, upper, src):
+    def _check_matching(self, value, lower, upper):
         """Raise ValueError unless (lower, upper) is an acyclic matching in
         a gradient order: no generator in two pairs (a count per id, which
         takes linear time), and for every pair j, in order, upper[j] is a
         coface of lower[j] (an entry of its row, so nonzero), the two values
         are equal, and d(lower[j]) reaches the upper generator of no earlier
-        pair, which no matching with a cycle can satisfy.  The message
-        names the first pair that fails."""
+        pair, which no matching with a cycle can satisfy.  Only the rows of
+        the lower generators are read.  The message names the first pair
+        that fails."""
         n, indptr, tgt, name = len(self.deg), self.indptr, self.tgt, self.name
         both = np.concatenate([lower, upper])
         if both.size and np.bincount(both, minlength=n).max() > 1:
             raise ValueError("a generator is matched twice")
         count = np.diff(indptr)[lower]
         pair = np.repeat(np.arange(len(lower)), count)
-        hit = tgt[index_ranges(indptr[:-1][lower], count)] == upper[pair]
+        reach = tgt[index_ranges(indptr[:-1][lower], count)]
         coface = np.zeros(len(lower), dtype=bool)
-        coface[pair[hit]] = True
+        coface[pair[reach == upper[pair]]] = True
         pair_of = np.full(n, -1, dtype=np.int64)
         pair_of[upper] = np.arange(len(upper))
-        low_of = np.full(n, -1, dtype=np.int64)
-        low_of[lower] = np.arange(len(lower))
-        j, j2 = low_of[src], pair_of[tgt]
+        reach = pair_of[reach]
         failing = (np.flatnonzero(~coface),
                    np.flatnonzero(value[lower] != value[upper]),
-                   j[(j >= 0) & (j2 >= 0) & (j2 < j)])
+                   pair[(reach >= 0) & (reach < pair)])
         fails = [(int(x.min()), rank) for rank, x in enumerate(failing)
                  if x.size]
         if not fails:

@@ -19,10 +19,10 @@ from .complexes import apply_d, class_coordinates, index_ranges
 from .genfun import GenFun, box_sum, graph_genfun, negate, stacked_sum
 from .grids import BoxGrid
 from .linalg import GF2
-from .sheaves import (CellSheaf, SectionArrays, TAxis, TameSheaf,
-                      _as_cellsheaf, _band_floor, _product_factors, _same_cell,
-                      _total_complex, quantize, section_barcode, sections,
-                      to_cellular, unit_sheaf)
+from .sheaves import (CellSheaf, LocalAxes, SectionArrays, TAxis, TameSheaf,
+                      _as_cellsheaf, _band_floor, _full_axes, _product_factors,
+                      _same_cell, _total_complex, quantize, section_barcode,
+                      sections, to_cellular, unit_sheaf)
 
 INF = math.inf
 
@@ -230,14 +230,16 @@ def verify_unit_composition(F: TameSheaf, lambdas):
     below = [abs(s) for s in sums if abs(s) > 1e-9]
     eps = min(below) / 2 if below else 0.5
     ceil = max(sums) + 1.0
-    WC = _total_complex(*_product_factors(um.CA, um.CB, True), None, -eps,
-                        ceil, um.CA.field)
+    base, pairs = _product_factors(um.CA, um.CB, True)
+    WC = _total_complex(base, _full_axes(pairs), None, -eps, ceil,
+                        um.CA.field)
     z = um.u_cocycle(WC)
     if not z or apply_d(WC, z):
         raise AssertionError("u image is missing or not closed")
     unit_taxis = U.cell.taxis.with_breaks([-eps, ceil])
-    UC = _total_complex(U.cell.base, [(U.cell, unit_taxis, _same_cell)],
-                        None, -eps, ceil, U.cell.field)
+    UC = _total_complex(U.cell.base, [(
+        U.cell, LocalAxes.full(unit_taxis, U.cell.base), _same_cell)], None,
+        -eps, ceil, U.cell.field)
     img = um.v_apply(z, WC, UC, unit_taxis)
     if apply_d(UC, img):
         raise AssertionError("v o u image is not closed")
@@ -268,9 +270,9 @@ def verify_unit_composition(F: TameSheaf, lambdas):
 class ProductHome:
     """The home of the classes of (dual F_i) tensor F_j at threshold lam:
     the product section complex of CA (x) CB on the diagonal over the window
-    [lam, ceiling), as the index arrays of _total_complex (which checks d^2
-    = 0), built once per (CA, CB, lam) and shared by every class, cup
-    product and class table landing there.
+    [lam, ceiling), on the full axes of both, as the index arrays of
+    _total_complex (which checks d^2 = 0), built once per (CA, CB, lam) and
+    shared by every class, cup product and class table landing there.
 
     A class is a dict generator id -> integer.  The parts of generator i
     are read off the complex's columns: cell[i], its flat base cell (the
@@ -278,9 +280,8 @@ class ProductHome:
     cells in C order); ta[i] and tb[i], its t-cell on each factor's axis as
     an index into TAxis.cells(), where ('v', k) is 2 k + 1; la[i] and
     lb[i], its label id on each factor, into labels[0] and labels[1].  The
-    label ids of a factor are those of its stalk table over all base cells
-    (CellSheaf.strata_stalks), the same in every home of the factor and in
-    its CellSheaf.corners.
+    label ids of a factor are those of its stalk record (CellSheaf.strata),
+    the same in every home of the factor and in its CellSheaf.corners.
     """
 
     def __init__(self, CA: CellSheaf, CB: CellSheaf, lam):
@@ -288,8 +289,9 @@ class ProductHome:
         self.CB = CB
         self.lam = lam
         ceil = CA.taxis.breaks[-1] + CB.taxis.breaks[-1] + 1.0
-        self.complex = _total_complex(*_product_factors(CA, CB, True), None,
-                                      lam, ceil, CA.field)
+        base, pairs = _product_factors(CA, CB, True)
+        self.complex = _total_complex(base, _full_axes(pairs), None, lam,
+                                      ceil, CA.field)
         (_, self.cell), (_, self.ta), (_, self.tb), (la_of, self.la), \
             (lb_of, self.lb) = self.complex.columns
         self.labels = (la_of, lb_of)

@@ -27,21 +27,24 @@ One builder, _total_complex, assembles every section complex as integer
 index arrays (a SectionArrays, an IndexComplex): each generator (bc, t_1..
 t_m, label_1..label_m) is an id, numbered in generator order; the
 coboundary is src/tgt/coef arrays built from the base cofaces, the t-axis
-cofaces and the stalk differentials with Koszul signs.  The stalks of each
-factor come in as one StalkTable of integer slots, read off its
-StalkSource in one numpy pass.  Degree +1 and d^2 = 0 are checked on the
-integer arrays, exactly in the field (the parity of the two-step path
-count over F2, the integer sum over Q).  A factor's t-axis is data: one
-global TAxis that cuts every base cell at every break, or the sheaf's
-LocalAxes, which cut each base cell only at the breaks where a stalk of
-its star changes.  section_barcode builds one complex per (sheaf, region)
+cofaces and the stalk differentials with Koszul signs.  Its factors are
+(cell, LocalAxes, project) triples.  The stalks of a cellular sheaf are read
+once, into one record, CellSheaf.strata: the stalk over every (base cell,
+own stratum) as a slot of one StalkTable, read off its StalkSource a block
+of base cells at a time.  Every reader reads that record: the assembly, the
+local axes, the corners and the tuple stalks of CellSheaf.stalk.  An axis is
+a cover over the record: LocalAxes cut each base cell only at the breaks
+where a stalk of its star changes, and LocalAxes.full cuts every base cell
+at every break of a t-axis (the own one or a refinement), refused past
+MAX_STRATA strata.  Degree +1 and d^2 = 0 are checked on the integer arrays,
+exactly in the field (the parity of the two-step path count over F2, the
+integer sum over Q).  section_barcode builds one complex per (sheaf, region)
 on the local axes of every factor, and reduces it on ids through its
 vertical matching, which pairs a generator over ('v', i) with the same
 labels over ('e', i) and is checked there too; sections() reads every
 cellular and product window off the barcode, and its bars are the
-pushforward barcode.  The unit and product maps act on id-keyed cochains
-of complexes on the global axes, which are refused past MAX_STRATA
-strata.  Tuple ChainComplexes are built from them only by
+pushforward barcode.  The unit and product maps act on id-keyed cochains of
+complexes on full axes.  Tuple ChainComplexes are built from them only by
 section_complex and product_section_complex, for callers that read
 generators.  GF windows stay on the pair route (gf_cohomology) and limit
 sheaves on their clamp schedules, so the routes stay independent.
@@ -67,11 +70,10 @@ from .linalg import GF2
 INF = math.inf
 
 # the most strata (base cell, t-cell) a sheaf may be cut into: to_cellular's
-# default bound on its local axes, and the bound on every global t-axis a
-# section complex is assembled on
+# bound on its local axes, and the bound on every full axis (LocalAxes.full)
 MAX_STRATA = 250_000
 # the most (base cell, own stratum, stalk generator) slots whose stalks
-# CellSheaf.local_axes reads off its source in one table
+# CellSheaf.strata reads off its source in one table
 _TABLE_BLOCK = 1 << 19
 
 
@@ -116,12 +118,6 @@ class TAxis:
             return (lo + hi) / 2
         return self.rep(("e", tc[1] + 1))
 
-    def rep_below(self, tc):
-        """From-below representative (used by the duality pullback)."""
-        if tc[0] == "e":
-            return self.rep(tc)
-        return self.rep(("e", tc[1]))
-
     def top_value(self, tc):
         """Largest vertex value touched by a cell (top ray: +inf)."""
         if tc[0] == "v":
@@ -141,7 +137,7 @@ class TAxis:
 
 class LocalAxes(NamedTuple):
     """One t-axis per base cell, cut at the breaks of taxis that the cell
-    keeps (CellSheaf.local_axes), with the stalks of its strata.
+    keeps: a cover over the stalk record of a sheaf (CellSheaf.strata).
 
     A local t-cell is named by a t-cell of taxis: a kept break i by ('v',
     i), and the interval from a kept break up to the next one (or the top
@@ -150,28 +146,31 @@ class LocalAxes(NamedTuple):
     local t-cell of flat base cell c that contains t-cell t of taxis, and
     -1 when t is a dropped break, which lies inside a local interval, one
     dimension up.  The local t-cells of c are the t with cover[c, t] == t.
-    index[c, k] numbers in table the stalk over c on the own stratum ('e',
-    k), -1 when it is empty; table holds only the stalks of the strata of
-    the local axes, which stand for the strata of taxis they merge.
     """
 
     taxis: TAxis
     cover: np.ndarray
-    index: np.ndarray
-    table: StalkTable
 
     @classmethod
-    def cut(cls, taxis, keep, index, table):
+    def cut(cls, taxis, keep):
         """The local axes in which flat base cell c keeps break i when
-        keep[c, i] is set, for the stalks index, table of all base cells on
-        the own strata (as CellSheaf.strata_stalks gives them), which must
-        not change over c across a break c drops."""
+        keep[c, i] is set."""
         n, m = keep.shape
-        tops = _run_tops(keep)
         cover = np.empty((n, 2 * m + 1), dtype=np.int64)
-        cover[:, 0::2] = 2 * tops
+        cover[:, 0::2] = 2 * _run_tops(keep)
         cover[:, 1::2] = np.where(keep, np.arange(1, 2 * m, 2), -1)
-        return cls(taxis, cover, *_stalks_at(index, table, tops))
+        return cls(taxis, cover)
+
+    @classmethod
+    def full(cls, taxis, base: BoxGrid):
+        """The axes that cut every base cell of base at every break of
+        taxis; refused (ValueError) past MAX_STRATA strata."""
+        n = int(np.prod(base.base_cell_shape))
+        strata = n * (2 * taxis.m + 1)
+        if strata > MAX_STRATA:
+            raise ValueError(f"stratification too large ({strata} strata "
+                             f"cells on a global t-axis); coarsen the grid")
+        return cls.cut(taxis, np.ones((n, taxis.m), dtype=bool))
 
     @property
     def strata(self):
@@ -186,26 +185,6 @@ def _run_tops(keep):
     tops = np.where(np.append(keep, np.ones((n, 1), dtype=bool), axis=1),
                     np.arange(m + 1), m)
     return np.minimum.accumulate(tops[:, ::-1], axis=1)[:, ::-1]
-
-
-def _factor_axis(cell, ax, rows, region_rows):
-    """(TAxis, cover, index, StalkTable) of a factor of _section_parts whose
-    axis is ax: its t-axis, the cover of its t-cells over the flat base
-    cells rows, and its stalks over region_rows on the own strata (index[r,
-    k] numbers the stalk over (region_rows[r], ('e', k)) in the table, -1
-    when it is empty).  A TAxis covers every t-cell by itself over every
-    base cell, and the stalks are read off cell.strata_stalks; it is
-    refused (ValueError) when it cuts the sheaf's base cells into more
-    than MAX_STRATA strata.  LocalAxes carry both."""
-    if isinstance(ax, LocalAxes):
-        return ax.taxis, ax.cover[rows], ax.index[region_rows], ax.table
-    nt = 2 * ax.m + 1
-    strata = int(np.prod(cell.base.base_cell_shape)) * nt
-    if strata > MAX_STRATA:
-        raise ValueError(f"stratification too large ({strata} strata cells "
-                         f"on a global t-axis); coarsen the grid")
-    return (ax, np.broadcast_to(np.arange(nt), (len(rows), nt)),
-            *cell.strata_stalks(region_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +267,26 @@ def _take_stalks(st: StalkTable, ks):
                       st.labels)
 
 
-def _stalks_at(index, st: StalkTable, tops):
-    """(index, StalkTable) of the stalks index[r, tops[r, j]] of st, in a
-    table of those stalks only (-1: empty)."""
-    index = np.take_along_axis(index, tops, axis=1)
-    used, index = np.unique(index, return_inverse=True)
-    index = index.reshape(tops.shape) - (used[0] < 0)
+def _compact(index, st: StalkTable):
+    """(index, StalkTable) of the stalks index of st (-1: empty), in a table
+    of those stalks only, in their order in st."""
+    used, inverse = np.unique(index, return_inverse=True)
+    index = inverse.reshape(index.shape) - (used[0] < 0)
     return index, _take_stalks(st, used[used >= 0])
+
+
+def _tuple_stalks(st: StalkTable):
+    """Every stalk of st as a tuple Stalk, in table order."""
+    labels = [st.labels[x] for x in st.lab.tolist()]
+    gens = list(zip(labels, st.ldeg.tolist()))
+    src = np.repeat(np.arange(len(labels)), np.diff(st.dptr))
+    start = np.repeat(st.off[:-1], np.diff(st.off))
+    diff = list(zip(map(labels.__getitem__, src.tolist()),
+                    map(labels.__getitem__, (start[src] + st.dpos).tolist()),
+                    st.dcoef.tolist()))
+    off, end = st.off.tolist(), st.dptr[st.off].tolist()
+    return [Stalk(tuple(gens[off[k]:off[k + 1]]),
+                  tuple(diff[end[k]:end[k + 1]])) for k in range(len(off) - 1)]
 
 
 def _join_stalks(tables):
@@ -331,39 +323,20 @@ class StalkSource:
     over every (flat base cell, threshold) pair.
 
     table is the one place that applies the rule: it gives the stalks of
-    many pairs in one numpy pass, as the section assembly reads them.
-    stalks reads tuple Stalks off one table, for the callers that read
-    labels.
+    many pairs in one numpy pass.  CellSheaf.strata reads it, once per
+    sheaf.
     """
 
-    base_shape: tuple   # the base cell shape the flat ids index
     # the most generators a stalk has, where the rule bounds it: it sizes
-    # the blocks of base cells CellSheaf.local_axes reads at once
+    # the blocks of base cells CellSheaf.strata reads at once
     width = 1
 
     def table(self, rows, thresholds):
         """(index, StalkTable) of the stalks over the flat base cells rows
         at thresholds: index[r, i] numbers the stalk over (rows[r],
-        thresholds[i]) in the table, -1 when it is empty."""
+        thresholds[i]) in the table, -1 when it is empty.  Its labels are
+        the same on every call."""
         raise NotImplementedError
-
-    def stalks(self, base_cell, thresholds):
-        """The stalks over base_cell at thresholds as tuple Stalks, read off
-        one table."""
-        row = np.ravel_multi_index(tuple(base_cell), self.base_shape)
-        index, t = self.table([row], thresholds)
-        labels = [t.labels[x] for x in t.lab.tolist()]
-        gens = list(zip(labels, t.ldeg.tolist()))
-        src = np.repeat(np.arange(len(labels)), np.diff(t.dptr))
-        start = np.repeat(t.off[:-1], np.diff(t.off))
-        diff = list(zip(map(labels.__getitem__, src.tolist()),
-                        map(labels.__getitem__,
-                            (start[src] + t.dpos).tolist()),
-                        t.dcoef.tolist()))
-        off, end = t.off.tolist(), t.dptr[t.off].tolist()
-        return [Stalk(tuple(gens[off[k]:off[k + 1]]),
-                      tuple(diff[end[k]:end[k + 1]])) if k >= 0
-                else ZERO_STALK for k in index[0].tolist()]
 
 
 class FiberMasks(StalkSource):
@@ -377,8 +350,7 @@ class FiberMasks(StalkSource):
     fiber cells, in flat id order.
     """
 
-    def __init__(self, base: BoxGrid, fiber: BoxGrid, values, floor):
-        self.base_shape = base.base_cell_shape
+    def __init__(self, fiber: BoxGrid, values, floor):
         self.coface = fiber.coface_table
         self.labels = list(fiber.all_cells())
         self.width = len(self.labels)
@@ -419,8 +391,7 @@ class RankOneStalks(StalkSource):
     cell c, one generator labelled label in degree deg[c] at every
     threshold above opens[c] (+inf: never), none at or below it."""
 
-    def __init__(self, base_shape, opens, deg, label):
-        self.base_shape = base_shape
+    def __init__(self, opens, deg, label):
         self.opens = np.asarray(opens, dtype=float).ravel()
         self.deg = np.asarray(deg, dtype=np.int64).ravel()
         self.label = label
@@ -468,77 +439,74 @@ class CellSheaf:
     def stalk(self, base_cell, threshold):
         """The stalk over base_cell of the own stratum ('e', i) that
         contains threshold (a breakpoint belongs to the stratum above it),
-        sampled at the stratum's representative: the sheaf is constant on
-        its strata.  One table gives the stalks of every stratum over the
-        cell, and all of them are kept."""
+        as a tuple Stalk read off the stalk record (strata): the sheaf is
+        constant on its strata.  A lookup keeps the stalks of every stratum
+        over the cell."""
         i = bisect.bisect(self.taxis.breaks, threshold)
         key = (tuple(base_cell), i)
         hit = self._cache.get(key)
         if hit is None:
-            stalks = self.source.stalks(key[0], self._reps())
-            self._cache.update(((key[0], j), st)
-                               for j, st in enumerate(stalks))
-            hit = stalks[i]
+            index, st = self.strata
+            index, st = _compact(index[np.ravel_multi_index(
+                key[0], self.base.base_cell_shape)], st)
+            stalks = _tuple_stalks(st) + [ZERO_STALK]
+            self._cache.update(((key[0], j), stalks[k])
+                               for j, k in enumerate(index.tolist()))
+            hit = self._cache[key]
         return hit
 
-    def _reps(self):
-        """The representative threshold of each own stratum ('e', i)."""
-        return [self.taxis.rep(("e", i)) for i in range(self.taxis.m + 1)]
-
-    def strata_stalks(self, rows):
-        """(index, StalkTable) of the stalks over the flat base cells rows
-        on the own strata, read off one table of the source: index[r, i]
-        numbers the stalk over (rows[r], ('e', i)) in the table, -1 when it
-        is empty."""
-        rows, inverse = np.unique(rows, return_inverse=True)
-        index, table = self.source.table(rows, self._reps())
-        return index[inverse], table
-
     @functools.cached_property
-    def local_axes(self) -> "LocalAxes":
-        """The LocalAxes of this sheaf, built on first use from the stalks
-        of all its base cells on the own strata (strata_stalks).  Base cell
-        c keeps break i when some cell of its star (c and every cell that
-        has c as a face) has different stalks on the own strata ('e', i)
-        and ('e', i + 1), in labels, degrees or differential
-        (_stalk_changes).  So a coface keeps no break its face drops.  The
-        stalks are read a block of base cells at a time: the most cells
-        whose count times the own strata times the source's width stays
-        within _TABLE_BLOCK (at least one).  A block keeps only the stalk
-        at the top of each run of equal stalks over a cell."""
-        table = self.base.coface_table
-        n = len(table.dim)
-        step = max(1, _TABLE_BLOCK // ((self.taxis.m + 1)
-                                       * self.source.width))
-        keep, index, stalks, count = [], [], [], 0
+    def strata(self):
+        """The stalk record of this sheaf, (index, StalkTable): index[c, i]
+        numbers in the table the stalk over flat base cell c on the own
+        stratum ('e', i), -1 when it is empty.  It is read off the source
+        once, a block of base cells at a time: the most cells whose count
+        times the own strata times the source's width stays within
+        _TABLE_BLOCK (at least one).  The table keeps only the stalk at the
+        top of each run of equal stalks over a cell (equal in labels,
+        degrees and differential, _stalk_changes), so two neighbouring
+        strata over one cell share an index exactly when their stalks are
+        equal."""
+        n = len(self.base.coface_table.dim)
+        reps = [self.taxis.rep(("e", i)) for i in range(self.taxis.m + 1)]
+        step = max(1, _TABLE_BLOCK // (len(reps) * self.source.width))
+        index, stalks, count = [], [], 0
         for lo in range(0, n, step):
-            ix, st = self.strata_stalks(np.arange(lo, min(n, lo + step)))
-            changes = _stalk_changes(ix, st)
-            ix, st = _stalks_at(ix, st, _run_tops(changes))
-            keep.append(changes)
+            ix, st = self.source.table(np.arange(lo, min(n, lo + step)), reps)
+            ix, st = _compact(np.take_along_axis(
+                ix, _run_tops(_stalk_changes(ix, st)), axis=1), st)
             index.append(np.where(ix >= 0, ix + count, -1))
             stalks.append(st)
             count += len(st.off) - 1
-        keep = np.concatenate(keep)
+        return np.concatenate(index), _join_stalks(stalks)
+
+    @functools.cached_property
+    def local_axes(self) -> "LocalAxes":
+        """The LocalAxes of this sheaf, built on first use from its stalk
+        record (strata).  Base cell c keeps break i when some cell of its
+        star (c and every cell that has c as a face) has different stalks
+        on the own strata ('e', i) and ('e', i + 1): where the record's
+        index changes.  So a coface keeps no break its face drops."""
+        index, _ = self.strata
+        keep = index[:, :-1] != index[:, 1:]
+        table = self.base.coface_table
         for d in range(int(table.dim.max(initial=0)) - 1, -1, -1):
             cells = np.flatnonzero(table.dim == d)
             for cof in table.cof[cells].T:
                 has = cof >= 0
                 keep[cells[has]] |= keep[cof[has]]
-        return LocalAxes.cut(self.taxis, keep, np.concatenate(index),
-                             _join_stalks(stalks))
+        return LocalAxes.cut(self.taxis, keep)
 
     @functools.cached_property
     def corners(self) -> Corners:
-        """The Corners of this sheaf, read once off the stalk table of all
-        its base cells (strata_stalks).  The stalk opens above break i when
-        stratum i + 1 has generators and stratum i has none.  Raises
-        ValueError ("rank-one stalks required") when a stalk above a break
-        at or below the opening one has more than one generator, and
-        AssertionError when a stalk that never opens is nonempty on the top
-        stratum; the first failing cell in C order decides."""
-        index, st = self.strata_stalks(
-            np.arange(int(np.prod(self.base.base_cell_shape))))
+        """The Corners of this sheaf, read off its stalk record (strata).
+        The stalk opens above break i when stratum i + 1 has generators and
+        stratum i has none.  Raises ValueError ("rank-one stalks required")
+        when a stalk above a break at or below the opening one has more
+        than one generator, and AssertionError when a stalk that never
+        opens is nonempty on the top stratum; the first failing cell in C
+        order decides."""
+        index, st = self.strata
         first = st.off[:-1]         # the first slot of each stalk
         size = np.append(np.diff(st.off), 0)[index]
         label = np.append(st.lab[first], -1)[index]
@@ -563,9 +531,9 @@ class CellSheaf:
                         taxis=None) -> ChainComplex:
         """Total complex over region x [a, b) with stalk coefficients, on
         the own t-axis unless a refinement of it is given."""
-        S = _total_complex(self.base,
-                           [(self, taxis or self.taxis, _same_cell)],
-                           region, a, b, self.field)
+        axes = LocalAxes.full(taxis or self.taxis, self.base)
+        S = _total_complex(self.base, [(self, axes, _same_cell)], region, a,
+                           b, self.field)
         return S.chain_complex(S.generators())
 
 
@@ -578,27 +546,26 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     """Total complex over region x [a, b) of the tensor product of stalks,
     as index arrays.
 
-    factors: (CellSheaf, axis, project) triples; project(flat) is the
-    factor's flat base cell under each flat base cell, and axis is a TAxis,
-    which cuts every base cell at every break, or the sheaf's LocalAxes,
-    which cut base cell c only at the breaks where a stalk of its star (c
-    and every cell that has c as a face) changes.  section_barcode passes
-    the local axes of every factor; the callers that index cochains by
-    generator (ProductHome, the unit morphisms, section_complex and
-    product_section_complex) pass global ones.  The t-cells over a base
-    cell are those of its axis, named by t-cells of the TAxis (LocalAxes).
-    The window holds the tuples of t-cells whose value (the top value of
-    the one t-cell, or the sum of the two tops) lies in [a, b).  A
-    generator is (bc, t_1..t_m, label_1..label_m), numbered by its id in
-    the order: base cells of the region in C order, window tuples in
+    factors: (cell, LocalAxes, project) triples; project(flat) is the
+    factor's flat base cell under each flat base cell, and the LocalAxes
+    cover the factor's base cells: the sheaf's own (cell.local_axes), which
+    cut base cell c only at the breaks where a stalk of its star (c and
+    every cell that has c as a face) changes, or LocalAxes.full, which cut
+    every base cell at every break of the own t-axis or of a refinement.
+    section_barcode passes the local axes of every factor; the callers
+    that index cochains by generator (ProductHome, the unit morphisms,
+    section_complex and product_section_complex) pass full ones.  The
+    t-cells over a base cell are those of its axis, named by t-cells of the
+    axes' TAxis.  The window holds the tuples of t-cells whose value (the
+    top value of the one t-cell, or the sum of the two tops) lies in [a,
+    b).  A generator is (bc, t_1..t_m, label_1..label_m), numbered by its
+    id in the order: base cells of the region in C order, window tuples in
     product order, then the labels of the stalks, first factor outermost.
     The stalk over a t-cell is that of the factor's own stratum containing
-    it (CellSheaf.stalk at the t-cell's rep); each factor gives the stalks
-    over its base cells under the region on all its strata as one
-    StalkTable (CellSheaf.strata_stalks, or the one its LocalAxes carry),
-    whose labels have integer ids, so a generator also has an integer key,
-    (flat base cell, flat t-cell tuple, label ids) in mixed radix, and a
-    coboundary target is found by searching the sorted keys.
+    its rep, read off the factor's stalk record (cell.strata), whose labels
+    have integer ids, so a generator also has an integer key, (flat base
+    cell, flat t-cell tuple, label ids) in mixed radix, and a coboundary
+    target is found by searching the sorted keys.
 
     The coboundary of a generator lists, in this order: the base cofaces
     (BoxGrid.coface_table, slot order), each t-cell taken to the t-cell of
@@ -623,14 +590,14 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     so the matching is acyclic, and its pairs come in a gradient order (id
     order).
 
-    On local axes the complex is the partial Morse complex of the global
-    one under its vertical pairs over the dropped breaks (one axis after
+    On local axes the complex is the partial Morse complex of the one on
+    full axes under its vertical pairs over the dropped breaks (one axis after
     the other): a dropped break has one stalk on both sides over every
     cell of the star, so every generator over it is matched, with equal
     values, and the Morse path through a run of dropped breaks carries an
     entry into its lowest interval to the top one with factor +1.  So the
-    bars are those of the global axes (Mischaikow-Nanda, DCG 2013), and
-    every local generator is a global one with the same id order.
+    bars are those of the full axes (Mischaikow-Nanda, DCG 2013), and
+    every local generator is one of the full axes with the same id order.
 
     The arrays are assembled in _section_arrays, whose temporaries are
     freed before the check runs.
@@ -672,9 +639,10 @@ def _section_parts(base, factors, region, a, b):
     mask = (region.over(base) if region is not None
             else np.ones(base.base_cell_shape, dtype=bool))
     cflat = np.flatnonzero(mask)
-    axes, covers, index, stalks = zip(*(
-        _factor_axis(cell, ax, project(np.arange(n_base)), project(cflat))
-        for cell, ax, project in factors))
+    axes = [ax.taxis for _, ax, _ in factors]
+    covers = [ax.cover[project(np.arange(n_base))]
+              for _, ax, project in factors]
+    stalks = [cell.strata[1] for cell, _, _ in factors]
     tcells = [ax.cells() for ax in axes]
     nt = [len(cells) for cells in tcells]
     # window tuples: flat index over the product of the axes, in product
@@ -690,12 +658,13 @@ def _section_parts(base, factors, region, a, b):
     # per factor: the stalk index over each (region cell, t-cell), -1 where
     # it is empty or the t-cell is not one of the cell's axis
     over = []
-    for (cell, _, _), ax, cover, ix, cells_f in zip(factors, axes, covers,
-                                                     index, tcells):
+    for (cell, _, project), ax, cover, cells_f in zip(factors, axes, covers,
+                                                       tcells):
         strata = np.array([bisect.bisect(cell.taxis.breaks, ax.rep(tc))
                            for tc in cells_f], dtype=np.int64)
         over.append(np.where(cover[cflat] == np.arange(len(cells_f)),
-                             ix[:, strata], -1))
+                             cell.strata[0][np.ix_(project(cflat), strata)],
+                             -1))
     # blocks (cell, window tuple) with every stalk nonempty, in C order;
     # the window tuples that start with one t-cell are consecutive
     group = np.bincount(wt[:, 0], minlength=nt[0])
@@ -882,8 +851,8 @@ def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
     opens = np.full(base.base_cell_shape, t0, dtype=float)
     if region is not None:
         opens[~region.over(base)] = INF
-    stalks = RankOneStalks(base.base_cell_shape, opens,
-                           np.zeros(opens.shape, dtype=np.int64), ("k",))
+    stalks = RankOneStalks(opens, np.zeros(opens.shape, dtype=np.int64),
+                           ("k",))
     return TameSheaf("cell",
                      cell=CellSheaf(base, TAxis((t0,)), stalks, shift=0,
                                     label="unit",
@@ -891,14 +860,13 @@ def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
                      label=f"k_[{t0},oo)")
 
 
-def to_cellular(F: TameSheaf, max_cells=MAX_STRATA,
-                spot_checks=20) -> TameSheaf:
+def to_cellular(F: TameSheaf, spot_checks=20) -> TameSheaf:
     """Cellular presentation of a GF sheaf: breakpoints at strand values,
     stalks the floored fiber complexes, held as masks over the fiber cells
     (FiberMasks); spot-checked against the GF route.  Refused when its
-    local axes cut more than max_cells strata (base cell, local t-cell),
+    local axes cut more than MAX_STRATA strata (base cell, local t-cell),
     and at once, before any stalk is read, when its global axis cuts more
-    than 4 * max_cells."""
+    than 4 * MAX_STRATA."""
     if F.kind != "gf":
         raise ValueError("to_cellular expects a GF presentation")
     gf = F.gf
@@ -909,19 +877,18 @@ def to_cellular(F: TameSheaf, max_cells=MAX_STRATA,
     floor = window_floor(gf)
     base = gf.base_grid
     # k = 0: one fiber cell, labelled () in degree 0
-    masks = FiberMasks(base, BoxGrid(gf.grid.fiber, ()), gf.S.cell_max(),
-                       floor)
+    masks = FiberMasks(BoxGrid(gf.grid.fiber, ()), gf.S.cell_max(), floor)
     ind = ("graph", gf.S) if gf.k == 0 else None
     cell = CellSheaf(base, TAxis(breaks), masks, shift=gf.i_q,
                      label=f"cellular({F.label})", indicator=ind)
     # the local axes cut at most every base cell at every break, and
     # building them reads a stalk and keeps a cover entry per such stratum,
-    # so they are built here only when that count is over max_cells and
-    # within 4 * max_cells
+    # so they are built here only when that count is over MAX_STRATA and
+    # within 4 * MAX_STRATA
     strata = int(np.prod(base.base_cell_shape)) * (2 * len(breaks) + 1)
-    if max_cells < strata <= 4 * max_cells:
+    if MAX_STRATA < strata <= 4 * MAX_STRATA:
         strata = cell.local_axes.strata
-    if strata > max_cells:
+    if strata > MAX_STRATA:
         raise ValueError(f"stratification too large ({strata} strata "
                          f"cells); coarsen the grid")
     out = TameSheaf("cell", cell=cell, label=cell.label)
@@ -1014,13 +981,11 @@ def _section_barcode(F: TameSheaf, region) -> Barcode:
         cells = (_as_cellsheaf(A), _as_cellsheaf(B))
         if F.diagonal and cells[0].base != cells[1].base:
             raise ValueError("diagonal product requires a shared base grid")
-        base, factors = _product_factors(*cells, F.diagonal)
+        base, pairs = _product_factors(*cells, F.diagonal)
     else:
         cells = (_as_cellsheaf(F),)
-        base, factors = cells[0].base, [(cells[0], cells[0].taxis,
-                                         _same_cell)]
-    factors = [(cell, cell.local_axes, project)
-               for cell, _, project in factors]
+        base, pairs = cells[0].base, [(cells[0], _same_cell)]
+    factors = [(cell, cell.local_axes, project) for cell, project in pairs]
     S = _total_complex(base, factors, region, -INF, INF, cells[0].field)
     shift = sum(cell.shift for cell in cells)
     return Barcode([(k - shift, b, x)
@@ -1125,8 +1090,7 @@ def materialize_rank_one_tensor(CA: CellSheaf, CB: CellSheaf) -> CellSheaf:
     theta = np.where(both, np.array(CA.taxis.breaks)[ka.opens]
                      + np.array(CB.taxis.breaks)[kb.opens], INF)
     breaks = tuple(np.unique(theta[both]).tolist()) or (0.0,)
-    stalks = RankOneStalks(CA.base.base_cell_shape, theta, ka.deg + kb.deg,
-                           ("t",))
+    stalks = RankOneStalks(theta, ka.deg + kb.deg, ("t",))
     return CellSheaf(CA.base, TAxis(breaks), stalks,
                      shift=CA.shift + CB.shift,
                      label=f"({CA.label})(x)({CB.label})")
@@ -1137,14 +1101,22 @@ def product_section_complex(CA: CellSheaf, CB: CellSheaf, diagonal,
     """Total complex over base x [sum of two t-axes in [a, b)) with tensor
     stalks; the sum-sublevel convention discretizes the pushforward along
     (t1, t2) -> t1 + t2 exactly."""
-    S = _total_complex(*_product_factors(CA, CB, diagonal), region, a, b,
-                       CA.field)
+    base, pairs = _product_factors(CA, CB, diagonal)
+    S = _total_complex(base, _full_axes(pairs), region, a, b, CA.field)
     return S.chain_complex(S.generators())
 
 
+def _full_axes(pairs):
+    """The factors of _total_complex of (cell, project) pairs, each cell on
+    its full own axis (LocalAxes.full)."""
+    return [(cell, LocalAxes.full(cell.taxis, cell.base), project)
+            for cell, project in pairs]
+
+
 def _product_factors(CA: CellSheaf, CB: CellSheaf, diagonal):
-    """The carrier's base grid and its two factors for _total_complex: the
-    shared base on a diagonal, the product of the two bases otherwise."""
+    """The carrier's base grid and its two (cell, project) pairs, to which
+    each caller attaches the axes it assembles on: the shared base on a
+    diagonal, the product of the two bases otherwise."""
     if diagonal:
         base = CA.base
         pa = pb = _same_cell
@@ -1153,7 +1125,7 @@ def _product_factors(CA: CellSheaf, CB: CellSheaf, diagonal):
         nb = int(np.prod(CB.base.base_cell_shape))
         pa = lambda flat: flat // nb
         pb = lambda flat: flat % nb
-    return base, [(CA, CA.taxis, pa), (CB, CB.taxis, pb)]
+    return base, [(CA, pa), (CB, pb)]
 
 
 # ---------------------------------------------------------------------------
@@ -1268,22 +1240,19 @@ def _gf_front_samples(gf: GenFun):
 
 
 def _cell_front_samples(cell: CellSheaf):
-    """Stalk-jump loci per base vertex: breaks where the stalk class jumps,
-    with the slope read from the neighboring jump loci."""
+    """Stalk-jump loci per base vertex: breaks where the cohomology ranks of
+    the stalk change, with the slope read from the neighboring jump loci.
+    The ranks are taken once per stalk of the record (strata) over the
+    vertices."""
     g = cell.base.base[0]
     taxis = cell.taxis
-
-    def jumps(j):
-        vals = []
-        bc = (2 * j,)
-        for i, b in enumerate(taxis.breaks):
-            above = _stalk_rank_signature(cell, bc, taxis.rep(("v", i)))
-            below = _stalk_rank_signature(cell, bc, taxis.rep_below(("v", i)))
-            if above != below:
-                vals.append(b)
-        return vals
-
-    cache = {j: jumps(j) for j in range(g.n_vertices)}
+    index, st = cell.strata
+    index, st = _compact(index[2 * np.arange(g.n_vertices)], st)
+    rank = [_rank_signature(stalk, cell.field)
+            for stalk in _tuple_stalks(st) + [ZERO_STALK]]
+    cache = {j: [b for b, lo, hi in zip(taxis.breaks, row, row[1:])
+                 if rank[lo] != rank[hi]]
+             for j, row in enumerate(index.tolist())}
     tol = 1e-9 * max(1.0, abs(taxis.breaks[0]), abs(taxis.breaks[-1]))
     out = {}
     for j in range(g.n_vertices):
@@ -1306,11 +1275,10 @@ def _cell_front_samples(cell: CellSheaf):
     return out
 
 
-def _stalk_rank_signature(cell: CellSheaf, bc, thr):
-    st = cell.stalk(bc, thr)
+def _rank_signature(st: Stalk, field):
     C = ChainComplex([lbl for lbl, _ in st.gens],
                      {lbl: k for lbl, k in st.gens},
-                     st.d_map(), cell.field, check=False)
+                     st.d_map(), field, check=False)
     return tuple(sorted(C.cohomology_ranks().items()))
 
 

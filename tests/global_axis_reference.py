@@ -43,7 +43,10 @@ def section_parts(base, factors, region, a, b):
     for (cell, ax, project), cells_f in zip(factors, tcells):
         strata = np.array([bisect.bisect(cell.taxis.breaks, ax.rep(tc))
                            for tc in cells_f], dtype=np.int64)
-        index, st = cell.strata_stalks(project(cflat))
+        rows, inverse = np.unique(project(cflat), return_inverse=True)
+        index, st = cell.source.table(rows, [
+            cell.taxis.rep(("e", i)) for i in range(cell.taxis.m + 1)])
+        index = index[inverse]
         stalks.append(st)
         over.append(index[:, strata])
     group = np.bincount(wt[:, 0], minlength=nt[0])
@@ -133,11 +136,11 @@ def global_factors(F):
     factor on its own global t-axis."""
     if F.kind == "prod":
         cells = [_as_cellsheaf(G) for G in F.factors]
-        base, factors = _product_factors(*cells, F.diagonal)
+        base, pairs = _product_factors(*cells, F.diagonal)
     else:
         cells = [_as_cellsheaf(F)]
-        base, factors = cells[0].base, [(cells[0], cells[0].taxis,
-                                         _same_cell)]
+        base, pairs = cells[0].base, [(cells[0], _same_cell)]
+    factors = [(cell, cell.taxis, project) for cell, project in pairs]
     return base, factors, sum(c.shift for c in cells), cells[0].field
 
 

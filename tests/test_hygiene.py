@@ -230,6 +230,13 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
     assert unset == []
 
 
+def test_the_settable_values_are_pinned():
+    # every defaulted parameter of the package is a value a caller can
+    # set; a change that adds one raises this number in its own diff
+    assert sum(len(defaulted_parameters(tree))
+               for tree in package_trees().values()) == 100
+
+
 def test_an_unset_parameter_is_found():
     tree = ast.parse(
         "from dataclasses import dataclass\n"

@@ -201,23 +201,66 @@ def test_a_coface_cuts_no_break_its_face_drops():
 def test_the_local_axes_read_in_blocks_equal_the_one_table_build(
         monkeypatch, block):
     """Read a few base cells at a time (block slots per table: one cell,
-    a few, or a few dozen), the local axes are those of the default build,
-    array for array."""
+    a few, or a few dozen), the stalk record and the local axes are those
+    of the default build, array for array."""
     import gfsheaf.sheaves as sheaves
     for name, F, _ in SHEAVES:
         cells = [_as_cellsheaf(G) for G in F.factors] if F.kind == "prod" \
             else [_as_cellsheaf(F)]
         for cell in cells:
             want = cell.local_axes
+            index, table = cell.strata
             with monkeypatch.context() as patch:
                 patch.setattr(sheaves, "_TABLE_BLOCK", block)
-                got = CellSheaf(cell.base, cell.taxis, cell.source,
-                                field=cell.field).local_axes
+                cell2 = CellSheaf(cell.base, cell.taxis, cell.source,
+                                  field=cell.field)
+                got = cell2.local_axes
             assert got.taxis == want.taxis, name
-            for a, b in [(got.cover, want.cover), (got.index, want.index),
-                         *zip(got.table[:6], want.table[:6])]:
+            for a, b in [(got.cover, want.cover), (cell2.strata[0], index),
+                         *zip(cell2.strata[1][:6], table[:6])]:
                 assert np.array_equal(a, b), name
-            assert got.table.labels == want.table.labels, name
+            assert cell2.strata[1].labels == table.labels, name
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_the_source_is_read_once_per_sheaf(monkeypatch, block):
+    """Every reader of a cellular sheaf reads its stalk record: its local
+    axes, its corners, product homes at two thresholds, the unit
+    composition, a section complex and 100 stalk lookups together call
+    the source's table once per block of base cells of the record."""
+    import gfsheaf.sheaves as sheaves
+    from gfsheaf.products import verify_unit_composition
+    if block is not None:
+        monkeypatch.setattr(sheaves, "_TABLE_BLOCK", block)
+    rng = random.Random(2905)
+    graph = to_cellular(quantize(graph_genfun(random_circle_morse(rng, n=8))),
+                        spot_checks=0)
+    for F in (graph, _bundled_cusp(1)):
+        cell = F.cell
+        calls, table = [], cell.source.table
+        monkeypatch.setattr(cell.source, "table",
+                            lambda *args: calls.append(1) or table(*args))
+        top = 2 * cell.taxis.breaks[-1]
+        assert cell.local_axes.strata
+        if F is graph:
+            assert cell.corners.opens.size
+            assert verify_unit_composition(F, [cell.taxis.breaks[-1]
+                                               - cell.taxis.breaks[0] + 1.0])
+        else:
+            with pytest.raises(ValueError, match="rank-one"):
+                cell.corners
+        for lam in (top - 1.0, top - 0.5):
+            assert len(ProductHome(cell, cell, lam).complex.deg)
+        assert cell.section_complex(None, -INF, INF).d
+        cells = [tuple(c) for c in cell.base.base_cells()]
+        lo, hi = cell.taxis.breaks[0] - 1.0, cell.taxis.breaks[-1] + 1.0
+        for _ in range(100):
+            cell.stalk(rng.choice(cells), rng.uniform(lo, hi))
+        n = len(cell.base.coface_table.dim)
+        step = max(1, sheaves._TABLE_BLOCK // ((cell.taxis.m + 1)
+                                               * cell.source.width))
+        assert len(calls) == -(-n // step), F.label
+        assert block is None or len(calls) > 1
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
@@ -291,32 +334,36 @@ def test_a_16x16_torus_graph_pair_passes_the_three_routes():
     assert any(boxed.window_ranks(a, b) for a, b in windows)
 
 
-def test_the_size_guard_counts_the_strata_of_the_local_axes():
+def test_the_size_guard_counts_the_strata_of_the_local_axes(monkeypatch):
     """The scale-2 cusp's global axis cuts 2,665 strata, its local axes
     1,077; a bound between the two is decided on the local count."""
+    import gfsheaf.sheaves as sheaves
     gf = _bundled_cusp_genfun(2)
     strata = to_cellular(quantize(gf), spot_checks=0).cell.local_axes.strata
     assert strata == 1077
-    assert to_cellular(quantize(gf), max_cells=strata, spot_checks=0)
+    monkeypatch.setattr(sheaves, "MAX_STRATA", strata)
+    assert to_cellular(quantize(gf), spot_checks=0)
+    monkeypatch.setattr(sheaves, "MAX_STRATA", strata - 1)
     with pytest.raises(ValueError, match=f"too large \\({strata} strata"):
-        to_cellular(quantize(gf), max_cells=strata - 1, spot_checks=0)
+        to_cellular(quantize(gf), spot_checks=0)
 
 
 def test_an_oversized_stratification_is_refused_before_a_stalk_is_read(
         monkeypatch):
-    """Past 4 * max_cells strata on the global axis the local axes are not
+    """Past 4 * MAX_STRATA strata on the global axis the local axes are not
     built: with FiberMasks.table made to raise, a 20 x 20 torus pair
     (1,275,200 global strata) is refused at the default bound, and the
     16 x 16 one (521,216) just below a quarter of its global count."""
+    import gfsheaf.sheaves as sheaves
     with monkeypatch.context() as patch:
         patch.setattr(FiberMasks, "table", _refuse)
         with pytest.raises(ValueError, match=r"too large \(1275200 strata"):
             to_cellular(quantize(_torus_pair(20)), spot_checks=0)
+        patch.setattr(sheaves, "MAX_STRATA", 130_303)
         with pytest.raises(ValueError, match=r"too large \(521216 strata"):
-            to_cellular(quantize(_torus_pair(16)), max_cells=130_303,
-                        spot_checks=0)
-    assert to_cellular(quantize(_torus_pair(16)), max_cells=130_304,
-                       spot_checks=0)
+            to_cellular(quantize(_torus_pair(16)), spot_checks=0)
+    monkeypatch.setattr(sheaves, "MAX_STRATA", 130_304)
+    assert to_cellular(quantize(_torus_pair(16)), spot_checks=0)
 
 
 def test_the_global_axis_builders_refuse_an_oversized_stratification(
@@ -337,7 +384,7 @@ def test_the_global_axis_builders_refuse_an_oversized_stratification(
 
 
 def test_a_small_cusp_is_not_cut_for_the_size_guard():
-    """Under max_cells the local axes are left to the first section
+    """Under MAX_STRATA the local axes are left to the first section
     query."""
     F = to_cellular(quantize(cusp_genfun(n_base=8, n_fiber=12)),
                     spot_checks=0)

@@ -104,7 +104,7 @@ def assert_same_morse(K, lower, upper):
 def test_the_elimination_matches_the_reference_on_the_sweep(field):
     matched = 0
     for _, K, value, (lower, upper) in random_matched_cases(field):
-        K._check_matching(value, lower, upper, K.src())
+        K._check_matching(value, lower, upper)
         assert_same_morse(K, lower, upper)
         matched += bool(len(lower))
     assert matched > 23

@@ -30,7 +30,6 @@ def test_taxis_cells_and_reps():
     assert ax.rep(("e", 1)) == 0.5
     assert ax.rep(("v", 0)) == 0.5
     assert ax.rep(("v", 1)) == 1.5
-    assert ax.rep_below(("v", 1)) == 0.5
     # window selection [0, 1): touches >= 0, not >= 1 (the open interval
     # (0,1) has a vertex at 1, so it belongs to the >= 1 subcomplex)
     assert window_cells(ax, 0.0, 1.0) == [("e", 0), ("v", 0)]
@@ -281,10 +280,12 @@ def test_sections_field_guard():
         sections(C, None, -2.0, 2.0, field=QQ)
 
 
-def test_to_cellular_size_guard():
+def test_to_cellular_size_guard(monkeypatch):
+    from gfsheaf import sheaves
     gf = cusp_genfun(n_base=32, n_fiber=64)
+    monkeypatch.setattr(sheaves, "MAX_STRATA", 10)
     with pytest.raises(ValueError, match="too large"):
-        to_cellular(quantize(gf), max_cells=10)
+        to_cellular(quantize(gf))
 
 
 def test_microstalk_locality_on_cropped_grid():
@@ -564,7 +565,7 @@ def _flipped(cell, bc, thr, field):
     from tuple_stalks import TupleStalks
 
     def stalk_fn(c, t):
-        [st] = cell.source.stalks(c, [t])
+        st = cell.stalk(c, t)
         if c == bc and t == thr:
             (x, y, v), *rest = st.diff
             st = Stalk(st.gens, ((x, y, -v), *rest))
@@ -618,7 +619,7 @@ def test_a_stalk_lookup_caches_one_stalk_per_cell_and_stratum():
     base = BoxGrid((circle_grid(4),))
     opens = np.array([1.0] + [0.0] * 7)
     cell = CellSheaf(base, ax, RankOneStalks(
-        base.base_cell_shape, opens, np.zeros(8, dtype=np.int64), ("k",)))
+        opens, np.zeros(8, dtype=np.int64), ("k",)))
     top = cell.stalk((0,), 1.0)
     assert top.gens == ((("k",), 0),)
     for thr in (1.2, 1.5, ax.rep(("v", 1)), ax.rep(("e", 2))):
@@ -993,8 +994,8 @@ def test_mask_stalks_assemble_as_the_fiber_loop_stalks(field):
     # tuple stalk at a time
     import functools
     from gfsheaf.linalg import GF2, QQ
-    from gfsheaf.sheaves import (CellSheaf, FiberMasks, _same_cell,
-                                 _total_complex)
+    from gfsheaf.sheaves import (CellSheaf, FiberMasks, LocalAxes,
+                                 _same_cell, _total_complex)
     from tuple_stalks import TupleStalks
     F = {"f2": GF2, "q": QQ}[field]
     rng = random.Random(13)
@@ -1006,9 +1007,9 @@ def test_mask_stalks_assemble_as_the_fiber_loop_stalks(field):
             cell.base.base_cell_shape, functools.partial(reference_stalk, gf),
             F), field=F)
         for region in (None, _random_box(rng, cell.base)):
-            got, want = (_total_complex(c.base, [(c, c.taxis, _same_cell)],
-                                        region, -INF, INF, F)
-                         for c in (masked, loop))
+            got, want = (_total_complex(c.base, [(
+                c, LocalAxes.full(c.taxis, c.base), _same_cell)], region,
+                -INF, INF, F) for c in (masked, loop))
             assert len(got.deg) > 0 and len(got.tgt) > 0
             for name in ("deg", "indptr", "tgt", "coef", "value"):
                 x, y = getattr(got, name), getattr(want, name)
@@ -1036,7 +1037,6 @@ def test_a_mask_backed_assembly_builds_no_tuple_stalk(monkeypatch):
 
     monkeypatch.setattr(sheaves, "Stalk", refuse)
     monkeypatch.setattr(sheaves.CellSheaf, "stalk", refuse)
-    monkeypatch.setattr(sheaves.StalkSource, "stalks", refuse)
     units = [unit_sheaf(grid), unit_sheaf(grid, _random_box(rng, grid),
                                           t0=0.25)]
     tensor = TameSheaf("cell", cell=materialize_rank_one_tensor(

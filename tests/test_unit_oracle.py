@@ -24,9 +24,10 @@ from gfsheaf.genfun import graph_genfun
 from gfsheaf.grids import BaseRegion
 from gfsheaf.linalg import GF2, QQ
 from gfsheaf.products import dualize, tensor, unit, verify_unit_composition
-from gfsheaf.sheaves import (ZERO_STALK, CellSheaf, RankOneStalks, Stalk,
-                             TAxis, _product_factors, _same_cell,
-                             _total_complex, materialize_rank_one_tensor,
+from gfsheaf.sheaves import (ZERO_STALK, CellSheaf, LocalAxes, RankOneStalks,
+                             Stalk, TAxis, _full_axes, _product_factors,
+                             _same_cell, _total_complex,
+                             materialize_rank_one_tensor,
                              product_section_complex, quantize, sections,
                              to_cellular, unit_sheaf)
 from convolution_reference import corner_table
@@ -141,15 +142,15 @@ def test_unit_stalk_tables_assemble_as_the_tuple_stalks(seed, field):
         for ax in filter(None, (new.taxis, refined)):
             for region in (None, box):
                 for a, b in _windows(new):
-                    got, want = (_total_complex(
-                        c.base, [(c, ax, _same_cell)], region, a, b, field)
-                        for c in (new, ref))
+                    got, want = (_total_complex(c.base, [(
+                        c, LocalAxes.full(ax, c.base), _same_cell)], region,
+                        a, b, field) for c in (new, ref))
                     _assert_same_arrays(got, want)
         assert np.array_equal(new.corners.opens, ref.corners.opens), name
         if name != "empty":
-            assert len(_total_complex(new.base, [(new, new.taxis,
-                                                  _same_cell)],
-                                      None, -INF, INF, field).deg), name
+            assert len(_total_complex(new.base, [(
+                new, LocalAxes.full(new.taxis, new.base), _same_cell)],
+                None, -INF, INF, field).deg), name
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=["f2", "q"])
@@ -160,7 +161,6 @@ def test_a_rank_one_tensor_assembles_as_its_tuple_stalks(seed, field):
     D = dualize(G)
     k = G.cell.corners
     up = CellSheaf(G.cell.base, G.cell.taxis, RankOneStalks(
-        G.cell.base.base_cell_shape,
         np.array(G.cell.taxis.breaks)[k.opens], k.deg + 1, ("u",)))
     for CA, CB in ((G.cell, D.cell), (D.cell, G.cell), (G.cell, G.cell),
                    (D.cell, up)):
@@ -171,9 +171,9 @@ def test_a_rank_one_tensor_assembles_as_its_tuple_stalks(seed, field):
         box = BaseRegion.interval_arc(new.base, 1, 12)
         for region in (None, box):
             for a, b in _windows(new):
-                got, want = (_total_complex(
-                    c.base, [(c, c.taxis, _same_cell)], region, a, b, field)
-                    for c in (new, ref))
+                got, want = (_total_complex(c.base, [(
+                    c, LocalAxes.full(c.taxis, c.base), _same_cell)], region,
+                    a, b, field) for c in (new, ref))
                 _assert_same_arrays(got, want)
                 if region is None and a == -INF:
                     assert len(got.tgt)
@@ -190,10 +190,11 @@ def test_unit_products_assemble_as_their_tuple_stalks(field):
         for diagonal in (True, False):
             for left in (True, False):
                 got, want = (
-                    _total_complex(*_product_factors(
-                        *((F, u) if left else (u, F)), diagonal), None,
-                        -INF, INF, field)
-                    for u in (new, ref))
+                    _total_complex(base, _full_axes(halves), None, -INF, INF,
+                                   field)
+                    for base, halves in (_product_factors(
+                        *((F, u) if left else (u, F)), diagonal)
+                        for u in (new, ref)))
                 _assert_same_arrays(got, want)
                 assert name == "empty" or len(got.tgt), name
 
@@ -312,11 +313,12 @@ def test_both_unit_composition_routes_pass(name):
     U = unit(F.base_grid)
     eps, ceil = _window(um)
     _, z_ref, _, img_ref = reference_tuple_cochains(um, U, eps, ceil)
-    WC = _total_complex(*_product_factors(um.CA, um.CB, True), None, -eps,
-                        ceil, GF2)
+    base, pairs = _product_factors(um.CA, um.CB, True)
+    WC = _total_complex(base, _full_axes(pairs), None, -eps, ceil, GF2)
     unit_taxis = U.cell.taxis.with_breaks([-eps, ceil])
-    UC = _total_complex(U.cell.base, [(U.cell, unit_taxis, _same_cell)],
-                        None, -eps, ceil, GF2)
+    UC = _total_complex(U.cell.base, [(
+        U.cell, LocalAxes.full(unit_taxis, U.cell.base), _same_cell)], None,
+        -eps, ceil, GF2)
     z = um.u_cocycle(WC)
     img = um.v_apply(z, WC, UC, unit_taxis)
     assert {WC.generators()[i] for i in z} == set(z_ref)

@@ -113,9 +113,6 @@ class TupleStalks(StalkSource):
                                                         len(thresholds)),
                 stalks.freeze())
 
-    def stalks(self, base_cell, thresholds):
-        return [self.stalk_fn(tuple(base_cell), thr) for thr in thresholds]
-
     def _cell(self, row):
         return tuple(int(x) for x in np.unravel_index(row, self.base_shape))
 
