@@ -19,10 +19,10 @@ from .complexes import apply_d, class_coordinates, index_ranges
 from .genfun import GenFun, box_sum, graph_genfun, negate, stacked_sum
 from .grids import BoxGrid
 from .linalg import GF2
-from .sheaves import (CellSheaf, LocalAxes, SectionArrays, TAxis, TameSheaf,
-                      _as_cellsheaf, _band_floor, _full_axes, _product_factors,
-                      _same_cell, _total_complex, quantize, section_barcode,
-                      sections, to_cellular, unit_sheaf)
+from .sheaves import (CellSheaf, SectionArrays, TameSheaf, _as_cellsheaf,
+                      _band_floor, _full_axes, _product_factors, _same_cell,
+                      _total_complex, quantize, section_barcode, sections,
+                      to_cellular, unit_sheaf)
 
 INF = math.inf
 
@@ -174,19 +174,16 @@ class UnitMorphisms:
                 & (ib >= 0) & (ta // 2 >= ia) & (tb // 2 >= ib))
         return dict.fromkeys(np.flatnonzero(keep).tolist(), 1)
 
-    def v_apply(self, vec, W: SectionArrays, U: SectionArrays,
-                unit_taxis: TAxis):
+    def v_apply(self, vec, W: SectionArrays, U: SectionArrays):
         """Evaluation at the fixed top corner of vec, an F2 cochain of W
         (as u_cocycle), into U, the unit's section complex over all of N on
-        unit_taxis (a refinement of its own axis, which has 0 as a break),
-        as a dict id -> 1."""
+        its own t-axis, landing over its one break ('v', 0), as a dict
+        id -> 1."""
         b1s, b2s = self.top_corner
-        i0 = next(i for i, b in enumerate(unit_taxis.breaks)
-                  if abs(b) < 1e-12)
         (_, cell), (_, ta), (_, tb), _, _ = W.columns
         ids = _odd(vec)
         ids = ids[(ta[ids] == 2 * b1s + 1) & (tb[ids] == 2 * b2s + 1)]
-        tgt = U.find((cell[ids], np.full_like(ids, 2 * i0 + 1),
+        tgt = U.find((cell[ids], np.ones_like(ids),
                       np.full_like(ids, U.columns[2][0].index(("k",)))))
         if (tgt < 0).any():
             raise AssertionError("an evaluated generator is missing from "
@@ -236,11 +233,9 @@ def verify_unit_composition(F: TameSheaf, lambdas):
     z = um.u_cocycle(WC)
     if not z or apply_d(WC, z):
         raise AssertionError("u image is missing or not closed")
-    unit_taxis = U.cell.taxis.with_breaks([-eps, ceil])
-    UC = _total_complex(U.cell.base, [(
-        U.cell, LocalAxes.full(unit_taxis, U.cell.base), _same_cell)], None,
-        -eps, ceil, U.cell.field)
-    img = um.v_apply(z, WC, UC, unit_taxis)
+    UC = _total_complex(U.cell.base, _full_axes([(U.cell, _same_cell)]),
+                        None, -eps, ceil, U.cell.field)
+    img = um.v_apply(z, WC, UC)
     if apply_d(UC, img):
         raise AssertionError("v o u image is not closed")
     if UC.barcode(UC.value, UC.matching).essential_ranks().get(0) != 1:

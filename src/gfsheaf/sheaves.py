@@ -17,11 +17,12 @@ A tame sheaf is carried in one of three presentations:
 
 Sections are computed as cochain complexes over the cells of the queried
 region.  A cellular sheaf is constant on its own strata: CellSheaf.stalk
-keeps one stalk per (base cell, own stratum), its sections are taken on its
-own t-axis, and a t-cell of a refined axis takes the stalk of the own
-stratum that contains it.  The window [a, b) keeps the t-cells whose top
-value (in the product carrier, the sum of the two tops) lies in [a, b), so
-every window is a subquotient of one complex filtered by that value.
+keeps one stalk per (base cell, own stratum), and its sections are taken
+on its own t-axis only, where t-cell ('e', i) lies on own stratum i and
+('v', i) on the stratum above it, i + 1.  The window [a, b) keeps the
+t-cells whose top value (in the product carrier, the sum of the two tops)
+lies in [a, b), so every window is a subquotient of one complex filtered by
+that value.
 
 One builder, _total_complex, assembles every section complex as integer
 index arrays (a SectionArrays, an IndexComplex): each generator (bc, t_1..
@@ -35,7 +36,7 @@ of base cells at a time.  Every reader reads that record: the assembly, the
 local axes, the corners and the tuple stalks of CellSheaf.stalk.  An axis is
 a cover over the record: LocalAxes cut each base cell only at the breaks
 where a stalk of its star changes, and LocalAxes.full cuts every base cell
-at every break of a t-axis (the own one or a refinement), refused past
+at every break of the sheaf's own t-axis, refused past
 MAX_STRATA strata.  Degree +1 and d^2 = 0 are checked on the integer arrays,
 exactly in the field (the parity of the two-step path count over F2, the
 integer sum over Q).  section_barcode builds one complex per (sheaf, region)
@@ -92,6 +93,10 @@ class TAxis:
             raise ValueError("a t-axis needs at least one breakpoint")
         if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        ends = (self.breaks[0] - 1.0, *self.breaks, self.breaks[-1] + 1.0)
+        if not all(lo < (lo + hi) / 2 < hi for lo, hi in zip(ends, ends[1:])):
+            raise ValueError("an interval of the t-axis has no interior "
+                             "representative: no float lies strictly inside")
 
     @property
     def m(self):
@@ -125,52 +130,44 @@ class TAxis:
         i = tc[1]
         return self.breaks[i] if i < self.m else INF
 
-    def with_breaks(self, extra):
-        vals = list(self.breaks)
-        for x in extra:
-            if x in (-INF, INF):
-                continue
-            if all(abs(x - v) > 1e-12 for v in vals):
-                vals.append(x)
-        return TAxis(tuple(sorted(vals)))
-
 
 class LocalAxes(NamedTuple):
-    """One t-axis per base cell, cut at the breaks of taxis that the cell
-    keeps: a cover over the stalk record of a sheaf (CellSheaf.strata).
+    """One t-axis per base cell, cut at the breaks of its sheaf's own t-axis
+    that the cell keeps: a cover over the stalk record of the sheaf
+    (CellSheaf.strata).
 
-    A local t-cell is named by a t-cell of taxis: a kept break i by ('v',
-    i), and the interval from a kept break up to the next one (or the top
-    ray) by the cell ('e', k) of taxis just below its top, so the two have
-    one top value.  cover[c, t] is the index (into taxis.cells()) of the
-    local t-cell of flat base cell c that contains t-cell t of taxis, and
-    -1 when t is a dropped break, which lies inside a local interval, one
-    dimension up.  The local t-cells of c are the t with cover[c, t] == t.
+    A local t-cell is named by an own t-cell: a kept break i by ('v', i),
+    and the interval from a kept break up to the next one (or the top ray)
+    by the own cell ('e', k) just below its top, so the two have one top
+    value.  cover[c, t] is the index (into the own TAxis.cells()) of the
+    local t-cell of flat base cell c that contains own t-cell t, -1 when t is
+    a dropped break, which lies inside a local interval, one dimension up.
+    The local t-cells of c are the t with cover[c, t] == t.
     """
 
-    taxis: TAxis
     cover: np.ndarray
 
     @classmethod
-    def cut(cls, taxis, keep):
+    def cut(cls, keep):
         """The local axes in which flat base cell c keeps break i when
         keep[c, i] is set."""
         n, m = keep.shape
         cover = np.empty((n, 2 * m + 1), dtype=np.int64)
         cover[:, 0::2] = 2 * _run_tops(keep)
         cover[:, 1::2] = np.where(keep, np.arange(1, 2 * m, 2), -1)
-        return cls(taxis, cover)
+        return cls(cover)
 
     @classmethod
-    def full(cls, taxis, base: BoxGrid):
-        """The axes that cut every base cell of base at every break of
-        taxis; refused (ValueError) past MAX_STRATA strata."""
-        n = int(np.prod(base.base_cell_shape))
-        strata = n * (2 * taxis.m + 1)
+    def full(cls, cell: "CellSheaf"):
+        """The axes that cut every base cell of cell at every break of its
+        own t-axis; refused (ValueError) past MAX_STRATA strata."""
+        n = int(np.prod(cell.base.base_cell_shape))
+        m = cell.taxis.m
+        strata = n * (2 * m + 1)
         if strata > MAX_STRATA:
             raise ValueError(f"stratification too large ({strata} strata "
                              f"cells on a global t-axis); coarsen the grid")
-        return cls.cut(taxis, np.ones((n, taxis.m), dtype=bool))
+        return cls.cut(np.ones((n, m), dtype=bool))
 
     @property
     def strata(self):
@@ -290,7 +287,11 @@ def _tuple_stalks(st: StalkTable):
 
 
 def _join_stalks(tables):
-    """One StalkTable of the stalks of tables, in that order."""
+    """One StalkTable of the stalks of tables, in that order.  Refused
+    (ValueError) when a table numbers its labels otherwise than the first:
+    the join keeps one label list."""
+    if any(st.labels != tables[0].labels for st in tables[1:]):
+        raise ValueError("the stalk tables number their labels differently")
     slots = np.cumsum([0] + [len(st.lab) for st in tables])
     entries = np.cumsum([0] + [len(st.dpos) for st in tables])
     join = lambda f: np.concatenate([getattr(st, f) for st in tables])
@@ -495,7 +496,7 @@ class CellSheaf:
             for cof in table.cof[cells].T:
                 has = cof >= 0
                 keep[cells[has]] |= keep[cof[has]]
-        return LocalAxes.cut(self.taxis, keep)
+        return LocalAxes.cut(keep)
 
     @functools.cached_property
     def corners(self) -> Corners:
@@ -527,13 +528,11 @@ class CellSheaf:
         deg = np.where(has, np.append(st.ldeg[first], -1)[at], -1)
         return Corners(opens, deg, size, label, st.labels)
 
-    def section_complex(self, region: BaseRegion | None, a, b,
-                        taxis=None) -> ChainComplex:
+    def section_complex(self, region: BaseRegion | None, a, b) -> ChainComplex:
         """Total complex over region x [a, b) with stalk coefficients, on
-        the own t-axis unless a refinement of it is given."""
-        axes = LocalAxes.full(taxis or self.taxis, self.base)
-        S = _total_complex(self.base, [(self, axes, _same_cell)], region, a,
-                           b, self.field)
+        the own t-axis."""
+        S = _total_complex(self.base, _full_axes([(self, _same_cell)]),
+                           region, a, b, self.field)
         return S.chain_complex(S.generators())
 
 
@@ -551,21 +550,21 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     cover the factor's base cells: the sheaf's own (cell.local_axes), which
     cut base cell c only at the breaks where a stalk of its star (c and
     every cell that has c as a face) changes, or LocalAxes.full, which cut
-    every base cell at every break of the own t-axis or of a refinement.
-    section_barcode passes the local axes of every factor; the callers
-    that index cochains by generator (ProductHome, the unit morphisms,
-    section_complex and product_section_complex) pass full ones.  The
-    t-cells over a base cell are those of its axis, named by t-cells of the
-    axes' TAxis.  The window holds the tuples of t-cells whose value (the
-    top value of the one t-cell, or the sum of the two tops) lies in [a,
-    b).  A generator is (bc, t_1..t_m, label_1..label_m), numbered by its
-    id in the order: base cells of the region in C order, window tuples in
-    product order, then the labels of the stalks, first factor outermost.
-    The stalk over a t-cell is that of the factor's own stratum containing
-    its rep, read off the factor's stalk record (cell.strata), whose labels
-    have integer ids, so a generator also has an integer key, (flat base
-    cell, flat t-cell tuple, label ids) in mixed radix, and a coboundary
-    target is found by searching the sorted keys.
+    every base cell at every break of the own t-axis.  section_barcode
+    passes the local axes of every factor; the callers that index cochains
+    by generator (ProductHome, the unit morphisms, section_complex and
+    product_section_complex) pass full ones.  The t-cells over a base cell
+    are those of its axis, named by t-cells of the factor's own TAxis.  The
+    window holds the tuples of t-cells whose value (the top value of the
+    one t-cell, or the sum of the two tops) lies in [a, b).  A generator is
+    (bc, t_1..t_m, label_1..label_m), numbered by its id in the order: base
+    cells of the region in C order, window tuples in product order, then
+    the labels of the stalks, first factor outermost.  The stalk over own
+    t-cell j (('e', i) at 2 i, ('v', i) at 2 i + 1) is that of own stratum
+    (j + 1) // 2, read off the factor's stalk record (cell.strata), whose
+    labels have integer ids, so a generator also has an integer key, (flat
+    base cell, flat t-cell tuple, label ids) in mixed radix, and a
+    coboundary target is found by searching the sorted keys.
 
     The coboundary of a generator lists, in this order: the base cofaces
     (BoxGrid.coface_table, slot order), each t-cell taken to the t-cell of
@@ -639,7 +638,7 @@ def _section_parts(base, factors, region, a, b):
     mask = (region.over(base) if region is not None
             else np.ones(base.base_cell_shape, dtype=bool))
     cflat = np.flatnonzero(mask)
-    axes = [ax.taxis for _, ax, _ in factors]
+    axes = [cell.taxis for cell, _, _ in factors]
     covers = [ax.cover[project(np.arange(n_base))]
               for _, ax, project in factors]
     stalks = [cell.strata[1] for cell, _, _ in factors]
@@ -656,15 +655,12 @@ def _section_parts(base, factors, region, a, b):
     cells = [tuple(c) for c in np.argwhere(mask).tolist()]
     table = base.coface_table
     # per factor: the stalk index over each (region cell, t-cell), -1 where
-    # it is empty or the t-cell is not one of the cell's axis
+    # it is empty or the t-cell is not one of the cell's axis; t-cell j lies
+    # on own stratum (j + 1) // 2
     over = []
-    for (cell, _, project), ax, cover, cells_f in zip(factors, axes, covers,
-                                                       tcells):
-        strata = np.array([bisect.bisect(cell.taxis.breaks, ax.rep(tc))
-                           for tc in cells_f], dtype=np.int64)
-        over.append(np.where(cover[cflat] == np.arange(len(cells_f)),
-                             cell.strata[0][np.ix_(project(cflat), strata)],
-                             -1))
+    for (cell, _, project), cover, k in zip(factors, covers, nt):
+        over.append(np.where(cover[cflat] == np.arange(k), cell.strata[0][
+            np.ix_(project(cflat), (np.arange(k) + 1) // 2)], -1))
     # blocks (cell, window tuple) with every stalk nonempty, in C order;
     # the window tuples that start with one t-cell are consecutive
     group = np.bincount(wt[:, 0], minlength=nt[0])
@@ -897,6 +893,10 @@ def to_cellular(F: TameSheaf, spot_checks=20) -> TameSheaf:
 
 
 def _spot_check_cellular(F_gf: TameSheaf, F_cell: TameSheaf, n):
+    """n random regions and windows on which F_cell's sections must equal
+    the GF route's; with n = 0 the family's window bounds are not read."""
+    if not n:
+        return
     import random as _random
     rng = _random.Random(20240601)
     gf = F_gf.gf
@@ -1109,8 +1109,7 @@ def product_section_complex(CA: CellSheaf, CB: CellSheaf, diagonal,
 def _full_axes(pairs):
     """The factors of _total_complex of (cell, project) pairs, each cell on
     its full own axis (LocalAxes.full)."""
-    return [(cell, LocalAxes.full(cell.taxis, cell.base), project)
-            for cell, project in pairs]
+    return [(cell, LocalAxes.full(cell), project) for cell, project in pairs]
 
 
 def _product_factors(CA: CellSheaf, CB: CellSheaf, diagonal):

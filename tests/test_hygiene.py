@@ -2,11 +2,13 @@
 used in its module, no function imports again a name its module already
 imports, every module-level private name is used somewhere in the
 package, every defaulted parameter is passed by some call, every record
-field is read, and no assert statement stands in for a check."""
+field is read, no assert statement stands in for a check, and the README
+lists the task ops and command-line options that exist."""
 
 import ast
 import builtins
 import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -234,7 +236,7 @@ def test_the_settable_values_are_pinned():
     # every defaulted parameter of the package is a value a caller can
     # set; a change that adds one raises this number in its own diff
     assert sum(len(defaulted_parameters(tree))
-               for tree in package_trees().values()) == 100
+               for tree in package_trees().values()) == 99
 
 
 def test_an_unset_parameter_is_found():
@@ -450,3 +452,30 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(package_trees()[path])
              if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def readme_names(opening):
+    """The backticked names of the README sentence that begins with
+    opening, up to its first full stop."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+    start = text.index(opening)
+    return re.findall(r"`([^`]+)`", text[start:text.index(". ", start)])
+
+
+def test_the_readme_lists_the_task_ops():
+    from gfsheaf.scenarios import _RUNNERS
+    ops = readme_names("Supported task ops:")
+    assert len(ops) == len(set(ops))
+    assert set(ops) == set(_RUNNERS)
+
+
+def test_the_readme_flags_line_names_the_cli_options():
+    # the long options of every add_argument call in the command line
+    tree = ast.parse((SRC / "cli.py").read_text())
+    options = {node.args[0].value for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "add_argument"
+               and str(node.args[0].value).startswith("--")}
+    flags = [name.split()[0] for name in readme_names("Flags:")]
+    assert len(flags) == len(set(flags))
+    assert set(flags) == options

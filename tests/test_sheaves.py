@@ -18,7 +18,7 @@ from gfsheaf.sheaves import (ConeSet, TAxis, TameSheaf, behavior_at_infinity,
                              microstalk, quantize, sections,
                              singular_support, to_cellular, unit_sheaf)
 from tuple_cells import cofaces
-from tuple_taxis import t_cofaces, t_dim, window_cells
+from tuple_taxis import t_cofaces, t_dim, window_cells, with_breaks
 
 INF = math.inf
 
@@ -33,6 +33,22 @@ def test_taxis_cells_and_reps():
     # window selection [0, 1): touches >= 0, not >= 1 (the open interval
     # (0,1) has a vertex at 1, so it belongs to the >= 1 subcomplex)
     assert window_cells(ax, 0.0, 1.0) == [("e", 0), ("v", 0)]
+
+
+def test_a_taxis_interval_needs_an_interior_representative():
+    # breaks one ulp apart leave the interval between them no float strictly
+    # inside, so its rep would round onto a break
+    lo = -0.9238795325112868
+    hi = math.nextafter(lo, INF)
+    assert hi == -0.9238795325112867
+    with pytest.raises(ValueError, match="no interior representative"):
+        TAxis((lo, hi))
+    # two ulps leave one
+    ax = TAxis((lo, math.nextafter(hi, INF)))
+    assert ax.breaks[0] < ax.rep(("e", 1)) < ax.breaks[1]
+    # at 1e17 the sentinel interval below the break has no width
+    with pytest.raises(ValueError, match="no interior representative"):
+        TAxis((1e17,))
 
 
 def test_unit_sheaf_sections():
@@ -216,18 +232,17 @@ def unit_map_section_level(F: TameSheaf, region, a, b):
     from gfsheaf.sheaves import _as_cellsheaf
     cell = _as_cellsheaf(F)
     grid = cell.base
-    U = unit_sheaf(BoxGrid(grid.base, ()),
-                   t0=cell.taxis.breaks[0] - 1.0)
-    # share one refined t-axis so strata line up
-    taxis = cell.taxis.with_breaks(list(U.cell.taxis.breaks) + [a, b])
-    CU = U.cell.section_complex(region, a, b, taxis=taxis)
-    CF = cell.section_complex(region, a, b, taxis=taxis)
+    # the unit opens at F's lowest break, so F's own t-axis refines the
+    # unit's and the strata line up on it
+    U = unit_sheaf(BoxGrid(grid.base, ()), t0=cell.taxis.breaks[0])
+    CU = _reference_section_complex(U.cell, region, a, b, taxis=cell.taxis)
+    CF = cell.section_complex(region, a, b)
     one = GF2.one()
     comp = {}
     genset = set(CF.gens)
     for g in CU.gens:
         (bc, tc, _lbl) = g
-        st = cell.stalk(bc, taxis.rep(tc))
+        st = cell.stalk(bc, cell.taxis.rep(tc))
         img = {}
         for lbl, k in st.gens:
             if k == 0 and (bc, tc, lbl) in genset:
@@ -244,12 +259,12 @@ def test_unit_map_cone_is_the_band_fiber():
     # section ranks (computed from a directly built stratified indicator)
     # match the cone of the section-level map, shifted by one
     from gfsheaf.complexes import cohomology_ranks, mapping_cone
-    from gfsheaf.sheaves import ZERO_STALK, CellSheaf, Stalk, TAxis
+    from gfsheaf.sheaves import ZERO_STALK, CellSheaf, Stalk
     from tuple_stalks import TupleStalks
     f = circle_function("0.4*cos(2*pi*x)", n=16)
     F = quantize(graph_genfun(f))
     cell = to_cellular(F, spot_checks=0).cell
-    t0 = cell.taxis.breaks[0] - 1.0
+    t0 = cell.taxis.breaks[0]
     cm = f.cell_max()
     const = Stalk(((("k",), 0),))
 
@@ -260,7 +275,7 @@ def test_unit_map_cone_is_the_band_fiber():
 
     base = f.grid.base_only()
     K = TameSheaf("cell", cell=CellSheaf(
-        base, TAxis((t0,) + cell.taxis.breaks),
+        base, cell.taxis,
         TupleStalks(base.base_cell_shape, band_stalk), label="band"),
         label="band")
     lo, hi = f.range()
@@ -503,16 +518,12 @@ def test_section_complex_matches_reference_assembly(seed):
     for name, cell in cells.items():
         lo = cell.taxis.breaks[0] - 0.5
         hi = cell.taxis.breaks[-1] + 0.5
-        for trial in range(5):
+        for trial in range(4):
             # trial 0: the whole band over the whole base, never empty
             region = None if trial < 2 else _random_box(rng, cell.base)
             a, b = (lo, hi) if trial == 0 else _random_window(rng, lo, hi)
-            taxis = None
-            if trial == 4:
-                taxis = cell.taxis.with_breaks(
-                    [a, b, rng.uniform(a, b), cell.taxis.breaks[0] - 1.0])
-            want = _reference_section_complex(cell, region, a, b, taxis)
-            got = cell.section_complex(region, a, b, taxis=taxis)
+            want = _reference_section_complex(cell, region, a, b)
+            got = cell.section_complex(region, a, b)
             _assert_same_complex(got, want)
             if trial == 0:
                 assert got.d, name
@@ -625,10 +636,69 @@ def test_a_stalk_lookup_caches_one_stalk_per_cell_and_stratum():
     for thr in (1.2, 1.5, ax.rep(("v", 1)), ax.rep(("e", 2))):
         assert cell.stalk((0,), thr) is top
     assert cell.stalk((0,), 0.999) is ZERO_STALK
-    assert cell.stalk((1,), ax.with_breaks([0.5]).rep(("v", 1))).gens
+    assert cell.stalk((1,), 0.5).gens
     assert sorted(cell._cache) == [((0,), 0), ((0,), 1), ((0,), 2),
                                    ((1,), 0), ((1,), 1), ((1,), 2)]
     assert cell.stalk((1,), -1.0) is cell._cache[((1,), 0)] is ZERO_STALK
+
+
+def test_tuple_stalks_read_in_blocks_keep_their_labels(monkeypatch):
+    # one base cell per table: the source numbers its labels once, so the
+    # stalk over cell c keeps its own label ('a', c)
+    from gfsheaf import sheaves
+    from gfsheaf.sheaves import CellSheaf, Stalk
+    from tuple_stalks import TupleStalks
+    monkeypatch.setattr(sheaves, "_TABLE_BLOCK", 1)
+    base = BoxGrid((circle_grid(4),))
+    cell = CellSheaf(base, TAxis((0.0,)), TupleStalks(
+        base.base_cell_shape, lambda bc, thr: Stalk(((("a", bc[0]), 0),))))
+    for c in range(8):
+        assert cell.stalk((c,), 0.5).gens == ((("a", c), 0),)
+    assert cell.strata[1].labels == [("a", c) for c in range(8)]
+
+
+def test_stalk_tables_that_number_their_labels_otherwise_are_refused(
+        monkeypatch):
+    # a source whose labels differ from one table to the next breaks the
+    # StalkSource.table contract; the stalk record refuses to join them
+    from gfsheaf import sheaves
+    from gfsheaf.sheaves import CellSheaf, RankOneStalks
+
+    class PerTable(RankOneStalks):
+        def table(self, rows, thresholds):
+            index, st = super().table(rows, thresholds)
+            return index, st._replace(labels=[("k", int(rows[0]))])
+
+    base = BoxGrid((circle_grid(4),))
+    source = PerTable(np.zeros(8), np.zeros(8, dtype=np.int64), ("k",))
+    assert CellSheaf(base, TAxis((0.0,)), source).strata[1].labels == [
+        ("k", 0)]
+    monkeypatch.setattr(sheaves, "_TABLE_BLOCK", 1)
+    with pytest.raises(ValueError, match="number their labels differently"):
+        CellSheaf(base, TAxis((0.0,)), source).strata
+
+
+def test_to_cellular_without_spot_checks_reads_no_window_ceiling():
+    # a cusp stabilized by a small fiber: no regular level separates its
+    # strand band from the upper caps, which only the spot checks' windows
+    # need; unchecked, the cellular route runs and matches the pair route
+    from gfsheaf.fixtures import pure_quad_genfun
+    from gfsheaf.genfun import box_sum, gf_cohomology
+    from gfsheaf.sheaves import section_barcode
+    cusp = cusp_genfun(10, 32)
+    gf = box_sum(cusp, pure_quad_genfun(cusp.grid.base, (1.0,), 4.0, 16))
+    breaks = to_cellular(quantize(gf), spot_checks=0).cell.taxis.breaks
+    bars = section_barcode(quantize(gf))
+    cuts = [breaks[0] - 0.5] + [(x + y) / 2 for x, y in zip(
+        breaks, breaks[1:])] + [breaks[-1] + 0.5]
+    windows = list(itertools.combinations(cuts, 2))
+    assert len(windows) == 55
+    for a, b in windows:
+        assert bars.window_ranks(a, b) == gf_cohomology(
+            gf, None, a, b, check_regular=False), (a, b)
+    assert any(bars.window_ranks(a, b) for a, b in windows)
+    with pytest.raises(ValueError, match="no regular level separates"):
+        to_cellular(quantize(gf), spot_checks=20)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +707,9 @@ def test_a_stalk_lookup_caches_one_stalk_per_cell_and_stratum():
 def test_refined_axis_keeps_the_section_ranks_of_the_own_axis():
     # to_cellular stalks are sublevel complexes that change between the
     # breakpoints; sampled on a refined axis they gave another sheaf, which
-    # put the degree-0 class of this cusp one window late
+    # put the degree-0 class of this cusp one window late.  Sections are
+    # taken on the own axis only; the tuple reference assembles the refined
+    # one.
     from gfsheaf.genfun import gf_cohomology
     gf = cusp_genfun(n_base=20, n_fiber=64)
     cell = to_cellular(quantize(gf), spot_checks=0).cell
@@ -648,8 +720,8 @@ def test_refined_axis_keeps_the_section_ranks_of_the_own_axis():
     for a, b in windows:
         own = cell.section_complex(None, a, b).cohomology_ranks()
         extra = [a, b] + [rng.uniform(lo - 0.5, hi + 0.5) for _ in range(4)]
-        refined = cell.section_complex(None, a, b,
-                                       taxis=cell.taxis.with_breaks(extra))
+        refined = _reference_section_complex(
+            cell, None, a, b, taxis=with_breaks(cell.taxis, extra))
         assert refined.cohomology_ranks() == own, (a, b)
     for a, b in windows[:2]:
         assert per_window_ranks(cell, None, a, b) == gf_cohomology(
@@ -1008,7 +1080,7 @@ def test_mask_stalks_assemble_as_the_fiber_loop_stalks(field):
             F), field=F)
         for region in (None, _random_box(rng, cell.base)):
             got, want = (_total_complex(c.base, [(
-                c, LocalAxes.full(c.taxis, c.base), _same_cell)], region,
+                c, LocalAxes.full(c), _same_cell)], region,
                 -INF, INF, F) for c in (masked, loop))
             assert len(got.deg) > 0 and len(got.tgt) > 0
             for name in ("deg", "indptr", "tgt", "coef", "value"):

@@ -5,9 +5,10 @@ The references below are the old code unchanged: unit_sheaf and
 materialize_rank_one_tensor as stalk_fn closures taken through the tuple
 stalk path (tuple_stalks.TupleStalks), and verify_unit_composition on the
 tuple section complexes, with its corner cocycle and evaluation keyed by
-tuple generators.  The section arrays of the rank-one stalk tables must
-equal those of the tuple stalks over F2 and Q, and both unit composition
-routes must agree.
+tuple generators, the unit's complex on its own t-axis refined at the
+window ends as before (the global-axis reference assembles it).  The
+section arrays of the rank-one stalk tables must equal those of the tuple
+stalks over F2 and Q, and both unit composition routes must agree.
 """
 
 import dataclasses
@@ -30,8 +31,10 @@ from gfsheaf.sheaves import (ZERO_STALK, CellSheaf, LocalAxes, RankOneStalks,
                              materialize_rank_one_tensor,
                              product_section_complex, quantize, sections,
                              to_cellular, unit_sheaf)
+import global_axis_reference
 from convolution_reference import corner_table
 from tuple_stalks import TupleStalks
+from tuple_taxis import with_breaks
 
 INF = math.inf
 CONST_STALK = Stalk(((("k",), 0),))
@@ -111,9 +114,9 @@ def _windows(cell):
 
 
 def _unit_pairs(seed):
-    """(name, table sheaf, tuple sheaf, refined axis or None) per unit
-    kind: the full unit, a region unit, a unit opening at a break of a
-    graph (on the graph's axis), a unit on an empty region."""
+    """(name, table sheaf, tuple sheaf) per unit kind: the full unit, a
+    region unit, a unit opening at a break of a graph, a unit on an empty
+    region; and the graph."""
     f, G = _graph(seed)
     grid = f.grid
     rng = random.Random(seed)
@@ -122,13 +125,13 @@ def _unit_pairs(seed):
     empty = BaseRegion(grid, np.zeros(grid.base_cell_shape, dtype=bool))
     brk = G.cell.taxis.breaks[len(G.cell.taxis.breaks) // 2]
     return [
-        ("unit", unit_sheaf(grid).cell, reference_unit_sheaf(grid), None),
+        ("unit", unit_sheaf(grid).cell, reference_unit_sheaf(grid)),
         ("region", unit_sheaf(grid, box, 0.25).cell,
-         reference_unit_sheaf(grid, box, 0.25), None),
+         reference_unit_sheaf(grid, box, 0.25)),
         ("at-break", unit_sheaf(grid, t0=brk).cell,
-         reference_unit_sheaf(grid, t0=brk), G.cell.taxis),
+         reference_unit_sheaf(grid, t0=brk)),
         ("empty", unit_sheaf(grid, empty).cell,
-         reference_unit_sheaf(grid, empty), None),
+         reference_unit_sheaf(grid, empty)),
     ], G
 
 
@@ -137,19 +140,18 @@ def _unit_pairs(seed):
 def test_unit_stalk_tables_assemble_as_the_tuple_stalks(seed, field):
     pairs, G = _unit_pairs(seed)
     box = BaseRegion.interval_arc(G.base_grid, 2, 9)
-    for name, new, ref, refined in pairs:
+    for name, new, ref in pairs:
         new, ref = _over(new, field), _over(ref, field)
-        for ax in filter(None, (new.taxis, refined)):
-            for region in (None, box):
-                for a, b in _windows(new):
-                    got, want = (_total_complex(c.base, [(
-                        c, LocalAxes.full(ax, c.base), _same_cell)], region,
-                        a, b, field) for c in (new, ref))
-                    _assert_same_arrays(got, want)
+        for region in (None, box):
+            for a, b in _windows(new):
+                got, want = (_total_complex(c.base, [(
+                    c, LocalAxes.full(c), _same_cell)], region, a, b, field)
+                    for c in (new, ref))
+                _assert_same_arrays(got, want)
         assert np.array_equal(new.corners.opens, ref.corners.opens), name
         if name != "empty":
             assert len(_total_complex(new.base, [(
-                new, LocalAxes.full(new.taxis, new.base), _same_cell)],
+                new, LocalAxes.full(new), _same_cell)],
                 None, -INF, INF, field).deg), name
 
 
@@ -172,7 +174,7 @@ def test_a_rank_one_tensor_assembles_as_its_tuple_stalks(seed, field):
         for region in (None, box):
             for a, b in _windows(new):
                 got, want = (_total_complex(c.base, [(
-                    c, LocalAxes.full(c.taxis, c.base), _same_cell)], region,
+                    c, LocalAxes.full(c), _same_cell)], region,
                     a, b, field) for c in (new, ref))
                 _assert_same_arrays(got, want)
                 if region is None and a == -INF:
@@ -185,7 +187,7 @@ def test_unit_products_assemble_as_their_tuple_stalks(field):
     # product, through the carrier of two factors
     pairs, G = _unit_pairs(5)
     F = _over(G.cell, field)
-    for name, new, ref, _ in pairs:
+    for name, new, ref in pairs:
         new, ref = _over(new, field), _over(ref, field)
         for diagonal in (True, False):
             for left in (True, False):
@@ -253,8 +255,11 @@ def reference_tuple_cochains(um, U, eps, ceil):
     unit complex and the evaluated image."""
     WC = product_section_complex(um.CA, um.CB, True, None, -eps, ceil)
     z = reference_u_cocycle(um, WC)
-    unit_taxis = U.cell.taxis.with_breaks([-eps, ceil])
-    UC = U.cell.section_complex(None, -eps, ceil, taxis=unit_taxis)
+    unit_taxis = with_breaks(U.cell.taxis, [-eps, ceil])
+    UA = global_axis_reference.section_arrays(
+        U.cell.base, [(U.cell, unit_taxis, _same_cell)], None, -eps, ceil,
+        GF2)
+    UC = UA.chain_complex(UA.generators())
     return WC, z, UC, reference_v_apply(um, z, unit_taxis)
 
 
@@ -313,17 +318,69 @@ def test_both_unit_composition_routes_pass(name):
     U = unit(F.base_grid)
     eps, ceil = _window(um)
     _, z_ref, _, img_ref = reference_tuple_cochains(um, U, eps, ceil)
+    WC, z, UC, img = _own_axis_cochains(um, U, eps, ceil)
+    assert {WC.generators()[i] for i in z} == set(z_ref)
+    refined = with_breaks(U.cell.taxis, [-eps, ceil])
+    gens = UC.generators()
+    assert {_by_value(gens[i], U.cell.taxis) for i in img} == {
+        _by_value(g, refined) for g in img_ref}
+    assert img and not apply_d(WC, z)
+
+
+def _own_axis_cochains(um, U, eps, ceil):
+    """(WC, z, UC, img) as verify_unit_composition builds them: the W
+    complex and the unit's complex over [-eps, ceil) on the full own axes,
+    the corner cocycle of u and its image under v."""
     base, pairs = _product_factors(um.CA, um.CB, True)
     WC = _total_complex(base, _full_axes(pairs), None, -eps, ceil, GF2)
-    unit_taxis = U.cell.taxis.with_breaks([-eps, ceil])
-    UC = _total_complex(U.cell.base, [(
-        U.cell, LocalAxes.full(unit_taxis, U.cell.base), _same_cell)], None,
-        -eps, ceil, GF2)
+    UC = _total_complex(U.cell.base, _full_axes([(U.cell, _same_cell)]),
+                        None, -eps, ceil, GF2)
     z = um.u_cocycle(WC)
-    img = um.v_apply(z, WC, UC, unit_taxis)
-    assert {WC.generators()[i] for i in z} == set(z_ref)
-    assert {UC.generators()[i] for i in img} == set(img_ref)
-    assert img and not apply_d(WC, z)
+    return WC, z, UC, um.v_apply(z, WC, UC)
+
+
+def _by_value(gen, taxis):
+    """A unit generator (bc, tc, label) on taxis named with the kind and
+    the top value of its t-cell in place of its index, so generators of two
+    axes compare."""
+    bc, tc, lbl = gen
+    return bc, tc[0], taxis.top_value(tc), lbl
+
+
+def _unit_class(C, img):
+    """The coordinates of img, a cochain of C, in C's degree-0 basis."""
+    basis = [vec for d, vec in cohomology_basis(C) if d == 0]
+    return len(basis), class_coordinates(C, basis, [img])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_own_axis_unit_complex_is_the_refined_reference(seed):
+    # verify_unit_composition assembles the unit on its own t-axis; the
+    # tuple reference on the axis refined at the window ends has the same
+    # generators (by t-cell value), degrees and bars, the same v o u image
+    # and the same class, the generator of H^0
+    _, G = _graph(seed)
+    assert verify_unit_composition(G, [])
+    um = products.unit_morphisms(G)
+    U = unit(G.base_grid)
+    eps, ceil = _window(um)
+    refined = with_breaks(U.cell.taxis, [-eps, ceil])
+    assert refined.m == 3
+    _, _, UC, img = _own_axis_cochains(um, U, eps, ceil)
+    _, _, UC_ref, img_ref = reference_tuple_cochains(um, U, eps, ceil)
+    UA_ref = global_axis_reference.section_arrays(
+        U.cell.base, [(U.cell, refined, _same_cell)], None, -eps, ceil, GF2)
+    C = UC.chain_complex(UC.generators())
+    own = {_by_value(g, U.cell.taxis): C.deg[g] for g in C.gens}
+    assert own and own == {_by_value(g, refined): UC_ref.deg[g]
+                           for g in UC_ref.gens}
+    assert UC.barcode(UC.value, UC.matching) == UA_ref.barcode(
+        UA_ref.value, UA_ref.matching)
+    own_img = {C.gens[i]: GF2.one() for i in img}
+    assert {_by_value(g, U.cell.taxis) for g in own_img} == {
+        _by_value(g, refined) for g in img_ref}
+    assert _unit_class(C, own_img) == _unit_class(UC_ref, img_ref) == (
+        1, [[GF2.one()]])
 
 
 @pytest.mark.parametrize("move", [(-1, 0), (0, -1), (-1, -1), "first"],

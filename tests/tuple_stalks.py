@@ -40,12 +40,15 @@ def index_form(st):
 
 class _Stalks:
     """The distinct tuple stalks of one table, gathered for one StalkTable
-    (freeze).  Labels are numbered on first sight, so equal labels of
-    different stalks share an id."""
+    (freeze).  Labels take their ids from label_id, their source's one
+    numbering, and labels lists them in id order: a label seen for the
+    first time is added to both, so equal labels of different stalks and of
+    different tables of the source share an id."""
 
-    def __init__(self, field):
+    def __init__(self, field, labels, label_id):
         self.field = field
-        self._label_id = {}
+        self._labels = labels
+        self._label_id = label_id
         self._known = {}    # id(stalk) -> (stalk, index or -1 if empty)
         self._forms = []    # per stalk: label ids, then its index_form arrays
 
@@ -67,8 +70,10 @@ class _Stalks:
                              f"{where[1]} on stratum {where[2]}: {e}") \
                 from None
         ids = self._label_id
-        self._forms.append([[ids.setdefault(lbl, len(ids))
-                             for lbl in labels]] + arrays)
+        new = [lbl for lbl in labels if lbl not in ids]
+        ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+        self._labels.extend(new)
+        self._forms.append([[ids[lbl] for lbl in labels]] + arrays)
         return len(self._forms) - 1
 
     def freeze(self) -> StalkTable:
@@ -90,22 +95,25 @@ class _Stalks:
                           np.concatenate(lab).astype(np.int64),
                           np.concatenate(ldeg),
                           np.concatenate([[0], np.cumsum(keep)])[dptr],
-                          dpos[keep], dcoef[keep], list(self._label_id))
+                          dpos[keep], dcoef[keep], self._labels)
 
 
 class TupleStalks(StalkSource):
     """stalk_fn as a StalkSource over a base of the given cell shape; field
     decides which stalk coefficients are zero, label names the sheaf in an
-    error."""
+    error.  Labels are numbered once per source, on first sight: every
+    table it gives holds the one label list, which grows with the labels
+    seen, so the labels are the same on every call."""
 
     def __init__(self, base_shape, stalk_fn, field=GF2, label="cell"):
         self.base_shape = base_shape
         self.stalk_fn = stalk_fn
         self.field = field
         self.label = label
+        self.labels, self._label_id = [], {}
 
     def table(self, rows, thresholds):
-        stalks = _Stalks(self.field)
+        stalks = _Stalks(self.field, self.labels, self._label_id)
         index = [[stalks.index(self.stalk_fn(bc, thr), (self.label, bc, i))
                   for i, thr in enumerate(thresholds)]
                  for bc in map(self._cell, rows)]

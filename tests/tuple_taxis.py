@@ -1,10 +1,28 @@
-"""The tuple t-axis walkers, kept as a test reference.
+"""The tuple t-axis walkers and the t-axis refinement, kept as a test
+reference.
 
 TAxis.dim, TAxis.cofaces and TAxis.window_cells walked the cells of a
 t-axis one by one for the tuple section-complex assemblies; the index-array
 builder reads the t-axis as arrays, and only the reference assemblies of
-tests/test_sheaves.py walk it this way now.
+tests/test_sheaves.py walk it this way now.  TAxis.with_breaks refined an
+axis for section complexes assembled on more breaks than the sheaf's own;
+sections are now taken on the own axis only, and the tuple references
+check against refined axes with with_breaks below.
 """
+
+from gfsheaf.sheaves import INF, TAxis
+
+
+def with_breaks(taxis, extra):
+    """taxis refined by the finite values of extra that lie more than
+    1e-12 from every break."""
+    vals = list(taxis.breaks)
+    for x in extra:
+        if x in (-INF, INF):
+            continue
+        if all(abs(x - v) > 1e-12 for v in vals):
+            vals.append(x)
+    return TAxis(tuple(sorted(vals)))
 
 
 def t_dim(tc):
