@@ -169,6 +169,20 @@ class GenFun:
                             f"boundary collar at base vertex {bv}")
 
     @cached_property
+    def cerf(self) -> "CerfDiagram":
+        """The CerfDiagram of this family (cerf_diagram), built on first
+        use."""
+        table = self.critical_table
+        strands = [(cp.x, cp.value, cp.index, cp.p, cp.degenerate)
+                   for cps in table.values() for cp in cps]
+        tau = self.tau_val()
+        breaks = dedup_breakpoints([s[1] for s in strands], tau)
+        verts = list(table)
+        cusps = [_coords(self.grid.base, b) for a, b in zip(verts, verts[1:])
+                 if len(table[a]) != len(table[b])]
+        return CerfDiagram(tuple(strands), tuple(breaks), tuple(cusps), tau)
+
+    @cached_property
     def critical_table(self):
         """Base vertex (C order) -> its FiberCriticalPoints, sorted stably by
         value (ties in fiber C order).  One critical_stencil over the fiber
@@ -261,15 +275,11 @@ def dedup_breakpoints(values, tol):
 
 
 def cerf_diagram(gf: GenFun) -> CerfDiagram:
-    table = gf.critical_table
-    strands = [(cp.x, cp.value, cp.index, cp.p, cp.degenerate)
-               for cps in table.values() for cp in cps]
-    tau = gf.tau_val()
-    breaks = dedup_breakpoints([s[1] for s in strands], tau)
-    verts = list(table)
-    cusps = [_coords(gf.grid.base, b) for a, b in zip(verts, verts[1:])
-             if len(table[a]) != len(table[b])]
-    return CerfDiagram(tuple(strands), tuple(breaks), tuple(cusps), tau)
+    """The Cerf diagram of gf: its fiber-critical strands, their values
+    deduplicated within tau_val, and the base points where the strand count
+    changes.  Built once per family and kept on it (GenFun.cerf), as
+    critical_table is."""
+    return gf.cerf
 
 
 def assert_window_regular(gf: GenFun, region: BaseRegion | None, a, b):

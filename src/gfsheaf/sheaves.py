@@ -24,24 +24,29 @@ t-cells whose top value (in the product carrier, the sum of the two tops)
 lies in [a, b), so every window is a subquotient of one complex filtered by
 that value.
 
-One builder, _total_complex, assembles every section complex as integer
-index arrays (a SectionArrays, an IndexComplex): each generator (bc, t_1..
-t_m, label_1..label_m) is an id, numbered in generator order; the
-coboundary is src/tgt/coef arrays built from the base cofaces, the t-axis
-cofaces and the stalk differentials with Koszul signs.  Its factors are
-(cell, LocalAxes, project) triples.  The stalks of a cellular sheaf are read
-once, into one record, CellSheaf.strata: the stalk over every (base cell,
-own stratum) as a slot of one StalkTable, read off its StalkSource a block
-of base cells at a time.  Every reader reads that record: the assembly, the
-local axes, the corners and the tuple stalks of CellSheaf.stalk.  An axis is
-a cover over the record: LocalAxes cut each base cell only at the breaks
+One assembly, _section_parts, builds every section complex as integer index
+arrays (a SectionArrays, an IndexComplex): each generator (bc, t_1..t_m,
+label_1..label_m) is an id, numbered in generator order; the coboundary is
+src/tgt/coef arrays built from the base cofaces, the t-axis cofaces and the
+stalk differentials with Koszul signs.  Its factors are (cell, LocalAxes,
+project) triples, each with a StalkModel: the record's stalks
+(_total_complex) or their minimal models (section_barcode).  The stalks of
+a cellular sheaf are read once, into one record, CellSheaf.strata: the
+stalk over every (base cell, own stratum) as a slot of one StalkTable, read
+off its StalkSource a block of base cells at a time.  Every reader reads
+that record: the assembly, the minimal models, the local axes, the corners
+and the tuple stalks of CellSheaf.stalk.  An axis is a cover over the
+record: LocalAxes cut each base cell only at the breaks
 where a stalk of its star changes, and LocalAxes.full cuts every base cell
 at every break of the sheaf's own t-axis, refused past
 MAX_STRATA strata.  Degree +1 and d^2 = 0 are checked on the integer arrays,
 exactly in the field (the parity of the two-step path count over F2, the
 integer sum over Q).  section_barcode builds one complex per (sheaf, region)
-on the local axes of every factor, and reduces it on ids through its
-vertical matching, which pairs a generator over ('v', i) with the same
+on the local axes of every factor from the minimal models of the stalks
+(CellSheaf.minimal: every record stalk reduced once by a stalk matching,
+with its strong deformation retract), on their critical generators only,
+with the transferred differential; it reduces that complex on ids through
+its vertical matching, which pairs a generator over ('v', i) with the same
 labels over ('e', i) and is checked there too; sections() reads every
 cellular and product window off the barcode, and its bars are the
 pushforward barcode.  The unit and product maps act on id-keyed cochains of
@@ -67,6 +72,7 @@ from .genfun import (GenFun, cerf_diagram, gf_cohomology,
                      strand_value_range, window_ceiling, window_floor)
 from .grids import BaseRegion, BoxGrid
 from .linalg import GF2
+from .minimal import StalkModel, minimal_stalks
 
 INF = math.inf
 
@@ -482,6 +488,13 @@ class CellSheaf:
         return np.concatenate(index), _join_stalks(stalks)
 
     @functools.cached_property
+    def minimal(self) -> StalkModel:
+        """The minimal models of the stalks of the record (strata), each
+        record stalk reduced once (minimal.minimal_stalks):
+        section_barcode assembles from them."""
+        return minimal_stalks(self.strata, self.field)
+
+    @functools.cached_property
     def local_axes(self) -> "LocalAxes":
         """The LocalAxes of this sheaf, built on first use from its stalk
         record (strata).  Base cell c keeps break i when some cell of its
@@ -543,28 +556,29 @@ def _same_cell(bc):
 def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
                    field) -> "SectionArrays":
     """Total complex over region x [a, b) of the tensor product of stalks,
-    as index arrays.
+    as index arrays, certified (IndexComplex.check).
 
     factors: (cell, LocalAxes, project) triples; project(flat) is the
     factor's flat base cell under each flat base cell, and the LocalAxes
     cover the factor's base cells: the sheaf's own (cell.local_axes), which
     cut base cell c only at the breaks where a stalk of its star (c and
     every cell that has c as a face) changes, or LocalAxes.full, which cut
-    every base cell at every break of the own t-axis.  section_barcode
-    passes the local axes of every factor; the callers that index cochains
-    by generator (ProductHome, the unit morphisms, section_complex and
-    product_section_complex) pass full ones.  The t-cells over a base cell
-    are those of its axis, named by t-cells of the factor's own TAxis.  The
-    window holds the tuples of t-cells whose value (the top value of the
-    one t-cell, or the sum of the two tops) lies in [a, b).  A generator is
-    (bc, t_1..t_m, label_1..label_m), numbered by its id in the order: base
-    cells of the region in C order, window tuples in product order, then
-    the labels of the stalks, first factor outermost.  The stalk over own
-    t-cell j (('e', i) at 2 i, ('v', i) at 2 i + 1) is that of own stratum
-    (j + 1) // 2, read off the factor's stalk record (cell.strata), whose
-    labels have integer ids, so a generator also has an integer key, (flat
-    base cell, flat t-cell tuple, label ids) in mixed radix, and a
-    coboundary target is found by searching the sorted keys.
+    every base cell at every break of the own t-axis.  The callers that
+    index cochains by generator (ProductHome, the unit morphisms,
+    section_complex and product_section_complex) pass full ones; on local
+    axes it is the exact reference of section_barcode, which assembles the
+    minimal models of the stalks instead (_section_parts).  The t-cells over
+    a base cell are those of its axis, named by t-cells of the factor's own
+    TAxis.  The window holds the tuples of t-cells whose value (the top
+    value of the one t-cell, or the sum of the two tops) lies in [a, b).  A
+    generator is (bc, t_1..t_m, label_1..label_m), numbered by its id in the
+    order: base cells of the region in C order, window tuples in product
+    order, then the labels of the stalks, first factor outermost.  The
+    stalk over own t-cell j (('e', i) at 2 i, ('v', i) at 2 i + 1) is that
+    of own stratum (j + 1) // 2, read off the factor's stalk record
+    (cell.strata), whose labels have integer ids, so a generator also has an
+    integer key, (flat base cell, flat t-cell tuple, label ids) in mixed
+    radix, and a coboundary target is found by searching the sorted keys.
 
     The coboundary of a generator lists, in this order: the base cofaces
     (BoxGrid.coface_table, slot order), each t-cell taken to the t-cell of
@@ -597,22 +611,20 @@ def _total_complex(base: BoxGrid, factors, region: BaseRegion | None, a, b,
     entry into its lowest interval to the top one with factor +1.  So the
     bars are those of the full axes (Mischaikow-Nanda, DCG 2013), and
     every local generator is one of the full axes with the same id order.
-
-    The arrays are assembled in _section_arrays, whose temporaries are
-    freed before the check runs.
     """
-    arrays = _section_arrays(base, factors, region, a, b, field)
+    arrays = _section_arrays(base, factors, region, a, b, field, [
+        StalkModel(*cell.strata, None) for cell, _, _ in factors])
     arrays.check()
     return arrays
 
 
-def _section_arrays(base, factors, region, a, b, field) -> "SectionArrays":
-    """The SectionArrays of _total_complex, unchecked: the coboundary
-    entries of _section_parts joined in source order.  The per-generator
-    temporaries of the assembly are gone before the join, which holds the
-    entries twice."""
+def _section_arrays(base, factors, region, a, b, field,
+                    models) -> "SectionArrays":
+    """The SectionArrays of _section_parts, unchecked: its coboundary
+    entries joined in source order.  The per-generator temporaries of the
+    assembly are gone before the join, which holds the entries twice."""
     deg, parts, value, matching, columns, keys = _section_parts(
-        base, factors, region, a, b)
+        base, factors, region, a, b, models)
     n = len(deg)
     src = np.concatenate([x for x, _, _ in parts])
     tgts, coefs = [t for _, t, _ in parts], [c for _, _, c in parts]
@@ -628,11 +640,35 @@ def _section_arrays(base, factors, region, a, b, field) -> "SectionArrays":
                          columns, keys)
 
 
-def _section_parts(base, factors, region, a, b):
-    """The generators and coboundary entries of _total_complex: (deg, parts,
-    value, matching, columns, keys) as SectionArrays takes them, but the
-    coboundary as a list parts of (source ids, target ids, integer
-    coefficients) triples, in coboundary order per source."""
+def _section_parts(base, factors, region, a, b, models):
+    """The generators and coboundary entries of the section complex of
+    factors over region x [a, b), each factor's stalks taken from its
+    StalkModel in models: (deg, parts, value, matching, columns, keys) as
+    SectionArrays takes them, but the coboundary as a list parts of (source
+    ids, target ids, integer coefficients) triples, in coboundary order per
+    source.
+
+    With the record's stalks (transfer None) it is the complex of
+    _total_complex.  With the minimal models it is the transferred complex
+    of section_barcode, on the critical generators (bc, t, c_1..c_m) only.
+    The total differential is D = d_X + delta, with d_X the stalk
+    differentials and delta the base and t coboundaries, which match
+    labels.  Every stalk pair lies over one stratum, so the union of the
+    stalk matchings over all strata is acyclic, and by the perturbation
+    lemma (Crainic, arXiv:math/0403266) the Morse differential is d' = d_M
+    + sum_n p (delta h)^n delta i, with (i, p, h) the tensor product of the
+    factors' retracts: i (x) i, p (x) p and h (x) 1 + ip (x) h.  Every
+    label of an image of i is the label of a critical or a lower slot (an
+    upper label never appears without its lower one, minimal.stalk_pairs),
+    so h vanishes on delta i, and the series stops at n = 0: a move of a
+    generator to a stratum sends c_f to every critical c'_f of the target
+    stalk with the coefficient of the label of c'_f in i(c_f) (p kills the
+    lower slots), times the move's sign; the stalk term is d_M with the
+    Koszul signs of d_X.  In the critical generators' id order the vertical
+    pairs, now those between one critical label over ('v', i) and over
+    ('e', i), still come in a gradient order: d' moves a generator by one
+    stratum, as D does, and the coefficient of its own label below is +-1.
+    """
     m = len(factors)
     n_base = int(np.prod(base.base_cell_shape))
     mask = (region.over(base) if region is not None
@@ -641,7 +677,7 @@ def _section_parts(base, factors, region, a, b):
     axes = [cell.taxis for cell, _, _ in factors]
     covers = [ax.cover[project(np.arange(n_base))]
               for _, ax, project in factors]
-    stalks = [cell.strata[1] for cell, _, _ in factors]
+    stalks = [model.table for model in models]
     tcells = [ax.cells() for ax in axes]
     nt = [len(cells) for cells in tcells]
     # window tuples: flat index over the product of the axes, in product
@@ -658,8 +694,8 @@ def _section_parts(base, factors, region, a, b):
     # it is empty or the t-cell is not one of the cell's axis; t-cell j lies
     # on own stratum (j + 1) // 2
     over = []
-    for (cell, _, project), cover, k in zip(factors, covers, nt):
-        over.append(np.where(cover[cflat] == np.arange(k), cell.strata[0][
+    for (_, _, project), model, cover, k in zip(factors, models, covers, nt):
+        over.append(np.where(cover[cflat] == np.arange(k), model.index[
             np.ix_(project(cflat), (np.arange(k) + 1) // 2)], -1))
     # blocks (cell, window tuple) with every stalk nonempty, in C order;
     # the window tuples that start with one t-cell are consecutive
@@ -700,6 +736,42 @@ def _section_parts(base, factors, region, a, b):
         key += lab[f] * lab_stride[f]
     keys = _Keys(key, (n_base, *nt, *radix))
 
+    def link(src, want, moved, sign):
+        """The entries from the generators src to those with keys want: the
+        keys of src moved to their target strata, labels kept.  moved[f]
+        is None when factor f keeps its stratum, else its target (flat
+        factor base cell, own t-cell) per source.  A factor whose stalks
+        are the record's keeps its label; a moved factor of minimal models
+        sends its label to every critical one of the target stalk,
+        weighted by i.  Returns (sources, targets, coefficients, whether
+        every label is kept, None when all are)."""
+        same = None
+        for f, model in enumerate(models):
+            if model.transfer is None or moved[f] is None:
+                continue
+            fc, ft = moved[f]
+            k = model.index[fc, (ft + 1) // 2]
+            ok = np.flatnonzero(k >= 0)
+            st, (ikeys, icoefs) = model.table, model.transfer
+            count = st.off[k[ok] + 1] - st.off[k[ok]]
+            q = index_ranges(st.off[k[ok]], count)
+            pick = np.repeat(ok, count)
+            src, want, sign = src[pick], want[pick], sign[pick]
+            moved = [None if x is None else (x[0][pick], x[1][pick])
+                     for x in moved]
+            own, new = lab[f][src], st.lab[q]
+            same = (new == own) if same is None else same[pick] & (new == own)
+            ask = slot[f][src] * radix[f] + new
+            at = np.minimum(np.searchsorted(ikeys, ask), len(ikeys) - 1)
+            hit = np.flatnonzero(ikeys[at] == ask)
+            src, same, sign = src[hit], same[hit], sign[hit] * icoefs[at[hit]]
+            want = want[hit] + (new[hit] - own[hit]) * lab_stride[f]
+            moved = [None if x is None else (x[0][hit], x[1][hit])
+                     for x in moved]
+        hit, tgt = keys.search(want)
+        return (src[hit], tgt[hit], sign[hit],
+                None if same is None else same[hit])
+
     ids = np.arange(n, dtype=np.int64)
     parts = []      # (source ids, target ids, integer coefficients)
     gcf = cflat[gc]
@@ -711,26 +783,33 @@ def _section_parts(base, factors, region, a, b):
         t = [wt[gw[has], f] for f in range(m)]
         up = [cover[cf[has], tf] for cover, tf in zip(covers, t)]
         ok = np.flatnonzero(np.logical_and.reduce([u >= 0 for u in up]))
-        want = key[has[ok]] + (cf[has[ok]] - gcf[has[ok]]) * c_stride
+        has = has[ok]
+        want = key[has] + (cf[has] - gcf[has]) * c_stride
         for f in range(m):
             want += (up[f][ok] - t[f][ok]) * t_stride[f]
-        hit, tgt = keys.search(want)
-        has = has[ok[hit]]
-        parts.append((has, tgt[hit], table.sgn[gcf[has], k]))
+        moved = [(project(cf[has]), u[ok])
+                 for (_, _, project), u in zip(factors, up)]
+        parts.append(link(has, want, moved,
+                          table.sgn[gcf[has], k].astype(np.int64))[:3])
     # t-axis cofaces of ('v', i): the intervals of the cell's axis below and
     # above break i
     parity = bdim.copy()
     matching = None
-    for f in range(m):
+    for f, (_, _, project) in enumerate(factors):
         tf = wt[gw, f]
         vert = np.flatnonzero(tf & 1)
         sign = 1 - 2 * (parity[vert] & 1)
         for move, s in ((-1, 1), (1, -1)):
             up = covers[f][gcf[vert], tf[vert] + move]
-            hit, tgt = keys.search(key[vert] + (up - tf[vert]) * t_stride[f])
-            parts.append((vert[hit], tgt[hit], s * sign[hit]))
+            moved = [None] * m
+            moved[f] = (project(gcf[vert]), up)
+            src, tgt, coef, same = link(
+                vert, key[vert] + (up - tf[vert]) * t_stride[f], moved,
+                s * sign)
+            parts.append((src, tgt, coef))
             if matching is None:
-                matching = (vert[hit], tgt[hit])
+                matching = (src, tgt) if same is None else (src[same],
+                                                            tgt[same])
         parity += 1 - (tf & 1)
     for st, q, p, inn in zip(stalks, slot, pos, inner):
         count = st.dptr[q + 1] - st.dptr[q]
@@ -959,15 +1038,22 @@ def section_barcode(F: TameSheaf, region: BaseRegion | None = None) -> Barcode:
     each base cell cut only at the breaks where a stalk of its star
     changes) with a finite top, filtered by that top; a product gives the
     carrier's complex over every pair of such t-cells, each factor on its
-    local axes, filtered by the sum of the two tops.  The local complex is
-    a partial Morse complex of the one on the global t-axes, with the same
-    bars (_total_complex).  The
-    complex of a window [a, b) is the subquotient on the generators whose
-    value lies in [a, b), and an infinite end keeps every finite value, so
-    window_ranks(a, b) gives the sections over every window and the bars
-    are the pushforward barcode.  The reduction runs on the Morse complex
-    of the complex's vertical matching.  The degrees carry the sheaf's
-    shift.
+    local axes, filtered by the sum of the two tops.  The complex is
+    assembled from the minimal models of the stalks (CellSheaf.minimal):
+    each stalk of the record is reduced once by its stalk matching, and
+    only the critical generators are assembled, with the transferred
+    differential (_section_parts).  It is the Morse complex of the complex
+    of every stalk generator under the stalk pairs over every stratum,
+    whose pairs share their value, so it has the same bars; that complex,
+    on the local axes, is kept in tests/local_axis_reference.py as the
+    exact reference, and itself has the bars of the global t-axes
+    (_total_complex).  The transferred complex is certified (d^2 = 0)
+    before its reduction.  The complex of a window [a, b) is the
+    subquotient on the generators whose value lies in [a, b), and an
+    infinite end keeps every finite value, so window_ranks(a, b) gives the
+    sections over every window and the bars are the pushforward barcode.
+    The reduction runs on the Morse complex of the complex's vertical
+    matching.  The degrees carry the sheaf's shift.
     """
     hit = F._barcodes.get(region)
     if hit is None:
@@ -986,7 +1072,9 @@ def _section_barcode(F: TameSheaf, region) -> Barcode:
         cells = (_as_cellsheaf(F),)
         base, pairs = cells[0].base, [(cells[0], _same_cell)]
     factors = [(cell, cell.local_axes, project) for cell, project in pairs]
-    S = _total_complex(base, factors, region, -INF, INF, cells[0].field)
+    S = _section_arrays(base, factors, region, -INF, INF, cells[0].field,
+                        [cell.minimal for cell, _, _ in factors])
+    S.check()
     shift = sum(cell.shift for cell in cells)
     return Barcode([(k - shift, b, x)
                     for k, b, x in S.barcode(S.value, S.matching).bars])

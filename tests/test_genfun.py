@@ -110,6 +110,26 @@ def test_cerf_diagram_shapes():
     assert d2.cusp_x == ()
 
 
+def test_one_cerf_diagram_per_front_table_task(monkeypatch, tmp_path):
+    """The bundled cusp's front-table task reads the Cerf breaks on every
+    microstalk probe (sheaves._local_gap); the diagram is built once, on
+    the family, and kept there."""
+    import os
+    from gfsheaf import genfun, scenarios
+    from gfsheaf.cli import BUNDLED_DIR
+    builds, build = [], genfun.CerfDiagram
+    monkeypatch.setattr(genfun, "CerfDiagram",
+                        lambda *args: builds.append(1) or build(*args))
+    spec = scenarios.load_scenario(os.path.join(BUNDLED_DIR, "cusp.toml"))
+    ctx = scenarios.ScenarioContext(spec)
+    task = next(t for t in spec["tasks"] if t["op"] == "front-table")
+    assert scenarios.run_task(ctx, task, str(tmp_path)) == {"status": "done"}
+    assert len(builds) == 1
+    gf = ctx.genfuns["cusp"]
+    assert cerf_diagram(gf) is cerf_diagram(gf) is gf.cerf
+    assert len(builds) == 1
+
+
 def test_window_regularity_guard():
     gf = cusp_genfun(n_base=16, n_fiber=48)
     with pytest.raises(ValueError):

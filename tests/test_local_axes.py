@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import global_axis_reference as ref
+import local_axis_reference as lref
 from gfsheaf.cli import BUNDLED_DIR
 from gfsheaf.fixtures import cusp_genfun, random_circle_morse, torus_function
 from gfsheaf.genfun import gf_cohomology, graph_genfun
@@ -25,7 +26,7 @@ from gfsheaf.linalg import GF2, QQ
 from gfsheaf.products import ProductHome, convolve, dualize, tensor
 from gfsheaf.scenarios import ScenarioContext, load_scenario
 from gfsheaf.sheaves import (CellSheaf, FiberMasks, TameSheaf,
-                             _as_cellsheaf, _total_complex,
+                             _as_cellsheaf, _section_arrays, _total_complex,
                              materialize_rank_one_tensor,
                              product_section_complex, quantize,
                              section_barcode, to_cellular, unit_sheaf)
@@ -110,12 +111,6 @@ def _sheaves():
 SHEAVES = list(_sheaves())
 
 
-def _local_factors(F):
-    base, factors, shift, field = ref.global_factors(F)
-    return base, [(cell, cell.local_axes, project)
-                  for cell, _, project in factors], field
-
-
 def _keys_by_id(S):
     out = np.empty_like(S._keys.sorted)
     out[S._keys.order] = S._keys.sorted
@@ -130,7 +125,7 @@ def test_local_axes_keep_the_bars_of_the_global_axes(name, F, regions):
             (name, region)
         # the local complex is a subcomplex of generators of the global one,
         # in the same id order, with the same degrees and values
-        base, factors, field = _local_factors(F)
+        base, factors, _, field = lref.local_factors(F)
         L = _total_complex(base, factors, region, -INF, INF, field)
         G = ref.section_arrays(base, ref.global_factors(F)[1], region, -INF,
                                INF, field)
@@ -141,16 +136,20 @@ def test_local_axes_keep_the_bars_of_the_global_axes(name, F, regions):
 
 
 def test_the_cusp_loses_most_of_its_generators():
-    """The section complex of the bundled cusp, local against global."""
+    """The section complex of the bundled cusp: every stalk generator on
+    the global and on the local axes, and the critical ones of the stalks'
+    minimal models on the local axes (section_barcode)."""
     counts = {}
     for scale in (1, 2):
         F = _bundled_cusp(scale)
-        base, factors, field = _local_factors(F)
+        base, factors, _, field = lref.local_factors(F)
         L = _total_complex(base, factors, None, -INF, INF, field)
         G = ref.section_arrays(base, ref.global_factors(F)[1], None, -INF,
                                INF, field)
-        counts[scale] = (len(G.deg), len(L.deg))
-    assert counts == {1: (6673, 3037), 2: (86219, 24431)}
+        M = _section_arrays(base, factors, None, -INF, INF, field,
+                            [F.cell.minimal])
+        counts[scale] = (len(G.deg), len(L.deg), len(M.deg))
+    assert counts == {1: (6673, 3037, 347), 2: (86219, 24431, 1631)}
 
 
 def _star(grid, cell):

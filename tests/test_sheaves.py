@@ -985,7 +985,9 @@ def test_section_barcode_equals_the_unreduced_barcode(seed, kind, over_q,
 def test_verify_all_section_barcodes_equal_the_unreduced_ones(
         seed, tmp_path, monkeypatch):
     # every barcode reduced through a matching in a verify-all pass is
-    # reduced again without it
+    # reduced again without it; the matchings pair more than a quarter of
+    # the generators they see, which are only the critical ones of the
+    # stalks' minimal models
     from gfsheaf.cli import main
     from gfsheaf.complexes import IndexComplex
     barcode = IndexComplex.barcode
@@ -1002,7 +1004,7 @@ def test_verify_all_section_barcodes_equal_the_unreduced_ones(
     assert main(["verify-all", "--grid-scale", "1", "--seed", str(seed),
                  "--out-dir", str(tmp_path)]) == 0
     assert len(seen) >= 10
-    assert sum(n for _, n in seen) > sum(n for n, _ in seen) // 3
+    assert sum(n for _, n in seen) > sum(n for n, _ in seen) // 4
 
 
 def reference_stalk(gf, bc, thr):
