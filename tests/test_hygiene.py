@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gfsheaf"
-# __init__.py imports names to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 # the test modules and the demos import from the package like any caller
 SCRIPTS = sorted(p for d in ("tests", "demos")
                  for p in (SRC.parent.parent / d).glob("*.py"))
@@ -299,12 +298,9 @@ def referenced_names(tree, skip=None):
     return out
 
 
-PACKAGE = sorted(SRC.glob("*.py"))
-
-
 @functools.lru_cache(maxsize=None)
 def package_trees():
-    return {p: ast.parse(p.read_text(), str(p)) for p in PACKAGE}
+    return {p: ast.parse(p.read_text(), str(p)) for p in MODULES}
 
 
 @functools.lru_cache(maxsize=None)
@@ -314,7 +310,7 @@ def caller_trees():
                  for d in CALLERS for p in sorted((ROOT / d).rglob("*.py")))
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_private_names(path):
     trees = package_trees()
     elsewhere = set()
@@ -446,7 +442,7 @@ def test_an_unread_field_is_found():
     assert unread_fields([tree], [reads]) == ["D.dropped", "N.ignored"]
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # python -O strips assert statements, and a check must not go with them
     lines = [node.lineno for node in ast.walk(package_trees()[path])
