@@ -453,10 +453,10 @@ class IndexComplex:
         generator), checking first that no entry decreases the value.
 
         matching, when given, is a pair (lower, upper) of id arrays: lower[j]
-        is matched with upper[j].  Its pairs are checked (_check_matching),
-        and the reduction of _bars runs on the Morse complex of the critical
-        generators (_morse), which has the same bars (Mischaikow-Nanda, DCG
-        2013), in the filtration order (value, degree, id).
+        is matched with upper[j].  The reduction of _bars runs on the Morse
+        complex of its critical generators (retract, which checks the
+        matching), which has the same bars (Mischaikow-Nanda, DCG 2013), in
+        the filtration order (value, degree, id).
         """
         src, tgt, name = self.src(), self.tgt, self.name
         bad = np.flatnonzero(value[tgt] < value[src])
@@ -467,12 +467,85 @@ class IndexComplex:
         del src
         if matching is None:
             matching = (np.zeros(0, np.int64),) * 2
-        lower, upper = matching
-        self._check_matching(value, lower, upper)
-        crit, d = self._morse(lower, upper)
+        crit, (row, col, val), _ = self.retract(value, *matching)
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        entries = zip(col.tolist(), val.tolist())
+        d = {c: dict(itertools.islice(entries, k)) for c, k in
+             zip(row[starts].tolist(),
+                 np.diff(starts, append=len(row)).tolist())}
         order = crit[np.lexsort((crit, self.deg[crit], value[crit]))]
         return _bars(order.tolist(), self.deg.tolist(), value.tolist(), d,
                      self.field)
+
+    def retract(self, value, lower, upper):
+        """The strong deformation retract (i, p, h) onto the critical
+        generators of the matching (lower, upper), checked first on value
+        (_check_matching): (crit, d_M, i), the critical ids in id order, the
+        Morse coboundary on them and the inclusion i(c) = c + h(d c), each
+        (rows, cols, values) sorted by (row, col) and exact in the field.
+
+        Pair j matches s_j = lower[j] with u_j = upper[j] by a_j =
+        d(s_j)[u_j]; inv_j = -1/a_j, taken as -a_j when a_j is +-1 (every
+        pair of cubical and section complexes and of stalk records), so over
+        Q Fractions arise only through non-unit pairs.  With the coboundary
+        blocks D (critical -> critical) and A (critical -> u_j), N[j, j'] =
+        inv_j d(s_j)[u_j'] (nilpotent: the pairs are in a gradient order)
+        and Y0[j, c] = inv_j d(s_j)[c], Z = A sum_k N^k gives d_M = D + Z Y0
+        and i(c) = c + sum_j Z[c, j] inv_j s_j (Mischaikow-Nanda, DCG 2013;
+        Curry-Ghrist-Nanda, FoCM 16, 2016).  Z is taken by repeated
+        squaring, Z <- Z + Z P, P <- P P from Z = A, P = N, in
+        ceil(log2(longest gradient path)) rounds; in a section complex a
+        round is one pointer jump along each t-axis chain.  Only the rows of
+        lower and critical generators are read.  Over F2 the sums are
+        parities, over Q exact sums of Python int object arrays.
+        """
+        self._check_matching(value, lower, upper)
+        n, P, parity = len(self.deg), len(lower), self.field is GF2
+        lift = (lambda c: c & 1) if parity else (lambda c: c.astype(object))
+        role = np.full(n, -1, dtype=np.int64)     # -1: critical, -2: lower
+        role[lower] = -2
+        role[upper] = np.arange(P)
+        crit = np.flatnonzero(role == -1)
+        count = np.diff(self.indptr)
+        e_low = index_ranges(self.indptr[:-1][lower], count[lower])
+        j = np.repeat(np.arange(P), count[lower])     # pair of each entry
+        kind = role[self.tgt[e_low]]      # entries into lowers (-2) drop out
+        a = self.coef[e_low[kind == j]]       # a_j, in pair order
+        inv = lift(-a)
+        if not parity:
+            unit = np.flatnonzero(np.abs(a) != 1)
+            inv[unit] = [Fraction(-1, x) for x in a[unit].tolist()]
+
+        def part(e, rows, cols, scale):
+            """The summed entries e of the coboundary at (rows, cols), each
+            scaled by scale[row] when scale is given."""
+            vals = lift(self.coef[e])
+            if scale is not None:
+                vals = scale[rows] * vals
+            return _sparse_sum([(rows, cols, vals)], n, parity)
+
+        up, to = kind > j, kind == -1
+        path = part(e_low[up], j[up], kind[up], inv)
+        y0 = part(e_low[to], j[to], self.tgt[e_low[to]], inv)
+        e = index_ranges(self.indptr[:-1][crit], count[crit])
+        row, kind = np.repeat(crit, count[crit]), role[self.tgt[e]]
+        up, to = kind >= 0, kind == -1
+        z = part(e[up], row[up], kind[up], None)
+        d = part(e[to], row[to], self.tgt[e[to]], None)
+        del e_low, j, e, row, kind, up, to
+        for _ in range(P.bit_length()):
+            if not len(path[0]):
+                break
+            z = _sparse_sum([z, _sparse_product(z, path, n)], n, parity)
+            path = _sparse_sum([_sparse_product(path, path, n)], n, parity)
+        if len(path[0]):
+            raise RuntimeError("the Morse elimination did not terminate: "
+                               "the matching is not acyclic")
+        d = _sparse_sum([d, _sparse_product(z, y0, n)], n, parity)
+        zr, zj, zv = z
+        i = _sparse_sum([(crit, crit, lift(np.ones(len(crit), np.int64))),
+                         (zr, lower[zj], zv * inv[zj])], n, parity)
+        return crit, d, i
 
     def _check_matching(self, value, lower, upper):
         """Raise ValueError unless (lower, upper) is an acyclic matching in
@@ -513,82 +586,6 @@ class IndexComplex:
         raise ValueError(f"matched pair {s!r} -> {t!r} reaches the upper "
                          f"generator of an earlier pair: the matching has a "
                          f"cycle or is not in gradient order")
-
-    def _morse(self, lower, upper):
-        """The critical ids (in id order) and their Morse coboundaries, a
-        dict critical -> {critical: scalar}, of a checked matching.
-
-        Pair j matches s = lower[j] with u = upper[j]; a_j = d(s)[u] and
-        inv_j = -1/a_j.  Eliminating the pairs in their order trades an
-        entry a * u of a critical's coboundary for a * inv_j * (d(s) - a_j
-        * u), whose upper entries belong to later pairs; entries into lower
-        generators are dropped.  In matrix form, with the blocks of the
-        coboundary D (critical -> critical), A (critical -> upper, by
-        pair), R (lower -> critical, by pair) and M (lower of j -> upper of
-        a later pair j'), N = diag(inv) M and Y0 = diag(inv) R, the Morse
-        coboundary is D + A Y with Y = sum_i N^i Y0.  N is nilpotent (the
-        pairs are in a gradient order), and Y is taken by repeated
-        squaring: Y <- Y + P Y, P <- P P from P = N, Y = Y0, until P
-        vanishes, in ceil(log2(longest gradient path)) rounds.  In a
-        section complex every lower reaches at most one later upper, so a
-        round is one pointer jump along each t-axis chain.  Only the rows
-        of lower and critical generators are read.  Over F2 the sums are
-        parities of int64 entries.  Over Q they are exact sums of Python
-        int object arrays, with inv_j = -a_j when a_j is +-1 (as in every
-        pair of cubical and section complexes) and the Fraction -1/a_j
-        otherwise, so Fractions arise only through non-unit pairs.
-        """
-        F, n, P = self.field, len(self.deg), len(lower)
-        role = np.full(n, -1, dtype=np.int64)     # -1: critical, -2: lower
-        role[lower] = -2
-        role[upper] = np.arange(P)
-        crit = np.flatnonzero(role == -1)
-        count = np.diff(self.indptr)
-        e_low = index_ranges(self.indptr[:-1][lower], count[lower])
-        j = np.repeat(np.arange(P), count[lower])     # pair of each entry
-        kind = role[self.tgt[e_low]]
-        keep = np.flatnonzero(kind != -2)     # entries into lowers drop out
-        e_low, j, kind = e_low[keep], j[keep], kind[keep]
-        own = kind == j
-        a = self.coef[e_low[own]]       # a_j, in pair order
-        if F is GF2:
-            lift, inv = (lambda c: c & 1), a & 1
-        else:
-            lift = lambda c: c.astype(object)
-            inv = np.array([-x if abs(x) == 1 else Fraction(-1, x)
-                            for x in a.tolist()], dtype=object)
-        parity = F is GF2
-        e = np.flatnonzero(kind > j)
-        path = _sparse_sum([(j[e], kind[e],
-                             inv[j[e]] * lift(self.coef[e_low[e]]))], n,
-                           parity)
-        e = np.flatnonzero(kind == -1)
-        y = _sparse_sum([(j[e], self.tgt[e_low[e]],
-                          inv[j[e]] * lift(self.coef[e_low[e]]))], n, parity)
-        del e_low, j, kind, keep, own, e
-        for _ in range(P.bit_length()):
-            if not len(path[0]):
-                break
-            y = _sparse_sum([y, _sparse_product(path, y, n)], n, parity)
-            path = _sparse_sum([_sparse_product(path, path, n)], n, parity)
-        if len(path[0]):
-            raise RuntimeError("the Morse elimination did not terminate: "
-                               "the matching is not acyclic")
-        e_crit = index_ranges(self.indptr[:-1][crit], count[crit])
-        row = np.repeat(crit, count[crit])
-        kind = role[self.tgt[e_crit]]
-        up, to = np.flatnonzero(kind >= 0), np.flatnonzero(kind == -1)
-        row, col, val = _sparse_sum(
-            [(row[to], self.tgt[e_crit[to]], lift(self.coef[e_crit[to]])),
-             _sparse_product((row[up], kind[up],
-                              lift(self.coef[e_crit[up]])), y, n)], n,
-            parity)
-        starts = np.flatnonzero(np.diff(row, prepend=-1))
-        entries = zip(col.tolist(), val.tolist())
-        return crit, {c: dict(itertools.islice(entries, k)) for c, k in
-                      zip(row[starts].tolist(),
-                          np.diff(starts, append=len(row)).tolist())}
-
 
 def _sparse_product(a, b, n):
     """The entries of the product a b of two sparse matrices, each given

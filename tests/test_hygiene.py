@@ -1,7 +1,8 @@
 """Every module-level import of the package, its tests and its demos is
 used in its module, no function imports again a name its module already
 imports, every module-level private name is used somewhere in the
-package, every defaulted parameter is passed by some call, every record
+package, no module but complexes.py names the private kernel of the Morse
+elimination, every defaulted parameter is passed by some call, every record
 field is read, no assert statement stands in for a check, and the README
 lists the task ops and command-line options that exist."""
 
@@ -322,6 +323,19 @@ def test_no_dead_private_names(path):
                   if name not in elsewhere
                   and name not in referenced_names(tree, skip=node))
     assert dead == []
+
+
+# the private kernel of the package's one Morse elimination,
+# complexes.IndexComplex.retract
+MORSE_KERNEL = {"_sparse_product", "_sparse_sum", "_check_matching"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_complexes_names_the_morse_kernel(path):
+    # another module eliminates a matching through IndexComplex.retract,
+    # which checks the matching first
+    names = referenced_names(package_trees()[path]) & MORSE_KERNEL
+    assert path.name == "complexes.py" or names == set()
 
 
 def exception_classes(trees):

@@ -3,12 +3,15 @@
 section_barcode reduces each record stalk once by its stalk matching
 (CellSheaf.minimal) and assembles only the critical generators, with the
 transferred differential.  Its bars must equal those of the complex with
-every stalk generator (tests/local_axis_reference.py), bar for bar, and
-the minimal complex must be certified like every section complex.
+every stalk generator (tests/local_axis_reference.py), bar for bar, the
+minimal complex must be certified like every section complex, and the
+retract of every stalk must be exact: the reference's Morse differential
+and an inclusion that is a chain map.
 """
 
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,11 +23,12 @@ from gfsheaf.complexes import IndexComplex
 from gfsheaf.fixtures import (cusp_genfun, pure_quad_genfun,
                               random_circle_morse)
 from gfsheaf.genfun import box_sum, graph_genfun
-from gfsheaf.linalg import GF2, QQ
+from gfsheaf.linalg import GF2, QQ, add_scaled
 from gfsheaf.minimal import StalkModel, stalk_pairs
 from gfsheaf.sheaves import (CellSheaf, _as_cellsheaf, _section_arrays,
                              quantize, section_barcode, to_cellular)
 from test_local_axes import SHEAVES, _arc, _bundled_cusp, _torus_pair
+from test_morse_oracle import morse_rows, reference_morse
 
 INF = math.inf
 
@@ -68,12 +72,16 @@ def test_the_16x16_torus_pair_keeps_its_bars():
     assert section_barcode(F) == ref.section_barcode(F)
 
 
-def test_a_two_dimensional_fiber_keeps_its_bars():
+def _two_dimensional_fiber():
     """A cusp stabilized by a quadratic fiber direction: its stalks are
     masks over a 2-d fiber, paired along the last fiber axis."""
     cusp = cusp_genfun(10, 32)
     gf = box_sum(cusp, pure_quad_genfun(cusp.grid.base, (1.0,), 4.0, 16))
-    F = to_cellular(quantize(gf), spot_checks=0)
+    return to_cellular(quantize(gf), spot_checks=0)
+
+
+def test_a_two_dimensional_fiber_keeps_its_bars():
+    F = _two_dimensional_fiber()
     assert section_barcode(F) == ref.section_barcode(F)
     assert len(F.cell.minimal.table.lab) < len(F.cell.strata[1].lab) // 4
 
@@ -103,7 +111,7 @@ def test_the_restriction_carries_every_stalk_pair_to_a_pair():
         for cell in _cells(F):
             st = cell.strata[1]
             stalk, src, tgt = _record_entries(st)
-            lower, upper, _ = stalk_pairs(st, src, tgt)
+            lower, upper = stalk_pairs(st, src, tgt)
             assert len(np.unique(np.concatenate([lower, upper]))) == \
                 2 * len(lower), name
             pairs = set(zip(st.lab[lower].tolist(), st.lab[upper].tolist()))
@@ -140,9 +148,9 @@ def test_a_stalk_pair_across_stalks_is_refused():
     upper."""
     st = _bundled_cusp(1).cell.strata[1]
     stalk, src, tgt = _record_entries(st)
-    lower, upper, _ = stalk_pairs(st, src, tgt)
+    lower, upper = stalk_pairs(st, src, tgt)
     record = IndexComplex(st.ldeg, st.dptr, tgt, st.dcoef, GF2, int)
-    record._check_matching(np.zeros(len(st.lab)), lower, upper)
+    record.retract(np.zeros(len(st.lab)), lower, upper)
     free = np.ones(len(st.lab), dtype=bool)
     free[np.concatenate([lower, upper])] = False
     # a critical slot of the lower's label in another stalk
@@ -152,7 +160,68 @@ def test_a_stalk_pair_across_stalks_is_refused():
     moved = lower.copy()
     moved[j] = q
     with pytest.raises(ValueError, match="is not a coface"):
-        record._check_matching(np.zeros(len(st.lab)), moved, upper)
+        record.retract(np.zeros(len(st.lab)), moved, upper)
+
+
+RECORDS = {"cusp-1": lambda: _bundled_cusp(1).cell,
+           "cusp-2": lambda: _bundled_cusp(2).cell,
+           "2-d-fiber": lambda: _two_dimensional_fiber().cell}
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_every_stalk_retract_is_exact(name, field):
+    """The retract of a stalk record under its stalk matching, one stalk
+    at a time: d_M is the reference's Morse differential, every i(c) lies
+    in the stalk of c with critical part c, and i is a chain map, d(i(c))
+    = i(d_M(c)), exactly in the field."""
+    cell = RECORDS[name]()
+    st = CellSheaf(cell.base, cell.taxis, cell.source, field=field).strata[1]
+    stalk, src, tgt = _record_entries(st)
+    lower, upper = stalk_pairs(st, src, tgt)
+    assert len(lower)
+    K = IndexComplex(st.ldeg, st.dptr, tgt, st.dcoef, field, int)
+    crit, d_M, i = K.retract(np.zeros(len(st.lab)), lower, upper)
+    ref_crit, ref_rows = reference_morse(K, lower, upper, K.src())
+    assert crit.tolist() == ref_crit.tolist()
+    d_M = morse_rows(d_M)
+    assert d_M == ref_rows
+    coerce = lambda row: {g: field.coerce(v) for g, v in row.items()}
+    d = {g: coerce(dict(zip(tgt[a:b].tolist(), st.dcoef[a:b].tolist())))
+         for g, (a, b) in enumerate(zip(st.dptr[:-1].tolist(),
+                                        st.dptr[1:].tolist()))}
+    i = {c: coerce(row) for c, row in morse_rows(i).items()}
+    critical = set(crit.tolist())
+    for c in crit.tolist():
+        k = int(stalk[c])
+        assert {int(stalk[g]) for g in i[c]} == {k}, k
+        assert {g: v for g, v in i[c].items() if g in critical} == \
+            {c: field.one()}, k
+        di, idm = {}, {}
+        for g, v in i[c].items():
+            add_scaled(di, d[g], v, field)
+        for g, v in coerce(d_M.get(c, {})).items():
+            add_scaled(idm, i[g], v, field)
+        assert di == idm, k
+
+
+def test_one_retract_per_stalk_record_and_per_section_complex(monkeypatch):
+    """The first section barcode of the bundled cusp reduces its stalk
+    record (CellSheaf.minimal) and its section complex, one
+    IndexComplex.retract each; the barcode of a second region reduces
+    only its own section complex."""
+    F = _bundled_cusp(1)
+    retract, calls = IndexComplex.retract, []
+
+    def counted(self, value, lower, upper):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return retract(self, value, lower, upper)
+
+    monkeypatch.setattr(IndexComplex, "retract", counted)
+    section_barcode(F)
+    assert calls == ["minimal_stalks", "barcode"]
+    section_barcode(F, _arc(F.base_grid, 1, 9))
+    assert calls == ["minimal_stalks", "barcode", "barcode"]
 
 
 def test_the_section_barcode_of_the_scale_2_cusp_stays_small():

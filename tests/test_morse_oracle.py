@@ -1,16 +1,17 @@
-"""The Morse elimination of IndexComplex.barcode against the pair-by-pair
-dict elimination it replaced.
+"""The Morse elimination of the package (IndexComplex.retract) against
+the pair-by-pair dict elimination it replaced.
 
 reference_morse below is that elimination unchanged (self is the
 IndexComplex).  The critical ids and every Morse coboundary row must agree
 exactly in the field on the random acyclic matchings of the matching sweep
 (F2 and Q), on hand-built matchings over Q with non-unit matched entries,
-a long chain of pairs and a branching gradient DAG, and on every matched
-barcode of verify-all.
+a long chain of pairs and a branching gradient DAG, and on every retract
+of verify-all: those of its matched barcodes and of its stalk records.
 """
 
 import contextlib
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -88,13 +89,23 @@ def reference_morse(self, lower, upper, src):
     return crit, {c: row for c, row in morse.items() if row}
 
 
-def assert_same_morse(K, lower, upper):
-    """The elimination of K under (lower, upper) equals the reference's:
-    the same critical ids and the same rows, exact in the field."""
-    crit, rows = K._morse(lower, upper)
+def morse_rows(d_M):
+    """The rows r -> {c: v} of a sparse matrix of retract, d_M or i, given
+    as (rows, cols, values)."""
+    rows = {}
+    for r, c, v in zip(*(x.tolist() for x in d_M)):
+        rows.setdefault(r, {})[c] = v
+    return rows
+
+
+def assert_same_morse(K, value, lower, upper):
+    """The retract of K under (lower, upper), checked on value, has the
+    reference's elimination: the same critical ids and the same rows,
+    exact in the field."""
+    crit, d_M, _ = K.retract(value, lower, upper)
     ref_crit, ref_rows = reference_morse(K, lower, upper, K.src())
     assert crit.tolist() == ref_crit.tolist()
-    assert rows == ref_rows
+    assert morse_rows(d_M) == ref_rows
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +115,7 @@ def assert_same_morse(K, lower, upper):
 def test_the_elimination_matches_the_reference_on_the_sweep(field):
     matched = 0
     for _, K, value, (lower, upper) in random_matched_cases(field):
-        K._check_matching(value, lower, upper)
-        assert_same_morse(K, lower, upper)
+        assert_same_morse(K, value, lower, upper)
         matched += bool(len(lower))
     assert matched > 23
 
@@ -158,7 +168,7 @@ def test_a_hand_built_matching_over_q_keeps_the_bars(name):
     bars = K.barcode(value)
     assert bars.bars
     assert K.barcode(value, (lower, upper)) == bars
-    assert_same_morse(K, lower, upper)
+    assert_same_morse(K, value, lower, upper)
 
 
 def test_the_hand_built_morse_rows_are_exact():
@@ -168,32 +178,35 @@ def test_the_hand_built_morse_rows_are_exact():
     for name, rows in want.items():
         d, pairs = HAND_BUILT[name]
         K, value, (lower, upper) = _hand_built(d, pairs)
-        crit, got = K._morse(lower, upper)
+        _, d_M, _ = K.retract(value, lower, upper)
         named = {K.name(c): {K.name(h): v for h, v in row.items()}
-                 for c, row in got.items()}
+                 for c, row in morse_rows(d_M).items()}
         assert named == rows, name
 
 
 # ---------------------------------------------------------------------------
-# every matched barcode of verify-all
+# every retract of verify-all
 
 @pytest.mark.parametrize("seed, scale", [(1, 1), (2, 1), (3, 1), (4, 1),
                                          (1, 2)])
 def test_every_matched_barcode_of_verify_all_matches_the_reference(
         tmp_path, monkeypatch, seed, scale):
-    morse = IndexComplex._morse
-    seen = []
+    """Every retract of a verify-all run, of a matched barcode or of a
+    stalk record (minimal.minimal_stalks), has the reference's rows."""
+    retract = IndexComplex.retract
+    seen = {"barcode": [], "minimal_stalks": []}
 
-    def compared(self, lower, upper):
-        got = morse(self, lower, upper)
+    def compared(self, value, lower, upper):
+        got = retract(self, value, lower, upper)
         ref = reference_morse(self, lower, upper, self.src())
         assert got[0].tolist() == ref[0].tolist()
-        assert got[1] == ref[1]
-        seen.append(len(lower))
+        assert morse_rows(got[1]) == ref[1]
+        seen[sys._getframe(1).f_code.co_name].append(len(lower))
         return got
 
-    monkeypatch.setattr(IndexComplex, "_morse", compared)
+    monkeypatch.setattr(IndexComplex, "retract", compared)
     with contextlib.redirect_stdout(io.StringIO()):
         main(["verify-all", "--seed", str(seed), "--grid-scale", str(scale),
               "--out-dir", str(tmp_path)])
-    assert sum(1 for p in seen if p) >= 10
+    assert sum(1 for p in seen["barcode"] if p) >= 10
+    assert seen["minimal_stalks"]
