@@ -269,12 +269,22 @@ class SampledFunction:
 
     @staticmethod
     def from_expr(grid: BoxGrid, expr):
+        """expr sampled at the vertices of grid; an ExprError when a sample
+        is not finite (a pole, an overflow or 0/0 at a vertex)."""
         coords = np.meshgrid(*(g.vertex_coords() for g in grid.axes),
                              indexing="ij")
         names = ["x", "y"][: len(grid.base)] + ["xi", "eta"][: len(grid.fiber)]
-        vals = exprs.evaluate(expr, **dict(zip(names, coords)))
+        with np.errstate(all="ignore"):
+            vals = exprs.evaluate(expr, **dict(zip(names, coords)))
         vals = np.broadcast_to(np.asarray(vals, dtype=float),
                                grid.vertex_shape).copy()
+        bad = np.argwhere(~np.isfinite(vals))
+        if len(bad):
+            at = tuple(bad[0])
+            where = ", ".join(f"{name} = {c[at]:.6g}"
+                              for name, c in zip(names, coords))
+            raise exprs.ExprError(f"the expression {expr!r} is {vals[at]} at "
+                                  f"the grid vertex {where}")
         return SampledFunction(grid, vals)
 
     def cell_max(self):

@@ -19,8 +19,8 @@ from .complexes import apply_d, class_coordinates, index_ranges
 from .genfun import GenFun, box_sum, graph_genfun, negate, stacked_sum
 from .grids import BoxGrid
 from .linalg import GF2
-from .sheaves import (CellSheaf, SectionArrays, TameSheaf, _as_cellsheaf,
-                      _band_floor, _full_axes, _product_factors, _same_cell,
+from .sheaves import (CellSheaf, ProductSheaf, Quantization, SectionArrays,
+                      TameSheaf, _full_axes, _product_factors, _same_cell,
                       _total_complex, quantize, section_barcode, sections,
                       to_cellular, unit_sheaf)
 
@@ -48,17 +48,17 @@ def _through_gf(F: TameSheaf, G: TameSheaf, strategy):
     if strategy not in STRATEGIES:
         raise ValueError(
             f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    _band_floor(F)  # raises when no finite support band exists
-    _band_floor(G)
-    return strategy == "auto" and F.kind == "gf" and G.kind == "gf"
+    F.band_floor()  # raises when no finite support band exists
+    G.band_floor()
+    return strategy == "auto" and isinstance(F, Quantization) and \
+        isinstance(G, Quantization)
 
 
 def convolve(F: TameSheaf, G: TameSheaf, strategy="auto") -> TameSheaf:
     """Sum-pushforward of the external product, on the product base."""
     if _through_gf(F, G, strategy):
         return quantize(external_box_sum(F.gf, G.gf))
-    return TameSheaf("prod", factors=(F, G), diagonal=False,
-                     label=f"({F.label})*({G.label})")
+    return ProductSheaf(F, G, False)
 
 
 def tensor(F: TameSheaf, G: TameSheaf, strategy="auto") -> TameSheaf:
@@ -67,8 +67,7 @@ def tensor(F: TameSheaf, G: TameSheaf, strategy="auto") -> TameSheaf:
         raise ValueError("tensor requires a shared base grid")
     if _through_gf(F, G, strategy):
         return quantize(box_sum(F.gf, G.gf))
-    return TameSheaf("prod", factors=(F, G), diagonal=True,
-                     label=f"({F.label})(x)({G.label})")
+    return ProductSheaf(F, G, True)
 
 
 def unit(grid: BoxGrid) -> TameSheaf:
@@ -88,11 +87,10 @@ def dualize(F: TameSheaf) -> TameSheaf:
     quantizations), where the dual is the reflected indicator; both families
     are cross-validated against the GF route in the test suite.
     """
-    if F.kind == "gf":
+    if isinstance(F, Quantization):
         return quantize(negate(F.gf))
-    if F.kind == "cell":
-        cell = F.cell
-        ind = cell.indicator
+    if isinstance(F, CellSheaf):
+        ind = F.indicator
         if ind is None:
             raise ValueError(
                 "cellular dualize is implemented for indicator presentations "
@@ -103,15 +101,15 @@ def dualize(F: TameSheaf) -> TameSheaf:
             _, region, t0 = ind
             # the dual of the full unit is the full unit (reflected level)
             comp = None if region is None else region.complement_closure()
-            out = unit_sheaf(cell.base, comp, -t0)
+            out = unit_sheaf(F.base, comp, -t0)
             out.label = f"dual({F.label})"
             return out
         if kind == "graph":
             f = ind[1]
             return to_cellular(quantize(graph_genfun(-f)), spot_checks=0)
         raise ValueError(f"unknown indicator kind {kind!r}")
-    if F.kind != "prod":
-        raise ValueError(f"a {F.kind} presentation ({F.label}) has no dual")
+    if not isinstance(F, ProductSheaf):
+        raise ValueError(f"{F!r} has no dual")
     A, B = F.factors
     dA, dB = dualize(A), dualize(B)
     if F.diagonal:
@@ -196,15 +194,14 @@ def unit_morphisms(F: TameSheaf) -> UnitMorphisms:
     """u: unit -> (dual F) tensor F and v back, with v o u the identity on
     degree-0 sections over (-oo, lambda) for every lambda > 0 (verified by
     the caller or the test suite on a threshold ladder)."""
-    CA = _as_cellsheaf(dualize(F))
-    CB = _as_cellsheaf(F)
+    CA = dualize(F).cellular
+    CB = F.cellular
     for C in (CA, CB):
         if (C.corners.size[:, -1] > 1).any():
             raise ValueError(
                 "unit/cup morphisms are implemented for sheaves with rank-one "
                 "stalks (unit-type and graph quantizations)")
-    W = tensor(TameSheaf("cell", cell=CA, label="dualF"),
-               TameSheaf("cell", cell=CB, label="F"), strategy="cell")
+    W = tensor(CA, CB, strategy="cell")
     top = (len(CA.taxis.breaks) - 1, len(CB.taxis.breaks) - 1)
     return UnitMorphisms(W, CA, CB, top)
 
@@ -226,15 +223,12 @@ def verify_unit_composition(F: TameSheaf, lambdas):
             for j in range(len(um.CB.taxis.breaks))]
     below = [abs(s) for s in sums if abs(s) > 1e-9]
     eps = min(below) / 2 if below else 0.5
-    ceil = max(sums) + 1.0
-    base, pairs = _product_factors(um.CA, um.CB, True)
-    WC = _total_complex(base, _full_axes(pairs), None, -eps, ceil,
-                        um.CA.field)
+    WC = ProductHome(um.CA, um.CB, -eps).complex
     z = um.u_cocycle(WC)
     if not z or apply_d(WC, z):
         raise AssertionError("u image is missing or not closed")
-    UC = _total_complex(U.cell.base, _full_axes([(U.cell, _same_cell)]),
-                        None, -eps, ceil, U.cell.field)
+    UC = _total_complex(U.base, _full_axes([(U, _same_cell)]), None, -eps,
+                        max(sums) + 1.0, U.field)
     img = um.v_apply(z, WC, UC)
     if apply_d(UC, img):
         raise AssertionError("v o u image is not closed")

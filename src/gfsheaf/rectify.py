@@ -27,6 +27,7 @@ from .floer import clamp_schedule, stabilize
 from .grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
                     sublevel_filtration)
 from .linalg import GF2, add_scaled, rank_of_columns, solve_columns
+from .sheaves import TameSheaf
 
 INF = math.inf
 
@@ -540,7 +541,7 @@ def _e2_direct(R: RectifiedComplex):
     return e2
 
 
-class LimitSheaf:
+class LimitSheaf(TameSheaf):
     """The conormal-limit sheaf of a graph brane, evaluated lazily.
 
     A section query over a region runs the decreasing clamp schedule of that
@@ -551,7 +552,7 @@ class LimitSheaf:
     raises StabilizationError carrying the last two tables.  Every returned
     number is computed through the twisting differential, so
     route-independence tests against the direct quantization have genuine
-    content.
+    content.  Rectification runs over F2: TameSheaf.sections refuses Q.
     """
 
     def __init__(self, target: SampledFunction, ks=(1, 2, 3, 4)):
@@ -561,13 +562,15 @@ class LimitSheaf:
         self.ks = tuple(ks)
         lo, hi = target.range()
         self.span = (hi - lo) + 1.0
-        self._barcodes = {}  # (region, rung) -> Barcode
+        self.base_grid = target.grid.base_only()
+        self.label = "sheafify_limit"
+        self._rungs = {}  # (region, rung) -> Barcode
 
-    def breakpoints(self):
+    def breaks(self):
         cm = self.target.cell_max()
         return tuple(sorted({round(float(v), 9) for v in cm.ravel()}))
 
-    def sections(self, region, a, b):
+    def _window_ranks(self, region, a, b):
         region = region or BaseRegion(self.target.grid)
         if a == -INF:
             a = float(self.target.values.min()) - 2 * self.span
@@ -581,20 +584,17 @@ class LimitSheaf:
     def _barcode(self, region, rung):
         """The barcode of the rectified complex of one rung over a region."""
         key = (region, rung)
-        if key not in self._barcodes:
+        if key not in self._rungs:
             clamps = clamp_schedule(region, self.span, self.ks[: rung + 1])
             diagram = strict_geometric_diagram(clamps[::-1], self.target)
-            self._barcodes[key] = \
+            self._rungs[key] = \
                 RectifiedComplex(diagram, 0).filtered.barcode()
-        return self._barcodes[key]
+        return self._rungs[key]
 
 
-def sheafify_limit(target: SampledFunction, ks=(1, 2, 3, 4)):
+def sheafify_limit(target: SampledFunction, ks=(1, 2, 3, 4)) -> LimitSheaf:
     """The lazily-evaluated conormal-limit sheaf of the graph of d(target)."""
-    from .sheaves import TameSheaf
-    out = TameSheaf("limit", label="sheafify_limit")
-    out.limit = LimitSheaf(target, ks)
-    return out
+    return LimitSheaf(target, ks)
 
 
 def serialize_diagram(diagram: CoherentDiagram):

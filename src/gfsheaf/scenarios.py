@@ -626,7 +626,6 @@ def _task_cup(ctx, task, out_dir):
     from .fixtures import random_circle_morse
     from .products import (ProductHome, class_table, cup_product,
                            floer_to_product_classes)
-    from .sheaves import _as_cellsheaf
     rng = random.Random(ctx.seed)
     n = _integer(task.get("n", 12), "n", 4, MAX_AXIS_N)
     rows = [("triple", "entry", "pant", "sum_product")]
@@ -649,10 +648,10 @@ def _task_cup(ctx, task, out_dir):
             B1 = home1.canonical_basis()
             B2 = home2.canonical_basis()
             B3 = target.canonical_basis()
-            CA1 = _as_cellsheaf(dualize(quantize(graph_genfun(f))))
-            CB2 = _as_cellsheaf(quantize(graph_genfun(g)))
-            CA2 = _as_cellsheaf(dualize(quantize(graph_genfun(g))))
-            CB3 = _as_cellsheaf(quantize(graph_genfun(h)))
+            CA1 = dualize(quantize(graph_genfun(f))).cellular
+            CB2 = quantize(graph_genfun(g)).cellular
+            CA2 = dualize(quantize(graph_genfun(g))).cellular
+            CB3 = quantize(graph_genfun(h)).cellular
             out_home = ProductHome(CA1, CB3, lam + mu)
             alpha = floer_to_product_classes(ProductHome(CA1, CB2, lam), B1)
             beta = floer_to_product_classes(ProductHome(CA2, CB3, mu), B2)

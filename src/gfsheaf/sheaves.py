@@ -1,10 +1,12 @@
 """Constructible sheaf models on N x R.
 
-A tame sheaf is carried in one of three presentations:
+A tame sheaf (TameSheaf) has one class per presentation, three here and
+the conormal limit in rectify (LimitSheaf):
 
-  * GF: a generating function; section queries reduce to windowed pairs of
-    sublevel sets (with the canonical degree shift applied once, here).
-  * Cellular: a stratification of N x R by base cells and breakpoint
+  * Quantization: a generating function; section queries reduce to
+    windowed pairs of sublevel sets (with the canonical degree shift
+    applied once, here).
+  * CellSheaf: a stratification of N x R by base cells and breakpoint
     intervals, a stalk complex per stratum given by a StalkSource (a rule
     over (base cell, threshold)), and generization maps that match
     generators by label (restrictions are projections, extensions are
@@ -12,8 +14,8 @@ A tame sheaf is carried in one of three presentations:
     as masks over the cells of its fiber (FiberMasks); unit sheaves and
     rank-one tensors give one generator above a per-cell opening threshold
     (RankOneStalks).
-  * Product: a pair of factors on a shared or doubled base with the sum
-    pushforward evaluated through the discretized two-axis model.
+  * ProductSheaf: a pair of factors on a shared or doubled base with the
+    sum pushforward evaluated through the discretized two-axis model.
 
 Sections are computed as cochain complexes over the cells of the queried
 region.  A cellular sheaf is constant on its own strata: CellSheaf.stalk
@@ -418,9 +420,44 @@ class RankOneStalks(StalkSource):
 
 
 # ---------------------------------------------------------------------------
+# tame sheaves
+
+class TameSheaf:
+    """A constructible object on N x R, one subclass per presentation
+    (Quantization, CellSheaf, ProductSheaf, rectify.LimitSheaf), each with
+    its base_grid, sections(region, a, b, field, check_regular) (degree ->
+    rank), breaks() (where its stalks may change), band_floor() (a value
+    below its support band) and cellular form.  Shared here: the section
+    barcode route, over F2 only, memoised per region, and the refusals."""
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.label})"
+
+    @functools.cached_property
+    def _barcodes(self):
+        return {}   # region (None: all of N) -> section_barcode
+
+    def sections(self, region, a, b, field, check_regular):
+        if field is not GF2:
+            raise ValueError(f"{self!r} is F2-only; use a generating-family "
+                             f"presentation for Q")
+        return self._window_ranks(region, a, b)
+
+    def _window_ranks(self, region, a, b):
+        return section_barcode(self, region).window_ranks(a, b)
+
+    def band_floor(self):
+        raise ValueError(f"{self!r} has no support band")
+
+    @property
+    def cellular(self) -> "CellSheaf":
+        raise ValueError(f"{self!r} has no cellular form")
+
+
+# ---------------------------------------------------------------------------
 # cellular presentation
 
-class CellSheaf:
+class CellSheaf(TameSheaf):
     """Stratified presentation: the stalk over (base cell, threshold) comes
     from a StalkSource, source.
 
@@ -442,6 +479,20 @@ class CellSheaf:
         # ('region', region or None, t0) | ('graph', f) | None
         self.indicator = indicator
         self._cache = {}    # (base cell, own stratum index) -> Stalk
+
+    @property
+    def base_grid(self) -> BoxGrid:
+        return self.base
+
+    def breaks(self):
+        return self.taxis.breaks
+
+    def band_floor(self):
+        return self.taxis.breaks[0] - 0.25
+
+    @property
+    def cellular(self) -> "CellSheaf":
+        return self
 
     def stalk(self, base_cell, threshold):
         """The stalk over base_cell of the own stratum ('e', i) that
@@ -880,47 +931,38 @@ class SectionArrays(IndexComplex):
 
 
 # ---------------------------------------------------------------------------
-# the tame sheaf wrapper
+# the GF presentation
 
-class TameSheaf:
-    """A constructible object on N x R in GF, cellular, or product form."""
+class Quantization(TameSheaf):
+    """The pushforward sheaf of a generating function, shift recorded: its
+    windows are the generating family's pair cohomology (gf_cohomology)."""
 
-    def __init__(self, kind, *, gf=None, cell=None, factors=None,
-                 diagonal=True, label=""):
-        self.kind = kind
+    def __init__(self, gf: GenFun):
         self.gf = gf
-        self.cell = cell
-        self.factors = factors
-        self.diagonal = diagonal
-        self.limit = None  # populated for kind == 'limit'
-        self.label = label or kind
-        self._barcodes = {}  # region (None: all of N) -> section_barcode
-        self._cellular = None  # the CellSheaf _as_cellsheaf built, once
+        self.base_grid = gf.base_grid
+        self.label = f"quantize(k={gf.k},i={gf.i_q})"
 
-    @property
-    def base_grid(self) -> BoxGrid:
-        if self.kind == "gf":
-            return self.gf.base_grid
-        if self.kind == "cell":
-            return self.cell.base
-        if self.kind == "limit":
-            return self.limit.target.grid.base_only()
-        F, G = self.factors
-        if self.diagonal:
-            return F.base_grid
-        return BoxGrid(F.base_grid.base + G.base_grid.base, ())
+    def sections(self, region, a, b, field, check_regular):
+        return gf_cohomology(self.gf, region, a, b, field, check_regular)
 
-    def __repr__(self):
-        return f"TameSheaf({self.label})"
+    def breaks(self):
+        return cerf_diagram(self.gf).breakpoints
+
+    def band_floor(self):
+        return strand_value_range(self.gf)[0] - 0.125 * (1 + self.gf.tau_val())
+
+    @functools.cached_property
+    def cellular(self) -> CellSheaf:
+        return to_cellular(self, spot_checks=0)
 
 
-def quantize(gf: GenFun) -> TameSheaf:
+def quantize(gf: GenFun) -> Quantization:
     """The pushforward sheaf of a generating function, shift recorded."""
-    return TameSheaf("gf", gf=gf, label=f"quantize(k={gf.k},i={gf.i_q})")
+    return Quantization(gf)
 
 
 def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
-               t0=0.0) -> TameSheaf:
+               t0=0.0) -> CellSheaf:
     """Constant sheaf on (closed region) x [t0, oo) as a cellular object."""
     base = grid.base_only()
     opens = np.full(base.base_cell_shape, t0, dtype=float)
@@ -928,21 +970,18 @@ def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
         opens[~region.over(base)] = INF
     stalks = RankOneStalks(opens, np.zeros(opens.shape, dtype=np.int64),
                            ("k",))
-    return TameSheaf("cell",
-                     cell=CellSheaf(base, TAxis((t0,)), stalks, shift=0,
-                                    label="unit",
-                                    indicator=("region", region, t0)),
-                     label=f"k_[{t0},oo)")
+    return CellSheaf(base, TAxis((t0,)), stalks, shift=0,
+                     label=f"k_[{t0},oo)", indicator=("region", region, t0))
 
 
-def to_cellular(F: TameSheaf, spot_checks=20) -> TameSheaf:
+def to_cellular(F: TameSheaf, spot_checks=20) -> CellSheaf:
     """Cellular presentation of a GF sheaf: breakpoints at strand values,
     stalks the floored fiber complexes, held as masks over the fiber cells
     (FiberMasks); spot-checked against the GF route.  Refused when its
     local axes cut more than MAX_STRATA strata (base cell, local t-cell),
     and at once, before any stalk is read, when its global axis cuts more
     than 4 * MAX_STRATA."""
-    if F.kind != "gf":
+    if not isinstance(F, Quantization):
         raise ValueError("to_cellular expects a GF presentation")
     gf = F.gf
     diagram = cerf_diagram(gf)
@@ -966,12 +1005,11 @@ def to_cellular(F: TameSheaf, spot_checks=20) -> TameSheaf:
     if strata > MAX_STRATA:
         raise ValueError(f"stratification too large ({strata} strata "
                          f"cells); coarsen the grid")
-    out = TameSheaf("cell", cell=cell, label=cell.label)
-    _spot_check_cellular(F, out, spot_checks)
-    return out
+    _spot_check_cellular(F, cell, spot_checks)
+    return cell
 
 
-def _spot_check_cellular(F_gf: TameSheaf, F_cell: TameSheaf, n):
+def _spot_check_cellular(F_gf: Quantization, F_cell: CellSheaf, n):
     """n random regions and windows on which F_cell's sections must equal
     the GF route's; with n = 0 the family's window bounds are not read."""
     if not n:
@@ -1019,14 +1057,7 @@ def sections(F: TameSheaf, region: BaseRegion | None, a, b, field=GF2,
     """H^*(region x [a, b[, F) as a map degree -> rank."""
     if not a < b:
         raise ValueError("window requires a < b")
-    if F.kind != "gf" and field is not GF2:
-        raise ValueError("stratified and product presentations are F2-only; "
-                         "use a generating-family presentation for Q")
-    if F.kind == "gf":
-        return gf_cohomology(F.gf, region, a, b, field, check_regular)
-    if F.kind == "limit":
-        return F.limit.sections(region, a, b)
-    return section_barcode(F, region).window_ranks(a, b)
+    return F.sections(region, a, b, field, check_regular)
 
 
 def section_barcode(F: TameSheaf, region: BaseRegion | None = None) -> Barcode:
@@ -1062,14 +1093,13 @@ def section_barcode(F: TameSheaf, region: BaseRegion | None = None) -> Barcode:
 
 
 def _section_barcode(F: TameSheaf, region) -> Barcode:
-    if F.kind == "prod":
-        A, B = F.factors
-        cells = (_as_cellsheaf(A), _as_cellsheaf(B))
+    if isinstance(F, ProductSheaf):
+        cells = [G.cellular for G in F.factors]
         if F.diagonal and cells[0].base != cells[1].base:
             raise ValueError("diagonal product requires a shared base grid")
         base, pairs = _product_factors(*cells, F.diagonal)
     else:
-        cells = (_as_cellsheaf(F),)
+        cells = [F.cellular]
         base, pairs = cells[0].base, [(cells[0], _same_cell)]
     factors = [(cell, cell.local_axes, project) for cell, project in pairs]
     S = _section_arrays(base, factors, region, -INF, INF, cells[0].field,
@@ -1082,22 +1112,9 @@ def _section_barcode(F: TameSheaf, region) -> Barcode:
 
 def behavior_at_infinity(F: TameSheaf):
     """(ranks near -infinity, ranks near +infinity) via extreme windows."""
-    minus = sections(F, None, -INF, _band_floor(F), check_regular=False)
+    minus = sections(F, None, -INF, F.band_floor(), check_regular=False)
     plus = sections(F, None, -INF, INF, check_regular=False)
     return minus, plus
-
-
-def _band_floor(F: TameSheaf):
-    if F.kind == "gf":
-        return strand_value_range(F.gf)[0] - 0.125 * (1 + F.gf.tau_val())
-    if F.kind == "cell":
-        return F.cell.taxis.breaks[0] - 0.25
-    if F.kind != "prod":
-        raise ValueError(f"a {F.kind} presentation ({F.label}) has no "
-                         f"support band")
-    lo1 = _band_floor(F.factors[0])
-    lo2 = _band_floor(F.factors[1])
-    return lo1 + lo2
 
 
 def microstalk(F: TameSheaf, base_cell, t, eps=None, upper_to=None,
@@ -1108,28 +1125,11 @@ def microstalk(F: TameSheaf, base_cell, t, eps=None, upper_to=None,
     grid = F.base_grid
     region = BaseRegion.from_cells(grid, [tuple(base_cell)])
     if eps is None:
-        eps = _local_gap(F, t) / 2
+        gaps = [abs(x - t) for x in F.breaks() if abs(x - t) > 1e-12]
+        eps = (min(gaps) if gaps else 1.0) / 2
     a = t - eps
     b = upper_to if upper_to is not None else t + eps
     return sections(F, region, a, b, field, check_regular=False)
-
-
-def _local_gap(F: TameSheaf, t):
-    breaks = _breaks_of(F)
-    gaps = [abs(b - t) for b in breaks if abs(b - t) > 1e-12]
-    return min(gaps) if gaps else 1.0
-
-
-def _breaks_of(F: TameSheaf):
-    if F.kind == "gf":
-        return cerf_diagram(F.gf).breakpoints
-    if F.kind == "cell":
-        return F.cell.taxis.breaks
-    if F.kind == "limit":
-        return F.limit.breakpoints()
-    b1 = _breaks_of(F.factors[0])
-    b2 = _breaks_of(F.factors[1])
-    return tuple(sorted({x + y for x in b1 for y in b2}))
 
 
 def front_interior_table(F: TameSheaf, base_cell, t, band_top, eps=None):
@@ -1142,28 +1142,37 @@ def front_interior_table(F: TameSheaf, base_cell, t, band_top, eps=None):
 # ---------------------------------------------------------------------------
 # product presentation (convolution carrier)
 
-def _as_cellsheaf(F: TameSheaf) -> CellSheaf:
-    """The cellular presentation of F: its own, that of a GF sheaf, or the
-    corner-sum presentation of a diagonal product of rank-one sheaves; one
-    built here is kept on F."""
-    if F.kind == "cell":
-        return F.cell
-    if F._cellular is not None:
-        return F._cellular
-    if F.kind == "gf":
-        cell = to_cellular(F, spot_checks=0).cell
-    elif F.kind != "prod":
-        raise ValueError(f"a {F.kind} presentation ({F.label}) has no "
-                         f"cellular form")
-    elif not F.diagonal:
-        raise ValueError("nested external products are not materialized; "
-                         "reduce the factors first")
-    else:
-        A, B = F.factors
-        cell = materialize_rank_one_tensor(_as_cellsheaf(A),
-                                           _as_cellsheaf(B))
-    F._cellular = cell
-    return cell
+class ProductSheaf(TameSheaf):
+    """The product carrier of F and G, on their shared base (diagonal: the
+    tensor) or on the product of their bases (the convolution), pushed
+    forward along t1 + t2.  A diagonal product of rank-one sheaves has the
+    corner-sum cellular form; an external product has none."""
+
+    def __init__(self, F: TameSheaf, G: TameSheaf, diagonal):
+        self.factors = (F, G)
+        self.diagonal = diagonal
+        self.label = f"({F.label}){'(x)' if diagonal else '*'}({G.label})"
+
+    @property
+    def base_grid(self) -> BoxGrid:
+        F, G = self.factors
+        if self.diagonal:
+            return F.base_grid
+        return BoxGrid(F.base_grid.base + G.base_grid.base, ())
+
+    def breaks(self):
+        b1, b2 = (G.breaks() for G in self.factors)
+        return tuple(sorted({x + y for x in b1 for y in b2}))
+
+    def band_floor(self):
+        return self.factors[0].band_floor() + self.factors[1].band_floor()
+
+    @functools.cached_property
+    def cellular(self) -> CellSheaf:
+        if not self.diagonal:
+            raise ValueError("nested external products are not materialized; "
+                             "reduce the factors first")
+        return materialize_rank_one_tensor(*(G.cellular for G in self.factors))
 
 
 def materialize_rank_one_tensor(CA: CellSheaf, CB: CellSheaf) -> CellSheaf:
@@ -1310,13 +1319,13 @@ def singular_support(F: TameSheaf, p_samples=9) -> ConeSet:
     when the tilted branch value s(x') = t(x') - p x' has a local extremum
     at x at the sampling resolution.  (A transverse crossing propagates
     sections; only tangencies obstruct them.)"""
-    if F.kind not in ("gf", "cell"):
+    if not isinstance(F, (Quantization, CellSheaf)):
         raise ValueError("singular support needs a GF or cellular "
                          "presentation")
     if len(F.base_grid.base) != 1:
         raise ValueError("SS estimation implemented for 1-d bases")
-    fronts = _gf_front_samples(F.gf) if F.kind == "gf" else \
-        _cell_front_samples(F.cell)
+    fronts = _gf_front_samples(F.gf) if isinstance(F, Quantization) else \
+        _cell_front_samples(F)
     return _front_tangency_ss(fronts, F.base_grid.base[0], p_samples)
 
 

@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from gfsheaf.complexes import Barcode, index_ranges
-from gfsheaf.sheaves import (INF, SectionArrays, _as_cellsheaf, _Keys,
+from gfsheaf.sheaves import (INF, ProductSheaf, SectionArrays, _Keys,
                              _product_factors, _same_cell)
 
 
@@ -134,11 +134,11 @@ def section_arrays(base, factors, region, a, b, field):
 def global_factors(F):
     """(base, factors, shift, field) of a cellular or product sheaf, each
     factor on its own global t-axis."""
-    if F.kind == "prod":
-        cells = [_as_cellsheaf(G) for G in F.factors]
+    if isinstance(F, ProductSheaf):
+        cells = [G.cellular for G in F.factors]
         base, pairs = _product_factors(*cells, F.diagonal)
     else:
-        cells = [_as_cellsheaf(F)]
+        cells = [F.cellular]
         base, pairs = cells[0].base, [(cells[0], _same_cell)]
     factors = [(cell, cell.taxis, project) for cell, project in pairs]
     return base, factors, sum(c.shift for c in cells), cells[0].field

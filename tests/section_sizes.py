@@ -34,7 +34,7 @@ def bundled_cusp(scale):
 def row(F):
     """(local strata, stalk sizes, stalk H ranks, reference generators,
     minimal generators, bars) of a cellular sheaf F."""
-    cell = F.cell
+    cell = F
     cover = cell.local_axes.cover
     c, t = np.nonzero(cover == np.arange(cover.shape[1]))
     index, st = cell.strata

@@ -28,7 +28,7 @@ from gfsheaf.rectify import (index_complex_homology, check_coherence,
 from gfsheaf.scenarios import _carrier_safe_cuts
 from gfsheaf.sheaves import (conify, front_interior_table, microstalk,
                              quantize, sections, singular_support,
-                             to_cellular, unit_sheaf, _as_cellsheaf)
+                             to_cellular, unit_sheaf)
 from convolution_reference import decoupled_superlevel_complex
 
 INF = math.inf
@@ -417,10 +417,10 @@ def _cup_tables_for_triple(f, g, h, lam, mu):
             target.complex, [v for _, v in B3],
             [pant_product(home1, v1, home2, v2, target) for (d2, v2) in B2]))
     # product route through the two-axis carriers
-    CA1 = _as_cellsheaf(dualize(quantize(graph_genfun(f))))
-    CB2 = _as_cellsheaf(quantize(graph_genfun(g)))
-    CA2 = _as_cellsheaf(dualize(quantize(graph_genfun(g))))
-    CB3 = _as_cellsheaf(quantize(graph_genfun(h)))
+    CA1 = dualize(quantize(graph_genfun(f))).cellular
+    CB2 = quantize(graph_genfun(g)).cellular
+    CA2 = dualize(quantize(graph_genfun(g))).cellular
+    CB3 = quantize(graph_genfun(h)).cellular
     out_home = ProductHome(CA1, CB3, lam + mu)
     alpha = floer_to_product_classes(ProductHome(CA1, CB2, lam), B1)
     beta = floer_to_product_classes(ProductHome(CA2, CB3, mu), B2)
@@ -458,8 +458,8 @@ def test_criterion_8_product_compatibility():
     # unit action and the ring of the circle through the same pipeline
     zero = circle_function("0*x", n=12)
     F0 = to_cellular(quantize(graph_genfun(zero)), spot_checks=0)
-    CA = _as_cellsheaf(dualize(F0))
-    CB = _as_cellsheaf(F0)
+    CA = dualize(F0).cellular
+    CB = F0.cellular
     lam0 = -0.51
     D = decoupled_superlevel_complex(CA, CB, lam0)
     basis = cohomology_basis(D)
@@ -482,9 +482,9 @@ def test_criterion_8_product_compatibility():
     h1 = g2 - f
     lam = float(h1.values.min()) - 0.57
     B1 = SuperlevelHome(h1, lam).canonical_basis()
-    CA1 = _as_cellsheaf(dualize(quantize(graph_genfun(f))))
-    CB2 = _as_cellsheaf(quantize(graph_genfun(g2)))
-    CA2 = _as_cellsheaf(dualize(quantize(graph_genfun(g2))))
+    CA1 = dualize(quantize(graph_genfun(f))).cellular
+    CB2 = quantize(graph_genfun(g2)).cellular
+    CA2 = dualize(quantize(graph_genfun(g2))).cellular
     alpha = floer_to_product_classes(ProductHome(CA1, CB2, lam), B1)
     ucls = floer_to_product_classes(
         ProductHome(CA2, CB2, -0.53),

@@ -27,8 +27,8 @@ from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid,
 from gfsheaf.sheaves import section_barcode, unit_sheaf
 grid = BoxGrid((circle_grid(4),))
 F = unit_sheaf(grid)
-assert F.cell.stalk((0,), 1.0).gens
-F.cell.stalk((0,), 2.0)
+assert F.stalk((0,), 1.0).gens
+F.stalk((0,), 2.0)
 assert section_barcode(F).bars == ((0, 0.0, float("inf")),
                                    (1, 0.0, float("inf")))
 f = SampledFunction(grid, [0.0, 1.0, 2.0, 1.0])

@@ -375,6 +375,7 @@ def test_bad_grid_scale_in_file_is_input_error(tmp_path, capsys, name, text):
 # was refused only because the hand-written reader could not parse it
 GENFUN = 'expr = "cos(2*pi*x)"\nn = 8\n[inputs.genfuns.g]\n'
 EXPR_GENFUN = GENFUN + 'kind = "expr"\nexpr = "xi^2"\nq = [[1.0]]\n'
+BARCODE_TASK = '[[tasks]]\nop = "barcode"\nfunction = "f"\n'
 BAD_FUNCTIONS = {
     "unbalanced": ('expr = "cos(2*pi*x"\nn = 12\n',
                    "'(' was never closed at position 3"),
@@ -422,6 +423,26 @@ BAD_FUNCTIONS = {
                         "q = [[1.0], [0.0, 1.0]]\n",
                         "a quadratic form needs a square matrix, got "
                         "((1.0,), (0.0, 1.0))"),
+    # a non-finite sample printed a numpy RuntimeWarning, then failed a
+    # task (exit 1) or ran it on the non-finite function (exit 0)
+    "expr-pole": ('expr = "1/x"\nn = 12\n' + BARCODE_TASK,
+                  "the expression '1/x' is inf at the grid vertex x = 0"),
+    "expr-overflow": ('expr = "exp(1000*x)"\nn = 12\n' + BARCODE_TASK,
+                      "the expression 'exp(1000*x)' is inf at the grid "
+                      "vertex x = 0.75"),
+    "expr-nan": ('expr = "0*x/0"\nn = 12\n[[tasks]]\nop = "sections"\n'
+                 'sheaf = "f"\n',
+                 "the expression '0*x/0' is nan at the grid vertex x = 0"),
+    "genfun-expr-nan": (GENFUN + 'kind = "expr"\nexpr = "xi^2 + 0*x/0"\n'
+                        'q = [[1.0]]\n[[tasks]]\nop = "quantize"\n'
+                        'genfun = "g"\n',
+                        "the expression 'xi^2 + 0*x/0' is nan at the grid "
+                        "vertex x = 0, xi = -4"),
+    "expr-pole-in-a-pair": ('expr = "1/x"\nn = 12\n[inputs.functions.g]\n'
+                            'expr = "cos(2*pi*x)"\nn = 12\n[[tasks]]\n'
+                            'op = "oracle-compare"\npair = ["f", "g"]\n',
+                            "the expression '1/x' is inf at the grid vertex "
+                            "x = 0"),
 }
 
 
@@ -454,6 +475,7 @@ def test_bad_function_input_exits_2_without_traceback(tmp_path, name):
         assert proc.returncode == 2, (verb, proc.stdout + proc.stderr)
         assert "[input-error]" in proc.stdout and message in proc.stdout
         assert "Traceback" not in proc.stdout + proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 def test_oversize_grid_scale_is_refused_before_building(tmp_path, capsys):

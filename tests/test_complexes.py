@@ -574,7 +574,7 @@ def _q_matched_cases():
                          random_acyclic_matching(rng, FC)))
     for gf in (cusp_genfun(n_base=6, n_fiber=12),
                graph_genfun(random_circle_morse(rng, n=9))):
-        cell = to_cellular(quantize(gf), spot_checks=0).cell
+        cell = to_cellular(quantize(gf), spot_checks=0)
         cell = CellSheaf(cell.base, cell.taxis, cell.source, field=QQ)
         S = _total_complex(cell.base, [(cell, cell.local_axes, _same_cell)],
                            None, -INF, INF, QQ)

@@ -21,8 +21,8 @@ from gfsheaf.genfun import graph_genfun
 from gfsheaf.linalg import GF2, solve_columns
 from gfsheaf.products import (ProductHome, class_table, cup_product, dualize,
                               floer_to_product_classes)
-from gfsheaf.sheaves import (TAxis, _as_cellsheaf, product_section_complex,
-                             quantize, to_cellular)
+from gfsheaf.sheaves import (TAxis, product_section_complex, quantize,
+                             to_cellular)
 from convolution_reference import (corner_table, decoupled_superlevel_complex,
                                    front_back_faces)
 
@@ -194,10 +194,10 @@ def triple_tables(route, f, g, h, lam, mu):
     B1 = home1.canonical_basis()
     B2 = home2.canonical_basis()
     B3 = target.canonical_basis()
-    CA1 = _as_cellsheaf(dualize(quantize(graph_genfun(f))))
-    CB2 = _as_cellsheaf(quantize(graph_genfun(g)))
-    CA2 = _as_cellsheaf(dualize(quantize(graph_genfun(g))))
-    CB3 = _as_cellsheaf(quantize(graph_genfun(h)))
+    CA1 = dualize(quantize(graph_genfun(f))).cellular
+    CB2 = quantize(graph_genfun(g)).cellular
+    CA2 = dualize(quantize(graph_genfun(g))).cellular
+    CB3 = quantize(graph_genfun(h)).cellular
     out_home = Home(CA1, CB3, lam + mu)
     alpha = push(Home(CA1, CB2, lam), B1)
     beta = push(Home(CA2, CB3, mu), B2)
@@ -241,7 +241,7 @@ def test_scenario_tables_and_supports_match_the_tuple_route(seed):
 def circle_carriers(n):
     zero = circle_function("0*x", n=n)
     F = to_cellular(quantize(graph_genfun(zero)), spot_checks=0)
-    return _as_cellsheaf(dualize(F)), _as_cellsheaf(F)
+    return dualize(F).cellular, F.cellular
 
 
 def ring_case(route, n, lam):
@@ -300,9 +300,9 @@ def unit_case(route, seed):
     g = random_circle_morse(rng, n=12)
     lam = float((g - f).values.min()) - 0.57
     B1 = SuperlevelHome(g - f, lam).canonical_basis()
-    CA1 = _as_cellsheaf(dualize(quantize(graph_genfun(f))))
-    CB2 = _as_cellsheaf(quantize(graph_genfun(g)))
-    CA2 = _as_cellsheaf(dualize(quantize(graph_genfun(g))))
+    CA1 = dualize(quantize(graph_genfun(f))).cellular
+    CB2 = quantize(graph_genfun(g)).cellular
+    CA2 = dualize(quantize(graph_genfun(g))).cellular
     alpha = push(Home(CA1, CB2, lam), B1)
     unit = push(Home(CA2, CB2, -0.53),
                 [(0, unit_class(SuperlevelHome(g - g, -0.53)))])[0]
@@ -358,8 +358,8 @@ def test_a_push_across_the_window_floor_is_a_threshold_refusal(seed):
     # cup task redraws on)
     f, g, _, lam, _ = next(scenario_triples(seed))
     basis = SuperlevelHome(g - f, lam).canonical_basis()
-    CA = _as_cellsheaf(dualize(quantize(graph_genfun(f))))
-    CB = _as_cellsheaf(quantize(graph_genfun(g)))
+    CA = dualize(quantize(graph_genfun(f))).cellular
+    CB = quantize(graph_genfun(g)).cellular
     corner_a, _ = corner_table(CA)
     corner_b, _ = corner_table(CB)
     sums = sorted(corner_a[bc] + corner_b[bc] for bc in corner_a)

@@ -16,7 +16,7 @@ from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction,
                            sublevel_filtration, sublevel_set)
 from gfsheaf.linalg import GF2, QQ
 from gfsheaf.products import dualize
-from gfsheaf.sheaves import _as_cellsheaf, quantize, to_cellular
+from gfsheaf.sheaves import quantize, to_cellular
 from convolution_reference import (corner_table, cup_product_cochain as
                                    reference_cup_product_cochain,
                                    decoupled_superlevel_complex,
@@ -420,7 +420,7 @@ def test_decoupled_superlevel_complex_matches_cell_by_cell(field):
     for _ in range(2):
         F = to_cellular(quantize(graph_genfun(random_circle_morse(rng, n=8))),
                         spot_checks=0)
-        CA, CB = _as_cellsheaf(dualize(F)), _as_cellsheaf(F)
+        CA, CB = dualize(F).cellular, F.cellular
         corner_a, _ = corner_table(CA)
         corner_b, _ = corner_table(CB)
         sums = {bc: corner_a[bc] + corner_b[bc] for bc in corner_a

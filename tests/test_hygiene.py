@@ -3,8 +3,9 @@ used in its module, no function imports again a name its module already
 imports, every module-level private name is used somewhere in the
 package, no module but complexes.py names the private kernel of the Morse
 elimination, every defaulted parameter is passed by some call, every record
-field is read, no assert statement stands in for a check, and the README
-lists the task ops and command-line options that exist."""
+field is read, no assert statement stands in for a check, no module
+switches on a presentation name, and the README lists the task ops and
+command-line options that exist."""
 
 import ast
 import builtins
@@ -236,7 +237,7 @@ def test_the_settable_values_are_pinned():
     # every defaulted parameter of the package is a value a caller can
     # set; a change that adds one raises this number in its own diff
     assert sum(len(defaulted_parameters(tree))
-               for tree in package_trees().values()) == 99
+               for tree in package_trees().values()) == 94
 
 
 def test_an_unset_parameter_is_found():
@@ -336,6 +337,47 @@ def test_only_complexes_names_the_morse_kernel(path):
     # which checks the matching first
     names = referenced_names(package_trees()[path]) & MORSE_KERNEL
     assert path.name == "complexes.py" or names == set()
+
+
+# helpers that chose the code by the presentation of a sheaf; each
+# presentation is a class that answers for itself
+GONE_DISPATCH = {"_as_cellsheaf", "_band_floor", "_breaks_of"}
+
+
+def presentation_switches(tree):
+    """(line, what) of every read of a .kind attribute that is not numpy's
+    dtype.kind, and of every name of GONE_DISPATCH (read, defined or
+    imported), in tree."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "kind" and \
+                getattr(node.value, "attr", None) != "dtype":
+            out.append((node.lineno, ".kind"))
+        # a Name, an attribute, a def or an imported alias
+        name = getattr(node, "id", getattr(node, "attr",
+                                           getattr(node, "name", None)))
+        if name in GONE_DISPATCH:
+            out.append((node.lineno, name))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_switches_on_a_presentation_name(path):
+    # each presentation is a class of its own, which answers for itself;
+    # numpy's dtype.kind is the one kind the package reads
+    assert presentation_switches(package_trees()[path]) == []
+
+
+def test_a_presentation_switch_is_found():
+    tree = ast.parse(
+        "from .sheaves import _as_cellsheaf\n"
+        "def _band_floor(F):\n"
+        "    if F.kind == 'gf' and x.dtype.kind in 'iu':\n"
+        "        return sheaves._breaks_of(F)\n"
+        "    return np.argsort(v, kind='stable')\n")
+    assert presentation_switches(tree) == [
+        (1, "_as_cellsheaf"), (2, "_band_floor"), (3, ".kind"),
+        (4, "_breaks_of")]
 
 
 def exception_classes(trees):

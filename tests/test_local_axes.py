@@ -25,8 +25,8 @@ from gfsheaf.grids import BaseRegion, BoxGrid, circle_grid, sublevel_filtration
 from gfsheaf.linalg import GF2, QQ
 from gfsheaf.products import ProductHome, convolve, dualize, tensor
 from gfsheaf.scenarios import ScenarioContext, load_scenario
-from gfsheaf.sheaves import (CellSheaf, FiberMasks, TameSheaf,
-                             _as_cellsheaf, _section_arrays, _total_complex,
+from gfsheaf.sheaves import (CellSheaf, FiberMasks, ProductSheaf,
+                             _section_arrays, _total_complex,
                              materialize_rank_one_tensor,
                              product_section_complex, quantize,
                              section_barcode, to_cellular, unit_sheaf)
@@ -54,9 +54,15 @@ def _graph(rng, grid):
 
 
 def _over_q(F):
-    cell = _as_cellsheaf(F)
-    return TameSheaf("cell", cell=CellSheaf(
-        cell.base, cell.taxis, cell.source, shift=cell.shift, field=QQ))
+    cell = F.cellular
+    return CellSheaf(cell.base, cell.taxis, cell.source, shift=cell.shift,
+                     field=QQ)
+
+
+def _cells(F):
+    """The cellular sheaves a section barcode of F assembles."""
+    return [G.cellular for G in F.factors] if isinstance(F, ProductSheaf) \
+        else [F.cellular]
 
 
 CIRCLE = BoxGrid((circle_grid(7),))
@@ -92,9 +98,8 @@ def _sheaves():
     yield "torus-graph", torus, [None, _torus_box(TORUS)]
     yield "unit", unit, arcs
     yield "plain-unit", unit_sheaf(TORUS), [None, _torus_box(TORUS)]
-    yield "rank-one-tensor", TameSheaf(
-        "cell", cell=materialize_rank_one_tensor(_as_cellsheaf(graph),
-                                                 _as_cellsheaf(other))), arcs
+    yield "rank-one-tensor", materialize_rank_one_tensor(
+        graph.cellular, other.cellular), arcs
     yield "diagonal", tensor(graph, other, strategy="cell"), arcs
     yield "graph-unit", tensor(graph, unit), arcs
     yield "external", convolve(graph, other, strategy="cell"), [None]
@@ -147,7 +152,7 @@ def test_the_cusp_loses_most_of_its_generators():
         G = ref.section_arrays(base, ref.global_factors(F)[1], None, -INF,
                                INF, field)
         M = _section_arrays(base, factors, None, -INF, INF, field,
-                            [F.cell.minimal])
+                            [F.minimal])
         counts[scale] = (len(G.deg), len(L.deg), len(M.deg))
     assert counts == {1: (6673, 3037, 347), 2: (86219, 24431, 1631)}
 
@@ -169,9 +174,7 @@ def test_the_local_axes_follow_the_star_rule(name, F, regions):
     """Base cell c keeps break i exactly when some cell of its star has
     different tuple stalks (labels, degrees, differential) just below and
     just above break i."""
-    cells = [_as_cellsheaf(G) for G in F.factors] if F.kind == "prod" \
-        else [_as_cellsheaf(F)]
-    for cell in cells:
+    for cell in _cells(F):
         ax, grid = cell.taxis, cell.base
         reps = [ax.rep(("e", i)) for i in range(ax.m + 1)]
         base_cells = [tuple(c) for c in grid.base_cells()]
@@ -186,9 +189,7 @@ def test_the_local_axes_follow_the_star_rule(name, F, regions):
 
 def test_a_coface_cuts_no_break_its_face_drops():
     for name, F, _ in SHEAVES:
-        cells = [_as_cellsheaf(G) for G in F.factors] if F.kind == "prod" \
-            else [_as_cellsheaf(F)]
-        for cell in cells:
+        for cell in _cells(F):
             cof = cell.base.coface_table.cof
             kept = cell.local_axes.cover[:, 1::2] >= 0
             for k in range(cof.shape[1]):
@@ -204,9 +205,7 @@ def test_the_local_axes_read_in_blocks_equal_the_one_table_build(
     of the default build, array for array."""
     import gfsheaf.sheaves as sheaves
     for name, F, _ in SHEAVES:
-        cells = [_as_cellsheaf(G) for G in F.factors] if F.kind == "prod" \
-            else [_as_cellsheaf(F)]
-        for cell in cells:
+        for cell in _cells(F):
             want = cell.local_axes
             index, table = cell.strata
             with monkeypatch.context() as patch:
@@ -234,7 +233,7 @@ def test_the_source_is_read_once_per_sheaf(monkeypatch, block):
     graph = to_cellular(quantize(graph_genfun(random_circle_morse(rng, n=8))),
                         spot_checks=0)
     for F in (graph, _bundled_cusp(1)):
-        cell = F.cell
+        cell = F
         calls, table = [], cell.source.table
         monkeypatch.setattr(cell.source, "table",
                             lambda *args: calls.append(1) or table(*args))
@@ -267,7 +266,7 @@ def test_the_local_total_complex_is_certified_in_both_fields(field):
     passes (the integer sum of the two-step paths over Q), and the bars
     equal the global ones in the field."""
     for scale in (1, 2):
-        cusp = _bundled_cusp(scale).cell
+        cusp = _bundled_cusp(scale)
         cell = CellSheaf(cusp.base, cusp.taxis, cusp.source, field=field)
         L = _total_complex(cell.base, [(cell, cell.local_axes, lambda c: c)],
                            None, -INF, INF, field)
@@ -303,7 +302,7 @@ def _refuse(*args, **kwargs):
 def test_a_16x16_torus_graph_pair_passes_the_three_routes():
     gf = _torus_pair(16)
     F = to_cellular(quantize(gf), spot_checks=0)
-    cell = F.cell
+    cell = F
     # the global axes would cut 1,024 base cells at every break
     assert cell.base.base_cell_shape == (32, 32)
     assert 1024 * (2 * cell.taxis.m + 1) > 250_000
@@ -337,7 +336,7 @@ def test_the_size_guard_counts_the_strata_of_the_local_axes(monkeypatch):
     1,077; a bound between the two is decided on the local count."""
     import gfsheaf.sheaves as sheaves
     gf = _bundled_cusp_genfun(2)
-    strata = to_cellular(quantize(gf), spot_checks=0).cell.local_axes.strata
+    strata = to_cellular(quantize(gf), spot_checks=0).local_axes.strata
     assert strata == 1077
     monkeypatch.setattr(sheaves, "MAX_STRATA", strata)
     assert to_cellular(quantize(gf), spot_checks=0)
@@ -370,7 +369,7 @@ def test_the_global_axis_builders_refuse_an_oversized_stratification(
     its global axis cuts 521,216 strata: section_complex,
     product_section_complex and ProductHome refuse it before a stalk is
     read."""
-    cell = to_cellular(quantize(_torus_pair(16)), spot_checks=0).cell
+    cell = to_cellular(quantize(_torus_pair(16)), spot_checks=0)
     monkeypatch.setattr(FiberMasks, "table", _refuse)
     for build in (lambda: cell.section_complex(None, -INF, INF),
                   lambda: product_section_complex(cell, cell, True, None,
@@ -386,9 +385,9 @@ def test_a_small_cusp_is_not_cut_for_the_size_guard():
     query."""
     F = to_cellular(quantize(cusp_genfun(n_base=8, n_fiber=12)),
                     spot_checks=0)
-    assert "local_axes" not in vars(F.cell)
+    assert "local_axes" not in vars(F)
     section_barcode(F)
-    assert "local_axes" in vars(F.cell)
+    assert "local_axes" in vars(F)
 
 
 def test_random_circle_graphs_keep_their_bars():

@@ -25,17 +25,12 @@ from gfsheaf.fixtures import (cusp_genfun, pure_quad_genfun,
 from gfsheaf.genfun import box_sum, graph_genfun
 from gfsheaf.linalg import GF2, QQ, add_scaled
 from gfsheaf.minimal import StalkModel, stalk_pairs
-from gfsheaf.sheaves import (CellSheaf, _as_cellsheaf, _section_arrays,
-                             quantize, section_barcode, to_cellular)
-from test_local_axes import SHEAVES, _arc, _bundled_cusp, _torus_pair
+from gfsheaf.sheaves import (CellSheaf, _section_arrays, quantize,
+                             section_barcode, to_cellular)
+from test_local_axes import SHEAVES, _arc, _bundled_cusp, _cells, _torus_pair
 from test_morse_oracle import morse_rows, reference_morse
 
 INF = math.inf
-
-
-def _cells(F):
-    return [_as_cellsheaf(G) for G in F.factors] if F.kind == "prod" \
-        else [_as_cellsheaf(F)]
 
 
 def _record_entries(st):
@@ -83,7 +78,7 @@ def _two_dimensional_fiber():
 def test_a_two_dimensional_fiber_keeps_its_bars():
     F = _two_dimensional_fiber()
     assert section_barcode(F) == ref.section_barcode(F)
-    assert len(F.cell.minimal.table.lab) < len(F.cell.strata[1].lab) // 4
+    assert len(F.minimal.table.lab) < len(F.strata[1].lab) // 4
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
@@ -91,7 +86,7 @@ def test_the_minimal_complex_is_certified_in_both_fields(field):
     """Over F2 and Q the minimal complex is a complex over Z (every pair
     entry is a unit, so the transfer stays integral), and its bars are
     those of every generator in the field."""
-    cusp = _bundled_cusp(2).cell
+    cusp = _bundled_cusp(2)
     cell = CellSheaf(cusp.base, cusp.taxis, cusp.source, field=field)
     S = _section_arrays(cell.base, [(cell, cell.local_axes, lambda c: c)],
                         None, -INF, INF, field, [cell.minimal])
@@ -146,7 +141,7 @@ def test_a_stalk_pair_across_stalks_is_refused():
     stalks: a pair whose lower slot has the right label but lies in another
     stalk of the record, where that label is critical, is no face of its
     upper."""
-    st = _bundled_cusp(1).cell.strata[1]
+    st = _bundled_cusp(1).strata[1]
     stalk, src, tgt = _record_entries(st)
     lower, upper = stalk_pairs(st, src, tgt)
     record = IndexComplex(st.ldeg, st.dptr, tgt, st.dcoef, GF2, int)
@@ -163,9 +158,9 @@ def test_a_stalk_pair_across_stalks_is_refused():
         record.retract(np.zeros(len(st.lab)), moved, upper)
 
 
-RECORDS = {"cusp-1": lambda: _bundled_cusp(1).cell,
-           "cusp-2": lambda: _bundled_cusp(2).cell,
-           "2-d-fiber": lambda: _two_dimensional_fiber().cell}
+RECORDS = {"cusp-1": lambda: _bundled_cusp(1),
+           "cusp-2": lambda: _bundled_cusp(2),
+           "2-d-fiber": _two_dimensional_fiber}
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
@@ -229,7 +224,7 @@ def test_the_section_barcode_of_the_scale_2_cusp_stays_small():
     stalk record and local axes already read: 9.7 MB with every stalk
     generator assembled, 1.3 MB on the minimal models."""
     F = _bundled_cusp(2)
-    assert F.cell.strata and F.cell.local_axes
+    assert F.strata and F.local_axes
     tracemalloc.start()
     try:
         section_barcode(F)
@@ -254,7 +249,7 @@ def test_a_hand_made_sheaf_pairs_only_what_every_stalk_carries(
     the edges.  Where e0 appears over a vertex without v1, the label pair
     (v1, e0) is no pair anywhere; with v1 it is a pair everywhere."""
     from gfsheaf.grids import BoxGrid, circle_grid
-    from gfsheaf.sheaves import CellSheaf, Stalk, TAxis, TameSheaf
+    from gfsheaf.sheaves import CellSheaf, Stalk, TAxis
     from tuple_stalks import TupleStalks
     names = [("v1",), ("e0",), ("v0",)]
     degs = (0, 1, 0)
@@ -270,9 +265,8 @@ def test_a_hand_made_sheaf_pairs_only_what_every_stalk_carries(
     cell = CellSheaf(base, TAxis((0.0,)), TupleStalks(
         base.base_cell_shape,
         lambda bc, thr: (full if thr > 0.0 else cut) if bc[0] & 1 else low))
-    F = TameSheaf("cell", cell=cell)
     st = cell.strata[1]
     # the record holds low, cut and full once each; low and full hold the
     # pair when it is one
     assert len(stalk_pairs(st, *_record_entries(st)[1:])[0]) == pairs * 2
-    assert section_barcode(F) == ref.section_barcode(F)
+    assert section_barcode(cell) == ref.section_barcode(cell)

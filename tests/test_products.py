@@ -14,8 +14,8 @@ from gfsheaf.products import (ProductHome, class_table, convolve,
                               cup_product, dualize, floer_to_product_classes,
                               pushforward_barcode, rhom_tensor, tensor, unit,
                               unit_morphisms, verify_unit_composition)
-from gfsheaf.sheaves import (TameSheaf, quantize, sections, to_cellular,
-                             unit_sheaf, _as_cellsheaf)
+from gfsheaf.sheaves import (ProductSheaf, Quantization, quantize, sections,
+                             to_cellular, unit_sheaf)
 from convolution_reference import corner_table, decoupled_superlevel_complex
 
 INF = math.inf
@@ -100,7 +100,7 @@ def test_convolve_different_bases():
     g = circle_function("0.3*sin(2*pi*x)", n=12)
     F, G = quantize(graph_genfun(f)), quantize(graph_genfun(g))
     C = convolve(F, G)
-    assert C.kind == "gf" and len(C.gf.grid.base) == 2
+    assert isinstance(C, Quantization) and len(C.gf.grid.base) == 2
     # sections over the full torus-like base at a top window: Kunneth ranks
     top = sections(C, None, -INF, INF, check_regular=False)
     assert top == {0: 1, 1: 2, 2: 1}
@@ -237,7 +237,7 @@ def test_unit_morphisms_take_a_diagonal_product_through_its_corners():
     f = random_circle_morse(rng, n=12)
     F = quantize(graph_genfun(f))
     T = tensor(F, unit(f.grid))
-    assert T.kind == "prod"
+    assert isinstance(T, ProductSheaf)
     um, ut = unit_morphisms(F), unit_morphisms(T)
     assert [corner_table(C) for C in (ut.CA, ut.CB)] == \
         [corner_table(C) for C in (um.CA, um.CB)]
@@ -266,9 +266,8 @@ def test_unit_morphisms_refuse_a_stalk_that_widens_above_its_corner(
         base.base_cell_shape, stalk_fn, GF2, "wide"))
     assert (C.corners.opens == 0).all()     # rank one where it opens
     monkeypatch.setattr(products, "dualize", lambda F: F)
-    monkeypatch.setattr(products, "_as_cellsheaf", lambda F: C)
     with pytest.raises(ValueError, match="rank-one stalks"):
-        unit_morphisms(TameSheaf("cell", cell=C, label="wide"))
+        unit_morphisms(C)
 
 
 def test_unit_morphisms_composition():
@@ -284,7 +283,7 @@ def test_unit_morphisms_composition():
 def test_corner_table_rank_one():
     grid = grid16()
     U = unit_sheaf(grid)
-    table, degs = corner_table(U.cell)
+    table, degs = corner_table(U)
     assert all(v == 0.0 for v in table.values())
     assert all(d == 0 for d in degs.values())
 
@@ -333,8 +332,8 @@ def test_cup_product_unit_ring_on_circle():
     grid = grid16()
     zero = circle_function("0*x", n=16)
     F = to_cellular(quantize(graph_genfun(zero)), spot_checks=0)
-    CA = _as_cellsheaf(dualize(F))
-    CB = _as_cellsheaf(F)
+    CA = dualize(F).cellular
+    CB = F.cellular
     lam = -0.51
     D = decoupled_superlevel_complex(CA, CB, lam)
     basis = cohomology_basis(D)
@@ -375,8 +374,7 @@ def test_monoid_laws_with_duals():
         right = tensor(objs[x], tensor(objs[y], objs[z]))
         sym = tensor(objs[y], objs[x])
         sym2 = tensor(objs[x], objs[y])
-        from gfsheaf.sheaves import _breaks_of
-        vals = sorted(set(_breaks_of(left)))
+        vals = sorted(set(left.breaks()))
         cuts = [vals[0] - 0.47] + [
             (p + q) / 2 for p, q in zip(vals, vals[1:]) if q - p > 1e-9] + \
             [vals[-1] + 0.53]
@@ -386,7 +384,7 @@ def test_monoid_laws_with_duals():
                 assert sections(left, region, a, b, check_regular=False) == \
                     sections(right, region, a, b, check_regular=False), \
                     (x, y, z, a, b)
-        vals2 = sorted(set(_breaks_of(sym)))
+        vals2 = sorted(set(sym.breaks()))
         cuts2 = [vals2[0] - 0.47, vals2[-1] + 0.53]
         for region in [None] + boxes[2:4]:
             assert sections(sym, region, *cuts2, check_regular=False) == \
@@ -397,8 +395,8 @@ def test_cup_associativity_on_unit_based_classes():
     from gfsheaf.complexes import cohomology_basis
     zero = circle_function("0*x", n=12)
     F0 = to_cellular(quantize(graph_genfun(zero)), spot_checks=0)
-    CA = _as_cellsheaf(dualize(F0))
-    CB = _as_cellsheaf(F0)
+    CA = dualize(F0).cellular
+    CB = F0.cellular
     lam = -0.51
 
     # one home per threshold; lam + 2 lam is the sum cup_product checks
@@ -432,7 +430,7 @@ def test_cup_product_rejects_a_home_of_another_key():
 
     def carriers():
         F = to_cellular(quantize(graph_genfun(zero)), spot_checks=0)
-        return _as_cellsheaf(dualize(F)), _as_cellsheaf(F)
+        return dualize(F).cellular, F.cellular
 
     CA, CB = carriers()
     lam = -0.51
@@ -576,9 +574,11 @@ def test_a_limit_sheaf_has_no_dual_and_no_support_band():
     from gfsheaf.rectify import sheafify_limit
     f = random_circle_morse(random.Random(3), n=6)
     L = sheafify_limit(f)
-    with pytest.raises(ValueError, match="limit presentation"):
+    with pytest.raises(ValueError,
+                       match=r"LimitSheaf\(sheafify_limit\) has no dual"):
         dualize(L)
-    with pytest.raises(ValueError, match="limit presentation"):
+    with pytest.raises(ValueError, match=r"LimitSheaf\(sheafify_limit\) "
+                                         r"has no support band"):
         tensor(L, unit(f.grid))
 
 

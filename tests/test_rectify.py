@@ -556,7 +556,7 @@ def test_limit_sections_match_the_per_window_reference():
                    BaseRegion.from_cells(g.grid, [(rng.randrange(16),)])]
         for region in regions:
             for a, b in itertools.combinations(ends, 2):
-                want = reference_limit_sections(Sh.limit, region, a, b)
+                want = reference_limit_sections(Sh, region, a, b)
                 assert want is not None
                 assert sections(Sh, region, a, b) == want, (region, a, b)
                 checked += 1

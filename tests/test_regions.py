@@ -66,11 +66,11 @@ def test_a_region_unit_and_its_dual_open_on_closed_sets():
     grid = torus()
     region = square(grid)
     U = unit_sheaf(grid, region)
-    opens = U.cell.source.opens.reshape(grid.base_cell_shape)
+    opens = U.source.opens.reshape(grid.base_cell_shape)
     assert (np.isfinite(opens) == region.membership).all()
     assert (opens[region.membership] == 0.0).all()
     D = dualize(U)
-    dual_opens = D.cell.source.opens.reshape(grid.base_cell_shape)
+    dual_opens = D.source.opens.reshape(grid.base_cell_shape)
     closure = face_closure(grid, ~region.membership)
     assert (np.isfinite(dual_opens) == closure).all()
     # all but the open square: the complement's closure takes its rim
@@ -227,7 +227,7 @@ def test_a_region_on_the_grid_and_on_its_base_are_one_region():
     lo, hi = f.range()
     assert sections(L, on_grid, lo - 1.0, hi + 1.0) == \
         sections(L, on_base, lo - 1.0, hi + 1.0)
-    assert {region for region, _ in L.limit._barcodes} == {on_grid}
+    assert {region for region, _ in L._rungs} == {on_grid}
 
 
 def test_the_dual_of_a_region_unit_is_the_old_rebuild():
@@ -236,13 +236,13 @@ def test_the_dual_of_a_region_unit_is_the_old_rebuild():
     for t0 in (0.0, 0.75):
         D = dualize(unit_sheaf(grid, region, t0))
         old = unit_sheaf(grid, BaseRegion(grid, ~region.membership), -t0)
-        assert D.cell.indicator == old.cell.indicator == \
+        assert D.indicator == old.indicator == \
             ("region", region.complement_closure(), -t0)
-        assert D.cell.taxis == old.cell.taxis
-        for got, want in ((D.cell.source, old.cell.source),
+        assert D.taxis == old.taxis
+        for got, want in ((D.source, old.source),
                           (section_barcode(D), section_barcode(old))):
             assert vars(got).keys() == vars(want).keys()
             for key, value in vars(got).items():
                 assert np.array_equal(value, vars(want)[key]), key
     full = dualize(unit_sheaf(grid, None, 0.75))
-    assert full.cell.indicator == ("region", None, -0.75)
+    assert full.indicator == ("region", None, -0.75)

@@ -13,10 +13,11 @@ from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
 from gfsheaf.genfun import brane_of, graph_genfun, window_floor
 from gfsheaf.grids import (BaseRegion, BoxGrid, circle_grid,
                            sublevel_filtration)
-from gfsheaf.sheaves import (ConeSet, TAxis, TameSheaf, behavior_at_infinity,
-                             conify, conify_conormal, front_interior_table,
-                             microstalk, quantize, sections,
-                             singular_support, to_cellular, unit_sheaf)
+from gfsheaf.sheaves import (ConeSet, ProductSheaf, TAxis, TameSheaf,
+                             behavior_at_infinity, conify, conify_conormal,
+                             front_interior_table, microstalk, quantize,
+                             sections, singular_support, to_cellular,
+                             unit_sheaf)
 from tuple_cells import cofaces
 from tuple_taxis import t_cofaces, t_dim, window_cells, with_breaks
 
@@ -229,13 +230,12 @@ def unit_map_section_level(F: TameSheaf, region, a, b):
     """
     from gfsheaf.complexes import ChainMap
     from gfsheaf.linalg import GF2
-    from gfsheaf.sheaves import _as_cellsheaf
-    cell = _as_cellsheaf(F)
+    cell = F.cellular
     grid = cell.base
     # the unit opens at F's lowest break, so F's own t-axis refines the
     # unit's and the strata line up on it
     U = unit_sheaf(BoxGrid(grid.base, ()), t0=cell.taxis.breaks[0])
-    CU = _reference_section_complex(U.cell, region, a, b, taxis=cell.taxis)
+    CU = _reference_section_complex(U, region, a, b, taxis=cell.taxis)
     CF = cell.section_complex(region, a, b)
     one = GF2.one()
     comp = {}
@@ -263,7 +263,7 @@ def test_unit_map_cone_is_the_band_fiber():
     from tuple_stalks import TupleStalks
     f = circle_function("0.4*cos(2*pi*x)", n=16)
     F = quantize(graph_genfun(f))
-    cell = to_cellular(F, spot_checks=0).cell
+    cell = to_cellular(F, spot_checks=0)
     t0 = cell.taxis.breaks[0]
     cm = f.cell_max()
     const = Stalk(((("k",), 0),))
@@ -274,10 +274,8 @@ def test_unit_map_cone_is_the_band_fiber():
         return ZERO_STALK
 
     base = f.grid.base_only()
-    K = TameSheaf("cell", cell=CellSheaf(
-        base, cell.taxis,
-        TupleStalks(base.base_cell_shape, band_stalk), label="band"),
-        label="band")
+    K = CellSheaf(base, cell.taxis,
+                  TupleStalks(base.base_cell_shape, band_stalk), label="band")
     lo, hi = f.range()
     for (a, b) in [(lo - 1.04, hi + 1.02), (lo - 1.04, 0.0131),
                    (-0.1043, 0.2091), (0.2091, hi + 1.02)]:
@@ -499,13 +497,13 @@ def _cell_sheaves(seed):
     rng = random.Random(seed)
     f = random_circle_morse(rng, n=8)
     g = random_circle_morse(rng, n=8)
-    Cf = to_cellular(quantize(graph_genfun(f)), spot_checks=0).cell
-    Cg = to_cellular(quantize(graph_genfun(g)), spot_checks=0).cell
+    Cf = to_cellular(quantize(graph_genfun(f)), spot_checks=0)
+    Cg = to_cellular(quantize(graph_genfun(g)), spot_checks=0)
     cusp = to_cellular(quantize(cusp_genfun(n_base=6, n_fiber=12)),
-                       spot_checks=0).cell
+                       spot_checks=0)
     cusp_q = CellSheaf(cusp.base, cusp.taxis, cusp.source, field=QQ)
-    U = unit_sheaf(f.grid).cell
-    UR = unit_sheaf(f.grid, _random_box(rng, f.grid), t0=0.25).cell
+    U = unit_sheaf(f.grid)
+    UR = unit_sheaf(f.grid, _random_box(rng, f.grid), t0=0.25)
     T = materialize_rank_one_tensor(Cf, Cg)
     return rng, {"graph_f": Cf, "graph_g": Cg, "cusp": cusp,
                  "cusp_q": cusp_q, "unit": U, "unit_region": UR,
@@ -592,7 +590,7 @@ def test_a_flipped_stalk_sign_is_refused_at_the_reference_generator():
     from gfsheaf.complexes import ChainComplex
     from gfsheaf.linalg import GF2, QQ
     cusp = to_cellular(quantize(cusp_genfun(n_base=4, n_fiber=12)),
-                       spot_checks=0).cell
+                       spot_checks=0)
     ax = cusp.taxis
     tried = 0
     for bc in cusp.base.base_cells():
@@ -612,7 +610,7 @@ def test_a_flipped_stalk_sign_is_refused_at_the_reference_generator():
                 cell.section_complex(None, -INF, INF)
             assert str(got.value) == want
             with pytest.raises(ValueError, match=r"d\^2 != 0"):
-                sections(TameSheaf("cell", cell=cell), None, -INF, INF)
+                sections(cell, None, -INF, INF)
             # a flipped sign is invisible over F2
             _flipped(cusp, bc, thr, GF2).section_complex(None, -INF, INF)
             tried += 1
@@ -687,7 +685,7 @@ def test_to_cellular_without_spot_checks_reads_no_window_ceiling():
     from gfsheaf.sheaves import section_barcode
     cusp = cusp_genfun(10, 32)
     gf = box_sum(cusp, pure_quad_genfun(cusp.grid.base, (1.0,), 4.0, 16))
-    breaks = to_cellular(quantize(gf), spot_checks=0).cell.taxis.breaks
+    breaks = to_cellular(quantize(gf), spot_checks=0).taxis.breaks
     bars = section_barcode(quantize(gf))
     cuts = [breaks[0] - 0.5] + [(x + y) / 2 for x, y in zip(
         breaks, breaks[1:])] + [breaks[-1] + 0.5]
@@ -712,7 +710,7 @@ def test_refined_axis_keeps_the_section_ranks_of_the_own_axis():
     # one.
     from gfsheaf.genfun import gf_cohomology
     gf = cusp_genfun(n_base=20, n_fiber=64)
-    cell = to_cellular(quantize(gf), spot_checks=0).cell
+    cell = to_cellular(quantize(gf), spot_checks=0)
     rng = random.Random(6)
     lo, hi = cell.taxis.breaks[0] - 0.3, cell.taxis.breaks[-1] + 0.3
     windows = [(-0.0816, 0.0393), (0.0393, 0.1682)]
@@ -769,7 +767,7 @@ def test_section_barcode_reads_every_oracle_window(grid_scale):
     for F, windows in _oracle_inputs(grid_scale):
         bc = section_barcode(F)
         for a, b in windows:
-            want = per_window_ranks(F.cell, None, a, b)
+            want = per_window_ranks(F, None, a, b)
             assert bc.window_ranks(a, b) == want, (a, b)
 
 
@@ -779,24 +777,23 @@ def test_section_barcode_on_random_boxes_and_windows():
     sheaves = [F for F, _ in _oracle_inputs(1)]
     for trial in range(20):
         F = sheaves[trial % 2]
-        breaks = F.cell.taxis.breaks
-        region = _random_box(rng, F.cell.base)
+        breaks = F.taxis.breaks
+        region = _random_box(rng, F.base)
         a, b = _random_window(rng, breaks[0] - 0.5, breaks[-1] + 0.5)
         if trial < 6:
             # infinite ends, snapped to the axis by per_window_ranks
             a, b = [(-INF, b), (a, INF), (-INF, INF)][trial % 3]
         got = section_barcode(F, region).window_ranks(a, b)
-        assert got == per_window_ranks(F.cell, region, a, b), (trial, a, b)
+        assert got == per_window_ranks(F, region, a, b), (trial, a, b)
 
 
 def per_window_product_ranks(F, region, a, b):
     """Section ranks of one window of a product from its own carrier
     complex, shifted; an infinite end is snapped below the band floor or
     above the top corner, which keeps the same t-cell pairs."""
-    from gfsheaf.sheaves import (_as_cellsheaf, _band_floor,
-                                 product_section_complex)
-    CA, CB = (_as_cellsheaf(G) for G in F.factors)
-    a = _band_floor(F) - 0.25 if a == -INF else a
+    from gfsheaf.sheaves import product_section_complex
+    CA, CB = (G.cellular for G in F.factors)
+    a = F.band_floor() - 0.25 if a == -INF else a
     b = CA.taxis.breaks[-1] + CB.taxis.breaks[-1] + 0.5 if b == INF else b
     C = product_section_complex(CA, CB, F.diagonal, region, a, b)
     shift = CA.shift + CB.shift
@@ -824,11 +821,11 @@ def _products(seed):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_product_section_barcode_reads_every_window(seed):
-    from gfsheaf.sheaves import _breaks_of, section_barcode
+    from gfsheaf.sheaves import section_barcode
     rng, products = _products(seed)
     for name, F in products.items():
-        assert F.kind == "prod", name
-        breaks = _breaks_of(F)
+        assert isinstance(F, ProductSheaf), name
+        breaks = F.breaks()
         for trial in range(6):
             region = None if trial == 0 else _random_box(rng, F.base_grid)
             bc = section_barcode(F, region)
@@ -874,11 +871,12 @@ def test_to_cellular_builds_no_relative_complex(monkeypatch):
 
 def test_a_limit_sheaf_has_no_cellular_form():
     from gfsheaf.rectify import sheafify_limit
-    from gfsheaf.sheaves import _as_cellsheaf, section_barcode
+    from gfsheaf.sheaves import section_barcode
     L = sheafify_limit(random_circle_morse(random.Random(3), n=6))
-    with pytest.raises(ValueError, match="limit presentation"):
-        _as_cellsheaf(L)
-    with pytest.raises(ValueError, match="limit presentation"):
+    refusal = r"LimitSheaf\(sheafify_limit\) has no cellular form"
+    with pytest.raises(ValueError, match=refusal):
+        L.cellular
+    with pytest.raises(ValueError, match=refusal):
         section_barcode(L)
 
 
@@ -901,12 +899,12 @@ def test_section_complex_barcodes_match_the_reference_reduction(seed):
 def unreduced_section_barcode(F, region):
     """section_barcode's complex, reduced without its matching."""
     from gfsheaf.complexes import Barcode, FilteredComplex
-    from gfsheaf.sheaves import _as_cellsheaf, product_section_complex
-    if F.kind == "prod":
-        cells = [_as_cellsheaf(G) for G in F.factors]
+    from gfsheaf.sheaves import product_section_complex
+    if isinstance(F, ProductSheaf):
+        cells = [G.cellular for G in F.factors]
         C = product_section_complex(*cells, F.diagonal, region, -INF, INF)
     else:
-        cells = [_as_cellsheaf(F)]
+        cells = [F.cellular]
         C = cells[0].section_complex(region, -INF, INF)
     tops = [[cell.taxis.top_value(tc)
              for cell, tc in zip(cells, g[1:1 + len(cells)])]
@@ -927,13 +925,12 @@ def _tie_heavy_graph(rng, grid):
 def _over_q(F):
     """The same cellular (or product of cellular) sheaf with Q coefficients."""
     from gfsheaf.linalg import QQ
-    from gfsheaf.sheaves import CellSheaf, _as_cellsheaf
-    if F.kind == "prod":
-        return TameSheaf("prod", factors=tuple(map(_over_q, F.factors)),
-                         diagonal=F.diagonal)
-    cell = _as_cellsheaf(F)
-    return TameSheaf("cell", cell=CellSheaf(
-        cell.base, cell.taxis, cell.source, shift=cell.shift, field=QQ))
+    from gfsheaf.sheaves import CellSheaf
+    if isinstance(F, ProductSheaf):
+        return ProductSheaf(*map(_over_q, F.factors), F.diagonal)
+    cell = F.cellular
+    return CellSheaf(cell.base, cell.taxis, cell.source, shift=cell.shift,
+                     field=QQ)
 
 
 def _sweep_sheaf(rng, kind):
@@ -1045,7 +1042,7 @@ def _stalk_inputs():
 def test_cellular_stalks_equal_the_fiber_loop():
     count = 0
     for gf in _stalk_inputs():
-        cell = to_cellular(quantize(gf), spot_checks=0).cell
+        cell = to_cellular(quantize(gf), spot_checks=0)
         ax = cell.taxis
         for bc in cell.base.base_cells():
             for i in range(ax.m + 1):
@@ -1074,7 +1071,7 @@ def test_mask_stalks_assemble_as_the_fiber_loop_stalks(field):
     F = {"f2": GF2, "q": QQ}[field]
     rng = random.Random(13)
     for gf in _stalk_inputs():
-        cell = to_cellular(quantize(gf), spot_checks=0).cell
+        cell = to_cellular(quantize(gf), spot_checks=0)
         assert isinstance(cell.source, FiberMasks)
         masked = CellSheaf(cell.base, cell.taxis, cell.source, field=F)
         loop = CellSheaf(cell.base, cell.taxis, TupleStalks(
@@ -1103,7 +1100,7 @@ def test_a_mask_backed_assembly_builds_no_tuple_stalk(monkeypatch):
                        spot_checks=0)
     graphs = [to_cellular(quantize(graph_genfun(random_circle_morse(
         rng, n=8))), spot_checks=0) for _ in range(2)]
-    product = TameSheaf("prod", factors=tuple(graphs), diagonal=True)
+    product = ProductSheaf(*graphs, True)
     grid = graphs[0].base_grid
 
     def refuse(*args, **kwargs):
@@ -1113,12 +1110,11 @@ def test_a_mask_backed_assembly_builds_no_tuple_stalk(monkeypatch):
     monkeypatch.setattr(sheaves.CellSheaf, "stalk", refuse)
     units = [unit_sheaf(grid), unit_sheaf(grid, _random_box(rng, grid),
                                           t0=0.25)]
-    tensor = TameSheaf("cell", cell=materialize_rank_one_tensor(
-        graphs[0].cell, graphs[1].cell))
+    tensor = materialize_rank_one_tensor(*graphs)
     for F in (cusp, graphs[0], product, *units, tensor):
         assert section_barcode(F).bars
         assert section_barcode(F, _random_box(rng, F.base_grid)) is not None
-    assert cusp.cell.section_complex(None, -INF, INF).d
+    assert cusp.section_complex(None, -INF, INF).d
 
 
 def test_a_flipped_sign_in_the_fiber_masks_is_refused():
@@ -1132,7 +1128,7 @@ def test_a_flipped_sign_in_the_fiber_masks_is_refused():
     from gfsheaf.linalg import GF2, QQ
     from gfsheaf.sheaves import CellSheaf
     small = cusp_genfun(n_base=4, n_fiber=8)
-    cusp = to_cellular(quantize(box_sum(small, small)), spot_checks=0).cell
+    cusp = to_cellular(quantize(box_sum(small, small)), spot_checks=0)
     sgn = cusp.source.coface.sgn
     tried = 0
     for x, k in np.argwhere(sgn != 0)[::7].tolist():

@@ -123,14 +123,14 @@ def _unit_pairs(seed):
     box = BaseRegion.interval_arc(grid, rng.randrange(4),
                                   4 + rng.randrange(8))
     empty = BaseRegion(grid, np.zeros(grid.base_cell_shape, dtype=bool))
-    brk = G.cell.taxis.breaks[len(G.cell.taxis.breaks) // 2]
+    brk = G.taxis.breaks[len(G.taxis.breaks) // 2]
     return [
-        ("unit", unit_sheaf(grid).cell, reference_unit_sheaf(grid)),
-        ("region", unit_sheaf(grid, box, 0.25).cell,
+        ("unit", unit_sheaf(grid), reference_unit_sheaf(grid)),
+        ("region", unit_sheaf(grid, box, 0.25),
          reference_unit_sheaf(grid, box, 0.25)),
-        ("at-break", unit_sheaf(grid, t0=brk).cell,
+        ("at-break", unit_sheaf(grid, t0=brk),
          reference_unit_sheaf(grid, t0=brk)),
-        ("empty", unit_sheaf(grid, empty).cell,
+        ("empty", unit_sheaf(grid, empty),
          reference_unit_sheaf(grid, empty)),
     ], G
 
@@ -161,11 +161,10 @@ def test_a_rank_one_tensor_assembles_as_its_tuple_stalks(seed, field):
     # the graph shifted into stalk degree 1, so the degrees add visibly
     _, G = _graph(seed)
     D = dualize(G)
-    k = G.cell.corners
-    up = CellSheaf(G.cell.base, G.cell.taxis, RankOneStalks(
-        np.array(G.cell.taxis.breaks)[k.opens], k.deg + 1, ("u",)))
-    for CA, CB in ((G.cell, D.cell), (D.cell, G.cell), (G.cell, G.cell),
-                   (D.cell, up)):
+    k = G.corners
+    up = CellSheaf(G.base, G.taxis, RankOneStalks(
+        np.array(G.taxis.breaks)[k.opens], k.deg + 1, ("u",)))
+    for CA, CB in ((G, D), (D, G), (G, G), (D, up)):
         new = _over(materialize_rank_one_tensor(CA, CB), field)
         ref = reference_rank_one_tensor(CA, CB, field)
         assert new.taxis == ref.taxis and new.shift == ref.shift
@@ -186,7 +185,7 @@ def test_unit_products_assemble_as_their_tuple_stalks(field):
     # tensor(F, unit) and its mirror on the diagonal, and an external
     # product, through the carrier of two factors
     pairs, G = _unit_pairs(5)
-    F = _over(G.cell, field)
+    F = _over(G, field)
     for name, new, ref in pairs:
         new, ref = _over(new, field), _over(ref, field)
         for diagonal in (True, False):
@@ -255,9 +254,9 @@ def reference_tuple_cochains(um, U, eps, ceil):
     unit complex and the evaluated image."""
     WC = product_section_complex(um.CA, um.CB, True, None, -eps, ceil)
     z = reference_u_cocycle(um, WC)
-    unit_taxis = with_breaks(U.cell.taxis, [-eps, ceil])
+    unit_taxis = with_breaks(U.taxis, [-eps, ceil])
     UA = global_axis_reference.section_arrays(
-        U.cell.base, [(U.cell, unit_taxis, _same_cell)], None, -eps, ceil,
+        U.base, [(U, unit_taxis, _same_cell)], None, -eps, ceil,
         GF2)
     UC = UA.chain_complex(UA.generators())
     return WC, z, UC, reference_v_apply(um, z, unit_taxis)
@@ -320,9 +319,9 @@ def test_both_unit_composition_routes_pass(name):
     _, z_ref, _, img_ref = reference_tuple_cochains(um, U, eps, ceil)
     WC, z, UC, img = _own_axis_cochains(um, U, eps, ceil)
     assert {WC.generators()[i] for i in z} == set(z_ref)
-    refined = with_breaks(U.cell.taxis, [-eps, ceil])
+    refined = with_breaks(U.taxis, [-eps, ceil])
     gens = UC.generators()
-    assert {_by_value(gens[i], U.cell.taxis) for i in img} == {
+    assert {_by_value(gens[i], U.taxis) for i in img} == {
         _by_value(g, refined) for g in img_ref}
     assert img and not apply_d(WC, z)
 
@@ -333,7 +332,7 @@ def _own_axis_cochains(um, U, eps, ceil):
     the corner cocycle of u and its image under v."""
     base, pairs = _product_factors(um.CA, um.CB, True)
     WC = _total_complex(base, _full_axes(pairs), None, -eps, ceil, GF2)
-    UC = _total_complex(U.cell.base, _full_axes([(U.cell, _same_cell)]),
+    UC = _total_complex(U.base, _full_axes([(U, _same_cell)]),
                         None, -eps, ceil, GF2)
     z = um.u_cocycle(WC)
     return WC, z, UC, um.v_apply(z, WC, UC)
@@ -364,23 +363,36 @@ def test_the_own_axis_unit_complex_is_the_refined_reference(seed):
     um = products.unit_morphisms(G)
     U = unit(G.base_grid)
     eps, ceil = _window(um)
-    refined = with_breaks(U.cell.taxis, [-eps, ceil])
+    refined = with_breaks(U.taxis, [-eps, ceil])
     assert refined.m == 3
     _, _, UC, img = _own_axis_cochains(um, U, eps, ceil)
     _, _, UC_ref, img_ref = reference_tuple_cochains(um, U, eps, ceil)
     UA_ref = global_axis_reference.section_arrays(
-        U.cell.base, [(U.cell, refined, _same_cell)], None, -eps, ceil, GF2)
+        U.base, [(U, refined, _same_cell)], None, -eps, ceil, GF2)
     C = UC.chain_complex(UC.generators())
-    own = {_by_value(g, U.cell.taxis): C.deg[g] for g in C.gens}
+    own = {_by_value(g, U.taxis): C.deg[g] for g in C.gens}
     assert own and own == {_by_value(g, refined): UC_ref.deg[g]
                            for g in UC_ref.gens}
     assert UC.barcode(UC.value, UC.matching) == UA_ref.barcode(
         UA_ref.value, UA_ref.matching)
     own_img = {C.gens[i]: GF2.one() for i in img}
-    assert {_by_value(g, U.cell.taxis) for g in own_img} == {
+    assert {_by_value(g, U.taxis) for g in own_img} == {
         _by_value(g, refined) for g in img_ref}
     assert _unit_class(C, own_img) == _unit_class(UC_ref, img_ref) == (
         1, [[GF2.one()]])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_unit_composition_home_is_the_hand_built_complex(seed):
+    # verify_unit_composition takes its (dual F) (x) F complex over
+    # [-eps, ceil) from ProductHome, whose ceiling, the sum of the two last
+    # breaks plus one, is the largest corner sum plus one
+    _, G = _graph(seed)
+    um = products.unit_morphisms(G)
+    eps, ceil = _window(um)
+    assert ceil == um.CA.taxis.breaks[-1] + um.CB.taxis.breaks[-1] + 1.0
+    WC = _own_axis_cochains(um, unit(G.base_grid), eps, ceil)[0]
+    _assert_same_arrays(products.ProductHome(um.CA, um.CB, -eps).complex, WC)
 
 
 @pytest.mark.parametrize("move", [(-1, 0), (0, -1), (-1, -1), "first"],
