@@ -7,15 +7,17 @@ import math
 from gfsheaf.fixtures import circle_function
 from gfsheaf.genfun import graph_genfun
 from gfsheaf.grids import BaseRegion
-from gfsheaf.sheaves import (behavior_at_infinity, microstalk, quantize,
-                             sections, to_cellular)
+from gfsheaf.sheaves import microstalk, quantize, sections, to_cellular
 
 f = circle_function("0.4*cos(2*pi*x)", n=32)
 F = quantize(graph_genfun(f))
 
 print("sections over the whole circle up to 1.0:",
       sections(F, None, -math.inf, 1.0))
-print("behavior at -oo / +oo:", behavior_at_infinity(F))
+# ranks near -oo (up to the support band's floor) and near +oo
+minus = sections(F, None, -math.inf, F.band_floor(), check_regular=False)
+plus = sections(F, None, -math.inf, math.inf, check_regular=False)
+print("behavior at -oo / +oo:", (minus, plus))
 
 cell = (8,)
 x = f.grid.base[0].cell_coord(8)

@@ -12,8 +12,8 @@ from importlib import import_module
 _EXPORTS = {
     "linalg": ("GF2", "QQ"),
     "complexes": ("Barcode", "ChainComplex", "ChainMap", "FilteredComplex",
-                  "cohomology_basis", "cohomology_ranks", "dual_complex",
-                  "is_quasi_iso", "mapping_cone"),
+                  "cohomology_basis", "cohomology_ranks", "is_quasi_iso",
+                  "mapping_cone"),
     "genfun": ("GenFun", "QuadForm", "box_sum", "brane_of", "cerf_diagram",
                "gf_cohomology", "graph_genfun", "ominus"),
     "grids": ("BaseRegion", "BoxGrid", "Grid1D", "SampledFunction",

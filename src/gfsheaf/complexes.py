@@ -9,10 +9,11 @@ Conventions fixed once for the whole package:
 
 Every array builder (grids.cubical_index_complex, sheaves._total_complex)
 makes an IndexComplex: the generator ids 0..n-1 with integer arrays, checked
-(IndexComplex.check) and, for pair ranks, section barcodes and product class
-tables, reduced without a per-generator dict.  ChainComplex, keyed by
-hashable generators, is the form for callers that read generators;
-IndexComplex.chain_complex gives it.
+(IndexComplex.check) and reduced without a per-generator dict.  The class
+calculus (apply_d, class_coordinates, cohomology_basis) runs on it alone,
+on classes that are dicts id -> integer.  ChainComplex, keyed by hashable
+generators, serves the filtered route and rectification; chain_complex and
+index_complex convert between the two.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import (GF2, Reducer, add_scaled, integer_scalars,
-                     kernel_of_columns, pivot_columns, pivot_reducer,
-                     solve_columns)
+from .linalg import (GF2, Reducer, add_scaled, integer_column,
+                     integer_scalars, kernel_of_columns, pivot_columns,
+                     pivot_reducer, solve_columns)
 
 INF = math.inf
 
@@ -98,6 +99,21 @@ class ChainComplex:
                 d[g] = cb
         return ChainComplex(gens, {g: self.deg[g] for g in gens}, d, self.field,
                             check=False)
+
+    def index_complex(self) -> "IndexComplex":
+        """The inverse of IndexComplex.chain_complex: ids in gens order, each
+        named by its generator.  A coefficient that is no integer is refused
+        (ValueError): an IndexComplex holds integer lifts."""
+        cobs = [self.d.get(g, {}) for g in self.gens]
+        coef = [v for cb in cobs for v in cb.values()]
+        if any(int(v) != v for v in coef):
+            raise ValueError("an IndexComplex needs integer coefficients")
+        return IndexComplex(
+            np.array([self.deg[g] for g in self.gens], dtype=np.int64),
+            np.cumsum([0] + list(map(len, cobs)), dtype=np.int64),
+            np.array([self._index[h] for cb in cobs for h in cb], np.int64),
+            np.array(list(map(int, coef)), np.int64), self.field,
+            self.gens.__getitem__)
 
 
 def cohomology_ranks(C: ChainComplex):
@@ -209,17 +225,6 @@ def mapping_cone(phi: ChainMap) -> ChainComplex:
 def is_quasi_iso(phi: ChainMap) -> bool:
     phi.verify()
     return not mapping_cone(phi).cohomology_ranks()
-
-
-def dual_complex(C: ChainComplex) -> ChainComplex:
-    """Dual: generator of degree p becomes degree -p; differential transposed."""
-    gens = [("dual", g) for g in C.gens]
-    deg = {("dual", g): -C.deg[g] for g in C.gens}
-    d = {}
-    for g, cb in C.d.items():
-        for h, v in cb.items():
-            d.setdefault(("dual", h), {})[("dual", g)] = v
-    return ChainComplex(gens, deg, d, C.field, check=False)
 
 
 class FilteredComplex:
@@ -666,44 +671,45 @@ class Barcode:
         return rows
 
 
-def cohomology_basis(C: ChainComplex, order_key=None):
-    """Deterministic representative cocycles spanning H^*(C).
-
-    Per degree: kernel of d modulo image of d from below, echelon-reduced in
-    the given generator order.  Returns a list of (degree, vector) pairs.
-    """
-    F = C.field
-    order = sorted(C.gens, key=order_key) if order_key else list(C.gens)
-    pos = {g: i for i, g in enumerate(order)}
+def cohomology_basis(C: IndexComplex, order_key=None):
+    """Deterministic representative cocycles spanning H^*(C): per degree,
+    kernel of d modulo image of d from below, echelon-reduced in the order
+    of the ids under order_key (id order when None) on the columns of
+    C.coboundaries.  Returns (degree, vector) pairs, each vector a dict id
+    -> integer (over Q the echelon vector times the lcm of its
+    denominators)."""
+    F, n, deg = C.field, len(C.deg), C.deg.tolist()
+    order = sorted(range(n), key=order_key) if order_key else list(range(n))
+    pos = np.argsort(order).tolist()
+    # the coboundaries on the positions, by degree in the order: the kernel
+    # of degree k copies them, the image of degree k + 1 reduces them
     by_deg = {}
-    for g in order:
-        by_deg.setdefault(C.deg[g], []).append(g)
+    for g, cb in zip(order, C.coboundaries(np.array(order, dtype=np.int64))):
+        by_deg.setdefault(deg[g], []).append(
+            (g, {pos[h]: v for h, v in cb.items()}))
     basis = []
     for k in sorted(by_deg):
-        gens_k = by_deg[k]
-        cols = [{pos[h]: v for h, v in C.d.get(g, {}).items()}
-                for g in gens_k]
-        kernel = kernel_of_columns(cols, F)
+        gens_k = [g for g, _ in by_deg[k]]
+        kernel = kernel_of_columns([col for _, col in by_deg[k]], F)
         # reduce kernel vectors modulo the coboundary image from degree k-1
         red = Reducer(F)
-        for g in by_deg.get(k - 1, []):
-            red.add({pos[h]: v for h, v in C.d.get(g, {}).items()})
+        for _, col in by_deg.get(k - 1, ()):
+            red.add(col)
         for combo in kernel:
             vec = {pos[gens_k[j]]: v for j, v in combo.items()}
             if red.add(vec) is not None:
-                basis.append((k, {order[i]: v for i, v in vec.items()}))
+                vec = {order[i]: v for i, v in vec.items()}
+                basis.append((k, vec if F is GF2 else integer_column(vec)))
     return basis
 
 
-def class_coordinates(C, basis_cocycles, zs):
+def class_coordinates(C: IndexComplex, basis_cocycles, zs):
     """Coordinates of each class [z] of zs in the given cohomology basis.
 
-    C is a ChainComplex, whose vectors are dicts generator -> scalar, or an
-    IndexComplex, whose vectors are dicts id -> scalar.  basis_cocycles:
-    cocycle vectors whose classes are independent.  Solves z = sum c_i b_i
-    + d(w) for every z of zs against one reduction of the basis columns and
-    the coboundary columns (rows in generator order); returns one list of
-    the c_i (or None) per z.
+    The vectors are dicts id -> scalar.  basis_cocycles: cocycle vectors
+    whose classes are independent.  Solves z = sum c_i b_i + d(w) for every
+    z of zs against one reduction of the basis columns and the coboundary
+    columns (rows in id order); returns one list of the c_i (or None) per z.
 
     Only the coboundaries that land in a degree some basis or target vector
     touches are columns.  Any other coboundary column is supported in one
@@ -711,40 +717,32 @@ def class_coordinates(C, basis_cocycles, zs):
     of that degree, so dropping it changes no coordinate.
     """
     basis, zs = list(basis_cocycles), list(zs)
-    if isinstance(C, IndexComplex):
-        degrees = {int(C.deg[i]) for v in basis + zs for i in v}
-        keep = np.isin(C.deg + 1, sorted(degrees)) & (np.diff(C.indptr) > 0)
-        cobound = C.coboundaries(np.flatnonzero(keep))
-    else:
-        idx, deg = C._index, C.deg
-        degrees = {deg[g] for v in basis + zs for g in v}
-        cobound = [{idx[h]: v for h, v in C.d[g].items()} for g in C.gens
-                   if deg[g] + 1 in degrees and g in C.d]
-        basis, zs = ([{idx[g]: v for g, v in vec.items()} for vec in vecs]
-                     for vecs in (basis, zs))
+    degrees = {int(C.deg[i]) for v in basis + zs for i in v}
+    keep = np.isin(C.deg + 1, sorted(degrees)) & (np.diff(C.indptr) > 0)
+    cobound = C.coboundaries(np.flatnonzero(keep))
     sols = solve_columns(basis + cobound, zs, C.field)
     return [None if sol is None else sol[:len(basis)] for sol in sols]
 
 
-def apply_d(C, vec):
-    """d(vec), entries zero in the field dropped.  Over a ChainComplex vec
-    is a dict generator -> scalar.  Over an IndexComplex it is a dict id ->
-    integer: the sums are taken over the integers on the CSR arrays, then
+def apply_d(C: IndexComplex, vec):
+    """d(vec) for vec a dict id -> integer, entries zero in the field
+    dropped: the sums are taken over the integers on the CSR arrays, then
     coerced into the field (Z -> field is a ring homomorphism)."""
-    if isinstance(C, IndexComplex):
-        F = C.field
-        if any(int(c) != c for c in vec.values()):
-            raise ValueError("an id-keyed vector needs integer entries")
-        ids = np.fromiter(vec, dtype=np.int64, count=len(vec))
-        count = np.diff(C.indptr)[ids]
-        e = index_ranges(C.indptr[:-1][ids], count)
-        acc = np.zeros(len(C.deg), dtype=np.int64)
-        np.add.at(acc, C.tgt[e], C.coef[e] * np.repeat(np.fromiter(
-            map(int, vec.values()), dtype=np.int64, count=len(vec)), count))
-        hit = np.flatnonzero(acc)
-        out = zip(hit.tolist(), map(F.coerce, acc[hit].tolist()))
-        return {i: v for i, v in out if not F.is_zero(v)}
-    out = {}
-    for g, c in vec.items():
-        add_scaled(out, C.d.get(g, {}), c, C.field)
-    return out
+    F = C.field
+    if any(int(c) != c for c in vec.values()):
+        raise ValueError("an id-keyed vector needs integer entries")
+    ids = np.fromiter(vec, dtype=np.int64, count=len(vec))
+    count = np.diff(C.indptr)[ids]
+    e = index_ranges(C.indptr[:-1][ids], count)
+    acc = np.zeros(len(C.deg), dtype=np.int64)
+    np.add.at(acc, C.tgt[e], C.coef[e] * np.repeat(np.fromiter(
+        map(int, vec.values()), dtype=np.int64, count=len(vec)), count))
+    hit = np.flatnonzero(acc)
+    out = zip(hit.tolist(), map(F.coerce, acc[hit].tolist()))
+    return {i: v for i, v in out if not F.is_zero(v)}
+
+
+def odd_ids(vec):
+    """The ids of the entries of the id-keyed vector vec that are nonzero
+    over F2, in vec's order, as an int64 array."""
+    return np.array([i for i, c in vec.items() if c & 1], dtype=np.int64)

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import apply_d, cohomology_basis, cohomology_ranks
+from .complexes import apply_d, cohomology_basis, odd_ids
 from .genfun import GenFun, gf_cohomology, graph_genfun
-from .grids import (BaseRegion, SampledFunction, critical_vertices,
-                    cubical_complex, cup_product_cochain)
+from .grids import (BaseRegion, SampledFunction, ThresholdRefusal,
+                    critical_vertices, cubical_index_complex,
+                    cup_product_cochain)
 from .linalg import GF2
 
 INF = math.inf
@@ -82,25 +83,27 @@ def conormal_limit_ranks(region: BaseRegion, L: GenFun, a, b, field=GF2,
 # superlevel class calculus (the cup-product side of the comparison)
 
 class SuperlevelHome:
-    """Relative cochain complex C^*(N, {h < lam}): cochains supported on
-    cells whose max vertex value is >= lam (an up-set subcomplex)."""
+    """Relative cochain complex C^*(N, {h < lam}) on the cells whose max
+    vertex value is >= lam (an up-set), as the IndexComplex of
+    cubical_index_complex: cells[i] is the flat cell of id i (C order)."""
 
     def __init__(self, h: SampledFunction, lam, field=GF2):
         self.h = h
         self.lam = lam
         self.field = field
-        self.complex = cubical_complex(h.grid, h.cell_max() >= lam, field)
+        keep = h.cell_max() >= lam
+        self.complex = cubical_index_complex(h.grid, keep, field)
+        self.cells = np.flatnonzero(keep)
 
     def ranks(self):
         return self.complex.cohomology_ranks()
 
     def canonical_basis(self):
         """Deterministic cohomology basis: persistence-style representatives
-        ordered by (action, dim, cell id)."""
-        return cohomology_basis(self.complex, order_key=self._order_key)
-
-    def _order_key(self, g):
-        return (float(self.h.cell_max()[g]), self.complex.deg[g], g)
+        ordered by (action, dim, id); the ids run in C order of the cells."""
+        key = list(zip(self.h.cell_max().ravel()[self.cells].tolist(),
+                       self.complex.deg.tolist(), range(len(self.cells))))
+        return cohomology_basis(self.complex, order_key=key.__getitem__)
 
 
 def pant_product(home1: SuperlevelHome, rep1, home2: SuperlevelHome, rep2,
@@ -109,59 +112,52 @@ def pant_product(home1: SuperlevelHome, rep1, home2: SuperlevelHome, rep2,
 
     home1 = (h1, lam), home2 = (h2, mu); the target must be the superlevel
     home of h1 + h2 at lam + mu.  The product cochain must be supported on
-    target cells (a genericity condition on the thresholds, asserted).
+    target cells (a genericity condition on the thresholds, refused with
+    ThresholdRefusal).
     """
-    if home1.field is not home2.field or home1.field is not target.field:
-        raise ValueError("field mismatch")
+    if any(home.field is not GF2 for home in (home1, home2, target)):
+        raise ValueError("pant_product needs three homes over F2: the "
+                         "cubical cup product is unsigned")
     if home1.h.grid != home2.h.grid:
         raise ValueError("filtration mismatch: different grids")
     if apply_d(home1.complex, rep1) or apply_d(home2.complex, rep2):
         raise ValueError("representatives must be closed")
-    z = cup_product_cochain(home1.h.grid, rep1, rep2)
-    tgt = set(target.complex.gens)
-    for cell in z:
-        if cell not in tgt:
-            raise ValueError(
-                "product support leaked below the target threshold; "
-                "thresholds too close to the value spectrum at this "
-                "resolution")
-    if apply_d(target.complex, z):
+    z = cup_product_cochain(home1.h.grid, home1.cells[odd_ids(rep1)],
+                            home2.cells[odd_ids(rep2)])
+    at = np.searchsorted(target.cells, z)
+    if (np.append(target.cells, -1)[at] != z).any():
+        raise ThresholdRefusal(
+            "product support leaked below the target threshold; "
+            "thresholds too close to the value spectrum at this "
+            "resolution")
+    out = dict.fromkeys(at.tolist(), 1)
+    if apply_d(target.complex, out):
         raise AssertionError("cup product of cocycles is not closed")
-    return z
-
-
-def unit_class(home: SuperlevelHome):
-    """The unit: sum of all vertex cells (requires lam below min h)."""
-    grid = home.h.grid
-    one = home.field.one()
-    vec = {}
-    for c in home.complex.gens:
-        if grid.cell_dim(c) == 0:
-            vec[c] = one
-    if apply_d(home.complex, vec):
-        raise ValueError("unit class undefined: threshold above some value")
-    return vec
+    return out
 
 
 def restrict_classes(home: SuperlevelHome, reps, Z: BaseRegion):
     """Restriction to a closed subgrid Z: drop components outside Z-cells.
 
-    Returns (restricted home complex, list of restricted class vectors).
+    Returns (restricted complex, list of restricted class vectors): the
+    cubical IndexComplex on the home's cells in Z, and each rep on its ids.
     Genericity (always checked): no critical vertex of h on the boundary
     ring of Z.
     """
-    zmask = Z.membership
     ring = _boundary_ring(Z)
     for rec in critical_vertices(home.h):
         if ring[tuple(2 * j for j in rec["vertex"])]:
             raise ValueError(
                 f"critical vertex {rec['vertex']} sits on the boundary "
                 f"ring of Z; restriction not generic")
-    keep = [c for c in home.complex.gens if zmask[c]]
-    sub = home.complex.restricted(keep)
+    sub = cubical_index_complex(
+        home.h.grid, (home.h.cell_max() >= home.lam) & Z.membership,
+        home.field)
+    inside = Z.membership.ravel()[home.cells]
+    new = (np.cumsum(inside) - 1).tolist()
     out = []
     for rep in reps:
-        out.append({c: v for c, v in rep.items() if zmask[c]})
+        out.append({new[i]: v for i, v in rep.items() if inside[i]})
         if apply_d(sub, out[-1]):
             raise AssertionError("restricted representative not closed")
     return sub, out
@@ -185,7 +181,7 @@ def reduce_to_Z(h: SampledFunction, lam, Z: BaseRegion, field=GF2):
     home = SuperlevelHome(h, lam, field)
     basis = home.canonical_basis()
     sub, reps = restrict_classes(home, [v for _, v in basis], Z)
-    restricted = cohomology_ranks(sub)
+    restricted = sub.cohomology_ranks()
     lo, hi = h.range()
     limit, cert = conormal_limit_ranks(Z, graph_genfun(h), lam,
                                        hi + 1.0 + (hi - lo), field)

@@ -59,19 +59,11 @@ class Grid1D:
     def vertex_coords(self):
         return self.origin + self.spacing * np.arange(self.n_vertices)
 
-    def cell_dim(self, c):
-        return c & 1
-
     def cell_coord(self, c):
         """Representative coordinate (vertex position or edge midpoint)."""
         if c & 1:
             return self.origin + self.spacing * ((c >> 1) + 0.5)
         return self.origin + self.spacing * (c >> 1)
-
-    def edge_vertices(self, k):
-        if self.topology == "circle":
-            return (k, (k + 1) % self.n)
-        return (k, k + 1)
 
 
 def circle_grid(n, length=1.0):
@@ -141,9 +133,6 @@ class BoxGrid:
     @property
     def base_cell_shape(self):
         return tuple(g.n_cells for g in self.base)
-
-    def cell_dim(self, cell):
-        return sum(c & 1 for c in cell)
 
     @cached_property
     def coface_table(self):
@@ -270,7 +259,8 @@ class SampledFunction:
     @staticmethod
     def from_expr(grid: BoxGrid, expr):
         """expr sampled at the vertices of grid; an ExprError when a sample
-        is not finite (a pole, an overflow or 0/0 at a vertex)."""
+        is not finite (a pole, an overflow or 0/0 at a vertex), and the
+        ValueError of refuse_overflow when its differences overflow."""
         coords = np.meshgrid(*(g.vertex_coords() for g in grid.axes),
                              indexing="ij")
         names = ["x", "y"][: len(grid.base)] + ["xi", "eta"][: len(grid.fiber)]
@@ -285,6 +275,7 @@ class SampledFunction:
                               for name, c in zip(names, coords))
             raise exprs.ExprError(f"the expression {expr!r} is {vals[at]} at "
                                   f"the grid vertex {where}")
+        refuse_overflow(grid, vals, f"the expression {expr!r}")
         return SampledFunction(grid, vals)
 
     def cell_max(self):
@@ -328,6 +319,34 @@ class SampledFunction:
 
     def range(self):
         return float(self.values.min()), float(self.values.max())
+
+
+def refuse_overflow(grid: BoxGrid, values, name):
+    """Raise ValueError, naming the input name, when a quantity the routes
+    derive from the samples values (at the vertices of grid) is not finite:
+    the sum of two samples, or along an axis a first or second difference
+    quotient over the spacing, or the square of a first one."""
+    with np.errstate(all="ignore"):
+        checks = [("the sum of two samples", 2 * np.abs(values).max())]
+        for axis, g in enumerate(grid.axes):
+            def quotient(v):    # a circle wraps around from its last vertex
+                ext = {"append": v.take([0], axis)} \
+                    if g.topology == "circle" else {}
+                return np.diff(v, axis=axis, **ext) / g.spacing
+            first = quotient(values)
+            checks += [(f"{what} along axis {axis}", q) for what, q in (
+                ("a first difference quotient", first),
+                ("the square of a first difference quotient", first * first),
+                ("a second difference quotient", quotient(first)))]
+        for what, q in checks:
+            if not np.isfinite(q).all():
+                raise ValueError(f"the samples of {name} overflow: {what} "
+                                 f"is not finite")
+
+
+class ThresholdRefusal(ValueError):
+    """A threshold too close to the value spectrum at the grid's resolution:
+    the one error on which the cup task redraws a triple."""
 
 
 def _cells(mask):
@@ -560,30 +579,26 @@ def critical_vertices(f: SampledFunction):
 def cup_product_cochain(grid: BoxGrid, a, b):
     """Cubical cup product of F2 cochains on a base-only grid.
 
-    a, b: dicts cell -> 1 (F2).  Returns the product cochain as a dict, in
-    C order of its cells.
+    a, b: int arrays, the flat cells (C order) of the supports of the two
+    cochains.  Returns the flat cells of the support of the product, in
+    ascending order.
     (a cup b)(s) = sum over splittings of s's edge-directions S into (A, B)
     with |A| = deg(a): a(front_A s) * b(back_B s), front anchored at the
     min corner and back at the max corner; the splittings are read off
-    BoxGrid.splitting_table.
+    BoxGrid.splitting_table and the degrees off BoxGrid.coface_table.
     """
     if grid.fiber:
         raise ValueError("cup product lives on base-only grids")
-    if not a or not b:
-        return {}
-    deg_a = {grid.cell_dim(c) for c in a}
-    deg_b = {grid.cell_dim(c) for c in b}
-    if len(deg_a) != 1 or len(deg_b) != 1:
+    if not len(a) or not len(b):
+        return np.zeros(0, dtype=np.int64)
+    grid = grid.base_only()
+    dim = grid.coface_table.dim
+    if (dim[a] != dim[a[0]]).any() or (dim[b] != dim[b[0]]).any():
         raise ValueError("cup product needs homogeneous cochains")
     # a homogeneous cochain of degree p only meets fronts of dimension p
-    table = grid.base_only().splitting_table
-    shape = grid.cell_shape
-    n = int(np.prod(shape))
+    table, n = grid.splitting_table, len(dim)
     in_a, in_b = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    for mask, vec in ((in_a, a), (in_b, b)):
-        cells = [c for c, v in vec.items() if v & 1]
-        if cells:
-            mask[np.ravel_multi_index(tuple(np.array(cells).T), shape)] = True
+    in_a[a] = True
+    in_b[b] = True
     hit = table.cell[in_a[table.front] & in_b[table.back]]
-    odd = np.bincount(hit, minlength=n) & 1
-    return dict.fromkeys(_cells(odd.reshape(shape)), 1)
+    return np.flatnonzero(np.bincount(hit, minlength=n) & 1)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import apply_d, class_coordinates, index_ranges
+from .complexes import apply_d, class_coordinates, index_ranges, odd_ids
 from .genfun import GenFun, box_sum, graph_genfun, negate, stacked_sum
-from .grids import BoxGrid
+from .grids import BoxGrid, ThresholdRefusal
 from .linalg import GF2
 from .sheaves import (CellSheaf, ProductSheaf, Quantization, SectionArrays,
                       TameSheaf, _full_axes, _product_factors, _same_cell,
@@ -179,7 +179,7 @@ class UnitMorphisms:
         id -> 1."""
         b1s, b2s = self.top_corner
         (_, cell), (_, ta), (_, tb), _, _ = W.columns
-        ids = _odd(vec)
+        ids = odd_ids(vec)
         ids = ids[(ta[ids] == 2 * b1s + 1) & (tb[ids] == 2 * b2s + 1)]
         tgt = U.find((cell[ids], np.ones_like(ids),
                       np.full_like(ids, U.columns[2][0].index(("k",)))))
@@ -297,27 +297,24 @@ class CohomologyClass:
     rep: dict
 
 
-def floer_to_product_classes(home: ProductHome, n_level_basis):
+def floer_to_product_classes(home: ProductHome, floer_home, basis):
     """Push base-level canonical cocycles into the product model.
 
-    n_level_basis: list of (degree, cochain on base cells), cocycles on
-    the base cells whose corner sum reaches lam (the cup task takes the
-    canonical basis of a floer.SuperlevelHome); each pushed class spreads
-    over the vertex pairs (('v', i), ('v', j)) above the per-cell corners
-    whose sum b_i + b_j reaches lam, each with the one label of its
-    rank-one stalks.
+    basis: list of (degree, cocycle) on the ids of floer_home (the cup task
+    takes the canonical basis of a floer.SuperlevelHome), whose flat base
+    cells are floer_home.cells; each pushed class spreads over the vertex
+    pairs (('v', i), ('v', j)) above the per-cell corners whose sum b_i +
+    b_j reaches lam, each with the one label of its rank-one stalks.
     """
     CA, CB, C = home.CA, home.CB, home.complex
     ka, kb = CA.corners, CB.corners
     if (ka.labels, kb.labels) != home.labels:
         raise AssertionError("the home numbers the stalk labels otherwise")
     ba, bb = np.array(CA.taxis.breaks), np.array(CB.taxis.breaks)
-    shape = CA.base.base_cell_shape
     one = GF2.one()
     out = []
-    for (deg, vec) in n_level_basis:
-        cells = np.array([np.ravel_multi_index(tuple(bc), shape)
-                          for bc in vec], dtype=np.int64)
+    for (deg, vec) in basis:
+        cells = floer_home.cells[np.fromiter(vec, np.int64, len(vec))]
         ia, ib = ka.opens[cells], kb.opens[cells]
         # candidate vertex pairs per cell, in (cell, i, j) order
         k, i, j = np.nonzero(
@@ -330,7 +327,8 @@ def floer_to_product_classes(home: ProductHome, n_level_basis):
         fail = np.flatnonzero((ia < 0) | (ib < 0) | (wide > 0))
         if fail.size:
             if ia[fail[0]] < 0 or ib[fail[0]] < 0:
-                raise ValueError("class supported where a stalk never opens")
+                raise ThresholdRefusal("class supported where a stalk never "
+                                       "opens")
             raise ValueError("rank-one stalk expected")
         ids = C.find((c, 2 * i + 1, 2 * j + 1, ka.label[c, i + 1],
                       kb.label[c, j + 1]))
@@ -339,8 +337,8 @@ def floer_to_product_classes(home: ProductHome, n_level_basis):
                                  "home")
         push = dict.fromkeys(ids.tolist(), one)
         if apply_d(C, push):
-            raise AssertionError("pushed class is not closed; thresholds "
-                                 "sit too close to the value spectrum")
+            raise ThresholdRefusal("pushed class is not closed; thresholds "
+                                   "sit too close to the value spectrum")
         out.append(CohomologyClass(home, deg, push))
     return out
 
@@ -363,9 +361,9 @@ def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
         raise ValueError("representatives must be closed")
     # alpha over its front cells at the top corner ('v', b*) of its second
     # axis, beta over its back cells at the top corner ('v', c*) of its first
-    a = _odd(alpha.rep)
+    a = odd_ids(alpha.rep)
     a = a[ha.tb[a] == 2 * len(ha.CB.taxis.breaks) - 1]
-    b = _odd(beta.rep)
+    b = odd_ids(beta.rep)
     b = b[hb.ta[b] == 2 * len(hb.CA.taxis.breaks) - 1]
     cell, front, back = base.base_only().splitting_table
     t, x, y = _meet(ha.cell[a], hb.cell[b], front, back,
@@ -378,14 +376,10 @@ def cup_product(alpha: CohomologyClass, beta: CohomologyClass,
     odd = np.bincount(ids[ids >= 0], minlength=len(home.complex.deg)) & 1
     out = dict.fromkeys(np.flatnonzero(odd).tolist(), GF2.one())
     if apply_d(home.complex, out):
-        raise AssertionError("cup product output is not closed; window "
-                             "endpoints sit too close to the value spectrum")
+        raise ThresholdRefusal("cup product output is not closed; window "
+                               "endpoints sit too close to the value "
+                               "spectrum")
     return CohomologyClass(home, alpha.degree + beta.degree, out)
-
-
-def _odd(rep):
-    """The ids of the entries of rep that are nonzero over F2."""
-    return np.array([i for i, c in rep.items() if c & 1], dtype=np.int64)
 
 
 def _meet(at_front, at_back, front, back, n_cells):

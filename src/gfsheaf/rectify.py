@@ -506,16 +506,23 @@ def _e2_direct(R: RectifiedComplex):
 
     Page p is the subquotient on the chains of length p + 2; d1 sends a
     basis cocycle of page p to the length p + 1 part of its D, read in the
-    cohomology basis of page p - 1."""
-    by_p = {}
-    for key in R.complex.gens:
-        by_p.setdefault(len(key[0]) - 2, []).append(key)
-    pages = {p: R.complex.restricted(gens) for p, gens in by_p.items()}
+    cohomology basis of page p - 1, all on ids: ids[p] lists the R.complex
+    id of each page-p id, and local maps an R.complex id to its page id."""
+    gens = R.complex.gens
+    page = [len(key[0]) - 2 for key in gens]
+    ids = {}
+    for i, p in enumerate(page):
+        ids.setdefault(p, []).append(i)
+    local = {i: j for on_page in ids.values() for j, i in enumerate(on_page)}
+    D = R.complex.index_complex()
+    pages = {p: R.complex.restricted([gens[i] for i in on_page])
+             .index_complex() for p, on_page in ids.items()}
     bases = {p: cohomology_basis(C) for p, C in pages.items()}
     d1 = {}  # (p, q) -> coordinates of d1 of the page-p classes of degree q
     for p, basis in bases.items():
-        imgs = [{k: v for k, v in apply_d(R.complex, vec).items()
-                 if len(k[0]) == p + 1} for _q, vec in basis]
+        imgs = [{local[i]: v for i, v in apply_d(
+                     D, {ids[p][j]: v for j, v in vec.items()}).items()
+                 if page[i] == p - 1} for _q, vec in basis]
         if p - 1 in pages:
             coords = class_coordinates(pages[p - 1],
                                        [vec for _q, vec in bases[p - 1]],

@@ -203,15 +203,6 @@ class Stalk:
     gens: tuple          # tuple of (label, degree)
     diff: tuple = ()     # tuple of (label, label, coeff): degree +1 entries
 
-    def d_map(self):
-        out = {}
-        for (a, b, c) in self.diff:
-            out.setdefault(a, {})[b] = c
-        return out
-
-    @property
-    def size(self):
-        return len(self.gens)
 
 
 ZERO_STALK = Stalk(())
@@ -224,7 +215,7 @@ class StalkTable(NamedTuple):
     order; slot q carries the label id lab[q] (labels[i] is label i), the
     degree ldeg[q], and the stalk differential leaving it: the entries
     dptr[q]:dptr[q+1] of dpos (the local position of the target) and dcoef
-    (integer coefficients, nonzero in the field), in Stalk.d_map order.
+    (integer coefficients, nonzero in the field), in Stalk.diff order.
     """
 
     off: np.ndarray
@@ -1110,13 +1101,6 @@ def _section_barcode(F: TameSheaf, region) -> Barcode:
                     for k, b, x in S.barcode(S.value, S.matching).bars])
 
 
-def behavior_at_infinity(F: TameSheaf):
-    """(ranks near -infinity, ranks near +infinity) via extreme windows."""
-    minus = sections(F, None, -INF, F.band_floor(), check_regular=False)
-    plus = sections(F, None, -INF, INF, check_regular=False)
-    return minus, plus
-
-
 def microstalk(F: TameSheaf, base_cell, t, eps=None, upper_to=None,
                field=GF2):
     """Ranks of H^*({x} x [t - eps, t + eps[, F); with upper_to set, the
@@ -1344,8 +1328,7 @@ def _cell_front_samples(cell: CellSheaf):
     taxis = cell.taxis
     index, st = cell.strata
     index, st = _compact(index[2 * np.arange(g.n_vertices)], st)
-    rank = [_rank_signature(stalk, cell.field)
-            for stalk in _tuple_stalks(st) + [ZERO_STALK]]
+    rank = _rank_signatures(st, cell.field) + [()]   # index -1: no stalk
     cache = {j: [b for b, lo, hi in zip(taxis.breaks, row, row[1:])
                  if rank[lo] != rank[hi]]
              for j, row in enumerate(index.tolist())}
@@ -1371,11 +1354,17 @@ def _cell_front_samples(cell: CellSheaf):
     return out
 
 
-def _rank_signature(st: Stalk, field):
-    C = ChainComplex([lbl for lbl, _ in st.gens],
-                     {lbl: k for lbl, k in st.gens},
-                     st.d_map(), field, check=False)
-    return tuple(sorted(C.cohomology_ranks().items()))
+def _rank_signatures(st: StalkTable, field):
+    """The cohomology ranks of every stalk of st, in table order, as sorted
+    (degree, rank) pairs: each stalk is the IndexComplex on its slots."""
+    out = []
+    for lo, hi in zip(st.off[:-1].tolist(), st.off[1:].tolist()):
+        e = slice(st.dptr[lo], st.dptr[hi])
+        K = IndexComplex(st.ldeg[lo:hi], st.dptr[lo:hi + 1] - e.start,
+                         st.dpos[e], st.dcoef[e], field,
+                         lambda i, lo=lo: st.labels[st.lab[lo + i]])
+        out.append(tuple(sorted(K.cohomology_ranks().items())))
+    return out
 
 
 def _front_tangency_ss(fronts, g, p_samples) -> ConeSet:

@@ -2,7 +2,8 @@
 reference.
 
 corner_table was the dict view of CellSheaf.corners, and the decoupled
-superlevel complex was built from it; front_back_faces split one cube at a
+superlevel complex was built from it (decoupled_home holds it on ids, as a
+home of id-keyed classes); front_back_faces split one cube at a
 time, and cup_product_cochain walked every cell through it, before
 BoxGrid.splitting_table gave both cup products one table; ominus, box_sum
 and external_box_sum were three copies of the stacked sum that
@@ -10,12 +11,14 @@ genfun.stacked_sum now builds.  Each is the old code unchanged.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
 from gfsheaf.genfun import GenFun, QuadForm
 from gfsheaf.grids import BoxGrid, SampledFunction, cubical_complex
 from gfsheaf.linalg import GF2
+from tuple_cells import cell_dim, edge_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +50,16 @@ def decoupled_superlevel_complex(CA, CB, lam, field=GF2):
     return cubical_complex(CA.base, keep, field)
 
 
+def decoupled_home(CA, CB, lam):
+    """The decoupled superlevel complex as a home of id-keyed classes, as
+    floer_to_product_classes reads one: complex, its IndexComplex on the
+    cells in C order, and cells, the flat base cell of each id."""
+    C = decoupled_superlevel_complex(CA, CB, lam)
+    shape = CA.base.cell_shape
+    return SimpleNamespace(complex=C.index_complex(), cells=np.array(
+        [np.ravel_multi_index(c, shape) for c in C.gens], dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # cup splittings
 
@@ -57,14 +70,14 @@ def cup_product_cochain(grid, a, b):
         raise ValueError("cup product lives on base-only grids")
     if not a or not b:
         return {}
-    deg_a = {grid.cell_dim(c) for c in a}
-    deg_b = {grid.cell_dim(c) for c in b}
+    deg_a = {cell_dim(c) for c in a}
+    deg_b = {cell_dim(c) for c in b}
     if len(deg_a) != 1 or len(deg_b) != 1:
         raise ValueError("cup product needs homogeneous cochains")
     p, q = deg_a.pop(), deg_b.pop()
     out = {}
     for cell in grid.all_cells():
-        if grid.cell_dim(cell) != p + q:
+        if cell_dim(cell) != p + q:
             continue
         total = 0
         for front, back in front_back_faces(grid, cell, (p,)):
@@ -85,7 +98,7 @@ def front_back_faces(grid, cell, sizes):
         for A in itertools.combinations(edge_axes, r):
             front, back = list(cell), list(cell)
             for i in edge_axes:
-                lo, hi = grid.axes[i].edge_vertices(cell[i] >> 1)
+                lo, hi = edge_vertices(grid.axes[i], cell[i] >> 1)
                 if i in A:
                     back[i] = 2 * hi
                 else:

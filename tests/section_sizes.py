@@ -17,8 +17,8 @@ import numpy as np
 import local_axis_reference as ref
 from gfsheaf.cli import BUNDLED_DIR
 from gfsheaf.scenarios import ScenarioContext, load_scenario
-from gfsheaf.sheaves import (INF, _rank_signature, _section_arrays,
-                             _tuple_stalks, quantize, to_cellular)
+from gfsheaf.sheaves import (INF, _rank_signatures, _section_arrays,
+                             quantize, to_cellular)
 
 HEADER = ("scale", "local strata", "stalk sizes", "stalk H ranks",
           "reference generators", "minimal generators", "bars")
@@ -40,8 +40,8 @@ def row(F):
     index, st = cell.strata
     k = index[c, (t + 1) // 2]
     size = np.append(np.diff(st.off), 0)[k]
-    rank = np.array([sum(r for _, r in _rank_signature(s, cell.field))
-                     for s in _tuple_stalks(st)] + [0])[k]
+    rank = np.array([sum(r for _, r in sig)
+                     for sig in _rank_signatures(st, cell.field)] + [0])[k]
     factors = [(cell, cell.local_axes, lambda flat: flat)]
     S = _section_arrays(cell.base, factors, None, -INF, INF, cell.field,
                         [cell.minimal])

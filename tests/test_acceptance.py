@@ -15,10 +15,9 @@ from gfsheaf.complexes import class_coordinates, cohomology_basis, is_quasi_iso
 from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
                               random_circle_morse, smoothed_clamp,
                               stabilized_graph_genfun, torus_function)
-from gfsheaf.floer import (SuperlevelHome, pant_product, unit_class,
-                           conormal_limit_ranks)
+from gfsheaf.floer import SuperlevelHome, pant_product, conormal_limit_ranks
 from gfsheaf.genfun import brane_of, cerf_diagram, gf_cohomology, graph_genfun
-from gfsheaf.grids import BaseRegion, sublevel_filtration
+from gfsheaf.grids import BaseRegion, ThresholdRefusal, sublevel_filtration
 from gfsheaf.products import (ProductHome, class_table, cup_product,
                               dualize, floer_to_product_classes,
                               pushforward_barcode, rhom_tensor, tensor, unit)
@@ -29,7 +28,8 @@ from gfsheaf.scenarios import _carrier_safe_cuts
 from gfsheaf.sheaves import (conify, front_interior_table, microstalk,
                              quantize, sections, singular_support,
                              to_cellular, unit_sheaf)
-from convolution_reference import decoupled_superlevel_complex
+from class_reference import unit_class
+from convolution_reference import decoupled_home
 
 INF = math.inf
 
@@ -410,7 +410,7 @@ def _cup_tables_for_triple(f, g, h, lam, mu):
     B2 = home2.canonical_basis()
     B3 = target.canonical_basis()
     if not (B1 and B2 and B3):
-        raise ValueError("empty bases; move the thresholds")
+        raise ThresholdRefusal("empty bases; move the thresholds")
     pant = []
     for (d1, v1) in B1:
         pant.append(class_coordinates(
@@ -422,9 +422,9 @@ def _cup_tables_for_triple(f, g, h, lam, mu):
     CA2 = dualize(quantize(graph_genfun(g))).cellular
     CB3 = quantize(graph_genfun(h)).cellular
     out_home = ProductHome(CA1, CB3, lam + mu)
-    alpha = floer_to_product_classes(ProductHome(CA1, CB2, lam), B1)
-    beta = floer_to_product_classes(ProductHome(CA2, CB3, mu), B2)
-    pushed_B3 = floer_to_product_classes(out_home, B3)
+    alpha = floer_to_product_classes(ProductHome(CA1, CB2, lam), home1, B1)
+    beta = floer_to_product_classes(ProductHome(CA2, CB3, mu), home2, B2)
+    pushed_B3 = floer_to_product_classes(out_home, target, B3)
     cup = []
     for a_cls in alpha:
         cup.append(class_table(
@@ -449,7 +449,7 @@ def test_criterion_8_product_compatibility():
         mu = float(h2.values.min()) - rng.uniform(0.3, 0.8)
         try:
             pant, cup, d1, d2, d3 = _cup_tables_for_triple(f, g, h, lam, mu)
-        except (ValueError, AssertionError):
+        except ThresholdRefusal:
             continue  # thresholds hit the value spectrum; redraw
         triples_done += 1
         if pant != cup:
@@ -461,15 +461,15 @@ def test_criterion_8_product_compatibility():
     CA = dualize(F0).cellular
     CB = F0.cellular
     lam0 = -0.51
-    D = decoupled_superlevel_complex(CA, CB, lam0)
-    basis = cohomology_basis(D)
-    cls = floer_to_product_classes(ProductHome(CA, CB, lam0), basis)
+    D = decoupled_home(CA, CB, lam0)
+    cls = floer_to_product_classes(ProductHome(CA, CB, lam0), D,
+                                   cohomology_basis(D.complex))
     by_deg = {c.degree: c for c in cls}
     one, theta = by_deg[0], by_deg[1]
     home2 = ProductHome(CA, CB, 2 * lam0)
-    basis2 = floer_to_product_classes(
-        home2,
-        cohomology_basis(decoupled_superlevel_complex(CA, CB, 2 * lam0)))
+    D2 = decoupled_home(CA, CB, 2 * lam0)
+    basis2 = floer_to_product_classes(home2, D2,
+                                      cohomology_basis(D2.complex))
     idx = {c.degree: i for i, c in enumerate(basis2)}
     t11, t1t = class_table(home2, [cup_product(one, one, home2),
                                    cup_product(one, theta, home2)], basis2)
@@ -481,16 +481,17 @@ def test_criterion_8_product_compatibility():
     g2 = random_circle_morse(rng, n=12)
     h1 = g2 - f
     lam = float(h1.values.min()) - 0.57
-    B1 = SuperlevelHome(h1, lam).canonical_basis()
+    home1 = SuperlevelHome(h1, lam)
+    B1 = home1.canonical_basis()
     CA1 = dualize(quantize(graph_genfun(f))).cellular
     CB2 = quantize(graph_genfun(g2)).cellular
     CA2 = dualize(quantize(graph_genfun(g2))).cellular
-    alpha = floer_to_product_classes(ProductHome(CA1, CB2, lam), B1)
-    ucls = floer_to_product_classes(
-        ProductHome(CA2, CB2, -0.53),
-        [(0, unit_class(SuperlevelHome(g2 - g2, -0.53)))])[0]
+    alpha = floer_to_product_classes(ProductHome(CA1, CB2, lam), home1, B1)
+    home_u = SuperlevelHome(g2 - g2, -0.53)
+    ucls = floer_to_product_classes(ProductHome(CA2, CB2, -0.53), home_u,
+                                    [(0, unit_class(home_u))])[0]
     out_home = ProductHome(CA1, CB2, lam - 0.53)
-    pushed = floer_to_product_classes(out_home, B1)
+    pushed = floer_to_product_classes(out_home, home1, B1)
     table = class_table(
         out_home, [cup_product(a_cls, ucls, out_home) for a_cls in alpha],
         pushed)

@@ -443,6 +443,29 @@ BAD_FUNCTIONS = {
                             'op = "oracle-compare"\npair = ["f", "g"]\n',
                             "the expression '1/x' is inf at the grid vertex "
                             "x = 0"),
+    # finite samples whose differences overflow: a sections task printed a
+    # numpy RuntimeWarning and exited 0, a pair failed its task (exit 1)
+    "expr-huge": ('expr = "1e308*cos(2*pi*x)"\nn = 16\n[[tasks]]\n'
+                  'op = "sections"\nsheaf = "f"\ncheck_regular = true\n',
+                  "the samples of the expression '1e308*cos(2*pi*x)' "
+                  "overflow: the sum of two samples is not finite"),
+    "expr-huge-slope": ('expr = "1e307*cos(2*pi*x)"\nn = 16\n[[tasks]]\n'
+                        'op = "sections"\nsheaf = "f"\n'
+                        'check_regular = true\n',
+                        "overflow: the square of a first difference quotient "
+                        "along axis 0 is not finite"),
+    "expr-huge-in-a-pair": ('expr = "1e308*cos(2*pi*x)"\nn = 16\n'
+                            '[inputs.functions.g]\nexpr = "cos(2*pi*x)"\n'
+                            'n = 16\n[[tasks]]\nop = "oracle-compare"\n'
+                            'pair = ["f", "g"]\n',
+                            "the samples of the expression "
+                            "'1e308*cos(2*pi*x)' overflow"),
+    "values-huge-in-a-pair": ("values = [1e308, -1e308, 1e308, -1e308]\n"
+                              "n = 4\n[inputs.functions.g]\n"
+                              'expr = "cos(2*pi*x)"\nn = 4\n[[tasks]]\n'
+                              'op = "oracle-compare"\npair = ["f", "g"]\n',
+                              "the samples of values overflow: the sum of "
+                              "two samples is not finite"),
 }
 
 

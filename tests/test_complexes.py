@@ -6,10 +6,13 @@ import pytest
 from gfsheaf import complexes, linalg
 from gfsheaf.complexes import (Barcode, ChainComplex, ChainMap,
                                FilteredComplex, cohomology_ranks, compose,
-                               dual_complex, is_quasi_iso, mapping_cone)
-from gfsheaf.linalg import GF2, QQ, Reducer, add_scaled, rank_of_columns
+                               is_quasi_iso, mapping_cone)
+from gfsheaf.linalg import (GF2, QQ, Reducer, add_scaled, integer_column,
+                            rank_of_columns)
 
 import fraction_reference
+from class_reference import (dual_complex, tuple_apply_d,
+                             tuple_class_coordinates, tuple_cohomology_basis)
 from test_linalg import dense_rank, random_entry, scalar
 
 INF = math.inf
@@ -935,14 +938,14 @@ def reference_class_coordinates(C, basis_cocycles, zs):
 
 
 def class_problem(rng, C):
-    """(basis, targets) over C: its cohomology basis with dependent vectors
-    shuffled in (a sum of two basis vectors, a basis vector plus a
-    coboundary, a coboundary), and targets that mix degrees (combinations
-    of basis vectors and coboundaries), the zero vector, and vectors that
-    are no cocycles (inconsistent)."""
-    from gfsheaf.complexes import apply_d, cohomology_basis
+    """(basis, targets) over the ChainComplex C, drawn with the tuple class
+    calculus: its cohomology basis with dependent vectors shuffled in (a
+    sum of two basis vectors, a basis vector plus a coboundary, a
+    coboundary), and targets that mix degrees (combinations of basis
+    vectors and coboundaries), the zero vector, and vectors that are no
+    cocycles (inconsistent)."""
     F = C.field
-    basis = [v for _, v in cohomology_basis(C)]
+    basis = [v for _, v in tuple_cohomology_basis(C)]
 
     def combo(vecs):
         out = {}
@@ -951,7 +954,7 @@ def class_problem(rng, C):
         return out
 
     def boundary():
-        return apply_d(C, {rng.choice(C.gens): random_entry(rng, F)})
+        return tuple_apply_d(C, {rng.choice(C.gens): random_entry(rng, F)})
 
     dependent = [combo(rng.sample(basis, min(2, len(basis)))),
                  combo(rng.sample(basis, min(1, len(basis))) + [boundary()]),
@@ -969,21 +972,24 @@ def class_problem(rng, C):
 def as_index_complex(C):
     """The IndexComplex of C (integer entries) on the ids of C.gens, and
     a converter of generator-keyed vectors to id-keyed ones."""
-    names = list(C.gens)
-    K = index_complex(names, C.deg,
-                      {g: {h: int(v) for h, v in cb.items()}
-                       for g, cb in C.d.items()}, C.field)
-    return K, lambda vec: {C._index[g]: v for g, v in vec.items()}
+    return C.index_complex(), \
+        lambda vec: {C._index[g]: v for g, v in vec.items()}
+
+
+def integer_entry(rng, field):
+    """A pair entry or change of basis of random_known_complex that is an
+    integer, nonzero in the field."""
+    return 1 if field is GF2 else rng.choice([-3, -2, -1, 1, 2, 3, 6])
 
 
 def class_problem_complexes(field):
+    """Integer complexes over field: random_known_complex with integer
+    entries, and the cubical complexes of complexes_under_test."""
     from test_linalg import complexes_under_test
     rng = random.Random(71)
     for _ in range(40):
-        C, _ = random_known_complex(rng, field)
-        yield C, field is GF2    # over Q its entries are fractions
-    for C in complexes_under_test(field):
-        yield C, True
+        yield random_known_complex(rng, field, integer_entry)[0]
+    yield from complexes_under_test(field)
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
@@ -991,18 +997,17 @@ def test_class_coordinates_match_the_unrestricted_solve(field):
     from gfsheaf.complexes import class_coordinates
     rng = random.Random(72)
     inconsistent = 0
-    for C, integral in class_problem_complexes(field):
+    for C in class_problem_complexes(field):
         basis, targets = class_problem(rng, C)
         want = reference_class_coordinates(C, basis, targets)
-        assert class_coordinates(C, basis, targets) == want
+        assert tuple_class_coordinates(C, basis, targets) == want
         assert want[2] == [field.zero()] * len(basis)
         assert want[3] is None and want[4] is None
         inconsistent += want.count(None)
-        if integral:
-            K, ids = as_index_complex(C)
-            got = class_coordinates(K, [ids(b) for b in basis],
-                                    [ids(z) for z in targets])
-            assert got == want
+        K, ids = as_index_complex(C)
+        got = class_coordinates(K, [ids(b) for b in basis],
+                                [ids(z) for z in targets])
+        assert got == want
     assert inconsistent >= 2 * 40
 
 
@@ -1018,13 +1023,19 @@ def test_class_coordinates_solves_against_the_touched_degrees(monkeypatch):
     rng = random.Random(73)
     for _ in range(20):
         C, _ = random_known_complex(rng, GF2)
-        for k in sorted({C.deg[g] for g in C.gens}):
-            basis = [v for d, v in cohomology_basis(C) if d == k]
-            zs = [{g: 1} for g in C.gens if C.deg[g] == k]
-            assert class_coordinates(C, basis, zs) == \
-                reference_class_coordinates(C, basis, zs)
+        K = C.index_complex()
+        deg = K.deg.tolist()
+
+        def named(vecs):
+            return [{C.gens[i]: v for i, v in vec.items()} for vec in vecs]
+
+        for k in sorted(set(deg)):
+            basis = [v for d, v in cohomology_basis(K) if d == k]
+            zs = [{i: 1} for i, d in enumerate(deg) if d == k]
+            assert class_coordinates(K, basis, zs) == \
+                reference_class_coordinates(C, named(basis), named(zs))
             cols = seen.pop()[len(basis):]
-            assert all(C.deg[C.gens[i]] == k for col in cols for i in col)
+            assert all(deg[i] == k for col in cols for i in col)
             assert len(cols) == sum(1 for g in C.gens
                                     if C.deg[g] == k - 1 and g in C.d)
 
@@ -1040,10 +1051,92 @@ def test_apply_d_on_ids_matches_the_tuple_complex(field):
         for _ in range(20):
             vec = {g: rng.choice([-2, -1, 1, 2, 3])
                    for g in rng.sample(C.gens, 6)}
-            want = apply_d(C, {g: field.coerce(c) for g, c in vec.items()})
+            want = tuple_apply_d(
+                C, {g: field.coerce(c) for g, c in vec.items()})
             assert apply_d(K, ids(vec)) == ids(want)
         with pytest.raises(ValueError, match="integer entries"):
             apply_d(K, {0: Fraction(1, 2)})
+
+
+def random_class_complexes(field):
+    """(IndexComplex, its ChainComplex, known ranks) of random integer
+    complexes: over F2 random_known_complex, over Q random_integer_complex
+    (non-unit entries among them)."""
+    rng = random.Random(75)
+    for _ in range(40):
+        if field is GF2:
+            C, known = random_known_complex(rng, GF2)
+            yield C.index_complex(), C, known
+        else:
+            K, known = random_integer_complex(rng)
+            yield K, K.chain_complex([K.name(i) for i in range(len(K.deg))]), \
+                known
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_the_id_class_calculus_matches_the_tuple_reference(field):
+    """cohomology_basis (in id order and under a random order key), apply_d
+    and class_coordinates on ids against the tuple calculus on the same
+    complex as a ChainComplex.  Over Q a library basis vector is the
+    reference vector times the lcm of its denominators, an integer vector;
+    the denominators do occur."""
+    from gfsheaf.complexes import apply_d, class_coordinates, cohomology_basis
+    rng = random.Random(76)
+    fractional = 0
+    for K, C, known in random_class_complexes(field):
+        n = len(K.deg)
+        key = list(range(n))
+        rng.shuffle(key)
+        index = C._index
+
+        def named(vec):
+            return {C.gens[i]: v for i, v in vec.items()}
+
+        for order_key, ref_key in ((None, None),
+                                   (key.__getitem__,
+                                    lambda g: key[index[g]])):
+            basis = cohomology_basis(K, order_key=order_key)
+            ref = tuple_cohomology_basis(C, order_key=ref_key)
+            assert [d for d, _ in basis] == [d for d, _ in ref]
+            for (_, vec), (_, want) in zip(basis, ref):
+                want = {index[g]: v for g, v in want.items()}
+                fractional += any(v.denominator > 1 for v in want.values()) \
+                    if field is QQ else 0
+                assert vec == (want if field is GF2 else integer_column(want))
+                assert all(type(v) is int for v in vec.values())
+                assert apply_d(K, vec) == {}
+            ranks = {}
+            for d, _ in basis:
+                ranks[d] = ranks.get(d, 0) + 1
+            assert ranks == known
+        vecs = [vec for _, vec in basis]
+        zs = [{i: rng.choice([-2, -1, 1, 3]) for i in rng.sample(range(n),
+                                                                 min(n, 4))}
+              for _ in range(6)] + vecs
+        for z in zs:
+            assert apply_d(K, z) == {index[g]: v for g, v in tuple_apply_d(
+                C, {g: field.coerce(c) for g, c in named(z).items()}).items()}
+        assert class_coordinates(K, vecs, zs) == tuple_class_coordinates(
+            C, [named(v) for v in vecs], [named(z) for z in zs])
+    assert fractional or field is GF2
+
+
+def test_index_complex_inverts_chain_complex():
+    """ChainComplex.index_complex is the inverse of
+    IndexComplex.chain_complex, names its ids by their generators and
+    refuses a coefficient that is no integer."""
+    import numpy as np
+    from fractions import Fraction
+    for K, C, _ in random_class_complexes(QQ):
+        back = C.index_complex()
+        for part in ("deg", "indptr", "tgt", "coef"):
+            assert np.array_equal(getattr(back, part), getattr(K, part))
+        assert back.field is QQ
+        assert [back.name(i) for i in range(len(back.deg))] == list(C.gens)
+    C = ChainComplex(["a", "b"], {"a": 0, "b": 1},
+                     {"a": {"b": Fraction(1, 2)}}, QQ)
+    with pytest.raises(ValueError, match="integer coefficients"):
+        C.index_complex()
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,40 @@
 """The cup route on index homes against the tuple route it replaced.
 
 The reference below is the tuple route unchanged: a home holds the tuple
-product section complex (product_section_complex), classes are dicts keyed
-by tuple generators, pushed classes read one stalk per vertex pair (_only)
-and the corner tables, and class tables are solved against the coboundaries
-of every degree.  Tables, pushed supports and cup supports must agree with
-the index route on the products scenario's triples, the circle ring, the
-unit action and associativity.
+product section complex (product_section_complex), a superlevel home the
+tuple cubical complex (class_reference.TupleSuperlevelHome), classes are
+dicts keyed by tuple generators, pushed classes read one stalk per vertex
+pair (_only) and the corner tables, and class tables are solved against
+the coboundaries of every degree.  Tables, pushed supports and cup supports
+must agree with the index route on the products scenario's triples, the
+circle ring, the unit action and associativity, and the superlevel bases,
+pant products and their coordinates cell for cell.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
-from gfsheaf.complexes import apply_d, class_coordinates, cohomology_basis
+from gfsheaf.complexes import class_coordinates, cohomology_basis
 from gfsheaf.fixtures import circle_function, random_circle_morse
-from gfsheaf.floer import SuperlevelHome, pant_product, unit_class
+from gfsheaf.floer import SuperlevelHome, pant_product
 from gfsheaf.genfun import graph_genfun
+from gfsheaf.grids import ThresholdRefusal
 from gfsheaf.linalg import GF2, solve_columns
 from gfsheaf.products import (ProductHome, class_table, cup_product, dualize,
                               floer_to_product_classes)
 from gfsheaf.sheaves import (TAxis, product_section_complex, quantize,
                              to_cellular)
-from convolution_reference import (corner_table, decoupled_superlevel_complex,
+from class_reference import (TupleSuperlevelHome, cell_keyed,
+                             tuple_apply_d, tuple_class_coordinates,
+                             tuple_cohomology_basis, tuple_pant_product,
+                             tuple_unit_class, unit_class)
+from convolution_reference import (corner_table, decoupled_home,
+                                   decoupled_superlevel_complex,
                                    front_back_faces)
 
 
@@ -62,7 +73,7 @@ class RefClass:
     rep: dict
 
 
-def ref_floer_to_product_classes(home, n_level_basis):
+def ref_floer_to_product_classes(home, _floer_home, n_level_basis):
     CA, CB, lam, C = home.CA, home.CB, home.lam, home.complex
     corner_a, _ = corner_table(CA)
     corner_b, _ = corner_table(CB)
@@ -85,7 +96,7 @@ def ref_floer_to_product_classes(home, n_level_basis):
                          _only(CB, bc, b2))
                     if g in genset:
                         push[g] = one
-        if apply_d(C, push):
+        if tuple_apply_d(C, push):
             raise AssertionError("pushed class is not closed; thresholds "
                                  "sit too close to the value spectrum")
         out.append(RefClass(home, deg, push))
@@ -115,7 +126,8 @@ def ref_cup_product(alpha, beta, home, check_closed=True):
         raise ValueError("the output home is not the home of "
                          "(alpha's CA, beta's CB, lam + mu)")
     if check_closed:
-        if apply_d(ha.complex, alpha.rep) or apply_d(hb.complex, beta.rep):
+        if tuple_apply_d(ha.complex, alpha.rep) or \
+                tuple_apply_d(hb.complex, beta.rep):
             raise ValueError("representatives must be closed")
     b_star = len(ha.CB.taxis.breaks) - 1
     c_star = len(hb.CA.taxis.breaks) - 1
@@ -146,7 +158,7 @@ def ref_cup_product(alpha, beta, home, check_closed=True):
                         if w:
                             out[g] = GF2.add(out.get(g, 0), w)
     out = {k: v for k, v in out.items() if v}
-    if apply_d(C_out, out):
+    if tuple_apply_d(C_out, out):
         raise AssertionError("cup product output is not closed; window "
                              "endpoints sit too close to the value spectrum")
     return RefClass(home, alpha.degree + beta.degree, out)
@@ -169,10 +181,41 @@ def ref_class_table(home, classes, basis_classes):
 # ---------------------------------------------------------------------------
 # the two routes side by side
 
-INDEX = (ProductHome, floer_to_product_classes, cup_product, class_table,
-         class_coordinates)
-TUPLE = (RefHome, ref_floer_to_product_classes, ref_cup_product,
-         ref_class_table, reference_class_coordinates)
+class Route(NamedTuple):
+    """The superlevel home, its pant product, the unit class and the basis
+    of a home's complex; the product home, the push, the cup product, the
+    class table and the coordinates; and the decoupled home of a route."""
+
+    Floer: type
+    pant: object
+    unit: object
+    basis: object
+    Home: type
+    push: object
+    cup: object
+    table: object
+    coordinates: object
+    decoupled: object
+
+
+def tuple_decoupled_home(CA, CB, lam):
+    return SimpleNamespace(complex=decoupled_superlevel_complex(CA, CB, lam))
+
+
+INDEX = Route(SuperlevelHome, pant_product, unit_class, cohomology_basis,
+              ProductHome, floer_to_product_classes, cup_product,
+              class_table, class_coordinates, decoupled_home)
+TUPLE = Route(TupleSuperlevelHome, tuple_pant_product, tuple_unit_class,
+              tuple_cohomology_basis, RefHome, ref_floer_to_product_classes,
+              ref_cup_product, ref_class_table, reference_class_coordinates,
+              tuple_decoupled_home)
+
+
+def decoupled_classes(route, home, CA, CB, lam):
+    """The classes of the decoupled superlevel complex at lam, pushed into
+    home on the route."""
+    D = route.decoupled(CA, CB, lam)
+    return route.push(home, D, route.basis(D.complex))
 
 
 def support(cls):
@@ -186,11 +229,11 @@ def support(cls):
 def triple_tables(route, f, g, h, lam, mu):
     """(pant table, cup table, supports of the pushed and cup classes) of
     one triple, as the products scenario's cup task computes them."""
-    Home, push, cup, table, coordinates = route
+    Home, push, cup, table = route.Home, route.push, route.cup, route.table
     h1, h2, h3 = g - f, h - g, h - f
-    home1 = SuperlevelHome(h1, lam)
-    home2 = SuperlevelHome(h2, mu)
-    target = SuperlevelHome(h3, lam + mu)
+    home1 = route.Floer(h1, lam)
+    home2 = route.Floer(h2, mu)
+    target = route.Floer(h3, lam + mu)
     B1 = home1.canonical_basis()
     B2 = home2.canonical_basis()
     B3 = target.canonical_basis()
@@ -199,13 +242,13 @@ def triple_tables(route, f, g, h, lam, mu):
     CA2 = dualize(quantize(graph_genfun(g))).cellular
     CB3 = quantize(graph_genfun(h)).cellular
     out_home = Home(CA1, CB3, lam + mu)
-    alpha = push(Home(CA1, CB2, lam), B1)
-    beta = push(Home(CA2, CB3, mu), B2)
-    pushed = push(out_home, B3)
+    alpha = push(Home(CA1, CB2, lam), home1, B1)
+    beta = push(Home(CA2, CB3, mu), home2, B2)
+    pushed = push(out_home, target, B3)
     entries = [(i, j) for i in range(len(B1)) for j in range(len(B2))]
-    pant = coordinates(
+    pant = route.coordinates(
         target.complex, [v for _, v in B3],
-        [pant_product(home1, B1[i][1], home2, B2[j][1], target)
+        [route.pant(home1, B1[i][1], home2, B2[j][1], target)
          for i, j in entries])
     cups = [cup(alpha[i], beta[j], out_home) for i, j in entries]
     return (pant, table(out_home, cups, pushed),
@@ -246,15 +289,13 @@ def circle_carriers(n):
 
 def ring_case(route, n, lam):
     """The circle ring: 1 * 1, 1 * theta, theta * 1 and theta * theta."""
-    Home, push, cup, table, _ = route
+    Home, cup, table = route.Home, route.cup, route.table
     CA, CB = circle_carriers(n)
-    cls = push(Home(CA, CB, lam),
-               cohomology_basis(decoupled_superlevel_complex(CA, CB, lam)))
+    cls = decoupled_classes(route, Home(CA, CB, lam), CA, CB, lam)
     by_deg = {c.degree: c for c in cls}
     one, theta = by_deg[0], by_deg[1]
     home2 = Home(CA, CB, 2 * lam)
-    basis2 = push(home2, cohomology_basis(
-        decoupled_superlevel_complex(CA, CB, 2 * lam)))
+    basis2 = decoupled_classes(route, home2, CA, CB, 2 * lam)
     products = [cup(a, b, home2) for a, b in
                 ((one, one), (one, theta), (theta, one))]
     return (table(home2, products, basis2), [c.degree for c in basis2],
@@ -263,14 +304,13 @@ def ring_case(route, n, lam):
 
 
 def associativity_case(route, n, lam):
-    Home, push, cup, table, _ = route
+    Home, cup, table = route.Home, route.cup, route.table
     CA, CB = circle_carriers(n)
     homes = {k: Home(CA, CB, v)
              for k, v in ((1, lam), (2, lam + lam), (3, lam + (lam + lam)))}
 
     def classes_at(k):
-        return push(homes[k], cohomology_basis(
-            decoupled_superlevel_complex(CA, CB, homes[k].lam)))
+        return decoupled_classes(route, homes[k], CA, CB, homes[k].lam)
 
     def prod(a, b):
         return cup(a, b, homes[2 if a.home is b.home else 3])
@@ -294,20 +334,22 @@ def associativity_case(route, n, lam):
 def unit_case(route, seed):
     """The unit acting on the classes of a random graph pair: the table is
     the identity."""
-    Home, push, cup, table, _ = route
+    Home, push, cup, table = route.Home, route.push, route.cup, route.table
     rng = random.Random(seed)
     f = random_circle_morse(rng, n=12)
     g = random_circle_morse(rng, n=12)
     lam = float((g - f).values.min()) - 0.57
-    B1 = SuperlevelHome(g - f, lam).canonical_basis()
+    home1 = route.Floer(g - f, lam)
+    B1 = home1.canonical_basis()
     CA1 = dualize(quantize(graph_genfun(f))).cellular
     CB2 = quantize(graph_genfun(g)).cellular
     CA2 = dualize(quantize(graph_genfun(g))).cellular
-    alpha = push(Home(CA1, CB2, lam), B1)
-    unit = push(Home(CA2, CB2, -0.53),
-                [(0, unit_class(SuperlevelHome(g - g, -0.53)))])[0]
+    alpha = push(Home(CA1, CB2, lam), home1, B1)
+    home_u = route.Floer(g - g, -0.53)
+    unit = push(Home(CA2, CB2, -0.53), home_u,
+                [(0, route.unit(home_u))])[0]
     out_home = Home(CA1, CB2, lam - 0.53)
-    pushed = push(out_home, B1)
+    pushed = push(out_home, home1, B1)
     products = [cup(a, unit, out_home) for a in alpha]
     return (table(out_home, products, pushed),
             [support(c) for c in alpha + [unit] + pushed + products])
@@ -340,12 +382,14 @@ def test_unit_action_matches_the_tuple_route(seed):
                      for i in range(len(table))]
 
 
-def push_outcome(route, CA, CB, lam, basis):
-    """The supports of the classes basis pushes into the home (CA, CB,
-    lam) on a route, or the type and message of the error it raises."""
-    Home, push = route[:2]
+def push_outcome(route, CA, CB, lam, floer_home):
+    """The supports of the classes of floer_home's canonical basis pushed
+    into the home (CA, CB, lam) on a route, or the type and message of the
+    error it raises."""
     try:
-        return [support(c) for c in push(Home(CA, CB, lam), basis)]
+        return [support(c) for c in route.push(
+            route.Home(CA, CB, lam), floer_home,
+            floer_home.canonical_basis())]
     except (ValueError, AssertionError) as e:
         return type(e).__name__, str(e)
 
@@ -355,9 +399,9 @@ def test_a_push_across_the_window_floor_is_a_threshold_refusal(seed):
     # vertex pairs of the support whose sum lies below lam are no generators
     # of the home; the push without them is no cocycle, which both routes
     # refuse as a threshold too close to the value spectrum (a refusal the
-    # cup task redraws on)
+    # cup task redraws on): the tuple route by an AssertionError, the index
+    # route by a ThresholdRefusal with the same message
     f, g, _, lam, _ = next(scenario_triples(seed))
-    basis = SuperlevelHome(g - f, lam).canonical_basis()
     CA = dualize(quantize(graph_genfun(f))).cellular
     CB = quantize(graph_genfun(g)).cellular
     corner_a, _ = corner_table(CA)
@@ -366,10 +410,46 @@ def test_a_push_across_the_window_floor_is_a_threshold_refusal(seed):
     outcomes = []
     for floor in (lam, sums[0] + 1e-3, sums[len(sums) // 2] + 1e-3,
                   sums[-1] + 1e-3):
-        got = push_outcome(INDEX, CA, CB, floor, basis)
-        assert got == push_outcome(TUPLE, CA, CB, floor, basis), floor
+        got = push_outcome(INDEX, CA, CB, floor, SuperlevelHome(g - f, lam))
+        want = push_outcome(TUPLE, CA, CB, floor,
+                            TupleSuperlevelHome(g - f, lam))
+        if isinstance(want, tuple) and want[0] == "AssertionError":
+            want = (ThresholdRefusal.__name__, want[1])
+        assert got == want, floor
         outcomes.append(got)
     assert isinstance(outcomes[0], list) and all(outcomes[0])
-    refused = [o for o in outcomes[1:] if o[0] == "AssertionError"]
+    refused = [o for o in outcomes[1:] if o[0] == "ThresholdRefusal"]
     assert refused and all("too close to the value spectrum" in o[1]
                            for o in refused), outcomes
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_superlevel_classes_match_the_tuple_home_cell_for_cell(seed):
+    """The canonical bases, the pant products and their coordinates of the
+    products scenario's triples on the id homes, read cell for cell through
+    home.cells, are those of the tuple homes."""
+    for f, g, h, lam, mu in scenario_triples(seed):
+        homes, tuple_homes = ([Floer(g - f, lam), Floer(h - g, mu),
+                               Floer(h - f, lam + mu)]
+                              for Floer in (SuperlevelHome,
+                                            TupleSuperlevelHome))
+        bases = [home.canonical_basis() for home in homes]
+        for home, basis, ref in zip(homes, bases, tuple_homes):
+            assert [(d, cell_keyed(home, v)) for d, v in basis] == \
+                ref.canonical_basis()
+            assert home.ranks() == ref.ranks()
+        (home1, home2, target), (B1, B2, B3) = homes, bases
+        (ref1, ref2, ref_target) = tuple_homes
+        products, ref_products = [], []
+        for (_, a), (_, b) in itertools.product(B1, B2):
+            z = pant_product(home1, a, home2, b, target)
+            assert list(z) == sorted(z)
+            products.append(z)
+            ref_products.append(tuple_pant_product(
+                ref1, cell_keyed(home1, a), ref2, cell_keyed(home2, b),
+                ref_target))
+        assert [cell_keyed(target, z) for z in products] == ref_products
+        assert class_coordinates(target.complex, [v for _, v in B3],
+                                 products) == tuple_class_coordinates(
+            ref_target.complex, [cell_keyed(target, v) for _, v in B3],
+            ref_products)

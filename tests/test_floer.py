@@ -1,17 +1,18 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gfsheaf.complexes import apply_d, class_coordinates, cohomology_ranks
 from gfsheaf.fixtures import (circle_function, cusp_genfun, graph_pair,
                               random_circle_morse, torus_function)
 from gfsheaf.floer import (StabilizationError, SuperlevelHome, pant_product,
-                           restrict_classes, stabilize, unit_class,
-                           conormal_limit_ranks)
+                           restrict_classes, stabilize, conormal_limit_ranks)
 from gfsheaf.genfun import gf_cohomology, graph_genfun
 from gfsheaf.grids import BaseRegion, critical_vertices, sublevel_filtration
 from gfsheaf.linalg import GF2, QQ
+from class_reference import unit_class
 from limit_reference import filtered_limit_ranks
 
 INF = math.inf
@@ -192,6 +193,13 @@ def test_harmonic_basis_matches_ranks():
             assert class_coordinates(home.complex, [vec], [vec]) == [[1]]
 
 
+def in_home(target, home, vec):
+    """An id-keyed vector of home viewed in target, cell for cell."""
+    at = np.searchsorted(target.cells, home.cells)
+    assert np.array_equal(target.cells[at], home.cells)
+    return {int(at[i]): x for i, x in vec.items()}
+
+
 def test_pant_product_unit_action():
     rng = random.Random(7)
     f, g = graph_pair(rng, n=24)
@@ -209,7 +217,7 @@ def test_pant_product_unit_action():
         basis_t = target.canonical_basis()
         coords_z, coords_v = class_coordinates(
             target.complex, [b for _, b in basis_t],
-            [z, {c: x for c, x in vec.items()}])
+            [z, in_home(target, home1, vec)])
         assert coords_z == coords_v
 
 
@@ -227,10 +235,23 @@ def test_pant_product_circle_ring_structure():
     bt = target.canonical_basis()
     vecs = [v for _, v in bt]
     c11, c1, c1t, ct = class_coordinates(
-        target.complex, vecs, [z11, unit_class(target), z1t, theta])
+        target.complex, vecs,
+        [z11, unit_class(target), z1t, in_home(target, home, theta)])
     assert c11 == c1
     assert c1t == ct
     assert ztt == {}
+
+
+def test_pant_product_refuses_homes_over_q():
+    # the cubical cup product reads its cochains mod 2; an integer class
+    # over Q would lose its even entries
+    f = circle_function("cos(2*pi*x)", n=16)
+    home, target = SuperlevelHome(f, -2.0, QQ), SuperlevelHome(f + f, -4.0, QQ)
+    (_, one), = [b for b in home.canonical_basis() if b[0] == 0]
+    with pytest.raises(ValueError, match="over F2"):
+        pant_product(home, one, home, one, target)
+    with pytest.raises(ValueError, match="over F2"):
+        pant_product(SuperlevelHome(f, -2.0), one, home, one, target)
 
 
 def test_restrict_classes_to_point():
@@ -239,7 +260,7 @@ def test_restrict_classes_to_point():
     basis = home.canonical_basis()
     Z = BaseRegion.from_cells(f.grid, [(2,)])  # a single vertex cell
     sub, reps = restrict_classes(home, [v for _, v in basis], Z)
-    ranks = cohomology_ranks(sub)
+    ranks = sub.cohomology_ranks()
     assert ranks == {0: 1}
     # the degree-0 class restricts to the generator, the degree-1 one to zero
     deg0 = [r for (d, _), r in zip(basis, reps) if d == 0][0]
@@ -284,8 +305,6 @@ def test_continuation_as_cup_with_shifted_unit():
     lam = float(g.values.min()) - 0.53
     home = SuperlevelHome(g, lam)
     basis = home.canonical_basis()
-    shift_fun = g.grid  # constant -c function on the same grid
-    import numpy as np
     from gfsheaf.grids import SampledFunction
     f_shift = SampledFunction(g.grid, np.full(g.grid.vertex_shape, -c))
     mu = -c - 0.11
@@ -298,5 +317,5 @@ def test_continuation_as_cup_with_shifted_unit():
         # continuation route: the same cocycle lives in the shifted home
         direct, cupped = class_coordinates(
             target.complex, [v for _, v in basis_t],
-            [{cell: x for cell, x in vec.items()}, z])
+            [in_home(target, home, vec), z])
         assert direct == cupped

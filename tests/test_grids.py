@@ -21,7 +21,8 @@ from convolution_reference import (corner_table, cup_product_cochain as
                                    reference_cup_product_cochain,
                                    decoupled_superlevel_complex,
                                    front_back_table)
-from tuple_cells import cofaces
+from class_reference import tuple_cup_product_cochain
+from tuple_cells import cell_dim, cofaces
 import foundation_reference
 
 INF = math.inf
@@ -204,28 +205,39 @@ def test_critical_vertices_on_torus():
     assert by_index == {0: 1, 1: 2, 2: 1}
 
 
+def flat_cells(grid, vec):
+    """The flat cells (C order) of the odd entries of a cochain keyed by
+    cell tuples, in ascending order."""
+    return np.array(sorted(np.ravel_multi_index(c, grid.cell_shape)
+                           for c, v in vec.items() if v & 1), dtype=np.int64)
+
+
 def test_cup_product_circle_ring():
     g = circle_box(8)
-    one = {(2 * k,): 1 for k in range(8)}
-    theta = {(1,): 1}  # single edge: generator of H^1
-    assert cup_product_cochain(g, one, theta) == theta
-    assert cup_product_cochain(g, one, one) == one
+    one = np.arange(0, 16, 2)       # every vertex: the unit
+    theta = np.array([1])           # single edge: generator of H^1
+    assert cup_product_cochain(g, one, theta).tolist() == [1]
+    assert cup_product_cochain(g, one, one).tolist() == one.tolist()
     # theta cup theta lands in degree 2: no 2-cells on a circle
-    assert cup_product_cochain(g, theta, theta) == {}
+    assert cup_product_cochain(g, theta, theta).size == 0
 
 
 def test_cup_product_torus_ring():
     g = BoxGrid((circle_grid(4), circle_grid(4)))
-    th1 = {(1, 2 * j): 1 for j in range(4)}   # dual to a meridian circle
-    th2 = {(2 * i, 1): 1 for i in range(4)}
-    C = relative_cochain_complex(g, *all_and_none(g))
-    assert not apply_d(C, th1) and not apply_d(C, th2)
+    th1 = flat_cells(g, {(1, 2 * j): 1 for j in range(4)})  # a meridian's dual
+    th2 = flat_cells(g, {(2 * i, 1): 1 for i in range(4)})
+    # every cell is kept, so the ids are the flat cells
+    C = relative_cochain_complex(g, *all_and_none(g)).index_complex()
+    for th in (th1, th2):
+        assert not apply_d(C, dict.fromkeys(th.tolist(), 1))
     prod12 = cup_product_cochain(g, th1, th2)
     prod21 = cup_product_cochain(g, th2, th1)
     assert len(prod12) == 1  # the fundamental square: generates H^2
     assert len(prod21) == 1
-    assert cup_product_cochain(g, th1, th1) == {}
-    assert cup_product_cochain(g, th2, th2) == {}
+    assert cup_product_cochain(g, th1, th1).size == 0
+    assert cup_product_cochain(g, th2, th2).size == 0
+    with pytest.raises(ValueError, match="homogeneous"):
+        cup_product_cochain(g, np.concatenate([th1, [0]]), th2)
 
 
 CUP_GRIDS = {
@@ -253,14 +265,17 @@ def test_cup_product_cochain_matches_the_per_cell_reference(name):
     rng = random.Random(61)
     by_dim = {}
     for c in grid.all_cells():
-        by_dim.setdefault(grid.cell_dim(c), []).append(c)
+        by_dim.setdefault(cell_dim(c), []).append(c)
     for p, q in itertools.product(by_dim, repeat=2):
         for _ in range(6):
             a, b = ({c: rng.choice((0, 1, 1)) for c in by_dim[d]
                      if rng.random() < 0.5} for d in (p, q))
-            got = cup_product_cochain(grid, a, b)
+            got = cup_product_cochain(grid, flat_cells(grid, a),
+                                      flat_cells(grid, b))
             want = reference_cup_product_cochain(grid, a, b)
-            assert got == want, (p, q, a, b)
+            assert tuple_cup_product_cochain(grid, a, b) == want
+            assert got.tolist() == flat_cells(grid, want).tolist(), \
+                (p, q, a, b)
             assert list(got) == sorted(got)
 
 
@@ -336,7 +351,7 @@ def reference_complex(grid, cells, field):
     table."""
     gens = [tuple(c) for c in cells]
     genset = set(gens)
-    deg = {c: grid.cell_dim(c) for c in gens}
+    deg = {c: cell_dim(c) for c in gens}
     d = {}
     for cell in gens:
         cb = {}
@@ -370,7 +385,7 @@ def test_coface_table_matches_cofaces():
                     int(s))
                    for c, s in zip(table.cof[flat], table.sgn[flat]) if c >= 0]
             assert row == cofaces(grid, cell), cell
-            assert table.dim[flat] == grid.cell_dim(cell)
+            assert table.dim[flat] == cell_dim(cell)
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
@@ -410,7 +425,10 @@ def test_superlevel_home_matches_cell_by_cell(field):
         lam = rng.uniform(-1, 1)
         cm = f.cell_max()
         cells = [c for c in grid.all_cells() if cm[c] >= lam]
-        assert_same_complex(SuperlevelHome(f, lam, field).complex,
+        home = SuperlevelHome(f, lam, field)
+        assert home.cells.tolist() == [
+            np.ravel_multi_index(c, grid.cell_shape) for c in cells]
+        assert_same_complex(home.complex.chain_complex(cells),
                             *reference_complex(grid, cells, field), field)
 
 

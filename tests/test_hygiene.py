@@ -531,3 +531,78 @@ def test_the_readme_flags_line_names_the_cli_options():
     flags = [name.split()[0] for name in readme_names("Flags:")]
     assert len(flags) == len(set(flags))
     assert set(flags) == options
+
+
+# the class calculus runs on one complex form, IndexComplex
+CLASS_CALCULUS = ("apply_d", "class_coordinates", "cohomology_basis")
+
+
+def type_switches(tree, names):
+    """(function, line) of every isinstance call inside the module-level
+    functions of tree named in names."""
+    return sorted((fn.name, node.lineno) for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name in names
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "isinstance")
+
+
+def test_the_class_calculus_takes_one_complex_type():
+    tree = package_trees()[SRC / "complexes.py"]
+    defined = {fn.name for fn in tree.body
+               if isinstance(fn, ast.FunctionDef)}
+    assert set(CLASS_CALCULUS) <= defined
+    assert type_switches(tree, CLASS_CALCULUS) == []
+
+
+# the cup task's two sides and its runner hold classes on ids: neither the
+# tuple complex type nor its cubical builder is named there
+TUPLE_FORM = {"ChainComplex", "cubical_complex"}
+
+
+@pytest.mark.parametrize("name", ["floer.py", "products.py", "scenarios.py"])
+def test_the_cup_route_names_no_tuple_complex(name):
+    assert referenced_names(package_trees()[SRC / name]) & TUPLE_FORM == \
+        set()
+
+
+def message_matches(tree):
+    """Lines of the comparisons inside an except body that read str() of
+    the caught exception: a handler that chooses by message text."""
+    out = []
+    for handler in ast.walk(tree):
+        if not (isinstance(handler, ast.ExceptHandler) and handler.name):
+            continue
+        for stmt in handler.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "str"
+                        and any(getattr(a, "id", None) == handler.name
+                                for a in call.args)
+                        for part in [node.left] + node.comparators
+                        for call in ast.walk(part)):
+                    out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_handler_chooses_by_message_text(path):
+    # a refusal is told apart by its type; a message that happens to match
+    # must not swallow a broken invariant
+    assert message_matches(package_trees()[path]) == []
+
+
+def test_a_handler_that_chooses_by_message_text_is_found():
+    tree = ast.parse(
+        "try:\n"
+        "    f()\n"
+        "except ValueError as e:\n"
+        "    if not any(r in str(e) for r in REFUSALS):\n"
+        "        raise\n"
+        "except KeyError as e:\n"
+        "    log(str(e))\n"
+        "    ok = str(e) == 'x'\n"
+        "except OSError:\n"
+        "    pass\n")
+    assert message_matches(tree) == [4, 8]

@@ -8,7 +8,7 @@ from gfsheaf.complexes import cohomology_basis
 from gfsheaf.fixtures import circle_function, cusp_genfun, random_circle_morse
 from gfsheaf.genfun import graph_genfun
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction,
-                           circle_grid, sublevel_filtration)
+                           ThresholdRefusal, circle_grid, sublevel_filtration)
 from gfsheaf.linalg import GF2
 from gfsheaf.products import (ProductHome, class_table, convolve,
                               cup_product, dualize, floer_to_product_classes,
@@ -16,7 +16,7 @@ from gfsheaf.products import (ProductHome, class_table, convolve,
                               unit_morphisms, verify_unit_composition)
 from gfsheaf.sheaves import (ProductSheaf, Quantization, quantize, sections,
                              to_cellular, unit_sheaf)
-from convolution_reference import corner_table, decoupled_superlevel_complex
+from convolution_reference import corner_table, decoupled_home
 
 INF = math.inf
 
@@ -320,6 +320,13 @@ def test_commutativity_ranks():
         assert sections(ab, None, a, b) == sections(ba, None, a, b)
 
 
+def decoupled_classes(home, CA, CB, lam):
+    """The classes of the decoupled superlevel complex at lam, pushed into
+    home."""
+    D = decoupled_home(CA, CB, lam)
+    return floer_to_product_classes(home, D, cohomology_basis(D.complex))
+
+
 def _cup_setup(rng, n=12):
     f = random_circle_morse(rng, n=n)
     g = random_circle_morse(rng, n=n)
@@ -335,15 +342,11 @@ def test_cup_product_unit_ring_on_circle():
     CA = dualize(F).cellular
     CB = F.cellular
     lam = -0.51
-    D = decoupled_superlevel_complex(CA, CB, lam)
-    basis = cohomology_basis(D)
-    cls = floer_to_product_classes(ProductHome(CA, CB, lam), basis)
+    cls = decoupled_classes(ProductHome(CA, CB, lam), CA, CB, lam)
     by_deg = {c.degree: c for c in cls}
     one, theta = by_deg[0], by_deg[1]
     home2 = ProductHome(CA, CB, 2 * lam)
-    basis2 = floer_to_product_classes(
-        home2,
-        cohomology_basis(decoupled_superlevel_complex(CA, CB, 2 * lam)))
+    basis2 = decoupled_classes(home2, CA, CB, 2 * lam)
     t11 = class_table(home2, [cup_product(one, one, home2)], basis2)
     t1t = class_table(home2, [cup_product(one, theta, home2)], basis2)
     tt1 = class_table(home2, [cup_product(theta, one, home2)], basis2)
@@ -392,7 +395,6 @@ def test_monoid_laws_with_duals():
 
 
 def test_cup_associativity_on_unit_based_classes():
-    from gfsheaf.complexes import cohomology_basis
     zero = circle_function("0*x", n=12)
     F0 = to_cellular(quantize(graph_genfun(zero)), spot_checks=0)
     CA = dualize(F0).cellular
@@ -404,9 +406,7 @@ def test_cup_associativity_on_unit_based_classes():
              for k, v in ((1, lam), (2, lam + lam), (3, lam + (lam + lam)))}
 
     def classes_at(k):
-        return floer_to_product_classes(
-            homes[k], cohomology_basis(
-                decoupled_superlevel_complex(CA, CB, homes[k].lam)))
+        return decoupled_classes(homes[k], CA, CB, homes[k].lam)
 
     def cup(a, b):
         return cup_product(a, b, homes[2 if a.home is b.home else 3])
@@ -435,8 +435,7 @@ def test_cup_product_rejects_a_home_of_another_key():
     CA, CB = carriers()
     lam = -0.51
     home = ProductHome(CA, CB, lam)
-    basis = cohomology_basis(decoupled_superlevel_complex(CA, CB, lam))
-    one = floer_to_product_classes(home, basis)[0]
+    one = decoupled_classes(home, CA, CB, lam)[0]
     out = ProductHome(CA, CB, lam + lam)
     assert cup_product(one, one, out).home is out
     CA2, CB2 = carriers()  # equal sheaves, other objects
@@ -446,7 +445,7 @@ def test_cup_product_rejects_a_home_of_another_key():
         with pytest.raises(ValueError):
             cup_product(one, one, bad)
     with pytest.raises(ValueError):
-        class_table(out, [one], floer_to_product_classes(out, []))
+        class_table(out, [one], floer_to_product_classes(out, None, []))
 
 
 def _run_cup_task(tmp_path, seed=29, triples=2):
@@ -469,8 +468,8 @@ def test_cup_task_keeps_no_rows_of_a_failed_triple(tmp_path, monkeypatch):
     def fail_second_entry(*args, **kwargs):
         calls.append(args)
         if len(calls) == 2:  # a refusal the task redraws on
-            raise AssertionError("injected: window endpoints sit too close "
-                                 "to the value spectrum")
+            raise ThresholdRefusal("injected: window endpoints sit too "
+                                   "close to the value spectrum")
         return cup(*args, **kwargs)
 
     monkeypatch.setattr(products, "cup_product", fail_second_entry)
@@ -487,7 +486,6 @@ def test_cup_task_builds_each_home_once_and_reduces_each_table_once(
     import gfsheaf.products as products
     import gfsheaf.sheaves as sheaves
     build, solve = products._total_complex, complexes.solve_columns
-    to_tuples = complexes.IndexComplex.chain_complex
     homes, tables = [], []
 
     def counted_build(base, factors, *args):
@@ -498,19 +496,16 @@ def test_cup_task_builds_each_home_once_and_reduces_each_table_once(
         tables.append(len(targets))
         return solve(cols, targets, field)
 
-    def no_section_tuples(self, gens):
-        # the pant route's cubical superlevel complexes stay tuple complexes
-        if isinstance(self, sheaves.SectionArrays):
-            raise AssertionError("a product home built a tuple complex")
-        return to_tuples(self, gens)
+    def no_tuples(self, gens):
+        # both sides of the cup task hold their classes on ids
+        raise AssertionError("a cup task built a tuple complex")
 
     def refuse(*args, **kwargs):
         raise AssertionError("a cup task walked a corner table")
 
     monkeypatch.setattr(products, "_total_complex", counted_build)
     monkeypatch.setattr(complexes, "solve_columns", counted_solve)
-    monkeypatch.setattr(complexes.IndexComplex, "chain_complex",
-                        no_section_tuples)
+    monkeypatch.setattr(complexes.IndexComplex, "chain_complex", no_tuples)
     monkeypatch.setattr(sheaves.SectionArrays, "generators", refuse)
     result, rows = _run_cup_task(tmp_path)
     assert result["triples"] == 2
@@ -555,8 +550,8 @@ def test_cup_task_fails_when_refusals_leave_fewer_triples_than_asked(
     def refuse_after_one_triple(*args):
         calls.append(args)
         if len(calls) > 3:  # each triple builds three homes first
-            raise ValueError("injected: threshold too close to the value "
-                             "spectrum")
+            raise ThresholdRefusal("injected: threshold too close to the "
+                                   "value spectrum")
         return home(*args)
 
     monkeypatch.setattr(scenarios, "SuperlevelHome", refuse_after_one_triple)

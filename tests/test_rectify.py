@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from gfsheaf.complexes import (ChainComplex, ChainMap, FilteredComplex,
-                               class_coordinates, cohomology_basis,
-                               cohomology_ranks, dual_complex, is_quasi_iso)
+                               cohomology_ranks, is_quasi_iso)
 from gfsheaf.fixtures import circle_function, random_circle_morse
 from gfsheaf.floer import clamp_schedule
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
@@ -24,6 +23,8 @@ from gfsheaf.rectify import (CoherentDiagram, FunPoset, RectifiedComplex,
                              serialize_diagram, sheafify_limit,
                              strict_geometric_diagram,
                              strict_synthetic_diagram)
+from class_reference import (dual_complex, tuple_class_coordinates,
+                             tuple_cohomology_basis)
 
 INF = math.inf
 
@@ -468,7 +469,7 @@ def reference_e2(R):
         C0 = ChainComplex(gens, {g: R.complex.deg[g] for g in gens},
                           {g: cb for g, cb in sub_d.items() if cb}, GF2,
                           check=False)
-        pages[p] = (C0, cohomology_basis(C0))
+        pages[p] = (C0, tuple_cohomology_basis(C0))
 
     def d1_cols(p_from, basis_from, page_to):
         imgs = []
@@ -483,7 +484,8 @@ def reference_e2(R):
             assert not any(imgs)
             return [(q, {}) for (q, _vec) in basis_from]
         C_low, basis_low = page_to
-        coords = class_coordinates(C_low, [b for _, b in basis_low], imgs)
+        coords = tuple_class_coordinates(C_low, [b for _, b in basis_low],
+                                         imgs)
         assert None not in coords
         return [(q, {r: c for r, c in enumerate(cs) if c})
                 for (q, _vec), cs in zip(basis_from, coords)]

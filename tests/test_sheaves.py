@@ -14,11 +14,12 @@ from gfsheaf.genfun import brane_of, graph_genfun, window_floor
 from gfsheaf.grids import (BaseRegion, BoxGrid, circle_grid,
                            sublevel_filtration)
 from gfsheaf.sheaves import (ConeSet, ProductSheaf, TAxis, TameSheaf,
-                             behavior_at_infinity, conify, conify_conormal,
+                             conify, conify_conormal,
                              front_interior_table, microstalk, quantize,
                              sections, singular_support, to_cellular,
                              unit_sheaf)
-from tuple_cells import cofaces
+from tuple_cells import cell_dim, cofaces
+from tuple_stalks import d_map
 from tuple_taxis import t_cofaces, t_dim, window_cells, with_breaks
 
 INF = math.inf
@@ -92,6 +93,13 @@ def test_to_cellular_cusp_small():
         got = sections(C, region, a, b)
         want = sections(F, region, a, b, check_regular=False)
         assert got == want, (a, b, got, want)
+
+
+def behavior_at_infinity(F):
+    """(ranks near -infinity, ranks near +infinity) via extreme windows."""
+    minus = sections(F, None, -INF, F.band_floor(), check_regular=False)
+    plus = sections(F, None, -INF, INF, check_regular=False)
+    return minus, plus
 
 
 def test_behavior_at_infinity():
@@ -197,6 +205,39 @@ def test_singular_support_cusp_shape():
     # front curvature of the blended profile reaches ~5 near the far strand
     scales = (g.spacing, 2 * gf.tau_val(), 5.0 * g.spacing, 1.0)
     assert ss.hausdorff(cone, scales) <= 2.0
+
+
+def tuple_rank_signatures(st, field):
+    """The rank signatures _cell_front_samples read before the stalk table
+    gave them: every stalk of st as a tuple Stalk, ranked through a tuple
+    ChainComplex."""
+    from gfsheaf.complexes import ChainComplex
+    from gfsheaf.sheaves import _tuple_stalks
+    return [tuple(sorted(ChainComplex(
+        [lbl for lbl, _ in stalk.gens], dict(stalk.gens), d_map(stalk),
+        field, check=False).cohomology_ranks().items()))
+        for stalk in _tuple_stalks(st)]
+
+
+def test_cellular_singular_support_keeps_the_tuple_rank_signatures(
+        monkeypatch):
+    # the stalk-jump sampler ranks each stalk of the record on its slots;
+    # the ranks, and the cone sets read off them, are those of the tuple
+    # stalks
+    from gfsheaf import sheaves
+    cases = [unit_sheaf(circle_function("0*x", n=12).grid),
+             to_cellular(quantize(graph_genfun(
+                 circle_function("0.3*cos(2*pi*x)", n=16))), spot_checks=0),
+             to_cellular(quantize(cusp_genfun(n_base=16, n_fiber=48)),
+                         spot_checks=0)]
+    for F in cases:
+        _, st = F.cellular.strata
+        assert sheaves._rank_signatures(st, F.field) == \
+            tuple_rank_signatures(st, F.field)
+    got = [singular_support(F, p_samples=7).points for F in cases]
+    assert all(got)
+    monkeypatch.setattr(sheaves, "_rank_signatures", tuple_rank_signatures)
+    assert got == [singular_support(F, p_samples=7).points for F in cases]
 
 
 def test_singular_support_refuses_a_2d_base_in_both_presentations():
@@ -348,7 +389,7 @@ def _reference_section_complex(cell, region, a, b, taxis=None):
     tset = set(tcells)
     gens, deg, d, stalks = [], {}, {}, {}
     for bc in region_cells:
-        bdim = cell.base.cell_dim(bc)
+        bdim = cell_dim(bc)
         for tc in tcells:
             stratum = ("e", bisect.bisect(own.breaks, taxis.rep(tc)))
             st = cell.stalk(bc, own.rep(stratum))
@@ -360,9 +401,9 @@ def _reference_section_complex(cell, region, a, b, taxis=None):
                 deg[(bc, tc, lbl)] = bdim + t_dim(tc) + k
     genset = set(gens)
     for (bc, tc), st in stalks.items():
-        bdim = cell.base.cell_dim(bc)
+        bdim = cell_dim(bc)
         tdim = t_dim(tc)
-        dmap = st.d_map()
+        dmap = d_map(st)
         for lbl, k in st.gens:
             cb = {}
             for cf, s in cofaces(cell.base, bc):
@@ -407,7 +448,7 @@ def _reference_product_section_complex(CA, CB, diagonal, region, a, b):
     for bc in region_cells:
         bc = tuple(bc)
         bca, bcb = pair_of(bc)
-        bdim = base.cell_dim(bc)
+        bdim = cell_dim(bc)
         for (t1, t2) in tps:
             sa = CA.stalk(bca, ta.rep(t1))
             if not sa.gens:
@@ -423,9 +464,9 @@ def _reference_product_section_complex(CA, CB, diagonal, region, a, b):
                     deg[g] = bdim + t_dim(t1) + t_dim(t2) + ka + kb
     genset = set(gens)
     for (bc, t1, t2), (sa, sb) in pairs.items():
-        bdim = base.cell_dim(bc)
+        bdim = cell_dim(bc)
         d1, d2 = t_dim(t1), t_dim(t2)
-        da, db = sa.d_map(), sb.d_map()
+        da, db = d_map(sa), d_map(sb)
         for la, ka in sa.gens:
             for lb, kb in sb.gens:
                 cb = {}
@@ -1016,7 +1057,7 @@ def reference_stalk(gf, bc, thr):
     for fc in fib.all_cells():
         if floor <= float(block[fc]) < thr:
             included.add(fc)
-            gens.append((fc, fib.cell_dim(fc)))
+            gens.append((fc, cell_dim(fc)))
     diff = []
     for fc in included:
         for cf, s in cofaces(fib, fc):

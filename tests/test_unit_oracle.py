@@ -32,6 +32,8 @@ from gfsheaf.sheaves import (ZERO_STALK, CellSheaf, LocalAxes, RankOneStalks,
                              product_section_complex, quantize, sections,
                              to_cellular, unit_sheaf)
 import global_axis_reference
+from class_reference import (tuple_apply_d, tuple_class_coordinates,
+                             tuple_cohomology_basis)
 from convolution_reference import corner_table
 from tuple_stalks import TupleStalks
 from tuple_taxis import with_breaks
@@ -268,14 +270,14 @@ def reference_verify_unit_composition(F, lambdas, eps=None):
     U = unit(F.base_grid)
     eps, ceil = _window(um, eps)
     WC, z, UC, img = reference_tuple_cochains(um, U, eps, ceil)
-    if not z or apply_d(WC, z):
+    if not z or tuple_apply_d(WC, z):
         raise AssertionError("u image is missing or not closed")
-    if apply_d(UC, img):
+    if tuple_apply_d(UC, img):
         raise AssertionError("v o u image is not closed")
-    basis = [vec for d, vec in cohomology_basis(UC) if d == 0]
+    basis = [vec for d, vec in tuple_cohomology_basis(UC) if d == 0]
     if len(basis) != 1:
         raise AssertionError("unit degree-0 sections not rank one")
-    [coords] = class_coordinates(UC, basis, [img])
+    [coords] = tuple_class_coordinates(UC, basis, [img])
     if coords != [GF2.one()]:
         raise AssertionError("v o u is not the identity on degree-0 sections")
     for lam in lambdas:
@@ -347,9 +349,16 @@ def _by_value(gen, taxis):
 
 
 def _unit_class(C, img):
-    """The coordinates of img, a cochain of C, in C's degree-0 basis."""
+    """The coordinates of img, a cochain of the IndexComplex C, in C's
+    degree-0 basis."""
     basis = [vec for d, vec in cohomology_basis(C) if d == 0]
     return len(basis), class_coordinates(C, basis, [img])
+
+
+def _tuple_unit_class(C, img):
+    """_unit_class on a tuple complex, through the tuple calculus."""
+    basis = [vec for d, vec in tuple_cohomology_basis(C) if d == 0]
+    return len(basis), tuple_class_coordinates(C, basis, [img])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -378,8 +387,8 @@ def test_the_own_axis_unit_complex_is_the_refined_reference(seed):
     own_img = {C.gens[i]: GF2.one() for i in img}
     assert {_by_value(g, U.taxis) for g in own_img} == {
         _by_value(g, refined) for g in img_ref}
-    assert _unit_class(C, own_img) == _unit_class(UC_ref, img_ref) == (
-        1, [[GF2.one()]])
+    assert _unit_class(UC, img) == _tuple_unit_class(C, own_img) == \
+        _tuple_unit_class(UC_ref, img_ref) == (1, [[GF2.one()]])
 
 
 @pytest.mark.parametrize("seed", range(20))

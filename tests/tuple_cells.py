@@ -1,6 +1,7 @@
 """The tuple face walkers of the cubical grid, kept as a test reference.
 
-vertex_cofaces and edge_faces were the per-axis incidence rules of Grid1D,
+vertex_cofaces and edge_faces were the per-axis incidence rules of Grid1D
+(with cell_dim and edge_vertices, the tuple helpers of BoxGrid and Grid1D),
 and cofaces, faces and cell_vertices walked a BoxGrid cell by cell through
 them; BoxGrid.coface_table now is the one incidence rule.  The region
 routines below are the walks that read them before: the face closure of
@@ -30,8 +31,20 @@ def vertex_cofaces(g, k):
     return out
 
 
+def cell_dim(cell):
+    """The dimension of a cell tuple: its number of edge axes."""
+    return sum(c & 1 for c in cell)
+
+
+def edge_vertices(g, k):
+    """The two vertices of the edge k of the axis g."""
+    if g.topology == "circle":
+        return (k, (k + 1) % g.n)
+    return (k, k + 1)
+
+
 def edge_faces(g, k):
-    a, b = g.edge_vertices(k)
+    a, b = edge_vertices(g, k)
     return ((2 * a, -1), (2 * b, +1))
 
 
@@ -68,7 +81,7 @@ def cell_vertices(grid, cell):
     per_axis = []
     for g, c in zip(grid.axes, cell):
         if c & 1:
-            per_axis.append(g.edge_vertices(c >> 1))
+            per_axis.append(edge_vertices(g, c >> 1))
         else:
             per_axis.append((c >> 1,))
     return list(itertools.product(*per_axis))
@@ -135,7 +148,7 @@ def smoothed_clamp_values(region, depth=2.0, ramp_cells=4):
         if cell[0] & 1 == 0:
             inside[cell[0] >> 1] = True
         else:
-            a, b = g.edge_vertices(cell[0] >> 1)
+            a, b = edge_vertices(g, cell[0] >> 1)
             inside[a] = inside[b] = True
     dist = np.full(g.n_vertices, np.inf)
     dist[inside] = 0.0

@@ -11,6 +11,14 @@ from gfsheaf.linalg import GF2
 from gfsheaf.sheaves import StalkSource, StalkTable
 
 
+def d_map(st):
+    """The differential of the tuple Stalk st as {label: {label: coeff}}."""
+    out = {}
+    for (a, b, c) in st.diff:
+        out.setdefault(a, {})[b] = c
+    return out
+
+
 def index_form(st):
     """The stalk st on the positions 0..size-1 of its generators: (labels,
     degrees, dptr, dpos, dcoef), int64 arrays but the label list.  The
@@ -24,7 +32,7 @@ def index_form(st):
     if len(local) < len(labels):
         raise ValueError("it repeats a label")
     rows = [[] for _ in labels]
-    for lbl, row in st.d_map().items():
+    for lbl, row in d_map(st).items():
         p = local.get(lbl)
         for lbl2, c in row.items():
             if int(c) != c:
