@@ -43,9 +43,9 @@ class StalkModel(NamedTuple):
 def stalk_pairs(st, src, tgt):
     """The stalk matching of a stalk record, a pairing along a fiber axis:
     the slot arrays (lower, upper) that pair label l with label l + 1, in
-    the order (stalk, lower label descending).  On a FiberMasks record,
-    whose label ids are flat fiber cell ids, l + 1 is the coface along the
-    last fiber axis.
+    the order (stalk, lower label descending).  On the record of a GF
+    sheaf, whose label ids are flat fiber cell ids, l + 1 is the coface
+    along the last fiber axis.
 
     src and tgt are the source and target slot of every differential entry.
     The rule is one on labels, so every stalk that holds both labels pairs

@@ -10,10 +10,10 @@ the conormal limit in rectify (LimitSheaf):
     intervals, a stalk complex per stratum given by a StalkSource (a rule
     over (base cell, threshold)), and generization maps that match
     generators by label (restrictions are projections, extensions are
-    inclusions).  The cellular presentation of a GF sheaf gives its stalks
-    as masks over the cells of its fiber (FiberMasks); unit sheaves and
-    rank-one tensors give one generator above a per-cell opening threshold
-    (RankOneStalks).
+    inclusions).  Its stalks are one filtration per base cell
+    (FilteredStalks): each label enters at one threshold and stays.  The
+    cellular presentation of a GF sheaf has a label per fiber cell; unit
+    sheaves and rank-one tensors have one, entering at a per-cell corner.
   * ProductSheaf: a pair of factors on a shared or doubled base with the
     sum pushforward evaluated through the discretized two-axis model.
 
@@ -33,9 +33,9 @@ src/tgt/coef arrays built from the base cofaces, the t-axis cofaces and the
 stalk differentials with Koszul signs.  Its factors are (cell, LocalAxes,
 project) triples, each with a StalkModel: the record's stalks
 (_total_complex) or their minimal models (section_barcode).  The stalks of
-a cellular sheaf are read once, into one record, CellSheaf.strata: the
-stalk over every (base cell, own stratum) as a slot of one StalkTable, read
-off its StalkSource a block of base cells at a time.  Every reader reads
+a cellular sheaf are read once, into one record, CellSheaf.strata: one
+StalkTable with a stalk per (base cell, own stratum where a label enters),
+built in one pass from the entry strata of its labels.  Every reader reads
 that record: the assembly, the minimal models, the local axes, the corners
 and the tuple stalks of CellSheaf.stalk.  An axis is a cover over the
 record: LocalAxes cut each base cell only at the breaks
@@ -81,9 +81,6 @@ INF = math.inf
 # the most strata (base cell, t-cell) a sheaf may be cut into: to_cellular's
 # bound on its local axes, and the bound on every full axis (LocalAxes.full)
 MAX_STRATA = 250_000
-# the most (base cell, own stratum, stalk generator) slots whose stalks
-# CellSheaf.strata reads off its source in one table
-_TABLE_BLOCK = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -227,31 +224,6 @@ class StalkTable(NamedTuple):
     labels: list
 
 
-def _stalk_changes(index, st: StalkTable):
-    """changes[r, i]: whether the stalks index[r, i] and index[r, i + 1] of
-    st (-1: empty) differ as StalkTable rows: in size, or slot by slot in
-    label, degree or differential (the count, target positions and
-    coefficients of its entries)."""
-    size = np.append(np.diff(st.off), 0)[index]
-    changes = size[:, :-1] != size[:, 1:]
-    r, i = np.nonzero(~changes & (size[:, :-1] > 0))
-    count = size[r, i]
-    qa = index_ranges(st.off[index[r, i]], count)
-    qb = index_ranges(st.off[index[r, i + 1]], count)
-    entries = np.diff(st.dptr)
-    na, nb = entries[qa], entries[qb]
-    bad = (st.lab[qa] != st.lab[qb]) | (st.ldeg[qa] != st.ldeg[qb]) | (
-        na != nb)
-    same = np.flatnonzero(~bad)
-    ea = index_ranges(st.dptr[qa[same]], na[same])
-    eb = index_ranges(st.dptr[qb[same]], na[same])
-    bad[np.repeat(same, na[same])[(st.dpos[ea] != st.dpos[eb])
-                                  | (st.dcoef[ea] != st.dcoef[eb])]] = True
-    pair = np.repeat(np.arange(len(r)), count)[bad]
-    changes[r[pair], i[pair]] = True
-    return changes
-
-
 def _take_stalks(st: StalkTable, ks):
     """The StalkTable of the stalks ks of st, in that order."""
     size = np.diff(st.off)[ks]
@@ -285,24 +257,6 @@ def _tuple_stalks(st: StalkTable):
                   tuple(diff[end[k]:end[k + 1]])) for k in range(len(off) - 1)]
 
 
-def _join_stalks(tables):
-    """One StalkTable of the stalks of tables, in that order.  Refused
-    (ValueError) when a table numbers its labels otherwise than the first:
-    the join keeps one label list."""
-    if any(st.labels != tables[0].labels for st in tables[1:]):
-        raise ValueError("the stalk tables number their labels differently")
-    slots = np.cumsum([0] + [len(st.lab) for st in tables])
-    entries = np.cumsum([0] + [len(st.dpos) for st in tables])
-    join = lambda f: np.concatenate([getattr(st, f) for st in tables])
-    return StalkTable(
-        np.concatenate([[0]] + [st.off[1:] + q
-                                for st, q in zip(tables, slots)]),
-        join("lab"), join("ldeg"),
-        np.concatenate([[0]] + [st.dptr[1:] + e
-                                for st, e in zip(tables, entries)]),
-        join("dpos"), join("dcoef"), tables[0].labels)
-
-
 class Corners(NamedTuple):
     """Where the stalks of a sheaf open (CellSheaf.corners), over its base
     cells in C order.  opens[c] is the index of the break above which the
@@ -320,94 +274,91 @@ class Corners(NamedTuple):
 
 class StalkSource:
     """Where a CellSheaf takes its stalks from: a rule that gives the stalk
-    over every (flat base cell, threshold) pair.
+    over every (flat base cell, threshold) pair.  CellSheaf.strata reads
+    its record, once per sheaf.  FilteredStalks is the library's one
+    source; this base is the seam for sources of hand-made stalks, which
+    need not form a filtration."""
 
-    table is the one place that applies the rule: it gives the stalks of
-    many pairs in one numpy pass.  CellSheaf.strata reads it, once per
-    sheaf.
-    """
-
-    # the most generators a stalk has, where the rule bounds it: it sizes
-    # the blocks of base cells CellSheaf.strata reads at once
-    width = 1
-
-    def table(self, rows, thresholds):
-        """(index, StalkTable) of the stalks over the flat base cells rows
-        at thresholds: index[r, i] numbers the stalk over (rows[r],
-        thresholds[i]) in the table, -1 when it is empty.  Its labels are
-        the same on every call."""
+    def record(self, reps):
+        """The stalk record (index, StalkTable) at the thresholds reps, one
+        per own stratum: index[c, i] numbers in the table the stalk over
+        flat base cell c at reps[i], -1 when it is empty.  Two neighbouring
+        strata over one cell share an index exactly when their stalks are
+        equal (in labels, degrees and differential), and the table holds
+        no other stalk."""
         raise NotImplementedError
 
 
-class FiberMasks(StalkSource):
-    """The stalks of a GF sheaf's cellular presentation, as masks over the
-    cells of its fiber.
+class FilteredStalks(StalkSource):
+    """Stalks that form one filtration over each base cell: label l enters
+    the stalk over flat base cell c once the threshold is above values[c,
+    l] (+inf: never) and stays.  degree broadcasts to the shape of values
+    (a degree per label, or per cell), and coface, the labels' CofaceTable,
+    gives the differential between the labels of a stalk (None: none).
 
-    The stalk over base cell bc at threshold thr is the fiber complex on
-    the cells whose value v (values[flat bc, flat fiber cell], the largest
-    vertex value of the cell) has floor <= v < thr, with the fiber's
-    coboundary (its CofaceTable) between them; generator labels are the
-    fiber cells, in flat id order.
+    The cellular presentation of a GF sheaf has a label per fiber cell
+    (flat id order), entering at the largest vertex value of the cell
+    unless that lies below the floor; unit sheaves, region units and
+    rank-one tensors have one label, entering at a per-cell corner.
     """
 
-    def __init__(self, fiber: BoxGrid, values, floor):
-        self.coface = fiber.coface_table
-        self.labels = list(fiber.all_cells())
-        self.width = len(self.labels)
-        self.values = values.reshape(-1, len(self.labels))
-        self.floor = floor
+    def __init__(self, values, degree, labels, coface):
+        self.labels = list(labels)
+        self.values = np.asarray(values, dtype=float).reshape(
+            -1, len(self.labels))
+        self.degree = np.asarray(degree, dtype=np.int64)
+        self.coface = coface
 
-    def table(self, rows, thresholds):
-        """StalkSource.table.  Label id = flat fiber cell id; a stalk's
-        differential keeps the coface entries between its cells, in slot
-        order."""
-        n_fc = len(self.labels)
-        v = self.values[rows][:, None, :]
-        kept = ((self.floor <= v) & (v < np.asarray(
-            thresholds, dtype=float)[None, :, None])).reshape(-1, n_fc)
-        size = kept.sum(axis=1)
-        full = size > 0
-        index = np.where(full, np.cumsum(full) - 1, -1).reshape(
-            len(rows), len(thresholds))
-        size = size[full]
-        off = np.concatenate([[0], np.cumsum(size)])
-        row, fc = np.nonzero(kept)
-        key = row * n_fc + fc               # increasing: the slot order
-        cof = self.coface.cof[fc]
-        want = row[:, None] * n_fc + cof
-        at = np.minimum(np.searchsorted(key, want), len(key) - 1)
-        src, k = np.nonzero((cof >= 0) & (key[at] == want))
-        dptr = np.concatenate([[0], np.cumsum(np.bincount(
-            src, minlength=len(fc)))])
-        start = np.repeat(off[:-1], size)   # of the stalk holding each slot
+    def record(self, reps):
+        """StalkSource.record.  Label l enters the stalk over cell c on the
+        first stratum whose rep is strictly above values[c, l].  The record
+        keeps one stalk per (cell, stratum where a label enters), in that
+        order, holding the labels entered by then in label order, with
+        the coface entries between them in slot order."""
+        n, width = self.values.shape
+        m = len(reps) - 1
+        entry = np.searchsorted(reps, self.values, side="right")
+        count = np.bincount((entry + (m + 2) * np.arange(n)[:, None]).ravel(),
+                            minlength=n * (m + 2)).reshape(n, m + 2)[:, :-1]
+        cell, top = np.nonzero(count)       # the stalks, in record order
+        total = np.cumsum(count, axis=1)    # the labels entered by a stratum
+        index = np.where(total > 0,
+                         np.cumsum(count > 0).reshape(n, m + 1) - 1, -1)
+        # a stalk holds the first size labels of its cell in entry order,
+        # and its slots are them in label order
+        size = total[cell, top]
+        stalk, lab = np.divmod(np.sort(
+            np.repeat(np.arange(len(cell)) * width, size)
+            + np.argsort(entry, axis=1, kind="stable").ravel()[
+                index_ranges(cell * width, size)]), width)
+        off = np.append(0, np.cumsum(size))
+        src, tgt, coef = _coface_entries(stalk, lab, width, self.coface)
+        tgt -= off[stalk[src]]              # the target's place in its stalk
+        ldeg = np.broadcast_to(self.degree, (n, width))[cell[stalk], lab]
         return index, StalkTable(
-            off, fc, self.coface.dim[fc].astype(np.int64), dptr,
-            at[src, k] - start[src],
-            self.coface.sgn[fc[src], k].astype(np.int64), self.labels)
+            off, lab, ldeg,
+            np.append(0, np.cumsum(np.bincount(src, minlength=len(lab)))),
+            tgt, coef, self.labels)
 
 
-class RankOneStalks(StalkSource):
-    """Stalks of rank at most one, without differential: over the flat base
-    cell c, one generator labelled label in degree deg[c] at every
-    threshold above opens[c] (+inf: never), none at or below it."""
-
-    def __init__(self, opens, deg, label):
-        self.opens = np.asarray(opens, dtype=float).ravel()
-        self.deg = np.asarray(deg, dtype=np.int64).ravel()
-        self.label = label
-
-    def table(self, rows, thresholds):
-        """StalkSource.table: one stalk of one slot per nonempty pair, in
-        (row, threshold) order; the label id is 0."""
-        full = self.opens[rows][:, None] < np.asarray(thresholds,
-                                                      dtype=float)
-        index = np.where(full, np.cumsum(full).reshape(full.shape) - 1, -1)
-        n = int(full.sum())
+def _coface_entries(stalk, lab, width, coface):
+    """The stalk differentials on the slots (stalk, lab), in (stalk, label)
+    order: (src, tgt, coef), the source and target slot and the coefficient
+    of every coface entry between two labels of one stalk, in (source,
+    coface slot) order; none when coface is None."""
+    if coface is None:
         none = np.zeros(0, dtype=np.int64)
-        return index, StalkTable(
-            np.arange(n + 1, dtype=np.int64), np.zeros(n, dtype=np.int64),
-            self.deg[rows][np.nonzero(full)[0]],
-            np.zeros(n + 1, dtype=np.int64), none, none, [self.label])
+        return none, none, none
+    key = stalk * width + lab
+    cof = coface.cof[lab]
+    want = cof - lab[:, None]
+    want += key[:, None]                # the key of the target
+    at = np.searchsorted(key, want)
+    np.minimum(at, len(key) - 1, out=at)
+    hit = (key[at] == want) & (cof >= 0)
+    del want, cof                       # the peak of a large record
+    src, k = np.nonzero(hit)
+    return src, at[src, k], coface.sgn[lab[src], k].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -509,25 +460,12 @@ class CellSheaf(TameSheaf):
         """The stalk record of this sheaf, (index, StalkTable): index[c, i]
         numbers in the table the stalk over flat base cell c on the own
         stratum ('e', i), -1 when it is empty.  It is read off the source
-        once, a block of base cells at a time: the most cells whose count
-        times the own strata times the source's width stays within
-        _TABLE_BLOCK (at least one).  The table keeps only the stalk at the
-        top of each run of equal stalks over a cell (equal in labels,
-        degrees and differential, _stalk_changes), so two neighbouring
-        strata over one cell share an index exactly when their stalks are
-        equal."""
-        n = len(self.base.coface_table.dim)
-        reps = [self.taxis.rep(("e", i)) for i in range(self.taxis.m + 1)]
-        step = max(1, _TABLE_BLOCK // (len(reps) * self.source.width))
-        index, stalks, count = [], [], 0
-        for lo in range(0, n, step):
-            ix, st = self.source.table(np.arange(lo, min(n, lo + step)), reps)
-            ix, st = _compact(np.take_along_axis(
-                ix, _run_tops(_stalk_changes(ix, st)), axis=1), st)
-            index.append(np.where(ix >= 0, ix + count, -1))
-            stalks.append(st)
-            count += len(st.off) - 1
-        return np.concatenate(index), _join_stalks(stalks)
+        once (StalkSource.record, at the rep of every own stratum), and
+        keeps one stalk per run of equal stalks over a cell, so two
+        neighbouring strata over one cell share an index exactly when
+        their stalks are equal."""
+        return self.source.record(
+            [self.taxis.rep(("e", i)) for i in range(self.taxis.m + 1)])
 
     @functools.cached_property
     def minimal(self) -> StalkModel:
@@ -959,19 +897,19 @@ def unit_sheaf(grid: BoxGrid, region: BaseRegion | None = None,
     opens = np.full(base.base_cell_shape, t0, dtype=float)
     if region is not None:
         opens[~region.over(base)] = INF
-    stalks = RankOneStalks(opens, np.zeros(opens.shape, dtype=np.int64),
-                           ("k",))
+    stalks = FilteredStalks(opens, 0, [("k",)], None)
     return CellSheaf(base, TAxis((t0,)), stalks, shift=0,
                      label=f"k_[{t0},oo)", indicator=("region", region, t0))
 
 
 def to_cellular(F: TameSheaf, spot_checks=20) -> CellSheaf:
     """Cellular presentation of a GF sheaf: breakpoints at strand values,
-    stalks the floored fiber complexes, held as masks over the fiber cells
-    (FiberMasks); spot-checked against the GF route.  Refused when its
-    local axes cut more than MAX_STRATA strata (base cell, local t-cell),
-    and at once, before any stalk is read, when its global axis cuts more
-    than 4 * MAX_STRATA."""
+    stalks the floored fiber complexes, a FilteredStalks in which a fiber
+    cell enters once the threshold is above its largest vertex value (never
+    when that lies below the floor); spot-checked against the GF route.
+    Refused when its local axes cut more than MAX_STRATA strata (base cell,
+    local t-cell), and at once, before any stalk is read, when its global
+    axis cuts more than 4 * MAX_STRATA."""
     if not isinstance(F, Quantization):
         raise ValueError("to_cellular expects a GF presentation")
     gf = F.gf
@@ -982,9 +920,13 @@ def to_cellular(F: TameSheaf, spot_checks=20) -> CellSheaf:
     floor = window_floor(gf)
     base = gf.base_grid
     # k = 0: one fiber cell, labelled () in degree 0
-    masks = FiberMasks(BoxGrid(gf.grid.fiber, ()), gf.S.cell_max(), floor)
+    fiber = BoxGrid(gf.grid.fiber, ())
+    values = gf.S.cell_max()
+    stalks = FilteredStalks(np.where(floor <= values, values, INF),
+                            fiber.coface_table.dim, fiber.all_cells(),
+                            fiber.coface_table)
     ind = ("graph", gf.S) if gf.k == 0 else None
-    cell = CellSheaf(base, TAxis(breaks), masks, shift=gf.i_q,
+    cell = CellSheaf(base, TAxis(breaks), stalks, shift=gf.i_q,
                      label=f"cellular({F.label})", indicator=ind)
     # the local axes cut at most every base cell at every break, and
     # building them reads a stalk and keeps a cover entry per such stratum,
@@ -1171,7 +1113,8 @@ def materialize_rank_one_tensor(CA: CellSheaf, CB: CellSheaf) -> CellSheaf:
     theta = np.where(both, np.array(CA.taxis.breaks)[ka.opens]
                      + np.array(CB.taxis.breaks)[kb.opens], INF)
     breaks = tuple(np.unique(theta[both]).tolist()) or (0.0,)
-    stalks = RankOneStalks(theta, ka.deg + kb.deg, ("t",))
+    stalks = FilteredStalks(theta, (ka.deg + kb.deg)[:, None], [("t",)],
+                            None)
     return CellSheaf(CA.base, TAxis(breaks), stalks,
                      shift=CA.shift + CB.shift,
                      label=f"({CA.label})(x)({CB.label})")

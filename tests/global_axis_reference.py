@@ -4,7 +4,8 @@ test reference.
 Before section barcodes were built on local t-axes, _total_complex cut
 every base cell at every break of the factor's axis.  section_parts below
 is that assembly unchanged, except that a factor's projection acts on flat
-base cell ids.  section_barcode builds the complex of
+base cell ids and the per-threshold stalks come from the per-stratum
+tables of stalk_reference.  section_barcode builds the complex of
 sheaves._section_barcode with it, on the global axes, and reduces it
 through the same vertical matching; its bars are the reference the local
 axes must keep, bar for bar.
@@ -15,6 +16,7 @@ import functools
 
 import numpy as np
 
+import stalk_reference
 from gfsheaf.complexes import Barcode, index_ranges
 from gfsheaf.sheaves import (INF, ProductSheaf, SectionArrays, _Keys,
                              _product_factors, _same_cell)
@@ -44,7 +46,7 @@ def section_parts(base, factors, region, a, b):
         strata = np.array([bisect.bisect(cell.taxis.breaks, ax.rep(tc))
                            for tc in cells_f], dtype=np.int64)
         rows, inverse = np.unique(project(cflat), return_inverse=True)
-        index, st = cell.source.table(rows, [
+        index, st = stalk_reference.per_stratum(cell.source).table(rows, [
             cell.taxis.rep(("e", i)) for i in range(cell.taxis.m + 1)])
         index = index[inverse]
         stalks.append(st)

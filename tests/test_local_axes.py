@@ -18,14 +18,15 @@ import pytest
 
 import global_axis_reference as ref
 import local_axis_reference as lref
+import stalk_reference as sref
 from gfsheaf.cli import BUNDLED_DIR
 from gfsheaf.fixtures import cusp_genfun, random_circle_morse, torus_function
-from gfsheaf.genfun import gf_cohomology, graph_genfun
+from gfsheaf.genfun import gf_cohomology, graph_genfun, window_floor
 from gfsheaf.grids import BaseRegion, BoxGrid, circle_grid, sublevel_filtration
 from gfsheaf.linalg import GF2, QQ
 from gfsheaf.products import ProductHome, convolve, dualize, tensor
 from gfsheaf.scenarios import ScenarioContext, load_scenario
-from gfsheaf.sheaves import (CellSheaf, FiberMasks, ProductSheaf,
+from gfsheaf.sheaves import (CellSheaf, FilteredStalks, ProductSheaf, TAxis,
                              _section_arrays, _total_complex,
                              materialize_rank_one_tensor,
                              product_section_complex, quantize,
@@ -197,46 +198,20 @@ def test_a_coface_cuts_no_break_its_face_drops():
                 assert not (kept[cof[has, k]] & ~kept[has]).any(), name
 
 
-@pytest.mark.parametrize("block", [1, 300, 5000])
-def test_the_local_axes_read_in_blocks_equal_the_one_table_build(
-        monkeypatch, block):
-    """Read a few base cells at a time (block slots per table: one cell,
-    a few, or a few dozen), the stalk record and the local axes are those
-    of the default build, array for array."""
-    import gfsheaf.sheaves as sheaves
-    for name, F, _ in SHEAVES:
-        for cell in _cells(F):
-            want = cell.local_axes
-            index, table = cell.strata
-            with monkeypatch.context() as patch:
-                patch.setattr(sheaves, "_TABLE_BLOCK", block)
-                cell2 = CellSheaf(cell.base, cell.taxis, cell.source,
-                                  field=cell.field)
-                got = cell2.local_axes
-            for a, b in [(got.cover, want.cover), (cell2.strata[0], index),
-                         *zip(cell2.strata[1][:6], table[:6])]:
-                assert np.array_equal(a, b), name
-            assert cell2.strata[1].labels == table.labels, name
-
-
-@pytest.mark.parametrize("block", [None, 1])
-def test_the_source_is_read_once_per_sheaf(monkeypatch, block):
+def test_the_source_is_read_once_per_sheaf(monkeypatch):
     """Every reader of a cellular sheaf reads its stalk record: its local
     axes, its corners, product homes at two thresholds, the unit
     composition, a section complex and 100 stalk lookups together call
-    the source's table once per block of base cells of the record."""
-    import gfsheaf.sheaves as sheaves
+    the source's record once."""
     from gfsheaf.products import verify_unit_composition
-    if block is not None:
-        monkeypatch.setattr(sheaves, "_TABLE_BLOCK", block)
     rng = random.Random(2905)
     graph = to_cellular(quantize(graph_genfun(random_circle_morse(rng, n=8))),
                         spot_checks=0)
     for F in (graph, _bundled_cusp(1)):
         cell = F
-        calls, table = [], cell.source.table
-        monkeypatch.setattr(cell.source, "table",
-                            lambda *args: calls.append(1) or table(*args))
+        calls, record = [], cell.source.record
+        monkeypatch.setattr(cell.source, "record",
+                            lambda *args: calls.append(1) or record(*args))
         top = 2 * cell.taxis.breaks[-1]
         assert cell.local_axes.strata
         if F is graph:
@@ -253,11 +228,64 @@ def test_the_source_is_read_once_per_sheaf(monkeypatch, block):
         lo, hi = cell.taxis.breaks[0] - 1.0, cell.taxis.breaks[-1] + 1.0
         for _ in range(100):
             cell.stalk(rng.choice(cells), rng.uniform(lo, hi))
-        n = len(cell.base.coface_table.dim)
-        step = max(1, sheaves._TABLE_BLOCK // ((cell.taxis.m + 1)
-                                               * cell.source.width))
-        assert len(calls) == -(-n // step), F.label
-        assert block is None or len(calls) > 1
+        assert len(calls) == 1, F.label
+
+
+def _dense_axis(cell):
+    """A t-axis cut at every distinct finite entry value of cell's source,
+    but a value with no float strictly between it and the last break
+    kept."""
+    breaks = []
+    values = cell.source.values
+    for v in np.unique(values[np.isfinite(values)]).tolist():
+        if not breaks or breaks[-1] < (breaks[-1] + v) / 2 < v:
+            breaks.append(v)
+    return TAxis(tuple(breaks))
+
+
+def _record_inputs():
+    """(name, cell, reference record) of every sheaf the stalk record is
+    checked on: a GF sheaf's against the fiber masks with the window floor
+    of its generating family, the others against their per-stratum form."""
+    reference = sref.cell_record
+    for scale in (1, 2, 4, 8):
+        gf = _bundled_cusp_genfun(scale)
+        cusp = to_cellular(quantize(gf), spot_checks=0)
+        fiber = BoxGrid(gf.grid.fiber, ())
+        masks = sref.FiberMasks(fiber.coface_table, fiber.all_cells(),
+                                gf.S.cell_max(), window_floor(gf))
+        reps = [cusp.taxis.rep(("e", i)) for i in range(cusp.taxis.m + 1)]
+        n = len(cusp.base.coface_table.dim)
+        yield f"cusp-{scale}", cusp, sref.record(masks, n, reps)
+        if scale <= 2:
+            dense = CellSheaf(cusp.base, _dense_axis(cusp), cusp.source)
+            yield f"dense-{scale}", dense, reference(dense)
+    for n in (8, 12, 16):
+        rng = random.Random(2906 + n)
+        graph, other = (to_cellular(quantize(graph_genfun(
+            random_circle_morse(rng, n=n))), spot_checks=0) for _ in "ab")
+        cells = [graph, unit_sheaf(graph.base),
+                 unit_sheaf(graph.base, _arc(graph.base, 1, n // 2), 0.5),
+                 materialize_rank_one_tensor(graph, other)]
+        for name, cell in zip(("graph", "unit", "region-unit", "tensor"),
+                              cells):
+            yield f"{name}-{n}", cell, reference(cell)
+
+
+def test_the_stalk_record_is_the_per_stratum_reference():
+    """CellSheaf.strata, built from the entry strata of its source, is the
+    record of the per-stratum tables with their runs of equal stalks
+    collapsed (stalk_reference), array for array.  An entry on the first
+    stratum whose rep is at or above the value (not strictly above) breaks
+    it on the bundled cusp at grid scales 1 and 2."""
+    for name, cell, (want_index, want) in _record_inputs():
+        index, st = cell.strata
+        assert index.dtype == want_index.dtype, name
+        assert np.array_equal(index, want_index), name
+        for field in ("off", "lab", "ldeg", "dptr", "dpos", "dcoef"):
+            x, y = getattr(st, field), getattr(want, field)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (name, field)
+        assert st.labels == want.labels, name
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
@@ -296,7 +324,7 @@ def _torus_pair(n):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a stalk table was read")
+    raise AssertionError("a stalk record was read")
 
 
 def test_a_16x16_torus_graph_pair_passes_the_three_routes():
@@ -348,12 +376,12 @@ def test_the_size_guard_counts_the_strata_of_the_local_axes(monkeypatch):
 def test_an_oversized_stratification_is_refused_before_a_stalk_is_read(
         monkeypatch):
     """Past 4 * MAX_STRATA strata on the global axis the local axes are not
-    built: with FiberMasks.table made to raise, a 20 x 20 torus pair
+    built: with FilteredStalks.record made to raise, a 20 x 20 torus pair
     (1,275,200 global strata) is refused at the default bound, and the
     16 x 16 one (521,216) just below a quarter of its global count."""
     import gfsheaf.sheaves as sheaves
     with monkeypatch.context() as patch:
-        patch.setattr(FiberMasks, "table", _refuse)
+        patch.setattr(FilteredStalks, "record", _refuse)
         with pytest.raises(ValueError, match=r"too large \(1275200 strata"):
             to_cellular(quantize(_torus_pair(20)), spot_checks=0)
         patch.setattr(sheaves, "MAX_STRATA", 130_303)
@@ -370,7 +398,7 @@ def test_the_global_axis_builders_refuse_an_oversized_stratification(
     product_section_complex and ProductHome refuse it before a stalk is
     read."""
     cell = to_cellular(quantize(_torus_pair(16)), spot_checks=0)
-    monkeypatch.setattr(FiberMasks, "table", _refuse)
+    monkeypatch.setattr(FilteredStalks, "record", _refuse)
     for build in (lambda: cell.section_complex(None, -INF, INF),
                   lambda: product_section_complex(cell, cell, True, None,
                                                   -INF, INF),

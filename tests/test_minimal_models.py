@@ -127,7 +127,7 @@ def test_the_restriction_carries_every_stalk_pair_to_a_pair():
 def test_rank_one_stalks_are_their_own_minimal_models():
     for name, F, _ in SHEAVES:
         for cell in _cells(F):
-            if cell.source.width != 1:
+            if len(cell.source.labels) != 1:
                 continue
             index, st = cell.strata
             M = cell.minimal

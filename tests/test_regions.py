@@ -66,11 +66,11 @@ def test_a_region_unit_and_its_dual_open_on_closed_sets():
     grid = torus()
     region = square(grid)
     U = unit_sheaf(grid, region)
-    opens = U.source.opens.reshape(grid.base_cell_shape)
+    opens = U.source.values.reshape(grid.base_cell_shape)
     assert (np.isfinite(opens) == region.membership).all()
     assert (opens[region.membership] == 0.0).all()
     D = dualize(U)
-    dual_opens = D.source.opens.reshape(grid.base_cell_shape)
+    dual_opens = D.source.values.reshape(grid.base_cell_shape)
     closure = face_closure(grid, ~region.membership)
     assert (np.isfinite(dual_opens) == closure).all()
     # all but the open square: the complement's closure takes its rim

@@ -664,12 +664,11 @@ def test_a_flipped_stalk_sign_is_refused_at_the_reference_generator():
 def test_a_stalk_lookup_caches_one_stalk_per_cell_and_stratum():
     # one lookup reads the stalks of every own stratum over its cell; a
     # repeat lookup in the same stratum returns the same object
-    from gfsheaf.sheaves import ZERO_STALK, CellSheaf, RankOneStalks
+    from gfsheaf.sheaves import ZERO_STALK, CellSheaf, FilteredStalks
     ax = TAxis((0.0, 1.0))
     base = BoxGrid((circle_grid(4),))
     opens = np.array([1.0] + [0.0] * 7)
-    cell = CellSheaf(base, ax, RankOneStalks(
-        opens, np.zeros(8, dtype=np.int64), ("k",)))
+    cell = CellSheaf(base, ax, FilteredStalks(opens, 0, [("k",)], None))
     top = cell.stalk((0,), 1.0)
     assert top.gens == ((("k",), 0),)
     for thr in (1.2, 1.5, ax.rep(("v", 1)), ax.rep(("e", 2))):
@@ -679,42 +678,6 @@ def test_a_stalk_lookup_caches_one_stalk_per_cell_and_stratum():
     assert sorted(cell._cache) == [((0,), 0), ((0,), 1), ((0,), 2),
                                    ((1,), 0), ((1,), 1), ((1,), 2)]
     assert cell.stalk((1,), -1.0) is cell._cache[((1,), 0)] is ZERO_STALK
-
-
-def test_tuple_stalks_read_in_blocks_keep_their_labels(monkeypatch):
-    # one base cell per table: the source numbers its labels once, so the
-    # stalk over cell c keeps its own label ('a', c)
-    from gfsheaf import sheaves
-    from gfsheaf.sheaves import CellSheaf, Stalk
-    from tuple_stalks import TupleStalks
-    monkeypatch.setattr(sheaves, "_TABLE_BLOCK", 1)
-    base = BoxGrid((circle_grid(4),))
-    cell = CellSheaf(base, TAxis((0.0,)), TupleStalks(
-        base.base_cell_shape, lambda bc, thr: Stalk(((("a", bc[0]), 0),))))
-    for c in range(8):
-        assert cell.stalk((c,), 0.5).gens == ((("a", c), 0),)
-    assert cell.strata[1].labels == [("a", c) for c in range(8)]
-
-
-def test_stalk_tables_that_number_their_labels_otherwise_are_refused(
-        monkeypatch):
-    # a source whose labels differ from one table to the next breaks the
-    # StalkSource.table contract; the stalk record refuses to join them
-    from gfsheaf import sheaves
-    from gfsheaf.sheaves import CellSheaf, RankOneStalks
-
-    class PerTable(RankOneStalks):
-        def table(self, rows, thresholds):
-            index, st = super().table(rows, thresholds)
-            return index, st._replace(labels=[("k", int(rows[0]))])
-
-    base = BoxGrid((circle_grid(4),))
-    source = PerTable(np.zeros(8), np.zeros(8, dtype=np.int64), ("k",))
-    assert CellSheaf(base, TAxis((0.0,)), source).strata[1].labels == [
-        ("k", 0)]
-    monkeypatch.setattr(sheaves, "_TABLE_BLOCK", 1)
-    with pytest.raises(ValueError, match="number their labels differently"):
-        CellSheaf(base, TAxis((0.0,)), source).strata
 
 
 def test_to_cellular_without_spot_checks_reads_no_window_ceiling():
@@ -1106,14 +1069,14 @@ def test_mask_stalks_assemble_as_the_fiber_loop_stalks(field):
     # tuple stalk at a time
     import functools
     from gfsheaf.linalg import GF2, QQ
-    from gfsheaf.sheaves import (CellSheaf, FiberMasks, LocalAxes,
+    from gfsheaf.sheaves import (CellSheaf, FilteredStalks, LocalAxes,
                                  _same_cell, _total_complex)
     from tuple_stalks import TupleStalks
     F = {"f2": GF2, "q": QQ}[field]
     rng = random.Random(13)
     for gf in _stalk_inputs():
         cell = to_cellular(quantize(gf), spot_checks=0)
-        assert isinstance(cell.source, FiberMasks)
+        assert isinstance(cell.source, FilteredStalks)
         masked = CellSheaf(cell.base, cell.taxis, cell.source, field=F)
         loop = CellSheaf(cell.base, cell.taxis, TupleStalks(
             cell.base.base_cell_shape, functools.partial(reference_stalk, gf),

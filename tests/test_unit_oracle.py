@@ -25,9 +25,9 @@ from gfsheaf.genfun import graph_genfun
 from gfsheaf.grids import BaseRegion
 from gfsheaf.linalg import GF2, QQ
 from gfsheaf.products import dualize, tensor, unit, verify_unit_composition
-from gfsheaf.sheaves import (ZERO_STALK, CellSheaf, LocalAxes, RankOneStalks,
-                             Stalk, TAxis, _full_axes, _product_factors,
-                             _same_cell, _total_complex,
+from gfsheaf.sheaves import (ZERO_STALK, CellSheaf, FilteredStalks,
+                             LocalAxes, Stalk, TAxis, _full_axes,
+                             _product_factors, _same_cell, _total_complex,
                              materialize_rank_one_tensor,
                              product_section_complex, quantize, sections,
                              to_cellular, unit_sheaf)
@@ -164,8 +164,9 @@ def test_a_rank_one_tensor_assembles_as_its_tuple_stalks(seed, field):
     _, G = _graph(seed)
     D = dualize(G)
     k = G.corners
-    up = CellSheaf(G.base, G.taxis, RankOneStalks(
-        np.array(G.taxis.breaks)[k.opens], k.deg + 1, ("u",)))
+    up = CellSheaf(G.base, G.taxis, FilteredStalks(
+        np.array(G.taxis.breaks)[k.opens], (k.deg + 1)[:, None], [("u",)],
+        None))
     for CA, CB in ((G, D), (D, G), (G, G), (D, up)):
         new = _over(materialize_rank_one_tensor(CA, CB), field)
         ref = reference_rank_one_tensor(CA, CB, field)

@@ -1,13 +1,17 @@
 """The tuple stalk path, kept as a test reference: a StalkSource that
 samples a Python stalk_fn(base_cell, threshold) -> Stalk once per (base
 cell, threshold) and converts each distinct tuple Stalk once into the
-slots of a StalkTable.  CellSheaf took every stalk that was no fiber mask
-this way before the unit and rank-one tensor stalks became tables; the
-tests that inject hand-made stalks use it too."""
+slots of a StalkTable; its record collapses the runs of equal stalks over
+a cell with the per-stratum reference (stalk_reference.record).
+CellSheaf took every stalk that was no fiber mask this way before the unit
+and rank-one tensor stalks became tables; the tests that inject hand-made
+stalks (band sheaves, non-chain generizations, flipped signs) use it
+too."""
 
 import numpy as np
 
 from gfsheaf.linalg import GF2
+import stalk_reference
 from gfsheaf.sheaves import StalkSource, StalkTable
 
 
@@ -120,7 +124,15 @@ class TupleStalks(StalkSource):
         self.label = label
         self.labels, self._label_id = [], {}
 
+    def record(self, reps):
+        """StalkSource.record: every (base cell, rep) sampled, a block of
+        cells per table, and the runs of equal stalks collapsed."""
+        return stalk_reference.record(self, int(np.prod(self.base_shape)),
+                                      reps)
+
     def table(self, rows, thresholds):
+        """As stalk_reference.FiberMasks.table, one stalk_fn call per
+        (row, threshold)."""
         stalks = _Stalks(self.field, self.labels, self._label_id)
         index = [[stalks.index(self.stalk_fn(bc, thr), (self.label, bc, i))
                   for i, thr in enumerate(thresholds)]
