@@ -198,11 +198,13 @@ def test_a_coface_cuts_no_break_its_face_drops():
                 assert not (kept[cof[has, k]] & ~kept[has]).any(), name
 
 
-def test_the_source_is_read_once_per_sheaf(monkeypatch):
+@pytest.mark.parametrize("early", [None, 1])
+def test_the_source_is_read_once_per_sheaf(monkeypatch, early):
     """Every reader of a cellular sheaf reads its stalk record: its local
     axes, its corners, product homes at two thresholds, the unit
     composition, a section complex and 100 stalk lookups together call
-    the source's record once."""
+    the source's record once, whether the local axes read it first
+    (early None) or early stalk lookups do (early 1: one lookup)."""
     from gfsheaf.products import verify_unit_composition
     rng = random.Random(2905)
     graph = to_cellular(quantize(graph_genfun(random_circle_morse(rng, n=8))),
@@ -212,6 +214,11 @@ def test_the_source_is_read_once_per_sheaf(monkeypatch):
         calls, record = [], cell.source.record
         monkeypatch.setattr(cell.source, "record",
                             lambda *args: calls.append(1) or record(*args))
+        cells = [tuple(c) for c in cell.base.base_cells()]
+        lo, hi = cell.taxis.breaks[0] - 1.0, cell.taxis.breaks[-1] + 1.0
+        for _ in range(early or 0):
+            cell.stalk(rng.choice(cells), rng.uniform(lo, hi))
+        assert len(calls) == (1 if early else 0), F.label
         top = 2 * cell.taxis.breaks[-1]
         assert cell.local_axes.strata
         if F is graph:
@@ -224,8 +231,6 @@ def test_the_source_is_read_once_per_sheaf(monkeypatch):
         for lam in (top - 1.0, top - 0.5):
             assert len(ProductHome(cell, cell, lam).complex.deg)
         assert cell.section_complex(None, -INF, INF).d
-        cells = [tuple(c) for c in cell.base.base_cells()]
-        lo, hi = cell.taxis.breaks[0] - 1.0, cell.taxis.breaks[-1] + 1.0
         for _ in range(100):
             cell.stalk(rng.choice(cells), rng.uniform(lo, hi))
         assert len(calls) == 1, F.label
