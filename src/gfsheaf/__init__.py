@@ -15,7 +15,7 @@ _EXPORTS = {
                   "cohomology_basis", "cohomology_ranks", "is_quasi_iso",
                   "mapping_cone"),
     "genfun": ("GenFun", "QuadForm", "box_sum", "brane_of", "cerf_diagram",
-               "gf_cohomology", "graph_genfun", "ominus"),
+               "gf_cohomology", "graph_genfun"),
     "grids": ("BaseRegion", "BoxGrid", "Grid1D", "SampledFunction",
               "circle_grid", "interval_grid", "relative_cochain_complex",
               "sublevel_filtration", "sublevel_set"),

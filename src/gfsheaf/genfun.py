@@ -402,11 +402,6 @@ def stacked_sum(g0: GenFun, g1: GenFun, sign, shared_base) -> GenFun:
                   tau_q=g0.tau_q + g1.tau_q, check_collar=False)
 
 
-def ominus(g0: GenFun, g1: GenFun) -> GenFun:
-    """(S0 (-) S1)(x, xi0, xi1) = S0(x, xi0) - S1(x, xi1)."""
-    return stacked_sum(g0, g1, -1.0, shared_base=True)
-
-
 def box_sum(g0: GenFun, g1: GenFun) -> GenFun:
     """(S0 [+] S1)(x, xi0, xi1) = S0(x, xi0) + S1(x, xi1)."""
     return stacked_sum(g0, g1, 1.0, shared_base=True)

@@ -205,9 +205,6 @@ class BoxGrid:
     def all_cells(self):
         return itertools.product(*(range(s) for s in self.cell_shape))
 
-    def base_cells(self):
-        return itertools.product(*(range(s) for s in self.base_cell_shape))
-
     def base_only(self):
         """The grid of the base axes alone: one grid per base value, so its
         coface table is built once."""
@@ -427,9 +424,6 @@ class BaseRegion:
         return np.broadcast_to(
             self.membership.reshape(self.membership.shape + extra),
             grid.cell_shape)
-
-    def base_cells(self):
-        return _cells(self.membership)
 
     def count(self):
         return int(self.membership.sum())

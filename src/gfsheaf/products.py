@@ -196,11 +196,7 @@ def unit_morphisms(F: TameSheaf) -> UnitMorphisms:
     the caller or the test suite on a threshold ladder)."""
     CA = dualize(F).cellular
     CB = F.cellular
-    for C in (CA, CB):
-        if (C.corners.size[:, -1] > 1).any():
-            raise ValueError(
-                "unit/cup morphisms are implemented for sheaves with rank-one "
-                "stalks (unit-type and graph quantizations)")
+    CA.corners, CB.corners      # refuse stalks that are not rank one
     W = tensor(CA, CB, strategy="cell")
     top = (len(CA.taxis.breaks) - 1, len(CB.taxis.breaks) - 1)
     return UnitMorphisms(W, CA, CB, top)
@@ -316,22 +312,16 @@ def floer_to_product_classes(home: ProductHome, floer_home, basis):
     for (deg, vec) in basis:
         cells = floer_home.cells[np.fromiter(vec, np.int64, len(vec))]
         ia, ib = ka.opens[cells], kb.opens[cells]
+        if ((ia < 0) | (ib < 0)).any():
+            raise ThresholdRefusal("class supported where a stalk never "
+                                   "opens")
         # candidate vertex pairs per cell, in (cell, i, j) order
         k, i, j = np.nonzero(
             (np.arange(len(ba))[:, None] >= ia[:, None, None])
             & (np.arange(len(bb)) >= ib[:, None, None])
             & (ba[:, None] + bb >= home.lam))
         c = cells[k]
-        sa, sb = ka.size[c, i + 1], kb.size[c, j + 1]
-        wide = np.bincount(k[(sa != 1) | (sb != 1)], minlength=len(cells))
-        fail = np.flatnonzero((ia < 0) | (ib < 0) | (wide > 0))
-        if fail.size:
-            if ia[fail[0]] < 0 or ib[fail[0]] < 0:
-                raise ThresholdRefusal("class supported where a stalk never "
-                                       "opens")
-            raise ValueError("rank-one stalk expected")
-        ids = C.find((c, 2 * i + 1, 2 * j + 1, ka.label[c, i + 1],
-                      kb.label[c, j + 1]))
+        ids = C.find((c, 2 * i + 1, 2 * j + 1, ka.label[c], kb.label[c]))
         if (ids < 0).any():
             raise AssertionError("a pushed generator is missing from its "
                                  "home")

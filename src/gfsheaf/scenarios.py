@@ -29,8 +29,7 @@ from .rectify import (check_coherence, index_complex_homology,
                       perturb_coherent, rectify_at,
                       strict_synthetic_diagram)
 from .sheaves import (conify, front_interior_table, microstalk, quantize,
-                      section_barcode, sections, singular_support,
-                      to_cellular)
+                      section_barcode, sections, singular_support)
 from .complexes import Barcode, is_quasi_iso
 
 INF = math.inf
@@ -564,7 +563,7 @@ def _task_oracle_compare(ctx, task, out_dir):
     else:
         gf = ctx.genfuns[task["genfun"]]
     bc = sublevel_filtration(gf.S).barcode()
-    sheaf_bc = section_barcode(to_cellular(quantize(gf), spot_checks=0))
+    sheaf_bc = section_barcode(quantize(gf))
     vals = bc.breakpoints() if graphs else list(cerf_diagram(gf).breakpoints)
     margin = 0.5 if graphs else 0.3
     cuts = [vals[0] - margin] + [(x + y) / 2 for x, y in

@@ -258,16 +258,15 @@ def _tuple_stalks(st: StalkTable):
 
 
 class Corners(NamedTuple):
-    """Where the stalks of a sheaf open (CellSheaf.corners), over its base
-    cells in C order.  opens[c] is the index of the break above which the
-    stalk over cell c opens, -1 when it never opens, and deg[c] the degree
-    of its first generator there (-1 too).  On each own stratum ('e', s),
-    size[c, s] is the number of stalk generators and label[c, s] the label
-    id (into labels) of the first one, -1 when the stalk is empty."""
+    """The rank-one stalks of a sheaf (CellSheaf.corners), over its base
+    cells in C order.  Over each cell the stalk is empty up to one break
+    and, above it, one and the same generator on every stratum.  opens[c]
+    is the index of that break, deg[c] the degree of the generator and
+    label[c] its label id (into labels); all three are -1 over a cell whose
+    stalk never opens."""
 
     opens: np.ndarray
     deg: np.ndarray
-    size: np.ndarray
     label: np.ndarray
     labels: list
 
@@ -493,33 +492,29 @@ class CellSheaf(TameSheaf):
 
     @functools.cached_property
     def corners(self) -> Corners:
-        """The Corners of this sheaf, read off its stalk record (strata).
-        The stalk opens above break i when stratum i + 1 has generators and
-        stratum i has none.  Raises ValueError ("rank-one stalks required")
-        when a stalk above a break at or below the opening one has more
-        than one generator, and AssertionError when a stalk that never
-        opens is nonempty on the top stratum; the first failing cell in C
-        order decides."""
+        """The Corners of this sheaf, read off its stalk record (strata):
+        the one check that its stalks have rank one.  Over each cell the
+        record must be empty (-1) up to a stratum and one stalk of one
+        generator from there to the top.  A stalk of more than one
+        generator, or one that changes or closes above its opening, raises
+        ValueError ("rank-one stalks required"); a rank-one stalk that is
+        open on the lowest stratum, below every break, raises
+        AssertionError.  The first failing cell in C order decides."""
         index, st = self.strata
-        first = st.off[:-1]         # the first slot of each stalk
-        size = np.append(np.diff(st.off), 0)[index]
-        label = np.append(st.lab[first], -1)[index]
-        m = self.taxis.m
-        step = (size[:, 1:] > 0) & (size[:, :-1] == 0)
-        has = step.any(axis=1)
-        opens = np.where(has, step.argmax(axis=1), -1)
-        last = np.where(has, opens, m - 1)
-        wide = ((size[:, 1:] > 1)
-                & (np.arange(m) <= last[:, None])).any(axis=1)
-        loose = ~has & (size[:, m] > 0)
-        fail = np.flatnonzero(wide | loose)
+        top = index[:, -1]
+        first = (index >= 0).argmax(axis=1)     # 0 when the stalk is empty
+        above = np.arange(index.shape[1]) >= first[:, None]
+        moves = (index != np.where(above, top[:, None], -1)).any(axis=1)
+        wide = moves | (np.append(np.diff(st.off), 0)[top] > 1)
+        fail = np.flatnonzero(wide | (index[:, 0] >= 0))
         if fail.size:
             if wide[fail[0]]:
                 raise ValueError("rank-one stalks required")
             raise AssertionError("stalk opens without a breakpoint")
-        at = index[np.arange(len(opens)), opens + 1]
-        deg = np.where(has, np.append(st.ldeg[first], -1)[at], -1)
-        return Corners(opens, deg, size, label, st.labels)
+        first_slot = st.off[:-1]
+        return Corners(np.where(top >= 0, first - 1, -1),
+                       np.append(st.ldeg[first_slot], -1)[top],
+                       np.append(st.lab[first_slot], -1)[top], st.labels)
 
     def section_complex(self, region: BaseRegion | None, a, b) -> ChainComplex:
         """Total complex over region x [a, b) with stalk coefficients, on
@@ -1105,7 +1100,8 @@ def materialize_rank_one_tensor(CA: CellSheaf, CB: CellSheaf) -> CellSheaf:
     """Corner-sum indicator presentation of a diagonal tensor of rank-one
     sheaves (section-exact: each base column of the product model has its
     cohomology in a single degree, so the compression is an isomorphism on
-    every window)."""
+    every window).  The corners of both factors (CellSheaf.corners) refuse
+    any stalk that is not rank one, so what they accept is exact."""
     if CA.base != CB.base:
         raise ValueError("tensor factors must share the base grid")
     ka, kb = CA.corners, CB.corners
@@ -1213,30 +1209,6 @@ def conify(brane) -> ConeSet:
     for (x, p, t, _m) in brane.points:
         pts.append((x, t, p, 1))
         pts.append((x, t, tuple(0.0 for _ in p), 0))
-    return ConeSet(tuple(sorted(set(pts))))
-
-
-def conify_conormal(region: BaseRegion) -> ConeSet:
-    """The conical lift of the outward conormal of a closed region (base
-    points over the region at t = 0, outward codirections over the rim)."""
-    grid = region.grid
-    if len(grid.base) != 1:
-        raise ValueError("conormal samples implemented for 1-d bases")
-    g = grid.base[0]
-    pts = []
-    for c in sorted(c[0] for c in region.base_cells()):
-        x = (g.cell_coord(c),)
-        pts.append((x, 0.0, (0.0,), 1))
-        pts.append((x, 0.0, (0.0,), 0))
-    # rim vertices: slot 0 holds the edge to the right of a vertex, slot 1
-    # the edge to its left; an outward codirection points at a slot that
-    # holds an edge outside the region
-    m = np.append(region.membership, True)   # slot -1 (no edge) reads inside
-    cof = grid.coface_table.cof
-    for slot, out in ((0, 1.0), (1, -1.0)):
-        for c in np.flatnonzero(m[:-1] & ~m[cof[:, slot]]).tolist():
-            for mult in (0.5, 1.0, 2.0):
-                pts.append(((g.cell_coord(c),), 0.0, (out * mult,), 1))
     return ConeSet(tuple(sorted(set(pts))))
 
 

@@ -1,9 +1,11 @@
 """The per-cell routines of the convolution calculus, kept as a test
 reference.
 
-corner_table was the dict view of CellSheaf.corners, and the decoupled
-superlevel complex was built from it (decoupled_home holds it on ids, as a
-home of id-keyed classes); front_back_faces split one cube at a
+corners was CellSheaf.corners before it judged every stratum: it checked
+the stalks up to the opening only, and kept a per-stratum size and label
+table.  corner_table was the dict view of CellSheaf.corners, and the
+decoupled superlevel complex was built from it (decoupled_home holds it on
+ids, as a home of id-keyed classes); front_back_faces split one cube at a
 time, and cup_product_cochain walked every cell through it, before
 BoxGrid.splitting_table gave both cup products one table; ominus, box_sum
 and external_box_sum were three copies of the stacked sum that
@@ -18,18 +20,49 @@ import numpy as np
 from gfsheaf.genfun import GenFun, QuadForm
 from gfsheaf.grids import BoxGrid, SampledFunction, cubical_complex
 from gfsheaf.linalg import GF2
-from tuple_cells import cell_dim, edge_vertices
+from tuple_cells import base_cells, cell_dim, edge_vertices
 
 
 # ---------------------------------------------------------------------------
 # corners
+
+def corners(cell):
+    """The old CellSheaf.corners: (opens, deg, size, label, labels), read
+    off the stalk record of cell.  The stalk opens above break i when
+    stratum i + 1 has generators and stratum i has none.  Raises ValueError
+    ("rank-one stalks required") when a stalk above a break at or below
+    the opening one has more than one generator, and AssertionError when a
+    stalk that never opens is nonempty on the top stratum; the first
+    failing cell in C order decides."""
+    index, st = cell.strata
+    first = st.off[:-1]         # the first slot of each stalk
+    size = np.append(np.diff(st.off), 0)[index]
+    label = np.append(st.lab[first], -1)[index]
+    m = cell.taxis.m
+    step = (size[:, 1:] > 0) & (size[:, :-1] == 0)
+    has = step.any(axis=1)
+    opens = np.where(has, step.argmax(axis=1), -1)
+    last = np.where(has, opens, m - 1)
+    wide = ((size[:, 1:] > 1)
+            & (np.arange(m) <= last[:, None])).any(axis=1)
+    loose = ~has & (size[:, m] > 0)
+    fail = np.flatnonzero(wide | loose)
+    if fail.size:
+        if wide[fail[0]]:
+            raise ValueError("rank-one stalks required")
+        raise AssertionError("stalk opens without a breakpoint")
+    at = index[np.arange(len(opens)), opens + 1]
+    deg = np.where(has, np.append(st.ldeg[first], -1)[at], -1)
+    return SimpleNamespace(opens=opens, deg=deg, size=size, label=label,
+                           labels=st.labels)
+
 
 def corner_table(cell):
     """For rank-one sheaves: per base cell the entry breakpoint (None if the
     stalk never opens) and the degree of the single stalk generator, as
     dicts over the cell tuples (CellSheaf.corners)."""
     k = cell.corners
-    cells = list(cell.base.base_cells())
+    cells = list(base_cells(cell.base))
     breaks = cell.taxis.breaks
     opens = k.opens.tolist()
     return ({bc: breaks[i] if i >= 0 else None

@@ -21,7 +21,7 @@ from gfsheaf.fixtures import (circle_function, cusp_genfun,
                               torus_function)
 from gfsheaf.genfun import (FiberCriticalPoint, GenFun, QuadForm, box_sum,
                             brane_of, cerf_diagram, graph_genfun, negate,
-                            ominus, window_ceiling, window_floor)
+                            stacked_sum, window_ceiling, window_floor)
 from gfsheaf.grids import (BoxGrid, SampledFunction, circle_grid,
                            critical_vertices, interval_grid)
 from gfsheaf.sheaves import quantize, singular_support
@@ -299,7 +299,8 @@ GENFUNS = {
     "stabilized+": lambda: _stabilized((1.0,)),
     "stabilized-": lambda: _stabilized((-1.0,), seed=2),
     "stabilized+-": lambda: _stabilized((1.0, -1.0), seed=3, n_fiber=8),
-    "ominus": lambda: ominus(_stabilized((1.0,)), _stabilized((-1.0,))),
+    "ominus": lambda: stacked_sum(_stabilized((1.0,)), _stabilized((-1.0,)),
+                                  -1.0, shared_base=True),
     "box-sum": lambda: box_sum(_stabilized((1.0,)), _stabilized((1.0,), 4)),
     "negate": lambda: negate(cusp_genfun(n_base=16, n_fiber=32)),
     "graph-circle": lambda: graph_genfun(_morse(32, seed=5)),

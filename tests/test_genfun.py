@@ -10,9 +10,9 @@ from gfsheaf.fixtures import (circle_function, cusp_front, cusp_genfun,
                               stabilized_graph_genfun)
 from gfsheaf.genfun import (GenFun, QuadForm, assert_window_regular, box_sum,
                             brane_of, cerf_diagram, gf_cohomology,
-                            graph_genfun, negate,
-                            normalized_window, ominus, strand_value_range,
-                            window_ceiling, window_floor)
+                            graph_genfun, negate, normalized_window,
+                            stacked_sum, strand_value_range, window_ceiling,
+                            window_floor)
 from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
                            critical_vertices, interval_grid,
                            sublevel_filtration)
@@ -24,6 +24,11 @@ import foundation_reference
 import pair_reference
 
 INF = math.inf
+
+
+def difference(g0, g1):
+    """The stacked difference S0(x, xi0) - S1(x, xi1) on one base."""
+    return stacked_sum(g0, g1, -1.0, shared_base=True)
 
 
 def test_quadform_index():
@@ -220,7 +225,7 @@ def test_stabilization_invariance():
 def test_ominus_and_box_sum_indices():
     q1 = pure_quad_genfun((circle_grid(8),), (-1.0,), n_fiber=8)
     q2 = pure_quad_genfun((circle_grid(8),), (1.0,), n_fiber=8)
-    om = ominus(q1, q2)
+    om = difference(q1, q2)
     assert om.k == 2
     assert om.i_q == q1.i_q + (q2.k - q2.i_q)  # 1 + (1 - 0) = 2
     bs = box_sum(q1, q2)
@@ -243,7 +248,8 @@ STACK_FACTORS = {
 @pytest.mark.parametrize("second", STACK_FACTORS)
 def test_stacked_sums_match_the_old_stacking_bodies(first, second):
     g0, g1 = STACK_FACTORS[first](), STACK_FACTORS[second]()
-    for new, old in ((ominus, reference.ominus), (box_sum, reference.box_sum),
+    for new, old in ((difference, reference.ominus),
+                     (box_sum, reference.box_sum),
                      (external_box_sum, reference.external_box_sum)):
         if g0.k + g1.k > 2:     # no grid has more than two fiber axes
             for stack in (new, old):
@@ -260,31 +266,10 @@ def test_stacked_sums_match_the_old_stacking_bodies(first, second):
 def test_a_shared_base_stacked_sum_refuses_two_bases():
     g0 = graph_genfun(circle_function("0*x", n=8))
     g1 = graph_genfun(circle_function("0*x", n=9))
-    for stack in (ominus, box_sum, reference.ominus, reference.box_sum):
+    for stack in (difference, box_sum, reference.ominus,
+                  reference.box_sum):
         with pytest.raises(ValueError, match="base grids must match"):
             stack(g0, g1)
-
-
-def test_ominus_self_annihilation():
-    rng = random.Random(3)
-    for _ in range(3):
-        f = random_circle_morse(rng, n=16)
-        gf = graph_genfun(f)
-        om = ominus(gf, gf)
-        assert om.k == 0
-        assert gf_cohomology(om, None, -0.25, 0.25) == {0: 1, 1: 1}
-
-
-def test_ominus_graph_pair_matches_difference():
-    f = circle_function("0.3*cos(2*pi*x)", n=32)
-    g = circle_function("0.5*sin(2*pi*x)", n=32)
-    om = ominus(graph_genfun(f), graph_genfun(g))
-    diff = f - g
-    bc = sublevel_filtration(diff).barcode()
-    lo, hi = diff.range()
-    for (a, b) in [(lo - 0.5, hi + 0.5), (lo - 0.5, 0.0), (0.0, hi + 0.5)]:
-        assert gf_cohomology(om, None, a, b, check_regular=False) == \
-            bc.window_ranks(a, b)
 
 
 def test_box_sum_of_graphs_is_sum_graph():
@@ -317,8 +302,8 @@ def test_grading_consistency_graph_branes():
     crits = critical_vertices(h)
     bc = sublevel_filtration(h).barcode()
     lo, hi = h.range()
-    full = gf_cohomology(ominus(graph_genfun(g), graph_genfun(f)), None,
-                         lo - 1, hi + 1, check_regular=False)
+    full = gf_cohomology(difference(graph_genfun(g), graph_genfun(f)),
+                         None, lo - 1, hi + 1, check_regular=False)
     euler_crit = sum((-1) ** c["index"] for c in crits)
     euler_coh = sum(((-1) ** d) * r for d, r in full.items())
     assert euler_crit == euler_coh == 0  # circle

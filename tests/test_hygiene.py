@@ -1,11 +1,13 @@
 """Every module-level import of the package, its tests and its demos is
 used in its module, no function imports again a name its module already
 imports, every module-level private name is used somewhere in the
-package, no module but complexes.py names the private kernel of the Morse
-elimination, every defaulted parameter is passed by some call, every record
-field is read, no assert statement stands in for a check, no module
-switches on a presentation name, and the README lists the task ops and
-command-line options that exist."""
+package, every public name of the package is read by the library, a demo
+or the benchmark (or pinned with its reason), no module but complexes.py
+names the private kernel of the Morse elimination, products.py reads the
+stalks only through their corners, every defaulted parameter is passed by
+some call, every record field is read, no assert statement stands in for a
+check, no module switches on a presentation name, and the README lists the
+task ops and command-line options that exist."""
 
 import ast
 import builtins
@@ -324,6 +326,105 @@ def test_no_dead_private_names(path):
                   if name not in elsewhere
                   and name not in referenced_names(tree, skip=node))
     assert dead == []
+
+
+def public_definitions(tree):
+    """Qualified name -> defining node of the public module-level functions
+    and classes of tree and of the public methods of its classes."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and not node.name.startswith("_"):
+            out[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            out.update((f"{node.name}.{sub.name}", sub) for sub in node.body
+                       if isinstance(sub, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                       and not sub.name.startswith("_"))
+    return out
+
+
+def unread_public_names(defining, library, readers, strings):
+    """'module.name' for every public definition of the modules in defining
+    (path -> tree) whose name no tree of library (path -> tree) names
+    outside its own definition, no tree of readers names, and no string of
+    strings is."""
+    outside = set(strings).union(*(referenced_names(t) for t in readers))
+    out = []
+    for path, tree in defining.items():
+        elsewhere = outside.union(*(referenced_names(t)
+                                    for p, t in library.items() if p != path))
+        for name, node in public_definitions(tree).items():
+            bare = name.rsplit(".", 1)[-1]
+            if bare not in elsewhere and \
+                    bare not in referenced_names(tree, skip=node):
+                out.append(f"{path.stem}.{name}")
+    return sorted(out)
+
+
+# public names that no library code, demo or benchmark reads, each kept for
+# its reason
+UNREAD_PUBLIC = {
+    # the direct window, the reference of every window the tests rank
+    "complexes.FilteredComplex.window",
+    # the restriction of the Floer side to a subgrid, for ROADMAP item 21
+    "floer.reduce_to_Z",
+}
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # fixtures.py draws the seeded test data; the benchmark's tracer names
+    # the functions it wraps by string
+    defining = {p: t for p, t in package_trees().items()
+                if p.name != "fixtures.py"}
+    readers = [ast.parse(p.read_text(), str(p)) for d in ("demos", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    strings = {n.value for n in ast.walk(tracer)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    assert unread_public_names(defining, package_trees(), readers,
+                               strings) == sorted(UNREAD_PUBLIC)
+
+
+def test_an_unread_public_name_is_found():
+    lib = ast.parse(
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return helper\n"
+        "def traced():\n"
+        "    pass\n"
+        "def lonely():\n"
+        "    return lonely()\n"
+        "class K:\n"
+        "    def shown(self):\n"
+        "        pass\n"
+        "    def hidden(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n")
+    other = ast.parse("from m import used\nused()\n")
+    demo = ast.parse("K().shown()\n")
+    # a name read only inside its own definition is not read
+    assert unread_public_names({Path("m.py"): lib},
+                               {Path("m.py"): lib, Path("o.py"): other},
+                               [demo], {"traced"}) == ["m.K.hidden",
+                                                       "m.lonely"]
+
+
+def stalk_record_reads(tree):
+    """(line, attribute) of every read of a stalk record field or of the
+    record itself (CellSheaf.strata) in tree."""
+    record = {"strata", "off", "lab", "ldeg", "dptr", "size"}
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in record)
+
+
+def test_the_product_maps_read_the_stalks_only_through_their_corners():
+    # CellSheaf.corners is the one rank-one check; products.py reads
+    # openings, degrees and labels off it and no stalk size of its own
+    assert stalk_record_reads(package_trees()[SRC / "products.py"]) == []
 
 
 # the private kernel of the package's one Morse elimination,

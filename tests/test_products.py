@@ -14,9 +14,14 @@ from gfsheaf.products import (ProductHome, class_table, convolve,
                               cup_product, dualize, floer_to_product_classes,
                               pushforward_barcode, rhom_tensor, tensor, unit,
                               unit_morphisms, verify_unit_composition)
-from gfsheaf.sheaves import (ProductSheaf, Quantization, quantize, sections,
-                             to_cellular, unit_sheaf)
-from convolution_reference import corner_table, decoupled_home
+from gfsheaf.sheaves import (ZERO_STALK, CellSheaf, ProductSheaf,
+                             Quantization, Stalk, TAxis,
+                             materialize_rank_one_tensor, quantize,
+                             section_barcode, sections, to_cellular,
+                             unit_sheaf)
+from convolution_reference import (corner_table, corners as reference_corners,
+                                   decoupled_home)
+from tuple_stalks import TupleStalks
 
 INF = math.inf
 
@@ -250,24 +255,63 @@ def test_unit_morphisms_refuse_stalks_of_more_than_one_generator():
         unit_morphisms(quantize(cusp_genfun(n_base=12, n_fiber=24)))
 
 
+def _hand_made_sheaf(low, mid, high):
+    """A hand-made sheaf on two breaks, 0 and 1, whose stalk over every
+    base cell is low, mid and high on the three strata."""
+    base = grid16().base_only()
+
+    def stalk_fn(bc, thr):
+        return low if thr <= 0 else mid if thr <= 1 else high
+
+    return CellSheaf(base, TAxis((0.0, 1.0)), TupleStalks(
+        base.base_cell_shape, stalk_fn, GF2, "hand-made"))
+
+
+ONE_A, ONE_B = Stalk(((("a",), 0),)), Stalk(((("b",), 0),))
+WIDE = Stalk(((("a",), 0), (("b",), 0)))
+
+
+def _widening_sheaf():
+    """The stalk opens on one generator above break 0 and widens to two
+    above break 1."""
+    return _hand_made_sheaf(ZERO_STALK, ONE_A, WIDE)
+
+
+@pytest.mark.parametrize("low, mid, high, error", [
+    (ZERO_STALK, WIDE, WIDE, ValueError),           # wide where it opens
+    (ZERO_STALK, ONE_A, ONE_B, ValueError),         # changes its generator
+    (ZERO_STALK, ONE_A, ZERO_STALK, ValueError),    # closes again
+    (ONE_A, ONE_A, ONE_A, AssertionError),          # open below every break
+], ids=["wide", "changes", "closes", "open-below"])
+def test_the_corners_refuse_every_stalk_that_is_not_rank_one(low, mid, high,
+                                                             error):
+    C = _hand_made_sheaf(low, mid, high)
+    match = "rank-one stalks" if error is ValueError else "breakpoint"
+    with pytest.raises(error, match=match):
+        C.corners
+
+
 def test_unit_morphisms_refuse_a_stalk_that_widens_above_its_corner(
         monkeypatch):
     import gfsheaf.products as products
-    from gfsheaf.sheaves import ZERO_STALK, CellSheaf, Stalk, TAxis
-    from tuple_stalks import TupleStalks
-    base = grid16().base_only()
-    one = Stalk(((("a",), 0),))
-    two = Stalk(((("a",), 0), (("b",), 0)))
-
-    def stalk_fn(bc, thr):
-        return ZERO_STALK if thr <= 0 else one if thr <= 1 else two
-
-    C = CellSheaf(base, TAxis((0.0, 1.0)), TupleStalks(
-        base.base_cell_shape, stalk_fn, GF2, "wide"))
-    assert (C.corners.opens == 0).all()     # rank one where it opens
+    C = _widening_sheaf()
+    with pytest.raises(ValueError, match="rank-one stalks"):
+        C.corners
     monkeypatch.setattr(products, "dualize", lambda F: F)
     with pytest.raises(ValueError, match="rank-one stalks"):
         unit_morphisms(C)
+
+
+def test_a_stalk_that_widens_above_its_corner_has_no_rank_one_tensor():
+    # a corner-sum tensor of one generator per cell would have two bars
+    # here, where the carrier has eight
+    C = _widening_sheaf()
+    with pytest.raises(ValueError, match="rank-one stalks"):
+        materialize_rank_one_tensor(C, C)
+    P = ProductSheaf(C, C, True)
+    with pytest.raises(ValueError, match="rank-one stalks"):
+        P.cellular
+    assert len(section_barcode(P).bars) == 8
 
 
 def test_unit_morphisms_composition():
@@ -286,6 +330,46 @@ def test_corner_table_rank_one():
     table, degs = corner_table(U)
     assert all(v == 0.0 for v in table.values())
     assert all(d == 0 for d in degs.values())
+
+
+def _rank_one_sheaves(n):
+    """(name, sheaf) of every rank-one family the library builds on a
+    random circle of n cells, and the pairs whose tensor it materializes."""
+    rng = random.Random(3800 + n)
+    graph, other = (to_cellular(quantize(graph_genfun(
+        random_circle_morse(rng, n=n))), spot_checks=0) for _ in "ab")
+    grid = graph.base
+    empty = BaseRegion(grid, np.zeros(grid.base_cell_shape, dtype=bool))
+    sheaves = {"graph": graph, "dual-graph": dualize(graph),
+               "unit": unit_sheaf(grid),
+               "region-unit": unit_sheaf(
+                   grid, BaseRegion.interval_arc(grid, 1, n // 2), 0.5),
+               "empty-unit": unit_sheaf(grid, empty)}
+    pairs = [(graph, other), (sheaves["dual-graph"], graph),
+             (sheaves["region-unit"], graph), (sheaves["unit"], other)]
+    sheaves["tensor"] = materialize_rank_one_tensor(graph, other)
+    return sheaves, pairs
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_the_corners_are_the_old_corners_on_every_rank_one_sheaf(n):
+    """CellSheaf.corners against the old per-stratum corners
+    (convolution_reference.corners): the same openings and degrees, and
+    the label of the top stratum; and each rank-one tensor has the bars of
+    its diagonal carrier."""
+    sheaves, pairs = _rank_one_sheaves(n)
+    for name, cell in sheaves.items():
+        got, want = cell.corners, reference_corners(cell)
+        assert np.array_equal(got.opens, want.opens), name
+        assert np.array_equal(got.deg, want.deg), name
+        assert np.array_equal(got.label, want.label[:, -1]), name
+        assert got.labels == want.labels, name
+    assert (sheaves["empty-unit"].corners.opens == -1).all()
+    assert len(sheaves["empty-unit"].strata[1].off) == 1   # no stalk
+    for CA, CB in pairs:
+        assert section_barcode(materialize_rank_one_tensor(CA, CB)).bars \
+            == section_barcode(ProductSheaf(CA, CB, True)).bars, \
+            (CA.label, CB.label)
 
 
 def test_nested_tensor_associativity_ranks():

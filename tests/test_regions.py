@@ -1,5 +1,5 @@
 """Closed base regions read off the coface table: the face closure, the
-boundary ring, the clamp vertices and the conormal rim, each against the
+boundary ring and the clamp vertices, each against the
 tuple walkers of tests/tuple_cells.py on seeded random bases, and a 2-d
 region whose corners the direct-face closure left out.  A region lives on
 its base grid: a grid of another base is refused, and a region built on a
@@ -19,11 +19,10 @@ from gfsheaf.grids import (BaseRegion, BoxGrid, SampledFunction, circle_grid,
                            interval_grid)
 from gfsheaf.products import dualize
 from gfsheaf.rectify import sheafify_limit
-from gfsheaf.sheaves import (conify_conormal, microstalk, quantize,
-                             section_barcode, sections, to_cellular,
-                             unit_sheaf)
-from tuple_cells import (boundary_ring, conormal_points, direct_face_closure,
-                         face_closure, inside_vertices, smoothed_clamp_values)
+from gfsheaf.sheaves import (microstalk, quantize, section_barcode,
+                             sections, to_cellular, unit_sheaf)
+from tuple_cells import (boundary_ring, direct_face_closure, face_closure,
+                         inside_vertices, smoothed_clamp_values)
 
 
 INF = math.inf
@@ -159,7 +158,6 @@ def test_region_walks_match_the_tuple_walkers(dim, topology):
         if dim == 1:
             assert smoothed_clamp(region).values.tolist() == \
                 smoothed_clamp_values(region).tolist()
-            assert conify_conormal(region).points == conormal_points(region)
     assert seen["wraps" if topology == "circle" else "ends"] > 0
 
 

@@ -14,11 +14,10 @@ from gfsheaf.genfun import brane_of, graph_genfun, window_floor
 from gfsheaf.grids import (BaseRegion, BoxGrid, circle_grid,
                            sublevel_filtration)
 from gfsheaf.sheaves import (ConeSet, ProductSheaf, TAxis, TameSheaf,
-                             conify, conify_conormal,
-                             front_interior_table, microstalk, quantize,
-                             sections, singular_support, to_cellular,
-                             unit_sheaf)
-from tuple_cells import cell_dim, cofaces
+                             conify, front_interior_table, microstalk,
+                             quantize, sections, singular_support,
+                             to_cellular, unit_sheaf)
+from tuple_cells import base_cells, cell_dim, cofaces, region_cells
 from tuple_stalks import d_map
 from tuple_taxis import t_cofaces, t_dim, window_cells, with_breaks
 
@@ -251,16 +250,6 @@ def test_singular_support_refuses_a_2d_base_in_both_presentations():
             singular_support(F)
 
 
-def test_conify_conormal_shape():
-    grid = circle_function("0*x", n=12).grid
-    reg = BaseRegion.interval_arc(grid, 3, 9)
-    cone = conify_conormal(reg)
-    xs = {x[0] for (x, t, p, tau) in cone.points if p == (0.0,)}
-    assert len(xs) >= 3
-    outward = [(x, p) for (x, _t, p, tau) in cone.points if p != (0.0,)]
-    assert outward  # rim codirections present
-
-
 def unit_map_section_level(F: TameSheaf, region, a, b):
     """The canonical map from unit sections into F's sections over a window,
     as a chain map between the two assembled complexes.
@@ -382,13 +371,13 @@ def _reference_section_complex(cell, region, a, b, taxis=None):
     F = cell.field
     own = cell.taxis
     taxis = taxis or own
-    region_cells = (region.base_cells() if region is not None
-                    else list(cell.base.base_cells()))
-    region_set = set(map(tuple, region_cells))
+    cells = (region_cells(region) if region is not None
+             else list(base_cells(cell.base)))
+    region_set = set(map(tuple, cells))
     tcells = window_cells(taxis, a, b)
     tset = set(tcells)
     gens, deg, d, stalks = [], {}, {}, {}
-    for bc in region_cells:
+    for bc in cells:
         bdim = cell_dim(bc)
         for tc in tcells:
             stratum = ("e", bisect.bisect(own.breaks, taxis.rep(tc)))
@@ -438,14 +427,14 @@ def _reference_product_section_complex(CA, CB, diagonal, region, a, b):
         base = BoxGrid(CA.base.base + CB.base.base, ())
         na = len(CA.base.base)
         pair_of = lambda bc: (bc[:na], bc[na:])
-    region_cells = (region.base_cells() if region is not None
-                    else list(base.base_cells()))
-    region_set = set(map(tuple, region_cells))
+    cells = (region_cells(region) if region is not None
+             else list(base_cells(base)))
+    region_set = set(map(tuple, cells))
     tps = [(t1, t2) for t1 in ta.cells() for t2 in tb.cells()
            if a <= ta.top_value(t1) + tb.top_value(t2) < b]
     tpset = set(tps)
     gens, deg, d, pairs = [], {}, {}, {}
-    for bc in region_cells:
+    for bc in cells:
         bc = tuple(bc)
         bca, bcb = pair_of(bc)
         bdim = cell_dim(bc)
@@ -634,7 +623,7 @@ def test_a_flipped_stalk_sign_is_refused_at_the_reference_generator():
                        spot_checks=0)
     ax = cusp.taxis
     tried = 0
-    for bc in cusp.base.base_cells():
+    for bc in base_cells(cusp.base):
         for i in range(ax.m + 1):
             thr = ax.rep(("e", i))
             if not cusp.stalk(bc, thr).diff:
@@ -1048,7 +1037,7 @@ def test_cellular_stalks_equal_the_fiber_loop():
     for gf in _stalk_inputs():
         cell = to_cellular(quantize(gf), spot_checks=0)
         ax = cell.taxis
-        for bc in cell.base.base_cells():
+        for bc in base_cells(cell.base):
             for i in range(ax.m + 1):
                 thr = ax.rep(("e", i))
                 got = cell.stalk(bc, thr)
@@ -1174,7 +1163,8 @@ def test_a_gf_sheaf_is_converted_to_cellular_form_once(tmp_path,
         calls.append(args[0])
         return convert(*args, **kwargs)
 
-    for module in (sheaves, products, scenarios):
+    # scenarios converts through Quantization.cellular, in sheaves
+    for module in (sheaves, products):
         monkeypatch.setattr(module, "to_cellular", counted)
     code, _ = scenarios.run_scenario(
         os.path.join(BUNDLED_DIR, "unit-laws.toml"), out_dir=str(tmp_path),

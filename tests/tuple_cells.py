@@ -3,10 +3,12 @@
 vertex_cofaces and edge_faces were the per-axis incidence rules of Grid1D
 (with cell_dim and edge_vertices, the tuple helpers of BoxGrid and Grid1D),
 and cofaces, faces and cell_vertices walked a BoxGrid cell by cell through
-them; BoxGrid.coface_table now is the one incidence rule.  The region
-routines below are the walks that read them before: the face closure of
-a base region, its boundary ring, its inside vertices, the smoothed clamp
-and the rim of the conormal cone.
+them; BoxGrid.coface_table now is the one incidence rule.  base_cells and
+region_cells were BoxGrid.base_cells and BaseRegion.base_cells, the tuple
+cell lists that only the tests read.  The region routines below are the
+walks that read them before: the face closure of
+a base region, its boundary ring, its inside vertices and the smoothed
+clamp.
 """
 
 import itertools
@@ -116,11 +118,21 @@ def direct_face_closure(grid, membership):
     return out
 
 
+def base_cells(grid):
+    """The base cells of grid in C order, as tuples."""
+    return itertools.product(*(range(s) for s in grid.base_cell_shape))
+
+
+def region_cells(region):
+    """The base cells of region in C order, as tuples of Python ints."""
+    return [tuple(c) for c in np.argwhere(region.membership).tolist()]
+
+
 def boundary_ring(Z):
     """Cells of Z whose star leaves Z (candidate non-generic locus)."""
     grid = Z.grid.base_only()
     ring = set()
-    for cell in Z.base_cells():
+    for cell in region_cells(Z):
         for cf, _ in cofaces(grid, cell):
             if not Z.membership[cf]:
                 ring.add(cell)
@@ -132,7 +144,7 @@ def inside_vertices(region):
     """Vertex mask of the vertices of the cells of region."""
     base_only = region.grid.base_only()
     inside = np.zeros(base_only.vertex_shape, dtype=bool)
-    for cell in region.base_cells():
+    for cell in region_cells(region):
         for v in cell_vertices(base_only, cell):
             inside[v] = True
     return inside
@@ -144,7 +156,7 @@ def smoothed_clamp_values(region, depth=2.0, ramp_cells=4):
     from gfsheaf.fixtures import smoothstep
     g = region.grid.base[0]
     inside = np.zeros(g.n_vertices, dtype=bool)
-    for cell in region.base_cells():
+    for cell in region_cells(region):
         if cell[0] & 1 == 0:
             inside[cell[0] >> 1] = True
         else:
@@ -161,26 +173,3 @@ def smoothed_clamp_values(region, depth=2.0, ramp_cells=4):
             neighbor[:-1] = np.minimum(neighbor[:-1], dist[1:] + 1)
         dist = np.minimum(dist, neighbor)
     return -depth * smoothstep(dist / ramp_cells)
-
-
-def conormal_points(region):
-    """The points of conify_conormal on a 1-d base, the rim found through
-    vertex_cofaces."""
-    g = region.grid.base[0]
-    pts = []
-    cells = sorted(c[0] for c in region.base_cells())
-    cellset = set(cells)
-    for c in cells:
-        x = (g.cell_coord(c),)
-        pts.append((x, 0.0, (0.0,), 1))
-        pts.append((x, 0.0, (0.0,), 0))
-    for c in cells:
-        if c & 1 == 0:
-            k = c >> 1
-            for e, s in vertex_cofaces(g, k):
-                if e not in cellset:
-                    # rim vertex: outward direction sign = +1 to the right
-                    out = 1.0 if s == -1 else -1.0
-                    for mult in (0.5, 1.0, 2.0):
-                        pts.append(((g.cell_coord(c),), 0.0, (out * mult,), 1))
-    return tuple(sorted(set(pts)))
